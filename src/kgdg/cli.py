@@ -37,7 +37,7 @@ from .io import (
     load_probability_table,
     save_model,
 )
-from .learn import TrainConfig, fit_model
+from .learn import TrainConfig, feature_matrix, fit_model, grade_array
 from .metrics import detection_set_iou, evaluate_predictions
 from .report import compare_to_reference, emit_report, get_reference, load_report_json, reference_ids
 from .rules import RuleConfig, grade_by_rules, grade_detections
@@ -140,10 +140,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
     dataset = DomainDataset(DomainId(examples[0].domain if examples else "train"), tuple(examples))
     train, valid, test = split_dataset(dataset, SplitFractions(), seed)
     model = fit_model(train, valid, cfg)
-    preds = [model.predict_proba(ex.features).argmax() for ex in test]
-    truth = [int(ex.grade) for ex in test]
-    if truth:
-        held_out = evaluate_predictions(truth, preds)
+    if test:
+        x_test = feature_matrix(test, model.feature_schema)
+        preds = model.predict_proba_matrix(x_test).argmax(axis=1)
+        held_out = evaluate_predictions(grade_array(test), preds)
         _diag(args, f"held-out accuracy {held_out.accuracy:.4f}, macro F1 {held_out.macro_f1:.4f}")
     save_model(model.to_artifact(), args.out)
     _diag(args, f"wrote {args.out}")
@@ -184,8 +184,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.out is None or args.out == "-":
         from .report import render_markdown
 
-        sys.stdout.write(render_markdown(report) if args.format != "json"
-                         else json.dumps(report.to_json_dict(), indent=1, sort_keys=True) + "\n")
+        if args.format == "json":
+            payload = report.to_json_dict()
+            sys.stdout.write(json.dumps(payload, indent=1, sort_keys=True, allow_nan=False) + "\n")
+        else:
+            sys.stdout.write(render_markdown(report))
     else:
         emit_report(report, args.format, args.out)
         _diag(args, f"wrote {args.out}")

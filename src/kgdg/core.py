@@ -231,8 +231,8 @@ class FeatureVector:
             "cotton_wool_count",
         ):
             v = getattr(self, name)
-            if int(v) != v or v < 0:
-                raise ValueError(f"{name}={v!r} must be a nonnegative integer")
+            if not math.isfinite(v) or int(v) != v or v < 0:
+                raise ValueError(f"{name}={v!r} must be a finite nonnegative integer")
         if self.hemorrhage_quadrants not in (0, 1, 2, 3, 4):
             raise ValueError(
                 f"hemorrhage_quadrants={self.hemorrhage_quadrants!r} outside 0..4"
@@ -242,6 +242,9 @@ class FeatureVector:
         if any(present) and not all(present):
             raise ValueError("vein fields must be jointly present or jointly absent")
         if all(present):
+            for name, v in zip(VEIN_FEATURE_NAMES, vein):
+                if not math.isfinite(v):  # type: ignore[arg-type]
+                    raise ValueError(f"{name}={v!r} must be finite")
             if self.vein_tortuosity < 0:  # type: ignore[operator]
                 raise ValueError(f"vein_tortuosity={self.vein_tortuosity!r} must be >= 0")
             if self.vein_caliber_mean < 0:  # type: ignore[operator]

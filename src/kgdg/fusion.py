@@ -10,9 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from functools import partial
+from typing import Mapping, NamedTuple
 
-from .core import DRGrade, FusionWeights, ProbabilityVector
+import numpy as np
+
+from .core import GRADE_COUNT, DRGrade, FusionWeights, ProbabilityVector
 from .errors import InvalidConfig, UnknownImageId
 
 
@@ -36,52 +39,66 @@ class FusedPrediction:
     winning_score: float
 
 
-def fuse_selective(p_dl: ProbabilityVector, p_kd: ProbabilityVector) -> FusedPrediction:
-    """Whole-branch pick: the deep output when its peak confidence is at
-    least the knowledge branch's, otherwise the knowledge output."""
-    s_dl = p_dl.max_score()
-    s_kd = p_kd.max_score()
-    if s_dl >= s_kd:
-        return FusedPrediction(DRGrade(p_dl.argmax()), FusionSource.DEEP, s_dl)
-    return FusedPrediction(DRGrade(p_kd.argmax()), FusionSource.SYMBOLIC, s_kd)
+# The cells of a stacked row (deep grades 0-4, then knowledge grades 0-4)
+# in tie order; the first maximal cell wins. With every deep cell first,
+# the branch with the higher peak wins whole, so selective and max
+# confidence coincide. Class-wise max visits the grades in order, deep
+# before knowledge within a grade.
+_TIE_ORDER = {
+    FusionStrategy.SELECTIVE: tuple(range(2 * GRADE_COUNT)),
+    FusionStrategy.MAX_CONFIDENCE: tuple(range(2 * GRADE_COUNT)),
+    FusionStrategy.CLASSWISE_MAX: tuple(
+        cell for g in range(GRADE_COUNT) for cell in (g, g + GRADE_COUNT)
+    ),
+}
 
 
-def fuse_max_confidence(p_dl: ProbabilityVector, p_kd: ProbabilityVector) -> FusedPrediction:
-    """The single globally most confident (source, grade) cell wins."""
-    s_dl = p_dl.max_score()
-    s_kd = p_kd.max_score()
-    if s_dl >= s_kd:
-        return FusedPrediction(DRGrade(p_dl.argmax()), FusionSource.DEEP, s_dl)
-    return FusedPrediction(DRGrade(p_kd.argmax()), FusionSource.SYMBOLIC, s_kd)
+_GRADES = tuple(DRGrade)
 
 
-def fuse_classwise_max(p_dl: ProbabilityVector, p_kd: ProbabilityVector) -> FusedPrediction:
-    """Per-grade maximum across branches, then argmax over grades."""
-    best_grade = 0
-    best_score = -1.0
-    best_source = FusionSource.DEEP
-    for g in range(5):
-        a, b = p_dl[g], p_kd[g]
-        m = a if a >= b else b
-        if m > best_score:
-            best_score = m
-            best_grade = g
-            best_source = FusionSource.DEEP if a >= b else FusionSource.SYMBOLIC
-    return FusedPrediction(DRGrade(best_grade), best_source, best_score)
+def _require_weights(weights: FusionWeights | None) -> FusionWeights:
+    if weights is None:
+        raise InvalidConfig("weighted fusion needs FusionWeights")
+    return weights
 
 
-def fuse_weighted(
-    p_dl: ProbabilityVector, p_kd: ProbabilityVector, w: FusionWeights
-) -> FusedPrediction:
-    """Argmax of the weighted sum of both branches' confidences."""
-    best_grade = 0
-    best_score = -1.0
-    for g in range(5):
-        v = w.alpha_dl * p_dl[g] + w.alpha_kl * p_kd[g]
-        if v > best_score:
-            best_score = v
-            best_grade = g
-    return FusedPrediction(DRGrade(best_grade), FusionSource.BLENDED, best_score)
+class FusedArrays(NamedTuple):
+    """Fusion decisions for n row pairs."""
+
+    grades: np.ndarray  # (n,) winning grade
+    sources: np.ndarray  # (n,) FusionSource value of the winner
+    scores: np.ndarray  # (n,) winning score
+    probs: np.ndarray  # (n, 5) rows whose argmax is the grade, for rank metrics
+
+
+def fuse_arrays(
+    strategy: FusionStrategy | str,
+    p_dl: np.ndarray,
+    p_kd: np.ndarray,
+    weights: FusionWeights | None = None,
+) -> FusedArrays:
+    """The decision kernel over (n, 5) deep and knowledge rows."""
+    strategy = FusionStrategy(strategy)
+    p_dl = np.asarray(p_dl, dtype=np.float64)
+    p_kd = np.asarray(p_kd, dtype=np.float64)
+    if strategy is FusionStrategy.WEIGHTED:
+        w = _require_weights(weights)
+        blend = w.alpha_dl * p_dl + w.alpha_kl * p_kd
+        grades = blend.argmax(axis=1)
+        sources = np.full(grades.size, FusionSource.BLENDED.value)
+        return FusedArrays(grades, sources, blend.max(axis=1), blend / (w.alpha_dl + w.alpha_kl))
+    order = np.asarray(_TIE_ORDER[strategy])
+    stack = np.concatenate((p_dl, p_kd), axis=1)
+    winner = order[stack[:, order].argmax(axis=1)]
+    deep = winner < GRADE_COUNT
+    if strategy is FusionStrategy.CLASSWISE_MAX:
+        peak = np.maximum(p_dl, p_kd)
+        # summed left to right, as sum() over one row does
+        probs = peak / sum(peak[:, g] for g in range(GRADE_COUNT))[:, None]
+    else:
+        probs = np.where(deep[:, None], p_dl, p_kd)
+    sources = np.where(deep, FusionSource.DEEP.value, FusionSource.SYMBOLIC.value)
+    return FusedArrays(winner % GRADE_COUNT, sources, stack.max(axis=1), probs)
 
 
 def fuse(
@@ -90,16 +107,35 @@ def fuse(
     p_kd: ProbabilityVector,
     weights: FusionWeights | None = None,
 ) -> FusedPrediction:
-    strategy = FusionStrategy(strategy)
-    if strategy is FusionStrategy.SELECTIVE:
-        return fuse_selective(p_dl, p_kd)
-    if strategy is FusionStrategy.MAX_CONFIDENCE:
-        return fuse_max_confidence(p_dl, p_kd)
-    if strategy is FusionStrategy.CLASSWISE_MAX:
-        return fuse_classwise_max(p_dl, p_kd)
-    if weights is None:
-        raise InvalidConfig("weighted fusion needs FusionWeights")
-    return fuse_weighted(p_dl, p_kd, weights)
+    """Fuse one row pair."""
+    return _fuse_row(FusionStrategy(strategy), p_dl, p_kd, weights)
+
+
+def _fuse_row(
+    strategy: FusionStrategy,
+    p_dl: ProbabilityVector,
+    p_kd: ProbabilityVector,
+    weights: FusionWeights | None = None,
+) -> FusedPrediction:
+    """The kernel's rules on one row pair, in plain Python: on a single
+    row, numpy's fixed cost per call is many times the decision."""
+    if strategy is FusionStrategy.WEIGHTED:
+        w = _require_weights(weights)
+        cells = [w.alpha_dl * a + w.alpha_kl * b for a, b in zip(p_dl.probs, p_kd.probs)]
+        grade = cells.index(max(cells))
+        return FusedPrediction(_GRADES[grade], FusionSource.BLENDED, cells[grade])
+    order = _TIE_ORDER[strategy]
+    stack = p_dl.probs + p_kd.probs
+    cells = [stack[i] for i in order]
+    winner = order[cells.index(max(cells))]  # the first maximal cell
+    source = FusionSource.DEEP if winner < GRADE_COUNT else FusionSource.SYMBOLIC
+    return FusedPrediction(_GRADES[winner % GRADE_COUNT], source, stack[winner])
+
+
+fuse_selective = partial(_fuse_row, FusionStrategy.SELECTIVE)
+fuse_max_confidence = partial(_fuse_row, FusionStrategy.MAX_CONFIDENCE)
+fuse_classwise_max = partial(_fuse_row, FusionStrategy.CLASSWISE_MAX)
+fuse_weighted = partial(_fuse_row, FusionStrategy.WEIGHTED)
 
 
 def fused_probability(
@@ -110,20 +146,8 @@ def fused_probability(
 ) -> ProbabilityVector:
     """A probability row whose argmax matches the fusion decision, used to
     score fused predictions with rank metrics (AUC)."""
-    strategy = FusionStrategy(strategy)
-    if strategy in (FusionStrategy.SELECTIVE, FusionStrategy.MAX_CONFIDENCE):
-        return p_dl if p_dl.max_score() >= p_kd.max_score() else p_kd
-    if strategy is FusionStrategy.CLASSWISE_MAX:
-        m = [max(p_dl[g], p_kd[g]) for g in range(5)]
-        total = sum(m)
-        return ProbabilityVector(tuple(v / total for v in m))  # type: ignore[arg-type]
-    if weights is None:
-        raise InvalidConfig("weighted fusion needs FusionWeights")
-    total = weights.alpha_dl + weights.alpha_kl
-    blended = tuple(
-        (weights.alpha_dl * p_dl[g] + weights.alpha_kl * p_kd[g]) / total for g in range(5)
-    )
-    return ProbabilityVector(blended)  # type: ignore[arg-type]
+    fused = fuse_arrays(strategy, (p_dl.probs,), (p_kd.probs,), weights)
+    return ProbabilityVector(tuple(float(v) for v in fused.probs[0]))  # type: ignore[arg-type]
 
 
 def batch_fuse(
@@ -141,7 +165,16 @@ def batch_fuse(
             f"tables disagree on image ids (e.g. {sample!r}): "
             f"{len(missing_dl)} missing from deep, {len(missing_kd)} from symbolic"
         )
+    ids = list(dl_table)
+    fused = fuse_arrays(
+        strategy,
+        np.asarray([dl_table[i].probs for i in ids], dtype=np.float64).reshape(-1, GRADE_COUNT),
+        np.asarray([kd_table[i].probs for i in ids], dtype=np.float64).reshape(-1, GRADE_COUNT),
+        weights,
+    )
     return {
-        image_id: fuse(strategy, dl_table[image_id], kd_table[image_id], weights)
-        for image_id in dl_table
+        image_id: FusedPrediction(_GRADES[grade], FusionSource(source), score)
+        for image_id, grade, source, score in zip(
+            ids, fused.grades.tolist(), fused.sources.tolist(), fused.scores.tolist()
+        )
     }

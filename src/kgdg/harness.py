@@ -10,6 +10,7 @@ and aggregates per-seed metrics into benchmark-style mean +/- std tables.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -29,7 +30,8 @@ from .errors import (
     MissingProbabilityTable,
     NoQualifyingClass,
 )
-from .fusion import FusionStrategy, fuse, fused_probability
+# fuse and fused_probability stay importable from this module for existing callers
+from .fusion import FusionStrategy, fuse, fuse_arrays, fused_probability  # noqa: F401
 from .io import Manifest, canonical_json, content_digest, file_digest, load_domain_dataset
 from .learn import TrainConfig, feature_matrix, fit_model_arrays, grade_array, resolve_schema
 from .metrics import (
@@ -132,6 +134,16 @@ class CellStat:
     n_seeds: int
 
 
+def _number_or_null(value: float) -> float | None:
+    """Strict JSON has no NaN or infinity: a metric without a value (AUC
+    on a single-grade target) is written as null."""
+    return value if math.isfinite(value) else None
+
+
+def _null_as_nan(value: float | None) -> float:
+    return float("nan") if value is None else value
+
+
 @dataclass
 class ExperimentReport:
     """Per (method, target) mean +/- std over seeds, plus run provenance."""
@@ -164,13 +176,17 @@ class ExperimentReport:
             "metrics": list(self.metrics),
             "cells": {
                 m: {
-                    c: {k: [v.mean, v.std, v.n_seeds] for k, v in col.items()}
+                    c: {k: [_number_or_null(v.mean), _number_or_null(v.std), v.n_seeds]
+                        for k, v in col.items()}
                     for c, col in cols.items()
                 }
                 for m, cols in self.cells.items()
             },
             "raw": {
-                m: {c: {k: list(v) for k, v in col.items()} for c, col in cols.items()}
+                m: {
+                    c: {k: [_number_or_null(x) for x in v] for k, v in col.items()}
+                    for c, col in cols.items()
+                }
                 for m, cols in self.raw.items()
             },
             "seeds": list(self.seeds),
@@ -193,13 +209,19 @@ class ExperimentReport:
             metrics=tuple(raw["metrics"]),
             cells={
                 m: {
-                    c: {k: CellStat(v[0], v[1], int(v[2])) for k, v in col.items()}
+                    c: {
+                        k: CellStat(_null_as_nan(v[0]), _null_as_nan(v[1]), int(v[2]))
+                        for k, v in col.items()
+                    }
                     for c, col in cols.items()
                 }
                 for m, cols in raw["cells"].items()
             },
             raw={
-                m: {c: {k: tuple(v) for k, v in col.items()} for c, col in cols.items()}
+                m: {
+                    c: {k: tuple(_null_as_nan(x) for x in v) for k, v in col.items()}
+                    for c, col in cols.items()
+                }
                 for m, cols in raw["raw"].items()
             },
             seeds=tuple(raw["seeds"]),
@@ -305,21 +327,30 @@ def _pairwise_kl(stats: Mapping[DomainId, DomainStats]) -> float:
 
 
 def select_weights(
-    validation: Sequence[tuple[int, ProbabilityVector, ProbabilityVector]],
+    validation: Sequence[tuple[int, ProbabilityVector, ProbabilityVector]]
+    | tuple[np.ndarray, np.ndarray, np.ndarray],
     grid: Sequence[tuple[float, float]] = DEFAULT_WEIGHT_GRID,
 ) -> FusionWeights:
     """Grid-search the blend maximizing validation accuracy; ties prefer
-    the deep branch (smallest knowledge weight)."""
-    if not validation:
+    the deep branch (smallest knowledge weight).
+
+    ``validation`` is a sequence of (grade, p_dl, p_kd) triples, or one
+    (grades, deep rows, knowledge rows) tuple of arrays.
+    """
+    if len(validation) and isinstance(validation[0], np.ndarray):
+        y, p_dl, p_kd = validation
+    else:
+        y = np.asarray([int(t[0]) for t in validation], dtype=np.int64)
+        p_dl, p_kd = (
+            np.asarray([tuple(t[k]) for t in validation], dtype=np.float64) for k in (1, 2)
+        )
+    if y.size == 0:
         raise InvalidConfig("weight selection needs validation predictions")
     best: FusionWeights | None = None
     best_acc = -1.0
     for a_dl, a_kl in grid:
         w = FusionWeights(a_dl, a_kl)
-        hits = sum(
-            1 for y, p_dl, p_kd in validation if int(fuse("weighted", p_dl, p_kd, w).grade) == y
-        )
-        acc = hits / len(validation)
+        acc = int((fuse_arrays("weighted", p_dl, p_kd, w).grades == y).sum()) / y.size
         if acc > best_acc:
             best_acc = acc
             best = w
@@ -344,19 +375,20 @@ def _method_rows(cfg: ExperimentConfig, have_probs: bool) -> list[str]:
     return rows
 
 
-def _neural_matrix(examples: Sequence[LabeledExample]) -> list[ProbabilityVector]:
-    rows = []
-    for ex in examples:
-        if ex.neural_probs is None:
-            raise MissingProbabilityTable(
-                f"image {ex.image_id!r} has no neural probability row"
-            )
-        rows.append(ex.neural_probs)
-    return rows
-
-
-def _prob_rows(matrix: np.ndarray) -> list[ProbabilityVector]:
-    return [ProbabilityVector(tuple(float(v) for v in row)) for row in matrix]
+def _neural_matrices(
+    datasets: Mapping[DomainId, DomainDataset], domains: Sequence[DomainId], methods: Sequence[str]
+) -> dict[DomainId, np.ndarray]:
+    """Each domain's (n, 5) deep rows, when any method beyond symbolic needs them."""
+    if len(methods) == 1:
+        return {}
+    out = {}
+    for d in domains:
+        examples = datasets[d].examples
+        missing = [ex.image_id for ex in examples if ex.neural_probs is None]
+        if missing:
+            raise MissingProbabilityTable(f"image {missing[0]!r} has no neural probability row")
+        out[d] = np.asarray([ex.neural_probs.probs for ex in examples], dtype=np.float64)
+    return out
 
 
 def _guard_leakage(
@@ -388,35 +420,27 @@ def _config_fingerprint(cfg: ExperimentConfig, manifest: Manifest) -> str:
 
 def _evaluate_rows(
     methods: Sequence[str],
-    y_true: list[int],
+    y_true: np.ndarray,
     kd_matrix: np.ndarray,
-    dl_rows: list[ProbabilityVector] | None,
+    dl_matrix: np.ndarray | None,
     weights: FusionWeights | None,
 ) -> dict[str, dict[str, float]]:
     """Per-method accuracy / macro F1 / AUC on one evaluation set."""
-    kd_rows = _prob_rows(kd_matrix)
     out: dict[str, dict[str, float]] = {}
     for method in methods:
         if method == "symbolic":
-            preds = [r.argmax() for r in kd_rows]
-            prob_rows: Sequence[ProbabilityVector] = kd_rows
+            probs = kd_matrix
+            preds = probs.argmax(axis=1)
         elif method == "neural":
-            assert dl_rows is not None
-            preds = [r.argmax() for r in dl_rows]
-            prob_rows = dl_rows
+            assert dl_matrix is not None
+            probs = dl_matrix
+            preds = probs.argmax(axis=1)
         else:
-            strategy = method.removeprefix("fusion-")
-            assert dl_rows is not None
-            preds = [
-                int(fuse(strategy, dl, kd, weights).grade)
-                for dl, kd in zip(dl_rows, kd_rows)
-            ]
-            prob_rows = [
-                fused_probability(strategy, dl, kd, weights)
-                for dl, kd in zip(dl_rows, kd_rows)
-            ]
+            assert dl_matrix is not None
+            fused = fuse_arrays(method.removeprefix("fusion-"), dl_matrix, kd_matrix, weights)
+            preds, probs = fused.grades, fused.probs
         try:
-            auc = auc_ovr_macro(y_true, prob_rows)
+            auc = auc_ovr_macro(y_true, probs)
         except NoQualifyingClass:
             auc = float("nan")  # degenerate single-grade evaluation set
         out[method] = {
@@ -495,6 +519,8 @@ def run_sdg(cfg: ExperimentConfig, manifest: Manifest) -> ExperimentReport:
     id_index = {
         d: {ex.image_id: i for i, ex in enumerate(datasets[d].examples)} for d in datasets
     }
+    grades = {d: grade_array(datasets[d].examples) for d in targets}
+    neural = _neural_matrices(datasets, [source] + targets, methods)
     per_seed: list[dict[str, dict[str, dict[str, float]]]] = []
     selected_alphas: list[float] = []
     for seed in cfg.seeds:
@@ -503,33 +529,31 @@ def run_sdg(cfg: ExperimentConfig, manifest: Manifest) -> ExperimentReport:
             {(ex.domain, ex.image_id) for ex in train + valid},
             {t: datasets[t].examples for t in targets},
         )
+        rows_va = [id_index[source][ex.image_id] for ex in valid]
         x_train = matrices[source][[id_index[source][ex.image_id] for ex in train]]
-        x_valid = matrices[source][[id_index[source][ex.image_id] for ex in valid]]
+        x_valid = matrices[source][rows_va]
+        y_valid = grade_array(valid)
         model = fit_model_arrays(
             x_train,
             grade_array(train),
             x_valid,
-            grade_array(valid),
+            y_valid,
             schema,
             cfg.symbolic,
         )
         weights = cfg.fusion.fixed_weights()
         if "fusion-weighted" in methods and weights is None:
-            kd_val = _prob_rows(model.predict_proba_matrix(x_valid))
-            dl_val = _neural_matrix(valid)
             weights = select_weights(
-                [(int(ex.grade), dl, kd) for ex, dl, kd in zip(valid, dl_val, kd_val)]
+                (y_valid, neural[source][rows_va], model.predict_proba_matrix(x_valid))
             )
             selected_alphas.append(weights.alpha_dl)
         run: dict[str, dict[str, dict[str, float]]] = {m: {} for m in methods}
         for t in targets:
-            examples = datasets[t].examples
-            dl_rows = _neural_matrix(examples) if len(methods) > 1 else None
             results = _evaluate_rows(
                 methods,
-                [int(ex.grade) for ex in examples],
+                grades[t],
                 model.predict_proba_matrix(matrices[t]),
-                dl_rows,
+                neural.get(t),
                 weights,
             )
             for m in methods:
@@ -572,6 +596,9 @@ def run_mdg(cfg: ExperimentConfig, manifest: Manifest) -> ExperimentReport:
     id_index = {
         d: {ex.image_id: i for i, ex in enumerate(datasets[d].examples)} for d in domains
     }
+    features = {d: feature_matrix(datasets[d].examples, schema) for d in domains}
+    grades = {d: grade_array(datasets[d].examples) for d in domains}
+    neural = _neural_matrices(datasets, domains, methods)
 
     per_seed: list[dict[str, dict[str, dict[str, float]]]] = []
     selected_alphas: list[float] = []
@@ -581,7 +608,7 @@ def run_mdg(cfg: ExperimentConfig, manifest: Manifest) -> ExperimentReport:
         run: dict[str, dict[str, dict[str, float]]] = {m: {} for m in methods}
         for held_out in domains:
             sources = [d for d in domains if d != held_out]
-            matrices = {d: feature_matrix(datasets[d].examples, schema) for d in domains}
+            matrices = dict(features)
             if cfg.alignment:
                 ordered = [datasets[d] for d in sources] + [datasets[held_out]]
                 aligned, kb, ka = align_domains(ordered, sources[0], schema)
@@ -592,6 +619,7 @@ def run_mdg(cfg: ExperimentConfig, manifest: Manifest) -> ExperimentReport:
             valid: list[LabeledExample] = []
             x_train_parts: list[np.ndarray] = []
             x_valid_parts: list[np.ndarray] = []
+            dl_valid_parts: list[np.ndarray] = []
             for d in sources:
                 tr, va, _te = split_dataset(datasets[d], cfg.split, seed)
                 train.extend(tr)
@@ -600,33 +628,33 @@ def run_mdg(cfg: ExperimentConfig, manifest: Manifest) -> ExperimentReport:
                 rows_va = [id_index[d][ex.image_id] for ex in va]
                 x_train_parts.append(matrices[d][rows_tr])
                 x_valid_parts.append(matrices[d][rows_va])
+                if neural:
+                    dl_valid_parts.append(neural[d][rows_va])
             _guard_leakage(
                 {(ex.domain, ex.image_id) for ex in train + valid},
                 {held_out: datasets[held_out].examples},
             )
+            x_valid = np.vstack(x_valid_parts)
+            y_valid = grade_array(valid)
             model = fit_model_arrays(
                 np.vstack(x_train_parts),
                 grade_array(train),
-                np.vstack(x_valid_parts),
-                grade_array(valid),
+                x_valid,
+                y_valid,
                 schema,
                 cfg.symbolic,
             )
             weights = cfg.fusion.fixed_weights()
             if "fusion-weighted" in methods and weights is None:
-                kd_val = _prob_rows(model.predict_proba_matrix(np.vstack(x_valid_parts)))
-                dl_val = _neural_matrix(valid)
                 weights = select_weights(
-                    [(int(ex.grade), dl, kd) for ex, dl, kd in zip(valid, dl_val, kd_val)]
+                    (y_valid, np.vstack(dl_valid_parts), model.predict_proba_matrix(x_valid))
                 )
                 selected_alphas.append(weights.alpha_dl)
-            examples = datasets[held_out].examples
-            dl_rows = _neural_matrix(examples) if len(methods) > 1 else None
             results = _evaluate_rows(
                 methods,
-                [int(ex.grade) for ex in examples],
+                grades[held_out],
                 model.predict_proba_matrix(matrices[held_out]),
-                dl_rows,
+                neural.get(held_out),
                 weights,
             )
             for m in methods:

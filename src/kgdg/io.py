@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -90,6 +91,8 @@ def _parse_float(raw: str, column: str, row: int, lo: float, hi: float | None) -
         value = float(raw)
     except ValueError as exc:
         raise NonNumericCell(f"row {row}, column {column!r}: {raw!r} is not numeric") from exc
+    if not math.isfinite(value):
+        raise NonNumericCell(f"row {row}, column {column!r}: {raw!r} is not a finite number")
     if value < lo or (hi is not None and value > hi):
         bound = f"[{lo},{hi}]" if hi is not None else f">= {lo}"
         raise NonNumericCell(f"row {row}, column {column!r}: {value} outside {bound}")

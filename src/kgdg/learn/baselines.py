@@ -340,8 +340,8 @@ def cross_validate(
         train = [ex for i, ex in enumerate(data) if fold_of[i] != k]
         test = [ex for i, ex in enumerate(data) if fold_of[i] == k]
         model = fit_model(train, train, cfg)
-        preds = [model.predict_proba(ex.features).argmax() for ex in test]
-        truth = [int(ex.grade) for ex in test]
+        preds = model.predict_proba_matrix(feature_matrix(test, model.feature_schema)).argmax(axis=1)
+        truth = grade_array(test)
         accs.append(accuracy_metric(truth, preds))
         f1s.append(macro_f1_metric(truth, preds))
     acc_mean, acc_std = seeded_summary(accs)

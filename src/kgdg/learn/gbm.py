@@ -154,6 +154,9 @@ def fit_gbm_arrays(
     trees: list[list[dict[str, Any]]] = []
     loss_curve: list[float] = []
 
+    # each feature is sorted once per fit; a subsample keeps the stable
+    # order of its own rows by restricting the full order to them
+    order = np.argsort(x, axis=0, kind="stable").T
     best_acc = float(np.mean(softmax(scores_v).argmax(axis=1) == yv))
     best_round = 0
     for round_idx in range(cfg.n_trees):
@@ -161,14 +164,21 @@ def fit_gbm_arrays(
         if cfg.subsample < 1.0:
             m = max(1, int(round(cfg.subsample * n)))
             rows = np.sort(rng.choice(n, size=m, replace=False))
+            local = np.full(n, -1)
+            local[rows] = np.arange(m)
+            sub = local[order]
+            rows_order = sub[sub >= 0].reshape(order.shape[0], m)
         else:
             rows = np.arange(n)
+            rows_order = order
+        x_rows = x[rows]
         round_trees: list[dict[str, Any]] = []
         for c in range(GRADE_COUNT):
             grad = weights * (probs[:, c] - onehot[:, c])
             hess = weights * probs[:, c] * (1.0 - probs[:, c])
             tree = fit_regression_tree(
-                x[rows], grad[rows], hess[rows], cfg.max_depth, cfg.min_leaf, cfg.l2_leaf
+                x_rows, grad[rows], hess[rows], cfg.max_depth, cfg.min_leaf, cfg.l2_leaf,
+                rows_order,
             )
             round_trees.append(tree)
             scores[:, c] += cfg.learning_rate * predict_tree(tree, x)

@@ -16,38 +16,6 @@ from ..core import GRADE_COUNT
 GAIN_EPS = 1e-12
 
 
-def _scan_regression_splits(
-    x_col: np.ndarray,
-    g: np.ndarray,
-    h: np.ndarray,
-    l2: float,
-    min_leaf: int,
-) -> tuple[float, float] | None:
-    """Best (gain, threshold) for one feature, or None if unsplittable."""
-    order = np.argsort(x_col, kind="stable")
-    xs = x_col[order]
-    gs = np.cumsum(g[order])
-    hs = np.cumsum(h[order])
-    n = xs.size
-    # candidate cut after position i requires a value change at i -> i+1
-    cuts = np.nonzero(xs[:-1] != xs[1:])[0]
-    if cuts.size == 0:
-        return None
-    left_n = cuts + 1
-    keep = (left_n >= min_leaf) & (n - left_n >= min_leaf)
-    cuts = cuts[keep]
-    if cuts.size == 0:
-        return None
-    g_total, h_total = gs[-1], hs[-1]
-    gl, hl = gs[cuts], hs[cuts]
-    gr, hr = g_total - gl, h_total - hl
-    gains = 0.5 * (
-        gl**2 / (hl + l2) + gr**2 / (hr + l2) - g_total**2 / (h_total + l2)
-    )
-    best = int(np.argmax(gains))  # first max -> lowest threshold
-    return float(gains[best]), float((xs[cuts[best]] + xs[cuts[best] + 1]) / 2.0)
-
-
 def _leaf_value(g: np.ndarray, h: np.ndarray, l2: float) -> float:
     denom = float(h.sum()) + l2
     if denom <= 0:
@@ -62,32 +30,64 @@ def fit_regression_tree(
     max_depth: int,
     min_leaf: int,
     l2: float,
+    order: np.ndarray | None = None,
 ) -> dict[str, Any]:
-    """Second-order (Newton) regression tree on gradient/hessian targets."""
+    """Second-order (Newton) regression tree on gradient/hessian targets.
 
-    def build(idx: np.ndarray, depth: int) -> dict[str, Any]:
-        gi, hi = g[idx], h[idx]
+    ``order`` is the (features, rows) stable sort order of each column of
+    ``x``; it is computed when absent. Nodes keep it partitioned stably
+    (exact pre-sorted search), so a node's order per feature is the stable
+    order of its own rows and no node sorts again.
+    """
+    if order is None:
+        order = np.argsort(x, axis=0, kind="stable").T
+    xt = np.ascontiguousarray(x.T)
+
+    def best_split(orders: np.ndarray) -> tuple[int, float] | None:
+        m = orders.shape[1]
+        xs = np.take_along_axis(xt, orders, axis=1)
+        gs = np.cumsum(g[orders], axis=1)
+        hs = np.cumsum(h[orders], axis=1)
+        # candidate cut after position i needs a value change at i -> i+1
+        # and at least min_leaf rows on each side
+        allowed = xs[:, :-1] != xs[:, 1:]
+        allowed[:, : min_leaf - 1] = False
+        allowed[:, m - min_leaf :] = False
+        fi, ci = np.nonzero(allowed)
+        if fi.size == 0:
+            return None
+        # the parent term is a per-feature scalar power: C pow can differ from
+        # the array square by one ulp, enough to flip a near-tie between features
+        parent = np.array([gt**2 / (ht + l2) for gt, ht in zip(gs[:, -1], hs[:, -1])])
+        gl, hl = gs[fi, ci], hs[fi, ci]
+        gr, hr = gs[fi, -1] - gl, hs[fi, -1] - hl
+        gains = 0.5 * (gl**2 / (hl + l2) + gr**2 / (hr + l2) - parent[fi])
+        nan = np.isnan(gains)
+        if nan.any():  # a per-feature argmax lands on the NaN: skip that feature
+            gains[np.isin(fi, fi[nan])] = -np.inf
+        best = int(np.argmax(gains))  # first max -> lowest feature, then threshold
+        if not gains[best] > GAIN_EPS:
+            return None
+        j, c = int(fi[best]), int(ci[best])
+        return j, float((xs[j, c] + xs[j, c + 1]) / 2.0)
+
+    def build(idx: np.ndarray, orders: np.ndarray, depth: int) -> dict[str, Any]:
         if depth == 0 or idx.size < 2 * min_leaf:
-            return {"value": _leaf_value(gi, hi, l2)}
-        best_gain = GAIN_EPS
-        best: tuple[int, float] | None = None
-        for j in range(x.shape[1]):
-            found = _scan_regression_splits(x[idx, j], gi, hi, l2, min_leaf)
-            if found is not None and found[0] > best_gain:
-                best_gain = found[0]
-                best = (j, found[1])
-        if best is None:
-            return {"value": _leaf_value(gi, hi, l2)}
-        j, thr = best
-        mask = x[idx, j] < thr
+            return {"value": _leaf_value(g[idx], h[idx], l2)}
+        found = best_split(orders)
+        if found is None:
+            return {"value": _leaf_value(g[idx], h[idx], l2)}
+        j, thr = found
+        goes_left = xt[j] < thr
+        left = goes_left[orders]
         return {
             "feature": j,
             "threshold": thr,
-            "left": build(idx[mask], depth - 1),
-            "right": build(idx[~mask], depth - 1),
+            "left": build(idx[goes_left[idx]], orders[left].reshape(len(xt), -1), depth - 1),
+            "right": build(idx[~goes_left[idx]], orders[~left].reshape(len(xt), -1), depth - 1),
         }
 
-    return build(np.arange(x.shape[0]), max_depth)
+    return build(np.arange(x.shape[0]), order, max_depth)
 
 
 def predict_tree(node: dict[str, Any], x: np.ndarray) -> np.ndarray:

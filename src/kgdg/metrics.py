@@ -15,8 +15,11 @@ from .errors import EmptyEvaluation, NoQualifyingClass, SchemaMismatch
 VARIANCE_FLOOR = 1e-6
 
 
-def _as_grade_array(values: Sequence[int], name: str) -> np.ndarray:
-    arr = np.asarray([int(v) for v in values], dtype=np.int64)
+def _as_grade_array(values: Sequence[int] | np.ndarray, name: str) -> np.ndarray:
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        arr = values.astype(np.int64)
+    else:
+        arr = np.asarray([int(v) for v in values], dtype=np.int64)
     if arr.size == 0:
         raise EmptyEvaluation(f"{name} is empty")
     if arr.min() < 0 or arr.max() >= GRADE_COUNT:
@@ -66,15 +69,11 @@ def macro_f1(y_true: Sequence[int], y_pred: Sequence[int]) -> float:
 def _tie_averaged_ranks(scores: np.ndarray) -> np.ndarray:
     """1-based ranks with tied scores assigned the mean of their ranks."""
     order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.size, dtype=np.float64)
     sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    ends = np.r_[starts[1:], scores.size] - 1
+    ranks = np.empty(scores.size, dtype=np.float64)
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
     return ranks
 
 
@@ -92,12 +91,16 @@ def binary_auc(labels: Sequence[int], scores: Sequence[float]) -> float:
 
 
 def auc_ovr_macro(
-    y_true: Sequence[int], prob_rows: Sequence[ProbabilityVector | Sequence[float]]
+    y_true: Sequence[int] | np.ndarray,
+    prob_rows: np.ndarray | Sequence[ProbabilityVector | Sequence[float]],
 ) -> float:
     """One-vs-rest AUC averaged over grades that have both positives and
-    negatives in y_true."""
+    negatives in y_true; ``prob_rows`` is an (n, 5) array or n rows."""
     t = _as_grade_array(y_true, "y_true")
-    mat = np.asarray([tuple(row) for row in prob_rows], dtype=np.float64)
+    if isinstance(prob_rows, np.ndarray):
+        mat = prob_rows.astype(np.float64, copy=False)
+    else:
+        mat = np.asarray([tuple(row) for row in prob_rows], dtype=np.float64)
     if mat.shape != (t.size, GRADE_COUNT):
         raise ValueError(f"prob_rows shape {mat.shape} does not match {t.size} labels")
     aucs = []

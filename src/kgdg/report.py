@@ -402,7 +402,7 @@ def emit_report(report: ExperimentReport, fmt: str, path: str | Path) -> Path:
     elif fmt == "csv":
         text = render_csv(report)
     elif fmt == "json":
-        text = json.dumps(report.to_json_dict(), indent=1, sort_keys=True) + "\n"
+        text = json.dumps(report.to_json_dict(), indent=1, sort_keys=True, allow_nan=False) + "\n"
     else:
         raise InvalidConfig(f"unknown report format {fmt!r}")
     out = Path(path)

@@ -236,3 +236,78 @@ class TestErrorMapping:
         bad.write_text("image_id,p0,p1,p2,p3,p4\nimg,0.9,0.9,0,0,0\n")
         code = main(["fuse", "--strategy", "max", "--dl", str(bad), "--kd", str(bad), "--quiet"])
         assert code == 3
+
+
+class TestNonFiniteCells:
+    @pytest.mark.parametrize("column, value", [
+        ("vein_tortuosity", "nan"),
+        ("vein_caliber_mean", "inf"),
+        ("vein_branch_angle_mean", "NaN"),
+    ])
+    def test_train_rejects_non_finite_vein_cell(self, data_dir, tmp_path, capsys, column, value):
+        lines = (data_dir / "clinic_a_features.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        cells = lines[1].split(",")
+        cells[header.index(column)] = value
+        bad = tmp_path / "features.csv"
+        bad.write_text("\n".join([lines[0], ",".join(cells)] + lines[2:]) + "\n")
+        code = main(["train", "--features", str(bad), "--model", "gbm",
+                     "--out", str(tmp_path / "m.kgdg"), "--quiet"])
+        assert code == 3
+        assert "NON_NUMERIC_CELL" in capsys.readouterr().err
+        assert not (tmp_path / "m.kgdg").exists()
+
+
+class TestSingleGradeTarget:
+    """SDG from clinic_a to a target that holds only grade-0 rows: AUC has
+    no value there, and the JSON report must still be strict JSON."""
+
+    @pytest.fixture
+    def config(self, data_dir, tmp_path):
+        rows = (data_dir / "clinic_b_features.csv").read_text().splitlines()
+        grade0 = [r for r in rows[1:] if r.split(",")[2] == "0"]
+        assert grade0 and len(grade0) < len(rows) - 1
+        (tmp_path / "clinic_b_grade0.csv").write_text("\n".join([rows[0]] + grade0) + "\n")
+        manifest = json.loads((data_dir / "manifest.json").read_text())
+        for entry in manifest["domains"]:
+            for key in ("features", "probs", "detections"):
+                entry[key] = str(data_dir / entry[key])
+            if entry["name"] == "clinic_b":
+                entry["features"] = str(tmp_path / "clinic_b_grade0.csv")
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        config = tmp_path / "experiment.json"
+        config.write_text(json.dumps({
+            "mode": "sdg",
+            "domains": {"manifest": "manifest.json", "source": "clinic_a", "targets": ["clinic_b"]},
+            "seeds": [0],
+            "symbolic": {"n_trees": 5, "min_leaf": 2},
+        }))
+        return config
+
+    @staticmethod
+    def _strict(text):
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+        return json.loads(text, parse_constant=reject)
+
+    def test_stdout_json_is_strict(self, config, capsys):
+        assert main(["eval", "--config", str(config), "--format", "json", "--out", "-", "--quiet"]) == 0
+        payload = self._strict(capsys.readouterr().out)
+        assert payload["cells"]["symbolic"]["clinic_b"]["auc"][:2] == [None, None]
+        assert payload["raw"]["fusion-max"]["clinic_b"]["auc"] == [None]
+        assert payload["cells"]["symbolic"]["clinic_b"]["accuracy"][0] is not None
+
+    def test_file_json_round_trips_to_nan(self, config, tmp_path):
+        from kgdg.report import emit_report, load_report_json, render_markdown
+
+        out = tmp_path / "report.json"
+        assert main(["eval", "--config", str(config), "--format", "json",
+                     "--out", str(out), "--quiet"]) == 0
+        self._strict(out.read_text())
+        report = load_report_json(out)
+        auc = report.cell("symbolic", "clinic_b", "auc")
+        assert auc.mean != auc.mean and auc.n_seeds == 1
+        assert "nan±nan" in render_markdown(report)
+        again = tmp_path / "again.json"
+        emit_report(report, "json", again)
+        assert again.read_bytes() == out.read_bytes()

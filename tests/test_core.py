@@ -100,6 +100,17 @@ class TestFeatureVector:
         with pytest.raises(ValueError):
             FeatureVector(hemorrhage_quadrants=5)
 
+    @pytest.mark.parametrize("field, value", [
+        ("vein_tortuosity", math.nan),
+        ("vein_caliber_mean", math.inf),
+        ("vein_branch_angle_mean", math.nan),
+        ("microaneurysm_count", math.inf),
+    ])
+    def test_non_finite_rejected(self, field, value):
+        vein = {"vein_tortuosity": 1.0, "vein_caliber_mean": 5.0, "vein_branch_angle_mean": 90.0}
+        with pytest.raises(ValueError, match="finite"):
+            FeatureVector(**{**vein, field: value})
+
     def test_as_row_lesions_only(self):
         fv = FeatureVector(microaneurysm_count=3, exudate_count=5)
         row = fv.as_row(fv.schema())
