@@ -12,18 +12,18 @@ then the config-file or built-in default.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from .core import DomainDataset, DomainId, validate_probability
+from .core import DomainDataset, DomainId
 from .errors import ConfigError, DataError, InvalidConfig, KgdgError
 from .fusion import FusionStrategy, FusionWeights, batch_fuse
 from .harness import (
     SplitFractions,
+    load_config_section,
     load_experiment_config,
     run_experiment,
     split_dataset,
@@ -34,12 +34,20 @@ from .io import (
     load_detections,
     load_feature_table,
     load_manifest,
+    load_prediction_table,
     load_probability_table,
     save_model,
 )
 from .learn import TrainConfig, feature_matrix, fit_model, grade_array
 from .metrics import detection_set_iou, evaluate_predictions
-from .report import compare_to_reference, emit_report, get_reference, load_report_json, reference_ids
+from .report import (
+    compare_to_reference,
+    emit_report,
+    get_reference,
+    load_report_json,
+    reference_ids,
+    render_report,
+)
 from .rules import RuleConfig, grade_by_rules, grade_detections
 from .synth import shift_profile, write_dataset
 
@@ -72,28 +80,6 @@ def _write_output(args: argparse.Namespace, text: str) -> None:
         Path(args.out).write_text(text)
 
 
-def _rules_from_config(args: argparse.Namespace) -> RuleConfig:
-    if not getattr(args, "config", None):
-        return RuleConfig()
-    raw = json.loads(Path(args.config).read_text())
-    section = raw.get("rules", {})
-    try:
-        return RuleConfig(**section)
-    except TypeError as exc:
-        raise InvalidConfig(f"bad rules section: {exc}") from exc
-
-
-def _symbolic_from_config(args: argparse.Namespace) -> TrainConfig:
-    if not getattr(args, "config", None):
-        return TrainConfig()
-    raw = json.loads(Path(args.config).read_text())
-    section = raw.get("symbolic", {})
-    try:
-        return TrainConfig(**section)
-    except TypeError as exc:
-        raise InvalidConfig(f"bad symbolic section: {exc}") from exc
-
-
 # --- subcommands ---------------------------------------------------------------
 
 
@@ -108,7 +94,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_grade(args: argparse.Namespace) -> int:
-    rules = _rules_from_config(args)
+    rules = load_config_section(args.config, "rules", RuleConfig)
     if args.min_score is not None:
         rules = replace(rules, min_score=args.min_score)
     _print_fingerprint(args, {"command": "grade", "rules": asdict(rules),
@@ -131,7 +117,7 @@ def _cmd_grade(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
-    cfg = _symbolic_from_config(args)
+    cfg = load_config_section(args.config, "symbolic", TrainConfig)
     cfg = replace(cfg, model_kind=args.model, seed=seed)
     if args.feature_set:
         cfg = replace(cfg, feature_set=args.feature_set)
@@ -182,13 +168,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     manifest = load_manifest(manifest_path)
     report = run_experiment(cfg, manifest)
     if args.out is None or args.out == "-":
-        from .report import render_markdown
-
-        if args.format == "json":
-            payload = report.to_json_dict()
-            sys.stdout.write(json.dumps(payload, indent=1, sort_keys=True, allow_nan=False) + "\n")
-        else:
-            sys.stdout.write(render_markdown(report))
+        sys.stdout.write(render_report(report, args.format))
     else:
         emit_report(report, args.format, args.out)
         _diag(args, f"wrote {args.out}")
@@ -218,7 +198,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     if not (args.truth and args.pred):
         raise InvalidConfig("classification metrics need --truth and --pred")
     examples = load_feature_table(args.truth)
-    predictions = _load_prediction_table(args.pred)
+    predictions = load_prediction_table(args.pred)
     truth, preds, prob_rows = [], [], []
     for ex in examples:
         if ex.image_id not in predictions:
@@ -238,28 +218,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     }
     _write_output(args, json.dumps(payload, indent=1, sort_keys=True) + "\n")
     return 0
-
-
-def _load_prediction_table(path: str) -> dict[str, tuple[int, object]]:
-    """Read `image_id,grade[,p0..p4]` rows."""
-    out: dict[str, tuple[int, object]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[0] != "image_id" or "grade" not in header:
-            raise DataError(f"{path}: prediction table needs image_id,grade[,p0..p4]")
-        has_probs = len(header) >= 7
-        for cells in reader:
-            if not cells:
-                continue
-            grade = int(cells[header.index("grade")])
-            if grade not in (0, 1, 2, 3, 4):
-                raise DataError(f"{path}: grade {grade} outside 0..4")
-            probs = None
-            if has_probs:
-                probs = validate_probability([float(c) for c in cells[2:7]])
-            out[cells[0]] = (grade, probs)
-    return out
 
 
 def _cmd_report(args: argparse.Namespace) -> int:

@@ -605,6 +605,13 @@ def run_mdg(cfg: ExperimentConfig, manifest: Manifest) -> ExperimentReport:
     kl_befores: list[float] = []
     kl_afters: list[float] = []
     for seed in cfg.seeds:
+        # each domain is split once per seed, for every fold it trains in
+        splits = {}
+        for d in domains:
+            tr, va, _te = split_dataset(datasets[d], cfg.split, seed)
+            rows_tr = [id_index[d][ex.image_id] for ex in tr]
+            rows_va = [id_index[d][ex.image_id] for ex in va]
+            splits[d] = (tr, va, rows_tr, rows_va)
         run: dict[str, dict[str, dict[str, float]]] = {m: {} for m in methods}
         for held_out in domains:
             sources = [d for d in domains if d != held_out]
@@ -621,11 +628,9 @@ def run_mdg(cfg: ExperimentConfig, manifest: Manifest) -> ExperimentReport:
             x_valid_parts: list[np.ndarray] = []
             dl_valid_parts: list[np.ndarray] = []
             for d in sources:
-                tr, va, _te = split_dataset(datasets[d], cfg.split, seed)
+                tr, va, rows_tr, rows_va = splits[d]
                 train.extend(tr)
                 valid.extend(va)
-                rows_tr = [id_index[d][ex.image_id] for ex in tr]
-                rows_va = [id_index[d][ex.image_id] for ex in va]
                 x_train_parts.append(matrices[d][rows_tr])
                 x_valid_parts.append(matrices[d][rows_va])
                 if neural:
@@ -692,7 +697,11 @@ def run_experiment(cfg: ExperimentConfig, manifest: Manifest) -> ExperimentRepor
 _CONFIG_SECTIONS = {"mode", "domains", "seeds", "split", "symbolic", "fusion", "rules", "alignment"}
 
 
-def _build_section(section: str, cls, raw: Mapping[str, Any]):
+def build_section(section: str, cls, raw: Any):
+    """Build the dataclass ``cls`` from one config-file section; unknown
+    keys and bad values raise InvalidConfig."""
+    if not isinstance(raw, Mapping):
+        raise InvalidConfig(f"the {section!r} section must be a JSON object")
     known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
     unknown = set(raw) - known
     if unknown:
@@ -703,17 +712,33 @@ def _build_section(section: str, cls, raw: Mapping[str, Any]):
         raise InvalidConfig(f"bad {section!r} section: {exc}") from exc
 
 
+def _read_config_file(path: str | Path) -> dict[str, Any]:
+    """Parse a config JSON object whose top-level keys are known sections."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise InvalidConfig(f"{path}: cannot read config: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise InvalidConfig(f"{path}: a config file must hold a JSON object")
+    unknown = set(raw) - _CONFIG_SECTIONS
+    if unknown:
+        raise InvalidConfig(f"{path}: unknown config sections: {sorted(unknown)}")
+    return raw
+
+
+def load_config_section(path: str | Path | None, section: str, cls):
+    """One section of a config file, for the commands that read only it;
+    no file or an absent section gives ``cls()``."""
+    if path is None:
+        return cls()
+    return build_section(section, cls, _read_config_file(path).get(section, {}))
+
+
 def load_experiment_config(path: str | Path) -> tuple[ExperimentConfig, Path]:
     """Parse experiment.json; returns the config and the manifest path
     (resolved relative to the config file)."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InvalidConfig(f"{path}: cannot read experiment config: {exc}") from exc
-    unknown = set(raw) - _CONFIG_SECTIONS
-    if unknown:
-        raise InvalidConfig(f"{path}: unknown config sections: {sorted(unknown)}")
+    raw = _read_config_file(path)
     domains = raw.get("domains", {})
     if "manifest" not in domains:
         raise InvalidConfig(f"{path}: the domains section must point at a manifest")
@@ -723,10 +748,10 @@ def load_experiment_config(path: str | Path) -> tuple[ExperimentConfig, Path]:
         source=domains.get("source"),
         targets=tuple(domains["targets"]) if domains.get("targets") else None,
         seeds=tuple(int(s) for s in raw.get("seeds", (0, 1, 2))),
-        split=_build_section("split", SplitFractions, raw.get("split", {})),
-        symbolic=_build_section("symbolic", TrainConfig, raw.get("symbolic", {})),
-        fusion=_build_section("fusion", FusionSpec, raw.get("fusion", {})),
-        rules=_build_section("rules", RuleConfig, raw.get("rules", {})),
+        split=build_section("split", SplitFractions, raw.get("split", {})),
+        symbolic=build_section("symbolic", TrainConfig, raw.get("symbolic", {})),
+        fusion=build_section("fusion", FusionSpec, raw.get("fusion", {})),
+        rules=build_section("rules", RuleConfig, raw.get("rules", {})),
         alignment=bool(raw.get("alignment", False)),
     )
     return cfg, manifest_path

@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from .core import (
+    GRADE_COUNT,
     LESIONS_ONLY_SCHEMA,
     LESIONS_VEIN_SCHEMA,
     BoundingBox,
@@ -221,6 +222,41 @@ def load_probability_table(path: str | Path) -> dict[str, ProbabilityVector]:
             except ValueError as exc:
                 raise NonNumericCell(f"{path}: row {lineno} has a non-numeric probability") from exc
             table[image_id] = validate_probability(values)
+    return table
+
+
+def load_prediction_table(path: str | Path) -> dict[str, tuple[int, ProbabilityVector | None]]:
+    """Read an ``image_id,grade`` table into image_id -> (grade, probs).
+
+    Other columns are ignored, except ``p0..p4``: when all five are present
+    they are read by name as the row's grade distribution.
+    """
+    path = Path(path)
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader, [])]
+        if not header or header[0] != "image_id" or "grade" not in header:
+            raise MissingColumn(f"{path}: prediction table needs image_id,grade[,p0..p4]")
+        grade_col = header.index("grade")
+        prob_cols = [header.index(c) for c in PROBS_HEADER[1:] if c in header]
+        if len(prob_cols) not in (0, GRADE_COUNT):
+            raise MissingColumn(f"{path}: probability columns need all of p0..p4")
+        table: dict[str, tuple[int, ProbabilityVector | None]] = {}
+        for lineno, cells in enumerate(reader, start=2):
+            if not cells:
+                continue
+            if len(cells) != len(header):
+                raise MissingColumn(f"{path}: row {lineno} has {len(cells)} cells, expected {len(header)}")
+            image_id = cells[0].strip()
+            if image_id in table:
+                raise DuplicateImageId(f"{path}: image_id {image_id!r} appears more than once")
+            grade = _parse_count(cells[grade_col], "grade", lineno, upper=GRADE_COUNT - 1)
+            probs = None
+            if prob_cols:
+                probs = validate_probability(
+                    [_parse_float(cells[i], header[i], lineno, -math.inf, None) for i in prob_cols]
+                )
+            table[image_id] = (grade, probs)
     return table
 
 

@@ -120,12 +120,16 @@ def fit_logistic_arrays(
     mu, sd = standardization(x)
     xs = (x - mu) / sd
     weights = sample_weights(y, cfg.class_weighting)
+    # the gradient of logistic_loss_and_grad without the loss, bit for bit
+    onehot = np.zeros((y.size, GRADE_COUNT), dtype=np.float64)
+    onehot[np.arange(y.size), y] = 1.0
+    scale = (weights / weights.sum())[:, None]
     w = np.zeros((GRADE_COUNT, x.shape[1]), dtype=np.float64)
     b = np.zeros(GRADE_COUNT, dtype=np.float64)
     for _ in range(cfg.logistic_steps):
-        _, gw, gb = logistic_loss_and_grad(w, b, xs, y, weights)
-        w -= cfg.logistic_lr * gw
-        b -= cfg.logistic_lr * gb
+        delta = (softmax(xs @ w.T + b) - onehot) * scale
+        w -= cfg.logistic_lr * (delta.T @ xs)
+        b -= cfg.logistic_lr * delta.sum(axis=0)
     return LogisticModel(
         feature_schema=schema,
         weights=w,

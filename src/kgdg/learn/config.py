@@ -133,7 +133,26 @@ def train_fingerprint(cfg: TrainConfig, schema: Sequence[str], x: np.ndarray, y:
     )
 
 
+def row_sum(a: np.ndarray) -> np.ndarray:
+    """Row sums of a few-column array, adding the columns left to right.
+
+    That is the order numpy's ``sum(axis=1)`` and ``sum()`` of five values
+    use, so the result is the same bit for bit; a numpy row reduction over
+    five columns is several times slower than these column adds.
+    """
+    cols = a.T
+    total = cols[0]
+    for c in cols[1:]:
+        total = total + c
+    return total
+
+
 def softmax(scores: np.ndarray) -> np.ndarray:
-    z = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row softmax, bit-identical to ``exp(s - s.max(1)) / exp(...).sum(1)``;
+    the row max is a chain of ``np.maximum`` over the columns."""
+    cols = scores.T
+    top = cols[0]
+    for c in cols[1:]:
+        top = np.maximum(top, c)
+    e = np.exp(scores - top[:, None])
+    return e / row_sum(e)[:, None]

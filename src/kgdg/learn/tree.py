@@ -12,6 +12,7 @@ from typing import Any
 import numpy as np
 
 from ..core import GRADE_COUNT
+from .config import row_sum
 
 GAIN_EPS = 1e-12
 
@@ -109,12 +110,11 @@ def predict_tree(node: dict[str, Any], x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gini(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts / total
-    return float(1.0 - (p**2).sum())
+def _gini(counts: np.ndarray) -> np.ndarray:
+    """Gini impurity of each row of nonempty class counts; equal bit for bit
+    to the scalar ``1 - (p**2).sum()`` of that row."""
+    p = counts / counts.sum(axis=1, keepdims=True)
+    return 1.0 - row_sum(p**2)
 
 
 def fit_classification_tree(
@@ -127,7 +127,8 @@ def fit_classification_tree(
 ) -> dict[str, Any]:
     """Gini CART tree sampling ``max_features`` candidate features per node.
 
-    Leaves hold grade-frequency distributions.
+    Each candidate's cuts are scored in one array pass; the first maximum
+    in (candidate, cut) order wins. Leaves hold grade-frequency distributions.
     """
     n_features = x.shape[1]
     onehot = np.zeros((y.size, GRADE_COUNT), dtype=np.float64)
@@ -141,30 +142,28 @@ def fit_classification_tree(
         if depth == 0 or idx.size < 2 * min_leaf or np.unique(y[idx]).size == 1:
             return leaf(idx)
         candidates = np.sort(rng.choice(n_features, size=min(max_features, n_features), replace=False))
-        parent_counts = onehot[idx].sum(axis=0)
-        parent_imp = _gini(parent_counts)
+        counts = onehot[idx]
+        parent = counts.sum(axis=0)
+        parent_imp = _gini(parent[None, :])[0]
         best_gain = GAIN_EPS
         best: tuple[int, float] | None = None
         for j in candidates:
-            col = x[idx, j]
-            order = np.argsort(col, kind="stable")
-            xs = col[order]
-            cum = np.cumsum(onehot[idx][order], axis=0)
-            cuts = np.nonzero(xs[:-1] != xs[1:])[0]
-            if cuts.size == 0:
+            order = np.argsort(x[idx, j], kind="stable")
+            xs = x[idx[order], j]
+            # a cut after position i needs a value change at i -> i+1 and at
+            # least min_leaf rows on each side
+            left_n = np.nonzero(xs[:-1] != xs[1:])[0] + 1
+            left_n = left_n[(left_n >= min_leaf) & (idx.size - left_n >= min_leaf)]
+            if left_n.size == 0:
                 continue
-            left_n = cuts + 1
-            keep = (left_n >= min_leaf) & (idx.size - left_n >= min_leaf)
-            cuts = cuts[keep]
-            for c in cuts:
-                left_counts = cum[c]
-                right_counts = parent_counts - left_counts
-                nl = left_counts.sum()
-                nr = right_counts.sum()
-                gain = parent_imp - (nl * _gini(left_counts) + nr * _gini(right_counts)) / idx.size
-                if gain > best_gain:
-                    best_gain = gain
-                    best = (int(j), float((xs[c] + xs[c + 1]) / 2.0))
+            left = np.cumsum(counts[order], axis=0)[left_n - 1]
+            right_n = idx.size - left_n
+            gains = parent_imp - (left_n * _gini(left) + right_n * _gini(parent - left)) / idx.size
+            k = int(np.argmax(gains))
+            if gains[k] > best_gain:
+                best_gain = gains[k]
+                c = left_n[k] - 1
+                best = (int(j), float((xs[c] + xs[c + 1]) / 2.0))
         if best is None:
             return leaf(idx)
         j, thr = best

@@ -394,19 +394,22 @@ def render_csv(report: ExperimentReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_report(report: ExperimentReport, fmt: str, path: str | Path) -> Path:
-    """Write the report as a markdown table or CSV; best column values are
-    flagged (bold / trailing asterisk)."""
+def render_report(report: ExperimentReport, fmt: str) -> str:
+    """The report as markdown, CSV or strict JSON text; best column values
+    are flagged (bold / trailing asterisk) in the two tables."""
     if fmt in ("markdown", "markdown_table", "md"):
-        text = render_markdown(report)
-    elif fmt == "csv":
-        text = render_csv(report)
-    elif fmt == "json":
-        text = json.dumps(report.to_json_dict(), indent=1, sort_keys=True, allow_nan=False) + "\n"
-    else:
-        raise InvalidConfig(f"unknown report format {fmt!r}")
+        return render_markdown(report)
+    if fmt == "csv":
+        return render_csv(report)
+    if fmt == "json":
+        return json.dumps(report.to_json_dict(), indent=1, sort_keys=True, allow_nan=False) + "\n"
+    raise InvalidConfig(f"unknown report format {fmt!r}")
+
+
+def emit_report(report: ExperimentReport, fmt: str, path: str | Path) -> Path:
+    """Write ``render_report(report, fmt)`` to ``path``."""
     out = Path(path)
-    out.write_text(text)
+    out.write_text(render_report(report, fmt))
     return out
 
 

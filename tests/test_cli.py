@@ -143,6 +143,15 @@ class TestEvalCommand:
             main(["eval", "--mode", "sdg"])
         assert exc.value.code == 2
 
+    def test_eval_csv_to_stdout_is_csv(self, data_dir, tmp_path, capsys):
+        config = self._write_config(data_dir, tmp_path)
+        out = tmp_path / "report.csv"
+        assert main(["eval", "--config", str(config), "--format", "csv", "--out", str(out), "--quiet"]) == 0
+        assert main(["eval", "--config", str(config), "--format", "csv", "--out", "-", "--quiet"]) == 0
+        text = capsys.readouterr().out
+        assert text.startswith("metric,method,")
+        assert text == out.read_text()
+
     def test_eval_quiet_does_not_change_report(self, data_dir, tmp_path, capsys):
         config = self._write_config(data_dir, tmp_path)
         loud, quiet = tmp_path / "loud.md", tmp_path / "quiet.md"
@@ -311,3 +320,68 @@ class TestSingleGradeTarget:
         again = tmp_path / "again.json"
         emit_report(report, "json", again)
         assert again.read_bytes() == out.read_bytes()
+
+
+class TestConfigSections:
+    """grade and train read their section through the same loader as eval."""
+
+    @pytest.mark.parametrize("command, text", [
+        *((c, t) for c in ("grade", "train") for t in (
+            "{not json", "[1, 2]", json.dumps({"unknown_section": {}}))),
+        ("train", json.dumps({"symbolic": [1]})),
+    ])
+    def test_bad_config_exits_2(self, data_dir, tmp_path, capsys, command, text):
+        config = tmp_path / "bad.json"
+        config.write_text(text)
+        out = tmp_path / "out"
+        assert main([command, "--features", str(data_dir / "clinic_a_features.csv"),
+                     "--config", str(config), "--out", str(out), "--quiet"]) == 2
+        assert "INVALID_CONFIG" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, section", [("grade", "rules"), ("train", "symbolic")])
+    def test_unknown_key_rejected_as_in_eval(self, data_dir, tmp_path, capsys, command, section):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({section: {"bogus": 1}}))
+        assert main([command, "--features", str(data_dir / "clinic_a_features.csv"),
+                     "--config", str(config), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        assert f"unknown keys in '{section}' section: ['bogus']" in capsys.readouterr().err
+
+    def test_train_reads_symbolic_section(self, data_dir, tmp_path):
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({"symbolic": {"n_trees": 3}}))
+        out = tmp_path / "forest.kgdg"
+        assert main(["train", "--features", str(data_dir / "clinic_a_features.csv"), "--model", "forest",
+                     "--config", str(config), "--out", str(out), "--seed", "0", "--quiet"]) == 0
+        assert len(load_model(out).params["trees"]) == 3
+
+
+class TestPredictionTable:
+    """`metrics --pred` finds its columns by name and rejects bad rows."""
+
+    def _metrics(self, data_dir, tmp_path, header, row, extra=()):
+        rows = (data_dir / "clinic_a_features.csv").read_text().splitlines()[1:]
+        pred = tmp_path / "pred.csv"
+        pred.write_text("\n".join([header] + [row(r.split(",")) for r in rows] + list(extra)) + "\n")
+        return main(["metrics", "--truth", str(data_dir / "clinic_a_features.csv"),
+                     "--pred", str(pred), "--out", "-", "--quiet"])
+
+    def test_non_integer_grade_exits_3(self, data_dir, tmp_path, capsys):
+        assert self._metrics(data_dir, tmp_path, "image_id,grade", lambda c: f"{c[0]},x") == 3
+        assert "NON_NUMERIC_CELL" in capsys.readouterr().err
+
+    def test_duplicate_image_id_exits_3(self, data_dir, tmp_path, capsys):
+        first = (data_dir / "clinic_a_features.csv").read_text().splitlines()[1].split(",")[0]
+        code = self._metrics(data_dir, tmp_path, "image_id,grade", lambda c: f"{c[0]},{c[2]}",
+                             extra=[f"{first},0"])
+        assert code == 3
+        assert "DUPLICATE_IMAGE_ID" in capsys.readouterr().err
+
+    def test_probability_columns_found_by_name(self, data_dir, tmp_path, capsys):
+        def row(cells):
+            p = ["1" if g == int(cells[2]) else "0" for g in range(5)]
+            return ",".join([cells[0], "deep", p[0], p[1], cells[2], p[2], p[3], p[4]])
+
+        assert self._metrics(data_dir, tmp_path, "image_id,source,p0,p1,grade,p2,p3,p4", row) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["accuracy"] == 1.0 and payload["auc_ovr_macro"] == 1.0

@@ -300,6 +300,24 @@ class TestRunMdg:
         assert rep.columns == ("clinic_a", "clinic_b", "clinic_c", "average")
         assert rep.mode == "mdg"
 
+    def test_splits_each_domain_once_per_seed(self, small_manifest, monkeypatch):
+        import kgdg.harness as harness
+
+        calls = []
+
+        def counting_split(dataset, fractions, seed):
+            calls.append((dataset.domain, seed))
+            return split_dataset(dataset, fractions, seed)
+
+        monkeypatch.setattr(harness, "split_dataset", counting_split)
+        cfg = ExperimentConfig(
+            mode="mdg", seeds=(0, 1),
+            symbolic=TrainConfig(**FAST_SYMBOLIC),
+            fusion=FusionSpec(strategies=("max",)),
+        )
+        run_mdg(cfg, small_manifest)
+        assert sorted(calls) == sorted((d, s) for d in ("clinic_a", "clinic_b", "clinic_c") for s in (0, 1))
+
     def test_mode_mismatch_rejected(self, small_manifest):
         cfg = ExperimentConfig(mode="sdg", source="clinic_a")
         with pytest.raises(InvalidConfig):

@@ -1,5 +1,6 @@
 """Array kernels against the per-row and per-feature reference code they
-replaced: pre-sorted split search, tie-averaged ranks, and fusion."""
+replaced: pre-sorted split search, tie-averaged ranks, fusion, the
+column-wise softmax, the logistic gradient step and the Gini cut scan."""
 
 import json
 
@@ -8,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgdg.core import FusionWeights, ProbabilityVector
+from kgdg.core import GRADE_COUNT, FusionWeights, ProbabilityVector
 from kgdg.fusion import FusionSource, FusionStrategy, fuse, fuse_arrays, fused_probability
-from kgdg.learn import TrainConfig, fit_gbm_arrays
+from kgdg.learn import TrainConfig, fit_forest_arrays, fit_gbm_arrays, fit_logistic_arrays
+from kgdg.learn import baselines as baselines_module
 from kgdg.learn import gbm as gbm_module
-from kgdg.learn.tree import GAIN_EPS, _leaf_value, fit_regression_tree
+from kgdg.learn.config import row_sum, sample_weights, softmax, standardization
+from kgdg.learn.tree import GAIN_EPS, _gini, _leaf_value, fit_classification_tree, fit_regression_tree
 from kgdg.metrics import _tie_averaged_ranks, auc_ovr_macro, binary_auc
 
 # --- reference implementations ---------------------------------------------------
@@ -101,6 +104,80 @@ def ref_fuse(strategy, p_dl, p_kd, w):
     total = w.alpha_dl + w.alpha_kl
     row = tuple((w.alpha_dl * p_dl[g] + w.alpha_kl * p_kd[g]) / total for g in range(5))
     return best_grade, "blended", best_score, row
+
+
+def ref_softmax(scores):
+    z = scores - scores.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def ref_fit_logistic(x, y, cfg):
+    """(weights, bias) of full-batch descent through the old per-step gradient:
+    a copy of the probabilities with 1 subtracted at each row's grade."""
+    mu, sd = standardization(x)
+    xs = (x - mu) / sd
+    weights = sample_weights(y, cfg.class_weighting)
+    w = np.zeros((GRADE_COUNT, x.shape[1]))
+    b = np.zeros(GRADE_COUNT)
+    for _ in range(cfg.logistic_steps):
+        probs = ref_softmax(xs @ w.T + b)
+        total = weights.sum()
+        delta = probs.copy()
+        delta[np.arange(y.size), y] -= 1.0
+        delta *= (weights / total)[:, None]
+        w -= cfg.logistic_lr * (delta.T @ xs)
+        b -= cfg.logistic_lr * delta.sum(axis=0)
+    return w, b
+
+
+def ref_gini(counts):
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    p = counts / total
+    return float(1.0 - (p**2).sum())
+
+
+def ref_classification_tree(x, y, rng, max_depth, min_leaf, max_features):
+    """Gini CART with a Python loop over every cut."""
+    n_features = x.shape[1]
+    onehot = np.zeros((y.size, GRADE_COUNT))
+    onehot[np.arange(y.size), y] = 1.0
+
+    def leaf(idx):
+        counts = onehot[idx].sum(axis=0)
+        return {"value": (counts / counts.sum()).tolist()}
+
+    def build(idx, depth):
+        if depth == 0 or idx.size < 2 * min_leaf or np.unique(y[idx]).size == 1:
+            return leaf(idx)
+        candidates = np.sort(rng.choice(n_features, size=min(max_features, n_features), replace=False))
+        parent_counts = onehot[idx].sum(axis=0)
+        parent_imp = ref_gini(parent_counts)
+        best_gain, best = GAIN_EPS, None
+        for j in candidates:
+            col = x[idx, j]
+            order = np.argsort(col, kind="stable")
+            xs = col[order]
+            cum = np.cumsum(onehot[idx][order], axis=0)
+            cuts = np.nonzero(xs[:-1] != xs[1:])[0]
+            left_n = cuts + 1
+            for c in cuts[(left_n >= min_leaf) & (idx.size - left_n >= min_leaf)]:
+                left_counts = cum[c]
+                right_counts = parent_counts - left_counts
+                nl, nr = left_counts.sum(), right_counts.sum()
+                gain = parent_imp - (nl * ref_gini(left_counts) + nr * ref_gini(right_counts)) / idx.size
+                if gain > best_gain:
+                    best_gain, best = gain, (int(j), float((xs[c] + xs[c + 1]) / 2.0))
+        if best is None:
+            return leaf(idx)
+        j, thr = best
+        mask = x[idx, j] < thr
+        return {"feature": j, "threshold": thr,
+                "left": build(idx[mask], depth - 1), "right": build(idx[~mask], depth - 1)}
+
+    return build(np.arange(x.shape[0]), max_depth)
 
 
 # --- (a) pre-sorted split search equals the per-feature scan ---------------------------
@@ -233,3 +310,110 @@ def test_fusion_kernel_equals_per_row_reference(strategy):
         fused = fuse(strategy, a, b, w)
         assert (int(fused.grade), fused.source, fused.winning_score) == (grade, FusionSource(source), score)
         assert fused_probability(strategy, a, b, w).probs == row
+
+
+# --- (e) the column-wise softmax and row sums are bit-identical --------------------------
+
+
+def _score_arrays():
+    rng = np.random.default_rng(5)
+    out = []
+    for i in range(300):
+        n = int(rng.integers(1, 2000))
+        scores = rng.normal(size=(n, GRADE_COUNT)) * 10.0 ** rng.integers(-4, 4)
+        if i % 3 == 0:  # ties, including rows whose max appears more than once
+            scores = np.round(scores)
+        if i % 5 == 0:  # large magnitudes, where exp underflows for all but the max
+            scores = scores * 1e4 + rng.choice([-1e6, 0.0, 1e6], size=(n, 1))
+        out.append(scores)
+    out.append(np.zeros((4, GRADE_COUNT)))
+    out.append(np.array([[700.0, -700.0, 700.0, 0.0, 1e300], [-1e300, -1e300, 5.0, 5.0, -0.0]]))
+    return out
+
+
+def test_softmax_and_row_sum_equal_numpy_row_reductions():
+    for scores in _score_arrays():
+        assert np.array_equal(softmax(scores), ref_softmax(scores))
+        assert np.array_equal(row_sum(scores), scores.sum(axis=1))
+        row = np.abs(scores[0])
+        assert row_sum(row[None, :])[0] == row.sum()
+
+
+# --- (f) the logistic step without the loss gives the same weights ------------------------
+
+
+@pytest.mark.parametrize("class_weighting", [False, True])
+@pytest.mark.parametrize("single_grade", [False, True])
+def test_logistic_fit_equals_loss_and_grad_loop(class_weighting, single_grade):
+    rng = np.random.default_rng(9)
+    n = 300
+    y = np.full(n, 3) if single_grade else rng.choice(5, size=n, p=[0.5, 0.2, 0.15, 0.1, 0.05])
+    x = np.column_stack([
+        rng.poisson(1 + 2 * y).astype(np.float64),
+        rng.integers(0, 4, size=n).astype(np.float64),
+        rng.normal(size=n) * 5 + y,
+        np.full(n, 2.0),  # a constant column hits the std floor
+    ])
+    cfg = TrainConfig(model_kind="logistic", logistic_steps=150, class_weighting=class_weighting)
+    model = fit_logistic_arrays(x, y, ("a", "b", "c", "d"), cfg)
+    w, b = ref_fit_logistic(x, y, cfg)
+    assert np.array_equal(model.weights, w)
+    assert np.array_equal(model.bias, b)
+
+
+# --- (g) the vectorized Gini scan grows the same trees -----------------------------------
+
+
+def test_gini_rows_equal_scalar_gini():
+    rng = np.random.default_rng(3)
+    counts = rng.integers(0, 60, size=(5000, GRADE_COUNT)).astype(np.float64)
+    counts[:, rng.integers(0, GRADE_COUNT)] += 1.0  # every row nonempty
+    got = _gini(counts)
+    assert all(got[i] == ref_gini(counts[i]) for i in range(counts.shape[0]))
+
+
+@st.composite
+def forest_problems(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(2, 150))
+    y = rng.integers(0, draw(st.integers(1, 5)), size=n)
+    columns = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["ties", "graded", "continuous"]))
+        if kind == "ties":
+            columns.append(rng.integers(0, draw(st.integers(1, 4)), size=n).astype(np.float64))
+        elif kind == "graded":  # tied counts that track the grade
+            columns.append(rng.poisson(1 + y).astype(np.float64))
+        else:
+            columns.append(rng.normal(size=n) + 0.5 * y)
+    x = np.column_stack(columns)
+    if draw(st.booleans()):  # bootstrap duplicates, as fit_forest_arrays draws them
+        rows = rng.integers(0, n, size=n)
+        x, y = x[rows], y[rows]
+    max_features = draw(st.integers(1, x.shape[1]))
+    return x, y, seed, draw(st.integers(1, 5)), draw(st.integers(1, 10)), max_features
+
+
+@settings(max_examples=150, deadline=None)
+@given(forest_problems())
+def test_classification_tree_equals_per_cut_loop(problem):
+    x, y, seed, depth, min_leaf, max_features = problem
+    rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = fit_classification_tree(x, y, rng_got, depth, min_leaf, max_features)
+    want = ref_classification_tree(x, y, rng_want, depth, min_leaf, max_features)
+    assert json.dumps(got) == json.dumps(want)
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state  # same draws
+
+
+def test_forest_equals_per_cut_loop_trees(monkeypatch):
+    rng = np.random.default_rng(4)
+    n = 400
+    y = rng.integers(0, 5, size=n)
+    x = np.column_stack([rng.poisson(1 + y).astype(np.float64), rng.integers(0, 3, size=n).astype(np.float64),
+                         rng.normal(size=n) + 0.3 * y, rng.normal(size=n)])
+    cfg = TrainConfig(model_kind="forest", n_trees=8, max_depth=4, min_leaf=3, seed=2)
+    got = fit_forest_arrays(x, y, ("a", "b", "c", "d"), cfg).trees
+    monkeypatch.setattr(baselines_module, "fit_classification_tree", ref_classification_tree)
+    want = fit_forest_arrays(x, y, ("a", "b", "c", "d"), cfg).trees
+    assert json.dumps(got) == json.dumps(want)
