@@ -20,9 +20,10 @@ from pathlib import Path
 
 from .core import DomainDataset, DomainId
 from .errors import ConfigError, DataError, InvalidConfig, KgdgError
-from .fusion import FusionStrategy, FusionWeights, batch_fuse
+from .fusion import FusionStrategy, batch_fuse
 from .harness import (
     SplitFractions,
+    checked_weights,
     load_config_section,
     load_experiment_config,
     run_experiment,
@@ -38,7 +39,7 @@ from .io import (
     load_probability_table,
     save_model,
 )
-from .learn import TrainConfig, feature_matrix, fit_model, grade_array
+from .learn import TrainConfig, feature_matrix, fit_model, grade_array, resolve_schema
 from .metrics import detection_set_iou, evaluate_predictions
 from .report import (
     compare_to_reference,
@@ -125,10 +126,17 @@ def _cmd_train(args: argparse.Namespace) -> int:
     examples = load_feature_table(args.features)
     dataset = DomainDataset(DomainId(examples[0].domain if examples else "train"), tuple(examples))
     train, valid, test = split_dataset(dataset, SplitFractions(), seed)
-    model = fit_model(train, valid, cfg)
+    schema = resolve_schema(cfg, train)
+    model = fit_model(
+        feature_matrix(train, schema),
+        grade_array(train),
+        feature_matrix(valid, schema),
+        grade_array(valid),
+        schema,
+        cfg,
+    )
     if test:
-        x_test = feature_matrix(test, model.feature_schema)
-        preds = model.predict_proba_matrix(x_test).argmax(axis=1)
+        preds = model.predict_proba_matrix(feature_matrix(test, schema)).argmax(axis=1)
         held_out = evaluate_predictions(grade_array(test), preds)
         _diag(args, f"held-out accuracy {held_out.accuracy:.4f}, macro F1 {held_out.macro_f1:.4f}")
     save_model(model.to_artifact(), args.out)
@@ -142,7 +150,7 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     if strategy is FusionStrategy.WEIGHTED:
         if args.alpha_dl is None or args.alpha_kl is None:
             raise InvalidConfig("weighted fusion needs --alpha-dl and --alpha-kl")
-        weights = FusionWeights(args.alpha_dl, args.alpha_kl)
+        weights = checked_weights(args.alpha_dl, args.alpha_kl)
     _print_fingerprint(args, {"command": "fuse", "strategy": args.strategy,
                               "alpha_dl": args.alpha_dl, "alpha_kl": args.alpha_kl})
     dl_table = load_probability_table(args.dl)

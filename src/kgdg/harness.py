@@ -1,10 +1,13 @@
 """Single- and multi-domain generalization experiments.
 
-A run trains the symbolic branch on source-domain splits (60/20/20 by
-default, stratified per grade), optionally standardizes every domain
-onto a reference domain's feature statistics, evaluates symbolic-only,
-neural-only, and fused predictions on each held-out domain's full data,
-and aggregates per-seed metrics into benchmark-style mean +/- std tables.
+One driver, ``run_experiment``, runs both protocols over a fold plan of
+(sources, targets) pairs: SDG is one source against many targets, MDG
+holds each domain out once. Each fold trains the symbolic branch on its
+sources' splits (60/20/20 by default, stratified per grade), optionally
+standardizes its domains onto the first source's feature statistics, and
+evaluates symbolic-only, neural-only, and fused predictions on each
+target's full data; per-seed metrics aggregate into benchmark-style
+mean +/- std tables.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .core import (
     DomainId,
     FusionWeights,
     LabeledExample,
-    ProbabilityVector,
 )
 from .errors import (
     InvalidConfig,
@@ -30,10 +32,10 @@ from .errors import (
     MissingProbabilityTable,
     NoQualifyingClass,
 )
-# fuse and fused_probability stay importable from this module for existing callers
+# the benchmark's tracer patches fuse and fused_probability in this module
 from .fusion import FusionStrategy, fuse, fuse_arrays, fused_probability  # noqa: F401
 from .io import Manifest, canonical_json, content_digest, file_digest, load_domain_dataset
-from .learn import TrainConfig, feature_matrix, fit_model_arrays, grade_array, resolve_schema
+from .learn import TrainConfig, feature_matrix, fit_model, grade_array, resolve_schema
 from .metrics import (
     DomainStats,
     accuracy,
@@ -86,11 +88,24 @@ class FusionSpec:
         fixed = (self.alpha_dl is None, self.alpha_kl is None)
         if fixed[0] != fixed[1]:
             raise InvalidConfig("alpha_dl and alpha_kl must be set together")
+        self.fixed_weights()
 
     def fixed_weights(self) -> FusionWeights | None:
         if self.alpha_dl is None:
             return None
-        return FusionWeights(self.alpha_dl, self.alpha_kl)  # type: ignore[arg-type]
+        return checked_weights(self.alpha_dl, self.alpha_kl)
+
+
+def checked_weights(alpha_dl: Any, alpha_kl: Any) -> FusionWeights:
+    """Fusion weights given by a caller; anything but two finite,
+    nonnegative numbers with a positive sum raises InvalidConfig."""
+    for value in (alpha_dl, alpha_kl):
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise InvalidConfig(f"fusion weights must be finite numbers, got {value!r}")
+    try:
+        return FusionWeights(alpha_dl, alpha_kl)
+    except ValueError as exc:
+        raise InvalidConfig(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -110,6 +125,9 @@ class ExperimentConfig:
             raise InvalidConfig(f"mode must be sdg or mdg, got {self.mode!r}")
         if not self.seeds:
             raise InvalidConfig("seeds must be nonempty")
+        for seed in self.seeds:
+            if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+                raise InvalidConfig(f"seeds must be nonnegative integers, got {seed!r}")
         if self.mode == "sdg" and not self.source:
             raise InvalidConfig("sdg mode needs a source domain")
 
@@ -327,23 +345,13 @@ def _pairwise_kl(stats: Mapping[DomainId, DomainStats]) -> float:
 
 
 def select_weights(
-    validation: Sequence[tuple[int, ProbabilityVector, ProbabilityVector]]
-    | tuple[np.ndarray, np.ndarray, np.ndarray],
+    validation: tuple[np.ndarray, np.ndarray, np.ndarray],
     grid: Sequence[tuple[float, float]] = DEFAULT_WEIGHT_GRID,
 ) -> FusionWeights:
-    """Grid-search the blend maximizing validation accuracy; ties prefer
-    the deep branch (smallest knowledge weight).
-
-    ``validation`` is a sequence of (grade, p_dl, p_kd) triples, or one
-    (grades, deep rows, knowledge rows) tuple of arrays.
-    """
-    if len(validation) and isinstance(validation[0], np.ndarray):
-        y, p_dl, p_kd = validation
-    else:
-        y = np.asarray([int(t[0]) for t in validation], dtype=np.int64)
-        p_dl, p_kd = (
-            np.asarray([tuple(t[k]) for t in validation], dtype=np.float64) for k in (1, 2)
-        )
+    """Grid-search the blend maximizing validation accuracy on the
+    (grades, deep rows, knowledge rows) arrays; ties prefer the deep branch
+    (smallest knowledge weight)."""
+    y, p_dl, p_kd = validation
     if y.size == 0:
         raise InvalidConfig("weight selection needs validation predictions")
     best: FusionWeights | None = None
@@ -358,7 +366,7 @@ def select_weights(
     return best
 
 
-# --- experiment drivers -----------------------------------------------------------
+# --- experiment driver -----------------------------------------------------------
 
 
 def _method_rows(cfg: ExperimentConfig, have_probs: bool) -> list[str]:
@@ -373,22 +381,6 @@ def _method_rows(cfg: ExperimentConfig, have_probs: bool) -> list[str]:
         rows.append("neural")
     rows.extend(f"fusion-{s}" for s in cfg.fusion.strategies)
     return rows
-
-
-def _neural_matrices(
-    datasets: Mapping[DomainId, DomainDataset], domains: Sequence[DomainId], methods: Sequence[str]
-) -> dict[DomainId, np.ndarray]:
-    """Each domain's (n, 5) deep rows, when any method beyond symbolic needs them."""
-    if len(methods) == 1:
-        return {}
-    out = {}
-    for d in domains:
-        examples = datasets[d].examples
-        missing = [ex.image_id for ex in examples if ex.neural_probs is None]
-        if missing:
-            raise MissingProbabilityTable(f"image {missing[0]!r} has no neural probability row")
-        out[d] = np.asarray([ex.neural_probs.probs for ex in examples], dtype=np.float64)
-    return out
 
 
 def _guard_leakage(
@@ -481,168 +473,97 @@ def _aggregate(
     return cells, raw
 
 
-def _load_all(manifest: Manifest) -> dict[DomainId, DomainDataset]:
-    return {entry.name: load_domain_dataset(entry) for entry in manifest.domains}
-
-
-def run_sdg(cfg: ExperimentConfig, manifest: Manifest) -> ExperimentReport:
-    """Train on one domain, evaluate on every other domain's full data."""
-    if cfg.mode != "sdg":
-        raise InvalidConfig("run_sdg needs mode='sdg'")
-    datasets = _load_all(manifest)
+def fold_plan(
+    cfg: ExperimentConfig, domains: Sequence[DomainId]
+) -> list[tuple[list[DomainId], list[DomainId]]]:
+    """The (sources, targets) folds of a run over the manifest's domains:
+    SDG is one source against its targets (every other domain unless the
+    config names them), MDG holds each domain out once and trains on the
+    rest."""
+    if cfg.mode == "mdg":
+        if len(domains) < 2:
+            raise InvalidConfig("mdg needs at least two domains")
+        return [([d for d in domains if d != held_out], [held_out]) for held_out in domains]
     source = DomainId(cfg.source)  # type: ignore[arg-type]
-    if source not in datasets:
+    if source not in domains:
         raise InvalidConfig(f"source domain {cfg.source!r} not in manifest")
     if cfg.targets:
         targets = [DomainId(t) for t in cfg.targets]
-        unknown = [t for t in targets if t not in datasets]
+        unknown = [t for t in targets if t not in domains]
         if unknown:
             raise InvalidConfig(f"target domains {unknown} not in manifest")
     else:
-        targets = [d for d in datasets if d != source]
+        targets = [d for d in domains if d != source]
     if not targets:
         raise InvalidConfig("sdg needs at least one target domain")
+    return [([source], targets)]
 
-    have_probs = all(
-        manifest.entry(d).probs is not None for d in [source] + targets
-    )
-    methods = _method_rows(cfg, have_probs)
-    schema = resolve_schema(cfg.symbolic, list(datasets[source].examples))
 
-    matrices = {d: feature_matrix(datasets[d].examples, schema) for d in datasets}
-    kl_before = kl_after = None
-    if cfg.alignment:
-        ordered = [datasets[source]] + [datasets[t] for t in targets]
-        matrices_aligned, kl_before, kl_after = align_domains(ordered, source, schema)
-        matrices.update(matrices_aligned)
+def _fold_kl(values: list[float], n_seeds: int) -> float | None:
+    """One fold reports its KL as is; several report the mean over every
+    (seed, fold) run, so each fold's value counts once per seed."""
+    if len(values) < 2:
+        return values[0] if values else None
+    return float(np.mean(values * n_seeds))
 
-    id_index = {
-        d: {ex.image_id: i for i, ex in enumerate(datasets[d].examples)} for d in datasets
+
+def run_experiment(cfg: ExperimentConfig, manifest: Manifest) -> ExperimentReport:
+    """Train on each fold's source domains and evaluate on the full data of
+    its targets, once per seed."""
+    folds = fold_plan(cfg, [entry.name for entry in manifest.domains])
+    datasets = {entry.name: load_domain_dataset(entry) for entry in manifest.domains}
+    used = {d for fold in folds for part in fold for d in part}
+    methods = _method_rows(cfg, all(manifest.entry(d).probs is not None for d in used))
+    training = [d for d in datasets if any(d in sources for sources, _ in folds)]
+    # an auto feature set follows the first manifest domain any fold trains on
+    schema = resolve_schema(cfg.symbolic, list(datasets[training[0]].examples))
+    features = {d: feature_matrix(ds.examples, schema) for d, ds in datasets.items()}
+    id_index = {d: {ex.image_id: i for i, ex in enumerate(datasets[d].examples)} for d in training}
+    grades = {t: grade_array(datasets[t].examples) for _, targets in folds for t in targets}
+    # deep rows, when a method beyond symbolic needs them: _method_rows has
+    # checked those domains have a table, and loading gives every image a row
+    neural = {
+        d: np.asarray([ex.neural_probs.probs for ex in datasets[d].examples], dtype=np.float64)
+        for d in used
+        if len(methods) > 1
     }
-    grades = {d: grade_array(datasets[d].examples) for d in targets}
-    neural = _neural_matrices(datasets, [source] + targets, methods)
-    per_seed: list[dict[str, dict[str, dict[str, float]]]] = []
-    selected_alphas: list[float] = []
-    for seed in cfg.seeds:
-        train, valid, _test = split_dataset(datasets[source], cfg.split, seed)
-        _guard_leakage(
-            {(ex.domain, ex.image_id) for ex in train + valid},
-            {t: datasets[t].examples for t in targets},
-        )
-        rows_va = [id_index[source][ex.image_id] for ex in valid]
-        x_train = matrices[source][[id_index[source][ex.image_id] for ex in train]]
-        x_valid = matrices[source][rows_va]
-        y_valid = grade_array(valid)
-        model = fit_model_arrays(
-            x_train,
-            grade_array(train),
-            x_valid,
-            y_valid,
-            schema,
-            cfg.symbolic,
-        )
-        weights = cfg.fusion.fixed_weights()
-        if "fusion-weighted" in methods and weights is None:
-            weights = select_weights(
-                (y_valid, neural[source][rows_va], model.predict_proba_matrix(x_valid))
-            )
-            selected_alphas.append(weights.alpha_dl)
-        run: dict[str, dict[str, dict[str, float]]] = {m: {} for m in methods}
-        for t in targets:
-            results = _evaluate_rows(
-                methods,
-                grades[t],
-                model.predict_proba_matrix(matrices[t]),
-                neural.get(t),
-                weights,
-            )
-            for m in methods:
-                run[m][t] = results[m]
-        per_seed.append(run)
 
-    columns = tuple(str(t) for t in targets)
-    metrics = ("accuracy", "macro_f1", "auc")
-    cells, raw = _aggregate(methods, columns, metrics, per_seed)
-    return ExperimentReport(
-        mode="sdg",
-        source_label=str(source),
-        columns=columns + ("average",),
-        methods=tuple(methods),
-        metrics=metrics,
-        cells=cells,
-        raw=raw,
-        seeds=cfg.seeds,
-        config_fingerprint=_config_fingerprint(cfg, manifest),
-        fusion_note=FUSION_MAPPING_NOTE,
-        alignment_enabled=cfg.alignment,
-        kl_before=kl_before,
-        kl_after=kl_after,
-        selected_alphas=tuple(selected_alphas),
-    )
-
-
-def run_mdg(cfg: ExperimentConfig, manifest: Manifest) -> ExperimentReport:
-    """Leave-one-domain-out: pool the other domains for training and
-    evaluate on the held-out domain, once per domain."""
-    if cfg.mode != "mdg":
-        raise InvalidConfig("run_mdg needs mode='mdg'")
-    datasets = _load_all(manifest)
-    domains = [entry.name for entry in manifest.domains]
-    if len(domains) < 2:
-        raise InvalidConfig("mdg needs at least two domains")
-    have_probs = all(entry.probs is not None for entry in manifest.domains)
-    methods = _method_rows(cfg, have_probs)
-    schema = resolve_schema(cfg.symbolic, list(datasets[domains[0]].examples))
-    id_index = {
-        d: {ex.image_id: i for i, ex in enumerate(datasets[d].examples)} for d in domains
-    }
-    features = {d: feature_matrix(datasets[d].examples, schema) for d in domains}
-    grades = {d: grade_array(datasets[d].examples) for d in domains}
-    neural = _neural_matrices(datasets, domains, methods)
-
-    per_seed: list[dict[str, dict[str, dict[str, float]]]] = []
-    selected_alphas: list[float] = []
+    # alignment depends on the fold's domains only, not on the seed
+    fold_matrices: list[dict[DomainId, np.ndarray]] = []
     kl_befores: list[float] = []
     kl_afters: list[float] = []
+    for sources, targets in folds:
+        matrices = dict(features)
+        if cfg.alignment:
+            ordered = [datasets[d] for d in sources + targets]
+            aligned, kb, ka = align_domains(ordered, sources[0], schema)
+            matrices.update(aligned)
+            kl_befores.append(kb)
+            kl_afters.append(ka)
+        fold_matrices.append(matrices)
+
+    per_seed: list[dict[str, dict[str, dict[str, float]]]] = []
+    selected_alphas: list[float] = []
     for seed in cfg.seeds:
-        # each domain is split once per seed, for every fold it trains in
+        # each training domain is split once per seed, for every fold it trains in
         splits = {}
-        for d in domains:
+        for d in training:
             tr, va, _te = split_dataset(datasets[d], cfg.split, seed)
             rows_tr = [id_index[d][ex.image_id] for ex in tr]
             rows_va = [id_index[d][ex.image_id] for ex in va]
             splits[d] = (tr, va, rows_tr, rows_va)
         run: dict[str, dict[str, dict[str, float]]] = {m: {} for m in methods}
-        for held_out in domains:
-            sources = [d for d in domains if d != held_out]
-            matrices = dict(features)
-            if cfg.alignment:
-                ordered = [datasets[d] for d in sources] + [datasets[held_out]]
-                aligned, kb, ka = align_domains(ordered, sources[0], schema)
-                matrices.update(aligned)
-                kl_befores.append(kb)
-                kl_afters.append(ka)
-            train: list[LabeledExample] = []
-            valid: list[LabeledExample] = []
-            x_train_parts: list[np.ndarray] = []
-            x_valid_parts: list[np.ndarray] = []
-            dl_valid_parts: list[np.ndarray] = []
-            for d in sources:
-                tr, va, rows_tr, rows_va = splits[d]
-                train.extend(tr)
-                valid.extend(va)
-                x_train_parts.append(matrices[d][rows_tr])
-                x_valid_parts.append(matrices[d][rows_va])
-                if neural:
-                    dl_valid_parts.append(neural[d][rows_va])
+        for (sources, targets), matrices in zip(folds, fold_matrices):
+            train = [ex for d in sources for ex in splits[d][0]]
+            valid = [ex for d in sources for ex in splits[d][1]]
             _guard_leakage(
                 {(ex.domain, ex.image_id) for ex in train + valid},
-                {held_out: datasets[held_out].examples},
+                {t: datasets[t].examples for t in targets},
             )
-            x_valid = np.vstack(x_valid_parts)
+            x_valid = np.vstack([matrices[d][splits[d][3]] for d in sources])
             y_valid = grade_array(valid)
-            model = fit_model_arrays(
-                np.vstack(x_train_parts),
+            model = fit_model(
+                np.vstack([matrices[d][splits[d][2]] for d in sources]),
                 grade_array(train),
                 x_valid,
                 y_valid,
@@ -651,27 +572,27 @@ def run_mdg(cfg: ExperimentConfig, manifest: Manifest) -> ExperimentReport:
             )
             weights = cfg.fusion.fixed_weights()
             if "fusion-weighted" in methods and weights is None:
-                weights = select_weights(
-                    (y_valid, np.vstack(dl_valid_parts), model.predict_proba_matrix(x_valid))
-                )
+                dl_valid = np.vstack([neural[d][splits[d][3]] for d in sources])
+                weights = select_weights((y_valid, dl_valid, model.predict_proba_matrix(x_valid)))
                 selected_alphas.append(weights.alpha_dl)
-            results = _evaluate_rows(
-                methods,
-                grades[held_out],
-                model.predict_proba_matrix(matrices[held_out]),
-                neural.get(held_out),
-                weights,
-            )
-            for m in methods:
-                run[m][held_out] = results[m]
+            for t in targets:
+                results = _evaluate_rows(
+                    methods,
+                    grades[t],
+                    model.predict_proba_matrix(matrices[t]),
+                    neural.get(t),
+                    weights,
+                )
+                for m in methods:
+                    run[m][t] = results[m]
         per_seed.append(run)
 
-    columns = tuple(str(d) for d in domains)
+    columns = tuple(str(t) for _, targets in folds for t in targets)
     metrics = ("accuracy", "macro_f1", "auc")
     cells, raw = _aggregate(methods, columns, metrics, per_seed)
     return ExperimentReport(
-        mode="mdg",
-        source_label="leave-one-domain-out",
+        mode=cfg.mode,
+        source_label="leave-one-domain-out" if cfg.mode == "mdg" else str(folds[0][0][0]),
         columns=columns + ("average",),
         methods=tuple(methods),
         metrics=metrics,
@@ -681,14 +602,10 @@ def run_mdg(cfg: ExperimentConfig, manifest: Manifest) -> ExperimentReport:
         config_fingerprint=_config_fingerprint(cfg, manifest),
         fusion_note=FUSION_MAPPING_NOTE,
         alignment_enabled=cfg.alignment,
-        kl_before=float(np.mean(kl_befores)) if kl_befores else None,
-        kl_after=float(np.mean(kl_afters)) if kl_afters else None,
+        kl_before=_fold_kl(kl_befores, len(cfg.seeds)),
+        kl_after=_fold_kl(kl_afters, len(cfg.seeds)),
         selected_alphas=tuple(selected_alphas),
     )
-
-
-def run_experiment(cfg: ExperimentConfig, manifest: Manifest) -> ExperimentReport:
-    return run_sdg(cfg, manifest) if cfg.mode == "sdg" else run_mdg(cfg, manifest)
 
 
 # --- config file -------------------------------------------------------------
@@ -743,11 +660,14 @@ def load_experiment_config(path: str | Path) -> tuple[ExperimentConfig, Path]:
     if "manifest" not in domains:
         raise InvalidConfig(f"{path}: the domains section must point at a manifest")
     manifest_path = (path.parent / domains["manifest"]).resolve()
+    seeds = raw.get("seeds", [0, 1, 2])
+    if not isinstance(seeds, list):
+        raise InvalidConfig(f"{path}: seeds must be a list of integers")
     cfg = ExperimentConfig(
         mode=raw.get("mode", "sdg"),
         source=domains.get("source"),
         targets=tuple(domains["targets"]) if domains.get("targets") else None,
-        seeds=tuple(int(s) for s in raw.get("seeds", (0, 1, 2))),
+        seeds=tuple(seeds),
         split=build_section("split", SplitFractions, raw.get("split", {})),
         symbolic=build_section("symbolic", TrainConfig, raw.get("symbolic", {})),
         fusion=build_section("fusion", FusionSpec, raw.get("fusion", {})),

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
-from ..core import LabeledExample
 from ..errors import InvalidConfig
 from ..io import ModelArtifact
 from .baselines import (
@@ -15,14 +14,10 @@ from .baselines import (
     KnnModel,
     LogisticModel,
     cross_validate,
-    fit_forest,
     fit_forest_arrays,
-    fit_knn,
     fit_knn_arrays,
-    fit_logistic,
     fit_logistic_arrays,
     logistic_loss_and_grad,
-    predict_knn,
 )
 from .config import (
     TrainConfig,
@@ -34,7 +29,7 @@ from .config import (
     softmax,
     standardization,
 )
-from .gbm import GbmModel, fit_gbm, fit_gbm_arrays, multinomial_log_loss, weighted_log_priors
+from .gbm import GbmModel, fit_gbm_arrays, multinomial_log_loss, weighted_log_priors
 
 Model = Union[GbmModel, LogisticModel, ForestModel, KnnModel]
 
@@ -47,33 +42,18 @@ _MODEL_TYPES = {
 
 
 def fit_model(
-    train: Sequence[LabeledExample],
-    valid: Sequence[LabeledExample],
-    cfg: TrainConfig,
-) -> Model:
-    """Train whichever learner the config names."""
-    if cfg.model_kind == "gbm":
-        return fit_gbm(train, valid, cfg)
-    if cfg.model_kind == "logistic":
-        return fit_logistic(train, cfg)
-    if cfg.model_kind == "forest":
-        return fit_forest(train, cfg)
-    if cfg.model_kind == "knn":
-        return fit_knn(train, cfg)
-    raise InvalidConfig(f"unknown model_kind {cfg.model_kind!r}")
-
-
-def fit_model_arrays(
     x: np.ndarray,
     y: np.ndarray,
-    xv: np.ndarray,
-    yv: np.ndarray,
+    x_valid: np.ndarray,
+    y_valid: np.ndarray,
     schema: tuple[str, ...],
     cfg: TrainConfig,
 ) -> Model:
-    """Matrix-level dispatch (used when features were transformed)."""
+    """Train whichever learner the config names on a feature matrix whose
+    columns follow ``schema``; only boosting reads the validation rows,
+    for early stopping."""
     if cfg.model_kind == "gbm":
-        return fit_gbm_arrays(x, y, xv, yv, schema, cfg)
+        return fit_gbm_arrays(x, y, x_valid, y_valid, schema, cfg)
     if cfg.model_kind == "logistic":
         return fit_logistic_arrays(x, y, schema, cfg)
     if cfg.model_kind == "forest":
@@ -99,21 +79,15 @@ __all__ = [
     "cross_validate",
     "feature_matrix",
     "feature_row",
-    "fit_forest",
     "fit_forest_arrays",
-    "fit_gbm",
     "fit_gbm_arrays",
-    "fit_knn",
     "fit_knn_arrays",
-    "fit_logistic",
     "fit_logistic_arrays",
     "fit_model",
-    "fit_model_arrays",
     "grade_array",
     "logistic_loss_and_grad",
     "model_from_artifact",
     "multinomial_log_loss",
-    "predict_knn",
     "resolve_schema",
     "sample_weights",
     "softmax",

@@ -11,16 +11,16 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ..core import GRADE_COUNT, FeatureVector, LabeledExample, ProbabilityVector
-from ..errors import InvalidConfig, SchemaMismatch, TooFewPerClass
+from ..core import GRADE_COUNT, LabeledExample
+from ..errors import InvalidConfig, TooFewPerClass
 from ..io import ModelArtifact
 from ..metrics import accuracy as accuracy_metric
 from ..metrics import macro_f1 as macro_f1_metric
 from ..metrics import seeded_summary
 from .config import (
+    FittedModel,
     TrainConfig,
     feature_matrix,
-    feature_row,
     grade_array,
     resolve_schema,
     sample_weights,
@@ -29,10 +29,6 @@ from .config import (
     train_fingerprint,
 )
 from .tree import fit_classification_tree, predict_tree
-
-
-def _to_probability(row: np.ndarray) -> ProbabilityVector:
-    return ProbabilityVector(tuple(float(p) for p in row))  # type: ignore[arg-type]
 
 
 # --- multinomial logistic regression ------------------------------------------
@@ -57,7 +53,7 @@ def logistic_loss_and_grad(
 
 
 @dataclass
-class LogisticModel:
+class LogisticModel(FittedModel):
     feature_schema: tuple[str, ...]
     weights: np.ndarray
     bias: np.ndarray
@@ -66,16 +62,9 @@ class LogisticModel:
     train_fingerprint: str
 
     def predict_proba_matrix(self, x: np.ndarray) -> np.ndarray:
-        if x.shape[1] != len(self.feature_schema):
-            raise SchemaMismatch(
-                f"model expects {len(self.feature_schema)} features, got {x.shape[1]}"
-            )
+        self.check_width(x)
         xs = (x - self.mean) / self.std
         return softmax(xs @ self.weights.T + self.bias)
-
-    def predict_proba(self, fv: FeatureVector) -> ProbabilityVector:
-        row = feature_row(fv, self.feature_schema)
-        return _to_probability(self.predict_proba_matrix(row[None, :])[0])
 
     def to_artifact(self) -> ModelArtifact:
         return ModelArtifact(
@@ -104,19 +93,14 @@ class LogisticModel:
         )
 
 
-def fit_logistic(train: Sequence[LabeledExample], cfg: TrainConfig) -> LogisticModel:
+def fit_logistic_arrays(
+    x: np.ndarray, y: np.ndarray, schema: tuple[str, ...], cfg: TrainConfig
+) -> LogisticModel:
     """Full-batch gradient descent from a zero init on standardized inputs.
 
     A single-grade training set is allowed: the fit degenerates to always
     predicting that grade.
     """
-    schema = resolve_schema(cfg, train)
-    return fit_logistic_arrays(feature_matrix(train, schema), grade_array(train), schema, cfg)
-
-
-def fit_logistic_arrays(
-    x: np.ndarray, y: np.ndarray, schema: tuple[str, ...], cfg: TrainConfig
-) -> LogisticModel:
     mu, sd = standardization(x)
     xs = (x - mu) / sd
     weights = sample_weights(y, cfg.class_weighting)
@@ -144,24 +128,17 @@ def fit_logistic_arrays(
 
 
 @dataclass
-class ForestModel:
+class ForestModel(FittedModel):
     feature_schema: tuple[str, ...]
     trees: list[dict[str, Any]]
     train_fingerprint: str
 
     def predict_proba_matrix(self, x: np.ndarray) -> np.ndarray:
-        if x.shape[1] != len(self.feature_schema):
-            raise SchemaMismatch(
-                f"model expects {len(self.feature_schema)} features, got {x.shape[1]}"
-            )
+        self.check_width(x)
         acc = np.zeros((x.shape[0], GRADE_COUNT), dtype=np.float64)
         for tree in self.trees:
             acc += predict_tree(tree, x)
         return acc / len(self.trees)
-
-    def predict_proba(self, fv: FeatureVector) -> ProbabilityVector:
-        row = feature_row(fv, self.feature_schema)
-        return _to_probability(self.predict_proba_matrix(row[None, :])[0])
 
     def to_artifact(self) -> ModelArtifact:
         return ModelArtifact(
@@ -183,16 +160,11 @@ class ForestModel:
         )
 
 
-def fit_forest(train: Sequence[LabeledExample], cfg: TrainConfig) -> ForestModel:
-    """Per-tree bootstrap plus random feature subsets at every split;
-    probabilities are averaged leaf grade frequencies."""
-    schema = resolve_schema(cfg, train)
-    return fit_forest_arrays(feature_matrix(train, schema), grade_array(train), schema, cfg)
-
-
 def fit_forest_arrays(
     x: np.ndarray, y: np.ndarray, schema: tuple[str, ...], cfg: TrainConfig
 ) -> ForestModel:
+    """Per-tree bootstrap plus random feature subsets at every split;
+    probabilities are averaged leaf grade frequencies."""
     if cfg.n_trees < 1:
         raise InvalidConfig("forest needs n_trees >= 1")
     max_features = cfg.max_features or max(1, math.isqrt(x.shape[1]))
@@ -215,7 +187,7 @@ def fit_forest_arrays(
 
 
 @dataclass
-class KnnModel:
+class KnnModel(FittedModel):
     feature_schema: tuple[str, ...]
     points: np.ndarray
     grades: np.ndarray
@@ -225,10 +197,7 @@ class KnnModel:
     train_fingerprint: str
 
     def predict_proba_matrix(self, x: np.ndarray) -> np.ndarray:
-        if x.shape[1] != len(self.feature_schema):
-            raise SchemaMismatch(
-                f"model expects {len(self.feature_schema)} features, got {x.shape[1]}"
-            )
+        self.check_width(x)
         xs = (x - self.mean) / self.std
         out = np.zeros((x.shape[0], GRADE_COUNT), dtype=np.float64)
         for i in range(xs.shape[0]):
@@ -237,10 +206,6 @@ class KnnModel:
             counts = np.bincount(self.grades[nearest], minlength=GRADE_COUNT)
             out[i] = counts / self.k
         return out
-
-    def predict_proba(self, fv: FeatureVector) -> ProbabilityVector:
-        row = feature_row(fv, self.feature_schema)
-        return _to_probability(self.predict_proba_matrix(row[None, :])[0])
 
     def to_artifact(self) -> ModelArtifact:
         return ModelArtifact(
@@ -271,19 +236,14 @@ class KnnModel:
         )
 
 
-def fit_knn(train: Sequence[LabeledExample], cfg: TrainConfig) -> KnnModel:
+def fit_knn_arrays(
+    x: np.ndarray, y: np.ndarray, schema: tuple[str, ...], cfg: TrainConfig
+) -> KnnModel:
     """Store standardized training points; neighbors vote by grade frequency.
 
     Distance ties resolve by training-row order, so predictions are
     deterministic.
     """
-    schema = resolve_schema(cfg, train)
-    return fit_knn_arrays(feature_matrix(train, schema), grade_array(train), schema, cfg)
-
-
-def fit_knn_arrays(
-    x: np.ndarray, y: np.ndarray, schema: tuple[str, ...], cfg: TrainConfig
-) -> KnnModel:
     if cfg.k_neighbors > x.shape[0]:
         raise InvalidConfig(
             f"k_neighbors={cfg.k_neighbors} exceeds the {x.shape[0]} training points"
@@ -298,13 +258,6 @@ def fit_knn_arrays(
         k=cfg.k_neighbors,
         train_fingerprint=train_fingerprint(cfg, schema, x, y),
     )
-
-
-def predict_knn(
-    train: Sequence[LabeledExample], fv: FeatureVector, cfg: TrainConfig
-) -> ProbabilityVector:
-    """One-shot lazy kNN prediction (fit + query)."""
-    return fit_knn(train, cfg).predict_proba(fv)
 
 
 # --- cross-validation -------------------------------------------------------------
@@ -339,15 +292,15 @@ def cross_validate(
         idx = np.nonzero(y == g)[0]
         rng.shuffle(idx)
         fold_of[idx] = np.arange(idx.size) % folds
+    schema = resolve_schema(cfg, data)
+    x = feature_matrix(data, schema)
     accs, f1s = [], []
     for k in range(folds):
-        train = [ex for i, ex in enumerate(data) if fold_of[i] != k]
-        test = [ex for i, ex in enumerate(data) if fold_of[i] == k]
-        model = fit_model(train, train, cfg)
-        preds = model.predict_proba_matrix(feature_matrix(test, model.feature_schema)).argmax(axis=1)
-        truth = grade_array(test)
-        accs.append(accuracy_metric(truth, preds))
-        f1s.append(macro_f1_metric(truth, preds))
+        train, test = fold_of != k, fold_of == k
+        model = fit_model(x[train], y[train], x[train], y[train], schema, cfg)
+        preds = model.predict_proba_matrix(x[test]).argmax(axis=1)
+        accs.append(accuracy_metric(y[test], preds))
+        f1s.append(macro_f1_metric(y[test], preds))
     acc_mean, acc_std = seeded_summary(accs)
     f1_mean, f1_std = seeded_summary(f1s)
     return CrossValidationSummary(

@@ -13,6 +13,7 @@ from ..core import (
     LESIONS_VEIN_SCHEMA,
     FeatureVector,
     LabeledExample,
+    ProbabilityVector,
 )
 from ..errors import InvalidConfig, SchemaMismatch
 from ..io import canonical_json, content_digest
@@ -97,6 +98,24 @@ def feature_row(fv: FeatureVector, schema: Sequence[str]) -> np.ndarray:
         return np.asarray(fv.as_row(schema), dtype=np.float64)
     except ValueError as exc:
         raise SchemaMismatch(str(exc)) from exc
+
+
+class FittedModel:
+    """What every fitted learner shares: the input width check, and
+    single-row prediction through its batch ``predict_proba_matrix``."""
+
+    feature_schema: tuple[str, ...]
+
+    def check_width(self, x: np.ndarray) -> None:
+        if x.shape[1] != len(self.feature_schema):
+            raise SchemaMismatch(
+                f"model expects {len(self.feature_schema)} features, got {x.shape[1]}"
+            )
+
+    def predict_proba(self, fv: FeatureVector) -> ProbabilityVector:
+        row = feature_row(fv, self.feature_schema)
+        probs = self.predict_proba_matrix(row[None, :])[0]  # type: ignore[attr-defined]
+        return ProbabilityVector(tuple(float(p) for p in probs))  # type: ignore[arg-type]
 
 
 def grade_array(examples: Sequence[LabeledExample]) -> np.ndarray:

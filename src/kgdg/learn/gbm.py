@@ -9,19 +9,17 @@ accumulated scores. Validation accuracy drives early stopping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
-from ..core import GRADE_COUNT, FeatureVector, LabeledExample, ProbabilityVector
+from ..core import GRADE_COUNT
 from ..errors import SchemaMismatch, SingleClassTrain
 from ..io import ModelArtifact
 from .config import (
+    FittedModel,
     TrainConfig,
-    feature_matrix,
-    feature_row,
-    grade_array,
-    resolve_schema,
+    feature_matrix,  # noqa: F401  unused here; the benchmark's tracer patches it by this module's name
     sample_weights,
     softmax,
     train_fingerprint,
@@ -32,7 +30,7 @@ PRIOR_EPS = 1e-12
 
 
 @dataclass
-class GbmModel:
+class GbmModel(FittedModel):
     """Fitted boosting ensemble: rounds x grades regression trees."""
 
     feature_schema: tuple[str, ...]
@@ -55,16 +53,8 @@ class GbmModel:
         return scores
 
     def predict_proba_matrix(self, x: np.ndarray) -> np.ndarray:
-        if x.shape[1] != len(self.feature_schema):
-            raise SchemaMismatch(
-                f"model expects {len(self.feature_schema)} features, got {x.shape[1]}"
-            )
+        self.check_width(x)
         return softmax(self.decision_scores(x))
-
-    def predict_proba(self, fv: FeatureVector) -> ProbabilityVector:
-        row = feature_row(fv, self.feature_schema)
-        probs = self.predict_proba_matrix(row[None, :])[0]
-        return ProbabilityVector(tuple(float(p) for p in probs))  # type: ignore[arg-type]
 
     def to_artifact(self) -> ModelArtifact:
         return ModelArtifact(
@@ -107,27 +97,6 @@ def multinomial_log_loss(probs: np.ndarray, y: np.ndarray, weights: np.ndarray) 
     return float(-(weights * np.log(picked)).sum() / weights.sum())
 
 
-def fit_gbm(
-    train: Sequence[LabeledExample],
-    valid: Sequence[LabeledExample],
-    cfg: TrainConfig,
-) -> GbmModel:
-    """Boost until ``n_trees`` rounds or validation accuracy stalls for
-    ``early_stop_patience`` rounds; the returned model keeps the trees up
-    to the best validation round. Deterministic given the seed."""
-    schema = resolve_schema(cfg, train)
-    if not valid:
-        raise SchemaMismatch("validation set must be nonempty")
-    return fit_gbm_arrays(
-        feature_matrix(train, schema),
-        grade_array(train),
-        feature_matrix(valid, schema),
-        grade_array(valid),
-        schema,
-        cfg,
-    )
-
-
 def fit_gbm_arrays(
     x: np.ndarray,
     y: np.ndarray,
@@ -136,7 +105,11 @@ def fit_gbm_arrays(
     schema: tuple[str, ...],
     cfg: TrainConfig,
 ) -> GbmModel:
-    """Matrix-level boosting core (also serves aligned feature spaces)."""
+    """Boost until ``n_trees`` rounds or validation accuracy stalls for
+    ``early_stop_patience`` rounds; the returned model keeps the trees up
+    to the best validation round. Deterministic given the seed."""
+    if yv.size == 0:
+        raise SchemaMismatch("validation set must be nonempty")
     if np.unique(y).size < 2:
         raise SingleClassTrain("training set contains a single grade")
 

@@ -28,9 +28,9 @@ from kgdg.fusion import (
     fuse_selective,
     fuse_weighted,
 )
-from kgdg.harness import ExperimentConfig, FusionSpec, align_domains, run_sdg
+from kgdg.harness import ExperimentConfig, FusionSpec, align_domains, run_experiment
 from kgdg.io import load_manifest, save_feature_table, save_manifest, save_probability_table
-from kgdg.learn import TrainConfig, fit_gbm, logistic_loss_and_grad
+from kgdg.learn import TrainConfig, logistic_loss_and_grad
 from kgdg.metrics import (
     DomainStats,
     accuracy,
@@ -51,7 +51,7 @@ from kgdg.synth import (
     write_dataset,
 )
 
-from test_learn import random_examples
+from test_learn import fit_examples, random_examples
 from test_metrics import (
     oracle_accuracy,
     oracle_auc_ovr,
@@ -203,7 +203,7 @@ def test_criterion_3_learner_correctness():
         for seed in range(5):
             examples = random_examples(120, seed=seed)
             cfg = TrainConfig(n_trees=100, min_leaf=2, early_stop_patience=10_000, seed=seed)
-            model = fit_gbm(examples, examples, cfg)
+            model = fit_examples(examples, examples, cfg)
             curve = model.train_loss_curve
             assert len(curve) == 100
             assert all(curve[i + 1] <= curve[i] + 1e-12 for i in range(99))
@@ -217,7 +217,7 @@ def test_criterion_3_learner_correctness():
         ]
         cfg = TrainConfig(n_trees=10, max_depth=1, min_leaf=1, learning_rate=0.5,
                           early_stop_patience=100)
-        model = fit_gbm(fixture, fixture, cfg)
+        model = fit_examples(fixture, fixture, cfg)
         preds = [model.predict_proba(ex.features).argmax() for ex in fixture]
         assert preds == [0, 0, 1, 1]
 
@@ -297,7 +297,7 @@ def test_criterion_6_vein_feature_ablation(tmp_path):
                 symbolic=TrainConfig(feature_set=feature_set),
                 fusion=FusionSpec(strategies=(), include_neural=False),
             )
-            means[feature_set] = run_sdg(cfg, manifest).cell("symbolic", "average").mean
+            means[feature_set] = run_experiment(cfg, manifest).cell("symbolic", "average").mean
         gap = means["lesions_only"] - means["lesions_vein"]
         print(f"  lesions_only={means['lesions_only']:.4f} "
               f"lesions_vein={means['lesions_vein']:.4f} gap={gap * 100:.1f}pts")
@@ -316,7 +316,7 @@ def test_criterion_7_fusion_ordering(tmp_path):
             mode="sdg", source="clinic_a", seeds=(0, 1, 2),
             fusion=FusionSpec(strategies=(), include_neural=False),
         )
-        symbolic_acc = run_sdg(probe, manifest).cell("symbolic", "average").mean
+        symbolic_acc = run_experiment(probe, manifest).cell("symbolic", "average").mean
 
         ood_accuracy = symbolic_acc - 0.15
         tables = {}
@@ -334,7 +334,7 @@ def test_criterion_7_fusion_ordering(tmp_path):
             mode="sdg", source="clinic_a", seeds=(0, 1, 2),
             fusion=FusionSpec(strategies=("max",), include_neural=True),
         )
-        rep = run_sdg(cfg, manifest)
+        rep = run_experiment(cfg, manifest)
         symbolic = rep.cell("symbolic", "average").mean
         neural = rep.cell("neural", "average").mean
         fusion = rep.cell("fusion-max", "average").mean
@@ -413,8 +413,6 @@ def test_criterion_8_end_to_end_determinism(tmp_path):
                 symbolic=TrainConfig(n_trees=3, min_leaf=2, early_stop_patience=2),
                 fusion=FusionSpec(strategies=("selective",)),
             )
-            from kgdg.harness import run_experiment
-
             run_experiment(cfg, manifest)  # raises LeakageError on any leak
 
 

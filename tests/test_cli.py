@@ -111,9 +111,18 @@ class TestFuseCommand:
             main(["fuse", "--strategy", "max", "--bogus", "1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("alpha_dl,alpha_kl", [("-1", "1"), ("0", "0"), ("nan", "1")])
+    def test_bad_weights_exit_2(self, data_dir, capsys, alpha_dl, alpha_kl):
+        code = main(["fuse", "--strategy", "weighted",
+                     "--dl", str(data_dir / "clinic_a_probs.csv"),
+                     "--kd", str(data_dir / "clinic_a_probs.csv"),
+                     "--alpha-dl", alpha_dl, "--alpha-kl", alpha_kl, "--quiet"])
+        assert code == 2
+        assert "INVALID_CONFIG" in capsys.readouterr().err
+
 
 class TestEvalCommand:
-    def _write_config(self, data_dir, tmp_path, mode="sdg"):
+    def _write_config(self, data_dir, tmp_path, mode="sdg", **sections):
         config = tmp_path / "experiment.json"
         config.write_text(json.dumps({
             "mode": mode,
@@ -121,6 +130,7 @@ class TestEvalCommand:
             "seeds": [0],
             "symbolic": {"n_trees": 10, "min_leaf": 2, "early_stop_patience": 3},
             "fusion": {"strategies": ["max"], "include_neural": True},
+            **sections,
         }))
         return config
 
@@ -137,6 +147,22 @@ class TestEvalCommand:
                      "--out", str(out), "--quiet"]) == 0
         payload = json.loads(out.read_text())
         assert payload["mode"] == "sdg"
+
+    @pytest.mark.parametrize("sections", [
+        {"fusion": {"alpha_dl": -0.5, "alpha_kl": 0.5}},
+        {"fusion": {"alpha_dl": "x", "alpha_kl": 0.5}},
+        {"seeds": ["a"]},
+        {"seeds": [-1]},
+    ])
+    def test_malformed_weights_and_seeds_exit_2(self, data_dir, tmp_path, capsys, sections):
+        config = self._write_config(data_dir, tmp_path, **sections)
+        assert main(["eval", "--config", str(config), "--out", str(tmp_path / "r.md"), "--quiet"]) == 2
+        assert "INVALID_CONFIG" in capsys.readouterr().err
+
+    def test_gbm_without_validation_split_is_a_typed_error(self, data_dir, tmp_path):
+        config = self._write_config(data_dir, tmp_path,
+                                    split={"train": 0.8, "validation": 0.0, "test": 0.2})
+        assert main(["eval", "--config", str(config), "--out", str(tmp_path / "r.md"), "--quiet"]) in (2, 3)
 
     def test_eval_without_config_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -10,7 +10,6 @@ from kgdg.core import (
     DRGrade,
     FeatureVector,
     LabeledExample,
-    validate_probability,
 )
 from kgdg.errors import InvalidConfig, LeakageError, MissingProbabilityTable
 from kgdg.harness import (
@@ -18,14 +17,14 @@ from kgdg.harness import (
     FusionSpec,
     SplitFractions,
     align_domains,
+    fold_plan,
     load_experiment_config,
-    run_mdg,
-    run_sdg,
+    run_experiment,
     select_weights,
     split_dataset,
     _guard_leakage,
 )
-from kgdg.io import load_manifest
+from kgdg.io import canonical_json, content_digest, load_manifest
 from kgdg.learn import TrainConfig
 from kgdg.metrics import seeded_summary
 from kgdg.synth import shift_profile, write_dataset
@@ -157,29 +156,29 @@ class TestAlignDomains:
 class TestSelectWeights:
     def test_prefers_deep_on_ties(self):
         # deep and knowledge both always right -> every alpha ties -> largest alpha_dl wins
-        rows = []
-        for g in (0, 1, 2):
-            p = validate_probability([0.8 if i == g else 0.05 for i in range(5)])
-            rows.append((g, p, p))
-        w = select_weights(rows)
+        grades = np.array([0, 1, 2])
+        p = np.array([[0.8 if i == g else 0.05 for i in range(5)] for g in grades])
+        w = select_weights((grades, p, p))
         assert w.alpha_dl == pytest.approx(0.9)
         assert w.alpha_kl == pytest.approx(0.1)
 
     def test_prefers_accurate_branch(self):
-        rows = []
+        grades, deep, knowledge = [], [], []
         rng = np.random.default_rng(0)
         for _ in range(60):
             g = int(rng.integers(0, 5))
             good = [0.7 if i == g else 0.075 for i in range(5)]
             wrong_grade = (g + 1) % 5
             bad = [0.7 if i == wrong_grade else 0.075 for i in range(5)]
-            rows.append((g, validate_probability(bad), validate_probability(good)))
-        w = select_weights(rows)
+            grades.append(g)
+            deep.append(bad)
+            knowledge.append(good)
+        w = select_weights((np.array(grades), np.array(deep), np.array(knowledge)))
         assert w.alpha_kl > w.alpha_dl
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidConfig):
-            select_weights([])
+            select_weights((np.zeros(0, dtype=np.int64), np.zeros((0, 5)), np.zeros((0, 5))))
 
 
 class TestGuardLeakage:
@@ -212,8 +211,8 @@ class TestRunSdg:
             mode="sdg", source="clinic_a", seeds=(0, 1),
             symbolic=TrainConfig(**FAST_SYMBOLIC),
         )
-        rep1 = run_sdg(cfg, small_manifest)
-        rep2 = run_sdg(cfg, small_manifest)
+        rep1 = run_experiment(cfg, small_manifest)
+        rep2 = run_experiment(cfg, small_manifest)
         assert rep1.to_json_dict() == rep2.to_json_dict()
         assert rep1.columns == ("clinic_b", "clinic_c", "average")
         assert set(rep1.methods) >= {"symbolic", "neural"}
@@ -229,7 +228,7 @@ class TestRunSdg:
             symbolic=TrainConfig(**FAST_SYMBOLIC),
             fusion=FusionSpec(strategies=("max",)),
         )
-        rep = run_sdg(cfg, small_manifest)
+        rep = run_experiment(cfg, small_manifest)
         for m in rep.methods:
             for c in rep.columns:
                 for metric in rep.metrics:
@@ -251,7 +250,7 @@ class TestRunSdg:
             symbolic=TrainConfig(**FAST_SYMBOLIC),
             fusion=FusionSpec(strategies=(), include_neural=False),
         )
-        rep = run_sdg(cfg, manifest)
+        rep = run_experiment(cfg, manifest)
         assert rep.methods == ("symbolic",)
 
     def test_missing_probability_table_raises(self, tmp_path):
@@ -266,7 +265,7 @@ class TestRunSdg:
             symbolic=TrainConfig(**FAST_SYMBOLIC),
         )
         with pytest.raises(MissingProbabilityTable):
-            run_sdg(cfg, manifest)
+            run_experiment(cfg, manifest)
 
     def test_explicit_targets_subset(self, small_manifest):
         cfg = ExperimentConfig(
@@ -274,7 +273,7 @@ class TestRunSdg:
             symbolic=TrainConfig(**FAST_SYMBOLIC),
             fusion=FusionSpec(strategies=(), include_neural=False),
         )
-        rep = run_sdg(cfg, small_manifest)
+        rep = run_experiment(cfg, small_manifest)
         assert rep.columns == ("clinic_c", "average")
 
     def test_alignment_records_kl(self, small_manifest):
@@ -284,7 +283,7 @@ class TestRunSdg:
             fusion=FusionSpec(strategies=(), include_neural=False),
             alignment=True,
         )
-        rep = run_sdg(cfg, small_manifest)
+        rep = run_experiment(cfg, small_manifest)
         assert rep.kl_before is not None and rep.kl_after is not None
         assert rep.kl_after <= rep.kl_before
 
@@ -296,7 +295,7 @@ class TestRunMdg:
             symbolic=TrainConfig(**FAST_SYMBOLIC),
             fusion=FusionSpec(strategies=("max",)),
         )
-        rep = run_mdg(cfg, small_manifest)
+        rep = run_experiment(cfg, small_manifest)
         assert rep.columns == ("clinic_a", "clinic_b", "clinic_c", "average")
         assert rep.mode == "mdg"
 
@@ -315,13 +314,8 @@ class TestRunMdg:
             symbolic=TrainConfig(**FAST_SYMBOLIC),
             fusion=FusionSpec(strategies=("max",)),
         )
-        run_mdg(cfg, small_manifest)
+        run_experiment(cfg, small_manifest)
         assert sorted(calls) == sorted((d, s) for d in ("clinic_a", "clinic_b", "clinic_c") for s in (0, 1))
-
-    def test_mode_mismatch_rejected(self, small_manifest):
-        cfg = ExperimentConfig(mode="sdg", source="clinic_a")
-        with pytest.raises(InvalidConfig):
-            run_mdg(cfg, small_manifest)
 
     def test_alignment_path_trains_and_evaluates(self, tmp_path):
         manifest = load_manifest(
@@ -333,12 +327,81 @@ class TestRunMdg:
             fusion=FusionSpec(strategies=("max",)),
             alignment=True,
         )
-        rep = run_mdg(cfg, manifest)
+        rep = run_experiment(cfg, manifest)
         assert rep.alignment_enabled
         assert rep.kl_after < rep.kl_before
         for m in rep.methods:
             for c in rep.columns:
                 assert 0.0 <= rep.cell(m, c).mean <= 1.0
+
+
+class TestFoldPlan:
+    DOMAINS = [DomainId("a"), DomainId("b"), DomainId("c")]
+
+    def test_sdg_is_one_fold_against_every_other_domain(self):
+        cfg = ExperimentConfig(mode="sdg", source="b")
+        assert fold_plan(cfg, self.DOMAINS) == [(["b"], ["a", "c"])]
+
+    def test_sdg_named_targets(self):
+        cfg = ExperimentConfig(mode="sdg", source="a", targets=("c",))
+        assert fold_plan(cfg, self.DOMAINS) == [(["a"], ["c"])]
+
+    def test_mdg_holds_each_domain_out_once(self):
+        cfg = ExperimentConfig(mode="mdg")
+        assert fold_plan(cfg, self.DOMAINS) == [
+            (["b", "c"], ["a"]), (["a", "c"], ["b"]), (["a", "b"], ["c"]),
+        ]
+
+    @pytest.mark.parametrize("cfg,domains", [
+        (ExperimentConfig(mode="sdg", source="zzz"), DOMAINS),
+        (ExperimentConfig(mode="sdg", source="a", targets=("zzz",)), DOMAINS),
+        (ExperimentConfig(mode="sdg", source="a"), [DomainId("a")]),
+        (ExperimentConfig(mode="mdg"), [DomainId("a")]),
+    ])
+    def test_bad_plans_rejected(self, cfg, domains):
+        with pytest.raises(InvalidConfig):
+            fold_plan(cfg, domains)
+
+
+class TestRunExperiment:
+    def test_aligns_each_fold_once_for_all_seeds(self, small_manifest, monkeypatch):
+        import kgdg.harness as harness
+
+        calls = []
+
+        def counting_align(datasets, reference, schema=None):
+            calls.append(str(reference))
+            return align_domains(datasets, reference, schema)
+
+        monkeypatch.setattr(harness, "align_domains", counting_align)
+        cfg = ExperimentConfig(
+            mode="mdg", seeds=(0, 1),
+            symbolic=TrainConfig(**FAST_SYMBOLIC),
+            fusion=FusionSpec(strategies=("max",)),
+            alignment=True,
+        )
+        run_experiment(cfg, small_manifest)
+        assert calls == ["clinic_b", "clinic_a", "clinic_a"]
+
+    # sha256 of canonical_json(report.to_json_dict()), recorded when SDG and
+    # MDG still had separate drivers; MDG's KL is a mean over every (seed,
+    # fold) run, and SDG's KL is its single fold's value
+    PINNED = {
+        ("sdg", False): "2370dafe66e3eb358a86e999ecb746975b4592650e798a168815a18c1b2e9bc1",
+        ("sdg", True): "4d50505e83c1aeb2a98988784c33124b73f729bdbfc1ac03641dfbd2a5b3ecca",
+        ("mdg", False): "538ad963e87c74d25872d1b786f343e039539b494188d6c6fa98385fd5cfdfa7",
+        ("mdg", True): "f392b3d9259f43aa5a7c0c917a259d14f3c73efb813317e8999cf2d911898175",
+    }
+
+    @pytest.mark.parametrize("mode,alignment", sorted(PINNED))
+    def test_report_bytes_pinned(self, small_manifest, mode, alignment):
+        cfg = ExperimentConfig(
+            mode=mode, source="clinic_a" if mode == "sdg" else None, seeds=(0, 1),
+            symbolic=TrainConfig(**FAST_SYMBOLIC),
+            alignment=alignment,
+        )
+        report = run_experiment(cfg, small_manifest)
+        assert content_digest(canonical_json(report.to_json_dict())) == self.PINNED[(mode, alignment)]
 
 
 class TestExperimentConfigFile:

@@ -33,7 +33,9 @@ from kgdg.io import (
     save_feature_table,
     save_model,
 )
-from kgdg.learn import TrainConfig, fit_gbm, model_from_artifact
+from kgdg.learn import TrainConfig, model_from_artifact
+
+from test_learn import fit_examples
 
 LESIONS_HEADER_LINE = ",".join(LESIONS_ONLY_HEADER)
 VEIN_HEADER_LINE = ",".join(LESIONS_VEIN_HEADER)
@@ -225,7 +227,7 @@ def _toy_examples(n=40, seed=0, domain="d"):
 class TestModelArtifact:
     def test_round_trip_predictions_identical(self, tmp_path):
         examples = _toy_examples(60)
-        model = fit_gbm(examples[:50], examples[50:], TrainConfig(n_trees=20, min_leaf=2, seed=1))
+        model = fit_examples(examples[:50], examples[50:], TrainConfig(n_trees=20, min_leaf=2, seed=1))
         path = tmp_path / "m.kgdg"
         save_model(model.to_artifact(), path)
         loaded = model_from_artifact(load_model(path))
@@ -235,7 +237,7 @@ class TestModelArtifact:
 
     def test_save_is_byte_stable(self, tmp_path):
         examples = _toy_examples(40)
-        model = fit_gbm(examples[:30], examples[30:], TrainConfig(n_trees=5, min_leaf=2, seed=1))
+        model = fit_examples(examples[:30], examples[30:], TrainConfig(n_trees=5, min_leaf=2, seed=1))
         p1, p2 = tmp_path / "a.kgdg", tmp_path / "b.kgdg"
         save_model(model.to_artifact(), p1)
         save_model(model_from_artifact(load_model(p1)).to_artifact(), p2)
@@ -243,7 +245,7 @@ class TestModelArtifact:
 
     def test_edited_schema_raises_schema_mismatch(self, tmp_path):
         examples = _toy_examples(40)
-        model = fit_gbm(examples[:30], examples[30:], TrainConfig(n_trees=3, min_leaf=2, seed=1))
+        model = fit_examples(examples[:30], examples[30:], TrainConfig(n_trees=3, min_leaf=2, seed=1))
         path = tmp_path / "m.kgdg"
         save_model(model.to_artifact(), path)
         text = path.read_text()
@@ -255,7 +257,7 @@ class TestModelArtifact:
 
     def test_truncated_file_raises_corrupt(self, tmp_path):
         examples = _toy_examples(40)
-        model = fit_gbm(examples[:30], examples[30:], TrainConfig(n_trees=3, min_leaf=2, seed=1))
+        model = fit_examples(examples[:30], examples[30:], TrainConfig(n_trees=3, min_leaf=2, seed=1))
         path = tmp_path / "m.kgdg"
         save_model(model.to_artifact(), path)
         data = path.read_bytes()
@@ -265,7 +267,7 @@ class TestModelArtifact:
 
     def test_edited_params_raises_corrupt(self, tmp_path):
         examples = _toy_examples(40)
-        model = fit_gbm(examples[:30], examples[30:], TrainConfig(n_trees=3, min_leaf=2, seed=1))
+        model = fit_examples(examples[:30], examples[30:], TrainConfig(n_trees=3, min_leaf=2, seed=1))
         path = tmp_path / "m.kgdg"
         save_model(model.to_artifact(), path)
         path.write_text(path.read_text().replace('"learning_rate":0.1', '"learning_rate":0.9'))

@@ -7,16 +7,14 @@ from kgdg.io import canonical_json
 from kgdg.learn import (
     TrainConfig,
     cross_validate,
-    fit_forest,
-    fit_gbm,
+    feature_matrix,
     fit_gbm_arrays,
-    fit_knn,
     fit_knn_arrays,
-    fit_logistic,
     fit_logistic_arrays,
     fit_model,
+    grade_array,
     logistic_loss_and_grad,
-    predict_knn,
+    resolve_schema,
     sample_weights,
     softmax,
 )
@@ -29,6 +27,19 @@ def make_example(i, grade, domain="d", **counts):
         domain=DomainId(domain),
         grade=DRGrade(grade),
         features=FeatureVector(**counts),
+    )
+
+
+def fit_examples(train, valid, cfg):
+    """fit_model on example lists, featurized with the training rows' schema."""
+    schema = resolve_schema(cfg, train)
+    return fit_model(
+        feature_matrix(train, schema),
+        grade_array(train),
+        feature_matrix(valid, schema),
+        grade_array(valid),
+        schema,
+        cfg,
     )
 
 
@@ -108,7 +119,7 @@ class TestGbm:
         ]
         cfg = TrainConfig(n_trees=10, max_depth=1, min_leaf=1, learning_rate=0.5,
                           early_stop_patience=100, seed=0)
-        model = fit_gbm(examples, examples, cfg)
+        model = fit_examples(examples, examples, cfg)
         preds = [model.predict_proba(ex.features).argmax() for ex in examples]
         assert preds == [0, 0, 1, 1]
 
@@ -121,7 +132,7 @@ class TestGbm:
         ]
         cfg = TrainConfig(n_trees=10, max_depth=1, min_leaf=1, learning_rate=0.5,
                           early_stop_patience=100, seed=0)
-        model = fit_gbm(examples, examples, cfg)
+        model = fit_examples(examples, examples, cfg)
         _, oracle_losses = stump_boost_oracle([0, 1, 4, 5], [0, 0, 1, 1], 10, 0.5, 1.0)
         assert len(model.train_loss_curve) == 10
         assert model.train_loss_curve == pytest.approx(oracle_losses, abs=1e-9)
@@ -130,14 +141,14 @@ class TestGbm:
         for seed in range(3):
             examples = random_examples(80, seed=seed)
             cfg = TrainConfig(n_trees=40, min_leaf=2, early_stop_patience=1000, seed=seed)
-            model = fit_gbm(examples, examples, cfg)
+            model = fit_examples(examples, examples, cfg)
             curve = model.train_loss_curve
             assert all(curve[i + 1] <= curve[i] + 1e-12 for i in range(len(curve) - 1))
 
     def test_zero_trees_gives_class_priors(self):
         examples = random_examples(50, seed=2)
         cfg = TrainConfig(n_trees=0, class_weighting=False)
-        model = fit_gbm(examples, examples, cfg)
+        model = fit_examples(examples, examples, cfg)
         probs = model.predict_proba(examples[0].features)
         counts = np.bincount([int(e.grade) for e in examples], minlength=5)
         assert tuple(probs) == pytest.approx(tuple(counts / counts.sum()), abs=1e-9)
@@ -146,7 +157,7 @@ class TestGbm:
         examples = random_examples(60, seed=3)
         present = sorted({int(e.grade) for e in examples})
         cfg = TrainConfig(n_trees=0, class_weighting=True)
-        model = fit_gbm(examples, examples, cfg)
+        model = fit_examples(examples, examples, cfg)
         probs = list(model.predict_proba(examples[0].features))
         for g in present:
             assert probs[g] == pytest.approx(1 / len(present), abs=1e-9)
@@ -154,20 +165,25 @@ class TestGbm:
     def test_single_class_rejected(self):
         examples = [make_example(i, 2, microaneurysm_count=i) for i in range(10)]
         with pytest.raises(SingleClassTrain):
-            fit_gbm(examples, examples, TrainConfig())
+            fit_examples(examples, examples, TrainConfig())
+
+    def test_empty_validation_rejected(self):
+        examples = random_examples(40, seed=23)
+        with pytest.raises(SchemaMismatch):
+            fit_examples(examples, [], TrainConfig(n_trees=3, min_leaf=2))
 
     def test_early_stopping_stops_at_or_before_n_trees(self):
         examples = random_examples(100, seed=4)
         cfg = TrainConfig(n_trees=200, min_leaf=2, early_stop_patience=10, seed=4)
-        model = fit_gbm(examples, examples, cfg)
+        model = fit_examples(examples, examples, cfg)
         assert model.n_rounds <= 200
         assert model.best_round <= len(model.train_loss_curve)
 
     def test_seed_determinism_bit_identical(self):
         examples = random_examples(70, seed=5)
         cfg = TrainConfig(n_trees=15, min_leaf=2, subsample=0.8, seed=9)
-        a = fit_gbm(examples[:60], examples[60:], cfg)
-        b = fit_gbm(examples[:60], examples[60:], cfg)
+        a = fit_examples(examples[:60], examples[60:], cfg)
+        b = fit_examples(examples[:60], examples[60:], cfg)
         assert canonical_json(a.to_artifact().params) == canonical_json(b.to_artifact().params)
         assert a.train_fingerprint == b.train_fingerprint
 
@@ -175,13 +191,13 @@ class TestGbm:
         from kgdg.core import validate_probability
 
         examples = random_examples(60, seed=6)
-        model = fit_gbm(examples[:50], examples[50:], TrainConfig(n_trees=10, min_leaf=2))
+        model = fit_examples(examples[:50], examples[50:], TrainConfig(n_trees=10, min_leaf=2))
         for ex in examples[:10]:
             validate_probability(list(model.predict_proba(ex.features)))
 
     def test_schema_mismatch_on_predict(self):
         examples = random_examples(40, seed=7)
-        model = fit_gbm(examples[:30], examples[30:], TrainConfig(n_trees=3, min_leaf=2))
+        model = fit_examples(examples[:30], examples[30:], TrainConfig(n_trees=3, min_leaf=2))
         with pytest.raises(SchemaMismatch):
             model.predict_proba_matrix(np.zeros((2, 11)))
 
@@ -251,20 +267,20 @@ class TestLogistic:
 
     def test_single_class_degenerate_fit_predicts_it(self):
         examples = [make_example(i, 2, microaneurysm_count=i % 3) for i in range(12)]
-        model = fit_logistic(examples, TrainConfig(model_kind="logistic", logistic_steps=300))
+        model = fit_examples(examples, examples, TrainConfig(model_kind="logistic", logistic_steps=300))
         assert model.predict_proba(examples[0].features).argmax() == 2
 
     def test_learns_separable_data(self):
         examples = random_examples(150, seed=9, grades=3)
-        model = fit_logistic(examples, TrainConfig(model_kind="logistic", logistic_steps=800))
+        model = fit_examples(examples, examples, TrainConfig(model_kind="logistic", logistic_steps=800))
         acc = np.mean([model.predict_proba(e.features).argmax() == int(e.grade) for e in examples])
         assert acc > 0.5
 
     def test_deterministic(self):
         examples = random_examples(50, seed=10)
         cfg = TrainConfig(model_kind="logistic", logistic_steps=200)
-        a = fit_logistic(examples, cfg)
-        b = fit_logistic(examples, cfg)
+        a = fit_examples(examples, examples, cfg)
+        b = fit_examples(examples, examples, cfg)
         assert canonical_json(a.to_artifact().params) == canonical_json(b.to_artifact().params)
 
 
@@ -278,9 +294,7 @@ class TestForest:
             model_kind="forest", n_trees=1, bootstrap=False, max_features=8,
             max_depth=4, min_leaf=2, seed=3,
         )
-        forest = fit_forest(examples, cfg)
-        from kgdg.learn import feature_matrix, grade_array
-
+        forest = fit_examples(examples, examples, cfg)
         schema = examples[0].features.schema()
         x = feature_matrix(examples, schema)
         y = grade_array(examples)
@@ -291,15 +305,15 @@ class TestForest:
     def test_same_seed_identical_model(self):
         examples = random_examples(60, seed=12)
         cfg = TrainConfig(model_kind="forest", n_trees=7, min_leaf=2, seed=5)
-        a = fit_forest(examples, cfg)
-        b = fit_forest(examples, cfg)
+        a = fit_examples(examples, examples, cfg)
+        b = fit_examples(examples, examples, cfg)
         assert canonical_json(a.to_artifact().params) == canonical_json(b.to_artifact().params)
 
     def test_outputs_valid_probability(self):
         from kgdg.core import validate_probability
 
         examples = random_examples(60, seed=13)
-        model = fit_forest(examples, TrainConfig(model_kind="forest", n_trees=5, min_leaf=2))
+        model = fit_examples(examples, examples, TrainConfig(model_kind="forest", n_trees=5, min_leaf=2))
         for ex in examples[:10]:
             validate_probability(list(model.predict_proba(ex.features)))
 
@@ -311,13 +325,13 @@ class TestKnn:
     def test_k1_exact_training_point_one_hot(self):
         examples = random_examples(30, seed=14)
         cfg = TrainConfig(model_kind="knn", k_neighbors=1)
-        pv = predict_knn(examples, examples[4].features, cfg)
+        pv = fit_examples(examples, examples, cfg).predict_proba(examples[4].features)
         assert pv[int(examples[4].grade)] == 1.0
 
     def test_k_equals_n_gives_prior(self):
         examples = random_examples(25, seed=15)
         cfg = TrainConfig(model_kind="knn", k_neighbors=25)
-        pv = predict_knn(examples, examples[0].features, cfg)
+        pv = fit_examples(examples, examples, cfg).predict_proba(examples[0].features)
         counts = np.bincount([int(e.grade) for e in examples], minlength=5)
         assert tuple(pv) == pytest.approx(tuple(counts / 25))
 
@@ -334,7 +348,7 @@ class TestKnn:
             make_example(6, 4, microaneurysm_count=60),
         ]
         cfg = TrainConfig(model_kind="knn", k_neighbors=5)
-        pv = predict_knn(near + far, FeatureVector(microaneurysm_count=1), cfg)
+        pv = fit_examples(near + far, near + far, cfg).predict_proba(FeatureVector(microaneurysm_count=1))
         assert tuple(pv) == pytest.approx((0.0, 0.4, 0.6, 0.0, 0.0))
 
     def test_k1_perfect_training_accuracy_on_distinct_points(self):
@@ -348,7 +362,7 @@ class TestKnn:
     def test_k_too_large_rejected(self):
         examples = random_examples(5, seed=17)
         with pytest.raises(InvalidConfig):
-            fit_knn(examples, TrainConfig(model_kind="knn", k_neighbors=6))
+            fit_examples(examples, examples, TrainConfig(model_kind="knn", k_neighbors=6))
 
 
 # --- cross-validation ---------------------------------------------------------------
@@ -410,6 +424,6 @@ class TestFitModelDispatch:
     def test_dispatch(self, kind):
         examples = random_examples(40, seed=21)
         cfg = TrainConfig(model_kind=kind, n_trees=4, min_leaf=2, logistic_steps=50, k_neighbors=3)
-        model = fit_model(examples[:30], examples[30:], cfg)
+        model = fit_examples(examples[:30], examples[30:], cfg)
         pv = model.predict_proba(examples[0].features)
         assert abs(sum(pv) - 1.0) < 1e-9

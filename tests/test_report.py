@@ -1,7 +1,7 @@
 import pytest
 
 from kgdg.errors import InvalidConfig, UnknownReference
-from kgdg.harness import ExperimentConfig, FusionSpec, run_sdg
+from kgdg.harness import ExperimentConfig, FusionSpec, run_experiment
 from kgdg.io import load_manifest
 from kgdg.learn import TrainConfig
 from kgdg.report import (
@@ -26,7 +26,7 @@ def sdg_report(tmp_path_factory):
         symbolic=TrainConfig(n_trees=20, min_leaf=2, early_stop_patience=5),
         fusion=FusionSpec(strategies=("max", "weighted")),
     )
-    return run_sdg(cfg, manifest)
+    return run_experiment(cfg, manifest)
 
 
 class TestReferenceTables:
