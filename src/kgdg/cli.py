@@ -117,8 +117,8 @@ def _cmd_grade(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
     cfg = load_config_section(args.config, "symbolic", TrainConfig)
+    seed = _resolve_seed(args, default=cfg.seed)
     cfg = replace(cfg, model_kind=args.model, seed=seed)
     if args.feature_set:
         cfg = replace(cfg, feature_set=args.feature_set)
@@ -126,18 +126,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
     examples = load_feature_table(args.features)
     dataset = DomainDataset(DomainId(examples[0].domain if examples else "train"), tuple(examples))
     train, valid, test = split_dataset(dataset, SplitFractions(), seed)
-    schema = resolve_schema(cfg, train)
-    model = fit_model(
-        feature_matrix(train, schema),
-        grade_array(train),
-        feature_matrix(valid, schema),
-        grade_array(valid),
-        schema,
-        cfg,
-    )
-    if test:
-        preds = model.predict_proba_matrix(feature_matrix(test, schema)).argmax(axis=1)
-        held_out = evaluate_predictions(grade_array(test), preds)
+    schema = resolve_schema(cfg, [examples[i] for i in train])
+    x, y = feature_matrix(examples, schema), grade_array(examples)
+    model = fit_model(x[train], y[train], x[valid], y[valid], schema, cfg)
+    if test.size:
+        preds = model.predict_proba_matrix(x[test]).argmax(axis=1)
+        held_out = evaluate_predictions(y[test], preds)
         _diag(args, f"held-out accuracy {held_out.accuracy:.4f}, macro F1 {held_out.macro_f1:.4f}")
     save_model(model.to_artifact(), args.out)
     _diag(args, f"wrote {args.out}")

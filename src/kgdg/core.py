@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .errors import (
     BoxOutOfBounds,
     NegativeProbability,
@@ -274,21 +276,22 @@ class FeatureVector:
 
 @dataclass(frozen=True)
 class LabeledExample:
-    """One graded image: id, domain, symbolic features, optional neural probs."""
+    """One graded image: id, domain and symbolic features."""
 
     image_id: str
     domain: DomainId
     grade: DRGrade
     features: FeatureVector
-    neural_probs: ProbabilityVector | None = None
 
 
 @dataclass(frozen=True)
 class DomainDataset:
-    """Labeled examples from one clinical domain."""
+    """Labeled examples from one clinical domain, with the deep branch's
+    ``(n, 5)`` probability rows in example order (not compared) if loaded."""
 
     domain: DomainId
     examples: tuple[LabeledExample, ...] = field(default_factory=tuple)
+    probs: np.ndarray | None = field(default=None, compare=False)
 
     def __len__(self) -> int:
         return len(self.examples)

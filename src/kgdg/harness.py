@@ -8,6 +8,9 @@ standardizes its domains onto the first source's feature statistics, and
 evaluates symbolic-only, neural-only, and fused predictions on each
 target's full data; per-seed metrics aggregate into benchmark-style
 mean +/- std tables.
+
+Each domain is loaded once into a feature matrix, a grade array and
+``(n, 5)`` deep-branch rows; splits are row-index arrays into them.
 """
 
 from __future__ import annotations
@@ -20,12 +23,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .core import (
-    DomainDataset,
-    DomainId,
-    FusionWeights,
-    LabeledExample,
-)
+from .core import DomainDataset, DomainId, FusionWeights
 from .errors import (
     InvalidConfig,
     LeakageError,
@@ -80,7 +78,6 @@ class FusionSpec:
     include_neural: bool = True
     alpha_dl: float | None = None
     alpha_kl: float | None = None
-    grid: bool = True
 
     def __post_init__(self) -> None:
         for s in self.strategies:
@@ -290,30 +287,23 @@ def split_indices(
 
 def split_dataset(
     dataset: DomainDataset, fractions: SplitFractions, seed: int
-) -> tuple[list[LabeledExample], list[LabeledExample], list[LabeledExample]]:
-    """Stratified (train, validation, test) example lists."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stratified (train, validation, test) row indices into ``dataset``."""
     grades = np.asarray(dataset.grades(), dtype=np.int64)
-    tr, va, te = split_indices(len(dataset), grades, fractions, seed)
-    ex = dataset.examples
-    return ([ex[i] for i in tr], [ex[i] for i in va], [ex[i] for i in te])
+    return split_indices(len(dataset), grades, fractions, seed)
 
 
 # --- alignment --------------------------------------------------------------
 
 
 def align_domains(
-    datasets: Sequence[DomainDataset],
-    reference: DomainId | str,
-    schema: Sequence[str] | None = None,
+    matrices: Mapping[DomainId, np.ndarray], reference: DomainId | str
 ) -> tuple[dict[DomainId, np.ndarray], float, float]:
-    """Standardize every domain's features onto the reference domain's
-    mean/variance (labels untouched; rows stay positionally aligned with
-    each dataset's examples). Returns the transformed matrices plus the
-    summed pairwise Gaussian KL before and after."""
+    """Standardize every domain's feature matrix onto the reference
+    domain's mean/variance (rows keep their order). Returns the transformed
+    matrices plus the summed pairwise Gaussian KL before and after, summed
+    in the mapping's order."""
     reference = DomainId(reference)
-    if schema is None:
-        schema = datasets[0].examples[0].features.schema()
-    matrices = {d.domain: feature_matrix(d.examples, schema) for d in datasets}
     if reference not in matrices:
         raise InvalidConfig(f"reference domain {reference!r} not among datasets")
     stats = {name: DomainStats.from_matrix(m) for name, m in matrices.items()}
@@ -384,10 +374,10 @@ def _method_rows(cfg: ExperimentConfig, have_probs: bool) -> list[str]:
 
 
 def _guard_leakage(
-    train_keys: set[tuple[DomainId, str]], eval_sets: Mapping[DomainId, Sequence[LabeledExample]]
+    train_keys: set[tuple[DomainId, str]], eval_ids: Mapping[DomainId, Sequence[str]]
 ) -> None:
-    for domain, examples in eval_sets.items():
-        overlap = train_keys & {(ex.domain, ex.image_id) for ex in examples}
+    for domain, image_ids in eval_ids.items():
+        overlap = train_keys & {(domain, image_id) for image_id in image_ids}
         if overlap:
             sample = sorted(overlap)[0]
             raise LeakageError(
@@ -492,6 +482,10 @@ def fold_plan(
         unknown = [t for t in targets if t not in domains]
         if unknown:
             raise InvalidConfig(f"target domains {unknown} not in manifest")
+        if source in targets:
+            raise InvalidConfig(f"sdg targets name the source domain {cfg.source!r}")
+        if len(set(targets)) != len(targets):
+            raise InvalidConfig(f"sdg targets {list(cfg.targets)} name a domain twice")
     else:
         targets = [d for d in domains if d != source]
     if not targets:
@@ -513,20 +507,13 @@ def run_experiment(cfg: ExperimentConfig, manifest: Manifest) -> ExperimentRepor
     folds = fold_plan(cfg, [entry.name for entry in manifest.domains])
     datasets = {entry.name: load_domain_dataset(entry) for entry in manifest.domains}
     used = {d for fold in folds for part in fold for d in part}
-    methods = _method_rows(cfg, all(manifest.entry(d).probs is not None for d in used))
+    methods = _method_rows(cfg, all(datasets[d].probs is not None for d in used))
     training = [d for d in datasets if any(d in sources for sources, _ in folds)]
     # an auto feature set follows the first manifest domain any fold trains on
     schema = resolve_schema(cfg.symbolic, list(datasets[training[0]].examples))
     features = {d: feature_matrix(ds.examples, schema) for d, ds in datasets.items()}
-    id_index = {d: {ex.image_id: i for i, ex in enumerate(datasets[d].examples)} for d in training}
-    grades = {t: grade_array(datasets[t].examples) for _, targets in folds for t in targets}
-    # deep rows, when a method beyond symbolic needs them: _method_rows has
-    # checked those domains have a table, and loading gives every image a row
-    neural = {
-        d: np.asarray([ex.neural_probs.probs for ex in datasets[d].examples], dtype=np.float64)
-        for d in used
-        if len(methods) > 1
-    }
+    grades = {d: grade_array(ds.examples) for d, ds in datasets.items()}
+    image_ids = {d: ds.image_ids() for d, ds in datasets.items()}
 
     # alignment depends on the fold's domains only, not on the seed
     fold_matrices: list[dict[DomainId, np.ndarray]] = []
@@ -535,8 +522,7 @@ def run_experiment(cfg: ExperimentConfig, manifest: Manifest) -> ExperimentRepor
     for sources, targets in folds:
         matrices = dict(features)
         if cfg.alignment:
-            ordered = [datasets[d] for d in sources + targets]
-            aligned, kb, ka = align_domains(ordered, sources[0], schema)
+            aligned, kb, ka = align_domains({d: features[d] for d in sources + targets}, sources[0])
             matrices.update(aligned)
             kl_befores.append(kb)
             kl_afters.append(ka)
@@ -546,25 +532,20 @@ def run_experiment(cfg: ExperimentConfig, manifest: Manifest) -> ExperimentRepor
     selected_alphas: list[float] = []
     for seed in cfg.seeds:
         # each training domain is split once per seed, for every fold it trains in
-        splits = {}
+        train, valid = {}, {}
         for d in training:
-            tr, va, _te = split_dataset(datasets[d], cfg.split, seed)
-            rows_tr = [id_index[d][ex.image_id] for ex in tr]
-            rows_va = [id_index[d][ex.image_id] for ex in va]
-            splits[d] = (tr, va, rows_tr, rows_va)
+            train[d], valid[d], _test = split_dataset(datasets[d], cfg.split, seed)
         run: dict[str, dict[str, dict[str, float]]] = {m: {} for m in methods}
         for (sources, targets), matrices in zip(folds, fold_matrices):
-            train = [ex for d in sources for ex in splits[d][0]]
-            valid = [ex for d in sources for ex in splits[d][1]]
             _guard_leakage(
-                {(ex.domain, ex.image_id) for ex in train + valid},
-                {t: datasets[t].examples for t in targets},
+                {(d, image_ids[d][i]) for d in sources for part in (train, valid) for i in part[d]},
+                {t: image_ids[t] for t in targets},
             )
-            x_valid = np.vstack([matrices[d][splits[d][3]] for d in sources])
-            y_valid = grade_array(valid)
+            x_valid = np.vstack([matrices[d][valid[d]] for d in sources])
+            y_valid = np.concatenate([grades[d][valid[d]] for d in sources])
             model = fit_model(
-                np.vstack([matrices[d][splits[d][2]] for d in sources]),
-                grade_array(train),
+                np.vstack([matrices[d][train[d]] for d in sources]),
+                np.concatenate([grades[d][train[d]] for d in sources]),
                 x_valid,
                 y_valid,
                 schema,
@@ -572,7 +553,7 @@ def run_experiment(cfg: ExperimentConfig, manifest: Manifest) -> ExperimentRepor
             )
             weights = cfg.fusion.fixed_weights()
             if "fusion-weighted" in methods and weights is None:
-                dl_valid = np.vstack([neural[d][splits[d][3]] for d in sources])
+                dl_valid = np.vstack([datasets[d].probs[valid[d]] for d in sources])
                 weights = select_weights((y_valid, dl_valid, model.predict_proba_matrix(x_valid)))
                 selected_alphas.append(weights.alpha_dl)
             for t in targets:
@@ -580,7 +561,7 @@ def run_experiment(cfg: ExperimentConfig, manifest: Manifest) -> ExperimentRepor
                     methods,
                     grades[t],
                     model.predict_proba_matrix(matrices[t]),
-                    neural.get(t),
+                    datasets[t].probs,
                     weights,
                 )
                 for m in methods:

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
+import numpy as np
+
 from .core import (
     GRADE_COUNT,
     LESIONS_ONLY_SCHEMA,
@@ -135,6 +137,8 @@ def load_feature_table(path: str | Path) -> list[LabeledExample]:
             if image_id in seen:
                 raise DuplicateImageId(f"{path}: image_id {image_id!r} appears more than once")
             seen.add(image_id)
+            if not cells[1].strip():
+                raise NonNumericCell(f"{path}: row {lineno} has an empty domain")
             domain = DomainId(cells[1])
             grade_val = _parse_count(cells[2].strip(), "grade", lineno, upper=4)
             kwargs: dict[str, Any] = {
@@ -272,26 +276,6 @@ def save_probability_table(path: str | Path, table: Mapping[str, ProbabilityVect
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def join_probabilities(
-    examples: Sequence[LabeledExample], table: Mapping[str, ProbabilityVector]
-) -> list[LabeledExample]:
-    """Attach neural probabilities to examples; every image must have a row."""
-    joined = []
-    for ex in examples:
-        if ex.image_id not in table:
-            raise UnknownImageId(f"probability table has no row for image {ex.image_id!r}")
-        joined.append(
-            LabeledExample(
-                image_id=ex.image_id,
-                domain=ex.domain,
-                grade=ex.grade,
-                features=ex.features,
-                neural_probs=table[ex.image_id],
-            )
-        )
-    return joined
-
-
 # --- detections ------------------------------------------------------------------
 
 
@@ -367,12 +351,6 @@ class Manifest:
         if len(set(names)) != len(names):
             raise InvalidConfig("manifest domain names must be unique")
 
-    def entry(self, name: str) -> DomainEntry:
-        for d in self.domains:
-            if d.name == DomainId(name):
-                return d
-        raise InvalidConfig(f"manifest has no domain {name!r}")
-
 
 def load_manifest(path: str | Path) -> Manifest:
     path = Path(path)
@@ -404,7 +382,8 @@ def save_manifest(path: str | Path, domains: Sequence[Mapping[str, Any]], seeds:
 
 
 def load_domain_dataset(entry: DomainEntry) -> DomainDataset:
-    """Load one manifest entry, joining the probability table when present."""
+    """Load one manifest entry. A probability table joins into the
+    dataset's read-only ``(n, 5)`` rows; every image must have a row."""
     examples = load_feature_table(entry.features)
     for ex in examples:
         if ex.domain != entry.name:
@@ -412,9 +391,17 @@ def load_domain_dataset(entry: DomainEntry) -> DomainDataset:
                 f"{entry.features}: row {ex.image_id!r} claims domain {ex.domain!r}, "
                 f"manifest says {entry.name!r}"
             )
+    probs = None
     if entry.probs is not None:
-        examples = join_probabilities(examples, load_probability_table(entry.probs))
-    return DomainDataset(entry.name, tuple(examples))
+        table = load_probability_table(entry.probs)
+        rows = []
+        for ex in examples:
+            if ex.image_id not in table:
+                raise UnknownImageId(f"probability table has no row for image {ex.image_id!r}")
+            rows.append(table[ex.image_id].probs)
+        probs = np.asarray(rows, dtype=np.float64)
+        probs.setflags(write=False)
+    return DomainDataset(entry.name, tuple(examples), probs)
 
 
 # --- model artifacts ------------------------------------------------------------------

@@ -68,6 +68,8 @@ class TrainConfig:
             raise InvalidConfig("max_features must be >= 1 when set")
         if self.feature_set not in FEATURE_SETS:
             raise InvalidConfig(f"feature_set must be one of {FEATURE_SETS}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise InvalidConfig(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     def as_dict(self) -> dict:
         return asdict(self)

@@ -14,6 +14,7 @@ import numpy as np
 
 from kgdg.cli import main as cli_main
 from kgdg.core import (
+    LESIONS_ONLY_SCHEMA,
     DomainDataset,
     DomainId,
     DRGrade,
@@ -30,7 +31,7 @@ from kgdg.fusion import (
 )
 from kgdg.harness import ExperimentConfig, FusionSpec, align_domains, run_experiment
 from kgdg.io import load_manifest, save_feature_table, save_manifest, save_probability_table
-from kgdg.learn import TrainConfig, logistic_loss_and_grad
+from kgdg.learn import TrainConfig, feature_matrix, logistic_loss_and_grad
 from kgdg.metrics import (
     DomainStats,
     accuracy,
@@ -265,7 +266,9 @@ def test_criterion_5_kl_diagnostic():
                                FeatureVector(microaneurysm_count=ma + 4, exudate_count=ex_count + 2)))
         a = DomainDataset(DomainId("a"), tuple(base_examples))
         b = DomainDataset(DomainId("b"), tuple(shifted_examples))
-        _, before, after = align_domains([a, b], "a")
+        _, before, after = align_domains(
+            {ds.domain: feature_matrix(ds.examples, LESIONS_ONLY_SCHEMA) for ds in (a, b)}, "a"
+        )
         assert before > 1.0
         assert after < 1e-9
 

@@ -1,5 +1,6 @@
 import filecmp
 import json
+import re
 
 import pytest
 
@@ -88,6 +89,31 @@ class TestTrainCommand:
                      "--out", str(tmp_path / "m.kgdg"), "--quiet"])
         assert code == 3
 
+    def test_negative_seed_exits_2(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "m.kgdg"
+        assert main(["train", "--features", str(data_dir / "clinic_a_features.csv"), "--model", "logistic",
+                     "--seed", "-1", "--out", str(out), "--quiet"]) == 2
+        assert "INVALID_CONFIG" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_precedence_flag_then_env_then_config(self, data_dir, tmp_path, monkeypatch):
+        monkeypatch.delenv("KGDG_SEED", raising=False)
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({"symbolic": {"seed": 5}}))
+
+        def train(name, *extra):
+            out = tmp_path / name
+            assert main(["train", "--features", str(data_dir / "clinic_a_features.csv"), "--model", "knn",
+                         "--out", str(out), "--quiet", *extra]) == 0
+            return out.read_bytes()
+
+        seed_0, seed_5 = train("s0", "--seed", "0"), train("s5", "--seed", "5")
+        assert seed_0 != seed_5
+        assert train("config", "--config", str(config)) == seed_5
+        assert train("flag", "--config", str(config), "--seed", "0") == seed_0
+        monkeypatch.setenv("KGDG_SEED", "0")
+        assert train("env", "--config", str(config)) == seed_0
+
 
 class TestFuseCommand:
     def test_fuse_two_tables(self, data_dir, tmp_path):
@@ -158,6 +184,15 @@ class TestEvalCommand:
         config = self._write_config(data_dir, tmp_path, **sections)
         assert main(["eval", "--config", str(config), "--out", str(tmp_path / "r.md"), "--quiet"]) == 2
         assert "INVALID_CONFIG" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("targets", [["clinic_a", "clinic_b"], ["clinic_b", "clinic_b"]])
+    def test_malformed_sdg_targets_exit_2(self, data_dir, tmp_path, capsys, targets):
+        config = self._write_config(data_dir, tmp_path, domains={
+            "manifest": str(data_dir / "manifest.json"), "source": "clinic_a", "targets": targets})
+        out = tmp_path / "r.md"
+        assert main(["eval", "--config", str(config), "--out", str(out), "--quiet"]) == 2
+        assert "INVALID_CONFIG" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_gbm_without_validation_split_is_a_typed_error(self, data_dir, tmp_path):
         config = self._write_config(data_dir, tmp_path,
@@ -291,6 +326,52 @@ class TestNonFiniteCells:
         assert code == 3
         assert "NON_NUMERIC_CELL" in capsys.readouterr().err
         assert not (tmp_path / "m.kgdg").exists()
+
+
+BAD_TOKENS = ["", " ", "nan", "inf", "-inf", "-1", "1e400", "abc", "0x1", "1.5", "3_0", '"',
+              "999999999999999999999"]
+
+
+class TestMalformedCells:
+    """One cell of a small table replaced by a bad token, for every column:
+    each command reading the table exits 0 (the token is valid there), or 2
+    or 3 with an error[CODE] line; never 4."""
+
+    ROWS = 40
+
+    @pytest.mark.parametrize("token", BAD_TOKENS)
+    def test_never_an_internal_error(self, data_dir, tmp_path, capsys, token):
+        features = (data_dir / "clinic_a_features.csv").read_text().splitlines()[: self.ROWS + 1]
+        probs = (data_dir / "clinic_a_probs.csv").read_text().splitlines()[: self.ROWS + 1]
+        preds = ["image_id,grade,p0,p1,p2,p3,p4"] + [
+            ",".join([c[0], c[2]] + ["1" if g == int(c[2]) else "0" for g in range(5)])
+            for c in (line.split(",") for line in features[1:])
+        ]
+        paths = {}
+        for name, lines in (("features", features), ("probs", probs), ("preds", preds)):
+            paths[name] = tmp_path / f"{name}.csv"
+            paths[name].write_text("\n".join(lines) + "\n")
+        commands = {
+            "features": (features, lambda bad: [["grade", "--features", bad],
+                                                 ["train", "--features", bad, "--model", "knn", "--seed", "0"],
+                                                 ["metrics", "--truth", bad, "--pred", str(paths["preds"])]]),
+            "probs": (probs, lambda bad: [["fuse", "--strategy", "max", "--dl", bad, "--kd", str(paths["probs"])]]),
+            "preds": (preds, lambda bad: [["metrics", "--truth", str(paths["features"]), "--pred", bad]]),
+        }
+        failures = []
+        for table, (lines, argvs) in commands.items():
+            header = lines[0].split(",")
+            for column, name in enumerate(header):
+                cells = lines[1].split(",")
+                cells[column] = token
+                bad = tmp_path / "bad.csv"
+                bad.write_text("\n".join([lines[0], ",".join(cells)] + lines[2:]) + "\n")
+                for argv in argvs(str(bad)):
+                    code = main(argv + ["--out", str(tmp_path / "out"), "--quiet"])
+                    err = capsys.readouterr().err
+                    if code not in (0, 2, 3) or (code and not re.match(r"error\[[A-Z_]+\]: ", err)):
+                        failures.append((table, name, argv[0], code, err.strip()))
+        assert failures == []
 
 
 class TestSingleGradeTarget:

@@ -24,14 +24,16 @@ from kgdg.errors import (
 from kgdg.io import (
     LESIONS_ONLY_HEADER,
     LESIONS_VEIN_HEADER,
-    join_probabilities,
+    DomainEntry,
     load_detections,
+    load_domain_dataset,
     load_feature_table,
     load_manifest,
     load_model,
     load_probability_table,
     save_feature_table,
     save_model,
+    save_probability_table,
 )
 from kgdg.learn import TrainConfig, model_from_artifact
 
@@ -141,17 +143,21 @@ class TestProbabilityTable:
         with pytest.raises(SumOutOfTolerance):
             load_probability_table(path)
 
-    def test_join_missing_image(self, tmp_path):
-        examples = [
-            LabeledExample("img7", DomainId("d"), DRGrade.NO_DR, FeatureVector()),
-        ]
-        with pytest.raises(UnknownImageId):
-            join_probabilities(examples, {"img1": validate_probability([1, 0, 0, 0, 0])})
+    @staticmethod
+    def _entry(tmp_path, image_id, table):
+        features, probs = tmp_path / "f.csv", tmp_path / "p.csv"
+        save_feature_table(features, [LabeledExample(image_id, DomainId("d"), DRGrade.NO_DR, FeatureVector())])
+        save_probability_table(probs, table)
+        return DomainEntry(DomainId("d"), features, probs)
 
-    def test_join_attaches_probs(self):
-        examples = [LabeledExample("a", DomainId("d"), DRGrade.NO_DR, FeatureVector())]
-        joined = join_probabilities(examples, {"a": validate_probability([0, 0, 1, 0, 0])})
-        assert joined[0].neural_probs.argmax() == 2
+    def test_join_missing_image(self, tmp_path):
+        entry = self._entry(tmp_path, "img7", {"img1": validate_probability([1, 0, 0, 0, 0])})
+        with pytest.raises(UnknownImageId):
+            load_domain_dataset(entry)
+
+    def test_join_attaches_probs(self, tmp_path):
+        entry = self._entry(tmp_path, "a", {"a": validate_probability([0, 0, 1, 0, 0])})
+        assert load_domain_dataset(entry).probs[0].argmax() == 2
 
 
 class TestDetections:

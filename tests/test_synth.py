@@ -151,7 +151,7 @@ class TestWriteDataset:
         assert len(manifest.domains) == 3
         ds = load_domain_dataset(manifest.domains[0])
         assert len(ds) == 50
-        assert ds.examples[0].neural_probs is not None
+        assert ds.probs is not None and ds.probs.shape == (50, 5)
 
     def test_detections_round_trip_exactly(self, tmp_path):
         # images with zero detections have no records in the flat JSON list
