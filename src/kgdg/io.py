@@ -1,9 +1,11 @@
 """File ingestion and persistence.
 
 Tables are comma-separated text with a mandatory header; detections and
-manifests are JSON. Model artifacts are a JSON payload behind a magic
-header plus content digests, so round trips are byte-stable and
-truncation or tampering is detected at load time.
+manifests are JSON. Each table and detection file is read straight into
+arrays (``read_*``); the ``load_*`` readers are per-row views of those.
+Model artifacts are a JSON payload behind a magic header plus content
+digests, so round trips are byte-stable and truncation or tampering is
+detected at load time.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -22,22 +24,25 @@ from .core import (
     GRADE_COUNT,
     LESIONS_ONLY_SCHEMA,
     LESIONS_VEIN_SCHEMA,
+    BOX_EDGE_EPS,
+    LESION_TYPES,
     BoundingBox,
     Detection,
-    DomainDataset,
+    DetectionTable,
     DomainId,
-    DRGrade,
-    FeatureVector,
+    DomainTable,
     LabeledExample,
     LesionType,
     ProbabilityVector,
     validate_probability,
+    validate_probability_rows,
 )
 from .errors import (
     BoxOutOfBounds,
     CorruptArtifact,
     DataError,
     DuplicateImageId,
+    InternalError,
     InvalidConfig,
     MissingColumn,
     NonNumericCell,
@@ -69,12 +74,24 @@ def file_digest(path: str | Path) -> str:
     return content_digest(Path(path).read_bytes())
 
 
-# --- feature tables -----------------------------------------------------------
+# --- tables: parsed a column at a time --------------------------------------------
+#
+# Each reader parses whole columns and checks them as array masks. When a
+# check fails, the per-row checks run from the first row and raise the error
+# of the first bad row, with the message a row-at-a-time loader gives.
+
+
+def _column(kind: Callable[[str], Any], cells: Sequence[str]) -> list:
+    """int() or float() of each cell, without the digit grouping ('3_0')
+    both would accept."""
+    if "_" in "".join(cells):
+        raise ValueError("digit grouping")
+    return list(map(kind, cells))
 
 
 def _parse_count(raw: str, column: str, row: int, upper: int | None = None) -> int:
     try:
-        value = int(raw)
+        value = _column(int, (raw,))[0]
     except ValueError as exc:
         raise NonNumericCell(f"row {row}, column {column!r}: {raw!r} is not an integer") from exc
     if value < 0 or (upper is not None and value > upper):
@@ -89,9 +106,17 @@ def _parse_flag(raw: str, column: str, row: int) -> bool:
     return raw == "1"
 
 
+def _flags(cells: Sequence[str]) -> list[bool]:
+    """A 0/1 column, compared as strings: int() would also take '+1' or '01'."""
+    cells = [c.strip() for c in cells]
+    if not set(cells) <= {"0", "1"}:
+        raise ValueError("not a 0/1 flag")
+    return [c == "1" for c in cells]
+
+
 def _parse_float(raw: str, column: str, row: int, lo: float, hi: float | None) -> float:
     try:
-        value = float(raw)
+        value = _column(float, (raw,))[0]
     except ValueError as exc:
         raise NonNumericCell(f"row {row}, column {column!r}: {raw!r} is not numeric") from exc
     if not math.isfinite(value):
@@ -102,68 +127,172 @@ def _parse_float(raw: str, column: str, row: int, lo: float, hi: float | None) -
     return value
 
 
-def load_feature_table(path: str | Path) -> list[LabeledExample]:
-    """Read a features.csv into labeled examples.
-
-    Exactly two headers are accepted: lesions-only and lesions+vein.
-    Vein fields are populated only when the vein columns are present.
-    """
-    path = Path(path)
+def _csv(path: Path) -> Iterator[Any]:
+    """Yield the stripped header (None for an empty file), then every record,
+    so a reader checks the header before the rows are parsed. A record's
+    line number is its index + 2."""
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
+        header = next(reader, None)
+        yield None if header is None else tuple(h.strip() for h in header)
+        yield list(reader)
+
+
+def _id_columns(records: list[list[str]], width: int, empty_ids: bool = False) -> tuple[tuple[str, ...], list]:
+    """Stripped image ids and the columns of the nonblank records;
+    ValueError if a row has the wrong width or an id is empty or repeated."""
+    rows = list(filter(None, records))
+    if not set(map(len, rows)) <= {width}:
+        raise ValueError("row width")
+    cols = list(zip(*rows)) or [()] * width
+    ids = tuple(map(str.strip, cols[0]))
+    if len(set(ids)) < len(ids) or not (empty_ids or all(ids)):
+        raise ValueError("image ids")
+    return ids, cols
+
+
+def _raise_first_bad_row(
+    path: Path, width: int, records: list[list[str]], check_cells: Callable, empty_ids: bool = False
+) -> NoReturn:
+    seen: set[str] = set()
+    for lineno, cells in enumerate(records, start=2):
+        if not cells:
+            continue
+        if len(cells) != width:
+            raise MissingColumn(f"{path}: row {lineno} has {len(cells)} cells, expected {width}")
+        image_id = cells[0].strip()
+        if not (image_id or empty_ids):
+            raise NonNumericCell(f"{path}: row {lineno} has an empty image_id")
+        if image_id in seen:
+            raise DuplicateImageId(f"{path}: image_id {image_id!r} appears more than once")
+        seen.add(image_id)
+        check_cells(cells, lineno)
+    raise InternalError(f"{path}: the column checks reject a table the row checks accept")
+
+
+def read_feature_table(path: str | Path) -> DomainTable:
+    """Read a features.csv straight into a DomainTable.
+
+    Exactly two headers are accepted: lesions-only and lesions+vein; the
+    vein columns are read only when present.
+    """
+    path = Path(path)
+    parts = _csv(path)
+    header = next(parts)
+    if header is None:
+        raise MissingColumn(f"{path}: empty file")
+    if header not in (LESIONS_VEIN_HEADER, LESIONS_ONLY_HEADER):
+        raise MissingColumn(f"{path}: header does not match a known feature schema (lesions-only or lesions+vein)")
+    records = next(parts)
+
+    def check_cells(cells: list[str], lineno: int) -> None:
+        if not cells[1].strip():
+            raise NonNumericCell(f"{path}: row {lineno} has an empty domain")
+        _parse_count(cells[2].strip(), "grade", lineno, upper=4)
+        for i in range(3, 11):
+            if i in (8, 9):
+                _parse_flag(cells[i].strip(), header[i], lineno)
+            else:
+                _parse_count(cells[i].strip(), header[i], lineno, upper=4 if i == 10 else None)
+        for i in range(11, len(header)):
+            _parse_float(cells[i].strip(), header[i], lineno, 0.0, 180.0 if i == 13 else None)
+
+    try:
+        ids, cols = _id_columns(records, len(header))
+        domains = {raw: DomainId(raw) for raw in set(cols[1])}
+        y = np.array(_column(int, cols[2]), dtype=np.int64)
+        block = [_column(int, c) for c in cols[3:8]] + [_flags(c) for c in cols[8:10]] + [_column(int, cols[10])]
         try:
-            header = tuple(h.strip() for h in next(reader))
-        except StopIteration:
-            raise MissingColumn(f"{path}: empty file") from None
-        if header == LESIONS_VEIN_HEADER:
-            with_vein = True
-        elif header == LESIONS_ONLY_HEADER:
-            with_vein = False
-        else:
-            raise MissingColumn(
-                f"{path}: header does not match a known feature schema "
-                f"(lesions-only or lesions+vein)"
-            )
-        examples: list[LabeledExample] = []
-        seen: set[str] = set()
-        for lineno, cells in enumerate(reader, start=2):
-            if not cells:
-                continue
-            if len(cells) != len(header):
-                raise MissingColumn(f"{path}: row {lineno} has {len(cells)} cells, expected {len(header)}")
-            image_id = cells[0].strip()
-            if not image_id:
-                raise NonNumericCell(f"{path}: row {lineno} has an empty image_id")
-            if image_id in seen:
-                raise DuplicateImageId(f"{path}: image_id {image_id!r} appears more than once")
-            seen.add(image_id)
-            if not cells[1].strip():
-                raise NonNumericCell(f"{path}: row {lineno} has an empty domain")
-            domain = DomainId(cells[1])
-            grade_val = _parse_count(cells[2].strip(), "grade", lineno, upper=4)
-            kwargs: dict[str, Any] = {
-                "microaneurysm_count": _parse_count(cells[3].strip(), header[3], lineno),
-                "exudate_count": _parse_count(cells[4].strip(), header[4], lineno),
-                "hard_hemorrhage_count": _parse_count(cells[5].strip(), header[5], lineno),
-                "soft_hemorrhage_count": _parse_count(cells[6].strip(), header[6], lineno),
-                "cotton_wool_count": _parse_count(cells[7].strip(), header[7], lineno),
-                "subhyaloid_present": _parse_flag(cells[8].strip(), header[8], lineno),
-                "neovascularization_present": _parse_flag(cells[9].strip(), header[9], lineno),
-                "hemorrhage_quadrants": _parse_count(cells[10].strip(), header[10], lineno, upper=4),
-            }
-            if with_vein:
-                kwargs["vein_tortuosity"] = _parse_float(cells[11].strip(), header[11], lineno, 0.0, None)
-                kwargs["vein_caliber_mean"] = _parse_float(cells[12].strip(), header[12], lineno, 0.0, None)
-                kwargs["vein_branch_angle_mean"] = _parse_float(cells[13].strip(), header[13], lineno, 0.0, 180.0)
-            examples.append(
-                LabeledExample(
-                    image_id=image_id,
-                    domain=domain,
-                    grade=DRGrade(grade_val),
-                    features=FeatureVector(**kwargs),
-                )
-            )
-    return examples
+            counts = np.array(block, dtype=np.int64).T.copy()
+        except OverflowError:  # a count beyond int64 stays an exact Python int
+            counts = np.array(block, dtype=object).T.copy()
+        vein = np.array([_column(float, c) for c in cols[11:]], dtype=np.float64).T.copy() if cols[11:] else None
+        if ((y < 0) | (y > 4)).any() or (counts < 0).any() or (counts[:, 7] > 4).any() or (
+            vein is not None and not (np.isfinite(vein).all() and (vein >= 0).all() and (vein[:, 2] <= 180).all())
+        ):
+            raise ValueError("out of range")
+    except (ValueError, OverflowError):
+        _raise_first_bad_row(path, len(header), records, check_cells)
+    return DomainTable(ids, tuple(map(domains.__getitem__, cols[1])), y, counts, vein)
+
+
+def load_feature_table(path: str | Path) -> list[LabeledExample]:
+    """Read a features.csv into labeled examples: read_feature_table's rows."""
+    return read_feature_table(path).examples()
+
+
+def read_probability_table(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
+    """Read a probs.csv into its image ids and ``(n, 5)`` rows, each checked
+    (and renormalized) as validate_probability does."""
+    path = Path(path)
+    parts = _csv(path)
+    header = next(parts)
+    if header is None:
+        raise MissingColumn(f"{path}: empty file")
+    if header != PROBS_HEADER:
+        raise MissingColumn(f"{path}: header must be {','.join(PROBS_HEADER)}")
+    records = next(parts)
+
+    def check_cells(cells: list[str], lineno: int) -> None:
+        try:
+            values = _column(float, cells[1:6])
+        except ValueError as exc:
+            raise NonNumericCell(f"{path}: row {lineno} has a non-numeric probability") from exc
+        validate_probability(values)
+
+    try:
+        ids, cols = _id_columns(records, len(PROBS_HEADER))
+        rows = np.array([_column(float, c) for c in cols[1:]], dtype=np.float64).T.copy()
+    except ValueError:
+        _raise_first_bad_row(path, len(PROBS_HEADER), records, check_cells)
+    return ids, validate_probability_rows(rows)
+
+
+def load_probability_table(path: str | Path) -> dict[str, ProbabilityVector]:
+    """Read a probs.csv into an image_id -> ProbabilityVector map."""
+    ids, rows = read_probability_table(path)
+    return {image_id: ProbabilityVector(tuple(row)) for image_id, row in zip(ids, rows.tolist())}
+
+
+def read_prediction_table(path: str | Path) -> tuple[tuple[str, ...], np.ndarray, np.ndarray | None]:
+    """Read an ``image_id,grade`` table into ids, grades and, when all of
+    ``p0..p4`` are present, ``(n, 5)`` rows; columns are found by header
+    name and any others are ignored."""
+    path = Path(path)
+    parts = _csv(path)
+    header = next(parts)
+    if not header or header[0] != "image_id" or "grade" not in header:
+        raise MissingColumn(f"{path}: prediction table needs image_id,grade[,p0..p4]")
+    grade_col = header.index("grade")
+    prob_cols = [header.index(c) for c in PROBS_HEADER[1:] if c in header]
+    if len(prob_cols) not in (0, GRADE_COUNT):
+        raise MissingColumn(f"{path}: probability columns need all of p0..p4")
+    records = next(parts)
+
+    def check_cells(cells: list[str], lineno: int) -> None:
+        _parse_count(cells[grade_col], "grade", lineno, upper=GRADE_COUNT - 1)
+        if prob_cols:
+            validate_probability([_parse_float(cells[i], header[i], lineno, -math.inf, None) for i in prob_cols])
+
+    try:
+        ids, cols = _id_columns(records, len(header), empty_ids=True)
+        grades = np.array(_column(int, cols[grade_col]), dtype=np.int64)
+        probs = np.array([_column(float, cols[i]) for i in prob_cols], dtype=np.float64).T.copy()
+        if ((grades < 0) | (grades >= GRADE_COUNT)).any() or not np.isfinite(probs).all():
+            raise ValueError("out of range")
+    except (ValueError, OverflowError):
+        _raise_first_bad_row(path, len(header), records, check_cells, empty_ids=True)
+    return ids, grades, validate_probability_rows(probs) if prob_cols else None
+
+
+def join_rows(ids: Sequence[str], table_ids: Sequence[str], missing: Callable[[str], Exception]) -> list[int]:
+    """The row of each of ``ids`` in a table with ``table_ids``; the first id
+    it lacks raises ``missing(id)``."""
+    at = {image_id: n for n, image_id in enumerate(table_ids)}
+    try:
+        return [at[image_id] for image_id in ids]
+    except KeyError as exc:
+        raise missing(exc.args[0]) from None
 
 
 def save_feature_table(path: str | Path, examples: Sequence[LabeledExample]) -> None:
@@ -175,93 +304,11 @@ def save_feature_table(path: str | Path, examples: Sequence[LabeledExample]) -> 
         f = ex.features
         if f.has_vein != with_vein:
             raise SchemaMismatch("mixed vein/non-vein feature vectors in one table")
-        cells = [
-            ex.image_id,
-            str(ex.domain),
-            str(int(ex.grade)),
-            str(f.microaneurysm_count),
-            str(f.exudate_count),
-            str(f.hard_hemorrhage_count),
-            str(f.soft_hemorrhage_count),
-            str(f.cotton_wool_count),
-            "1" if f.subhyaloid_present else "0",
-            "1" if f.neovascularization_present else "0",
-            str(f.hemorrhage_quadrants),
-        ]
-        if with_vein:
-            cells += [
-                f"{f.vein_tortuosity:.6f}",
-                f"{f.vein_caliber_mean:.6f}",
-                f"{f.vein_branch_angle_mean:.6f}",
-            ]
-        lines.append(",".join(cells))
+        counts = [str(getattr(f, name)) for name in LESIONS_ONLY_SCHEMA[:5]]
+        flags = ["1" if f.subhyaloid_present else "0", "1" if f.neovascularization_present else "0"]
+        cells = [ex.image_id, str(ex.domain), str(int(ex.grade)), *counts, *flags, str(f.hemorrhage_quadrants)]
+        lines.append(",".join(cells + [f"{getattr(f, name):.6f}" for name in header[11:]]))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-# --- probability tables ---------------------------------------------------------
-
-
-def load_probability_table(path: str | Path) -> dict[str, ProbabilityVector]:
-    """Read a probs.csv into an image_id -> ProbabilityVector map."""
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = tuple(h.strip() for h in next(reader))
-        except StopIteration:
-            raise MissingColumn(f"{path}: empty file") from None
-        if header != PROBS_HEADER:
-            raise MissingColumn(f"{path}: header must be {','.join(PROBS_HEADER)}")
-        table: dict[str, ProbabilityVector] = {}
-        for lineno, cells in enumerate(reader, start=2):
-            if not cells:
-                continue
-            if len(cells) != 6:
-                raise MissingColumn(f"{path}: row {lineno} has {len(cells)} cells, expected 6")
-            image_id = cells[0].strip()
-            if image_id in table:
-                raise DuplicateImageId(f"{path}: image_id {image_id!r} appears more than once")
-            try:
-                values = [float(c) for c in cells[1:6]]
-            except ValueError as exc:
-                raise NonNumericCell(f"{path}: row {lineno} has a non-numeric probability") from exc
-            table[image_id] = validate_probability(values)
-    return table
-
-
-def load_prediction_table(path: str | Path) -> dict[str, tuple[int, ProbabilityVector | None]]:
-    """Read an ``image_id,grade`` table into image_id -> (grade, probs).
-
-    Other columns are ignored, except ``p0..p4``: when all five are present
-    they are read by name as the row's grade distribution.
-    """
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader, [])]
-        if not header or header[0] != "image_id" or "grade" not in header:
-            raise MissingColumn(f"{path}: prediction table needs image_id,grade[,p0..p4]")
-        grade_col = header.index("grade")
-        prob_cols = [header.index(c) for c in PROBS_HEADER[1:] if c in header]
-        if len(prob_cols) not in (0, GRADE_COUNT):
-            raise MissingColumn(f"{path}: probability columns need all of p0..p4")
-        table: dict[str, tuple[int, ProbabilityVector | None]] = {}
-        for lineno, cells in enumerate(reader, start=2):
-            if not cells:
-                continue
-            if len(cells) != len(header):
-                raise MissingColumn(f"{path}: row {lineno} has {len(cells)} cells, expected {len(header)}")
-            image_id = cells[0].strip()
-            if image_id in table:
-                raise DuplicateImageId(f"{path}: image_id {image_id!r} appears more than once")
-            grade = _parse_count(cells[grade_col], "grade", lineno, upper=GRADE_COUNT - 1)
-            probs = None
-            if prob_cols:
-                probs = validate_probability(
-                    [_parse_float(cells[i], header[i], lineno, -math.inf, None) for i in prob_cols]
-                )
-            table[image_id] = (grade, probs)
-    return table
 
 
 def save_probability_table(path: str | Path, table: Mapping[str, ProbabilityVector]) -> None:
@@ -278,17 +325,10 @@ def save_probability_table(path: str | Path, table: Mapping[str, ProbabilityVect
 
 # --- detections ------------------------------------------------------------------
 
+_LESION_CODES = {kind.value: code for code, kind in enumerate(LesionType)}
 
-def load_detections(path: str | Path) -> dict[str, list[Detection]]:
-    """Read detections.json: a list of {image_id, lesion, x, y, w, h, score}."""
-    path = Path(path)
-    try:
-        records = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(records, list):
-        raise DataError(f"{path}: expected a JSON list of detection records")
-    out: dict[str, list[Detection]] = {}
+
+def _raise_first_bad_record(path: Path, records: list) -> NoReturn:
     for i, rec in enumerate(records):
         try:
             kind = LesionType(rec["lesion"])
@@ -297,13 +337,48 @@ def load_detections(path: str | Path) -> dict[str, list[Detection]]:
         except (KeyError, TypeError):
             raise DataError(f"{path}: record {i} is malformed") from None
         try:
-            box = BoundingBox(float(rec["x"]), float(rec["y"]), float(rec["w"]), float(rec["h"]))
-            det = Detection(kind, box, float(rec["score"]))
+            Detection(kind, BoundingBox(*(float(rec[k]) for k in "xywh")), float(rec["score"]))
         except BoxOutOfBounds:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: record {i} is malformed: {exc}") from exc
-        out.setdefault(str(rec["image_id"]), []).append(det)
+        str(rec["image_id"])
+    raise InternalError(f"{path}: the column checks reject records the record checks accept")
+
+
+def read_detections(path: str | Path) -> DetectionTable:
+    """Read detections.json, a list of {image_id, lesion, x, y, w, h, score},
+    straight into a DetectionTable; boxes and scores are checked as masks."""
+    path = Path(path)
+    try:
+        records = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(records, list):
+        raise DataError(f"{path}: expected a JSON list of detection records")
+    try:
+        names, lesions, *fields = ([rec[k] for rec in records] for k in ("image_id", "lesion", "x", "y", "w", "h", "score"))
+        lesion = np.array(list(map(_LESION_CODES.__getitem__, lesions)), dtype=np.int64)
+        x, y, w, h, score = np.array([list(map(float, c)) for c in fields], dtype=np.float64)
+        names = list(map(str, names))
+        ids = tuple(dict.fromkeys(names))
+        image = np.array(join_rows(names, ids, KeyError), dtype=np.int64)
+        edge = 1.0 + BOX_EDGE_EPS
+        if not ((0 <= x) & (x <= 1) & (0 <= y) & (y <= 1) & (0 < w) & (w <= 1) & (0 < h) & (h <= 1)
+                & (x + w <= edge) & (y + h <= edge) & (0 <= score) & (score <= 1)).all():
+            raise ValueError("out of range")
+    except (KeyError, TypeError, ValueError, OverflowError):
+        _raise_first_bad_record(path, records)
+    return DetectionTable(ids, image, lesion, np.column_stack((x, y, w, h)), score)
+
+
+def load_detections(path: str | Path) -> dict[str, list[Detection]]:
+    """Read detections.json into each image's Detection list."""
+    table = read_detections(path)
+    out: dict[str, list[Detection]] = {image_id: [] for image_id in table.ids}
+    for n, code, box, score in zip(table.image.tolist(), table.lesion.tolist(), table.box.tolist(),
+                                   table.score.tolist()):
+        out[table.ids[n]].append(Detection(LESION_TYPES[code], BoundingBox(*box), score))
     return out
 
 
@@ -381,27 +456,21 @@ def save_manifest(path: str | Path, domains: Sequence[Mapping[str, Any]], seeds:
     Path(path).write_text(json.dumps(payload, indent=1) + "\n")
 
 
-def load_domain_dataset(entry: DomainEntry) -> DomainDataset:
-    """Load one manifest entry. A probability table joins into the
-    dataset's read-only ``(n, 5)`` rows; every image must have a row."""
-    examples = load_feature_table(entry.features)
-    for ex in examples:
-        if ex.domain != entry.name:
+def load_domain_dataset(entry: DomainEntry) -> DomainTable:
+    """Load one manifest entry as a DomainTable. A probability table joins
+    into its read-only ``(n, 5)`` rows; every image must have a row."""
+    table = read_feature_table(entry.features)
+    for image_id, domain in zip(table.ids, table.domains):
+        if domain != entry.name:
             raise DataError(
-                f"{entry.features}: row {ex.image_id!r} claims domain {ex.domain!r}, "
-                f"manifest says {entry.name!r}"
+                f"{entry.features}: row {image_id!r} claims domain {domain!r}, manifest says {entry.name!r}"
             )
-    probs = None
-    if entry.probs is not None:
-        table = load_probability_table(entry.probs)
-        rows = []
-        for ex in examples:
-            if ex.image_id not in table:
-                raise UnknownImageId(f"probability table has no row for image {ex.image_id!r}")
-            rows.append(table[ex.image_id].probs)
-        probs = np.asarray(rows, dtype=np.float64)
-        probs.setflags(write=False)
-    return DomainDataset(entry.name, tuple(examples), probs)
+    if entry.probs is None:
+        return replace(table, domain=entry.name)
+    ids, rows = read_probability_table(entry.probs)
+    probs = rows[join_rows(table.ids, ids, lambda i: UnknownImageId(f"probability table has no row for image {i!r}"))]
+    probs.setflags(write=False)
+    return replace(table, domain=entry.name, probs=probs)
 
 
 # --- model artifacts ------------------------------------------------------------------

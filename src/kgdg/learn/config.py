@@ -11,6 +11,7 @@ from ..core import (
     GRADE_COUNT,
     LESIONS_ONLY_SCHEMA,
     LESIONS_VEIN_SCHEMA,
+    DomainTable,
     FeatureVector,
     LabeledExample,
     ProbabilityVector,
@@ -75,15 +76,16 @@ class TrainConfig:
         return asdict(self)
 
 
-def resolve_schema(cfg: TrainConfig, examples: Sequence[LabeledExample]) -> tuple[str, ...]:
-    """Pick the feature schema: explicit config wins, otherwise follow the data."""
+def resolve_schema(cfg: TrainConfig, data: DomainTable | Sequence[LabeledExample]) -> tuple[str, ...]:
+    """Pick the feature schema: explicit config wins, otherwise follow the
+    data, a table or its examples."""
     if cfg.feature_set == "lesions_only":
         return LESIONS_ONLY_SCHEMA
     if cfg.feature_set == "lesions_vein":
         return LESIONS_VEIN_SCHEMA
-    if not examples:
+    if not len(data):
         raise SchemaMismatch("cannot infer a schema from an empty training set")
-    return examples[0].features.schema()
+    return data.schema if isinstance(data, DomainTable) else data[0].features.schema()
 
 
 def feature_matrix(examples: Sequence[LabeledExample], schema: Sequence[str]) -> np.ndarray:

@@ -285,26 +285,13 @@ def compare_to_reference(
         ref_row = mapping.get(method)
         if ref_row is None or ref_row not in reference.row_labels():
             continue
-        pairs: list[tuple[str, str]] = []
-        for ours_col, ref_col in zip(our_targets, ref_targets):
-            pairs.append((ours_col, ref_col))
-        for avg_name in ("Average", "Avg."):
-            if avg_name in reference.columns:
-                pairs.append(("average", avg_name))
-                break
+        pairs = list(zip(our_targets, ref_targets))
+        pairs += [("average", name) for name in ("Average", "Avg.") if name in reference.columns][:1]
         for ours_col, ref_col in pairs:
             compared += 1
-            stat = report.cell(method, ours_col, "accuracy")
-            ours = f"{stat.mean * 100:.1f}±{stat.std * 100:.1f}"
-            diffs.append(
-                ComparisonEntry(
-                    row=ref_row,
-                    column=ref_col,
-                    ours=ours,
-                    reference=reference.cell(ref_row, ref_col),
-                    note="not comparable: synthetic data",
-                )
-            )
+            ours = _format_cell(report.cell(method, ours_col, "accuracy"))
+            diffs.append(ComparisonEntry(ref_row, ref_col, ours, reference.cell(ref_row, ref_col),
+                                         "not comparable: synthetic data"))
     return ComparisonReport(reference_id, compared, tuple(diffs))
 
 
@@ -337,6 +324,13 @@ def _best_methods(report: ExperimentReport, column: str, metric: str) -> set[str
     return winners
 
 
+def _row_cells(report: ExperimentReport, method: str, metric: str, best: str) -> list[str]:
+    """A method's formatted cells, the best of each column put through ``best``."""
+    cells = [_format_cell(report.cell(method, column, metric)) for column in report.columns]
+    return [best.format(cell) if method in _best_methods(report, column, metric) else cell
+            for column, cell in zip(report.columns, cells)]
+
+
 def render_markdown(report: ExperimentReport) -> str:
     lines = [
         "# Domain-generalization report",
@@ -364,12 +358,7 @@ def render_markdown(report: ExperimentReport) -> str:
         lines.append("| " + " | ".join(header) + " |")
         lines.append("|" + "---|" * len(header))
         for method in report.methods:
-            row = [method]
-            for column in report.columns:
-                cell = _format_cell(report.cell(method, column, metric))
-                if method in _best_methods(report, column, metric):
-                    cell = f"**{cell}**"
-                row.append(cell)
+            row = [method] + _row_cells(report, method, metric, "**{}**")
             lines.append("| " + " | ".join(row) + " |")
         lines.append("")
     lines.append(f"note: {report.fusion_note}")
@@ -381,13 +370,7 @@ def render_csv(report: ExperimentReport) -> str:
     lines = ["metric,method," + ",".join(report.columns)]
     for metric in report.metrics:
         for method in report.methods:
-            cells = []
-            for column in report.columns:
-                cell = _format_cell(report.cell(method, column, metric))
-                if method in _best_methods(report, column, metric):
-                    cell += "*"
-                cells.append(cell)
-            lines.append(",".join([metric, method] + cells))
+            lines.append(",".join([metric, method] + _row_cells(report, method, metric, "{}*")))
     lines.append(f"# seeds: {' '.join(str(s) for s in report.seeds)} ({report.aggregation})")
     lines.append(f"# config fingerprint: {report.config_fingerprint}")
     lines.append(f"# {report.fusion_note}")

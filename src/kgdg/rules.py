@@ -9,16 +9,18 @@ first match wins, so adding findings can never lower the grade.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
+
+import numpy as np
 
 from .core import (
+    LESIONS_ONLY_SCHEMA,
     BoundingBox,
     Detection,
+    DetectionTable,
     DRGrade,
     FeatureVector,
-    LesionType,
     ProbabilityVector,
 )
 from .errors import InvalidConfig
@@ -68,13 +70,23 @@ def assign_quadrant(box: BoundingBox) -> int:
     return 3 if left else 4
 
 
-_COUNT_FIELDS = {
-    LesionType.MICROANEURYSM: "microaneurysm_count",
-    LesionType.HARD_EXUDATE: "exudate_count",
-    LesionType.HARD_HEMORRHAGE: "hard_hemorrhage_count",
-    LesionType.SOFT_HEMORRHAGE: "soft_hemorrhage_count",
-    LesionType.COTTON_WOOL_SPOT: "cotton_wool_count",
-}
+def detection_counts(table: DetectionTable, min_score: float = DEFAULT_RULES.min_score) -> np.ndarray:
+    """The lesion counts of every image of a DetectionTable at once, from
+    its detections at or above ``min_score``: an ``(images, 8)`` matrix in
+    LESIONS_ONLY_SCHEMA order, rows in ``table.ids`` order. A lesion's code
+    is its count (or flag) column."""
+    keep = table.score >= min_score
+    image, lesion, box = table.image[keep], table.lesion[keep], table.box[keep]
+    counts = np.zeros((len(table.ids), len(LESIONS_ONLY_SCHEMA)), dtype=np.int64)
+    np.add.at(counts, (image, lesion), 1)
+    counts[:, 5:7] = counts[:, 5:7] > 0
+    hem = (lesion == 2) | (lesion == 3)  # hard and soft hemorrhages, binned as assign_quadrant does
+    right = box[hem, 0] + box[hem, 2] / 2.0 > 0.5
+    bottom = box[hem, 1] + box[hem, 3] / 2.0 > 0.5
+    quadrants = np.zeros(len(table.ids), dtype=np.int64)
+    np.bitwise_or.at(quadrants, image[hem], 1 << (right + 2 * bottom))
+    counts[:, 7] = sum((quadrants >> q) & 1 for q in range(4))
+    return counts
 
 
 def aggregate_detections(dets: Iterable[Detection], min_score: float = DEFAULT_RULES.min_score) -> FeatureVector:
@@ -86,31 +98,23 @@ def aggregate_detections(dets: Iterable[Detection], min_score: float = DEFAULT_R
     """
     if not (0.0 <= min_score <= 1.0):
         raise InvalidConfig(f"min_score={min_score!r} outside [0,1]")
-    counts: dict[str, int] = defaultdict(int)
-    quadrants: set[int] = set()
-    subhyaloid = False
-    neovasc = False
-    for det in dets:
-        if det.score < min_score:
-            continue
-        if det.lesion in _COUNT_FIELDS:
-            counts[_COUNT_FIELDS[det.lesion]] += 1
-        if det.lesion in (LesionType.HARD_HEMORRHAGE, LesionType.SOFT_HEMORRHAGE):
-            quadrants.add(assign_quadrant(det.box))
-        elif det.lesion is LesionType.SUBHYALOID_HEMORRHAGE:
-            subhyaloid = True
-        elif det.lesion is LesionType.NEOVASCULARIZATION:
-            neovasc = True
-    return FeatureVector(
-        microaneurysm_count=counts["microaneurysm_count"],
-        exudate_count=counts["exudate_count"],
-        hard_hemorrhage_count=counts["hard_hemorrhage_count"],
-        soft_hemorrhage_count=counts["soft_hemorrhage_count"],
-        cotton_wool_count=counts["cotton_wool_count"],
-        subhyaloid_present=subhyaloid,
-        neovascularization_present=neovasc,
-        hemorrhage_quadrants=len(quadrants),
-    )
+    table = DetectionTable.from_detections({"": list(dets)})
+    return FeatureVector.from_counts(detection_counts(table, min_score)[0].tolist())
+
+
+# The ladder over the LESIONS_ONLY_SCHEMA columns c, as scalars for one
+# vector or arrays for a table. Hemorrhages > 20 is tested as
+# hard > 20 - soft, which cannot overflow int64.
+RULE_LADDER: tuple[tuple[str, DRGrade, Callable[[Sequence, RuleConfig], Any]], ...] = (
+    ("R1", DRGrade.PDR, lambda c, cfg: c[6] != 0),
+    ("R2", DRGrade.PDR, lambda c, cfg: c[5] != 0),
+    ("R3", DRGrade.SEVERE, lambda c, cfg: (c[2] > 20 - c[3]) & (c[7] == 4)),
+    ("R4", DRGrade.SEVERE, lambda c, cfg: c[4] >= cfg.cws_severe_threshold),
+    ("R5", DRGrade.MODERATE, lambda c, cfg: c[4] >= 1),
+    ("R6", DRGrade.MODERATE, lambda c, cfg: (c[1] >= 1) | (c[2] >= 1) | (c[3] >= 1)),
+    ("R7", DRGrade.MILD, lambda c, cfg: c[0] >= 1),
+    ("R8", DRGrade.NO_DR, lambda c, cfg: True),
+)
 
 
 def grade_by_rules(f: FeatureVector, cfg: RuleConfig = DEFAULT_RULES) -> RuleTrace:
@@ -122,22 +126,17 @@ def grade_by_rules(f: FeatureVector, cfg: RuleConfig = DEFAULT_RULES) -> RuleTra
        -> Severe                            R8 no findings -> No DR
     R4 cotton-wool count at threshold -> Severe
     """
-    hemorrhages = f.hard_hemorrhage_count + f.soft_hemorrhage_count
-    if f.neovascularization_present:
-        return RuleTrace(("R1",), DRGrade.PDR)
-    if f.subhyaloid_present:
-        return RuleTrace(("R2",), DRGrade.PDR)
-    if hemorrhages > 20 and f.hemorrhage_quadrants == 4:
-        return RuleTrace(("R3",), DRGrade.SEVERE)
-    if f.cotton_wool_count >= cfg.cws_severe_threshold:
-        return RuleTrace(("R4",), DRGrade.SEVERE)
-    if f.cotton_wool_count >= 1:
-        return RuleTrace(("R5",), DRGrade.MODERATE)
-    if f.exudate_count >= 1 or hemorrhages >= 1:
-        return RuleTrace(("R6",), DRGrade.MODERATE)
-    if f.microaneurysm_count >= 1:
-        return RuleTrace(("R7",), DRGrade.MILD)
-    return RuleTrace(("R8",), DRGrade.NO_DR)
+    c = tuple(getattr(f, name) for name in LESIONS_ONLY_SCHEMA)
+    name, grade = next((name, grade) for name, grade, holds in RULE_LADDER if holds(c, cfg))
+    return RuleTrace((name,), grade)
+
+
+def fire_rules(counts: np.ndarray, cfg: RuleConfig = DEFAULT_RULES) -> np.ndarray:
+    """grade_by_rules over the rows of an ``(n, 8)`` LESIONS_ONLY_SCHEMA
+    matrix: each row's index into RULE_LADDER."""
+    c = counts.T
+    holds = [np.broadcast_to(test(c, cfg), len(counts)) for _, _, test in RULE_LADDER]
+    return np.argmax(holds, axis=0)
 
 
 def rule_grade_as_probability(trace: RuleTrace, smoothing: float = DEFAULT_RULES.smoothing) -> ProbabilityVector:

@@ -18,8 +18,10 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    LESION_TYPES,
     BoundingBox,
     Detection,
+    DetectionTable,
     DomainDataset,
     DomainId,
     DRGrade,
@@ -30,15 +32,10 @@ from .core import (
 )
 from .errors import InvalidConfig
 from .io import save_detections, save_feature_table, save_manifest, save_probability_table
-from .rules import aggregate_detections
+from .rules import detection_counts
+from .rules import aggregate_detections  # noqa: F401  unused here; the benchmark's tracer patches it by this module's name
 
-COUNTABLE_LESIONS = (
-    LesionType.MICROANEURYSM,
-    LesionType.HARD_EXUDATE,
-    LesionType.HARD_HEMORRHAGE,
-    LesionType.SOFT_HEMORRHAGE,
-    LesionType.COTTON_WOOL_SPOT,
-)
+COUNTABLE_LESIONS = LESION_TYPES[:5]  # the counted kinds, in their count columns' order
 
 # Per-grade Poisson rates for the countable lesions, monotone in grade.
 DEFAULT_COUNT_RATES: tuple[tuple[float, ...], ...] = (
@@ -151,14 +148,9 @@ def _detections_for_sample(
     for lesion, count in zip(COUNTABLE_LESIONS, counts):
         for _ in range(count):
             dets.append(Detection(lesion, _random_box(rng), round(float(rng.uniform(0.5, 1.0)), 6)))
-    if subhyaloid:
-        dets.append(
-            Detection(LesionType.SUBHYALOID_HEMORRHAGE, _random_box(rng), round(float(rng.uniform(0.6, 1.0)), 6))
-        )
-    if neovasc:
-        dets.append(
-            Detection(LesionType.NEOVASCULARIZATION, _random_box(rng), round(float(rng.uniform(0.6, 1.0)), 6))
-        )
+    for lesion, present in ((LesionType.SUBHYALOID_HEMORRHAGE, subhyaloid), (LesionType.NEOVASCULARIZATION, neovasc)):
+        if present:
+            dets.append(Detection(lesion, _random_box(rng), round(float(rng.uniform(0.6, 1.0)), 6)))
     return dets
 
 
@@ -210,45 +202,25 @@ def gen_dataset(cfg: SynthConfig) -> SynthOutput:
         offset_rng = _stream(cfg.seed, domain, "vein-offset")
         vein_offset = offset_rng.normal(0.0, 1.0, size=3) * VEIN_STEP * spec.vein_noise_sigma
 
-        grades = label_rng.choice(5, size=spec.n_samples, p=np.asarray(spec.grade_prior))
-        examples: list[LabeledExample] = []
+        grades = label_rng.choice(5, size=spec.n_samples, p=np.asarray(spec.grade_prior)).tolist()
         det_map: dict[str, list[Detection]] = {}
-        for i in range(spec.n_samples):
-            g = int(grades[i])
-            image_id = f"{domain}-{i:05d}"
+        veins = []
+        for i, g in enumerate(grades):
             counts = label_rng.poisson(rates[g] * spec.count_bias)
             subhyaloid = bool(g == 4 and label_rng.random() < cfg.pdr_flag_prob / 2)
             neovasc = bool(g == 4 and label_rng.random() < cfg.pdr_flag_prob)
-            dets = _detections_for_sample(box_rng, counts.tolist(), subhyaloid, neovasc)
-            det_map[image_id] = dets
-            base = aggregate_detections(dets, min_score=0.0)
-            kwargs = dict(
-                microaneurysm_count=base.microaneurysm_count,
-                exudate_count=base.exudate_count,
-                hard_hemorrhage_count=base.hard_hemorrhage_count,
-                soft_hemorrhage_count=base.soft_hemorrhage_count,
-                cotton_wool_count=base.cotton_wool_count,
-                subhyaloid_present=base.subhyaloid_present,
-                neovascularization_present=base.neovascularization_present,
-                hemorrhage_quadrants=base.hemorrhage_quadrants,
-            )
+            det_map[f"{domain}-{i:05d}"] = _detections_for_sample(box_rng, counts.tolist(), subhyaloid, neovasc)
+            vein = ()
             if cfg.with_vein:
                 vein = VEIN_BASE + VEIN_STEP * g + vein_offset + vein_rng.normal(0.0, 1.0, 3) * VEIN_JITTER
-                vein = np.clip(vein, VEIN_CLIP_LO, VEIN_CLIP_HI)
-                vein = np.round(vein, 6)
-                kwargs.update(
-                    vein_tortuosity=float(vein[0]),
-                    vein_caliber_mean=float(vein[1]),
-                    vein_branch_angle_mean=float(vein[2]),
-                )
-            examples.append(
-                LabeledExample(
-                    image_id=image_id,
-                    domain=domain,
-                    grade=DRGrade(g),
-                    features=FeatureVector(**kwargs),
-                )
-            )
+                vein = np.round(np.clip(vein, VEIN_CLIP_LO, VEIN_CLIP_HI), 6).tolist()
+            veins.append(vein)
+        # every image's features are its detections' counts (all scores kept) plus its vein values
+        table = DetectionTable.from_detections(det_map)
+        examples = [
+            LabeledExample(image_id, domain, DRGrade(g), FeatureVector.from_counts(c, vein))
+            for image_id, g, c, vein in zip(table.ids, grades, detection_counts(table, 0.0).tolist(), veins)
+        ]
         out.datasets[domain] = DomainDataset(domain, tuple(examples))
         out.detections[domain] = det_map
         acc = spec.neural_in_domain_accuracy if domain == source else spec.neural_ood_accuracy
@@ -281,43 +253,19 @@ def shift_profile(name: str, seed: int = 0, n_samples: int = 2000) -> SynthConfi
     """Named presets: ``mild`` (benign shift), ``severe`` (strong count
     shift), ``vein_hostile`` (vein features informative in-domain but
     offset hard across domains, while lesion counts stay stable)."""
-    common = dict(n_samples=n_samples, grade_prior=DEFAULT_GRADE_PRIOR)
-    if name == "mild":
-        domains = (
-            DomainSpec("clinic_a", count_bias=1.0, vein_noise_sigma=0.1,
-                       neural_in_domain_accuracy=0.85, neural_ood_accuracy=0.62,
-                       neural_temperature=0.25, **common),
-            DomainSpec("clinic_b", count_bias=0.92, vein_noise_sigma=0.1,
-                       neural_in_domain_accuracy=0.85, neural_ood_accuracy=0.62,
-                       neural_temperature=1.2, **common),
-            DomainSpec("clinic_c", count_bias=1.1, vein_noise_sigma=0.1,
-                       neural_in_domain_accuracy=0.85, neural_ood_accuracy=0.62,
-                       neural_temperature=1.2, **common),
-        )
-    elif name == "severe":
-        domains = (
-            DomainSpec("clinic_a", count_bias=1.0, vein_noise_sigma=1.0,
-                       neural_in_domain_accuracy=0.85, neural_ood_accuracy=0.45,
-                       neural_temperature=0.25, **common),
-            DomainSpec("clinic_b", count_bias=0.55, vein_noise_sigma=1.0,
-                       neural_in_domain_accuracy=0.85, neural_ood_accuracy=0.45,
-                       neural_temperature=1.2, **common),
-            DomainSpec("clinic_c", count_bias=1.7, vein_noise_sigma=1.0,
-                       neural_in_domain_accuracy=0.85, neural_ood_accuracy=0.45,
-                       neural_temperature=1.2, **common),
-        )
-    elif name == "vein_hostile":
-        domains = (
-            DomainSpec("clinic_a", count_bias=1.0, vein_noise_sigma=3.0,
-                       neural_in_domain_accuracy=0.85, neural_ood_accuracy=0.55,
-                       neural_temperature=0.25, **common),
-            DomainSpec("clinic_b", count_bias=0.95, vein_noise_sigma=3.0,
-                       neural_in_domain_accuracy=0.85, neural_ood_accuracy=0.55,
-                       neural_temperature=1.2, **common),
-            DomainSpec("clinic_c", count_bias=1.05, vein_noise_sigma=3.0,
-                       neural_in_domain_accuracy=0.85, neural_ood_accuracy=0.55,
-                       neural_temperature=1.2, **common),
-        )
-    else:
+    # per profile: each domain's count bias, the vein noise, the deep branch's accuracy off its source
+    profiles = {
+        "mild": ((1.0, 0.92, 1.1), 0.1, 0.62),
+        "severe": ((1.0, 0.55, 1.7), 1.0, 0.45),
+        "vein_hostile": ((1.0, 0.95, 1.05), 3.0, 0.55),
+    }
+    if name not in profiles:
         raise InvalidConfig(f"unknown shift profile {name!r}")
+    biases, sigma, ood = profiles[name]
+    domains = tuple(
+        DomainSpec(domain, n_samples=n_samples, grade_prior=DEFAULT_GRADE_PRIOR, count_bias=bias,
+                   vein_noise_sigma=sigma, neural_in_domain_accuracy=0.85, neural_ood_accuracy=ood,
+                   neural_temperature=0.25 if domain == "clinic_a" else 1.2)
+        for domain, bias in zip(("clinic_a", "clinic_b", "clinic_c"), biases)
+    )
     return SynthConfig(domains=domains, neural_source="clinic_a", seed=seed)

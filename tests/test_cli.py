@@ -1,11 +1,13 @@
 import filecmp
+import hashlib
 import json
 import re
 
 import pytest
 
 from kgdg.cli import main
-from kgdg.io import load_model
+from kgdg.io import load_feature_table, load_model, save_probability_table
+from kgdg.rules import grade_by_rules, rule_grade_as_probability
 from kgdg.synth import shift_profile, write_dataset
 
 
@@ -492,3 +494,143 @@ class TestPredictionTable:
         assert self._metrics(data_dir, tmp_path, "image_id,source,p0,p1,grade,p2,p3,p4", row) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["accuracy"] == 1.0 and payload["auc_ovr_macro"] == 1.0
+
+
+class TestDigitGrouping:
+    """int() and float() read '0_3' as 3 and '0_2.5' as 2.5; no numeric cell
+    of a features, probs or prediction table does (exit 3, NON_NUMERIC_CELL,
+    naming the row and, where the table's messages do, the column)."""
+
+    FEATURE_COLUMNS = ("grade", "microaneurysm_count", "exudate_count", "hard_hemorrhage_count",
+                       "soft_hemorrhage_count", "cotton_wool_count", "hemorrhage_quadrants",
+                       "vein_tortuosity", "vein_caliber_mean", "vein_branch_angle_mean")
+
+    @staticmethod
+    def _grouped(source, tmp_path, column):
+        lines = source.read_text().splitlines()
+        cells = lines[1].split(",")
+        i = lines[0].split(",").index(column)
+        cells[i] = "0_" + cells[i]
+        bad = tmp_path / source.name
+        bad.write_text("\n".join([lines[0], ",".join(cells)] + lines[2:]) + "\n")
+        return str(bad)
+
+    def _assert_rejected(self, argv, tmp_path, capsys, message):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out), "--quiet"]) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error[NON_NUMERIC_CELL]: ") and message in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("column", FEATURE_COLUMNS)
+    def test_feature_cells(self, data_dir, tmp_path, capsys, column):
+        bad = self._grouped(data_dir / "clinic_a_features.csv", tmp_path, column)
+        preds = tmp_path / "preds.csv"
+        rows = [r.split(",") for r in (data_dir / "clinic_a_features.csv").read_text().splitlines()[1:]]
+        preds.write_text("image_id,grade\n" + "".join(f"{r[0]},{r[2]}\n" for r in rows))
+        for argv in (["grade", "--features", bad], ["train", "--features", bad, "--model", "knn"],
+                     ["metrics", "--truth", bad, "--pred", str(preds)]):
+            self._assert_rejected(argv, tmp_path, capsys, f"row 2, column {column!r}: '0_")
+
+    @pytest.mark.parametrize("column", ["p0", "p1", "p2", "p3", "p4"])
+    def test_probability_cells(self, data_dir, tmp_path, capsys, column):
+        good = str(data_dir / "clinic_a_probs.csv")
+        bad = self._grouped(data_dir / "clinic_a_probs.csv", tmp_path, column)
+        self._assert_rejected(["fuse", "--strategy", "max", "--dl", bad, "--kd", good], tmp_path, capsys,
+                              "row 2 has a non-numeric probability")
+
+    def test_prediction_grade(self, data_dir, tmp_path, capsys):
+        features = data_dir / "clinic_a_features.csv"
+        rows = [r.split(",") for r in features.read_text().splitlines()[1:]]
+        preds = tmp_path / "preds.csv"
+        preds.write_text("image_id,grade\n" + "".join(f"{r[0]},{r[2]}\n" for r in rows))
+        (tmp_path / "bad").mkdir()
+        bad = self._grouped(preds, tmp_path / "bad", "grade")
+        self._assert_rejected(["metrics", "--truth", str(features), "--pred", bad], tmp_path, capsys,
+                              "row 2, column 'grade': '0_")
+
+
+class TestEmptyProbabilityId:
+    def test_fuse_rejects_blank_image_id(self, tmp_path, capsys):
+        table = tmp_path / "probs.csv"
+        table.write_text("image_id,p0,p1,p2,p3,p4\n ,0.1,0.2,0.3,0.2,0.2\n")
+        assert main(["fuse", "--strategy", "max", "--dl", str(table), "--kd", str(table),
+                     "--out", str(tmp_path / "fused.csv"), "--quiet"]) == 3
+        assert capsys.readouterr().err.strip() == f"error[NON_NUMERIC_CELL]: {table}: row 2 has an empty image_id"
+        assert not (tmp_path / "fused.csv").exists()
+
+
+SERVE_STRATEGIES = ("selective", "max", "classwise", "weighted")
+
+
+def serve_digests(work):
+    """sha256 of every output of the serve command set (grade from detections
+    and features, fuse under each strategy, metrics on the fused tables and
+    the feature grades) on synth vein_hostile seed 7, 150 rows per domain."""
+    data = work / "data"
+    write_dataset(shift_profile("vein_hostile", seed=7, n_samples=150), data)
+    digests = {}
+    for d in ("clinic_a", "clinic_b", "clinic_c"):
+        features, probs = data / f"{d}_features.csv", data / f"{d}_probs.csv"
+        knowledge = work / f"{d}_rules_probs.csv"
+        save_probability_table(knowledge, {ex.image_id: rule_grade_as_probability(grade_by_rules(ex.features))
+                                           for ex in load_feature_table(features)})
+        commands = {
+            "grades_det.csv": ["grade", "--detections", str(data / f"{d}_detections.json")],
+            "grades_feat.csv": ["grade", "--features", str(features)],
+        }
+        for s in SERVE_STRATEGIES:
+            weights = ["--alpha-dl", "0.6", "--alpha-kl", "0.4"] if s == "weighted" else []
+            commands[f"fused_{s}.csv"] = ["fuse", "--strategy", s, "--dl", str(probs), "--kd", str(knowledge), *weights]
+        for name in ["grades_feat.csv"] + [f"fused_{s}.csv" for s in SERVE_STRATEGIES]:
+            commands[name.replace(".csv", ".score.json")] = ["metrics", "--truth", str(features),
+                                                            "--pred", str(work / f"{d}_{name}")]
+        for name, argv in commands.items():
+            out = work / f"{d}_{name}"
+            assert main(argv + ["--out", str(out), "--quiet"]) == 0, name
+            digests[f"{d}_{name}"] = hashlib.sha256(out.read_bytes()).hexdigest()
+    return digests
+
+
+class TestServeOutputsPinned:
+    """The serve commands write the bytes they wrote before their inputs were
+    read as columns (digests recorded with the per-row loaders)."""
+
+    PINNED = {
+        "clinic_a_grades_det.csv": "084f44dbf252dde5e9684bdc9acf1bfed97d4c5d914ac05fb2d605102aae8e2a",
+        "clinic_a_grades_feat.csv": "0c77970ed1a77f87a48ccc34e6d13e3c1834b6d6ec73ad811ea7f6b93f7f338c",
+        "clinic_a_fused_selective.csv": "7db7e6f2f71bfd4904edfa236ab343d86d836a12c2dadc50204a51965d74883b",
+        "clinic_a_fused_max.csv": "7db7e6f2f71bfd4904edfa236ab343d86d836a12c2dadc50204a51965d74883b",
+        "clinic_a_fused_classwise.csv": "7db7e6f2f71bfd4904edfa236ab343d86d836a12c2dadc50204a51965d74883b",
+        "clinic_a_fused_weighted.csv": "fcfa86df4cc3016aaea99f00816c6cebcf416e4fc7e99acf5c96b521b0529db9",
+        "clinic_a_grades_feat.score.json": "19f8b56fdd98dad1d08dfdbf4b60134e5a7beb9148cc1ce256d9874afa523a11",
+        "clinic_a_fused_selective.score.json": "2a016e0d4f963f611f3b2ad6137d9360a24629319167cf4120fd12c2e60f77b9",
+        "clinic_a_fused_max.score.json": "2a016e0d4f963f611f3b2ad6137d9360a24629319167cf4120fd12c2e60f77b9",
+        "clinic_a_fused_classwise.score.json": "2a016e0d4f963f611f3b2ad6137d9360a24629319167cf4120fd12c2e60f77b9",
+        "clinic_a_fused_weighted.score.json": "b50b194443d511625da8829a8c12a97404ed2ba708874cbf5f146e398824f4a0",
+        "clinic_b_grades_det.csv": "e6c83fadd56e2ba85a618b411fb640349a11454335eea2d420bae61bcebaca95",
+        "clinic_b_grades_feat.csv": "516d3409353c2ff76e0fa5aba669cc0ecee89ef82e8c63a725d8bde712177fa8",
+        "clinic_b_fused_selective.csv": "2fe0af8496fd0e5dd050847c51bb5d2bbcdceb38d80192390ded7186bdfe4a96",
+        "clinic_b_fused_max.csv": "2fe0af8496fd0e5dd050847c51bb5d2bbcdceb38d80192390ded7186bdfe4a96",
+        "clinic_b_fused_classwise.csv": "2fe0af8496fd0e5dd050847c51bb5d2bbcdceb38d80192390ded7186bdfe4a96",
+        "clinic_b_fused_weighted.csv": "6ce3592195f5d05fe2660714126be12eed06d1012439fa887d5ac2b5aac82609",
+        "clinic_b_grades_feat.score.json": "753b021fb2bf07d63dd3774162d34e22d6022e431b5ced0ee4fcf652ff6049a7",
+        "clinic_b_fused_selective.score.json": "753b021fb2bf07d63dd3774162d34e22d6022e431b5ced0ee4fcf652ff6049a7",
+        "clinic_b_fused_max.score.json": "753b021fb2bf07d63dd3774162d34e22d6022e431b5ced0ee4fcf652ff6049a7",
+        "clinic_b_fused_classwise.score.json": "753b021fb2bf07d63dd3774162d34e22d6022e431b5ced0ee4fcf652ff6049a7",
+        "clinic_b_fused_weighted.score.json": "753b021fb2bf07d63dd3774162d34e22d6022e431b5ced0ee4fcf652ff6049a7",
+        "clinic_c_grades_det.csv": "0f47ef549d486a36da8bdc3b6f9fc4b2d9d93fd58770bd74987772b9d578fe8d",
+        "clinic_c_grades_feat.csv": "b047bca33717c60d33e902fc01b0b7b5854ac43e81140fa706833c987e93ed2f",
+        "clinic_c_fused_selective.csv": "685223230b74f215a7c9433fe25d697744626eaa8d14254ee9ef01e12ca66356",
+        "clinic_c_fused_max.csv": "685223230b74f215a7c9433fe25d697744626eaa8d14254ee9ef01e12ca66356",
+        "clinic_c_fused_classwise.csv": "685223230b74f215a7c9433fe25d697744626eaa8d14254ee9ef01e12ca66356",
+        "clinic_c_fused_weighted.csv": "6563ba81763a6200559add36858cea8dbf88156982d530e0d60b593bf5959672",
+        "clinic_c_grades_feat.score.json": "fbf05292ed232caa7b79f035e067524762c8ea46e0b12a9d870f157a243e7a9d",
+        "clinic_c_fused_selective.score.json": "fbf05292ed232caa7b79f035e067524762c8ea46e0b12a9d870f157a243e7a9d",
+        "clinic_c_fused_max.score.json": "fbf05292ed232caa7b79f035e067524762c8ea46e0b12a9d870f157a243e7a9d",
+        "clinic_c_fused_classwise.score.json": "fbf05292ed232caa7b79f035e067524762c8ea46e0b12a9d870f157a243e7a9d",
+        "clinic_c_fused_weighted.score.json": "fbf05292ed232caa7b79f035e067524762c8ea46e0b12a9d870f157a243e7a9d",
+    }
+
+    def test_output_bytes_pinned(self, tmp_path):
+        assert serve_digests(tmp_path) == self.PINNED

@@ -1,20 +1,62 @@
 """Array kernels against the per-row and per-feature reference code they
 replaced: pre-sorted split search, tie-averaged ranks, fusion, the
-column-wise softmax, the logistic gradient step and the Gini cut scan."""
+column-wise softmax, the logistic gradient step, the Gini cut scan and
+the columnar table and detection readers."""
 
+import csv
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgdg.core import GRADE_COUNT, FusionWeights, ProbabilityVector
+from kgdg.core import (
+    GRADE_COUNT,
+    LESIONS_ONLY_SCHEMA,
+    PROB_RENORM_TOL,
+    PROB_SUM_EPS,
+    BoundingBox,
+    Detection,
+    DomainId,
+    DRGrade,
+    FeatureVector,
+    FusionWeights,
+    LabeledExample,
+    LesionType,
+    ProbabilityVector,
+    RenormalizationWarning,
+    validate_probability,
+)
+from kgdg.errors import (
+    BoxOutOfBounds,
+    DataError,
+    DuplicateImageId,
+    MissingColumn,
+    NegativeProbability,
+    NonNumericCell,
+    SumOutOfTolerance,
+    UnknownLesionKind,
+)
 from kgdg.fusion import FusionSource, FusionStrategy, fuse, fuse_arrays, fused_probability
+from kgdg.io import (
+    LESIONS_ONLY_HEADER,
+    LESIONS_VEIN_HEADER,
+    PROBS_HEADER,
+    load_detections,
+    load_feature_table,
+    load_probability_table,
+    read_detections,
+    read_feature_table,
+    read_prediction_table,
+    read_probability_table,
+)
 from kgdg.learn import TrainConfig, fit_forest_arrays, fit_gbm_arrays, fit_logistic_arrays
 from kgdg.learn import baselines as baselines_module
 from kgdg.learn import gbm as gbm_module
-from kgdg.learn.config import row_sum, sample_weights, softmax, standardization
+from kgdg.learn.config import feature_matrix, row_sum, sample_weights, softmax, standardization
 from kgdg.learn.tree import GAIN_EPS, _gini, _leaf_value, fit_classification_tree, fit_regression_tree
 from kgdg.metrics import _tie_averaged_ranks, auc_ovr_macro, binary_auc
 
@@ -417,3 +459,424 @@ def test_forest_equals_per_cut_loop_trees(monkeypatch):
     monkeypatch.setattr(baselines_module, "fit_classification_tree", ref_classification_tree)
     want = fit_forest_arrays(x, y, ("a", "b", "c", "d"), cfg).trees
     assert json.dumps(got) == json.dumps(want)
+
+
+# --- (h) the columnar readers equal the per-row loaders they replaced ----------------------
+
+# The readers' two contract changes. The references below apply them when
+# `changed` is true; a mutant's outcome may depend on `changed` only through them.
+CONTRACT_CHANGES = (
+    "a numeric table cell with digit grouping ('3_0', '1_0.5') is NON_NUMERIC_CELL",
+    "a probs table row with an empty image_id is NON_NUMERIC_CELL",
+)
+
+
+def ref_validate_probability(values):
+    vals = [float(v) for v in values]
+    for v in vals:
+        if not math.isfinite(v):
+            raise SumOutOfTolerance(f"non-finite probability {v!r}")
+        if v < 0.0:
+            raise NegativeProbability(f"negative probability {v!r}")
+    total = sum(vals)
+    deviation = abs(total - 1.0)
+    if deviation <= PROB_SUM_EPS and all(v <= 1.0 for v in vals):
+        return ProbabilityVector(tuple(vals))
+    if deviation > PROB_RENORM_TOL:
+        raise SumOutOfTolerance(
+            f"probabilities sum to {total!r}, deviation {deviation:.3g} exceeds {PROB_RENORM_TOL}"
+        )
+    if deviation > PROB_SUM_EPS:
+        warnings.warn(f"probability vector summed to {total!r}; renormalized", RenormalizationWarning)
+    return ProbabilityVector(tuple(v / total for v in vals))
+
+
+def _ref_number(kind, raw, changed):
+    if changed and "_" in raw:
+        raise ValueError("digit grouping")
+    return kind(raw)
+
+
+def _ref_parse_count(raw, column, row, upper=None, changed=True):
+    try:
+        value = _ref_number(int, raw, changed)
+    except ValueError as exc:
+        raise NonNumericCell(f"row {row}, column {column!r}: {raw!r} is not an integer") from exc
+    if value < 0 or (upper is not None and value > upper):
+        bound = f"0..{upper}" if upper is not None else ">= 0"
+        raise NonNumericCell(f"row {row}, column {column!r}: {value} outside {bound}")
+    return value
+
+
+def _ref_parse_flag(raw, column, row):
+    if raw not in ("0", "1"):
+        raise NonNumericCell(f"row {row}, column {column!r}: {raw!r} is not 0/1")
+    return raw == "1"
+
+
+def _ref_parse_float(raw, column, row, lo, hi, changed=True):
+    try:
+        value = _ref_number(float, raw, changed)
+    except ValueError as exc:
+        raise NonNumericCell(f"row {row}, column {column!r}: {raw!r} is not numeric") from exc
+    if not math.isfinite(value):
+        raise NonNumericCell(f"row {row}, column {column!r}: {raw!r} is not a finite number")
+    if value < lo or (hi is not None and value > hi):
+        bound = f"[{lo},{hi}]" if hi is not None else f">= {lo}"
+        raise NonNumericCell(f"row {row}, column {column!r}: {value} outside {bound}")
+    return value
+
+
+def ref_load_feature_table(path, changed=True):
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = tuple(h.strip() for h in next(reader))
+        except StopIteration:
+            raise MissingColumn(f"{path}: empty file") from None
+        if header == LESIONS_VEIN_HEADER:
+            with_vein = True
+        elif header == LESIONS_ONLY_HEADER:
+            with_vein = False
+        else:
+            raise MissingColumn(
+                f"{path}: header does not match a known feature schema "
+                f"(lesions-only or lesions+vein)"
+            )
+        examples, seen = [], set()
+        for lineno, cells in enumerate(reader, start=2):
+            if not cells:
+                continue
+            if len(cells) != len(header):
+                raise MissingColumn(f"{path}: row {lineno} has {len(cells)} cells, expected {len(header)}")
+            image_id = cells[0].strip()
+            if not image_id:
+                raise NonNumericCell(f"{path}: row {lineno} has an empty image_id")
+            if image_id in seen:
+                raise DuplicateImageId(f"{path}: image_id {image_id!r} appears more than once")
+            seen.add(image_id)
+            if not cells[1].strip():
+                raise NonNumericCell(f"{path}: row {lineno} has an empty domain")
+            grade = _ref_parse_count(cells[2].strip(), "grade", lineno, 4, changed)
+            kwargs = {
+                name: (_ref_parse_flag(cells[i].strip(), name, lineno) if i in (8, 9)
+                       else _ref_parse_count(cells[i].strip(), name, lineno, 4 if i == 10 else None, changed))
+                for i, name in enumerate(header[3:11], start=3)
+            }
+            if with_vein:
+                for i, hi in ((11, None), (12, None), (13, 180.0)):
+                    kwargs[header[i]] = _ref_parse_float(cells[i].strip(), header[i], lineno, 0.0, hi, changed)
+            examples.append(LabeledExample(image_id, DomainId(cells[1]), DRGrade(grade), FeatureVector(**kwargs)))
+    return examples
+
+
+def ref_load_probability_table(path, changed=True):
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = tuple(h.strip() for h in next(reader))
+        except StopIteration:
+            raise MissingColumn(f"{path}: empty file") from None
+        if header != PROBS_HEADER:
+            raise MissingColumn(f"{path}: header must be {','.join(PROBS_HEADER)}")
+        table = {}
+        for lineno, cells in enumerate(reader, start=2):
+            if not cells:
+                continue
+            if len(cells) != 6:
+                raise MissingColumn(f"{path}: row {lineno} has {len(cells)} cells, expected 6")
+            image_id = cells[0].strip()
+            if changed and not image_id:
+                raise NonNumericCell(f"{path}: row {lineno} has an empty image_id")
+            if image_id in table:
+                raise DuplicateImageId(f"{path}: image_id {image_id!r} appears more than once")
+            try:
+                values = [_ref_number(float, c, changed) for c in cells[1:6]]
+            except ValueError as exc:
+                raise NonNumericCell(f"{path}: row {lineno} has a non-numeric probability") from exc
+            table[image_id] = ref_validate_probability(values)
+    return table
+
+
+def ref_load_prediction_table(path, changed=True):
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader, [])]
+        if not header or header[0] != "image_id" or "grade" not in header:
+            raise MissingColumn(f"{path}: prediction table needs image_id,grade[,p0..p4]")
+        grade_col = header.index("grade")
+        prob_cols = [header.index(c) for c in PROBS_HEADER[1:] if c in header]
+        if len(prob_cols) not in (0, GRADE_COUNT):
+            raise MissingColumn(f"{path}: probability columns need all of p0..p4")
+        table = {}
+        for lineno, cells in enumerate(reader, start=2):
+            if not cells:
+                continue
+            if len(cells) != len(header):
+                raise MissingColumn(f"{path}: row {lineno} has {len(cells)} cells, expected {len(header)}")
+            image_id = cells[0].strip()
+            if image_id in table:
+                raise DuplicateImageId(f"{path}: image_id {image_id!r} appears more than once")
+            grade = _ref_parse_count(cells[grade_col], "grade", lineno, GRADE_COUNT - 1, changed)
+            probs = None
+            if prob_cols:
+                probs = ref_validate_probability(
+                    [_ref_parse_float(cells[i], header[i], lineno, -math.inf, None, changed) for i in prob_cols]
+                )
+            table[image_id] = (grade, probs)
+    return table
+
+
+def ref_load_detections(path):
+    try:
+        records = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(records, list):
+        raise DataError(f"{path}: expected a JSON list of detection records")
+    out = {}
+    for i, rec in enumerate(records):
+        try:
+            kind = LesionType(rec["lesion"])
+        except ValueError:
+            raise UnknownLesionKind(f"{path}: record {i} has unknown lesion {rec.get('lesion')!r}") from None
+        except (KeyError, TypeError):
+            raise DataError(f"{path}: record {i} is malformed") from None
+        try:
+            box = BoundingBox(float(rec["x"]), float(rec["y"]), float(rec["w"]), float(rec["h"]))
+            det = Detection(kind, box, float(rec["score"]))
+        except BoxOutOfBounds:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: record {i} is malformed: {exc}") from exc
+        out.setdefault(str(rec["image_id"]), []).append(det)
+    return out
+
+
+def _outcome(load, path):
+    """("ok", value, warnings) or ("raised", class, message, warnings)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = load(path)
+        except Exception as exc:  # noqa: BLE001  the class and message are the outcome
+            return ("raised", type(exc), str(exc), len(caught))
+    renormalized = sum(issubclass(w.category, RenormalizationWarning) for w in caught)
+    return ("ok", value, renormalized)
+
+
+MALFORMED_TOKENS = ["", " ", "nan", "inf", "-inf", "-1", "1e400", "abc", "0x1", "1.5", "3_0", '"',
+                    "999999999999999999999", "+1", "01", " 1 ", "-0", "0_1", "1_0.5", "1e2", "٣", "2.0"]
+
+
+def _cell_token():
+    return st.one_of(
+        st.sampled_from(MALFORMED_TOKENS),
+        st.integers(-3, 10**22).map(str),
+        st.integers(-2, 6).map(str),
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.floats(0, 200).map(lambda v: f"{v:.6f}"),
+    )
+
+
+@st.composite
+def mutated_tables(draw, header, row):
+    """A valid CSV table (rows drawn by ``row``) with one mutation."""
+    rows = [draw(row(i)) for i in range(draw(st.integers(1, 7)))]
+    kind = draw(st.sampled_from(["cell", "cell", "cell", "drop", "duplicate", "short", "blank", "none"]))
+    i = draw(st.integers(0, len(rows) - 1))
+    if kind == "cell":
+        rows[i][draw(st.integers(0, len(header) - 1))] = draw(_cell_token())
+    elif kind == "drop":
+        del rows[i]
+    elif kind == "duplicate":
+        rows.insert(draw(st.integers(0, len(rows))), list(rows[i]))
+    elif kind == "short":
+        rows[i] = rows[i][:-1]
+    elif kind == "blank":
+        rows.insert(i, [])
+    return "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
+
+
+def _feature_row(with_vein):
+    def row(i):
+        cells = [st.just(f"img{i}"), st.sampled_from(["d", " D "]), st.integers(0, 4).map(str)]
+        cells += [st.integers(0, 30).map(str)] * 5 + [st.sampled_from(["0", "1"])] * 2
+        cells += [st.integers(0, 4).map(str)]
+        if with_vein:
+            cells += [st.floats(0, 5).map(lambda v: f"{v:.6f}")] * 2 + [st.floats(0, 180).map(lambda v: f"{v:.6f}")]
+        return st.tuples(*cells).map(list)
+    return row
+
+
+def _probability_row(i):
+    def cells(p):
+        return [f"img{i}"] + [f"{v:.8f}" for v in p]
+    simplex = st.lists(st.floats(0, 1), min_size=5, max_size=5).filter(lambda p: sum(p) > 0.1).map(
+        lambda p: [v / sum(p) for v in p])
+    near = st.tuples(simplex, st.sampled_from([1 + 5e-7, 1 - 5e-7, 1 + 5e-5, 1 - 9e-5, 1 + 2e-4])).map(
+        lambda t: [v * t[1] for v in t[0]])
+    above_one = st.just([1 + 5e-7, 0.0, 0.0, 0.0, 0.0])
+    return st.one_of(simplex, near, above_one).map(lambda p: [f"img{i}"] + [repr(v) for v in p]) | \
+        simplex.map(cells)
+
+
+def _prediction_row(i):
+    return st.tuples(st.integers(0, 4), _probability_row(i)).map(lambda t: [t[1][0], str(t[0])] + t[1][1:])
+
+
+def _same(new, ref):
+    assert new[0] == ref[0], (new, ref)
+    if new[0] == "raised":
+        assert new[1:] == ref[1:], (new, ref)
+    return new[0] == "ok"
+
+
+def _check_contract_changes(text, changed, unchanged, probs_table=False):
+    """A mutant whose outcome depends on the contract changes holds one of them."""
+    if changed != unchanged:
+        ids = [line.split(",")[0].strip() for line in text.splitlines()[1:] if line]
+        assert "_" in text.split("\n", 1)[1] or (probs_table and "" in ids), (text, changed, unchanged)
+
+
+@pytest.fixture(scope="module")
+def table_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("tables")
+
+
+def compare_feature_readers(path):
+    ref = _outcome(ref_load_feature_table, path)
+    text = path.read_text()
+    _check_contract_changes(text, ref, _outcome(lambda p: ref_load_feature_table(p, changed=False), path))
+    if _same(_outcome(read_feature_table, path), ref):
+        table, examples = read_feature_table(path), ref[1]
+        assert table.ids == tuple(ex.image_id for ex in examples)
+        assert table.domains == tuple(ex.domain for ex in examples)
+        assert np.array_equal(table.y, [int(ex.grade) for ex in examples])
+        for schema in {LESIONS_ONLY_SCHEMA, table.schema}:
+            expected = feature_matrix(examples, schema).reshape(len(examples), len(schema))
+            assert np.array_equal(table.matrix(schema), expected)
+        assert load_feature_table(path) == examples
+
+
+def compare_probability_readers(path):
+    ref = _outcome(ref_load_probability_table, path)
+    text = path.read_text()
+    _check_contract_changes(text, ref, _outcome(lambda p: ref_load_probability_table(p, changed=False), path), True)
+    new = _outcome(read_probability_table, path)
+    if _same(new, ref):
+        (ids, rows), table = new[1], ref[1]
+        assert ids == tuple(table) and new[2] == ref[2]
+        assert np.array_equal(rows, np.array([v.probs for v in table.values()]).reshape(-1, GRADE_COUNT))
+        assert _outcome(load_probability_table, path)[1:] == ref[1:]
+
+
+def compare_prediction_readers(path):
+    ref = _outcome(ref_load_prediction_table, path)
+    text = path.read_text()
+    _check_contract_changes(text, ref, _outcome(lambda p: ref_load_prediction_table(p, changed=False), path))
+    new = _outcome(read_prediction_table, path)
+    if _same(new, ref):
+        (ids, grades, probs), table = new[1], ref[1]
+        assert ids == tuple(table) and new[2] == ref[2]
+        assert np.array_equal(grades, [g for g, _ in table.values()])
+        expected = [p for _, p in table.values()]
+        if probs is None:
+            assert all(p is None for p in expected)
+        else:
+            assert np.array_equal(probs, np.array([p.probs for p in expected]).reshape(-1, GRADE_COUNT))
+
+
+def _prediction_row_plain(i):
+    return st.integers(0, 4).map(lambda g: [f"img{i}", str(g)])
+
+
+PREDICTION_HEADER = ("image_id", "grade") + PROBS_HEADER[1:]
+TABLES = {  # table: (header, row strategy, comparison)
+    "features": (LESIONS_VEIN_HEADER, _feature_row(True), compare_feature_readers),
+    "features_lesions_only": (LESIONS_ONLY_HEADER, _feature_row(False), compare_feature_readers),
+    "probs": (PROBS_HEADER, _probability_row, compare_probability_readers),
+    "preds": (PREDICTION_HEADER, _prediction_row, compare_prediction_readers),
+    "preds_grade_only": (("image_id", "grade"), _prediction_row_plain, compare_prediction_readers),
+}
+GRID_ROWS = {
+    "features": [["img0", "d", "2", "3", "0", "1", "0", "2", "0", "1", "3", "1.5", "2.25", "90.0"],
+                 ["img1", "d", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0.5", "4.0", "12.5"]],
+    "probs": [["img0", "0.1", "0.2", "0.3", "0.2", "0.2"], ["img1", "0.2", "0.2", "0.2", "0.2", "0.20005"]],
+    "preds": [["img0", "2", "0.1", "0.2", "0.3", "0.2", "0.2"], ["img1", "4", "0", "0", "0", "0", "1"]],
+}
+GRID_ROWS["features_lesions_only"] = [r[:11] for r in GRID_ROWS["features"]]
+GRID_ROWS["preds_grade_only"] = [r[:2] for r in GRID_ROWS["preds"]]
+
+
+@pytest.mark.parametrize("table", sorted(TABLES))
+@pytest.mark.parametrize("token", MALFORMED_TOKENS)
+def test_readers_equal_per_row_loaders_on_every_cell(table_dir, table, token):
+    """Each malformed token in each cell of a small valid table."""
+    header, _, compare = TABLES[table]
+    for row in range(2):
+        for column in range(len(header)):
+            rows = [list(r) for r in GRID_ROWS[table]]
+            rows[row][column] = token
+            path = table_dir / f"grid_{table}.csv"
+            path.write_text("\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n")
+            compare(path)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(TABLES)), st.data())
+def test_readers_equal_per_row_loaders_on_mutants(table_dir, table, data):
+    header, row, compare = TABLES[table]
+    path = table_dir / f"{table}.csv"
+    path.write_text(data.draw(mutated_tables(header, row)))
+    compare(path)
+
+
+DETECTION = {"image_id": "i0", "lesion": "microaneurysm", "x": 0.1, "y": 0.2, "w": 0.05, "h": 0.05, "score": 0.5}
+DETECTION_VALUES = [None, True, "0.5", "x", [], {}, -0.1, 0.0, 0.5, 1.0, 1.0000000001, 1.0 + 2e-9, float("nan"),
+                    10**400, 3, "drusen", "hard_hemorrhage", "neovascularization", "i1", 7]
+
+
+@st.composite
+def mutated_detections(draw):
+    records = [dict(DETECTION, image_id=f"i{draw(st.integers(0, 3))}",
+                    lesion=draw(st.sampled_from([kind.value for kind in LesionType])),
+                    x=draw(st.floats(0, 0.9)), y=draw(st.floats(0, 0.9)), w=draw(st.floats(0.01, 0.1)),
+                    h=draw(st.floats(0.01, 0.1)), score=draw(st.floats(0, 1)))
+               for _ in range(draw(st.integers(0, 6)))]
+    kind = draw(st.sampled_from(["value", "value", "edge", "missing", "record", "none"]))
+    if records and kind == "value":
+        draw(st.sampled_from(records))[draw(st.sampled_from(sorted(DETECTION)))] = draw(st.sampled_from(DETECTION_VALUES))
+    elif records and kind == "edge":  # a box ending on the right or bottom edge, within or past BOX_EDGE_EPS
+        rec, (pos, size) = draw(st.sampled_from(records)), draw(st.sampled_from([("x", "w"), ("y", "h")]))
+        rec[size] = draw(st.sampled_from([1.0 - rec[pos], 1.0 - rec[pos] + 5e-10, 1.0 - rec[pos] + 5e-9]))
+    elif records and kind == "missing":
+        del draw(st.sampled_from(records))[draw(st.sampled_from(sorted(DETECTION)))]
+    elif kind == "record":
+        records.insert(0, draw(st.sampled_from([[], "x", 3, None])))
+    return records
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_detections())
+def test_detection_reader_equals_per_record_loader(table_dir, records):
+    path = table_dir / "detections.json"
+    path.write_text(json.dumps(records))
+    ref = _outcome(ref_load_detections, path)
+    if _same(_outcome(load_detections, path), ref):
+        table, dets = read_detections(path), ref[1]
+        assert table.ids == tuple(dets)
+        assert table.score.size == sum(len(image_dets) for image_dets in dets.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(-0.1, 1.1), st.sampled_from([0.0, -0.0, 1.0, float("nan"), float("inf")])),
+                min_size=5, max_size=5),
+       st.sampled_from([1.0, 1 + 5e-7, 1 - 5e-5, 1 + 2e-4]))
+def test_validate_probability_equals_per_row_reference(values, scale):
+    """One row through the array validation: same row, warnings and errors."""
+    total = sum(v for v in values if math.isfinite(v))
+    row = [v / total * scale if math.isfinite(v) and total > 0 else v for v in values]
+    new, ref = _outcome(validate_probability, row), _outcome(ref_validate_probability, row)
+    if _same(new, ref):
+        assert new[1] == ref[1] and new[2] == ref[2]
