@@ -12,6 +12,7 @@ then the config-file or built-in default.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -43,7 +44,7 @@ from .io import (
 )
 from .io import load_feature_table, load_probability_table  # noqa: F401  unused here; the benchmark's tracer patches them by this module's name
 from .learn import TrainConfig, fit_model, resolve_schema
-from .metrics import detection_set_iou, evaluate_predictions
+from .metrics import evaluate_predictions, match_detections
 from .report import (
     compare_to_reference,
     emit_report,
@@ -189,10 +190,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         if not (args.pred_detections and args.truth_detections):
             raise InvalidConfig("detection metrics need --pred-detections and --truth-detections")
         pred = load_detections(args.pred_detections)
-        truth = load_detections(args.truth_detections)
-        all_pred = [d for dets in pred.values() for d in dets]
-        all_truth = [d for dets in truth.values() for d in dets]
-        match = detection_set_iou(all_pred, all_truth, args.iou_threshold)
+        match = match_detections(pred, load_detections(args.truth_detections), args.iou_threshold)
         _write_output(args, json.dumps(asdict(match), indent=1, sort_keys=True) + "\n")
         return 0
     if not (args.truth and args.pred):
@@ -225,6 +223,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 # --- parser ---------------------------------------------------------------------
 
 
+@functools.cache  # one parser per process: building it costs about 2 ms
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kgdg",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -282,23 +282,6 @@ class LabeledExample:
     features: FeatureVector
 
 
-@dataclass(frozen=True)
-class DomainDataset:
-    """Labeled examples from one clinical domain."""
-
-    domain: DomainId
-    examples: tuple[LabeledExample, ...] = field(default_factory=tuple)
-
-    def __len__(self) -> int:
-        return len(self.examples)
-
-    def grades(self) -> list[int]:
-        return [int(ex.grade) for ex in self.examples]
-
-    def image_ids(self) -> list[str]:
-        return [ex.image_id for ex in self.examples]
-
-
 @dataclass(frozen=True, eq=False)
 class DomainTable:
     """A features table as columns, rows in file order. ``counts`` holds the
@@ -316,9 +299,6 @@ class DomainTable:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def grades(self) -> np.ndarray:
-        return self.y
 
     @property
     def schema(self) -> tuple[str, ...]:

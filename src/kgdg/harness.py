@@ -24,7 +24,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .core import DomainDataset, DomainId, DomainTable, FusionWeights
+from .core import DomainId, DomainTable, FusionWeights
 from .errors import (
     InvalidConfig,
     LeakageError,
@@ -236,11 +236,10 @@ def split_indices(
 
 
 def split_dataset(
-    dataset: DomainTable | DomainDataset, fractions: SplitFractions, seed: int
+    dataset: DomainTable, fractions: SplitFractions, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stratified (train, validation, test) row indices into ``dataset``."""
-    grades = np.asarray(dataset.grades(), dtype=np.int64)
-    return split_indices(len(dataset), grades, fractions, seed)
+    return split_indices(len(dataset), dataset.y, fractions, seed)
 
 
 # --- alignment --------------------------------------------------------------

@@ -295,19 +295,15 @@ def join_rows(ids: Sequence[str], table_ids: Sequence[str], missing: Callable[[s
         raise missing(exc.args[0]) from None
 
 
-def save_feature_table(path: str | Path, examples: Sequence[LabeledExample]) -> None:
-    """Write examples back out in the canonical column order."""
-    with_vein = bool(examples) and examples[0].features.has_vein
-    header = LESIONS_VEIN_HEADER if with_vein else LESIONS_ONLY_HEADER
-    lines = [",".join(header)]
-    for ex in examples:
-        f = ex.features
-        if f.has_vein != with_vein:
-            raise SchemaMismatch("mixed vein/non-vein feature vectors in one table")
-        counts = [str(getattr(f, name)) for name in LESIONS_ONLY_SCHEMA[:5]]
-        flags = ["1" if f.subhyaloid_present else "0", "1" if f.neovascularization_present else "0"]
-        cells = [ex.image_id, str(ex.domain), str(int(ex.grade)), *counts, *flags, str(f.hemorrhage_quadrants)]
-        lines.append(",".join(cells + [f"{getattr(f, name):.6f}" for name in header[11:]]))
+def save_feature_table(path: str | Path, table: DomainTable) -> None:
+    """Write a DomainTable in the canonical column order."""
+    header = LESIONS_ONLY_HEADER if table.vein is None else LESIONS_VEIN_HEADER
+    vein = [()] * len(table) if table.vein is None else table.vein.tolist()
+    lines = [",".join(header)] + [
+        ",".join([image_id, domain, str(grade), *map(str, counts), *(f"{v:.6f}" for v in veins)])
+        for image_id, domain, grade, counts, veins in zip(table.ids, table.domains, table.y.tolist(),
+                                                          table.counts.tolist(), vein)
+    ]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -338,11 +334,12 @@ def _raise_first_bad_record(path: Path, records: list) -> NoReturn:
             raise DataError(f"{path}: record {i} is malformed") from None
         try:
             Detection(kind, BoundingBox(*(float(rec[k]) for k in "xywh")), float(rec["score"]))
+            if "image_id" not in rec:
+                raise KeyError("image_id")
         except BoxOutOfBounds:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: record {i} is malformed: {exc}") from exc
-        str(rec["image_id"])
     raise InternalError(f"{path}: the column checks reject records the record checks accept")
 
 
@@ -382,21 +379,14 @@ def load_detections(path: str | Path) -> dict[str, list[Detection]]:
     return out
 
 
-def save_detections(path: str | Path, dets: Mapping[str, Sequence[Detection]]) -> None:
-    records = []
-    for image_id in dets:
-        for d in dets[image_id]:
-            records.append(
-                {
-                    "image_id": image_id,
-                    "lesion": d.lesion.value,
-                    "x": round(d.box.x, 6),
-                    "y": round(d.box.y, 6),
-                    "w": round(d.box.w, 6),
-                    "h": round(d.box.h, 6),
-                    "score": round(d.score, 6),
-                }
-            )
+def save_detections(path: str | Path, table: DetectionTable) -> None:
+    """Write a DetectionTable as detections.json records; an image without
+    detections writes no record."""
+    records = [
+        {"image_id": table.ids[n], "lesion": LESION_TYPES[code].value, "x": x, "y": y, "w": w, "h": h, "score": score}
+        for n, code, (x, y, w, h), score in zip(table.image.tolist(), table.lesion.tolist(), table.box.tolist(),
+                                                table.score.tolist())
+    ]
     Path(path).write_text(json.dumps(records, indent=1) + "\n")
 
 

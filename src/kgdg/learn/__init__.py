@@ -6,7 +6,7 @@ from typing import Union
 
 import numpy as np
 
-from ..errors import InvalidConfig
+from ..errors import DataError, InvalidConfig
 from ..io import ModelArtifact
 from .baselines import (
     CrossValidationSummary,
@@ -52,6 +52,8 @@ def fit_model(
     """Train whichever learner the config names on a feature matrix whose
     columns follow ``schema``; only boosting reads the validation rows,
     for early stopping."""
+    if len(x) == 0:
+        raise DataError("cannot train on an empty training set")
     if cfg.model_kind == "gbm":
         return fit_gbm_arrays(x, y, x_valid, y_valid, schema, cfg)
     if cfg.model_kind == "logistic":

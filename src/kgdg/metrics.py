@@ -5,7 +5,7 @@ greedy detection matching, and the Gaussian-summary KL shift diagnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -152,36 +152,44 @@ def detection_set_iou(
     candidate with the highest IoU wins (earliest on exact ties). A match
     requires IoU >= ``iou_threshold``.
     """
+    return match_detections({"": pred}, {"": truth}, iou_threshold)
+
+
+def match_detections(
+    pred: Mapping[str, Sequence[Detection]], truth: Mapping[str, Sequence[Detection]], iou_threshold: float = 0.5
+) -> DetectionMatchReport:
+    """detection_set_iou over images: a prediction pairs only with a truth
+    box of its own image. Counts, precision and recall are summed over all
+    images; mean_matched_iou is over all matched pairs."""
     if not (0.0 <= iou_threshold <= 1.0):
         raise ValueError(f"iou_threshold={iou_threshold!r} outside [0,1]")
-    per_lesion: dict[str, int] = {}
+    images = [(pred.get(i, ()), truth.get(i, ())) for i in dict.fromkeys([*pred, *truth])]
+    kinds = sorted({d.lesion for dets in images for side in dets for d in side}, key=lambda k: k.value)
+    per_lesion = {kind.value: 0 for kind in kinds}
     matched_ious: list[float] = []
-    for kind in sorted({d.lesion for d in pred} | {d.lesion for d in truth}, key=lambda k: k.value):
-        preds = sorted(
-            (d for d in pred if d.lesion == kind),
-            key=lambda d: -d.score,
-        )
-        truths = [d for d in truth if d.lesion == kind]
-        taken = [False] * len(truths)
-        n_matched = 0
-        for p in preds:
-            best_iou = -1.0
-            best_j = -1
-            for j, tr in enumerate(truths):
-                if taken[j]:
-                    continue
-                v = iou(p.box, tr.box)
-                if v > best_iou:
-                    best_iou = v
-                    best_j = j
-            if best_j >= 0 and best_iou >= iou_threshold:
-                taken[best_j] = True
-                n_matched += 1
-                matched_ious.append(best_iou)
-        per_lesion[kind.value] = n_matched
-    total = sum(per_lesion.values())
-    precision = total / len(pred) if pred else 1.0
-    recall = total / len(truth) if truth else 1.0
+    for image_pred, image_truth in images:
+        for kind in kinds:
+            preds = sorted((d for d in image_pred if d.lesion == kind), key=lambda d: -d.score)
+            truths = [d for d in image_truth if d.lesion == kind]
+            taken = [False] * len(truths)
+            for p in preds:
+                best_iou = -1.0
+                best_j = -1
+                for j, tr in enumerate(truths):
+                    if taken[j]:
+                        continue
+                    v = iou(p.box, tr.box)
+                    if v > best_iou:
+                        best_iou = v
+                        best_j = j
+                if best_j >= 0 and best_iou >= iou_threshold:
+                    taken[best_j] = True
+                    per_lesion[kind.value] += 1
+                    matched_ious.append(best_iou)
+    total = len(matched_ious)
+    n_pred, n_truth = sum(len(p) for p, _ in images), sum(len(t) for _, t in images)
+    precision = total / n_pred if n_pred else 1.0
+    recall = total / n_truth if n_truth else 1.0
     mean_iou = float(np.mean(matched_ious)) if matched_ious else 0.0
     return DetectionMatchReport(per_lesion, total, mean_iou, precision, recall)
 

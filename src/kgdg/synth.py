@@ -17,19 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    LESION_TYPES,
-    BoundingBox,
-    Detection,
-    DetectionTable,
-    DomainDataset,
-    DomainId,
-    DRGrade,
-    FeatureVector,
-    LabeledExample,
-    LesionType,
-    ProbabilityVector,
-)
+from .core import GRADE_COUNT, LESION_TYPES, DetectionTable, DomainId, DomainTable
 from .errors import InvalidConfig
 from .io import save_detections, save_feature_table, save_manifest, save_probability_table
 from .rules import detection_counts
@@ -118,9 +106,12 @@ class SynthConfig:
 
 @dataclass
 class SynthOutput:
-    datasets: dict[DomainId, DomainDataset] = field(default_factory=dict)
-    detections: dict[DomainId, dict[str, list[Detection]]] = field(default_factory=dict)
-    probability_tables: dict[DomainId, dict[str, ProbabilityVector]] = field(default_factory=dict)
+    """Per domain: the features table, with the deep branch's ``(n, 5)`` rows
+    in ``probs`` as load_domain_dataset returns it, and the detections of
+    every image (``ids`` covers images without any)."""
+
+    tables: dict[DomainId, DomainTable] = field(default_factory=dict)
+    detections: dict[DomainId, DetectionTable] = field(default_factory=dict)
 
 
 def _stream(seed: int, *tokens: object) -> np.random.Generator:
@@ -130,38 +121,36 @@ def _stream(seed: int, *tokens: object) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int.from_bytes(digest[:8], "big")))
 
 
-def _random_box(rng: np.random.Generator) -> BoundingBox:
-    w = round(float(rng.uniform(0.01, 0.06)), 6)
-    h = round(float(rng.uniform(0.01, 0.06)), 6)
-    x = round(float(rng.uniform(0.0, 1.0 - w)), 6)
-    y = round(float(rng.uniform(0.0, 1.0 - h)), 6)
-    return BoundingBox(x, y, w, h)
+def _round6(values: np.ndarray) -> np.ndarray:
+    """round(v, 6) of each value: correctly rounded, as np.round is not."""
+    return np.array([round(v, 6) for v in values.tolist()], dtype=np.float64)
 
 
-def _detections_for_sample(
-    rng: np.random.Generator,
-    counts: Sequence[int],
-    subhyaloid: bool,
-    neovasc: bool,
-) -> list[Detection]:
-    dets: list[Detection] = []
-    for lesion, count in zip(COUNTABLE_LESIONS, counts):
-        for _ in range(count):
-            dets.append(Detection(lesion, _random_box(rng), round(float(rng.uniform(0.5, 1.0)), 6)))
-    for lesion, present in ((LesionType.SUBHYALOID_HEMORRHAGE, subhyaloid), (LesionType.NEOVASCULARIZATION, neovasc)):
-        if present:
-            dets.append(Detection(lesion, _random_box(rng), round(float(rng.uniform(0.6, 1.0)), 6)))
-    return dets
+def _detections(rng: np.random.Generator, ids: tuple[str, ...], lesions: np.ndarray) -> DetectionTable:
+    """One detection per lesion of ``lesions`` (an ``(images, 7)`` count per
+    lesion code), in image then code order. Each takes w, h, x, y and score
+    from one row of ``rng``'s uniforms, as ``rng.uniform(lo, hi)`` computes
+    them: ``lo + (hi - lo) * u``."""
+    image = np.repeat(np.arange(len(ids)), lesions.sum(axis=1))
+    lesion = np.repeat(np.tile(np.arange(len(LESION_TYPES)), len(ids)), lesions.ravel())
+    u = rng.random((lesion.size, 5))
+    w = _round6(0.01 + (0.06 - 0.01) * u[:, 0])
+    h = _round6(0.01 + (0.06 - 0.01) * u[:, 1])
+    x = _round6(0.0 + (1.0 - w) * u[:, 2])
+    y = _round6(0.0 + (1.0 - h) * u[:, 3])
+    lo = np.where(lesion < len(COUNTABLE_LESIONS), 0.5, 0.6)  # the two flag lesions score higher
+    return DetectionTable(ids, image, lesion, np.column_stack((x, y, w, h)), _round6(lo + (1.0 - lo) * u[:, 4]))
 
 
 def simulate_neural_table(
-    examples: Sequence[LabeledExample],
+    grades: Sequence[int] | np.ndarray,
     accuracy: float,
     temperature: float,
     seed: int,
     stream: str = "neural",
-) -> dict[str, ProbabilityVector]:
-    """Accuracy-parameterized stand-in for a deep model's confidences.
+) -> np.ndarray:
+    """Accuracy-parameterized stand-in for a deep model's confidences: an
+    ``(n, 5)`` row per grade.
 
     The true grade wins with probability ``accuracy``, otherwise a
     uniformly random wrong grade wins; ``temperature`` sets how peaked
@@ -172,61 +161,54 @@ def simulate_neural_table(
     if temperature <= 0:
         raise InvalidConfig("temperature must be > 0")
     rng = _stream(seed, stream)
-    table: dict[str, ProbabilityVector] = {}
-    for ex in examples:
+    rows = np.empty((len(grades), GRADE_COUNT))
+    for n, grade in enumerate(np.asarray(grades).tolist()):
         if rng.random() < accuracy:
-            winner = int(ex.grade)
+            winner = grade
         else:
-            others = [g for g in range(5) if g != int(ex.grade)]
-            winner = int(others[rng.integers(0, 4)])
+            others = [g for g in range(GRADE_COUNT) if g != grade]
+            winner = others[rng.integers(0, 4)]
         logits = rng.uniform(0.0, 0.5, size=5)
         logits[winner] = 1.0 + rng.uniform(0.0, 0.25)
         z = logits / temperature
         z -= z.max()
         e = np.exp(z)
-        probs = e / e.sum()
-        table[ex.image_id] = ProbabilityVector(tuple(float(p) for p in probs))  # type: ignore[arg-type]
-    return table
+        rows[n] = e / e.sum()
+    return rows
 
 
 def gen_dataset(cfg: SynthConfig) -> SynthOutput:
-    """Generate every domain's examples, detections, and neural tables."""
+    """Generate every domain's features table, detections and deep-branch rows."""
     rates = np.asarray(cfg.count_rates, dtype=np.float64)
     out = SynthOutput()
     source = cfg.source_domain()
     for spec in cfg.domains:
         domain = DomainId(spec.name)
         label_rng = _stream(cfg.seed, domain, "labels")
-        box_rng = _stream(cfg.seed, domain, "boxes")
-        vein_rng = _stream(cfg.seed, domain, "vein")
         offset_rng = _stream(cfg.seed, domain, "vein-offset")
         vein_offset = offset_rng.normal(0.0, 1.0, size=3) * VEIN_STEP * spec.vein_noise_sigma
 
-        grades = label_rng.choice(5, size=spec.n_samples, p=np.asarray(spec.grade_prior)).tolist()
-        det_map: dict[str, list[Detection]] = {}
-        veins = []
-        for i, g in enumerate(grades):
-            counts = label_rng.poisson(rates[g] * spec.count_bias)
-            subhyaloid = bool(g == 4 and label_rng.random() < cfg.pdr_flag_prob / 2)
-            neovasc = bool(g == 4 and label_rng.random() < cfg.pdr_flag_prob)
-            det_map[f"{domain}-{i:05d}"] = _detections_for_sample(box_rng, counts.tolist(), subhyaloid, neovasc)
-            vein = ()
-            if cfg.with_vein:
-                vein = VEIN_BASE + VEIN_STEP * g + vein_offset + vein_rng.normal(0.0, 1.0, 3) * VEIN_JITTER
-                vein = np.round(np.clip(vein, VEIN_CLIP_LO, VEIN_CLIP_HI), 6).tolist()
-            veins.append(vein)
-        # every image's features are its detections' counts (all scores kept) plus its vein values
-        table = DetectionTable.from_detections(det_map)
-        examples = [
-            LabeledExample(image_id, domain, DRGrade(g), FeatureVector.from_counts(c, vein))
-            for image_id, g, c, vein in zip(table.ids, grades, detection_counts(table, 0.0).tolist(), veins)
-        ]
-        out.datasets[domain] = DomainDataset(domain, tuple(examples))
-        out.detections[domain] = det_map
+        grades = label_rng.choice(5, size=spec.n_samples, p=np.asarray(spec.grade_prior))
+        lesions = np.zeros((spec.n_samples, len(LESION_TYPES)), dtype=np.int64)  # per lesion code
+        for i, g in enumerate(grades.tolist()):
+            lesions[i, :5] = label_rng.poisson(rates[g] * spec.count_bias)
+            if g == 4:  # subhyaloid hemorrhage, then neovascularization
+                lesions[i, 5] = label_rng.random() < cfg.pdr_flag_prob / 2
+                lesions[i, 6] = label_rng.random() < cfg.pdr_flag_prob
+        ids = tuple(f"{domain}-{i:05d}" for i in range(spec.n_samples))
+        dets = _detections(_stream(cfg.seed, domain, "boxes"), ids, lesions)
+        vein = None
+        if cfg.with_vein:
+            jitter = _stream(cfg.seed, domain, "vein").normal(size=(spec.n_samples, 3)) * VEIN_JITTER
+            vein = np.round(np.clip(VEIN_BASE + VEIN_STEP * grades[:, None] + vein_offset + jitter,
+                                    VEIN_CLIP_LO, VEIN_CLIP_HI), 6)
         acc = spec.neural_in_domain_accuracy if domain == source else spec.neural_ood_accuracy
-        out.probability_tables[domain] = simulate_neural_table(
-            examples, acc, spec.neural_temperature, cfg.seed, stream=f"{domain}/neural"
-        )
+        probs = simulate_neural_table(grades, acc, spec.neural_temperature, cfg.seed, stream=f"{domain}/neural")
+        probs.setflags(write=False)
+        # every image's features are its detections' counts (all scores kept) plus its vein values
+        out.tables[domain] = DomainTable(ids, (domain,) * len(ids), grades, detection_counts(dets, 0.0), vein,
+                                         domain, probs)
+        out.detections[domain] = dets
     return out
 
 
@@ -236,12 +218,12 @@ def write_dataset(cfg: SynthConfig, out_dir: str | Path) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     generated = gen_dataset(cfg)
     entries = []
-    for domain in generated.datasets:
+    for domain, table in generated.tables.items():
         features = f"{domain}_features.csv"
         probs = f"{domain}_probs.csv"
         dets = f"{domain}_detections.json"
-        save_feature_table(out_dir / features, generated.datasets[domain].examples)
-        save_probability_table(out_dir / probs, generated.probability_tables[domain])
+        save_feature_table(out_dir / features, table)
+        save_probability_table(out_dir / probs, dict(zip(table.ids, table.probs.tolist())))
         save_detections(out_dir / dets, generated.detections[domain])
         entries.append({"name": str(domain), "features": features, "probs": probs, "detections": dets})
     manifest_path = out_dir / "manifest.json"

@@ -15,7 +15,6 @@ import numpy as np
 from kgdg.cli import main as cli_main
 from kgdg.core import (
     LESIONS_ONLY_SCHEMA,
-    DomainDataset,
     DomainId,
     DRGrade,
     FeatureVector,
@@ -264,24 +263,23 @@ def test_criterion_5_kl_diagnostic():
             shifted_examples.append(
                 LabeledExample(f"b-{i}", DomainId("b"), DRGrade(g),
                                FeatureVector(microaneurysm_count=ma + 4, exudate_count=ex_count + 2)))
-        a = DomainDataset(DomainId("a"), tuple(base_examples))
-        b = DomainDataset(DomainId("b"), tuple(shifted_examples))
+        examples = {DomainId("a"): base_examples, DomainId("b"): shifted_examples}
         _, before, after = align_domains(
-            {ds.domain: feature_matrix(ds.examples, LESIONS_ONLY_SCHEMA) for ds in (a, b)}, "a"
+            {domain: feature_matrix(rows, LESIONS_ONLY_SCHEMA) for domain, rows in examples.items()}, "a"
         )
         assert before > 1.0
         assert after < 1e-9
 
 
-def _write_domain_tables(tmp, datasets, prob_tables=None):
+def _write_domain_tables(tmp, tables, prob_rows=None):
     entries = []
-    for domain, ds in datasets.items():
+    for domain, table in tables.items():
         features = f"{domain}_features.csv"
-        save_feature_table(tmp / features, ds.examples)
+        save_feature_table(tmp / features, table)
         entry = {"name": str(domain), "features": features}
-        if prob_tables is not None:
+        if prob_rows is not None:
             probs = f"{domain}_probs.csv"
-            save_probability_table(tmp / probs, prob_tables[domain])
+            save_probability_table(tmp / probs, dict(zip(table.ids, prob_rows[domain].tolist())))
             entry["probs"] = probs
         entries.append(entry)
     save_manifest(tmp / "manifest.json", entries, seeds=(0, 1, 2))
@@ -314,7 +312,7 @@ def test_criterion_7_fusion_ordering(tmp_path):
                                        with_vein=False)
         generated = gen_dataset(cfg_data)
 
-        manifest = _write_domain_tables(tmp_path, generated.datasets)
+        manifest = _write_domain_tables(tmp_path, generated.tables)
         probe = ExperimentConfig(
             mode="sdg", source="clinic_a", seeds=(0, 1, 2),
             fusion=FusionSpec(strategies=(), include_neural=False),
@@ -323,16 +321,16 @@ def test_criterion_7_fusion_ordering(tmp_path):
 
         ood_accuracy = symbolic_acc - 0.15
         tables = {}
-        for domain, ds in generated.datasets.items():
+        for domain, table in generated.tables.items():
             in_domain = str(domain) == "clinic_a"
             tables[domain] = simulate_neural_table(
-                ds.examples,
+                table.y,
                 accuracy=0.85 if in_domain else ood_accuracy,
                 temperature=0.25 if in_domain else 1.2,
                 seed=123,
                 stream=f"{domain}/crit7",
             )
-        manifest = _write_domain_tables(tmp_path, generated.datasets, tables)
+        manifest = _write_domain_tables(tmp_path, generated.tables, tables)
         cfg = ExperimentConfig(
             mode="sdg", source="clinic_a", seeds=(0, 1, 2),
             fusion=FusionSpec(strategies=("max",), include_neural=True),
@@ -407,8 +405,8 @@ def test_criterion_8_end_to_end_determinism(tmp_path):
             generated = gen_dataset(data_cfg)
             workdir = tmp_path / f"leak{trial}"
             workdir.mkdir()
-            manifest = _write_domain_tables(workdir, generated.datasets,
-                                            generated.probability_tables)
+            manifest = _write_domain_tables(workdir, generated.tables,
+                                            {d: t.probs for d, t in generated.tables.items()})
             cfg = ExperimentConfig(
                 mode="sdg" if trial % 2 == 0 else "mdg",
                 source="dom0" if trial % 2 == 0 else None,

@@ -98,6 +98,16 @@ class TestTrainCommand:
         assert "INVALID_CONFIG" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("model", ["gbm", "logistic", "forest", "knn"])
+    def test_header_only_table_exits_3(self, data_dir, tmp_path, capsys, model):
+        features = tmp_path / "header.csv"
+        features.write_text((data_dir / "clinic_a_features.csv").read_text().splitlines()[0] + "\n")
+        out = tmp_path / "m.kgdg"
+        assert main(["train", "--features", str(features), "--model", model, "--feature-set", "lesions_only",
+                     "--out", str(out), "--quiet"]) == 3
+        assert capsys.readouterr().err == "error[DATA_ERROR]: cannot train on an empty training set\n"
+        assert not out.exists()
+
     def test_seed_precedence_flag_then_env_then_config(self, data_dir, tmp_path, monkeypatch):
         monkeypatch.delenv("KGDG_SEED", raising=False)
         config = tmp_path / "train.json"
@@ -252,6 +262,47 @@ class TestMetricsCommand:
 
     def test_metrics_without_inputs_exits_2(self):
         assert main(["metrics", "--quiet"]) == 2
+
+
+def _detection_record(image_id, lesion="microaneurysm", x=0.1, y=0.1, score=0.9):
+    return {"image_id": image_id, "lesion": lesion, "x": x, "y": y, "w": 0.05, "h": 0.05, "score": score}
+
+
+class TestDetectionMetricsPerImage:
+    """Detection metrics pair boxes only within one image_id."""
+
+    def _match(self, tmp_path, capsys, pred, truth):
+        paths = tmp_path / "pred.json", tmp_path / "truth.json"
+        for path, records in zip(paths, (pred, truth)):
+            path.write_text(json.dumps(records))
+        assert main(["metrics", "--pred-detections", str(paths[0]), "--truth-detections", str(paths[1]),
+                     "--out", "-", "--quiet"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_same_box_in_another_image_does_not_match(self, tmp_path, capsys):
+        payload = self._match(tmp_path, capsys, [_detection_record("A")], [_detection_record("B")])
+        assert payload["matched_total"] == 0
+        assert payload["precision"] == 0.0 and payload["recall"] == 0.0
+        assert payload["matched_per_lesion"] == {"microaneurysm": 0}
+
+    def test_counts_sum_over_images(self, tmp_path, capsys):
+        pred = [_detection_record("A"), _detection_record("B", x=0.5), _detection_record("B", x=0.8)]
+        truth = [_detection_record("A"), _detection_record("B", x=0.5), _detection_record("C")]
+        payload = self._match(tmp_path, capsys, pred, truth)
+        assert payload["matched_total"] == 2
+        assert payload["precision"] == 2 / 3 and payload["recall"] == 2 / 3
+        assert payload["mean_matched_iou"] == 1.0
+
+
+class TestDetectionRecordWithoutImageId:
+    def test_grade_exits_3(self, tmp_path, capsys):
+        record = _detection_record("A")
+        del record["image_id"]
+        path = tmp_path / "dets.json"
+        path.write_text(json.dumps([_detection_record("A"), record]))
+        assert main(["grade", "--detections", str(path), "--out", "-", "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error[DATA_ERROR]: ") and f"{path}: record 1 is malformed" in err
 
 
 class TestReportCommand:

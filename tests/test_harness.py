@@ -6,7 +6,6 @@ import pytest
 
 from kgdg.core import (
     LESIONS_ONLY_SCHEMA,
-    DomainDataset,
     DomainId,
     DRGrade,
     FeatureVector,
@@ -29,6 +28,7 @@ from kgdg.io import canonical_json, content_digest, load_manifest
 from kgdg.learn import TrainConfig, feature_matrix
 from kgdg.metrics import seeded_summary
 from kgdg.synth import shift_profile, write_dataset
+from test_learn import domain_table
 
 
 def balanced_dataset(n_per_grade=20, domain="d"):
@@ -45,7 +45,7 @@ def balanced_dataset(n_per_grade=20, domain="d"):
                 )
             )
             i += 1
-    return DomainDataset(DomainId(domain), tuple(examples))
+    return domain_table(examples, domain)
 
 
 def same_split(a, b):
@@ -55,7 +55,7 @@ def same_split(a, b):
 class TestSplitDataset:
     def test_balanced_100_gives_12_4_4_per_grade(self):
         ds = balanced_dataset(20)
-        grades = np.asarray(ds.grades())
+        grades = ds.y
         train, valid, test = split_dataset(ds, SplitFractions(), seed=0)
         assert (len(train), len(valid), len(test)) == (60, 20, 20)
         for part, expected in ((train, 12), (valid, 4), (test, 4)):
@@ -76,22 +76,22 @@ class TestSplitDataset:
 
     def test_disjoint_and_exhaustive(self):
         ds = balanced_dataset(7)
-        image_ids = ds.image_ids()
+        image_ids = ds.ids
         ids = [image_ids[i] for i in np.concatenate(split_dataset(ds, SplitFractions(), seed=1))]
         assert len(ids) == len(set(ids)) == len(ds)
 
     def test_singleton_grade_goes_to_train(self):
-        examples = list(balanced_dataset(3).examples)
+        examples = balanced_dataset(3).examples()
         examples.append(
             LabeledExample("lone", DomainId("d"), DRGrade.PDR, FeatureVector())
         )
         # grade 4 now has 4 examples; craft a dataset where one grade has exactly 1
-        lone = DomainDataset(
-            DomainId("d"),
-            tuple(e for e in examples if int(e.grade) < 2)
-            + (LabeledExample("solo", DomainId("d"), DRGrade.PDR, FeatureVector()),),
+        lone = domain_table(
+            [e for e in examples if int(e.grade) < 2]
+            + [LabeledExample("solo", DomainId("d"), DRGrade.PDR, FeatureVector())],
+            "d",
         )
-        image_ids = lone.image_ids()
+        image_ids = lone.ids
         train, valid, test = split_dataset(lone, SplitFractions(), seed=0)
         assert any(image_ids[i] == "solo" for i in train)
         assert not any(image_ids[i] == "solo" for i in np.concatenate([valid, test]))
@@ -119,11 +119,11 @@ class TestAlignDomains:
                     ),
                 )
             )
-        return DomainDataset(DomainId(name), tuple(examples))
+        return domain_table(examples, name)
 
     @staticmethod
     def _matrices(*datasets):
-        return {ds.domain: feature_matrix(ds.examples, LESIONS_ONLY_SCHEMA) for ds in datasets}
+        return {ds.domain: feature_matrix(ds.examples(), LESIONS_ONLY_SCHEMA) for ds in datasets}
 
     def test_single_domain_zero_kl(self):
         ds = self._dataset("a", 0)
@@ -144,9 +144,9 @@ class TestAlignDomains:
                     exudate_count=ex.features.exudate_count + 3,
                 ),
             )
-            for i, ex in enumerate(a.examples)
+            for i, ex in enumerate(a.examples())
         )
-        b = DomainDataset(DomainId("b"), b_examples)
+        b = domain_table(b_examples, "b")
         transformed, before, after = align_domains(self._matrices(a, b), "a")
         assert before > 0.5
         assert after < 1e-9
@@ -155,11 +155,11 @@ class TestAlignDomains:
     def test_labels_untouched(self):
         a = self._dataset("a", 0)
         b = self._dataset("b", 2)
-        grades_before = (a.grades(), b.grades())
+        grades_before = (a.y.tolist(), b.y.tolist())
         matrices = self._matrices(a, b)
         copies = {d: m.copy() for d, m in matrices.items()}
         align_domains(matrices, "a")
-        assert (a.grades(), b.grades()) == grades_before
+        assert (a.y.tolist(), b.y.tolist()) == grades_before
         assert all(np.array_equal(matrices[d], copies[d]) for d in copies)
 
     def test_unknown_reference(self):
@@ -198,15 +198,15 @@ class TestSelectWeights:
 class TestGuardLeakage:
     def test_fires_on_overlap(self):
         ds = balanced_dataset(3, domain="x")
-        keys = {(ex.domain, ex.image_id) for ex in ds.examples[:5]}
+        keys = {(ex.domain, ex.image_id) for ex in ds.examples()[:5]}
         with pytest.raises(LeakageError):
-            _guard_leakage(keys, {DomainId("x"): ds.image_ids()})
+            _guard_leakage(keys, {DomainId("x"): ds.ids})
 
     def test_silent_when_disjoint(self):
         ds = balanced_dataset(3, domain="x")
         other = balanced_dataset(3, domain="y")
-        keys = {(ex.domain, ex.image_id) for ex in ds.examples}
-        _guard_leakage(keys, {DomainId("y"): other.image_ids()})
+        keys = {(ex.domain, ex.image_id) for ex in ds.examples()}
+        _guard_leakage(keys, {DomainId("y"): other.ids})
 
 
 @pytest.fixture(scope="module")

@@ -37,7 +37,7 @@ from kgdg.io import (
 )
 from kgdg.learn import TrainConfig, model_from_artifact
 
-from test_learn import fit_examples
+from test_learn import domain_table, fit_examples
 
 LESIONS_HEADER_LINE = ",".join(LESIONS_ONLY_HEADER)
 VEIN_HEADER_LINE = ",".join(LESIONS_VEIN_HEADER)
@@ -108,7 +108,7 @@ class TestFeatureTable:
             for i in range(6)
         ]
         path = tmp_path / "f.csv"
-        save_feature_table(path, examples)
+        save_feature_table(path, domain_table(examples))
         assert load_feature_table(path) == examples
 
     def test_round_trip_with_vein(self, tmp_path):
@@ -126,7 +126,7 @@ class TestFeatureTable:
             )
         ]
         path = tmp_path / "f.csv"
-        save_feature_table(path, examples)
+        save_feature_table(path, domain_table(examples))
         assert load_feature_table(path) == examples
 
 
@@ -146,7 +146,7 @@ class TestProbabilityTable:
     @staticmethod
     def _entry(tmp_path, image_id, table):
         features, probs = tmp_path / "f.csv", tmp_path / "p.csv"
-        save_feature_table(features, [LabeledExample(image_id, DomainId("d"), DRGrade.NO_DR, FeatureVector())])
+        save_feature_table(features, domain_table([LabeledExample(image_id, DomainId("d"), DRGrade.NO_DR, FeatureVector())]))
         save_probability_table(probs, table)
         return DomainEntry(DomainId("d"), features, probs)
 

@@ -469,6 +469,8 @@ CONTRACT_CHANGES = (
     "a numeric table cell with digit grouping ('3_0', '1_0.5') is NON_NUMERIC_CELL",
     "a probs table row with an empty image_id is NON_NUMERIC_CELL",
 )
+# Since then: a detection record without an image_id is DATA_ERROR (it raised KeyError);
+# ref_load_detections applies it.
 
 
 def ref_validate_probability(values):
@@ -645,11 +647,12 @@ def ref_load_detections(path):
         try:
             box = BoundingBox(float(rec["x"]), float(rec["y"]), float(rec["w"]), float(rec["h"]))
             det = Detection(kind, box, float(rec["score"]))
+            image_id = str(rec["image_id"])
         except BoxOutOfBounds:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: record {i} is malformed: {exc}") from exc
-        out.setdefault(str(rec["image_id"]), []).append(det)
+        out.setdefault(image_id, []).append(det)
     return out
 
 

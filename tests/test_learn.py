@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from kgdg.core import DomainId, DRGrade, FeatureVector, LabeledExample
+from kgdg.core import (
+    LESIONS_ONLY_SCHEMA,
+    VEIN_FEATURE_NAMES,
+    DomainId,
+    DomainTable,
+    DRGrade,
+    FeatureVector,
+    LabeledExample,
+)
 from kgdg.errors import InvalidConfig, SchemaMismatch, SingleClassTrain, TooFewPerClass
 from kgdg.io import canonical_json
 from kgdg.learn import (
@@ -27,6 +35,19 @@ def make_example(i, grade, domain="d", **counts):
         domain=DomainId(domain),
         grade=DRGrade(grade),
         features=FeatureVector(**counts),
+    )
+
+
+def domain_table(examples, domain=None):
+    """The DomainTable whose rows are ``examples``: DomainTable.examples() inverted."""
+    vein = [ex.features.as_row(VEIN_FEATURE_NAMES) for ex in examples if ex.features.has_vein]
+    return DomainTable(
+        tuple(ex.image_id for ex in examples),
+        tuple(ex.domain for ex in examples),
+        np.array([int(ex.grade) for ex in examples], dtype=np.int64),
+        np.array([ex.features.as_row(LESIONS_ONLY_SCHEMA) for ex in examples], dtype=np.int64).reshape(-1, 8),
+        np.array(vein, dtype=np.float64) if vein else None,
+        domain=None if domain is None else DomainId(domain),
     )
 
 
