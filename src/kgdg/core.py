@@ -8,6 +8,7 @@ nothing in the package is generic over it.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -355,3 +356,6 @@ class FusionWeights:
             raise ValueError("fusion weights must be nonnegative")
         if self.alpha_dl + self.alpha_kl <= 0:
             raise ValueError("at least one fusion weight must be positive")
+        # a subnormal weight has lost precision, and scaling it can round it to 0
+        if any(0 < w < sys.float_info.min for w in (self.alpha_dl, self.alpha_kl)):
+            raise ValueError(f"a positive fusion weight must be at least {sys.float_info.min!r}")

@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, NoReturn, Sequence
 
@@ -379,15 +380,33 @@ def load_detections(path: str | Path) -> dict[str, list[Detection]]:
     return out
 
 
+# json.dumps's spelling of the floats float.__repr__ spells otherwise
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_DETECTION_RECORD = (
+    ' {{\n  "image_id": {},\n  "lesion": {},\n  "x": {},\n  "y": {},\n  "w": {},\n  "h": {},\n  "score": {}\n }}'
+)
+
+
 def save_detections(path: str | Path, table: DetectionTable) -> None:
     """Write a DetectionTable as detections.json records; an image without
-    detections writes no record."""
-    records = [
-        {"image_id": table.ids[n], "lesion": LESION_TYPES[code].value, "x": x, "y": y, "w": w, "h": h, "score": score}
-        for n, code, (x, y, w, h), score in zip(table.image.tolist(), table.lesion.tolist(), table.box.tolist(),
-                                                table.score.tolist())
+    detections writes no record.
+
+    The bytes are those of ``json.dumps(records, indent=1)``, written with a
+    fixed template per record: json's indenting encoder is pure Python.
+    Strings go through json's own ASCII escaper, floats through
+    ``float.__repr__`` as json writes them.
+    """
+    ids = [encode_basestring_ascii(i) for i in table.ids]
+    lesions = [encode_basestring_ascii(t.value) for t in LESION_TYPES]
+    columns = [
+        [_JSON_NON_FINITE.get(s, s) for s in map(float.__repr__, column)]
+        for column in (*table.box.T.tolist(), table.score.tolist())
     ]
-    Path(path).write_text(json.dumps(records, indent=1) + "\n")
+    records = [
+        _DETECTION_RECORD.format(ids[n], lesions[code], *cells)
+        for n, code, *cells in zip(table.image.tolist(), table.lesion.tolist(), *columns)
+    ]
+    Path(path).write_text("[\n" + ",\n".join(records) + "\n]\n" if records else "[]\n")
 
 
 # --- manifests ---------------------------------------------------------------------

@@ -4,6 +4,11 @@ Scores start at (optionally class-weighted) log priors; each round fits
 one tree per grade to the gradient/hessian of the multinomial log-loss
 and the final distribution is the exponential normalization of the
 accumulated scores. Validation accuracy drives early stopping.
+
+A fit shares one node cache (``tree.NodeCache``) across its grade trees and
+rounds, or across one round's grade trees when it subsamples rows. A tree
+returns each of its rows' leaf values, so the fit predicts only validation
+rows, and rows outside a subsample.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .config import (
     softmax,
     train_fingerprint,
 )
-from .tree import fit_regression_tree, predict_tree
+from .tree import NodeCache, fit_regression_tree, predict_tree
 
 PRIOR_EPS = 1e-12
 
@@ -48,8 +53,7 @@ class GbmModel(FittedModel):
     def decision_scores(self, x: np.ndarray) -> np.ndarray:
         scores = np.tile(self.base_scores, (x.shape[0], 1))
         for round_trees in self.trees:
-            for c in range(GRADE_COUNT):
-                scores[:, c] += self.learning_rate * predict_tree(round_trees[c], x)
+            scores += self.learning_rate * predict_tree(round_trees, x)
         return scores
 
     def predict_proba_matrix(self, x: np.ndarray) -> np.ndarray:
@@ -57,30 +61,16 @@ class GbmModel(FittedModel):
         return softmax(self.decision_scores(x))
 
     def to_artifact(self) -> ModelArtifact:
-        return ModelArtifact(
-            model_kind="gbm",
-            feature_schema=self.feature_schema,
-            params={
-                "n_features": len(self.feature_schema),
-                "base_scores": self.base_scores.tolist(),
-                "trees": self.trees,
-                "learning_rate": self.learning_rate,
-                "best_round": self.best_round,
-            },
-            train_fingerprint=self.train_fingerprint,
-        )
+        params = {"n_features": len(self.feature_schema), "base_scores": self.base_scores.tolist(),
+                  "trees": self.trees, "learning_rate": self.learning_rate, "best_round": self.best_round}
+        return ModelArtifact("gbm", self.feature_schema, params, self.train_fingerprint)
 
     @classmethod
     def from_artifact(cls, artifact: ModelArtifact) -> "GbmModel":
         p = artifact.params
-        return cls(
-            feature_schema=tuple(artifact.feature_schema),
-            base_scores=np.asarray(p["base_scores"], dtype=np.float64),
-            trees=p["trees"],
-            learning_rate=float(p["learning_rate"]),
-            train_fingerprint=artifact.train_fingerprint,
-            best_round=int(p.get("best_round", len(p["trees"]))),
-        )
+        return cls(tuple(artifact.feature_schema), np.asarray(p["base_scores"], dtype=np.float64), p["trees"],
+                   float(p["learning_rate"]), artifact.train_fingerprint,
+                   best_round=int(p.get("best_round", len(p["trees"]))))
 
 
 def weighted_log_priors(y: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -97,14 +87,8 @@ def multinomial_log_loss(probs: np.ndarray, y: np.ndarray, weights: np.ndarray) 
     return float(-(weights * np.log(picked)).sum() / weights.sum())
 
 
-def fit_gbm_arrays(
-    x: np.ndarray,
-    y: np.ndarray,
-    xv: np.ndarray,
-    yv: np.ndarray,
-    schema: tuple[str, ...],
-    cfg: TrainConfig,
-) -> GbmModel:
+def fit_gbm_arrays(x: np.ndarray, y: np.ndarray, xv: np.ndarray, yv: np.ndarray, schema: tuple[str, ...],
+                   cfg: TrainConfig) -> GbmModel:
     """Boost until ``n_trees`` rounds or validation accuracy stalls for
     ``early_stop_patience`` rounds; the returned model keeps the trees up
     to the best validation round. Deterministic given the seed."""
@@ -119,58 +103,43 @@ def fit_gbm_arrays(
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     n = x.shape[0]
-    onehot = np.zeros((n, GRADE_COUNT), dtype=np.float64)
-    onehot[np.arange(n), y] = 1.0
+    onehot = np.eye(GRADE_COUNT)[y]
 
     scores = np.tile(base, (n, 1))
     scores_v = np.tile(base, (xv.shape[0], 1))
     trees: list[list[dict[str, Any]]] = []
     loss_curve: list[float] = []
 
-    # each feature is sorted once per fit; a subsample keeps the stable
-    # order of its own rows by restricting the full order to them
-    order = np.argsort(x, axis=0, kind="stable").T
+    # one node cache per row set: the whole fit, or one round's grade trees
+    # when the rows are subsampled
+    nodes: NodeCache | None = None
     best_acc = float(np.mean(softmax(scores_v).argmax(axis=1) == yv))
     best_round = 0
     for round_idx in range(cfg.n_trees):
         probs = softmax(scores)
-        if cfg.subsample < 1.0:
-            m = max(1, int(round(cfg.subsample * n)))
-            rows = np.sort(rng.choice(n, size=m, replace=False))
-            local = np.full(n, -1)
-            local[rows] = np.arange(m)
-            sub = local[order]
-            rows_order = sub[sub >= 0].reshape(order.shape[0], m)
-        else:
+        if nodes is None or cfg.subsample < 1.0:
             rows = np.arange(n)
-            rows_order = order
-        x_rows = x[rows]
+            if cfg.subsample < 1.0:
+                rows = np.sort(rng.choice(n, size=max(1, int(round(cfg.subsample * n))), replace=False))
+            nodes = NodeCache(x, cfg.max_depth, cfg.min_leaf, rows)
+        fitted = np.empty((n, GRADE_COUNT))
         round_trees: list[dict[str, Any]] = []
         for c in range(GRADE_COUNT):
             grad = weights * (probs[:, c] - onehot[:, c])
             hess = weights * probs[:, c] * (1.0 - probs[:, c])
-            tree = fit_regression_tree(
-                x_rows, grad[rows], hess[rows], cfg.max_depth, cfg.min_leaf, cfg.l2_leaf,
-                rows_order,
-            )
+            tree, fitted[:, c] = fit_regression_tree(x, grad, hess, cfg.max_depth, cfg.min_leaf, cfg.l2_leaf, nodes)
             round_trees.append(tree)
-            scores[:, c] += cfg.learning_rate * predict_tree(tree, x)
-            scores_v[:, c] += cfg.learning_rate * predict_tree(tree, xv)
+        # the fit left each of its rows in a leaf; only rows outside a subsample need a predict
+        scores += cfg.learning_rate * (fitted if rows.size == n else predict_tree(round_trees, x))
+        scores_v += cfg.learning_rate * predict_tree(round_trees, xv)
+        nodes.prune()
         trees.append(round_trees)
         loss_curve.append(multinomial_log_loss(softmax(scores), y, weights))
         acc = float(np.mean(softmax(scores_v).argmax(axis=1) == yv))
         if acc > best_acc:
-            best_acc = acc
-            best_round = round_idx + 1
+            best_acc, best_round = acc, round_idx + 1
         elif (round_idx + 1) - best_round >= cfg.early_stop_patience:
             break
 
-    return GbmModel(
-        feature_schema=schema,
-        base_scores=base,
-        trees=trees[:best_round] if best_round < len(trees) else trees,
-        learning_rate=cfg.learning_rate,
-        train_fingerprint=fingerprint,
-        train_loss_curve=tuple(loss_curve),
-        best_round=best_round,
-    )
+    kept = trees[:best_round] if best_round < len(trees) else trees
+    return GbmModel(schema, base, kept, cfg.learning_rate, fingerprint, tuple(loss_curve), best_round)

@@ -2,7 +2,8 @@
 
 Split search is an exact scan over sorted unique feature values. Ties
 break to the lowest feature index, then the lowest threshold, so a fit
-is a pure function of (data, config, rng draws).
+is a pure function of (data, config, rng draws). Trees are nested dicts,
+the form artifacts store; they predict as flat node arrays.
 """
 
 from __future__ import annotations
@@ -19,95 +20,154 @@ GAIN_EPS = 1e-12
 
 def _leaf_value(g: np.ndarray, h: np.ndarray, l2: float) -> float:
     denom = float(h.sum()) + l2
-    if denom <= 0:
-        return 0.0
-    return float(-g.sum() / denom)
+    return 0.0 if denom <= 0 else float(-g.sum() / denom)
 
 
-def fit_regression_tree(
-    x: np.ndarray,
-    g: np.ndarray,
-    h: np.ndarray,
-    max_depth: int,
-    min_leaf: int,
-    l2: float,
-    order: np.ndarray | None = None,
-) -> dict[str, Any]:
-    """Second-order (Newton) regression tree on gradient/hessian targets.
+class _Node:
+    """A node's rows (ascending) and, when it can split, ``orders``: each
+    feature's stable order of them, ``cut``: the flat positions in
+    ``orders`` a split may follow, and ``feature``: the feature of each.
+    ``children`` maps a cut taken to (threshold, left, right), ``taken`` to
+    the last round that took it."""
 
-    ``order`` is the (features, rows) stable sort order of each column of
-    ``x``; it is computed when absent. Nodes keep it partitioned stably
-    (exact pre-sorted search), so a node's order per feature is the stable
-    order of its own rows and no node sorts again.
-    """
-    if order is None:
+    __slots__ = ("rows", "depth", "orders", "cut", "feature", "children", "taken")
+
+    def __init__(self, rows: np.ndarray, depth: int) -> None:
+        self.rows, self.depth, self.orders, self.cut, self.feature = rows, depth, None, None, None
+        self.children: dict[int, tuple[float, _Node, _Node]] = {}
+        self.taken: dict[int, int] = {}
+
+
+class NodeCache:
+    """Split state, keyed by split path, of the nodes that trees over
+    ``rows`` of ``x`` (all rows when None) reach. A node's per-feature
+    stable order, allowed cuts (a value change with ``min_leaf`` rows on
+    each side) and children depend on its rows, not on the gradients, so
+    all grade trees and rounds reuse them (XGBoost's presorted column
+    blocks). A node is prepared when first reached; one that cannot split
+    keeps only its rows, and no node keeps sorted values. :meth:`prune`
+    after each round keeps only what the last two rounds reached."""
+
+    def __init__(self, x: np.ndarray, max_depth: int, min_leaf: int, rows: np.ndarray | None = None) -> None:
         order = np.argsort(x, axis=0, kind="stable").T
-    xt = np.ascontiguousarray(x.T)
+        rows = np.arange(x.shape[0]) if rows is None else rows
+        sampled = np.zeros(x.shape[0], dtype=bool)
+        sampled[rows] = True
+        self.xt, self.min_leaf, self.round = np.ascontiguousarray(x.T), min_leaf, 0
+        self.root = self._node(rows, max_depth, order, sampled[order])
 
-    def best_split(orders: np.ndarray) -> tuple[int, float] | None:
-        m = orders.shape[1]
-        xs = np.take_along_axis(xt, orders, axis=1)
-        gs = np.cumsum(g[orders], axis=1)
-        hs = np.cumsum(h[orders], axis=1)
-        # candidate cut after position i needs a value change at i -> i+1
-        # and at least min_leaf rows on each side
+    def _node(self, rows: np.ndarray, depth: int, orders: np.ndarray, keep: np.ndarray) -> _Node:
+        node, m, min_leaf = _Node(rows, depth), rows.size, self.min_leaf
+        if depth == 0 or m < 2 * min_leaf:
+            return node
+        orders = orders[keep].reshape(len(self.xt), m)  # stable orders of this node's rows
+        xs = np.take_along_axis(self.xt, orders, axis=1)
+        # a cut after position i needs a value change at i -> i+1 and at
+        # least min_leaf rows on each side
         allowed = xs[:, :-1] != xs[:, 1:]
         allowed[:, : min_leaf - 1] = False
         allowed[:, m - min_leaf :] = False
         fi, ci = np.nonzero(allowed)
-        if fi.size == 0:
-            return None
-        # the parent term is a per-feature scalar power: C pow can differ from
-        # the array square by one ulp, enough to flip a near-tie between features
-        parent = np.array([gt**2 / (ht + l2) for gt, ht in zip(gs[:, -1], hs[:, -1])])
-        gl, hl = gs[fi, ci], hs[fi, ci]
-        gr, hr = gs[fi, -1] - gl, hs[fi, -1] - hl
-        gains = 0.5 * (gl**2 / (hl + l2) + gr**2 / (hr + l2) - parent[fi])
-        nan = np.isnan(gains)
-        if nan.any():  # a per-feature argmax lands on the NaN: skip that feature
-            gains[np.isin(fi, fi[nan])] = -np.inf
-        best = int(np.argmax(gains))  # first max -> lowest feature, then threshold
-        if not gains[best] > GAIN_EPS:
-            return None
-        j, c = int(fi[best]), int(ci[best])
-        return j, float((xs[j, c] + xs[j, c + 1]) / 2.0)
+        if fi.size:
+            node.orders, node.cut, node.feature = orders, fi * m + ci, fi
+        return node
 
-    def build(idx: np.ndarray, orders: np.ndarray, depth: int) -> dict[str, Any]:
-        if depth == 0 or idx.size < 2 * min_leaf:
-            return {"value": _leaf_value(g[idx], h[idx], l2)}
-        found = best_split(orders)
-        if found is None:
-            return {"value": _leaf_value(g[idx], h[idx], l2)}
-        j, thr = found
-        goes_left = xt[j] < thr
-        left = goes_left[orders]
-        return {
-            "feature": j,
-            "threshold": thr,
-            "left": build(idx[goes_left[idx]], orders[left].reshape(len(xt), -1), depth - 1),
-            "right": build(idx[~goes_left[idx]], orders[~left].reshape(len(xt), -1), depth - 1),
-        }
+    def prune(self) -> None:
+        """End a round: forget the children of cuts that neither this round
+        nor the one before took."""
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            node.children = {k: c for k, c in node.children.items() if node.taken[k] >= self.round - 1}
+            node.taken = {k: node.taken[k] for k in node.children}
+            stack += [child for _, left, right in node.children.values() for child in (left, right)]
+        self.round += 1
 
-    return build(np.arange(x.shape[0]), order, max_depth)
+    def split(self, node: _Node, k: int) -> tuple[float, _Node, _Node]:
+        """Threshold and children of ``node``'s k-th allowed cut."""
+        node.taken[k] = self.round
+        if k not in node.children:
+            orders, rows, xt = node.orders, node.rows, self.xt
+            j, c = divmod(int(node.cut[k]), rows.size)
+            thr = float((xt[j, orders[j, c]] + xt[j, orders[j, c + 1]]) / 2.0)
+            goes_left = xt[j] < thr
+            left = goes_left[orders]
+            node.children[k] = (thr, self._node(rows[goes_left[rows]], node.depth - 1, orders, left),
+                                self._node(rows[~goes_left[rows]], node.depth - 1, orders, ~left))
+        return node.children[k]
 
 
-def predict_tree(node: dict[str, Any], x: np.ndarray) -> np.ndarray:
-    """Vectorized tree evaluation; returns leaf values (or distributions)."""
-    leaf = node.get("value")
-    if leaf is not None:
-        leaf_arr = np.asarray(leaf, dtype=np.float64)
-        if leaf_arr.ndim == 0:
-            return np.full(x.shape[0], float(leaf_arr))
-        return np.tile(leaf_arr, (x.shape[0], 1))
-    out: np.ndarray | None = None
-    mask = x[:, node["feature"]] < node["threshold"]
-    for child, child_mask in ((node["left"], mask), (node["right"], ~mask)):
-        vals = predict_tree(child, x[child_mask])
-        if out is None:
-            out = np.zeros((x.shape[0],) + vals.shape[1:], dtype=np.float64)
-        out[child_mask] = vals
-    assert out is not None
-    return out
+def _best_cut(node: _Node, gh: np.ndarray, l2: float) -> int | None:
+    """Index into ``node.cut`` of the highest-gain cut, None when no gain
+    exceeds GAIN_EPS. ``gh`` carries gradients as real and hessians as
+    imaginary parts: one gather and one cumsum make both prefix sums, each
+    the same float additions in the same order as a cumsum of its own."""
+    sums = gh[node.orders]
+    np.cumsum(sums, axis=1, out=sums)  # in place: a fresh buffer this size costs more than the sums
+    total, fi = sums[:, -1], node.feature
+    # the parent term is a per-feature scalar power: C pow can differ from
+    # the array square by one ulp, enough to flip a near-tie between features
+    parent = np.array([a**2 / (b + l2) for a, b in zip(total.real, total.imag)])
+    left = sums.take(node.cut)
+    right = total[fi] - left
+    gl, hl, gr, hr = left.real, left.imag, right.real, right.imag
+    gains = 0.5 * (gl**2 / (hl + l2) + gr**2 / (hr + l2) - parent[fi])
+    nan = np.isnan(gains)
+    if nan.any():  # a per-feature argmax lands on the NaN: skip that feature
+        gains[np.isin(fi, fi[nan])] = -np.inf
+    best = int(np.argmax(gains))  # first max -> lowest feature, then threshold
+    return best if gains[best] > GAIN_EPS else None
+
+
+def fit_regression_tree(x: np.ndarray, g: np.ndarray, h: np.ndarray, max_depth: int, min_leaf: int,
+                        l2: float, nodes: NodeCache | None = None) -> tuple[dict[str, Any], np.ndarray]:
+    """Second-order (Newton) regression tree on gradient/hessian targets
+    over the rows of ``nodes``, a :class:`NodeCache` of ``x`` with the same
+    ``max_depth`` and ``min_leaf`` (every row of a fresh one when None).
+    Returns the tree and each row's leaf value (NaN for rows not in it)."""
+    nodes = NodeCache(x, max_depth, min_leaf) if nodes is None else nodes
+    fitted = np.full(g.size, np.nan)
+    gh = np.empty(g.size, dtype=np.complex128)
+    gh.real, gh.imag = g, h
+
+    def build(node: _Node) -> dict[str, Any]:
+        k = None if node.cut is None else _best_cut(node, gh, l2)
+        if k is None:
+            fitted[node.rows] = value = _leaf_value(g[node.rows], h[node.rows], l2)
+            return {"value": value}
+        thr, left, right = nodes.split(node, k)
+        return {"feature": int(node.feature[k]), "threshold": thr, "left": build(left), "right": build(right)}
+
+    return build(nodes.root), fitted
+
+
+def predict_tree(trees: list[dict[str, Any]], x: np.ndarray) -> np.ndarray:
+    """Leaf value of each row of ``x`` in each tree, (rows, trees[, k]). The
+    trees become flat node arrays, the layout of scikit-learn's ``Tree``,
+    with a leaf its own two children, and all rows descend all trees a level
+    per step. Rows with ``x[feature] < threshold`` go left, so a NaN goes right."""
+    nodes: list[list[Any]] = []  # [feature, threshold, left, right] in preorder
+    leaves: dict[int, Any] = {}
+
+    def add(node: dict[str, Any]) -> int:  # the subtree's depth
+        i = len(nodes)
+        nodes.append([node.get("feature", 0), node.get("threshold", 0.0), i, i])
+        if "value" in node:
+            leaves[i] = node["value"]
+            return 0
+        nodes[i][2] = len(nodes)
+        depth = add(node["left"])
+        nodes[i][3] = len(nodes)
+        return 1 + max(depth, add(node["right"]))
+
+    roots, depths = zip(*[(len(nodes), add(tree)) for tree in trees])
+    feature, threshold, left, right = (np.array(column) for column in zip(*nodes))
+    value = np.zeros((len(nodes),) + np.shape(next(iter(leaves.values()))))
+    value[list(leaves)] = list(leaves.values())
+    node, rows = np.tile(roots, (x.shape[0], 1)), np.arange(x.shape[0])[:, None]
+    for _ in range(max(depths)):
+        node = np.where(x[rows, feature[node]] < threshold[node], left[node], right[node])
+    return value[node]
 
 
 def _gini(counts: np.ndarray) -> np.ndarray:
@@ -117,14 +177,8 @@ def _gini(counts: np.ndarray) -> np.ndarray:
     return 1.0 - row_sum(p**2)
 
 
-def fit_classification_tree(
-    x: np.ndarray,
-    y: np.ndarray,
-    rng: np.random.Generator,
-    max_depth: int,
-    min_leaf: int,
-    max_features: int,
-) -> dict[str, Any]:
+def fit_classification_tree(x: np.ndarray, y: np.ndarray, rng: np.random.Generator, max_depth: int, min_leaf: int,
+                            max_features: int) -> dict[str, Any]:
     """Gini CART tree sampling ``max_features`` candidate features per node.
 
     Each candidate's cuts are scored in one array pass; the first maximum
@@ -168,11 +222,7 @@ def fit_classification_tree(
             return leaf(idx)
         j, thr = best
         mask = x[idx, j] < thr
-        return {
-            "feature": j,
-            "threshold": thr,
-            "left": build(idx[mask], depth - 1),
-            "right": build(idx[~mask], depth - 1),
-        }
+        return {"feature": j, "threshold": thr,
+                "left": build(idx[mask], depth - 1), "right": build(idx[~mask], depth - 1)}
 
     return build(np.arange(x.shape[0]), max_depth)

@@ -149,7 +149,7 @@ class TestFuseCommand:
             main(["fuse", "--strategy", "max", "--bogus", "1"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("alpha_dl,alpha_kl", [("-1", "1"), ("0", "0"), ("nan", "1")])
+    @pytest.mark.parametrize("alpha_dl,alpha_kl", [("-1", "1"), ("0", "0"), ("nan", "1"), ("5e-324", "0"), ("0", "1e-310")])
     def test_bad_weights_exit_2(self, data_dir, capsys, alpha_dl, alpha_kl):
         code = main(["fuse", "--strategy", "weighted",
                      "--dl", str(data_dir / "clinic_a_probs.csv"),

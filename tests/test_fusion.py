@@ -1,6 +1,8 @@
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgdg.core import FusionWeights, validate_probability
@@ -97,14 +99,31 @@ class TestWeighted:
             g2 = fuse_weighted(a, b, FusionWeights(1.0, 1.0)).grade
             assert g1 == g2
 
+    @pytest.mark.parametrize("w1,w2", [(0.0, 5e-324), (5e-324, 0.0), (1.0, 1e-310), (sys.float_info.min / 2, 0.5)])
+    def test_subnormal_weight_rejected(self, w1, w2):
+        # a subnormal weight rounds to 0 under scaling, and (0, 5e-324) * 0.5 has no positive weight
+        with pytest.raises(ValueError, match="at least"):
+            FusionWeights(w1, w2)
+
+    def test_smallest_normal_weight_accepted(self):
+        assert FusionWeights(0.0, sys.float_info.min).alpha_kl == sys.float_info.min
+
     @settings(max_examples=200)
     @given(simplex, simplex, st.floats(0.05, 20.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    @example(pv(0.2, 0.2, 0.2, 0.2, 0.2), pv(0.1, 0.2, 0.4, 0.2, 0.1), 0.5, 0.0, 5e-324)
+    @example(pv(0.1, 0.2, 0.4, 0.2, 0.1), pv(0.2, 0.2, 0.2, 0.2, 0.2), 0.5, 5e-324, 0.0)
     def test_weight_scale_invariance(self, a, b, lam, w1, w2):
         if w1 + w2 == 0:
             w1 = 0.3
-        base = fuse_weighted(a, b, FusionWeights(w1, w2)).grade
-        scaled = fuse_weighted(a, b, FusionWeights(lam * w1, lam * w2)).grade
-        assert base == scaled
+        grades = []
+        for weights in ((w1, w2), (lam * w1, lam * w2)):
+            if sum(weights) > 0 and all(w == 0 or w >= sys.float_info.min for w in weights):
+                grades.append(fuse_weighted(a, b, FusionWeights(*weights)).grade)
+            else:  # a pair the contract rejects
+                with pytest.raises(ValueError):
+                    FusionWeights(*weights)
+        if len(grades) == 2:
+            assert grades[0] == grades[1]
 
 
 class TestCoincidence:

@@ -2,8 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgdg.core import (
+    LESION_TYPES,
+    DetectionTable,
     DomainId,
     DRGrade,
     FeatureVector,
@@ -31,6 +35,7 @@ from kgdg.io import (
     load_manifest,
     load_model,
     load_probability_table,
+    save_detections,
     save_feature_table,
     save_model,
     save_probability_table,
@@ -185,6 +190,57 @@ class TestDetections:
         path.write_text(json.dumps([{"image_id": "i1", "lesion": "microaneurysm", "x": 0.95, "y": 0.1, "w": 0.2, "h": 0.1, "score": 0.5}]))
         with pytest.raises(BoxOutOfBounds):
             load_detections(path)
+
+
+def _json_dumps_detections(table):
+    """The writer save_detections replaced: json.dumps of the record dicts."""
+    records = [
+        {"image_id": table.ids[n], "lesion": LESION_TYPES[code].value, "x": x, "y": y, "w": w, "h": h, "score": score}
+        for n, code, (x, y, w, h), score in zip(table.image.tolist(), table.lesion.tolist(), table.box.tolist(),
+                                                table.score.tolist())
+    ]
+    return json.dumps(records, indent=1) + "\n"
+
+
+_ids = st.text(st.characters(codec="utf-8"), max_size=8) | st.sampled_from(['a"b', "c\\d", "\u00e9\u4e2d", "\n\t", "\ud83d\ude00"])
+_cells = st.floats(allow_nan=True, allow_infinity=True) | st.floats(0, 1)
+
+
+@st.composite
+def detection_tables(draw):
+    ids = draw(st.lists(_ids, min_size=1, max_size=4, unique=True))
+    m = draw(st.sampled_from([0, 1]) | st.integers(0, 12))
+    return DetectionTable(
+        tuple(ids),
+        np.array(draw(st.lists(st.integers(0, len(ids) - 1), min_size=m, max_size=m)), dtype=np.int64),
+        np.array(draw(st.lists(st.integers(0, len(LESION_TYPES) - 1), min_size=m, max_size=m)), dtype=np.int64),
+        np.array(draw(st.lists(_cells, min_size=4 * m, max_size=4 * m)), dtype=np.float64).reshape(m, 4),
+        np.array(draw(st.lists(_cells, min_size=m, max_size=m)), dtype=np.float64),
+    )
+
+
+class TestSaveDetections:
+    @settings(max_examples=300, deadline=None)
+    @given(detection_tables())
+    def test_bytes_equal_json_dumps(self, tmp_path_factory, table):
+        path = tmp_path_factory.mktemp("dets") / "d.json"
+        save_detections(path, table)
+        assert path.read_text() == _json_dumps_detections(table)
+
+    def test_empty_table_writes_empty_list(self, tmp_path):
+        empty = DetectionTable(("i1",), np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, 4)), np.zeros(0))
+        save_detections(tmp_path / "d.json", empty)
+        assert (tmp_path / "d.json").read_text() == "[]\n"
+
+    def test_non_finite_score_spelled_as_json(self, tmp_path):
+        box = np.array([[0.1, 0.2, 0.3, 0.4]] * 3)
+        table = DetectionTable(('q"\\\u00e9',), np.zeros(3, np.int64), np.arange(3), box,
+                               np.array([np.nan, np.inf, -np.inf]))
+        save_detections(tmp_path / "d.json", table)
+        text = (tmp_path / "d.json").read_text()
+        assert text == _json_dumps_detections(table)
+        assert '"score": NaN' in text and '"score": Infinity' in text and '"score": -Infinity' in text
+        assert '"image_id": "q\\"\\\\\\u00e9"' in text
 
 
 class TestManifest:

@@ -1,7 +1,8 @@
 """Array kernels against the per-row and per-feature reference code they
-replaced: pre-sorted split search, tie-averaged ranks, fusion, the
-column-wise softmax, the logistic gradient step, the Gini cut scan and
-the columnar table and detection readers."""
+replaced: pre-sorted split search with its per-fit node cache, the flat
+level-wise tree descent, tie-averaged ranks, fusion, the column-wise
+softmax, the logistic gradient step, the Gini cut scan and the columnar
+table and detection readers."""
 
 import csv
 import json
@@ -47,17 +48,26 @@ from kgdg.io import (
     PROBS_HEADER,
     load_detections,
     load_feature_table,
+    load_model,
     load_probability_table,
     read_detections,
     read_feature_table,
     read_prediction_table,
     read_probability_table,
+    save_model,
 )
-from kgdg.learn import TrainConfig, fit_forest_arrays, fit_gbm_arrays, fit_logistic_arrays
+from kgdg.learn import TrainConfig, fit_forest_arrays, fit_gbm_arrays, fit_logistic_arrays, model_from_artifact
 from kgdg.learn import baselines as baselines_module
 from kgdg.learn import gbm as gbm_module
 from kgdg.learn.config import feature_matrix, row_sum, sample_weights, softmax, standardization
-from kgdg.learn.tree import GAIN_EPS, _gini, _leaf_value, fit_classification_tree, fit_regression_tree
+from kgdg.learn.tree import (
+    GAIN_EPS,
+    _gini,
+    _leaf_value,
+    fit_classification_tree,
+    fit_regression_tree,
+    predict_tree,
+)
 from kgdg.metrics import _tie_averaged_ranks, auc_ovr_macro, binary_auc
 
 # --- reference implementations ---------------------------------------------------
@@ -105,6 +115,62 @@ def ref_regression_tree(x, g, h, max_depth, min_leaf, l2, square_parent=False):
                 "left": build(idx[mask], depth - 1), "right": build(idx[~mask], depth - 1)}
 
     return build(np.arange(x.shape[0]), max_depth)
+
+
+def ref_predict_tree(node, x):
+    """The recursive dict walk the flat descent replaced: leaf values, or
+    leaf distributions, of the rows of ``x``."""
+    leaf = node.get("value")
+    if leaf is not None:
+        leaf_arr = np.asarray(leaf, dtype=np.float64)
+        if leaf_arr.ndim == 0:
+            return np.full(x.shape[0], float(leaf_arr))
+        return np.tile(leaf_arr, (x.shape[0], 1))
+    out = None
+    mask = x[:, node["feature"]] < node["threshold"]
+    for child, child_mask in ((node["left"], mask), (node["right"], ~mask)):
+        vals = ref_predict_tree(child, x[child_mask])
+        if out is None:
+            out = np.zeros((x.shape[0],) + vals.shape[1:], dtype=np.float64)
+        out[child_mask] = vals
+    return out
+
+
+def ref_fit_gbm(x, y, xv, yv, cfg):
+    """The boosting loop before the node cache: (artifact params, loss curve)
+    of reference trees whose training and validation scores are updated by
+    the recursive walk, one grade at a time."""
+    weights = sample_weights(y, cfg.class_weighting)
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    n = x.shape[0]
+    onehot = np.eye(GRADE_COUNT)[y]
+    base = gbm_module.weighted_log_priors(y, weights)
+    scores, scores_v = np.tile(base, (n, 1)), np.tile(base, (xv.shape[0], 1))
+    trees, losses = [], []
+    best_acc, best_round = float(np.mean(softmax(scores_v).argmax(axis=1) == yv)), 0
+    for round_idx in range(cfg.n_trees):
+        probs = softmax(scores)
+        rows = np.arange(n)
+        if cfg.subsample < 1.0:
+            rows = np.sort(rng.choice(n, size=max(1, int(round(cfg.subsample * n))), replace=False))
+        trees.append([])
+        for c in range(GRADE_COUNT):
+            grad = weights * (probs[:, c] - onehot[:, c])
+            hess = weights * probs[:, c] * (1.0 - probs[:, c])
+            tree = ref_regression_tree(x[rows], grad[rows], hess[rows], cfg.max_depth, cfg.min_leaf, cfg.l2_leaf)
+            trees[-1].append(tree)
+            scores[:, c] += cfg.learning_rate * ref_predict_tree(tree, x)
+            scores_v[:, c] += cfg.learning_rate * ref_predict_tree(tree, xv)
+        losses.append(gbm_module.multinomial_log_loss(softmax(scores), y, weights))
+        acc = float(np.mean(softmax(scores_v).argmax(axis=1) == yv))
+        if acc > best_acc:
+            best_acc, best_round = acc, round_idx + 1
+        elif (round_idx + 1) - best_round >= cfg.early_stop_patience:
+            break
+    kept = trees[:best_round] if best_round < len(trees) else trees
+    params = {"n_features": x.shape[1], "base_scores": base.tolist(), "trees": kept,
+              "learning_rate": cfg.learning_rate, "best_round": best_round}
+    return params, tuple(losses)
 
 
 def ref_ranks(scores):
@@ -246,32 +312,62 @@ def tree_problems(draw):
 @given(tree_problems())
 def test_presorted_tree_equals_per_feature_scan(problem):
     x, g, h, depth, min_leaf, l2 = problem
-    got = fit_regression_tree(x, g, h, depth, min_leaf, l2)
+    got, fitted = fit_regression_tree(x, g, h, depth, min_leaf, l2)
     want = ref_regression_tree(x, g, h, depth, min_leaf, l2)
     assert json.dumps(got) == json.dumps(want)
+    assert fitted.tobytes() == ref_predict_tree(want, x).tobytes()  # each row's leaf, as a predict finds it
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from([0.3, 0.5, 0.8, 1.0]), st.integers(1, 6))
-def test_gbm_with_subsample_equals_reference_trees(seed, subsample, min_leaf):
+def _gbm_problem(seed, n=150):
     rng = np.random.default_rng(seed)
-    n = 150
     y = rng.integers(0, 5, size=n)
     x = np.column_stack([
         rng.poisson(1 + 2 * y).astype(np.float64),
         rng.integers(0, 3, size=n).astype(np.float64),
         rng.normal(size=n) + 0.3 * y,
     ])
-    cfg = TrainConfig(n_trees=6, subsample=subsample, min_leaf=min_leaf, max_depth=3, seed=3)
-    schema = ("a", "b", "c")
-    got = fit_gbm_arrays(x, y, x[:40], y[:40], schema, cfg).to_artifact().params
+    return x, y
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.3, 0.5, 0.8, 1.0]),
+    st.integers(1, 6),
+    st.integers(1, 5),
+    st.booleans(),
+    st.integers(1, 25),
+)
+def test_gbm_with_subsample_equals_reference_trees(seed, subsample, min_leaf, max_depth, class_weighting, n_trees):
+    # patience >= n_trees: every round trains, so later rounds reuse the node cache
+    x, y = _gbm_problem(seed)
+    cfg = TrainConfig(n_trees=n_trees, subsample=subsample, min_leaf=min_leaf, max_depth=max_depth,
+                      class_weighting=class_weighting, early_stop_patience=n_trees, seed=3)
+    got = fit_gbm_arrays(x, y, x[:40], y[:40], ("a", "b", "c"), cfg)
+    params, losses = ref_fit_gbm(x, y, x[:40], y[:40], cfg)
+    assert json.dumps(got.to_artifact().params) == json.dumps(params)
+    assert got.train_loss_curve == losses
+    assert got.best_round == params["best_round"]
+
+
+@pytest.mark.parametrize("subsample", [1.0, 0.6])
+def test_gbm_fits_one_regression_tree_per_grade_and_round(subsample):
+    # the benchmark times and counts trees by wrapping this module global
+    x, y = _gbm_problem(5)
+    calls = []
     original = gbm_module.fit_regression_tree
-    gbm_module.fit_regression_tree = lambda xs, g, h, d, m, l2, order=None: ref_regression_tree(xs, g, h, d, m, l2)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    gbm_module.fit_regression_tree = counted
     try:
-        want = fit_gbm_arrays(x, y, x[:40], y[:40], schema, cfg).to_artifact().params
+        model = fit_gbm_arrays(x, y, x[:40], y[:40], ("a", "b", "c"), TrainConfig(n_trees=12, subsample=subsample))
     finally:
         gbm_module.fit_regression_tree = original
-    assert json.dumps(got) == json.dumps(want)
+    assert len(model.train_loss_curve) > 0
+    assert len(calls) == GRADE_COUNT * len(model.train_loss_curve)
 
 
 # --- (b) the parent term is a per-feature scalar power ------------------------------
@@ -289,7 +385,7 @@ def test_near_tie_keeps_per_feature_scalar_parent_term():
     want = ref_regression_tree(x, g, h, 1, 2, 1.0)
     assert want["feature"] == 1
     assert ref_regression_tree(x, g, h, 1, 2, 1.0, square_parent=True)["feature"] == 0
-    assert json.dumps(fit_regression_tree(x, g, h, 1, 2, 1.0)) == json.dumps(want)
+    assert json.dumps(fit_regression_tree(x, g, h, 1, 2, 1.0)[0]) == json.dumps(want)
 
 
 # --- (c) vectorized tie-averaged ranks ----------------------------------------------------
@@ -459,6 +555,85 @@ def test_forest_equals_per_cut_loop_trees(monkeypatch):
     monkeypatch.setattr(baselines_module, "fit_classification_tree", ref_classification_tree)
     want = fit_forest_arrays(x, y, ("a", "b", "c", "d"), cfg).trees
     assert json.dumps(got) == json.dumps(want)
+
+
+# --- (g2) the flat level-wise descent equals the recursive walk -----------------------
+
+THRESHOLDS = (-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0)
+CELLS = THRESHOLDS + (0.75, -3.0, float("nan"), float("inf"), float("-inf"))  # rows sit on every threshold
+
+
+@st.composite
+def random_tree(draw, n_features, vector):
+    def node(depth):
+        if depth == 0 or draw(st.booleans()):
+            leaf = st.floats(-5, 5, allow_nan=False)
+            return {"value": draw(st.lists(leaf, min_size=GRADE_COUNT, max_size=GRADE_COUNT) if vector else leaf)}
+        return {"feature": draw(st.integers(0, n_features - 1)), "threshold": draw(st.sampled_from(THRESHOLDS)),
+                "left": node(depth - 1), "right": node(depth - 1)}
+
+    return node(draw(st.integers(0, 4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_flat_descent_equals_recursive_walk(data):
+    n_features, vector = data.draw(st.integers(1, 4)), data.draw(st.booleans())
+    trees = data.draw(st.lists(random_tree(n_features, vector), min_size=1, max_size=6))
+    n = data.draw(st.integers(0, 30))
+    cells = data.draw(st.lists(st.sampled_from(CELLS), min_size=n * n_features, max_size=n * n_features))
+    x = np.array(cells, dtype=np.float64).reshape(n, n_features)
+    got = predict_tree(trees, x)
+    assert got.shape == (n, len(trees)) + ((GRADE_COUNT,) if vector else ())
+    for t, tree in enumerate(trees):
+        want = ref_predict_tree(tree, x)
+        assert got[:, t].tobytes() == want.tobytes()
+
+
+def _splits(node):
+    if "value" in node:
+        return []
+    return [(node["feature"], node["threshold"])] + _splits(node["left"]) + _splits(node["right"])
+
+
+@pytest.mark.parametrize("kind", ["gbm", "forest"])
+def test_artifact_round_trip_predicts_bit_identically(kind, tmp_path):
+    x, y = _gbm_problem(11, n=200)
+    cfg = TrainConfig(model_kind=kind, n_trees=8, max_depth=4, min_leaf=3, seed=1)
+    schema = ("a", "b", "c")
+    if kind == "gbm":
+        model = fit_gbm_arrays(x, y, x[:50], y[:50], schema, cfg)
+        flat_trees = [t for round_trees in model.trees for t in round_trees]
+    else:
+        model = fit_forest_arrays(x, y, schema, cfg)
+        flat_trees = model.trees
+    # probe rows: the training rows, rows on each split threshold, rows with a NaN feature
+    on_threshold = np.repeat(x[:1], len(_splits(flat_trees[0])) or 1, axis=0)
+    for i, (j, thr) in enumerate(_splits(flat_trees[0])):
+        on_threshold[i, j] = thr
+    with_nan = x[:6].copy()
+    with_nan[np.arange(6), np.arange(6) % 3] = np.nan
+    probe = np.vstack([x, on_threshold, with_nan])
+
+    path = tmp_path / "model.kgdg"
+    save_model(model.to_artifact(), path)
+    loaded = model_from_artifact(load_model(path))
+    got = model.predict_proba_matrix(probe)
+    assert loaded.predict_proba_matrix(probe).tobytes() == got.tobytes()
+
+    # and both equal the per-tree recursive walk the models used before
+    if kind == "gbm":
+        scores = np.tile(model.base_scores, (probe.shape[0], 1))
+        for round_trees in model.trees:
+            for c in range(GRADE_COUNT):
+                scores[:, c] += model.learning_rate * ref_predict_tree(round_trees[c], probe)
+        want = softmax(scores)
+    else:
+        acc = np.zeros((probe.shape[0], GRADE_COUNT))
+        for tree in model.trees:
+            acc += ref_predict_tree(tree, probe)
+        want = acc / len(model.trees)
+    assert got.tobytes() == want.tobytes()
 
 
 # --- (h) the columnar readers equal the per-row loaders they replaced ----------------------
