@@ -14,7 +14,9 @@ import csv
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass, replace
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, NoReturn, Sequence
@@ -139,15 +141,29 @@ def _csv(path: Path) -> Iterator[Any]:
         yield list(reader)
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+_UNWRITABLE_ID_MESSAGE = "holds a comma, quote, line break or lone surrogate"
+
+
+def _unwritable_id(text: str) -> bool:
+    """Whether ``text``, one image id or several joined, holds a character
+    that no writer can put in a CSV cell unquoted (comma, quote, CR, LF) or
+    encode as UTF-8 (a lone surrogate)."""
+    if any(c in text for c in ',"\r\n'):
+        return True
+    return not text.isascii() and _SURROGATE.search(text) is not None
+
+
 def _id_columns(records: list[list[str]], width: int, empty_ids: bool = False) -> tuple[tuple[str, ...], list]:
     """Stripped image ids and the columns of the nonblank records;
-    ValueError if a row has the wrong width or an id is empty or repeated."""
+    ValueError if a row has the wrong width or an id is empty, unwritable
+    or repeated."""
     rows = list(filter(None, records))
     if not set(map(len, rows)) <= {width}:
         raise ValueError("row width")
     cols = list(zip(*rows)) or [()] * width
     ids = tuple(map(str.strip, cols[0]))
-    if len(set(ids)) < len(ids) or not (empty_ids or all(ids)):
+    if len(set(ids)) < len(ids) or not (empty_ids or all(ids)) or _unwritable_id("".join(ids)):
         raise ValueError("image ids")
     return ids, cols
 
@@ -164,6 +180,8 @@ def _raise_first_bad_row(
         image_id = cells[0].strip()
         if not (image_id or empty_ids):
             raise NonNumericCell(f"{path}: row {lineno} has an empty image_id")
+        if _unwritable_id(image_id):
+            raise DataError(f"{path}: row {lineno} has image_id {image_id!r}, which {_UNWRITABLE_ID_MESSAGE}")
         if image_id in seen:
             raise DuplicateImageId(f"{path}: image_id {image_id!r} appears more than once")
         seen.add(image_id)
@@ -323,6 +341,8 @@ def save_probability_table(path: str | Path, table: Mapping[str, ProbabilityVect
 # --- detections ------------------------------------------------------------------
 
 _LESION_CODES = {kind.value: code for code, kind in enumerate(LesionType)}
+_DETECTION_NUMBERS = ("x", "y", "w", "h", "score")
+_JSON_NUMBERS = {int, float}  # what json.loads gives for a number: bool is no number here
 
 
 def _raise_first_bad_record(path: Path, records: list) -> NoReturn:
@@ -334,19 +354,25 @@ def _raise_first_bad_record(path: Path, records: list) -> NoReturn:
         except (KeyError, TypeError):
             raise DataError(f"{path}: record {i} is malformed") from None
         try:
-            Detection(kind, BoundingBox(*(float(rec[k]) for k in "xywh")), float(rec["score"]))
-            if "image_id" not in rec:
-                raise KeyError("image_id")
+            cells = [rec[k] for k in _DETECTION_NUMBERS]
+            if not set(map(type, cells)) <= _JSON_NUMBERS:
+                raise TypeError(f"{', '.join(_DETECTION_NUMBERS)} must be JSON numbers")
+            Detection(kind, BoundingBox(*map(float, cells[:4])), float(cells[4]))
+            if type(rec["image_id"]) is not str:
+                raise TypeError("image_id must be a JSON string")
         except BoxOutOfBounds:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"{path}: record {i} is malformed: {exc}") from exc
+        if _unwritable_id(rec["image_id"]):
+            raise DataError(f"{path}: record {i} has image_id {rec['image_id']!r}, which {_UNWRITABLE_ID_MESSAGE}")
     raise InternalError(f"{path}: the column checks reject records the record checks accept")
 
 
 def read_detections(path: str | Path) -> DetectionTable:
     """Read detections.json, a list of {image_id, lesion, x, y, w, h, score},
-    straight into a DetectionTable; boxes and scores are checked as masks."""
+    straight into a DetectionTable; types, ids, boxes and scores are checked
+    as masks."""
     path = Path(path)
     try:
         records = json.loads(path.read_text())
@@ -355,10 +381,13 @@ def read_detections(path: str | Path) -> DetectionTable:
     if not isinstance(records, list):
         raise DataError(f"{path}: expected a JSON list of detection records")
     try:
-        names, lesions, *fields = ([rec[k] for rec in records] for k in ("image_id", "lesion", "x", "y", "w", "h", "score"))
+        names, lesions, *fields = ([rec[k] for rec in records] for k in ("image_id", "lesion", *_DETECTION_NUMBERS))
         lesion = np.array(list(map(_LESION_CODES.__getitem__, lesions)), dtype=np.int64)
-        x, y, w, h, score = np.array([list(map(float, c)) for c in fields], dtype=np.float64)
-        names = list(map(str, names))
+        if not (set(map(type, names)) <= {str} and set(map(type, chain(*fields))) <= _JSON_NUMBERS):
+            raise TypeError("not a JSON string or number")
+        if _unwritable_id("".join(names)):
+            raise ValueError("image ids")
+        x, y, w, h, score = np.array(fields, dtype=np.float64)
         ids = tuple(dict.fromkeys(names))
         image = np.array(join_rows(names, ids, KeyError), dtype=np.int64)
         edge = 1.0 + BOX_EDGE_EPS
@@ -383,7 +412,7 @@ def load_detections(path: str | Path) -> dict[str, list[Detection]]:
 # json.dumps's spelling of the floats float.__repr__ spells otherwise
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _DETECTION_RECORD = (
-    ' {{\n  "image_id": {},\n  "lesion": {},\n  "x": {},\n  "y": {},\n  "w": {},\n  "h": {},\n  "score": {}\n }}'
+    ' {\n  "image_id": %s,\n  "lesion": %s,\n  "x": %s,\n  "y": %s,\n  "w": %s,\n  "h": %s,\n  "score": %s\n }'
 )
 
 
@@ -391,22 +420,25 @@ def save_detections(path: str | Path, table: DetectionTable) -> None:
     """Write a DetectionTable as detections.json records; an image without
     detections writes no record.
 
-    The bytes are those of ``json.dumps(records, indent=1)``, written with a
-    fixed template per record: json's indenting encoder is pure Python.
-    Strings go through json's own ASCII escaper, floats through
-    ``float.__repr__`` as json writes them.
+    The bytes are those of ``json.dumps(records, indent=1)``, written by one
+    ``%`` of the record template repeated per record: json's indenting
+    encoder is pure Python. Strings go through json's own ASCII escaper and
+    are arguments, never part of the format; ``%s`` of a float is
+    ``float.__repr__``, as json writes it.
     """
+    m = len(table.score)
+    columns = [*table.box.T.tolist(), table.score.tolist()]
+    if not (np.isfinite(table.box).all() and np.isfinite(table.score).all()):
+        columns = [[_JSON_NON_FINITE.get(repr(v), v) for v in column] for column in columns]
     ids = [encode_basestring_ascii(i) for i in table.ids]
     lesions = [encode_basestring_ascii(t.value) for t in LESION_TYPES]
-    columns = [
-        [_JSON_NON_FINITE.get(s, s) for s in map(float.__repr__, column)]
-        for column in (*table.box.T.tolist(), table.score.tolist())
-    ]
-    records = [
-        _DETECTION_RECORD.format(ids[n], lesions[code], *cells)
-        for n, code, *cells in zip(table.image.tolist(), table.lesion.tolist(), *columns)
-    ]
-    Path(path).write_text("[\n" + ",\n".join(records) + "\n]\n" if records else "[]\n")
+    flat: list = [None] * (7 * m)  # the record cells, record after record
+    flat[0::7] = map(ids.__getitem__, table.image.tolist())
+    flat[1::7] = map(lesions.__getitem__, table.lesion.tolist())
+    for c, column in enumerate(columns, start=2):
+        flat[c::7] = column
+    template = "[\n" + ",\n".join([_DETECTION_RECORD] * m) + "\n]\n"
+    Path(path).write_text(template % tuple(flat) if m else "[]\n")
 
 
 # --- manifests ---------------------------------------------------------------------

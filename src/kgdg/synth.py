@@ -20,6 +20,7 @@ import numpy as np
 from .core import GRADE_COUNT, LESION_TYPES, DetectionTable, DomainId, DomainTable
 from .errors import InvalidConfig
 from .io import save_detections, save_feature_table, save_manifest, save_probability_table
+from .learn.config import softmax
 from .rules import detection_counts
 from .rules import aggregate_detections  # noqa: F401  unused here; the benchmark's tracer patches it by this module's name
 
@@ -122,8 +123,42 @@ def _stream(seed: int, *tokens: object) -> np.random.Generator:
 
 
 def _round6(values: np.ndarray) -> np.ndarray:
-    """round(v, 6) of each value: correctly rounded, as np.round is not."""
-    return np.array([round(v, 6) for v in values.tolist()], dtype=np.float64)
+    """round(v, 6) of each value: correctly rounded, as np.round is not.
+
+    For ``|v| < 1e3`` the product ``v * 1e6`` is within 1.2e-7 of the exact
+    ``v * 10**6``, so unless its fraction is within 1e-6 of a half, ``rint``
+    picks the integer ``k`` that correct rounding picks, and ``k / 1e6`` is
+    the double nearest ``k * 10**-6``, which ``round`` returns. The other
+    values, non-finite ones included, go through ``round`` itself.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = values * 1e6
+        k = np.rint(scaled)
+        slow = ~(np.abs(values) < 1e3) | (np.abs(scaled - k) >= 0.5 - 1e-6)
+    out = k / 1e6
+    out[slow] = [round(v, 6) for v in values[slow].tolist()]
+    return out
+
+
+def _lesion_counts(rng: np.random.Generator, grades: np.ndarray, rates: np.ndarray, pdr_flag_prob: float) -> np.ndarray:
+    """An ``(images, 7)`` count per lesion code: each image's five Poisson
+    counts at its grade's ``rates``, then for a grade-4 image its two flags
+    (subhyaloid hemorrhage, then neovascularization).
+
+    The draws are those of one image at a time: an array draw fills its
+    elements in order from the same bit generator, so the Poisson counts
+    of a run of images that ends at a grade-4 image are one call, followed
+    by that image's two uniforms.
+    """
+    lam = rates[grades]
+    lesions = np.zeros((len(grades), len(LESION_TYPES)), dtype=np.int64)
+    start = 0
+    for end in [*(np.flatnonzero(grades == 4) + 1).tolist(), len(grades)]:
+        lesions[start:end, :5] = rng.poisson(lam[start:end])
+        if end > start and grades[end - 1] == 4:
+            lesions[end - 1, 5:] = rng.random(2) < (pdr_flag_prob / 2, pdr_flag_prob)
+        start = end
+    return lesions
 
 
 def _detections(rng: np.random.Generator, ids: tuple[str, ...], lesions: np.ndarray) -> DetectionTable:
@@ -161,20 +196,15 @@ def simulate_neural_table(
     if temperature <= 0:
         raise InvalidConfig("temperature must be > 0")
     rng = _stream(seed, stream)
-    rows = np.empty((len(grades), GRADE_COUNT))
+    logits = np.empty((len(grades), GRADE_COUNT))
     for n, grade in enumerate(np.asarray(grades).tolist()):
-        if rng.random() < accuracy:
-            winner = grade
-        else:
-            others = [g for g in range(GRADE_COUNT) if g != grade]
-            winner = others[rng.integers(0, 4)]
-        logits = rng.uniform(0.0, 0.5, size=5)
-        logits[winner] = 1.0 + rng.uniform(0.0, 0.25)
-        z = logits / temperature
-        z -= z.max()
-        e = np.exp(z)
-        rows[n] = e / e.sum()
-    return rows
+        winner = grade
+        if rng.random() >= accuracy:  # a uniformly random wrong grade
+            winner = int(rng.integers(0, 4))
+            winner += winner >= grade
+        logits[n] = rng.uniform(0.0, 0.5, size=5)
+        logits[n, winner] = 1.0 + rng.uniform(0.0, 0.25)
+    return softmax(logits / temperature)
 
 
 def gen_dataset(cfg: SynthConfig) -> SynthOutput:
@@ -189,12 +219,7 @@ def gen_dataset(cfg: SynthConfig) -> SynthOutput:
         vein_offset = offset_rng.normal(0.0, 1.0, size=3) * VEIN_STEP * spec.vein_noise_sigma
 
         grades = label_rng.choice(5, size=spec.n_samples, p=np.asarray(spec.grade_prior))
-        lesions = np.zeros((spec.n_samples, len(LESION_TYPES)), dtype=np.int64)  # per lesion code
-        for i, g in enumerate(grades.tolist()):
-            lesions[i, :5] = label_rng.poisson(rates[g] * spec.count_bias)
-            if g == 4:  # subhyaloid hemorrhage, then neovascularization
-                lesions[i, 5] = label_rng.random() < cfg.pdr_flag_prob / 2
-                lesions[i, 6] = label_rng.random() < cfg.pdr_flag_prob
+        lesions = _lesion_counts(label_rng, grades, rates * spec.count_bias, cfg.pdr_flag_prob)
         ids = tuple(f"{domain}-{i:05d}" for i in range(spec.n_samples))
         dets = _detections(_stream(cfg.seed, domain, "boxes"), ids, lesions)
         vein = None

@@ -1,12 +1,22 @@
+import csv
 import filecmp
 import hashlib
 import json
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kgdg.cli import main
-from kgdg.io import load_feature_table, load_model, save_probability_table
+from kgdg.io import (
+    LESIONS_ONLY_HEADER,
+    PROBS_HEADER,
+    load_feature_table,
+    load_model,
+    read_prediction_table,
+    save_probability_table,
+)
 from kgdg.rules import grade_by_rules, rule_grade_as_probability
 from kgdg.synth import shift_profile, write_dataset
 
@@ -609,6 +619,86 @@ class TestEmptyProbabilityId:
                      "--out", str(tmp_path / "fused.csv"), "--quiet"]) == 3
         assert capsys.readouterr().err.strip() == f"error[NON_NUMERIC_CELL]: {table}: row 2 has an empty image_id"
         assert not (tmp_path / "fused.csv").exists()
+
+
+class TestDetectionFieldTypes:
+    """image_id is a JSON string and x, y, w, h and score are JSON numbers;
+    anything else names its record (exit 3)."""
+
+    @pytest.mark.parametrize("field,value", [("image_id", ["a", 1]), ("image_id", 7), ("image_id", None),
+                                             ("x", "0.5"), ("y", False), ("w", True), ("score", None),
+                                             ("h", [0.1]), ("x", 10**400)])
+    def test_grade_exits_3(self, tmp_path, capsys, field, value):
+        path = tmp_path / "dets.json"
+        path.write_text(json.dumps([_detection_record("A"), dict(_detection_record("B"), **{field: value})]))
+        assert main(["grade", "--detections", str(path), "--out", str(tmp_path / "g.csv"), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error[DATA_ERROR]: ") and f"{path}: record 1 is malformed" in err
+        assert not (tmp_path / "g.csv").exists()
+
+    def test_integer_cells_are_numbers(self, tmp_path):
+        path = tmp_path / "dets.json"
+        path.write_text(json.dumps([dict(_detection_record("A"), x=0, y=0, score=1)]))
+        assert main(["grade", "--detections", str(path), "--out", str(tmp_path / "g.csv"), "--quiet"]) == 0
+
+
+def _unwritable_id(image_id):
+    return any(c in ',"\r\n' or 0xD800 <= ord(c) <= 0xDFFF for c in image_id)
+
+
+def _write_csv(path, header, row):
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows([header, row])
+
+
+class TestImageIdText:
+    """An image id no writer can put in a CSV cell unquoted is rejected at
+    ingest (exit 3); any other id comes back, stripped, from the readers of
+    the grade and fuse outputs. Nothing exits 4."""
+
+    def _run(self, argv, out):
+        code = main(argv + ["--out", str(out), "--quiet"])
+        assert code in (0, 3), argv
+        return code
+
+    def _read_back(self, code, rejected, out, image_id):
+        assert code == (3 if rejected else 0), (image_id, code)
+        if code == 0:
+            assert read_prediction_table(out)[0] == (image_id.strip(),)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.text(st.characters(exclude_categories=()), max_size=8)
+           | st.sampled_from(["img,1", 'a"b', "a\r\nb", " a\n", "%s", "{}", "\ud800"]))
+    @example("img,1")
+    def test_grade_and_fuse(self, tmp_path_factory, image_id):
+        tmp = tmp_path_factory.mktemp("ids")
+        dets, out = tmp / "dets.json", tmp / "out.csv"
+        dets.write_text(json.dumps([dict(_detection_record(image_id), lesion="neovascularization")]))
+        self._read_back(self._run(["grade", "--detections", str(dets)], out), _unwritable_id(image_id), out,
+                        image_id)
+        try:
+            image_id.encode("utf-8")
+        except UnicodeEncodeError:
+            return  # no UTF-8 table holds this id
+        stripped = image_id.strip()
+        rejected = not stripped or _unwritable_id(stripped)
+        features, probs = tmp / "features.csv", tmp / "probs.csv"
+        _write_csv(features, LESIONS_ONLY_HEADER, [image_id, "d", "4", "0", "0", "0", "0", "0", "0", "1", "0"])
+        _write_csv(probs, PROBS_HEADER, [image_id, "0.1", "0.2", "0.3", "0.2", "0.2"])
+        self._read_back(self._run(["grade", "--features", str(features)], out), rejected, out, image_id)
+        if not rejected:
+            assert self._run(["metrics", "--truth", str(features), "--pred", str(out)], tmp / "m.json") == 0
+        fused = tmp / "fused.csv"
+        self._read_back(self._run(["fuse", "--strategy", "max", "--dl", str(probs), "--kd", str(probs)], fused),
+                        rejected, fused, image_id)
+
+    def test_quoted_comma_names_the_row(self, tmp_path, capsys):
+        features = tmp_path / "features.csv"
+        _write_csv(features, LESIONS_ONLY_HEADER, ["img,1", "d", "2", "3", "0", "0", "0", "0", "0", "0", "0"])
+        assert main(["grade", "--features", str(features), "--out", str(tmp_path / "g.csv"), "--quiet"]) == 3
+        assert capsys.readouterr().err.strip() == (
+            f"error[DATA_ERROR]: {features}: row 2 has image_id 'img,1', which holds a comma, quote, "
+            f"line break or lone surrogate")
 
 
 SERVE_STRATEGIES = ("selective", "max", "classwise", "weighted")

@@ -202,7 +202,8 @@ def _json_dumps_detections(table):
     return json.dumps(records, indent=1) + "\n"
 
 
-_ids = st.text(st.characters(codec="utf-8"), max_size=8) | st.sampled_from(['a"b', "c\\d", "\u00e9\u4e2d", "\n\t", "\ud83d\ude00"])
+_ids = st.text(st.characters(codec="utf-8"), max_size=8) | st.sampled_from(
+    ['a"b', "c\\d", "\u00e9\u4e2d", "\n\t", "\ud83d\ude00", "%", "a%sb", "%%", "{}", "%(x)s", "%r%d"])
 _cells = st.floats(allow_nan=True, allow_infinity=True) | st.floats(0, 1)
 
 
@@ -231,6 +232,15 @@ class TestSaveDetections:
         empty = DetectionTable(("i1",), np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, 4)), np.zeros(0))
         save_detections(tmp_path / "d.json", empty)
         assert (tmp_path / "d.json").read_text() == "[]\n"
+
+    def test_format_characters_in_ids_are_written_as_is(self, tmp_path):
+        ids = ("%", "%s", "%%", "{}", "{0}%d")
+        box = np.array([[0.1, 0.2, 0.3, 0.4]] * 6)
+        table = DetectionTable(ids, np.array([4, 0, 1, 2, 3, 1]), np.arange(6) % 7, box, np.full(6, 0.5))
+        save_detections(tmp_path / "d.json", table)
+        text = (tmp_path / "d.json").read_text()
+        assert text == _json_dumps_detections(table)
+        assert [r["image_id"] for r in json.loads(text)] == ["{0}%d", "%", "%s", "%%", "{}", "%s"]
 
     def test_non_finite_score_spelled_as_json(self, tmp_path):
         box = np.array([[0.1, 0.2, 0.3, 0.4]] * 3)

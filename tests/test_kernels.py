@@ -643,9 +643,23 @@ def test_artifact_round_trip_predicts_bit_identically(kind, tmp_path):
 CONTRACT_CHANGES = (
     "a numeric table cell with digit grouping ('3_0', '1_0.5') is NON_NUMERIC_CELL",
     "a probs table row with an empty image_id is NON_NUMERIC_CELL",
+    "an image_id with a comma, quote, CR, LF or lone surrogate is DATA_ERROR",
 )
-# Since then: a detection record without an image_id is DATA_ERROR (it raised KeyError);
-# ref_load_detections applies it.
+# Since then: a detection record without an image_id is DATA_ERROR (it raised KeyError),
+# and so is one whose image_id is not a JSON string, whose x, y, w, h or score is not a
+# JSON number (a bool is not), or whose image_id breaks the id rule above;
+# ref_load_detections applies them.
+
+
+def _ref_unwritable_id(image_id):
+    """True for an id no writer can put in a CSV cell unquoted or encode as UTF-8."""
+    return any(c in ',"\r\n' or 0xD800 <= ord(c) <= 0xDFFF for c in image_id)
+
+
+def _ref_check_id(path, where, image_id):
+    if _ref_unwritable_id(image_id):
+        raise DataError(f"{path}: {where} has image_id {image_id!r}, which holds a comma, quote, line break "
+                        f"or lone surrogate")
 
 
 def ref_validate_probability(values):
@@ -729,6 +743,8 @@ def ref_load_feature_table(path, changed=True):
             image_id = cells[0].strip()
             if not image_id:
                 raise NonNumericCell(f"{path}: row {lineno} has an empty image_id")
+            if changed:
+                _ref_check_id(path, f"row {lineno}", image_id)
             if image_id in seen:
                 raise DuplicateImageId(f"{path}: image_id {image_id!r} appears more than once")
             seen.add(image_id)
@@ -765,6 +781,8 @@ def ref_load_probability_table(path, changed=True):
             image_id = cells[0].strip()
             if changed and not image_id:
                 raise NonNumericCell(f"{path}: row {lineno} has an empty image_id")
+            if changed:
+                _ref_check_id(path, f"row {lineno}", image_id)
             if image_id in table:
                 raise DuplicateImageId(f"{path}: image_id {image_id!r} appears more than once")
             try:
@@ -792,6 +810,8 @@ def ref_load_prediction_table(path, changed=True):
             if len(cells) != len(header):
                 raise MissingColumn(f"{path}: row {lineno} has {len(cells)} cells, expected {len(header)}")
             image_id = cells[0].strip()
+            if changed:
+                _ref_check_id(path, f"row {lineno}", image_id)
             if image_id in table:
                 raise DuplicateImageId(f"{path}: image_id {image_id!r} appears more than once")
             grade = _ref_parse_count(cells[grade_col], "grade", lineno, GRADE_COUNT - 1, changed)
@@ -820,13 +840,19 @@ def ref_load_detections(path):
         except (KeyError, TypeError):
             raise DataError(f"{path}: record {i} is malformed") from None
         try:
-            box = BoundingBox(float(rec["x"]), float(rec["y"]), float(rec["w"]), float(rec["h"]))
-            det = Detection(kind, box, float(rec["score"]))
-            image_id = str(rec["image_id"])
+            values = [rec["x"], rec["y"], rec["w"], rec["h"], rec["score"]]
+            if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
+                raise TypeError("x, y, w, h, score must be JSON numbers")
+            box = BoundingBox(float(values[0]), float(values[1]), float(values[2]), float(values[3]))
+            det = Detection(kind, box, float(values[4]))
+            image_id = rec["image_id"]
+            if not isinstance(image_id, str):
+                raise TypeError("image_id must be a JSON string")
         except BoxOutOfBounds:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"{path}: record {i} is malformed: {exc}") from exc
+        _ref_check_id(path, f"record {i}", image_id)
         out.setdefault(image_id, []).append(det)
     return out
 
@@ -844,7 +870,8 @@ def _outcome(load, path):
 
 
 MALFORMED_TOKENS = ["", " ", "nan", "inf", "-inf", "-1", "1e400", "abc", "0x1", "1.5", "3_0", '"',
-                    "999999999999999999999", "+1", "01", " 1 ", "-0", "0_1", "1_0.5", "1e2", "٣", "2.0"]
+                    "999999999999999999999", "+1", "01", " 1 ", "-0", "0_1", "1_0.5", "1e2", "٣", "2.0",
+                    '"a,b"', '"a\r\nb"', '"a""b"']
 
 
 def _cell_token():
@@ -914,7 +941,8 @@ def _check_contract_changes(text, changed, unchanged, probs_table=False):
     """A mutant whose outcome depends on the contract changes holds one of them."""
     if changed != unchanged:
         ids = [line.split(",")[0].strip() for line in text.splitlines()[1:] if line]
-        assert "_" in text.split("\n", 1)[1] or (probs_table and "" in ids), (text, changed, unchanged)
+        # a cell holds a comma, quote or line break only when it is quoted
+        assert "_" in text.split("\n", 1)[1] or '"' in text or (probs_table and "" in ids), (text, changed, unchanged)
 
 
 @pytest.fixture(scope="module")
@@ -1011,8 +1039,9 @@ def test_readers_equal_per_row_loaders_on_mutants(table_dir, table, data):
 
 
 DETECTION = {"image_id": "i0", "lesion": "microaneurysm", "x": 0.1, "y": 0.2, "w": 0.05, "h": 0.05, "score": 0.5}
-DETECTION_VALUES = [None, True, "0.5", "x", [], {}, -0.1, 0.0, 0.5, 1.0, 1.0000000001, 1.0 + 2e-9, float("nan"),
-                    10**400, 3, "drusen", "hard_hemorrhage", "neovascularization", "i1", 7]
+DETECTION_VALUES = [None, True, False, "0.5", "x", [], {}, -0.1, 0.0, 0.5, 1.0, 1.0000000001, 1.0 + 2e-9,
+                    float("nan"), 10**400, 3, 1, "drusen", "hard_hemorrhage", "neovascularization", "i1", 7,
+                    "i,1", 'i"1', "i\r1", "i\n1", "i\ud800", "%s", " i1 "]
 
 
 @st.composite

@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgdg.core import (
     LESION_TYPES,
@@ -25,8 +27,12 @@ from kgdg.io import (
 from kgdg.metrics import DomainStats, domain_kl
 from kgdg.rules import aggregate_detections, grade_by_rules
 from kgdg.synth import (
+    DEFAULT_COUNT_RATES,
     DomainSpec,
     SynthConfig,
+    _lesion_counts,
+    _round6,
+    _stream,
     gen_dataset,
     shift_profile,
     simulate_neural_table,
@@ -165,6 +171,112 @@ class TestSimulateNeuralTable:
         assert table.shape == (len(grades), 5)
         for row in table:
             validate_probability(list(row))
+
+
+# --- the array code against the per-value and per-image loops it replaced ---------------
+
+
+def ref_round6(values):
+    return np.array([round(v, 6) for v in values.tolist()], dtype=np.float64)
+
+
+def ref_lesion_counts(rng, grades, rates, pdr_flag_prob):
+    lesions = np.zeros((len(grades), len(LESION_TYPES)), dtype=np.int64)
+    for i, g in enumerate(grades.tolist()):
+        lesions[i, :5] = rng.poisson(rates[g])
+        if g == 4:
+            lesions[i, 5] = rng.random() < pdr_flag_prob / 2
+            lesions[i, 6] = rng.random() < pdr_flag_prob
+    return lesions
+
+
+def ref_simulate_neural_table(grades, accuracy, temperature, seed, stream="neural"):
+    rng = _stream(seed, stream)
+    rows = np.empty((len(grades), 5))
+    for n, grade in enumerate(np.asarray(grades).tolist()):
+        if rng.random() < accuracy:
+            winner = grade
+        else:
+            others = [g for g in range(5) if g != grade]
+            winner = others[rng.integers(0, 4)]
+        logits = rng.uniform(0.0, 0.5, size=5)
+        logits[winner] = 1.0 + rng.uniform(0.0, 0.25)
+        z = logits / temperature
+        z -= z.max()
+        e = np.exp(z)
+        rows[n] = e / e.sum()
+    return rows
+
+
+def _near_halves(k):
+    """(k + 1/2) / 10**6 for each integer k, both signs, and the doubles up to 3 ulps either side."""
+    half = np.concatenate([(k + 0.5) / 1e6, -(k + 0.5) / 1e6])
+    out = [half]
+    for direction in (np.inf, -np.inf):
+        v = half
+        for _ in range(3):
+            v = np.nextafter(v, direction)
+            out.append(v)
+    return np.concatenate(out)
+
+
+class TestRound6:
+    EDGES = np.array([0.0, -0.0, 1e-9, -1e-9, 5e-7, -5e-7, 4.9999999999999996e-7, 1e-320, 0.5, 1.0, 0.0000015,
+                      999.9999994999999, 999.9999995, 999.9999995000001, 1e3, -1e3, 1000.0000005, 1e6 + 0.5e-6,
+                      1e15, 1e300, -1e300, 1.7976931348623157e308, np.nan, np.inf, -np.inf, -np.nan])
+
+    @staticmethod
+    def assert_bits(values):
+        assert _round6(values).tobytes() == ref_round6(values).tobytes()
+
+    def test_edges(self):
+        self.assert_bits(self.EDGES)
+
+    def test_halves_and_neighbours(self):
+        rng = np.random.default_rng(0)
+        k = np.concatenate([np.arange(0, 2000), rng.integers(0, 10**9, size=20_000),
+                            rng.integers(0, 10**6, size=20_000), np.arange(10**9 - 2000, 10**9 + 2000)])
+        self.assert_bits(_near_halves(k.astype(np.float64)))
+
+    def test_uniform_draws_as_synth_makes_them(self):
+        u = np.random.default_rng(1).random(200_000)
+        self.assert_bits(0.01 + (0.06 - 0.01) * u)
+        self.assert_bits(0.5 + (1.0 - 0.5) * u)
+        self.assert_bits(u * 180.0)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True) | st.floats(-2e3, 2e3)
+                    | st.integers(-10**10, 10**10).map(lambda k: (k + 0.5) / 1e6), max_size=20))
+    def test_any_double(self, values):
+        self.assert_bits(np.array(values, dtype=np.float64))
+
+
+def _grade_vectors():
+    rng = np.random.default_rng(3)
+    yield from (np.zeros(0, np.int64), np.array([4]), np.array([2]), np.full(40, 4), np.full(40, 1),
+                np.array([4, 0, 1, 2, 3, 4]), np.array([4, 4, 0, 4]), rng.integers(0, 4, 300))
+    for _ in range(20):
+        yield rng.integers(0, 5, int(rng.integers(1, 400)))
+
+
+class TestLabelDraws:
+    @pytest.mark.parametrize("bias,pdr", [(1.0, 0.9), (0.0, 0.9), (4.0, 1.0), (0.55, 0.0)])
+    def test_runs_equal_per_image_loop(self, bias, pdr):
+        rates = np.asarray(DEFAULT_COUNT_RATES) * bias  # bias 4 puts rates above 10, numpy's other Poisson method
+        for n, grades in enumerate(_grade_vectors()):
+            new_rng, ref_rng = _stream(n, "labels"), _stream(n, "labels")
+            got = _lesion_counts(new_rng, grades, rates, pdr)
+            assert got.dtype == np.int64 and np.array_equal(got, ref_lesion_counts(ref_rng, grades, rates, pdr))
+            assert new_rng.random() == ref_rng.random()
+
+
+class TestNeuralTableEqualsRowLoop:
+    @pytest.mark.parametrize("accuracy,temperature", [(0.85, 0.25), (0.55, 1.2), (0.0, 1.0), (1.0, 3.0)])
+    def test_bits(self, accuracy, temperature):
+        for n, grades in enumerate(_grade_vectors()):
+            got = simulate_neural_table(grades, accuracy, temperature, seed=n, stream="d/neural")
+            want = ref_simulate_neural_table(grades, accuracy, temperature, seed=n, stream="d/neural")
+            assert got.shape == (len(grades), 5) and got.tobytes() == want.tobytes()
 
 
 class TestWriteDataset:
