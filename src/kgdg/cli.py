@@ -83,7 +83,7 @@ def _write_output(args: argparse.Namespace, text: str) -> None:
     if args.out is None or args.out == "-":
         sys.stdout.write(text)
     else:
-        Path(args.out).write_text(text)
+        Path(args.out).write_text(text, encoding="utf-8")
 
 
 # --- subcommands ---------------------------------------------------------------

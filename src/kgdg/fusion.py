@@ -4,6 +4,13 @@ Four strategies: selective (branch with the higher peak wins), global
 max confidence, class-wise max, and weighted blending. Tie rules are
 fixed so every strategy is a deterministic total function: the deep
 branch wins cross-branch ties, and within a vector the lower grade wins.
+
+Scaling both blend weights by c > 0 (scaled weights normal, blend finite)
+keeps the weighted grade unless the unscaled blend's top two cells lie within
+2**-49 * (alpha_dl + alpha_kl) of each other. Exact invariance cannot hold:
+the scaled weights, products and sum round, which moves each cell of a
+probability-row blend, scaled back by c, at most 3 * 2**-53 * (alpha_dl +
+alpha_kl) from the exact blend.
 """
 
 from __future__ import annotations

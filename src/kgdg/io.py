@@ -1,11 +1,12 @@
 """File ingestion and persistence.
 
-Tables are comma-separated text with a mandatory header; detections and
-manifests are JSON. Each table and detection file is read straight into
-arrays (``read_*``); the ``load_*`` readers are per-row views of those.
-Model artifacts are a JSON payload behind a magic header plus content
-digests, so round trips are byte-stable and truncation or tampering is
-detected at load time.
+Every file is UTF-8 text. Tables are comma-separated with a mandatory
+header; detections and manifests are JSON. Each table and detection file is
+read straight into arrays (``read_*``), and each of its checks is stated
+once; the ``load_*`` readers are per-row views of those arrays. Model
+artifacts are a JSON payload behind a magic header plus content digests, so
+round trips are byte-stable and truncation or tampering is detected at load
+time.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .core import (
     LabeledExample,
     LesionType,
     ProbabilityVector,
-    validate_probability,
     validate_probability_rows,
 )
 from .errors import (
@@ -79,66 +79,45 @@ def file_digest(path: str | Path) -> str:
 
 # --- tables: parsed a column at a time --------------------------------------------
 #
-# Each reader parses whole columns and checks them as array masks. When a
-# check fails, the per-row checks run from the first row and raise the error
-# of the first bad row, with the message a row-at-a-time loader gives.
+# A reader states each check once, as a row mask paired with its error, in
+# the order a row is checked: width, empty id, unwritable id, repeated id,
+# then each cell in column order. A check looks only at the rows before the
+# first row rejected so far, so the error raised is the first bad row's first
+# failing check. A mask is built only when the check's aggregate fails.
 
 
-def _column(kind: Callable[[str], Any], cells: Sequence[str]) -> list:
-    """int() or float() of each cell, without the digit grouping ('3_0')
-    both would accept."""
-    if "_" in "".join(cells):
-        raise ValueError("digit grouping")
-    return list(map(kind, cells))
-
-
-def _parse_count(raw: str, column: str, row: int, upper: int | None = None) -> int:
+def _read_text(path: Path, newline: str | None = None, error: type[DataError] = DataError) -> str:
+    """The file as UTF-8 text, newlines LF unless ``newline`` is ''; other bytes raise ``error`` naming it."""
     try:
-        value = _column(int, (raw,))[0]
-    except ValueError as exc:
-        raise NonNumericCell(f"row {row}, column {column!r}: {raw!r} is not an integer") from exc
-    if value < 0 or (upper is not None and value > upper):
-        bound = f"0..{upper}" if upper is not None else ">= 0"
-        raise NonNumericCell(f"row {row}, column {column!r}: {value} outside {bound}")
-    return value
-
-
-def _parse_flag(raw: str, column: str, row: int) -> bool:
-    if raw not in ("0", "1"):
-        raise NonNumericCell(f"row {row}, column {column!r}: {raw!r} is not 0/1")
-    return raw == "1"
-
-
-def _flags(cells: Sequence[str]) -> list[bool]:
-    """A 0/1 column, compared as strings: int() would also take '+1' or '01'."""
-    cells = [c.strip() for c in cells]
-    if not set(cells) <= {"0", "1"}:
-        raise ValueError("not a 0/1 flag")
-    return [c == "1" for c in cells]
-
-
-def _parse_float(raw: str, column: str, row: int, lo: float, hi: float | None) -> float:
-    try:
-        value = _column(float, (raw,))[0]
-    except ValueError as exc:
-        raise NonNumericCell(f"row {row}, column {column!r}: {raw!r} is not numeric") from exc
-    if not math.isfinite(value):
-        raise NonNumericCell(f"row {row}, column {column!r}: {raw!r} is not a finite number")
-    if value < lo or (hi is not None and value > hi):
-        bound = f"[{lo},{hi}]" if hi is not None else f">= {lo}"
-        raise NonNumericCell(f"row {row}, column {column!r}: {value} outside {bound}")
-    return value
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from None
+    return text if newline == "" or "\r" not in text else text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _csv(path: Path) -> Iterator[Any]:
-    """Yield the stripped header (None for an empty file), then every record,
-    so a reader checks the header before the rows are parsed. A record's
-    line number is its index + 2."""
-    with path.open(newline="") as fh:
+    """Yield the stripped header (None for an empty file), then every record
+    (messages number it index + 2), so a reader checks the header first."""
+    with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        yield None if header is None else tuple(h.strip() for h in header)
-        yield list(reader)
+        try:
+            header = next(reader, None)
+            yield None if header is None else tuple(h.strip() for h in header)
+            yield list(reader)
+        except csv.Error as exc:  # a cell over csv.field_size_limit()
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:  # its offset counts from the stream's last read: name the file's byte
+            _read_text(path)
+            raise
+
+
+def _is_number(kind: Callable[[str], Any], cell: str) -> bool:
+    """Whether int() or float() takes ``cell``, which may not group digits ('3_0')."""
+    try:
+        kind(cell)
+    except ValueError:
+        return False
+    return "_" not in cell
 
 
 _SURROGATE = re.compile("[\ud800-\udfff]")
@@ -154,39 +133,90 @@ def _unwritable_id(text: str) -> bool:
     return not text.isascii() and _SURROGATE.search(text) is not None
 
 
-def _id_columns(records: list[list[str]], width: int, empty_ids: bool = False) -> tuple[tuple[str, ...], list]:
-    """Stripped image ids and the columns of the nonblank records;
-    ValueError if a row has the wrong width or an id is empty, unwritable
-    or repeated."""
-    rows = list(filter(None, records))
-    if not set(map(len, rows)) <= {width}:
-        raise ValueError("row width")
-    cols = list(zip(*rows)) or [()] * width
-    ids = tuple(map(str.strip, cols[0]))
-    if len(set(ids)) < len(ids) or not (empty_ids or all(ids)) or _unwritable_id("".join(ids)):
-        raise ValueError("image ids")
-    return ids, cols
+class _Rows:
+    """A table's nonblank records, checked for width and ids on construction,
+    and ``bad``, the first row a check has rejected so far, with its
+    ``error``; ``cols`` are the columns of the rows before ``bad``."""
 
+    def __init__(self, path: Path, header: tuple, records: list, empty_ids: bool = False, strip: bool = False):
+        self.header, self.records, self.strip = header, records, strip
+        rows = list(filter(None, records))
+        self.bad, self.error = len(rows), None
+        if not set(map(len, rows)) <= {len(header)}:
+            self.reject([len(r) != len(header) for r in rows], lambda n: MissingColumn(
+                f"{path}: row {self.line(n)} has {len(rows[n])} cells, expected {len(header)}"))
+        self.cols = list(zip(*rows[: self.bad])) or [()] * len(header)
+        self.ids = ids = tuple(map(str.strip, self.cols[0]))
+        if not (empty_ids or all(ids)):
+            self.reject([not i for i in ids],
+                        lambda n: NonNumericCell(f"{path}: row {self.line(n)} has an empty image_id"))
+        if _unwritable_id("".join(ids)):
+            self.reject(list(map(_unwritable_id, ids)), lambda n: DataError(
+                f"{path}: row {self.line(n)} has image_id {ids[n]!r}, which {_UNWRITABLE_ID_MESSAGE}"))
+        if len(set(ids)) < len(ids):
+            first: dict[str, int] = {}
+            self.reject([first.setdefault(i, n) != n for n, i in enumerate(ids)],
+                        lambda n: DuplicateImageId(f"{path}: image_id {ids[n]!r} appears more than once"))
 
-def _raise_first_bad_row(
-    path: Path, width: int, records: list[list[str]], check_cells: Callable, empty_ids: bool = False
-) -> NoReturn:
-    seen: set[str] = set()
-    for lineno, cells in enumerate(records, start=2):
-        if not cells:
-            continue
-        if len(cells) != width:
-            raise MissingColumn(f"{path}: row {lineno} has {len(cells)} cells, expected {width}")
-        image_id = cells[0].strip()
-        if not (image_id or empty_ids):
-            raise NonNumericCell(f"{path}: row {lineno} has an empty image_id")
-        if _unwritable_id(image_id):
-            raise DataError(f"{path}: row {lineno} has image_id {image_id!r}, which {_UNWRITABLE_ID_MESSAGE}")
-        if image_id in seen:
-            raise DuplicateImageId(f"{path}: image_id {image_id!r} appears more than once")
-        seen.add(image_id)
-        check_cells(cells, lineno)
-    raise InternalError(f"{path}: the column checks reject a table the row checks accept")
+    def line(self, n: int) -> int:
+        """The file line of nonblank row n."""
+        return [i for i, cells in enumerate(self.records, start=2) if cells][n]
+
+    def reject(self, mask: Sequence, error: Callable[[int], DataError]) -> None:
+        """Make the first row before ``bad`` that ``mask`` flags the bad row."""
+        hits = np.flatnonzero(mask[: self.bad])
+        if hits.size:
+            self.bad = int(hits[0])
+            self.error = error(self.bad)
+
+    def _cell(self, i: int, problem: Callable[[str, int], str]) -> Callable[[int], DataError]:
+        """The error of column i's cell in row n, ``problem(cell, n)``; the cell is stripped if ``strip``."""
+        def error(n: int) -> DataError:
+            cell = self.cols[i][n].strip() if self.strip else self.cols[i][n]
+            return NonNumericCell(f"row {self.line(n)}, column {self.header[i]!r}: {problem(cell, n)}")
+        return error
+
+    def parse(self, i: int, kind: Callable[[str], Any], error: Callable[[int], DataError]) -> tuple:
+        """int() or float() (``kind``) of column i; a cell _is_number refuses rejects its row."""
+        cells = self.cols[i][: self.bad]
+        if "_" not in "".join(cells):
+            try:
+                return tuple(map(kind, cells))
+            except ValueError:
+                pass
+        self.reject([not _is_number(kind, c) for c in cells], error)
+        return tuple(map(kind, cells[: self.bad]))
+
+    def integers(self, i: int, upper: float = math.inf) -> np.ndarray:
+        """Column i as integers in 0..``upper``: int64, or exact Python ints past int64."""
+        values = self.parse(i, int, self._cell(i, lambda c, n: f"{c!r} is not an integer"))
+        try:
+            column = np.array(values, dtype=np.int64)
+        except OverflowError:
+            column = np.array(values, dtype=object)
+        if column.size and (column.min() < 0 or column.max() > upper):
+            bound = f"0..{upper}" if upper < math.inf else ">= 0"
+            self.reject((column < 0) | (column > upper), self._cell(i, lambda c, n: f"{values[n]} outside {bound}"))
+        return column
+
+    def flags(self, i: int) -> np.ndarray:
+        """Column i as 0/1 flags, compared as strings: int() takes '+1' and '01'."""
+        cells = list(map(str.strip, self.cols[i][: self.bad]))
+        if not set(cells) <= {"0", "1"}:
+            self.reject([c not in ("0", "1") for c in cells], self._cell(i, lambda c, n: f"{c!r} is not 0/1"))
+        # the rows before bad hold one character each, '0' or '1': one byte per row
+        return np.frombuffer("".join(cells[: self.bad]).encode(), dtype=np.uint8) == ord("1")
+
+    def floats(self, i: int, lo: float = -math.inf, hi: float = math.inf) -> np.ndarray:
+        """Column i as finite floats in [``lo``, ``hi``]."""
+        values = np.array(self.parse(i, float, self._cell(i, lambda c, n: f"{c!r} is not numeric")), dtype=np.float64)
+        if not np.isfinite(values).all():
+            self.reject(~np.isfinite(values), self._cell(i, lambda c, n: f"{c!r} is not a finite number"))
+        outside = (values < lo) | (values > hi)
+        if outside.any():
+            bound = f"[{lo},{hi}]" if hi < math.inf else f">= {lo}"
+            self.reject(outside, self._cell(i, lambda c, n: f"{values[n].item()} outside {bound}"))
+        return values
 
 
 def read_feature_table(path: str | Path) -> DomainTable:
@@ -202,37 +232,19 @@ def read_feature_table(path: str | Path) -> DomainTable:
         raise MissingColumn(f"{path}: empty file")
     if header not in (LESIONS_VEIN_HEADER, LESIONS_ONLY_HEADER):
         raise MissingColumn(f"{path}: header does not match a known feature schema (lesions-only or lesions+vein)")
-    records = next(parts)
-
-    def check_cells(cells: list[str], lineno: int) -> None:
-        if not cells[1].strip():
-            raise NonNumericCell(f"{path}: row {lineno} has an empty domain")
-        _parse_count(cells[2].strip(), "grade", lineno, upper=4)
-        for i in range(3, 11):
-            if i in (8, 9):
-                _parse_flag(cells[i].strip(), header[i], lineno)
-            else:
-                _parse_count(cells[i].strip(), header[i], lineno, upper=4 if i == 10 else None)
-        for i in range(11, len(header)):
-            _parse_float(cells[i].strip(), header[i], lineno, 0.0, 180.0 if i == 13 else None)
-
-    try:
-        ids, cols = _id_columns(records, len(header))
-        domains = {raw: DomainId(raw) for raw in set(cols[1])}
-        y = np.array(_column(int, cols[2]), dtype=np.int64)
-        block = [_column(int, c) for c in cols[3:8]] + [_flags(c) for c in cols[8:10]] + [_column(int, cols[10])]
-        try:
-            counts = np.array(block, dtype=np.int64).T.copy()
-        except OverflowError:  # a count beyond int64 stays an exact Python int
-            counts = np.array(block, dtype=object).T.copy()
-        vein = np.array([_column(float, c) for c in cols[11:]], dtype=np.float64).T.copy() if cols[11:] else None
-        if ((y < 0) | (y > 4)).any() or (counts < 0).any() or (counts[:, 7] > 4).any() or (
-            vein is not None and not (np.isfinite(vein).all() and (vein >= 0).all() and (vein[:, 2] <= 180).all())
-        ):
-            raise ValueError("out of range")
-    except (ValueError, OverflowError):
-        _raise_first_bad_row(path, len(header), records, check_cells)
-    return DomainTable(ids, tuple(map(domains.__getitem__, cols[1])), y, counts, vein)
+    rows = _Rows(path, header, next(parts), strip=True)
+    names = set(rows.cols[1][: rows.bad])
+    if not all(map(str.strip, names)):
+        rows.reject([not c.strip() for c in rows.cols[1]],
+                    lambda n: NonNumericCell(f"{path}: row {rows.line(n)} has an empty domain"))
+    y = rows.integers(2, upper=4)
+    block = [rows.flags(i) if i in (8, 9) else rows.integers(i, upper=4 if i == 10 else math.inf) for i in range(3, 11)]
+    vein = [rows.floats(i, 0.0, 180.0 if i == 13 else math.inf) for i in range(11, len(header))]
+    if rows.error:
+        raise rows.error
+    domains = {raw: DomainId(raw) for raw in names}
+    return DomainTable(rows.ids, tuple(map(domains.__getitem__, rows.cols[1])), y, np.column_stack(block),
+                       np.column_stack(vein) if vein else None)
 
 
 def load_feature_table(path: str | Path) -> list[LabeledExample]:
@@ -250,21 +262,14 @@ def read_probability_table(path: str | Path) -> tuple[tuple[str, ...], np.ndarra
         raise MissingColumn(f"{path}: empty file")
     if header != PROBS_HEADER:
         raise MissingColumn(f"{path}: header must be {','.join(PROBS_HEADER)}")
-    records = next(parts)
-
-    def check_cells(cells: list[str], lineno: int) -> None:
-        try:
-            values = _column(float, cells[1:6])
-        except ValueError as exc:
-            raise NonNumericCell(f"{path}: row {lineno} has a non-numeric probability") from exc
-        validate_probability(values)
-
-    try:
-        ids, cols = _id_columns(records, len(PROBS_HEADER))
-        rows = np.array([_column(float, c) for c in cols[1:]], dtype=np.float64).T.copy()
-    except ValueError:
-        _raise_first_bad_row(path, len(PROBS_HEADER), records, check_cells)
-    return ids, validate_probability_rows(rows)
+    rows = _Rows(path, header, next(parts))
+    cols = [rows.parse(i, float, lambda n: NonNumericCell(f"{path}: row {rows.line(n)} has a non-numeric probability"))
+            for i in range(1, len(header))]
+    # the simplex check of the rows before the first bad row, whose warnings fire
+    probs = validate_probability_rows(np.array([c[: rows.bad] for c in cols], dtype=np.float64).T.copy())
+    if rows.error:
+        raise rows.error
+    return rows.ids, probs
 
 
 def load_probability_table(path: str | Path) -> dict[str, ProbabilityVector]:
@@ -282,26 +287,16 @@ def read_prediction_table(path: str | Path) -> tuple[tuple[str, ...], np.ndarray
     header = next(parts)
     if not header or header[0] != "image_id" or "grade" not in header:
         raise MissingColumn(f"{path}: prediction table needs image_id,grade[,p0..p4]")
-    grade_col = header.index("grade")
     prob_cols = [header.index(c) for c in PROBS_HEADER[1:] if c in header]
     if len(prob_cols) not in (0, GRADE_COUNT):
         raise MissingColumn(f"{path}: probability columns need all of p0..p4")
-    records = next(parts)
-
-    def check_cells(cells: list[str], lineno: int) -> None:
-        _parse_count(cells[grade_col], "grade", lineno, upper=GRADE_COUNT - 1)
-        if prob_cols:
-            validate_probability([_parse_float(cells[i], header[i], lineno, -math.inf, None) for i in prob_cols])
-
-    try:
-        ids, cols = _id_columns(records, len(header), empty_ids=True)
-        grades = np.array(_column(int, cols[grade_col]), dtype=np.int64)
-        probs = np.array([_column(float, cols[i]) for i in prob_cols], dtype=np.float64).T.copy()
-        if ((grades < 0) | (grades >= GRADE_COUNT)).any() or not np.isfinite(probs).all():
-            raise ValueError("out of range")
-    except (ValueError, OverflowError):
-        _raise_first_bad_row(path, len(header), records, check_cells, empty_ids=True)
-    return ids, grades, validate_probability_rows(probs) if prob_cols else None
+    rows = _Rows(path, header, next(parts), empty_ids=True)
+    grades = rows.integers(header.index("grade"), upper=GRADE_COUNT - 1)
+    cols = [rows.floats(i) for i in prob_cols]
+    probs = validate_probability_rows(np.array([c[: rows.bad] for c in cols]).T.copy()) if prob_cols else None
+    if rows.error:
+        raise rows.error
+    return rows.ids, grades, probs
 
 
 def join_rows(ids: Sequence[str], table_ids: Sequence[str], missing: Callable[[str], Exception]) -> list[int]:
@@ -323,7 +318,7 @@ def save_feature_table(path: str | Path, table: DomainTable) -> None:
         for image_id, domain, grade, counts, veins in zip(table.ids, table.domains, table.y.tolist(),
                                                           table.counts.tolist(), vein)
     ]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def save_probability_table(path: str | Path, table: Mapping[str, ProbabilityVector]) -> None:
@@ -335,7 +330,7 @@ def save_probability_table(path: str | Path, table: Mapping[str, ProbabilityVect
         head = [f"{p:.8f}" for p in probs[:4]]
         residue = 1.0 - sum(float(c) for c in head)
         lines.append(",".join([image_id] + head + [f"{residue:.8f}"]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # --- detections ------------------------------------------------------------------
@@ -364,18 +359,21 @@ def _raise_first_bad_record(path: Path, records: list) -> NoReturn:
             raise
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"{path}: record {i} is malformed: {exc}") from exc
-        if _unwritable_id(rec["image_id"]):
-            raise DataError(f"{path}: record {i} has image_id {rec['image_id']!r}, which {_UNWRITABLE_ID_MESSAGE}")
+        image_id = rec["image_id"].strip()
+        if not image_id:
+            raise DataError(f"{path}: record {i} has an empty image_id")
+        if _unwritable_id(image_id):
+            raise DataError(f"{path}: record {i} has image_id {image_id!r}, which {_UNWRITABLE_ID_MESSAGE}")
     raise InternalError(f"{path}: the column checks reject records the record checks accept")
 
 
 def read_detections(path: str | Path) -> DetectionTable:
     """Read detections.json, a list of {image_id, lesion, x, y, w, h, score},
     straight into a DetectionTable; types, ids, boxes and scores are checked
-    as masks."""
+    as masks. Records whose ids are equal once stripped are one image's."""
     path = Path(path)
     try:
-        records = json.loads(path.read_text())
+        records = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(records, list):
@@ -385,11 +383,13 @@ def read_detections(path: str | Path) -> DetectionTable:
         lesion = np.array(list(map(_LESION_CODES.__getitem__, lesions)), dtype=np.int64)
         if not (set(map(type, names)) <= {str} and set(map(type, chain(*fields))) <= _JSON_NUMBERS):
             raise TypeError("not a JSON string or number")
-        if _unwritable_id("".join(names)):
+        raw_ids = tuple(dict.fromkeys(names))  # stripped once each, not once per record
+        stripped = tuple(map(str.strip, raw_ids))
+        ids = tuple(dict.fromkeys(stripped))
+        if not all(ids) or _unwritable_id("".join(ids)):
             raise ValueError("image ids")
         x, y, w, h, score = np.array(fields, dtype=np.float64)
-        ids = tuple(dict.fromkeys(names))
-        image = np.array(join_rows(names, ids, KeyError), dtype=np.int64)
+        image = np.array(join_rows(stripped, ids, KeyError), dtype=np.int64)[join_rows(names, raw_ids, KeyError)]
         edge = 1.0 + BOX_EDGE_EPS
         if not ((0 <= x) & (x <= 1) & (0 <= y) & (y <= 1) & (0 < w) & (w <= 1) & (0 < h) & (h <= 1)
                 & (x + w <= edge) & (y + h <= edge) & (0 <= score) & (score <= 1)).all():
@@ -438,7 +438,7 @@ def save_detections(path: str | Path, table: DetectionTable) -> None:
     for c, column in enumerate(columns, start=2):
         flat[c::7] = column
     template = "[\n" + ",\n".join([_DETECTION_RECORD] * m) + "\n]\n"
-    Path(path).write_text(template % tuple(flat) if m else "[]\n")
+    Path(path).write_text(template % tuple(flat) if m else "[]\n", encoding="utf-8")
 
 
 # --- manifests ---------------------------------------------------------------------
@@ -470,31 +470,30 @@ class Manifest:
 
 def load_manifest(path: str | Path) -> Manifest:
     path = Path(path)
-    raw_bytes = path.read_bytes()
+    text = _read_text(path, newline="")
     try:
-        raw = json.loads(raw_bytes)
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not valid JSON: {exc}") from exc
     try:
-        entries = []
-        for d in raw["domains"]:
-            entries.append(
-                DomainEntry(
-                    name=DomainId(d["name"]),
-                    features=(path.parent / d["features"]).resolve(),
-                    probs=(path.parent / d["probs"]).resolve() if d.get("probs") else None,
-                    detections=(path.parent / d["detections"]).resolve() if d.get("detections") else None,
-                )
+        entries = [
+            DomainEntry(
+                name=DomainId(d["name"]),
+                features=(path.parent / d["features"]).resolve(),
+                probs=(path.parent / d["probs"]).resolve() if d.get("probs") else None,
+                detections=(path.parent / d["detections"]).resolve() if d.get("detections") else None,
             )
+            for d in raw["domains"]
+        ]
         seeds = tuple(int(s) for s in raw.get("seeds", []))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed manifest: {exc}") from exc
-    return Manifest(tuple(entries), seeds, source_digest=content_digest(raw_bytes))
+    return Manifest(tuple(entries), seeds, source_digest=content_digest(text))
 
 
 def save_manifest(path: str | Path, domains: Sequence[Mapping[str, Any]], seeds: Sequence[int]) -> None:
     payload = {"domains": list(domains), "seeds": list(int(s) for s in seeds)}
-    Path(path).write_text(json.dumps(payload, indent=1) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
 
 
 def load_domain_dataset(entry: DomainEntry) -> DomainTable:
@@ -560,7 +559,7 @@ def save_model(artifact: ModelArtifact, path: str | Path) -> None:
         }
     )
     header = f"{ARTIFACT_MAGIC}\n{_body_digest(artifact)}\n{_schema_digest(artifact)}\n"
-    Path(path).write_text(header + payload + "\n")
+    Path(path).write_text(header + payload + "\n", encoding="utf-8")
 
 
 def load_model(path: str | Path) -> ModelArtifact:
@@ -572,7 +571,7 @@ def load_model(path: str | Path) -> ModelArtifact:
     """
     path = Path(path)
     try:
-        text = path.read_text()
+        text = _read_text(path, error=CorruptArtifact)
     except OSError as exc:
         raise CorruptArtifact(f"{path}: unreadable: {exc}") from exc
     parts = text.split("\n", 3)

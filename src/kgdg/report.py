@@ -392,7 +392,7 @@ def render_report(report: ExperimentReport, fmt: str) -> str:
 def emit_report(report: ExperimentReport, fmt: str, path: str | Path) -> Path:
     """Write ``render_report(report, fmt)`` to ``path``."""
     out = Path(path)
-    out.write_text(render_report(report, fmt))
+    out.write_text(render_report(report, fmt), encoding="utf-8")
     return out
 
 

@@ -1,8 +1,11 @@
+import contextlib
 import csv
 import filecmp
 import hashlib
+import io
 import json
 import re
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -642,6 +645,66 @@ class TestDetectionFieldTypes:
         assert main(["grade", "--detections", str(path), "--out", str(tmp_path / "g.csv"), "--quiet"]) == 0
 
 
+class TestDetectionIdsStripped:
+    """Detection image ids are stripped, as every table reader strips them."""
+
+    def test_padded_ids_are_one_image(self, tmp_path):
+        dets, out = tmp_path / "dets.json", tmp_path / "g.csv"
+        dets.write_text(json.dumps([_detection_record(" a"), _detection_record("a", lesion="neovascularization")]))
+        assert main(["grade", "--detections", str(dets), "--out", str(out), "--quiet"]) == 0
+        assert out.read_text() == "image_id,grade,fired_rules\na,4,R1\n"
+        assert read_prediction_table(out)[0] == ("a",)
+
+    def test_blank_id_names_the_record(self, tmp_path, capsys):
+        dets = tmp_path / "dets.json"
+        dets.write_text(json.dumps([_detection_record("a"), _detection_record("  ")]))
+        assert main(["grade", "--detections", str(dets), "--out", str(tmp_path / "g.csv"), "--quiet"]) == 3
+        assert capsys.readouterr().err == f"error[DATA_ERROR]: {dets}: record 1 has an empty image_id\n"
+
+
+class TestNonUtf8Input:
+    """A file that is not UTF-8 is a data error naming the file (exit 3)."""
+
+    def _check(self, argv, path, capsys):
+        assert main(argv + ["--out", str(path.parent / "out"), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[DATA_ERROR]: {path}: not UTF-8 text: ") and err.count("\n") == 1, err
+
+    @staticmethod
+    def _with_ff(source, target, after=b"\n"):
+        data = source.read_bytes()
+        at = data.index(after) + len(after)
+        target.write_bytes(data[:at] + b"\xff" + data[at:])
+        return target
+
+    def test_features(self, data_dir, tmp_path, capsys):
+        features = self._with_ff(data_dir / "clinic_a_features.csv", tmp_path / "features.csv")
+        self._check(["grade", "--features", str(features)], features, capsys)
+
+    def test_probs(self, data_dir, tmp_path, capsys):
+        probs = self._with_ff(data_dir / "clinic_a_probs.csv", tmp_path / "probs.csv")
+        self._check(["fuse", "--strategy", "max", "--dl", str(probs), "--kd", str(probs)], probs, capsys)
+
+    def test_detections(self, data_dir, tmp_path, capsys):
+        dets = self._with_ff(data_dir / "clinic_a_detections.json", tmp_path / "dets.json", b'"image_id": "')
+        self._check(["grade", "--detections", str(dets)], dets, capsys)
+
+    def test_manifest(self, data_dir, tmp_path, capsys):
+        manifest = self._with_ff(data_dir / "manifest.json", tmp_path / "manifest.json", b'"name": "')
+        config = tmp_path / "experiment.json"
+        config.write_text(json.dumps({"mode": "sdg", "domains": {"manifest": str(manifest), "source": "clinic_a"}}))
+        self._check(["eval", "--config", str(config)], manifest, capsys)
+
+
+class TestOverlongCell:
+    def test_names_the_file(self, tmp_path, capsys):
+        probs = tmp_path / "probs.csv"
+        probs.write_text("image_id,p0,p1,p2,p3,p4\n" + "x" * (csv.field_size_limit() + 1) + ",0.2,0.2,0.2,0.2,0.2\n")
+        assert main(["fuse", "--strategy", "max", "--dl", str(probs), "--kd", str(probs), "--quiet"]) == 3
+        assert capsys.readouterr().err == (
+            f"error[DATA_ERROR]: {probs}: line 2: field larger than field limit ({csv.field_size_limit()})\n")
+
+
 def _unwritable_id(image_id):
     return any(c in ',"\r\n' or 0xD800 <= ord(c) <= 0xDFFF for c in image_id)
 
@@ -652,9 +715,10 @@ def _write_csv(path, header, row):
 
 
 class TestImageIdText:
-    """An image id no writer can put in a CSV cell unquoted is rejected at
-    ingest (exit 3); any other id comes back, stripped, from the readers of
-    the grade and fuse outputs. Nothing exits 4."""
+    """Every reader strips image ids. An id that is then empty, or that no
+    writer can put in a CSV cell unquoted, is rejected at ingest (exit 3);
+    any other id comes back, stripped, from the readers of the grade and
+    fuse outputs. Nothing exits 4."""
 
     def _run(self, argv, out):
         code = main(argv + ["--out", str(out), "--quiet"])
@@ -673,15 +737,14 @@ class TestImageIdText:
     def test_grade_and_fuse(self, tmp_path_factory, image_id):
         tmp = tmp_path_factory.mktemp("ids")
         dets, out = tmp / "dets.json", tmp / "out.csv"
+        stripped = image_id.strip()
+        rejected = not stripped or _unwritable_id(stripped)
         dets.write_text(json.dumps([dict(_detection_record(image_id), lesion="neovascularization")]))
-        self._read_back(self._run(["grade", "--detections", str(dets)], out), _unwritable_id(image_id), out,
-                        image_id)
+        self._read_back(self._run(["grade", "--detections", str(dets)], out), rejected, out, image_id)
         try:
             image_id.encode("utf-8")
         except UnicodeEncodeError:
             return  # no UTF-8 table holds this id
-        stripped = image_id.strip()
-        rejected = not stripped or _unwritable_id(stripped)
         features, probs = tmp / "features.csv", tmp / "probs.csv"
         _write_csv(features, LESIONS_ONLY_HEADER, [image_id, "d", "4", "0", "0", "0", "0", "0", "0", "1", "0"])
         _write_csv(probs, PROBS_HEADER, [image_id, "0.1", "0.2", "0.3", "0.2", "0.2"])
@@ -775,3 +838,95 @@ class TestServeOutputsPinned:
 
     def test_output_bytes_pinned(self, tmp_path):
         assert serve_digests(tmp_path) == self.PINNED
+
+
+# --- ingest fuzz: mutated bytes of every input kind through the CLI ----------------------
+
+FUZZ_TOKENS = [b"", b" ", b"nan", b"inf", b"-1", b"1e400", b"abc", b"3_0", b'"', b'"a,b"', b"\xff", b"\xc3(",
+               b"\x00", b"null", b"true", b"[]", b"{}", b"999999999999999999999", b"0.5", b"\r\n"]
+MUTATIONS = ("token", "truncate", "0xff", "blank")
+
+
+def mutate(data, mutations):
+    """``data`` with each mutation applied in turn: a token (a CSV cell, a JSON
+    key or value) replaced, a truncation, a 0xff byte or a blank line."""
+    for kind, at, token in mutations:
+        if kind == "token":
+            spans = [m.span() for m in re.finditer(rb"[^,\s\[\]{}:]+", data)]
+            if spans:
+                start, end = spans[at % len(spans)]
+                data = data[:start] + token + data[end:]
+        elif kind == "truncate":
+            data = data[: at % (len(data) + 1)]
+        elif kind == "0xff":
+            at %= len(data) + 1
+            data = data[:at] + b"\xff" + data[at:]
+        else:
+            lines = data.split(b"\n")
+            lines.insert(at % (len(lines) + 1), b" " * (at % 2))
+            data = b"\n".join(lines)
+    return data
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Small valid features, probs, preds, detections and manifest files, the
+    path each mutant is written to, and the commands that read it."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    write_dataset(shift_profile("mild", seed=0, n_samples=40), tmp)
+    features = (tmp / "clinic_a_features.csv").read_text().splitlines()[:13]
+    preds = ["image_id,grade,p0,p1,p2,p3,p4"] + [
+        ",".join([c[0], c[2]] + ["1" if g == int(c[2]) else "0" for g in range(5)])
+        for c in (line.split(",") for line in features[1:])
+    ]
+    originals = {
+        "features": "\n".join(features) + "\n",
+        "probs": "\n".join((tmp / "clinic_a_probs.csv").read_text().splitlines()[:13]) + "\n",
+        "preds": "\n".join(preds) + "\n",
+        "detections": json.dumps(json.loads((tmp / "clinic_a_detections.json").read_text())[:6], indent=1) + "\n",
+        "manifest": (tmp / "manifest.json").read_text(),
+    }
+    valid = {}
+    for kind, text in originals.items():
+        (tmp / f"valid_{kind}").write_text(text)
+        valid[kind] = str(tmp / f"valid_{kind}")
+    # the mutant manifest sits beside the domain files its relative paths name
+    mutant = {kind: tmp / ("manifest_mutant.json" if kind == "manifest" else f"mutant_{kind}") for kind in originals}
+    config = tmp / "experiment.json"
+    config.write_text(json.dumps({
+        "mode": "sdg", "domains": {"manifest": str(mutant["manifest"]), "source": "clinic_a"}, "seeds": [0],
+        "symbolic": {"n_trees": 2, "early_stop_patience": 1}, "fusion": {"strategies": ["max"]},
+    }))
+    commands = {  # the commands that read a mutant at path p
+        "features": lambda p: [["grade", "--features", p], ["metrics", "--truth", p, "--pred", valid["preds"]]],
+        "probs": lambda p: [["fuse", "--strategy", "weighted", "--alpha-dl", "0.6", "--alpha-kl", "0.4",
+                             "--dl", p, "--kd", valid["probs"]]],
+        "preds": lambda p: [["metrics", "--truth", valid["features"], "--pred", p]],
+        "detections": lambda p: [["grade", "--detections", p],
+                                 ["metrics", "--pred-detections", p, "--truth-detections", valid["detections"]]],
+        "manifest": lambda p: [["eval", "--config", str(config)]],
+    }
+    return originals, mutant, commands, tmp / "out"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["features", "probs", "preds", "detections", "manifest"]),
+       st.lists(st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 2**16), st.sampled_from(FUZZ_TOKENS)),
+                min_size=1, max_size=2))
+@example("features", [("0xff", 200, b"")])
+@example("detections", [("0xff", 40, b"")])
+@example("manifest", [("0xff", 30, b"")])
+@example("manifest", [("token", 26, b"1e400")])
+def test_cli_ingest_fuzz(fuzz_inputs, kind, mutations):
+    """Every mutant exits 0, 2 or 3, and a failing one prints exactly one
+    error[CODE] line; none exits 4."""
+    originals, mutant, commands, out = fuzz_inputs
+    mutant[kind].write_bytes(mutate(originals[kind].encode(), mutations))
+    for argv in commands[kind](str(mutant[kind])):
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("ignore")
+            code = main(argv + ["--out", str(out), "--quiet"])
+        assert code in (0, 2, 3), (argv, err.getvalue())
+        expected = r"error\[[A-Z_]+\]: [^\n]*\n" if code else ""  # one error line, or nothing
+        assert re.fullmatch(expected, err.getvalue()), (argv, code, err.getvalue())

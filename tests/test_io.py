@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -350,4 +351,13 @@ class TestModelArtifact:
         path = tmp_path / "m.kgdg"
         path.write_text("not a model")
         with pytest.raises(CorruptArtifact):
+            load_model(path)
+
+    def test_non_utf8_file_raises_corrupt(self, tmp_path):
+        examples = _toy_examples(40)
+        model = fit_examples(examples[:30], examples[30:], TrainConfig(n_trees=3, min_leaf=2, seed=1))
+        path = tmp_path / "m.kgdg"
+        save_model(model.to_artifact(), path)
+        path.write_bytes(path.read_bytes().replace(b'"learning_rate"', b'"learning\xff_rate"'))
+        with pytest.raises(CorruptArtifact, match=re.escape(f"{path}: not UTF-8 text: ")):
             load_model(path)

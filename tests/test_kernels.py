@@ -647,7 +647,8 @@ CONTRACT_CHANGES = (
 )
 # Since then: a detection record without an image_id is DATA_ERROR (it raised KeyError),
 # and so is one whose image_id is not a JSON string, whose x, y, w, h or score is not a
-# JSON number (a bool is not), or whose image_id breaks the id rule above;
+# JSON number (a bool is not), or whose image_id breaks the id rule above; a detection
+# image_id is stripped, as a table's is, and one that is then empty is DATA_ERROR;
 # ref_load_detections applies them.
 
 
@@ -852,6 +853,9 @@ def ref_load_detections(path):
             raise
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"{path}: record {i} is malformed: {exc}") from exc
+        image_id = image_id.strip()
+        if not image_id:
+            raise DataError(f"{path}: record {i} has an empty image_id")
         _ref_check_id(path, f"record {i}", image_id)
         out.setdefault(image_id, []).append(det)
     return out
@@ -1041,7 +1045,7 @@ def test_readers_equal_per_row_loaders_on_mutants(table_dir, table, data):
 DETECTION = {"image_id": "i0", "lesion": "microaneurysm", "x": 0.1, "y": 0.2, "w": 0.05, "h": 0.05, "score": 0.5}
 DETECTION_VALUES = [None, True, False, "0.5", "x", [], {}, -0.1, 0.0, 0.5, 1.0, 1.0000000001, 1.0 + 2e-9,
                     float("nan"), 10**400, 3, 1, "drusen", "hard_hemorrhage", "neovascularization", "i1", 7,
-                    "i,1", 'i"1', "i\r1", "i\n1", "i\ud800", "%s", " i1 "]
+                    "i,1", 'i"1', "i\r1", "i\n1", "i\ud800", "%s", " i1 ", "", " \t", "i1\n"]
 
 
 @st.composite
