@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Sequence
 
 import numpy as np
@@ -28,7 +29,7 @@ from .config import (
     standardization,
     train_fingerprint,
 )
-from .tree import fit_classification_tree, predict_tree
+from .tree import FlatTrees, fit_classification_tree, flatten_trees, predict_tree
 
 
 # --- multinomial logistic regression ------------------------------------------
@@ -104,16 +105,32 @@ def fit_logistic_arrays(
     mu, sd = standardization(x)
     xs = (x - mu) / sd
     weights = sample_weights(y, cfg.class_weighting)
-    # the gradient of logistic_loss_and_grad without the loss, bit for bit
-    onehot = np.zeros((y.size, GRADE_COUNT), dtype=np.float64)
-    onehot[np.arange(y.size), y] = 1.0
-    scale = (weights / weights.sum())[:, None]
+    # The gradient of logistic_loss_and_grad without the loss, bit for bit,
+    # in preallocated buffers. Logits and probabilities are grade-major
+    # (5, n): softmax's max and sum reduce over axis 0, adding each sample's
+    # grades left to right as row_sum does. Two ops depend on layout or
+    # order: BLAS rounds delta.T @ xs differently unless delta is
+    # sample-major, and the bias sum must add the samples in order, as
+    # sum(axis=0) and einsum do (a sum along a contiguous axis is pairwise).
+    n = y.size
+    onehot = np.zeros((GRADE_COUNT, n), dtype=np.float64)
+    onehot[y, np.arange(n)] = 1.0
+    scale = weights / weights.sum()
     w = np.zeros((GRADE_COUNT, x.shape[1]), dtype=np.float64)
     b = np.zeros(GRADE_COUNT, dtype=np.float64)
+    z = np.empty((GRADE_COUNT, n), dtype=np.float64)
+    delta = np.empty((n, GRADE_COUNT), dtype=np.float64)
+    xt = np.ascontiguousarray(xs.T)
     for _ in range(cfg.logistic_steps):
-        delta = (softmax(xs @ w.T + b) - onehot) * scale
+        np.matmul(w, xt, out=z)
+        z += b[:, None]
+        z -= np.maximum.reduce(z, axis=0)
+        np.exp(z, out=z)
+        z /= np.add.reduce(z, axis=0)
+        z -= onehot
+        np.multiply(z, scale, out=delta.T)
         w -= cfg.logistic_lr * (delta.T @ xs)
-        b -= cfg.logistic_lr * delta.sum(axis=0)
+        b -= cfg.logistic_lr * np.einsum("ij->j", delta)
     return LogisticModel(
         feature_schema=schema,
         weights=w,
@@ -133,10 +150,15 @@ class ForestModel(FittedModel):
     trees: list[dict[str, Any]]
     train_fingerprint: str
 
+    @cached_property
+    def flat(self) -> FlatTrees:
+        """The trees as flat node arrays, built on first use."""
+        return flatten_trees(self.trees)
+
     def predict_proba_matrix(self, x: np.ndarray) -> np.ndarray:
         self.check_width(x)
         acc = np.zeros((x.shape[0], GRADE_COUNT), dtype=np.float64)
-        for leaves in predict_tree(self.trees, x).transpose(1, 0, 2):  # one descent, summed tree by tree
+        for leaves in predict_tree(self.flat, x).transpose(1, 0, 2):  # one descent, summed tree by tree
             acc += leaves
         return acc / len(self.trees)
 
@@ -199,12 +221,16 @@ class KnnModel(FittedModel):
     def predict_proba_matrix(self, x: np.ndarray) -> np.ndarray:
         self.check_width(x)
         xs = (x - self.mean) / self.std
+        k, n = self.k, self.points.shape[0]
         out = np.zeros((x.shape[0], GRADE_COUNT), dtype=np.float64)
         for i in range(xs.shape[0]):
             dists = np.sqrt(((self.points - xs[i]) ** 2).sum(axis=1))
-            nearest = np.argsort(dists, kind="stable")[: self.k]
+            # the first k of a stable sort: the rows no farther than the k-th
+            # distance (every row when that is NaN), sorted stably
+            near = np.flatnonzero(~(dists > np.partition(dists, k - 1)[k - 1])) if k < n else np.arange(n)
+            nearest = near[np.argsort(dists[near], kind="stable")[:k]]
             counts = np.bincount(self.grades[nearest], minlength=GRADE_COUNT)
-            out[i] = counts / self.k
+            out[i] = counts / k
         return out
 
     def to_artifact(self) -> ModelArtifact:

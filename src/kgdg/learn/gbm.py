@@ -14,6 +14,7 @@ rows, and rows outside a subsample.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -29,7 +30,7 @@ from .config import (
     softmax,
     train_fingerprint,
 )
-from .tree import NodeCache, fit_regression_tree, predict_tree
+from .tree import FlatTrees, NodeCache, fit_regression_tree, flatten_trees, predict_tree
 
 PRIOR_EPS = 1e-12
 
@@ -50,10 +51,15 @@ class GbmModel(FittedModel):
     def n_rounds(self) -> int:
         return len(self.trees)
 
+    @cached_property
+    def flat_rounds(self) -> list[FlatTrees]:
+        """Each round's grade trees as flat node arrays, built on first use."""
+        return [flatten_trees(round_trees) for round_trees in self.trees]
+
     def decision_scores(self, x: np.ndarray) -> np.ndarray:
         scores = np.tile(self.base_scores, (x.shape[0], 1))
-        for round_trees in self.trees:
-            scores += self.learning_rate * predict_tree(round_trees, x)
+        for flat in self.flat_rounds:
+            scores += self.learning_rate * predict_tree(flat, x)
         return scores
 
     def predict_proba_matrix(self, x: np.ndarray) -> np.ndarray:
@@ -130,8 +136,9 @@ def fit_gbm_arrays(x: np.ndarray, y: np.ndarray, xv: np.ndarray, yv: np.ndarray,
             tree, fitted[:, c] = fit_regression_tree(x, grad, hess, cfg.max_depth, cfg.min_leaf, cfg.l2_leaf, nodes)
             round_trees.append(tree)
         # the fit left each of its rows in a leaf; only rows outside a subsample need a predict
-        scores += cfg.learning_rate * (fitted if rows.size == n else predict_tree(round_trees, x))
-        scores_v += cfg.learning_rate * predict_tree(round_trees, xv)
+        flat = flatten_trees(round_trees)
+        scores += cfg.learning_rate * (fitted if rows.size == n else predict_tree(flat, x))
+        scores_v += cfg.learning_rate * predict_tree(flat, xv)
         nodes.prune()
         trees.append(round_trees)
         loss_curve.append(multinomial_log_loss(softmax(scores), y, weights))

@@ -3,11 +3,13 @@
 Split search is an exact scan over sorted unique feature values. Ties
 break to the lowest feature index, then the lowest threshold, so a fit
 is a pure function of (data, config, rng draws). Trees are nested dicts,
-the form artifacts store; they predict as flat node arrays.
+the form artifacts store; they predict as flat node arrays, which a model
+builds once.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import Any
 
 import numpy as np
@@ -141,11 +143,15 @@ def fit_regression_tree(x: np.ndarray, g: np.ndarray, h: np.ndarray, max_depth: 
     return build(nodes.root), fitted
 
 
-def predict_tree(trees: list[dict[str, Any]], x: np.ndarray) -> np.ndarray:
-    """Leaf value of each row of ``x`` in each tree, (rows, trees[, k]). The
-    trees become flat node arrays, the layout of scikit-learn's ``Tree``,
-    with a leaf its own two children, and all rows descend all trees a level
-    per step. Rows with ``x[feature] < threshold`` go left, so a NaN goes right."""
+# flat node arrays in preorder, the layout of scikit-learn's ``Tree``, with a
+# leaf its own two children; ``value`` holds leaf values (0 at a split) and
+# ``depth`` is the deepest tree's
+FlatTrees = namedtuple("FlatTrees", "feature threshold left right value roots depth")
+
+
+def flatten_trees(trees: list[dict[str, Any]]) -> FlatTrees:
+    """The nested-dict trees as the FlatTrees :func:`predict_tree` descends;
+    a model builds them once."""
     nodes: list[list[Any]] = []  # [feature, threshold, left, right] in preorder
     leaves: dict[int, Any] = {}
 
@@ -164,8 +170,16 @@ def predict_tree(trees: list[dict[str, Any]], x: np.ndarray) -> np.ndarray:
     feature, threshold, left, right = (np.array(column) for column in zip(*nodes))
     value = np.zeros((len(nodes),) + np.shape(next(iter(leaves.values()))))
     value[list(leaves)] = list(leaves.values())
+    return FlatTrees(feature, threshold, left, right, value, np.array(roots), max(depths))
+
+
+def predict_tree(trees: FlatTrees, x: np.ndarray) -> np.ndarray:
+    """Leaf value of each row of ``x`` in each tree, (rows, trees[, k]). All
+    rows descend all trees a level per step. Rows with ``x[feature] <
+    threshold`` go left, so a NaN goes right."""
+    feature, threshold, left, right, value, roots, depth = trees
     node, rows = np.tile(roots, (x.shape[0], 1)), np.arange(x.shape[0])[:, None]
-    for _ in range(max(depths)):
+    for _ in range(depth):
         node = np.where(x[rows, feature[node]] < threshold[node], left[node], right[node])
     return value[node]
 

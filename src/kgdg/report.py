@@ -7,10 +7,11 @@ comparison against a live report is annotated, not judged.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from .errors import InvalidConfig, UnknownReference
+from .errors import DataError, InvalidConfig, UnknownReference
 from .harness import CellStat, ExperimentReport
 
 # --- embedded reference fixtures ----------------------------------------------
@@ -401,4 +402,11 @@ def save_report_json(report: ExperimentReport, path: str | Path) -> Path:
 
 
 def load_report_json(path: str | Path) -> ExperimentReport:
-    return ExperimentReport.from_json_dict(json.loads(Path(path).read_text()))
+    """Read a report written by ``eval --format json``; any other file is a DataError."""
+    try:
+        report = ExperimentReport.from_json_dict(json.loads(Path(path).read_bytes().decode("utf-8")))
+        for key in itertools.product(report.methods, report.columns, report.metrics):
+            report.cell(*key)  # a report has every (method, column, metric) cell
+    except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
+        raise DataError(f"{path}: not an eval --format json report: {type(exc).__name__}: {exc}") from None
+    return report

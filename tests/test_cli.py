@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgdg.cli import main
+from kgdg.harness import ExperimentReport
 from kgdg.io import (
     LESIONS_ONLY_HEADER,
     PROBS_HEADER,
@@ -331,6 +332,22 @@ class TestReportCommand:
 
     def test_unknown_reference_exits_2(self):
         assert main(["report", "--reference-id", "bogus", "--quiet"]) == 2
+
+    # every report field, but no cell for its one method
+    NO_CELLS = json.dumps(ExperimentReport("sdg", "clinic_a", ("clinic_b",), ("symbolic",), ("accuracy",), {}, {},
+                                           (0,), "0", "").to_json_dict())
+
+    @pytest.mark.parametrize("text, cause", [('{"a": ', "JSONDecodeError: Expecting value"),
+                                             ("{}", "KeyError: 'mode'"),
+                                             ("[]", "TypeError: list indices"),
+                                             (NO_CELLS, "KeyError: 'symbolic'")],
+                             ids=["truncated", "empty-object", "list", "no-cells"])
+    def test_input_that_is_not_a_report_exits_3(self, tmp_path, capsys, text, cause):
+        path = tmp_path / "r.json"
+        path.write_text(text)
+        assert main(["report", "--reference-id", "sdg_aptos", "--input", str(path), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[DATA_ERROR]: {path}: not an eval --format json report: {cause}")
 
     def test_diff_live_report(self, data_dir, tmp_path, capsys):
         config = tmp_path / "experiment.json"
@@ -838,6 +855,48 @@ class TestServeOutputsPinned:
 
     def test_output_bytes_pinned(self, tmp_path):
         assert serve_digests(tmp_path) == self.PINNED
+
+
+def train_digests(work):
+    """sha256 of the artifact `kgdg train` writes for each learner on each
+    domain of synth vein_hostile seed 7, 200 rows per domain, with the GBM
+    and the forest at 10 trees."""
+    data, config = work / "data", work / "train.json"
+    assert main(["synth", "--profile", "vein_hostile", "--seed", "7", "--samples", "200",
+                 "--out", str(data), "--quiet"]) == 0
+    config.write_text(json.dumps({"symbolic": {"n_trees": 10}}))
+    digests = {}
+    for d in ("clinic_a", "clinic_b", "clinic_c"):
+        for m in ("gbm", "logistic", "forest", "knn"):
+            out = work / f"{d}_{m}.kgdg"
+            assert main(["train", "--features", str(data / f"{d}_features.csv"), "--model", m, "--seed", "0",
+                         "--config", str(config), "--out", str(out), "--quiet"]) == 0, out.name
+            digests[out.name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    return digests
+
+
+class TestTrainArtifactsPinned:
+    """`kgdg train` writes the artifact bytes it wrote before the logistic
+    descent moved to grade-major buffers (digests recorded with the
+    sample-major step loop)."""
+
+    PINNED = {
+        "clinic_a_gbm.kgdg": "c39f4eda6d3fc683ee26e254c48496047ca6150b9a04038ff3c4f36c721d3317",
+        "clinic_a_logistic.kgdg": "2f1ad32a1094795f0d001b8abf709f250ce59b2049b7e88d7a0b13b2e24ab3cb",
+        "clinic_a_forest.kgdg": "4b64892ff6ae17725ff6ae186183486381ea985bfe83e6521aa7f5ed99edf11d",
+        "clinic_a_knn.kgdg": "649ec9dd605a099013459d907ed9dd32c7c66a1bedd556f0edea2743b984928c",
+        "clinic_b_gbm.kgdg": "fefbef795c1040ff3433a6b1170c4e3b13a5be17270e32aa99eba800a2a13d88",
+        "clinic_b_logistic.kgdg": "c91961a6c364d9ad7edd664f6e7159d540872fe0d7ecc68822ea26457d3378ac",
+        "clinic_b_forest.kgdg": "1d825a5bdb345302c9ee385e4e86587bdaaf2e2aaace360d52b19156184a97f5",
+        "clinic_b_knn.kgdg": "0745f1ed7c83fbff1cf18ab9958c119911198af7dd53567c1f543b021614bf8f",
+        "clinic_c_gbm.kgdg": "5d2e6a2d913dfefc1e5ee956f2c50248fca34343f27242bee5da3a837ad85f0a",
+        "clinic_c_logistic.kgdg": "da09115e5d4954e92928f6af0a7ebb813bfdd7b8f6e38aa17fc0accab5ab91c7",
+        "clinic_c_forest.kgdg": "b178403bd8f0b97339a0c51def31a4650aaaef043138eff695cf732c632d2e5e",
+        "clinic_c_knn.kgdg": "61d93346f0241198dfbcb8b6c429322293c330a1b200a2c1c982d6be7d74c813",
+    }
+
+    def test_artifact_bytes_pinned(self, tmp_path):
+        assert train_digests(tmp_path) == self.PINNED
 
 
 # --- ingest fuzz: mutated bytes of every input kind through the CLI ----------------------

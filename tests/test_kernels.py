@@ -1,8 +1,8 @@
 """Array kernels against the per-row and per-feature reference code they
 replaced: pre-sorted split search with its per-fit node cache, the flat
 level-wise tree descent, tie-averaged ranks, fusion, the column-wise
-softmax, the logistic gradient step, the Gini cut scan and the columnar
-table and detection readers."""
+softmax, the logistic gradient step, kNN selection, the Gini cut scan and
+the columnar table and detection readers."""
 
 import csv
 import json
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from kgdg.core import (
     GRADE_COUNT,
     LESIONS_ONLY_SCHEMA,
+    LESIONS_VEIN_SCHEMA,
     PROB_RENORM_TOL,
     PROB_SUM_EPS,
     BoundingBox,
@@ -56,7 +57,14 @@ from kgdg.io import (
     read_probability_table,
     save_model,
 )
-from kgdg.learn import TrainConfig, fit_forest_arrays, fit_gbm_arrays, fit_logistic_arrays, model_from_artifact
+from kgdg.learn import (
+    TrainConfig,
+    fit_forest_arrays,
+    fit_gbm_arrays,
+    fit_knn_arrays,
+    fit_logistic_arrays,
+    model_from_artifact,
+)
 from kgdg.learn import baselines as baselines_module
 from kgdg.learn import gbm as gbm_module
 from kgdg.learn.config import feature_matrix, row_sum, sample_weights, softmax, standardization
@@ -66,6 +74,7 @@ from kgdg.learn.tree import (
     _leaf_value,
     fit_classification_tree,
     fit_regression_tree,
+    flatten_trees,
     predict_tree,
 )
 from kgdg.metrics import _tie_averaged_ranks, auc_ovr_macro, binary_auc
@@ -237,6 +246,17 @@ def ref_fit_logistic(x, y, cfg):
         w -= cfg.logistic_lr * (delta.T @ xs)
         b -= cfg.logistic_lr * delta.sum(axis=0)
     return w, b
+
+
+def ref_knn_predict(model, x):
+    """kNN votes through a full stable argsort of each query row's distances."""
+    xs = (x - model.mean) / model.std
+    out = np.zeros((x.shape[0], GRADE_COUNT))
+    for i in range(xs.shape[0]):
+        dists = np.sqrt(((model.points - xs[i]) ** 2).sum(axis=1))
+        nearest = np.argsort(dists, kind="stable")[: model.k]
+        out[i] = np.bincount(model.grades[nearest], minlength=GRADE_COUNT) / model.k
+    return out
 
 
 def ref_gini(counts):
@@ -483,20 +503,49 @@ def test_softmax_and_row_sum_equal_numpy_row_reductions():
 @pytest.mark.parametrize("class_weighting", [False, True])
 @pytest.mark.parametrize("single_grade", [False, True])
 def test_logistic_fit_equals_loss_and_grad_loop(class_weighting, single_grade):
+    # 1400 rows at both schema widths: lesion counts, then vein floats
     rng = np.random.default_rng(9)
-    n = 300
+    n = 1400
     y = np.full(n, 3) if single_grade else rng.choice(5, size=n, p=[0.5, 0.2, 0.15, 0.1, 0.05])
-    x = np.column_stack([
-        rng.poisson(1 + 2 * y).astype(np.float64),
+    counts = np.column_stack([
+        *(rng.poisson(0.5 + j * y).astype(np.float64) for j in range(5)),
         rng.integers(0, 4, size=n).astype(np.float64),
-        rng.normal(size=n) * 5 + y,
         np.full(n, 2.0),  # a constant column hits the std floor
+        rng.poisson(0.2, size=n).astype(np.float64),
     ])
+    vein = rng.normal(size=(n, 3)) * 5 + y[:, None]
     cfg = TrainConfig(model_kind="logistic", logistic_steps=150, class_weighting=class_weighting)
-    model = fit_logistic_arrays(x, y, ("a", "b", "c", "d"), cfg)
-    w, b = ref_fit_logistic(x, y, cfg)
-    assert np.array_equal(model.weights, w)
-    assert np.array_equal(model.bias, b)
+    for x, schema in ((counts, LESIONS_ONLY_SCHEMA), (np.hstack([counts, vein]), LESIONS_VEIN_SCHEMA)):
+        model = fit_logistic_arrays(x, y, schema, cfg)
+        w, b = ref_fit_logistic(x, y, cfg)
+        assert np.array_equal(model.weights, w)
+        assert np.array_equal(model.bias, b)
+
+
+# --- (f2) kNN selection by partition equals the full stable sort --------------------------
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("k", [1, 5, "n"])
+def test_knn_partition_equals_stable_argsort(seed, k):
+    # every training point appears two to four times, so equal distances
+    # straddle the k-th place; queries include training points and NaN rows
+    rng = np.random.default_rng(seed)
+    base = rng.integers(0, 3, size=(40, 4)).astype(np.float64)
+    x = base[np.repeat(np.arange(40), rng.integers(2, 5, size=40))]
+    y = rng.integers(0, 5, size=x.shape[0])
+    k = x.shape[0] if k == "n" else k
+    model = fit_knn_arrays(x, y, ("a", "b", "c", "d"), TrainConfig(model_kind="knn", k_neighbors=k))
+    queries = np.vstack([rng.integers(0, 3, size=(60, 4)).astype(np.float64), x[:10], np.full((1, 4), np.nan),
+                         np.where(np.arange(4) == 1, np.nan, x[:1])])
+    if k < x.shape[0]:  # the case the candidates are kept for: equal distances at places k and k+1
+        xs = (queries[:60] - model.mean) / model.std
+        ranked = np.sort(np.sqrt(((model.points - xs[:, None]) ** 2).sum(axis=2)), axis=1)
+        assert (ranked[:, k - 1] == ranked[:, k]).any()
+    with np.errstate(invalid="ignore"):
+        got = model.predict_proba_matrix(queries)
+        want = ref_knn_predict(model, queries)
+    assert got.tobytes() == want.tobytes()
 
 
 # --- (g) the vectorized Gini scan grows the same trees -----------------------------------
@@ -583,7 +632,7 @@ def test_flat_descent_equals_recursive_walk(data):
     n = data.draw(st.integers(0, 30))
     cells = data.draw(st.lists(st.sampled_from(CELLS), min_size=n * n_features, max_size=n * n_features))
     x = np.array(cells, dtype=np.float64).reshape(n, n_features)
-    got = predict_tree(trees, x)
+    got = predict_tree(flatten_trees(trees), x)
     assert got.shape == (n, len(trees)) + ((GRADE_COUNT,) if vector else ())
     for t, tree in enumerate(trees):
         want = ref_predict_tree(tree, x)
@@ -634,6 +683,23 @@ def test_artifact_round_trip_predicts_bit_identically(kind, tmp_path):
             acc += ref_predict_tree(tree, probe)
         want = acc / len(model.trees)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["gbm", "forest"])
+def test_models_flatten_their_trees_once(kind, monkeypatch):
+    x, y = _gbm_problem(12, n=120)
+    cfg = TrainConfig(model_kind=kind, n_trees=4, max_depth=3, min_leaf=3, seed=1)
+    if kind == "gbm":
+        module, model = gbm_module, fit_gbm_arrays(x, y, x[:30], y[:30], ("a", "b", "c"), cfg)
+    else:
+        module, model = baselines_module, fit_forest_arrays(x, y, ("a", "b", "c"), cfg)
+    model = model_from_artifact(model.to_artifact())
+    calls = []
+    original = module.flatten_trees
+    monkeypatch.setattr(module, "flatten_trees", lambda trees: calls.append(1) or original(trees))
+    first = model.predict_proba_matrix(x)
+    assert model.predict_proba_matrix(x).tobytes() == first.tobytes()
+    assert len(calls) == (len(model.trees) if kind == "gbm" else 1)
 
 
 # --- (h) the columnar readers equal the per-row loaders they replaced ----------------------

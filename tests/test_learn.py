@@ -26,7 +26,7 @@ from kgdg.learn import (
     sample_weights,
     softmax,
 )
-from kgdg.learn.tree import fit_classification_tree, predict_tree
+from kgdg.learn.tree import fit_classification_tree, flatten_trees, predict_tree
 
 
 def make_example(i, grade, domain="d", **counts):
@@ -321,7 +321,7 @@ class TestForest:
         y = grade_array(examples)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(3).spawn(1)[0]))
         tree = fit_classification_tree(x, y, rng, max_depth=4, min_leaf=2, max_features=8)
-        assert np.allclose(forest.predict_proba_matrix(x), predict_tree([tree], x)[:, 0])
+        assert np.allclose(forest.predict_proba_matrix(x), predict_tree(flatten_trees([tree]), x)[:, 0])
 
     def test_same_seed_identical_model(self):
         examples = random_examples(60, seed=12)
