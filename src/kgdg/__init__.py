@@ -28,10 +28,6 @@ from .fusion import (
     batch_fuse,
     fuse,
     fuse_arrays,
-    fuse_classwise_max,
-    fuse_max_confidence,
-    fuse_selective,
-    fuse_weighted,
 )
 from .harness import (
     ExperimentConfig,
@@ -51,10 +47,8 @@ from .metrics import (
     MetricReport,
     accuracy,
     auc_ovr_macro,
-    detection_set_iou,
     domain_kl,
     evaluate_predictions,
-    iou,
     macro_f1,
     match_detections,
     seeded_summary,
@@ -64,7 +58,6 @@ from .rules import (
     RuleConfig,
     RuleTrace,
     aggregate_detections,
-    assign_quadrant,
     grade_by_rules,
     rule_grade_as_probability,
 )
@@ -102,26 +95,19 @@ __all__ = [
     "accuracy",
     "aggregate_detections",
     "align_domains",
-    "assign_quadrant",
     "auc_ovr_macro",
     "batch_fuse",
     "compare_to_reference",
     "cross_validate",
-    "detection_set_iou",
     "domain_kl",
     "emit_report",
     "evaluate_predictions",
     "fit_model",
     "fuse",
     "fuse_arrays",
-    "fuse_classwise_max",
-    "fuse_max_confidence",
-    "fuse_selective",
-    "fuse_weighted",
     "gen_dataset",
     "get_reference",
     "grade_by_rules",
-    "iou",
     "load_experiment_config",
     "macro_f1",
     "match_detections",

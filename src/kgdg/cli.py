@@ -34,7 +34,6 @@ from .io import (
     canonical_json,
     content_digest,
     join_rows,
-    load_detections,
     load_manifest,
     read_detections,
     read_feature_table,
@@ -42,7 +41,7 @@ from .io import (
     read_probability_table,
     save_model,
 )
-from .io import load_feature_table, load_probability_table  # noqa: F401  unused here; the benchmark's tracer patches them by this module's name
+from .io import load_detections, load_feature_table, load_probability_table  # noqa: F401  unused here; the benchmark's tracer patches them by this module's name
 from .learn import TrainConfig, fit_model, resolve_schema
 from .metrics import evaluate_predictions, match_detections
 from .report import (
@@ -189,8 +188,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     if args.pred_detections or args.truth_detections:
         if not (args.pred_detections and args.truth_detections):
             raise InvalidConfig("detection metrics need --pred-detections and --truth-detections")
-        pred = load_detections(args.pred_detections)
-        match = match_detections(pred, load_detections(args.truth_detections), args.iou_threshold)
+        pred = read_detections(args.pred_detections)
+        match = match_detections(pred, read_detections(args.truth_detections), args.iou_threshold)
         _write_output(args, json.dumps(asdict(match), indent=1, sort_keys=True) + "\n")
         return 0
     if not (args.truth and args.pred):

@@ -101,9 +101,6 @@ class ProbabilityVector:
         """Index of the largest entry; ties break to the lower grade."""
         return self.probs.index(max(self.probs))
 
-    def max_score(self) -> float:
-        return max(self.probs)
-
 
 def validate_probability(values: Sequence[float]) -> ProbabilityVector:
     """Validate five reals as a grade distribution.
@@ -163,14 +160,6 @@ class BoundingBox:
             raise BoxOutOfBounds(f"x+w={self.x + self.w!r} exceeds 1")
         if self.y + self.h > 1.0 + BOX_EDGE_EPS:
             raise BoxOutOfBounds(f"y+h={self.y + self.h!r} exceeds 1")
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return (self.x + self.w / 2.0, self.y + self.h / 2.0)
-
-    @property
-    def area(self) -> float:
-        return self.w * self.h
 
 
 @dataclass(frozen=True)

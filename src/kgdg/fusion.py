@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -63,12 +62,6 @@ _TIE_ORDER = {
 _GRADES = tuple(DRGrade)
 
 
-def _require_weights(weights: FusionWeights | None) -> FusionWeights:
-    if weights is None:
-        raise InvalidConfig("weighted fusion needs FusionWeights")
-    return weights
-
-
 class FusedArrays(NamedTuple):
     """Fusion decisions for n row pairs."""
 
@@ -89,11 +82,12 @@ def fuse_arrays(
     p_dl = np.asarray(p_dl, dtype=np.float64)
     p_kd = np.asarray(p_kd, dtype=np.float64)
     if strategy is FusionStrategy.WEIGHTED:
-        w = _require_weights(weights)
-        blend = w.alpha_dl * p_dl + w.alpha_kl * p_kd
+        if weights is None:
+            raise InvalidConfig("weighted fusion needs FusionWeights")
+        blend = weights.alpha_dl * p_dl + weights.alpha_kl * p_kd
         grades = blend.argmax(axis=1)
         sources = np.full(grades.size, FusionSource.BLENDED.value)
-        return FusedArrays(grades, sources, blend.max(axis=1), blend / (w.alpha_dl + w.alpha_kl))
+        return FusedArrays(grades, sources, blend.max(axis=1), blend / (weights.alpha_dl + weights.alpha_kl))
     order = np.asarray(_TIE_ORDER[strategy])
     stack = np.concatenate((p_dl, p_kd), axis=1)
     winner = order[stack[:, order].argmax(axis=1)]
@@ -108,41 +102,22 @@ def fuse_arrays(
     return FusedArrays(winner % GRADE_COUNT, sources, stack.max(axis=1), probs)
 
 
+def _decisions(fused: FusedArrays) -> list[FusedPrediction]:
+    """One FusedPrediction per fused row."""
+    return [
+        FusedPrediction(_GRADES[grade], FusionSource(source), score)
+        for grade, source, score in zip(fused.grades.tolist(), fused.sources.tolist(), fused.scores.tolist())
+    ]
+
+
 def fuse(
     strategy: FusionStrategy | str,
     p_dl: ProbabilityVector,
     p_kd: ProbabilityVector,
     weights: FusionWeights | None = None,
 ) -> FusedPrediction:
-    """Fuse one row pair."""
-    return _fuse_row(FusionStrategy(strategy), p_dl, p_kd, weights)
-
-
-def _fuse_row(
-    strategy: FusionStrategy,
-    p_dl: ProbabilityVector,
-    p_kd: ProbabilityVector,
-    weights: FusionWeights | None = None,
-) -> FusedPrediction:
-    """The kernel's rules on one row pair, in plain Python: on a single
-    row, numpy's fixed cost per call is many times the decision."""
-    if strategy is FusionStrategy.WEIGHTED:
-        w = _require_weights(weights)
-        cells = [w.alpha_dl * a + w.alpha_kl * b for a, b in zip(p_dl.probs, p_kd.probs)]
-        grade = cells.index(max(cells))
-        return FusedPrediction(_GRADES[grade], FusionSource.BLENDED, cells[grade])
-    order = _TIE_ORDER[strategy]
-    stack = p_dl.probs + p_kd.probs
-    cells = [stack[i] for i in order]
-    winner = order[cells.index(max(cells))]  # the first maximal cell
-    source = FusionSource.DEEP if winner < GRADE_COUNT else FusionSource.SYMBOLIC
-    return FusedPrediction(_GRADES[winner % GRADE_COUNT], source, stack[winner])
-
-
-fuse_selective = partial(_fuse_row, FusionStrategy.SELECTIVE)
-fuse_max_confidence = partial(_fuse_row, FusionStrategy.MAX_CONFIDENCE)
-fuse_classwise_max = partial(_fuse_row, FusionStrategy.CLASSWISE_MAX)
-fuse_weighted = partial(_fuse_row, FusionStrategy.WEIGHTED)
+    """Fuse one row pair: fuse_arrays on a single row."""
+    return _decisions(fuse_arrays(strategy, (p_dl.probs,), (p_kd.probs,), weights))[0]
 
 
 def fused_probability(
@@ -184,9 +159,4 @@ def batch_fuse(
         np.asarray([kd_table[i].probs for i in ids], dtype=np.float64).reshape(-1, GRADE_COUNT),
         weights,
     )
-    return {
-        image_id: FusedPrediction(_GRADES[grade], FusionSource(source), score)
-        for image_id, grade, source, score in zip(
-            ids, fused.grades.tolist(), fused.sources.tolist(), fused.scores.tolist()
-        )
-    }
+    return dict(zip(ids, _decisions(fused)))

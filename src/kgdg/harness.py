@@ -31,8 +31,8 @@ from .errors import (
     MissingProbabilityTable,
     NoQualifyingClass,
 )
-# the benchmark's tracer patches fuse and fused_probability in this module
-from .fusion import FusionStrategy, fuse, fuse_arrays, fused_probability  # noqa: F401
+from .fusion import FusionStrategy, fuse_arrays
+from .fusion import fuse, fused_probability  # noqa: F401  unused here; the benchmark's tracer patches them by this module's name
 from .io import Manifest, canonical_json, content_digest, file_digest, load_domain_dataset
 from .learn import TrainConfig, fit_model, resolve_schema
 from .learn import feature_matrix  # noqa: F401  unused here; the benchmark's tracer patches it by this module's name

@@ -2,11 +2,11 @@
 
 Every file is UTF-8 text. Tables are comma-separated with a mandatory
 header; detections and manifests are JSON. Each table and detection file is
-read straight into arrays (``read_*``), and each of its checks is stated
-once; the ``load_*`` readers are per-row views of those arrays. Model
-artifacts are a JSON payload behind a magic header plus content digests, so
-round trips are byte-stable and truncation or tampering is detected at load
-time.
+read straight into arrays (``read_*``), each check stated once as a row or
+record mask; the ``load_*`` per-row views of those arrays remain only because
+the benchmark patches them. Model artifacts are a JSON payload behind a magic
+header plus content digests, so round trips are byte-stable and truncation
+or tampering is detected at load time.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, NoReturn, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -45,7 +45,6 @@ from .errors import (
     CorruptArtifact,
     DataError,
     DuplicateImageId,
-    InternalError,
     InvalidConfig,
     MissingColumn,
     NonNumericCell,
@@ -133,15 +132,32 @@ def _unwritable_id(text: str) -> bool:
     return not text.isascii() and _SURROGATE.search(text) is not None
 
 
-class _Rows:
-    """A table's nonblank records, checked for width and ids on construction,
-    and ``bad``, the first row a check has rejected so far, with its
-    ``error``; ``cols`` are the columns of the rows before ``bad``."""
+class _FirstBad:
+    """``bad``, the first row a check has rejected so far, with its ``error``."""
+
+    def __init__(self, rows: int) -> None:
+        self.bad, self.error = rows, None
+
+    def reject(self, mask: Sequence, error: Callable[[int], DataError]) -> None:
+        """Make the first row before ``bad`` that ``mask`` flags the bad row."""
+        hits = np.flatnonzero(mask[: self.bad])
+        if hits.size:
+            self.bad = int(hits[0])
+            self.error = error(self.bad)
+
+    def kept(self, items: list) -> list:
+        """The ``items`` before ``bad``, not copied while none is rejected."""
+        return items if len(items) == self.bad else items[: self.bad]
+
+
+class _Rows(_FirstBad):
+    """A table's nonblank records, checked for width and ids on construction;
+    ``cols`` are the columns of the rows before ``bad``."""
 
     def __init__(self, path: Path, header: tuple, records: list, empty_ids: bool = False, strip: bool = False):
         self.header, self.records, self.strip = header, records, strip
         rows = list(filter(None, records))
-        self.bad, self.error = len(rows), None
+        super().__init__(len(rows))
         if not set(map(len, rows)) <= {len(header)}:
             self.reject([len(r) != len(header) for r in rows], lambda n: MissingColumn(
                 f"{path}: row {self.line(n)} has {len(rows[n])} cells, expected {len(header)}"))
@@ -161,13 +177,6 @@ class _Rows:
     def line(self, n: int) -> int:
         """The file line of nonblank row n."""
         return [i for i, cells in enumerate(self.records, start=2) if cells][n]
-
-    def reject(self, mask: Sequence, error: Callable[[int], DataError]) -> None:
-        """Make the first row before ``bad`` that ``mask`` flags the bad row."""
-        hits = np.flatnonzero(mask[: self.bad])
-        if hits.size:
-            self.bad = int(hits[0])
-            self.error = error(self.bad)
 
     def _cell(self, i: int, problem: Callable[[str, int], str]) -> Callable[[int], DataError]:
         """The error of column i's cell in row n, ``problem(cell, n)``; the cell is stripped if ``strip``."""
@@ -340,37 +349,21 @@ _DETECTION_NUMBERS = ("x", "y", "w", "h", "score")
 _JSON_NUMBERS = {int, float}  # what json.loads gives for a number: bool is no number here
 
 
-def _raise_first_bad_record(path: Path, records: list) -> NoReturn:
-    for i, rec in enumerate(records):
-        try:
-            kind = LesionType(rec["lesion"])
-        except ValueError:
-            raise UnknownLesionKind(f"{path}: record {i} has unknown lesion {rec.get('lesion')!r}") from None
-        except (KeyError, TypeError):
-            raise DataError(f"{path}: record {i} is malformed") from None
-        try:
-            cells = [rec[k] for k in _DETECTION_NUMBERS]
-            if not set(map(type, cells)) <= _JSON_NUMBERS:
-                raise TypeError(f"{', '.join(_DETECTION_NUMBERS)} must be JSON numbers")
-            Detection(kind, BoundingBox(*map(float, cells[:4])), float(cells[4]))
-            if type(rec["image_id"]) is not str:
-                raise TypeError("image_id must be a JSON string")
-        except BoxOutOfBounds:
-            raise
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise DataError(f"{path}: record {i} is malformed: {exc}") from exc
-        image_id = rec["image_id"].strip()
-        if not image_id:
-            raise DataError(f"{path}: record {i} has an empty image_id")
-        if _unwritable_id(image_id):
-            raise DataError(f"{path}: record {i} has image_id {image_id!r}, which {_UNWRITABLE_ID_MESSAGE}")
-    raise InternalError(f"{path}: the column checks reject records the record checks accept")
+def _overflow(cells: Sequence) -> str:
+    """float()'s OverflowError message on the first of ``cells`` past the float range, or ''."""
+    try:
+        list(map(float, cells))
+    except OverflowError as exc:
+        return str(exc)
+    return ""
 
 
 def read_detections(path: str | Path) -> DetectionTable:
     """Read detections.json, a list of {image_id, lesion, x, y, w, h, score},
-    straight into a DetectionTable; types, ids, boxes and scores are checked
-    as masks. Records whose ids are equal once stripped are one image's."""
+    straight into a DetectionTable; records whose ids are equal once stripped
+    are one image's. Each check is a record mask, as in the table readers, in
+    the order a record is checked: a dict with a known lesion, five JSON
+    numbers, the box, the score, the image id."""
     path = Path(path)
     try:
         records = json.loads(_read_text(path))
@@ -378,25 +371,67 @@ def read_detections(path: str | Path) -> DetectionTable:
         raise DataError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(records, list):
         raise DataError(f"{path}: expected a JSON list of detection records")
+    check = _FirstBad(len(records))
+
+    def malformed(problem: Callable[[int], str]) -> Callable[[int], DataError]:
+        return lambda n: DataError(f"{path}: record {n} is malformed: {problem(n)}")
+
+    def column(key: str, error: Callable[[int], DataError]) -> list:
+        """``key`` of the records before the first bad one; a record that is no dict with it is bad."""
+        try:
+            return [rec[key] for rec in check.kept(records)]
+        except (KeyError, TypeError):
+            check.reject([type(rec) is not dict or key not in rec for rec in check.kept(records)], error)
+            return [rec[key] for rec in check.kept(records)]
+
+    lesions = column("lesion", lambda n: DataError(f"{path}: record {n} is malformed"))
     try:
-        names, lesions, *fields = ([rec[k] for rec in records] for k in ("image_id", "lesion", *_DETECTION_NUMBERS))
-        lesion = np.array(list(map(_LESION_CODES.__getitem__, lesions)), dtype=np.int64)
-        if not (set(map(type, names)) <= {str} and set(map(type, chain(*fields))) <= _JSON_NUMBERS):
-            raise TypeError("not a JSON string or number")
-        raw_ids = tuple(dict.fromkeys(names))  # stripped once each, not once per record
-        stripped = tuple(map(str.strip, raw_ids))
-        ids = tuple(dict.fromkeys(stripped))
-        if not all(ids) or _unwritable_id("".join(ids)):
-            raise ValueError("image ids")
-        x, y, w, h, score = np.array(fields, dtype=np.float64)
-        image = np.array(join_rows(stripped, ids, KeyError), dtype=np.int64)[join_rows(names, raw_ids, KeyError)]
-        edge = 1.0 + BOX_EDGE_EPS
-        if not ((0 <= x) & (x <= 1) & (0 <= y) & (y <= 1) & (0 < w) & (w <= 1) & (0 < h) & (h <= 1)
-                & (x + w <= edge) & (y + h <= edge) & (0 <= score) & (score <= 1)).all():
-            raise ValueError("out of range")
-    except (KeyError, TypeError, ValueError, OverflowError):
-        _raise_first_bad_record(path, records)
-    return DetectionTable(ids, image, lesion, np.column_stack((x, y, w, h)), score)
+        codes = list(map(_LESION_CODES.__getitem__, lesions))
+    except (KeyError, TypeError):
+        check.reject([type(v) is not str or v not in _LESION_CODES for v in lesions],
+                     lambda n: UnknownLesionKind(f"{path}: record {n} has unknown lesion {lesions[n]!r}"))
+        codes = list(map(_LESION_CODES.__getitem__, check.kept(lesions)))
+    fields = [column(k, malformed(lambda n: repr(k))) for k in _DETECTION_NUMBERS]
+    if not set(map(type, chain(*fields))) <= _JSON_NUMBERS:
+        check.reject([not set(map(type, cells)) <= _JSON_NUMBERS for cells in zip(*fields)],
+                     malformed(lambda n: f"{', '.join(_DETECTION_NUMBERS)} must be JSON numbers"))
+
+    def floats(columns: list[list]) -> np.ndarray:  # as float rows, up to the first bad record
+        try:
+            return np.array(list(map(check.kept, columns)), dtype=np.float64)
+        except OverflowError:
+            check.reject([bool(_overflow(cells)) for cells in zip(*map(check.kept, columns))],
+                         malformed(lambda n: _overflow([c[n] for c in columns])))
+            return np.array(list(map(check.kept, columns)), dtype=np.float64)
+
+    # a numeric check's mask is its aggregate: rejecting on it costs one array pass
+    x, y, w, h = floats(fields[:4])
+    edge = 1.0 + BOX_EDGE_EPS
+    for name, v, fails, problem in (("x", x, ~((0 <= x) & (x <= 1)), "outside [0,1]"),
+                                    ("y", y, ~((0 <= y) & (y <= 1)), "outside [0,1]"),
+                                    ("w", w, ~((0 < w) & (w <= 1)), "outside (0,1]"),
+                                    ("h", h, ~((0 < h) & (h <= 1)), "outside (0,1]"),
+                                    ("x+w", x + w, x + w > edge, "exceeds 1"),
+                                    ("y+h", y + h, y + h > edge, "exceeds 1")):
+        check.reject(fails, lambda n: BoxOutOfBounds(f"{name}={v[n].item()!r} {problem}"))
+    (score,) = floats(fields[4:])
+    check.reject(~((0 <= score) & (score <= 1)),
+                 malformed(lambda n: f"detection score {score[n].item()!r} outside [0,1]"))
+    names = column("image_id", malformed(lambda n: "'image_id'"))
+    if not set(map(type, names)) <= {str}:
+        check.reject([type(v) is not str for v in names], malformed(lambda n: "image_id must be a JSON string"))
+    raw_ids = tuple(dict.fromkeys(check.kept(names)))  # stripped once each, not once per record
+    stripped = tuple(map(str.strip, raw_ids))
+    if not all(stripped) or _unwritable_id("".join(stripped)):
+        check.reject([not v.strip() for v in check.kept(names)],
+                     lambda n: DataError(f"{path}: record {n} has an empty image_id"))
+        check.reject([_unwritable_id(v.strip()) for v in check.kept(names)], lambda n: DataError(
+            f"{path}: record {n} has image_id {names[n].strip()!r}, which {_UNWRITABLE_ID_MESSAGE}"))
+    if check.error:
+        raise check.error
+    ids = tuple(dict.fromkeys(stripped))
+    image = np.array(join_rows(stripped, ids, KeyError), dtype=np.int64)[join_rows(names, raw_ids, KeyError)]
+    return DetectionTable(ids, image, np.array(codes, dtype=np.int64), np.column_stack((x, y, w, h)), score)
 
 
 def load_detections(path: str | Path) -> dict[str, list[Detection]]:
@@ -532,34 +567,22 @@ class ModelArtifact:
             raise InvalidConfig(f"unknown model kind {self.model_kind!r}")
 
 
-def _schema_digest(artifact: ModelArtifact) -> str:
-    return content_digest(canonical_json(list(artifact.feature_schema)))
-
-
-def _body_digest(artifact: ModelArtifact) -> str:
-    return content_digest(
-        canonical_json(
-            {
-                "model_kind": artifact.model_kind,
-                "params": artifact.params,
-                "train_fingerprint": artifact.train_fingerprint,
-            }
-        )
-    )
+def _body(artifact: ModelArtifact) -> str:
+    """The canonical JSON of the digested fields: ``canonical_json`` of
+    {model_kind, params, train_fingerprint}, spelled out so that the params,
+    most of an artifact, are encoded once."""
+    fields = (artifact.model_kind, artifact.params, artifact.train_fingerprint)
+    return '{"model_kind":%s,"params":%s,"train_fingerprint":%s}' % tuple(map(canonical_json, fields))
 
 
 def save_model(artifact: ModelArtifact, path: str | Path) -> None:
-    """Write `KGDG1` + digests + canonical JSON. Byte-stable per artifact."""
-    payload = canonical_json(
-        {
-            "model_kind": artifact.model_kind,
-            "feature_schema": list(artifact.feature_schema),
-            "params": artifact.params,
-            "train_fingerprint": artifact.train_fingerprint,
-        }
-    )
-    header = f"{ARTIFACT_MAGIC}\n{_body_digest(artifact)}\n{_schema_digest(artifact)}\n"
-    Path(path).write_text(header + payload + "\n", encoding="utf-8")
+    """Write `KGDG1` + digests + canonical JSON. Byte-stable per artifact.
+
+    The payload is the body with the schema as its first key, which is
+    ``canonical_json`` of all four fields."""
+    body, schema = _body(artifact), canonical_json(list(artifact.feature_schema))
+    header = f"{ARTIFACT_MAGIC}\n{content_digest(body)}\n{content_digest(schema)}\n"
+    Path(path).write_text(f'{header}{{"feature_schema":{schema},{body[1:]}\n', encoding="utf-8")
 
 
 def load_model(path: str | Path) -> ModelArtifact:
@@ -588,9 +611,9 @@ def load_model(path: str | Path) -> ModelArtifact:
         )
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise CorruptArtifact(f"{path}: truncated or malformed payload: {exc}") from exc
-    if _schema_digest(artifact) != schema_digest:
+    if content_digest(canonical_json(list(artifact.feature_schema))) != schema_digest:
         raise SchemaMismatch(f"{path}: feature schema does not match its digest")
-    if _body_digest(artifact) != body_digest:
+    if content_digest(_body(artifact)) != body_digest:
         raise CorruptArtifact(f"{path}: body digest mismatch (file edited?)")
     arity = artifact.params.get("n_features")
     if arity is not None and arity != len(artifact.feature_schema):

@@ -22,8 +22,6 @@ from .baselines import (
 from .config import (
     TrainConfig,
     feature_matrix,
-    feature_row,
-    grade_array,
     resolve_schema,
     sample_weights,
     softmax,
@@ -80,13 +78,11 @@ __all__ = [
     "TrainConfig",
     "cross_validate",
     "feature_matrix",
-    "feature_row",
     "fit_forest_arrays",
     "fit_gbm_arrays",
     "fit_knn_arrays",
     "fit_logistic_arrays",
     "fit_model",
-    "grade_array",
     "logistic_loss_and_grad",
     "model_from_artifact",
     "multinomial_log_loss",

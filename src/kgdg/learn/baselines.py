@@ -8,11 +8,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
-from ..core import GRADE_COUNT, LabeledExample
+from ..core import GRADE_COUNT, DomainTable
 from ..errors import InvalidConfig, TooFewPerClass
 from ..io import ModelArtifact
 from ..metrics import accuracy as accuracy_metric
@@ -21,8 +21,7 @@ from ..metrics import seeded_summary
 from .config import (
     FittedModel,
     TrainConfig,
-    feature_matrix,
-    grade_array,
+    feature_matrix,  # noqa: F401  unused here; the benchmark's tracer patches it by this module's name
     resolve_schema,
     sample_weights,
     softmax,
@@ -299,27 +298,25 @@ class CrossValidationSummary:
     macro_f1_std: float
 
 
-def cross_validate(
-    data: Sequence[LabeledExample], cfg: TrainConfig, folds: int
-) -> CrossValidationSummary:
-    """Stratified k-fold evaluation of the configured learner."""
+def cross_validate(table: DomainTable, cfg: TrainConfig, folds: int) -> CrossValidationSummary:
+    """Stratified k-fold evaluation of the configured learner on a table's rows."""
     from . import fit_model  # local import to avoid a cycle
 
     if folds < 2:
         raise InvalidConfig("folds must be >= 2")
-    y = grade_array(data)
+    y = table.y
     counts = np.bincount(y, minlength=GRADE_COUNT)
     thin = [g for g in range(GRADE_COUNT) if 0 < counts[g] < folds]
     if thin:
         raise TooFewPerClass(f"grades {thin} have fewer than {folds} examples")
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    fold_of = np.empty(len(data), dtype=np.int64)
+    fold_of = np.empty(len(table), dtype=np.int64)
     for g in range(GRADE_COUNT):
         idx = np.nonzero(y == g)[0]
         rng.shuffle(idx)
         fold_of[idx] = np.arange(idx.size) % folds
-    schema = resolve_schema(cfg, data)
-    x = feature_matrix(data, schema)
+    schema = resolve_schema(cfg, table)
+    x = table.matrix(schema)
     accs, f1s = [], []
     for k in range(folds):
         train, test = fold_of != k, fold_of == k

@@ -12,9 +12,7 @@ from ..core import (
     LESIONS_ONLY_SCHEMA,
     LESIONS_VEIN_SCHEMA,
     DomainTable,
-    FeatureVector,
     LabeledExample,
-    ProbabilityVector,
 )
 from ..errors import InvalidConfig, SchemaMismatch
 from ..io import canonical_json, content_digest
@@ -76,16 +74,15 @@ class TrainConfig:
         return asdict(self)
 
 
-def resolve_schema(cfg: TrainConfig, data: DomainTable | Sequence[LabeledExample]) -> tuple[str, ...]:
-    """Pick the feature schema: explicit config wins, otherwise follow the
-    data, a table or its examples."""
+def resolve_schema(cfg: TrainConfig, table: DomainTable) -> tuple[str, ...]:
+    """Pick the feature schema: explicit config wins, otherwise follow the table."""
     if cfg.feature_set == "lesions_only":
         return LESIONS_ONLY_SCHEMA
     if cfg.feature_set == "lesions_vein":
         return LESIONS_VEIN_SCHEMA
-    if not len(data):
+    if not len(table):
         raise SchemaMismatch("cannot infer a schema from an empty training set")
-    return data.schema if isinstance(data, DomainTable) else data[0].features.schema()
+    return table.schema
 
 
 def feature_matrix(examples: Sequence[LabeledExample], schema: Sequence[str]) -> np.ndarray:
@@ -97,16 +94,8 @@ def feature_matrix(examples: Sequence[LabeledExample], schema: Sequence[str]) ->
     return np.asarray(rows, dtype=np.float64)
 
 
-def feature_row(fv: FeatureVector, schema: Sequence[str]) -> np.ndarray:
-    try:
-        return np.asarray(fv.as_row(schema), dtype=np.float64)
-    except ValueError as exc:
-        raise SchemaMismatch(str(exc)) from exc
-
-
 class FittedModel:
-    """What every fitted learner shares: the input width check, and
-    single-row prediction through its batch ``predict_proba_matrix``."""
+    """What every fitted learner shares: the input width check."""
 
     feature_schema: tuple[str, ...]
 
@@ -115,15 +104,6 @@ class FittedModel:
             raise SchemaMismatch(
                 f"model expects {len(self.feature_schema)} features, got {x.shape[1]}"
             )
-
-    def predict_proba(self, fv: FeatureVector) -> ProbabilityVector:
-        row = feature_row(fv, self.feature_schema)
-        probs = self.predict_proba_matrix(row[None, :])[0]  # type: ignore[attr-defined]
-        return ProbabilityVector(tuple(float(p) for p in probs))  # type: ignore[arg-type]
-
-
-def grade_array(examples: Sequence[LabeledExample]) -> np.ndarray:
-    return np.asarray([int(ex.grade) for ex in examples], dtype=np.int64)
 
 
 def class_counts(y: np.ndarray) -> np.ndarray:

@@ -5,11 +5,11 @@ greedy detection matching, and the Gaussian-summary KL shift diagnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import GRADE_COUNT, BoundingBox, Detection, ProbabilityVector
+from .core import GRADE_COUNT, LESION_TYPES, DetectionTable, ProbabilityVector
 from .errors import EmptyEvaluation, NoQualifyingClass, SchemaMismatch
 
 VARIANCE_FLOOR = 1e-6
@@ -115,21 +115,21 @@ def auc_ovr_macro(
     return float(np.mean(aucs))
 
 
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection-over-union of two normalized boxes.
+def _box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Intersection-over-union of box pairs, the rows of two ``(k, 4)``
+    x, y, w, h arrays. Areas use the same edge arithmetic as the
+    intersection, so identical boxes give exactly 1.0."""
+    a2, b2 = a[:, :2] + a[:, 2:], b[:, :2] + b[:, 2:]
+    side = np.maximum(np.minimum(a2, b2) - np.maximum(a[:, :2], b[:, :2]), 0.0)
+    inter = side[:, 0] * side[:, 1]
+    union = (a2 - a[:, :2]).prod(axis=1) + (b2 - b[:, :2]).prod(axis=1) - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
 
-    Areas use the same edge arithmetic as the intersection so identical
-    boxes give exactly 1.0.
-    """
-    ax2, ay2 = a.x + a.w, a.y + a.h
-    bx2, by2 = b.x + b.w, b.y + b.h
-    ix = max(0.0, min(ax2, bx2) - max(a.x, b.x))
-    iy = max(0.0, min(ay2, by2) - max(a.y, b.y))
-    inter = ix * iy
-    area_a = (ax2 - a.x) * (ay2 - a.y)
-    area_b = (bx2 - b.x) * (by2 - b.y)
-    union = area_a + area_b - inter
-    return inter / union if union > 0 else 0.0
+
+def _grouped_order(group: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """The indices that sort by ``group``, then ``key``, then position."""
+    order = np.argsort(key, kind="stable")
+    return order[np.argsort(group[order], kind="stable")]
 
 
 @dataclass(frozen=True)
@@ -143,55 +143,52 @@ class DetectionMatchReport:
     recall: float
 
 
-def detection_set_iou(
-    pred: Sequence[Detection], truth: Sequence[Detection], iou_threshold: float = 0.5
-) -> DetectionMatchReport:
-    """Greedy matching per lesion type, highest predicted score first.
+# each lesion code's place when the kinds are sorted by name
+_NAME_RANK = np.argsort(np.argsort([kind.value for kind in LESION_TYPES]))
 
-    Each truth box matches at most once; among unmatched truths the
-    candidate with the highest IoU wins (earliest on exact ties). A match
-    requires IoU >= ``iou_threshold``.
+
+def match_detections(pred: DetectionTable, truth: DetectionTable, iou_threshold: float = 0.5) -> DetectionMatchReport:
+    """Greedy matching per image and lesion kind.
+
+    The (image, kind) groups are visited with images in order of first
+    appearance, in ``pred`` then ``truth``, and kinds by name; a group's
+    predictions by descending score, in file order on ties. Each prediction
+    takes the unmatched true box of its group with the highest IoU (the
+    earliest on exact ties) if that IoU is at least ``iou_threshold``.
+    Counts, precision and recall are summed over all images;
+    mean_matched_iou is over all matched pairs.
     """
-    return match_detections({"": pred}, {"": truth}, iou_threshold)
-
-
-def match_detections(
-    pred: Mapping[str, Sequence[Detection]], truth: Mapping[str, Sequence[Detection]], iou_threshold: float = 0.5
-) -> DetectionMatchReport:
-    """detection_set_iou over images: a prediction pairs only with a truth
-    box of its own image. Counts, precision and recall are summed over all
-    images; mean_matched_iou is over all matched pairs."""
     if not (0.0 <= iou_threshold <= 1.0):
         raise ValueError(f"iou_threshold={iou_threshold!r} outside [0,1]")
-    images = [(pred.get(i, ()), truth.get(i, ())) for i in dict.fromkeys([*pred, *truth])]
-    kinds = sorted({d.lesion for dets in images for side in dets for d in side}, key=lambda k: k.value)
-    per_lesion = {kind.value: 0 for kind in kinds}
-    matched_ious: list[float] = []
-    for image_pred, image_truth in images:
-        for kind in kinds:
-            preds = sorted((d for d in image_pred if d.lesion == kind), key=lambda d: -d.score)
-            truths = [d for d in image_truth if d.lesion == kind]
-            taken = [False] * len(truths)
-            for p in preds:
-                best_iou = -1.0
-                best_j = -1
-                for j, tr in enumerate(truths):
-                    if taken[j]:
-                        continue
-                    v = iou(p.box, tr.box)
-                    if v > best_iou:
-                        best_iou = v
-                        best_j = j
-                if best_j >= 0 and best_iou >= iou_threshold:
-                    taken[best_j] = True
-                    per_lesion[kind.value] += 1
-                    matched_ious.append(best_iou)
-    total = len(matched_ious)
-    n_pred, n_truth = sum(len(p) for p, _ in images), sum(len(t) for _, t in images)
-    precision = total / n_pred if n_pred else 1.0
-    recall = total / n_truth if n_truth else 1.0
-    mean_iou = float(np.mean(matched_ious)) if matched_ious else 0.0
-    return DetectionMatchReport(per_lesion, total, mean_iou, precision, recall)
+    images = {image_id: n for n, image_id in enumerate(dict.fromkeys(pred.ids + truth.ids))}
+    p_key, t_key = (np.array([images[i] for i in t.ids], dtype=np.int64)[t.image] * len(LESION_TYPES)
+                    + _NAME_RANK[t.lesion] for t in (pred, truth))
+    p_order, t_order = _grouped_order(p_key, -pred.score), np.argsort(t_key, kind="stable")
+    p_key, t_key = p_key[p_order], t_key[t_order]
+    # every (prediction, true box) pair of a group, predictions in visiting order
+    first = np.searchsorted(t_key, p_key)
+    count = np.searchsorted(t_key, p_key, side="right") - first
+    start = np.cumsum(count) - count
+    pair_p = np.repeat(np.arange(p_key.size), count)
+    pair_t = np.arange(pair_p.size) - np.repeat(start - first, count)
+    overlap = _box_iou(pred.box[p_order][pair_p], truth.box[t_order][pair_t])
+    # each prediction's candidates, best first
+    ranked = _grouped_order(pair_p, -overlap)
+    candidates, ious = pair_t[ranked].tolist(), overlap[ranked].tolist()
+    taken = [False] * t_key.size
+    matched, matched_ious = [], []
+    for p, lo, hi in zip(range(p_key.size), start.tolist(), (start + count).tolist()):
+        j = next((k for k in range(lo, hi) if not taken[candidates[k]]), None)  # the best untaken
+        if j is not None and ious[j] >= iou_threshold:
+            taken[candidates[j]] = True
+            matched.append(p)
+            matched_ious.append(ious[j])
+    hits = np.bincount(pred.lesion[p_order][matched], minlength=len(LESION_TYPES)).tolist()
+    kinds = sorted(np.union1d(pred.lesion, truth.lesion).tolist(), key=_NAME_RANK.__getitem__)
+    total, n_pred, n_truth = len(matched), len(pred.score), len(truth.score)
+    return DetectionMatchReport({LESION_TYPES[code].value: hits[code] for code in kinds}, total,
+                                float(np.mean(matched_ious)) if matched_ious else 0.0,
+                                total / n_pred if n_pred else 1.0, total / n_truth if n_truth else 1.0)
 
 
 @dataclass(frozen=True)

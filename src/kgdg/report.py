@@ -381,7 +381,7 @@ def render_csv(report: ExperimentReport) -> str:
 def render_report(report: ExperimentReport, fmt: str) -> str:
     """The report as markdown, CSV or strict JSON text; best column values
     are flagged (bold / trailing asterisk) in the two tables."""
-    if fmt in ("markdown", "markdown_table", "md"):
+    if fmt == "markdown":
         return render_markdown(report)
     if fmt == "csv":
         return render_csv(report)
@@ -395,10 +395,6 @@ def emit_report(report: ExperimentReport, fmt: str, path: str | Path) -> Path:
     out = Path(path)
     out.write_text(render_report(report, fmt), encoding="utf-8")
     return out
-
-
-def save_report_json(report: ExperimentReport, path: str | Path) -> Path:
-    return emit_report(report, "json", path)
 
 
 def load_report_json(path: str | Path) -> ExperimentReport:

@@ -16,7 +16,6 @@ import numpy as np
 
 from .core import (
     LESIONS_ONLY_SCHEMA,
-    BoundingBox,
     Detection,
     DetectionTable,
     DRGrade,
@@ -58,18 +57,6 @@ class RuleTrace:
             raise ValueError("fired_rules must be nonempty")
 
 
-def assign_quadrant(box: BoundingBox) -> int:
-    """Quadrant of the box center: 1=top-left, 2=top-right, 3=bottom-left,
-    4=bottom-right. Centers exactly on an axis go to the lower-numbered
-    quadrant."""
-    cx, cy = box.center
-    left = cx <= 0.5
-    top = cy <= 0.5
-    if top:
-        return 1 if left else 2
-    return 3 if left else 4
-
-
 def detection_counts(table: DetectionTable, min_score: float = DEFAULT_RULES.min_score) -> np.ndarray:
     """The lesion counts of every image of a DetectionTable at once, from
     its detections at or above ``min_score``: an ``(images, 8)`` matrix in
@@ -80,7 +67,7 @@ def detection_counts(table: DetectionTable, min_score: float = DEFAULT_RULES.min
     counts = np.zeros((len(table.ids), len(LESIONS_ONLY_SCHEMA)), dtype=np.int64)
     np.add.at(counts, (image, lesion), 1)
     counts[:, 5:7] = counts[:, 5:7] > 0
-    hem = (lesion == 2) | (lesion == 3)  # hard and soft hemorrhages, binned as assign_quadrant does
+    hem = (lesion == 2) | (lesion == 3)  # hard and soft hemorrhages, by box center: an axis goes top or left
     right = box[hem, 0] + box[hem, 2] / 2.0 > 0.5
     bottom = box[hem, 1] + box[hem, 3] / 2.0 > 0.5
     quadrants = np.zeros(len(table.ids), dtype=np.int64)

@@ -20,14 +20,8 @@ from kgdg.core import (
     FeatureVector,
     FusionWeights,
     LabeledExample,
-    ProbabilityVector,
 )
-from kgdg.fusion import (
-    fuse_classwise_max,
-    fuse_max_confidence,
-    fuse_selective,
-    fuse_weighted,
-)
+from kgdg.fusion import fuse_arrays
 from kgdg.harness import ExperimentConfig, FusionSpec, align_domains, run_experiment
 from kgdg.io import load_manifest, save_feature_table, save_manifest, save_probability_table
 from kgdg.learn import TrainConfig, feature_matrix, logistic_loss_and_grad
@@ -37,8 +31,8 @@ from kgdg.metrics import (
     auc_ovr_macro,
     binary_auc,
     domain_kl,
-    iou,
     macro_f1,
+    match_detections,
 )
 from kgdg.report import compare_to_reference, get_reference, reference_ids
 from kgdg.rules import grade_by_rules
@@ -74,30 +68,22 @@ def criterion(num: int, description: str, budget_s: float):
     print(f"[criterion {num}] PASS - {description} ({elapsed:.1f}s)")
 
 
-def pv(values) -> ProbabilityVector:
-    return ProbabilityVector(tuple(float(v) for v in values))
-
-
 def test_criterion_1_fusion_coincidence():
     with criterion(1, "selective/max/classwise agree on unique global maxima; "
                       "weight collapse reproduces branch argmax", budget_s=5.0):
         rng = np.random.default_rng(0)
         rows = rng.dirichlet(np.ones(5), size=(100_000, 2))
+        a, b = rows[:, 0], rows[:, 1]
+        values = rows.reshape(-1, 10)
+        unique = (values == values.max(axis=1, keepdims=True)).sum(axis=1) == 1
+        g = fuse_arrays("selective", a, b).grades[unique]
+        assert (fuse_arrays("max", a, b).grades[unique] == g).all()
+        assert (fuse_arrays("classwise", a, b).grades[unique] == g).all()
         w_deep = FusionWeights(1.0, 0.0)
         w_know = FusionWeights(0.0, 1.0)
-        checked = 0
-        for a_row, b_row in rows:
-            a, b = pv(a_row), pv(b_row)
-            values = a_row.tolist() + b_row.tolist()
-            if values.count(max(values)) != 1:
-                continue
-            checked += 1
-            g = fuse_selective(a, b).grade
-            assert fuse_max_confidence(a, b).grade == g
-            assert fuse_classwise_max(a, b).grade == g
-            assert int(fuse_weighted(a, b, w_deep).grade) == a.argmax()
-            assert int(fuse_weighted(a, b, w_know).grade) == b.argmax()
-        assert checked == 100_000
+        assert (fuse_arrays("weighted", a, b, w_deep).grades[unique] == a[unique].argmax(axis=1)).all()
+        assert (fuse_arrays("weighted", a, b, w_know).grades[unique] == b[unique].argmax(axis=1)).all()
+        assert unique.sum() == 100_000
 
 
 def _canonical_sequences_for_confusion(counts: np.ndarray) -> tuple[list[int], list[int]]:
@@ -116,9 +102,13 @@ def test_criterion_2_metric_oracles():
         # fixed worked examples
         assert abs(macro_f1([0, 0, 1, 2], [0, 1, 1, 2]) - 7 / 9) < tol
         assert abs(binary_auc([0, 0, 1, 1], [0.1, 0.4, 0.35, 0.8]) - 0.75) < tol
-        from kgdg.core import BoundingBox
+        from kgdg.core import BoundingBox, Detection, DetectionTable, LesionType
 
-        assert abs(iou(BoundingBox(0, 0, 0.2, 0.2), BoundingBox(0.1, 0.1, 0.2, 0.2)) - 1 / 7) < tol
+        def one_box(*box):
+            return DetectionTable.from_detections({"i": [Detection(LesionType.MICROANEURYSM, BoundingBox(*box), 1.0)]})
+
+        match = match_detections(one_box(0, 0, 0.2, 0.2), one_box(0.1, 0.1, 0.2, 0.2), 0.0)
+        assert abs(match.mean_matched_iou - 1 / 7) < tol
 
         # accuracy + macro-F1, direct exhaustive sweep for n <= 4
         for n in range(1, 5):
@@ -218,8 +208,8 @@ def test_criterion_3_learner_correctness():
         cfg = TrainConfig(n_trees=10, max_depth=1, min_leaf=1, learning_rate=0.5,
                           early_stop_patience=100)
         model = fit_examples(fixture, fixture, cfg)
-        preds = [model.predict_proba(ex.features).argmax() for ex in fixture]
-        assert preds == [0, 0, 1, 1]
+        preds = model.predict_proba_matrix(feature_matrix(fixture, model.feature_schema)).argmax(axis=1)
+        assert preds.tolist() == [0, 0, 1, 1]
 
 
 def test_criterion_4_rule_engine():

@@ -857,6 +857,40 @@ class TestServeOutputsPinned:
         assert serve_digests(tmp_path) == self.PINNED
 
 
+def detection_metrics_digests(work):
+    """sha256 of `kgdg metrics --pred-detections` on synth vein_hostile, 150
+    rows per domain: clinic_a (seed 7) against itself, and against clinic_a
+    of seed 8, whose image ids are the same and whose boxes differ, at three
+    IoU thresholds."""
+    for seed in (7, 8):
+        write_dataset(shift_profile("vein_hostile", seed=seed, n_samples=150), work / f"seed{seed}")
+    pred, other = work / "seed7" / "clinic_a_detections.json", work / "seed8" / "clinic_a_detections.json"
+    runs = {"self": (pred, "0.5"), "seed8_0.0": (other, "0.0"), "seed8_0.1": (other, "0.1"), "seed8_0.5": (other, "0.5")}
+    digests = {}
+    for name, (truth, threshold) in runs.items():
+        out = work / f"{name}.json"
+        assert main(["metrics", "--pred-detections", str(pred), "--truth-detections", str(truth),
+                     "--iou-threshold", threshold, "--out", str(out), "--quiet"]) == 0, name
+        digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    return digests
+
+
+class TestDetectionMetricsPinned:
+    """Detection matching writes the bytes it wrote when it walked Detection
+    lists (digests recorded with the per-image loop). At threshold 0.0 the
+    seed-8 run matches 865 pairs with mean IoU 0.0041, at 0.5 one pair."""
+
+    PINNED = {
+        "self": "68b481f999c961aec952b368913c79c70620fba63b0fdaa37abc117c0fa1eb56",
+        "seed8_0.0": "9cca869250b6bce37b6d3a3baf2df23f7e59886b6fcb23e3abdff05297433e4f",
+        "seed8_0.1": "46ccb7f35562a972e41900aee443148cfe50a8f1e7becb1e2114eb02659265ff",
+        "seed8_0.5": "29f49e6d7246ff352aec8e4129979fbc1651c77a447aa079d8f7975cb7d515cc",
+    }
+
+    def test_output_bytes_pinned(self, tmp_path):
+        assert detection_metrics_digests(tmp_path) == self.PINNED
+
+
 def train_digests(work):
     """sha256 of the artifact `kgdg train` writes for each learner on each
     domain of synth vein_hostile seed 7, 200 rows per domain, with the GBM

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from kgdg.core import (
     BoundingBox,
     Detection,
+    DetectionTable,
     DomainId,
     DRGrade,
     FeatureVector,
@@ -16,6 +17,7 @@ from kgdg.core import (
     validate_probability,
 )
 from kgdg.errors import NegativeProbability, SumOutOfTolerance
+from kgdg.metrics import match_detections
 
 
 class TestValidateProbability:
@@ -61,8 +63,14 @@ class TestValidateProbability:
 class TestBoundingBox:
     def test_valid_box(self):
         b = BoundingBox(0.1, 0.2, 0.3, 0.4)
-        assert b.center == (0.25, 0.4)
-        assert math.isclose(b.area, 0.12)
+        assert (b.x + b.w / 2.0, b.y + b.h / 2.0) == (0.25, 0.4)  # the center rules.detection_counts bins by
+
+        def table(box):
+            return DetectionTable.from_detections({"i": [Detection(LesionType.MICROANEURYSM, box, 1.0)]})
+
+        # the area is the box's IoU with the whole image
+        assert math.isclose(match_detections(table(b), table(BoundingBox(0.0, 0.0, 1.0, 1.0)), 0.0).mean_matched_iou,
+                            0.12)
 
     @pytest.mark.parametrize(
         "kwargs",

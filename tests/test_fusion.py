@@ -11,10 +11,6 @@ from kgdg.fusion import (
     FusionSource,
     batch_fuse,
     fuse,
-    fuse_classwise_max,
-    fuse_max_confidence,
-    fuse_selective,
-    fuse_weighted,
     fused_probability,
 )
 
@@ -30,48 +26,48 @@ simplex = st.lists(st.floats(0.01, 1.0), min_size=5, max_size=5).map(
 
 class TestSelective:
     def test_dominant_one_hot(self):
-        r = fuse_selective(pv(1, 0, 0, 0, 0), pv(0.2, 0.2, 0.2, 0.2, 0.2))
+        r = fuse("selective", pv(1, 0, 0, 0, 0), pv(0.2, 0.2, 0.2, 0.2, 0.2))
         assert int(r.grade) == 0 and r.source is FusionSource.DEEP
         assert r.winning_score == 1.0
 
     def test_symbolic_wins_when_more_confident(self):
-        r = fuse_selective(pv(0.3, 0.4, 0.1, 0.1, 0.1), pv(0.1, 0.1, 0.6, 0.1, 0.1))
+        r = fuse("selective", pv(0.3, 0.4, 0.1, 0.1, 0.1), pv(0.1, 0.1, 0.6, 0.1, 0.1))
         assert int(r.grade) == 2 and r.source is FusionSource.SYMBOLIC
 
     def test_exact_tie_goes_deep(self):
-        r = fuse_selective(pv(0.5, 0.2, 0.1, 0.1, 0.1), pv(0.1, 0.5, 0.2, 0.1, 0.1))
+        r = fuse("selective", pv(0.5, 0.2, 0.1, 0.1, 0.1), pv(0.1, 0.5, 0.2, 0.1, 0.1))
         assert r.source is FusionSource.DEEP
         assert int(r.grade) == 0
 
 
 class TestMaxConfidence:
     def test_deep_peak_wins(self):
-        r = fuse_max_confidence(pv(0.7, 0.1, 0.1, 0.05, 0.05), pv(0.69, 0.11, 0.1, 0.05, 0.05))
+        r = fuse("max", pv(0.7, 0.1, 0.1, 0.05, 0.05), pv(0.69, 0.11, 0.1, 0.05, 0.05))
         assert r.source is FusionSource.DEEP and int(r.grade) == 0
 
     def test_global_max_in_symbolic(self):
-        r = fuse_max_confidence(pv(0.3, 0.3, 0.2, 0.1, 0.1), pv(0.1, 0.1, 0.1, 0.6, 0.1))
+        r = fuse("max", pv(0.3, 0.3, 0.2, 0.1, 0.1), pv(0.1, 0.1, 0.1, 0.6, 0.1))
         assert int(r.grade) == 3 and r.source is FusionSource.SYMBOLIC
         assert r.winning_score == pytest.approx(0.6)
 
     def test_identical_vectors_tie_to_deep(self):
         v = pv(0.1, 0.2, 0.4, 0.2, 0.1)
-        r = fuse_max_confidence(v, v)
+        r = fuse("max", v, v)
         assert r.source is FusionSource.DEEP and int(r.grade) == 2
 
 
 class TestClasswiseMax:
     def test_per_class_table(self):
-        r = fuse_classwise_max(pv(0.5, 0.1, 0.2, 0.1, 0.1), pv(0.1, 0.45, 0.25, 0.1, 0.1))
+        r = fuse("classwise", pv(0.5, 0.1, 0.2, 0.1, 0.1), pv(0.1, 0.45, 0.25, 0.1, 0.1))
         assert int(r.grade) == 0
 
     def test_one_hot_dominates(self):
-        r = fuse_classwise_max(pv(0.3, 0.3, 0.2, 0.1, 0.1), pv(0, 0, 0, 0, 1))
+        r = fuse("classwise", pv(0.3, 0.3, 0.2, 0.1, 0.1), pv(0, 0, 0, 0, 1))
         assert int(r.grade) == 4 and r.source is FusionSource.SYMBOLIC
 
     def test_equal_vectors(self):
         v = pv(0.1, 0.2, 0.4, 0.2, 0.1)
-        r = fuse_classwise_max(v, v)
+        r = fuse("classwise", v, v)
         assert int(r.grade) == 2 and r.source is FusionSource.DEEP
 
 
@@ -81,11 +77,11 @@ class TestWeighted:
         for _ in range(50):
             a = pv(*rng.dirichlet(np.ones(5)))
             b = pv(*rng.dirichlet(np.ones(5)))
-            r = fuse_weighted(a, b, FusionWeights(1.0, 0.0))
+            r = fuse("weighted", a, b, FusionWeights(1.0, 0.0))
             assert int(r.grade) == a.argmax()
 
     def test_blend_fixture(self):
-        r = fuse_weighted(pv(0.5, 0.5, 0, 0, 0), pv(0, 1, 0, 0, 0), FusionWeights(0.6, 0.4))
+        r = fuse("weighted", pv(0.5, 0.5, 0, 0, 0), pv(0, 1, 0, 0, 0), FusionWeights(0.6, 0.4))
         assert int(r.grade) == 1
         assert r.winning_score == pytest.approx(0.7)
         assert r.source is FusionSource.BLENDED
@@ -95,8 +91,8 @@ class TestWeighted:
         for _ in range(50):
             a = pv(*rng.dirichlet(np.ones(5)))
             b = pv(*rng.dirichlet(np.ones(5)))
-            g1 = fuse_weighted(a, b, FusionWeights(0.5, 0.5)).grade
-            g2 = fuse_weighted(a, b, FusionWeights(1.0, 1.0)).grade
+            g1 = fuse("weighted", a, b, FusionWeights(0.5, 0.5)).grade
+            g2 = fuse("weighted", a, b, FusionWeights(1.0, 1.0)).grade
             assert g1 == g2
 
     @pytest.mark.parametrize("w1,w2", [(0.0, 5e-324), (5e-324, 0.0), (1.0, 1e-310), (sys.float_info.min / 2, 0.5)])
@@ -122,7 +118,7 @@ class TestWeighted:
         grades = []
         for weights in ((w1, w2), (lam * w1, lam * w2)):
             if sum(weights) > 0 and all(w == 0 or w >= sys.float_info.min for w in weights):
-                grades.append(fuse_weighted(a, b, FusionWeights(*weights)).grade)
+                grades.append(fuse("weighted", a, b, FusionWeights(*weights)).grade)
             else:  # a pair the contract rejects
                 with pytest.raises(ValueError):
                     FusionWeights(*weights)
@@ -139,9 +135,9 @@ class TestCoincidence:
         top = max(values)
         if sum(1 for v in values if v == top) != 1:
             return
-        g1 = fuse_selective(a, b).grade
-        g2 = fuse_max_confidence(a, b).grade
-        g3 = fuse_classwise_max(a, b).grade
+        g1 = fuse("selective", a, b).grade
+        g2 = fuse("max", a, b).grade
+        g3 = fuse("classwise", a, b).grade
         assert g1 == g2 == g3
 
 
@@ -170,7 +166,7 @@ class TestBatchFuse:
         kd = {f"i{k}": pv(*rng.dirichlet(np.ones(5))) for k in range(20)}
         fused = batch_fuse("classwise", dl, kd)
         for k in dl:
-            assert fused[k] == fuse_classwise_max(dl[k], kd[k])
+            assert fused[k] == fuse("classwise", dl[k], kd[k])
 
     def test_weighted_requires_weights(self):
         with pytest.raises(InvalidConfig):

@@ -1,10 +1,11 @@
 """Array kernels against the per-row and per-feature reference code they
 replaced: pre-sorted split search with its per-fit node cache, the flat
 level-wise tree descent, tie-averaged ranks, fusion, the column-wise
-softmax, the logistic gradient step, kNN selection, the Gini cut scan and
-the columnar table and detection readers."""
+softmax, the logistic gradient step, kNN selection, the Gini cut scan, the
+columnar table and detection readers, and detection matching."""
 
 import csv
+import dataclasses
 import json
 import math
 import warnings
@@ -22,6 +23,7 @@ from kgdg.core import (
     PROB_SUM_EPS,
     BoundingBox,
     Detection,
+    DetectionTable,
     DomainId,
     DRGrade,
     FeatureVector,
@@ -77,7 +79,7 @@ from kgdg.learn.tree import (
     flatten_trees,
     predict_tree,
 )
-from kgdg.metrics import _tie_averaged_ranks, auc_ovr_macro, binary_auc
+from kgdg.metrics import _tie_averaged_ranks, auc_ovr_macro, binary_auc, match_detections
 
 # --- reference implementations ---------------------------------------------------
 
@@ -1157,3 +1159,67 @@ def test_validate_probability_equals_per_row_reference(values, scale):
     new, ref = _outcome(validate_probability, row), _outcome(ref_validate_probability, row)
     if _same(new, ref):
         assert new[1] == ref[1] and new[2] == ref[2]
+
+
+# --- (h) detection matching over tables equals the per-image Detection loop ---------
+
+
+def ref_iou(a, b):
+    ax2, ay2 = a.x + a.w, a.y + a.h
+    bx2, by2 = b.x + b.w, b.y + b.h
+    ix = max(0.0, min(ax2, bx2) - max(a.x, b.x))
+    iy = max(0.0, min(ay2, by2) - max(a.y, b.y))
+    inter = ix * iy
+    union = (ax2 - a.x) * (ay2 - a.y) + (bx2 - b.x) * (by2 - b.y) - inter
+    return inter / union if union > 0 else 0.0
+
+
+def ref_match_detections(pred, truth, iou_threshold):
+    """Greedy matching over {image_id: [Detection]} maps, one prediction at a time."""
+    images = [(pred.get(i, ()), truth.get(i, ())) for i in dict.fromkeys([*pred, *truth])]
+    kinds = sorted({d.lesion for dets in images for side in dets for d in side}, key=lambda k: k.value)
+    per_lesion = {kind.value: 0 for kind in kinds}
+    matched_ious = []
+    for image_pred, image_truth in images:
+        for kind in kinds:
+            preds = sorted((d for d in image_pred if d.lesion == kind), key=lambda d: -d.score)
+            truths = [d for d in image_truth if d.lesion == kind]
+            taken = [False] * len(truths)
+            for p in preds:
+                best_iou, best_j = -1.0, -1
+                for j, tr in enumerate(truths):
+                    v = -1.0 if taken[j] else ref_iou(p.box, tr.box)
+                    if v > best_iou:
+                        best_iou, best_j = v, j
+                if best_j >= 0 and best_iou >= iou_threshold:
+                    taken[best_j] = True
+                    per_lesion[kind.value] += 1
+                    matched_ious.append(best_iou)
+    total = len(matched_ious)
+    n_pred, n_truth = sum(len(p) for p, _ in images), sum(len(t) for _, t in images)
+    return {"matched_per_lesion": per_lesion, "matched_total": total,
+            "mean_matched_iou": float(np.mean(matched_ious)) if matched_ious else 0.0,
+            "precision": total / n_pred if n_pred else 1.0, "recall": total / n_truth if n_truth else 1.0}
+
+
+@st.composite
+def detection_maps(draw):
+    """{image_id: [Detection]} on a coarse grid, so IoUs and scores tie; the
+    three kinds sort by name in another order than by code."""
+    out = {}
+    for _ in range(draw(st.integers(0, 14))):
+        box = BoundingBox(draw(st.sampled_from([0.0, 0.1, 0.15, 0.5])), draw(st.sampled_from([0.0, 0.1, 0.5])),
+                          draw(st.sampled_from([0.1, 0.2, 0.3])), draw(st.sampled_from([0.1, 0.2])))
+        kind = draw(st.sampled_from([LesionType.MICROANEURYSM, LesionType.HARD_EXUDATE, LesionType.HARD_HEMORRHAGE]))
+        out.setdefault(draw(st.sampled_from("abc")), []).append(Detection(kind, box, draw(st.sampled_from([0.2, 0.9]))))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(detection_maps(), detection_maps(), st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0]))
+def test_detection_matching_equals_per_image_loop(pred, truth, iou_threshold):
+    report = match_detections(DetectionTable.from_detections(pred), DetectionTable.from_detections(truth),
+                              iou_threshold)
+    ref = ref_match_detections(pred, truth, iou_threshold)
+    assert dataclasses.asdict(report) == ref
+    assert list(report.matched_per_lesion) == list(ref["matched_per_lesion"])

@@ -20,7 +20,6 @@ from kgdg.learn import (
     fit_knn_arrays,
     fit_logistic_arrays,
     fit_model,
-    grade_array,
     logistic_loss_and_grad,
     resolve_schema,
     sample_weights,
@@ -51,17 +50,26 @@ def domain_table(examples, domain=None):
     )
 
 
+def labels(examples):
+    return np.array([int(ex.grade) for ex in examples], dtype=np.int64)
+
+
 def fit_examples(train, valid, cfg):
     """fit_model on example lists, featurized with the training rows' schema."""
-    schema = resolve_schema(cfg, train)
+    schema = resolve_schema(cfg, domain_table(train))
     return fit_model(
         feature_matrix(train, schema),
-        grade_array(train),
+        labels(train),
         feature_matrix(valid, schema),
-        grade_array(valid),
+        labels(valid),
         schema,
         cfg,
     )
+
+
+def predict_row(model, features):
+    """The model's probability row for one feature vector."""
+    return model.predict_proba_matrix(np.array([features.as_row(model.feature_schema)]))[0]
 
 
 def random_examples(n, seed=0, grades=5):
@@ -141,7 +149,7 @@ class TestGbm:
         cfg = TrainConfig(n_trees=10, max_depth=1, min_leaf=1, learning_rate=0.5,
                           early_stop_patience=100, seed=0)
         model = fit_examples(examples, examples, cfg)
-        preds = [model.predict_proba(ex.features).argmax() for ex in examples]
+        preds = [predict_row(model, ex.features).argmax() for ex in examples]
         assert preds == [0, 0, 1, 1]
 
     def test_separable_fixture_matches_stump_oracle(self):
@@ -170,7 +178,7 @@ class TestGbm:
         examples = random_examples(50, seed=2)
         cfg = TrainConfig(n_trees=0, class_weighting=False)
         model = fit_examples(examples, examples, cfg)
-        probs = model.predict_proba(examples[0].features)
+        probs = predict_row(model, examples[0].features)
         counts = np.bincount([int(e.grade) for e in examples], minlength=5)
         assert tuple(probs) == pytest.approx(tuple(counts / counts.sum()), abs=1e-9)
 
@@ -179,7 +187,7 @@ class TestGbm:
         present = sorted({int(e.grade) for e in examples})
         cfg = TrainConfig(n_trees=0, class_weighting=True)
         model = fit_examples(examples, examples, cfg)
-        probs = list(model.predict_proba(examples[0].features))
+        probs = list(predict_row(model, examples[0].features))
         for g in present:
             assert probs[g] == pytest.approx(1 / len(present), abs=1e-9)
 
@@ -214,7 +222,7 @@ class TestGbm:
         examples = random_examples(60, seed=6)
         model = fit_examples(examples[:50], examples[50:], TrainConfig(n_trees=10, min_leaf=2))
         for ex in examples[:10]:
-            validate_probability(list(model.predict_proba(ex.features)))
+            validate_probability(list(predict_row(model, ex.features)))
 
     def test_schema_mismatch_on_predict(self):
         examples = random_examples(40, seed=7)
@@ -289,12 +297,12 @@ class TestLogistic:
     def test_single_class_degenerate_fit_predicts_it(self):
         examples = [make_example(i, 2, microaneurysm_count=i % 3) for i in range(12)]
         model = fit_examples(examples, examples, TrainConfig(model_kind="logistic", logistic_steps=300))
-        assert model.predict_proba(examples[0].features).argmax() == 2
+        assert predict_row(model, examples[0].features).argmax() == 2
 
     def test_learns_separable_data(self):
         examples = random_examples(150, seed=9, grades=3)
         model = fit_examples(examples, examples, TrainConfig(model_kind="logistic", logistic_steps=800))
-        acc = np.mean([model.predict_proba(e.features).argmax() == int(e.grade) for e in examples])
+        acc = np.mean([predict_row(model, e.features).argmax() == int(e.grade) for e in examples])
         assert acc > 0.5
 
     def test_deterministic(self):
@@ -318,7 +326,7 @@ class TestForest:
         forest = fit_examples(examples, examples, cfg)
         schema = examples[0].features.schema()
         x = feature_matrix(examples, schema)
-        y = grade_array(examples)
+        y = labels(examples)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(3).spawn(1)[0]))
         tree = fit_classification_tree(x, y, rng, max_depth=4, min_leaf=2, max_features=8)
         assert np.allclose(forest.predict_proba_matrix(x), predict_tree(flatten_trees([tree]), x)[:, 0])
@@ -336,7 +344,7 @@ class TestForest:
         examples = random_examples(60, seed=13)
         model = fit_examples(examples, examples, TrainConfig(model_kind="forest", n_trees=5, min_leaf=2))
         for ex in examples[:10]:
-            validate_probability(list(model.predict_proba(ex.features)))
+            validate_probability(list(predict_row(model, ex.features)))
 
 
 # --- knn -------------------------------------------------------------------------
@@ -346,13 +354,13 @@ class TestKnn:
     def test_k1_exact_training_point_one_hot(self):
         examples = random_examples(30, seed=14)
         cfg = TrainConfig(model_kind="knn", k_neighbors=1)
-        pv = fit_examples(examples, examples, cfg).predict_proba(examples[4].features)
+        pv = predict_row(fit_examples(examples, examples, cfg), examples[4].features)
         assert pv[int(examples[4].grade)] == 1.0
 
     def test_k_equals_n_gives_prior(self):
         examples = random_examples(25, seed=15)
         cfg = TrainConfig(model_kind="knn", k_neighbors=25)
-        pv = fit_examples(examples, examples, cfg).predict_proba(examples[0].features)
+        pv = predict_row(fit_examples(examples, examples, cfg), examples[0].features)
         counts = np.bincount([int(e.grade) for e in examples], minlength=5)
         assert tuple(pv) == pytest.approx(tuple(counts / 25))
 
@@ -369,7 +377,7 @@ class TestKnn:
             make_example(6, 4, microaneurysm_count=60),
         ]
         cfg = TrainConfig(model_kind="knn", k_neighbors=5)
-        pv = fit_examples(near + far, near + far, cfg).predict_proba(FeatureVector(microaneurysm_count=1))
+        pv = predict_row(fit_examples(near + far, near + far, cfg), FeatureVector(microaneurysm_count=1))
         assert tuple(pv) == pytest.approx((0.0, 0.4, 0.6, 0.0, 0.0))
 
     def test_k1_perfect_training_accuracy_on_distinct_points(self):
@@ -393,7 +401,7 @@ class TestCrossValidate:
     def test_summary_matches_folds(self):
         examples = random_examples(90, seed=18, grades=3)
         cfg = TrainConfig(model_kind="logistic", logistic_steps=100, seed=0)
-        summary = cross_validate(examples, cfg, folds=3)
+        summary = cross_validate(domain_table(examples), cfg, folds=3)
         assert len(summary.per_fold_accuracy) == 3
         assert summary.accuracy_mean == pytest.approx(np.mean(summary.per_fold_accuracy))
         assert summary.accuracy_std == pytest.approx(np.std(summary.per_fold_accuracy))
@@ -401,16 +409,16 @@ class TestCrossValidate:
     def test_too_few_per_class(self):
         examples = random_examples(40, seed=19, grades=3) + [make_example(99, 4)]
         with pytest.raises(TooFewPerClass):
-            cross_validate(examples, TrainConfig(model_kind="knn", k_neighbors=3), folds=3)
+            cross_validate(domain_table(examples), TrainConfig(model_kind="knn", k_neighbors=3), folds=3)
 
     def test_folds_must_be_at_least_two(self):
         with pytest.raises(InvalidConfig):
-            cross_validate(random_examples(20), TrainConfig(), folds=1)
+            cross_validate(domain_table(random_examples(20)), TrainConfig(), folds=1)
 
     def test_gbm_cross_validation(self):
         examples = random_examples(60, seed=22, grades=3)
         cfg = TrainConfig(n_trees=5, min_leaf=2, early_stop_patience=3, seed=1)
-        summary = cross_validate(examples, cfg, folds=2)
+        summary = cross_validate(domain_table(examples), cfg, folds=2)
         assert len(summary.per_fold_accuracy) == 2
         assert all(0.0 <= a <= 1.0 for a in summary.per_fold_accuracy)
 
@@ -446,5 +454,5 @@ class TestFitModelDispatch:
         examples = random_examples(40, seed=21)
         cfg = TrainConfig(model_kind=kind, n_trees=4, min_leaf=2, logistic_steps=50, k_neighbors=3)
         model = fit_examples(examples[:30], examples[30:], cfg)
-        pv = model.predict_proba(examples[0].features)
+        pv = predict_row(model, examples[0].features)
         assert abs(sum(pv) - 1.0) < 1e-9

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgdg.core import BoundingBox, Detection, LesionType
+from kgdg.core import BoundingBox, Detection, DetectionTable, LesionType
 from kgdg.errors import EmptyEvaluation, NoQualifyingClass
 from kgdg.metrics import (
     DomainStats,
@@ -14,13 +14,25 @@ from kgdg.metrics import (
     auc_ovr_macro,
     binary_auc,
     confusion_matrix,
-    detection_set_iou,
     domain_kl,
     evaluate_predictions,
-    iou,
     macro_f1,
+    match_detections,
     seeded_summary,
 )
+
+
+def match_lists(pred, truth, iou_threshold=0.5):
+    """match_detections of two Detection lists of one image."""
+    return match_detections(DetectionTable.from_detections({"": pred}), DetectionTable.from_detections({"": truth}),
+                            iou_threshold)
+
+
+def pair_iou(a, b):
+    """The IoU of two boxes: at threshold 0 the one prediction always matches the one truth."""
+    return match_lists([Detection(LesionType.MICROANEURYSM, a, 1.0)],
+                       [Detection(LesionType.MICROANEURYSM, b, 1.0)], 0.0).mean_matched_iou
+
 
 # --- independent brute-force oracles (kept deliberately naive) -----------------
 
@@ -105,20 +117,20 @@ class TestFixedExamples:
 
     def test_iou_identical(self):
         b = BoundingBox(0.1, 0.1, 0.3, 0.3)
-        assert iou(b, b) == 1.0
+        assert pair_iou(b, b) == 1.0
 
     def test_iou_disjoint(self):
-        assert iou(BoundingBox(0.0, 0.0, 0.2, 0.2), BoundingBox(0.5, 0.5, 0.2, 0.2)) == 0.0
+        assert pair_iou(BoundingBox(0.0, 0.0, 0.2, 0.2), BoundingBox(0.5, 0.5, 0.2, 0.2)) == 0.0
 
     def test_iou_fixture_one_seventh(self):
         a = BoundingBox(0.0, 0.0, 0.2, 0.2)
         b = BoundingBox(0.1, 0.1, 0.2, 0.2)
-        assert iou(a, b) == pytest.approx(1 / 7, abs=1e-12)
+        assert pair_iou(a, b) == pytest.approx(1 / 7, abs=1e-12)
 
     def test_iou_symmetric(self):
         a = BoundingBox(0.0, 0.0, 0.4, 0.2)
         b = BoundingBox(0.1, 0.05, 0.2, 0.3)
-        assert iou(a, b) == pytest.approx(iou(b, a), abs=1e-15)
+        assert pair_iou(a, b) == pytest.approx(pair_iou(b, a), abs=1e-15)
 
 
 class TestConfusionAndReport:
@@ -154,7 +166,7 @@ class TestDetectionMatching:
             Detection(LesionType.HARD_EXUDATE, self.box(0.1, 0.1), 0.9),
             Detection(LesionType.HARD_HEMORRHAGE, self.box(0.5, 0.5), 0.8),
         ]
-        rep = detection_set_iou(dets, dets, iou_threshold=0.5)
+        rep = match_lists(dets, dets, iou_threshold=0.5)
         assert rep.precision == 1.0 and rep.recall == 1.0
         assert rep.mean_matched_iou == pytest.approx(1.0)
         assert rep.matched_per_lesion["hard_exudate"] == 1
@@ -165,22 +177,22 @@ class TestDetectionMatching:
             Detection(LesionType.HARD_EXUDATE, self.box(0.12, 0.12), 1.0),  # higher IoU
             Detection(LesionType.HARD_EXUDATE, self.box(0.16, 0.16), 1.0),
         ]
-        rep = detection_set_iou(pred, truth, iou_threshold=0.1)
+        rep = match_lists(pred, truth, iou_threshold=0.1)
         assert rep.matched_total == 1
         assert rep.recall == 0.5
         # greedy picks the closer truth
-        assert rep.mean_matched_iou == pytest.approx(iou(pred[0].box, truth[0].box))
+        assert rep.mean_matched_iou == pytest.approx(pair_iou(pred[0].box, truth[0].box))
 
     def test_threshold_one_rejects_jitter(self):
         pred = [Detection(LesionType.MICROANEURYSM, self.box(0.1, 0.1), 0.9)]
         truth = [Detection(LesionType.MICROANEURYSM, self.box(0.101, 0.1), 0.9)]
-        rep = detection_set_iou(pred, truth, iou_threshold=1.0)
+        rep = match_lists(pred, truth, iou_threshold=1.0)
         assert rep.matched_total == 0
 
     def test_lesion_types_never_cross_match(self):
         pred = [Detection(LesionType.MICROANEURYSM, self.box(0.1, 0.1), 0.9)]
         truth = [Detection(LesionType.HARD_EXUDATE, self.box(0.1, 0.1), 0.9)]
-        assert detection_set_iou(pred, truth, 0.5).matched_total == 0
+        assert match_lists(pred, truth, 0.5).matched_total == 0
 
 
 class TestDomainKl:

@@ -12,7 +12,6 @@ from kgdg.report import (
     reference_ids,
     render_csv,
     render_markdown,
-    save_report_json,
 )
 from kgdg.synth import shift_profile, write_dataset
 
@@ -117,12 +116,12 @@ class TestRendering:
         assert render_csv(sdg_report) == render_csv(sdg_report)
 
     def test_emit_and_reload_json(self, sdg_report, tmp_path):
-        path = save_report_json(sdg_report, tmp_path / "report.json")
+        path = emit_report(sdg_report, "json", tmp_path / "report.json")
         loaded = load_report_json(path)
         assert loaded.to_json_dict() == sdg_report.to_json_dict()
 
     def test_emit_markdown_and_csv(self, sdg_report, tmp_path):
-        md = emit_report(sdg_report, "markdown_table", tmp_path / "r.md")
+        md = emit_report(sdg_report, "markdown", tmp_path / "r.md")
         csvp = emit_report(sdg_report, "csv", tmp_path / "r.csv")
         assert md.read_text().startswith("# Domain-generalization report")
         assert csvp.read_text().startswith("metric,method")

@@ -8,7 +8,6 @@ from kgdg.errors import InvalidConfig
 from kgdg.rules import (
     RuleConfig,
     aggregate_detections,
-    assign_quadrant,
     grade_by_rules,
     rule_grade_as_probability,
 )
@@ -16,6 +15,21 @@ from kgdg.rules import (
 
 def box_at(cx, cy, size=0.02):
     return BoundingBox(cx - size / 2, cy - size / 2, size, size)
+
+
+def hemorrhage(box):
+    return Detection(LesionType.HARD_HEMORRHAGE, box, 0.9)
+
+
+def quadrant(box):
+    """The quadrant (1=top-left, 2=top-right, 3=bottom-left, 4=bottom-right)
+    a hemorrhage at ``box`` is binned into: the one whose reference
+    hemorrhage it shares a single quadrant with."""
+    references = {1: box_at(0.2, 0.2), 2: box_at(0.8, 0.2), 3: box_at(0.2, 0.8), 4: box_at(0.8, 0.8)}
+    shared = [q for q, ref in references.items()
+              if aggregate_detections([hemorrhage(box), hemorrhage(ref)], 0.0).hemorrhage_quadrants == 1]
+    assert len(shared) == 1
+    return shared[0]
 
 
 class TestAssignQuadrant:
@@ -29,14 +43,14 @@ class TestAssignQuadrant:
         ],
     )
     def test_quadrants(self, box, expected):
-        assert assign_quadrant(box) == expected
+        assert quadrant(box) == expected
 
     def test_exact_center_goes_to_one(self):
-        assert assign_quadrant(BoundingBox(0.4, 0.4, 0.2, 0.2)) == 1
+        assert quadrant(BoundingBox(0.4, 0.4, 0.2, 0.2)) == 1
 
     def test_axis_ties_take_lower_quadrant(self):
-        assert assign_quadrant(box_at(0.5, 0.7)) == 3  # vertical axis, bottom
-        assert assign_quadrant(box_at(0.7, 0.5)) == 2  # horizontal axis, right
+        assert quadrant(box_at(0.5, 0.7)) == 3  # vertical axis, bottom
+        assert quadrant(box_at(0.7, 0.5)) == 2  # horizontal axis, right
 
 
 class TestAggregateDetections:

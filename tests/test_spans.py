@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(__file__).resolve().parents[1] / "src"
+SHIM_COMMENT = "the benchmark's tracer patches"
 SPANS_PATH = PERFBENCH / "spans.py"
 
 
@@ -54,3 +56,26 @@ def test_benchmark_import_resolves(module_name, name):
     module = importlib.import_module(module_name)
     if name is not None and not hasattr(module, name):
         importlib.import_module(f"{module_name}.{name}")  # a submodule
+
+
+def _shim_imports():
+    """(module, name) for every name a ``src/`` import keeps only for the
+    tracer: an imported name whose source line carries SHIM_COMMENT."""
+    found = set()
+    for path in SRC.rglob("*.py"):
+        text = path.read_text()
+        lines = text.splitlines()
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom):
+                found.update((module, alias.asname or alias.name) for alias in node.names
+                             if SHIM_COMMENT in lines[alias.lineno - 1])
+    return sorted(found)
+
+
+def test_every_shim_import_is_traced():
+    """A name kept only so the tracer can patch it must be one the tracer
+    patches, so a shim a deletion leaves behind fails here."""
+    shims = _shim_imports()
+    assert ("kgdg.cli", "batch_fuse") in shims
+    assert set(shims) <= {(s[0], s[1]) for s in _spans()}
