@@ -10,8 +10,6 @@ from .core import (
     GRADE_COUNT,
     LESIONS_ONLY_SCHEMA,
     LESIONS_VEIN_SCHEMA,
-    BoundingBox,
-    Detection,
     DomainId,
     DRGrade,
     FeatureVector,
@@ -19,15 +17,12 @@ from .core import (
     LabeledExample,
     LesionType,
     ProbabilityVector,
-    validate_probability,
 )
 from .fusion import (
-    FusedPrediction,
     FusionSource,
     FusionStrategy,
     batch_fuse,
     fuse,
-    fuse_arrays,
 )
 from .harness import (
     ExperimentConfig,
@@ -69,8 +64,6 @@ __all__ = [
     "GRADE_COUNT",
     "LESIONS_ONLY_SCHEMA",
     "LESIONS_VEIN_SCHEMA",
-    "BoundingBox",
-    "Detection",
     "DomainId",
     "DomainSpec",
     "DomainStats",
@@ -78,7 +71,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
     "FeatureVector",
-    "FusedPrediction",
     "FusionSource",
     "FusionSpec",
     "FusionStrategy",
@@ -104,7 +96,6 @@ __all__ = [
     "evaluate_predictions",
     "fit_model",
     "fuse",
-    "fuse_arrays",
     "gen_dataset",
     "get_reference",
     "grade_by_rules",
@@ -120,6 +111,5 @@ __all__ = [
     "simulate_neural_table",
     "split_dataset",
     "split_indices",
-    "validate_probability",
     "write_dataset",
 ]

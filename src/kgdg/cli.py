@@ -20,8 +20,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from .errors import ConfigError, DataError, InvalidConfig, KgdgError
-from .fusion import FusionStrategy, fuse_arrays, require_same_images
-from .fusion import batch_fuse  # noqa: F401  unused here; the benchmark's tracer patches it by this module's name
+from .fusion import FusionStrategy, batch_fuse
 from .harness import (
     SplitFractions,
     checked_weights,
@@ -41,7 +40,8 @@ from .io import (
     read_probability_table,
     save_model,
 )
-from .io import load_detections, load_feature_table, load_probability_table  # noqa: F401  unused here; the benchmark's tracer patches them by this module's name
+from .io import load_feature_table, load_probability_table  # noqa: F401  unused here; the benchmark's tracer patches them by this module's name
+from .io import read_detections as load_detections  # noqa: F401  unused here; the benchmark's tracer patches it by this module's name
 from .learn import TrainConfig, fit_model, resolve_schema
 from .metrics import evaluate_predictions, match_detections
 from .report import (
@@ -52,8 +52,8 @@ from .report import (
     reference_ids,
     render_report,
 )
-from .rules import RULE_LADDER, RuleConfig, detection_counts, fire_rules
-from .rules import grade_by_rules, grade_detections  # noqa: F401  unused here; the benchmark's tracer patches them by this module's name
+from .rules import RULE_LADDER, RuleConfig, fire_rules, grade_detections
+from .rules import grade_by_rules  # noqa: F401  unused here; the benchmark's tracer patches it by this module's name
 from .synth import shift_profile, write_dataset
 
 
@@ -106,15 +106,15 @@ def _cmd_grade(args: argparse.Namespace) -> int:
                               "features": bool(args.features), "detections": bool(args.detections)})
     if args.features:
         table = read_feature_table(args.features)
-        ids, counts, order = table.ids, table.counts, range(len(table))
+        ids, fired, order = table.ids, fire_rules(table.counts, rules), range(len(table))
     elif args.detections:
         detections = read_detections(args.detections)
-        ids, counts = detections.ids, detection_counts(detections, rules.min_score)
+        ids, fired = detections.ids, grade_detections(detections, rules)
         order = sorted(range(len(ids)), key=ids.__getitem__)
     else:
         raise InvalidConfig("grade needs --features or --detections")
     labels = [f"{int(grade)},{name}" for name, grade, _ in RULE_LADDER]
-    fired = fire_rules(counts, rules).tolist()
+    fired = fired.tolist()
     lines = ["image_id,grade,fired_rules"] + [f"{ids[n]},{labels[fired[n]]}" for n in order]
     _write_output(args, "\n".join(lines) + "\n")
     return 0
@@ -151,9 +151,7 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     _print_fingerprint(args, {"command": "fuse", "strategy": args.strategy,
                               "alpha_dl": args.alpha_dl, "alpha_kl": args.alpha_kl})
     dl_ids, p_dl = read_probability_table(args.dl)
-    kd_ids, p_kd = read_probability_table(args.kd)
-    require_same_images(dl_ids, kd_ids)
-    fused = fuse_arrays(strategy, p_dl, p_kd[join_rows(dl_ids, kd_ids, KeyError)], weights)
+    fused = batch_fuse(strategy, (dl_ids, p_dl), read_probability_table(args.kd), weights)
     grades, sources, scores = fused.grades.tolist(), fused.sources.tolist(), fused.scores.tolist()
     lines = ["image_id,grade,source,winning_score"] + [
         f"{dl_ids[n]},{grades[n]},{sources[n]},{scores[n]:.6f}"

@@ -1,4 +1,4 @@
-"""Shared domain types: grades, lesions, features, probabilities, boxes.
+"""Shared domain types: grades, lesions, features, probabilities, detections.
 
 All types are immutable after construction and safe to share between
 threads. The grade count is fixed at five (the ICDR staging ladder);
@@ -10,14 +10,14 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (
-    BoxOutOfBounds,
+    InvalidConfig,
     NegativeProbability,
     SchemaMismatch,
     SumOutOfTolerance,
@@ -32,7 +32,33 @@ PROB_SUM_EPS = 1e-6
 # real errors.
 PROB_RENORM_TOL = 1e-4
 
+# A detection box may end past the right or bottom image edge by this much.
 BOX_EDGE_EPS = 1e-9
+
+
+# What a config field's annotation asks of a value read from JSON.
+_JSON_TYPES = {
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "float": ("a finite number",
+              lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "tuple[str, ...]": ("a list of strings", lambda v: isinstance(v, tuple) and all(isinstance(s, str) for s in v)),
+}
+
+
+def check_field_types(config: object) -> None:
+    """Raise InvalidConfig on the first field of a config dataclass whose
+    value is not of its annotated JSON type: an int is no bool or float, a
+    bool is true or false, a float is finite. Fields of other types are
+    left to their class."""
+    for f in fields(config):  # type: ignore[arg-type]
+        kind, _, optional = str(f.type).partition(" | ")
+        value = getattr(config, f.name)
+        if kind in _JSON_TYPES and not (optional == "None" and value is None):
+            expected, holds = _JSON_TYPES[kind]
+            if not holds(value):
+                raise InvalidConfig(f"{f.name} must be {expected}, got {value!r}")
 
 
 class RenormalizationWarning(UserWarning):
@@ -85,8 +111,9 @@ class DomainId(str):
 class ProbabilityVector:
     """Length-5 confidence vector over DR grades; sums to 1 within 1e-6.
 
-    Construct through :func:`validate_probability` unless the values are
-    already known to satisfy the invariant (e.g. a softmax output).
+    Construct from rows checked by :func:`validate_probability_rows` unless
+    the values are already known to satisfy the invariant (e.g. a softmax
+    output).
     """
 
     probs: tuple[float, float, float, float, float]
@@ -102,23 +129,11 @@ class ProbabilityVector:
         return self.probs.index(max(self.probs))
 
 
-def validate_probability(values: Sequence[float]) -> ProbabilityVector:
-    """Validate five reals as a grade distribution.
-
-    Accepts exact simplex points unchanged; renormalizes (and warns)
-    when the sum is off by at most ``PROB_RENORM_TOL``; rejects anything
-    worse. Raises :class:`NegativeProbability` or
-    :class:`SumOutOfTolerance`.
-    """
-    vals = [float(v) for v in values]
-    if len(vals) != GRADE_COUNT:
-        raise ValueError(f"expected {GRADE_COUNT} probabilities, got {len(vals)}")
-    return ProbabilityVector(tuple(validate_probability_rows(np.array([vals])).tolist()[0]))
-
-
 def validate_probability_rows(p: np.ndarray) -> np.ndarray:
-    """validate_probability over ``(n, 5)`` rows, checked as array masks and
-    taken in order: each renormalized row warns, the first bad row raises."""
+    """Validate ``(n, 5)`` rows as grade distributions, as array masks taken
+    in order: a row on the simplex is kept, one whose sum is off by at most
+    ``PROB_RENORM_TOL`` is renormalized with a warning, and the first worse
+    row raises :class:`NegativeProbability` or :class:`SumOutOfTolerance`."""
     total = sum(p[:, g] for g in range(GRADE_COUNT))  # left to right, as sum() of one row
     deviation = np.abs(total - 1.0)
     valid = np.isfinite(p).all(axis=1) & (p >= 0.0).all(axis=1) & (deviation <= PROB_RENORM_TOL)
@@ -136,43 +151,6 @@ def validate_probability_rows(p: np.ndarray) -> np.ndarray:
             f"probabilities sum to {total[bad].item()!r}, deviation {deviation[bad]:.3g} exceeds {PROB_RENORM_TOL}"
         )
     return np.where(exact[:, None], p, p / total[:, None])
-
-
-@dataclass(frozen=True)
-class BoundingBox:
-    """Axis-aligned box in normalized image coordinates (top-left origin)."""
-
-    x: float
-    y: float
-    w: float
-    h: float
-
-    def __post_init__(self) -> None:
-        for name in ("x", "y"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise BoxOutOfBounds(f"{name}={v!r} outside [0,1]")
-        for name in ("w", "h"):
-            v = getattr(self, name)
-            if not (0.0 < v <= 1.0):
-                raise BoxOutOfBounds(f"{name}={v!r} outside (0,1]")
-        if self.x + self.w > 1.0 + BOX_EDGE_EPS:
-            raise BoxOutOfBounds(f"x+w={self.x + self.w!r} exceeds 1")
-        if self.y + self.h > 1.0 + BOX_EDGE_EPS:
-            raise BoxOutOfBounds(f"y+h={self.y + self.h!r} exceeds 1")
-
-
-@dataclass(frozen=True)
-class Detection:
-    """One localized lesion with its detector confidence."""
-
-    lesion: LesionType
-    box: BoundingBox
-    score: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.score <= 1.0):
-            raise ValueError(f"detection score {self.score!r} outside [0,1]")
 
 
 # Ordered feature schemas. Booleans are encoded as 0/1 in rows.
@@ -316,21 +294,16 @@ class DomainTable:
 
 
 class DetectionTable(NamedTuple):
-    """Detection records as parallel arrays, in file order."""
+    """Detection records as parallel arrays, in file order. A box is
+    axis-aligned in normalized image coordinates (top-left origin): as
+    read_detections checks, x and y lie in [0,1], w and h in (0,1], x+w and
+    y+h are at most 1 + BOX_EDGE_EPS, and a score lies in [0,1]."""
 
     ids: tuple[str, ...]  # distinct image ids, in order of first appearance
     image: np.ndarray  # (m,) index into ids
     lesion: np.ndarray  # (m,) index into LESION_TYPES
     box: np.ndarray  # (m, 4) x, y, w, h
     score: np.ndarray  # (m,)
-
-    @classmethod
-    def from_detections(cls, dets: Mapping[str, Sequence[Detection]]) -> "DetectionTable":
-        """Per-image Detection lists as a table; an image without any keeps its id."""
-        rows = [(n, LESION_TYPES.index(d.lesion), d.box.x, d.box.y, d.box.w, d.box.h, d.score)
-                for n, image_dets in enumerate(dets.values()) for d in image_dets]
-        cols = np.array(rows, dtype=np.float64).reshape(-1, 7).T
-        return cls(tuple(dets), cols[0].astype(np.int64), cols[1].astype(np.int64), cols[2:6].T.copy(), cols[6].copy())
 
 
 @dataclass(frozen=True)

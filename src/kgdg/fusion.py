@@ -4,6 +4,8 @@ Four strategies: selective (branch with the higher peak wins), global
 max confidence, class-wise max, and weighted blending. Tie rules are
 fixed so every strategy is a deterministic total function: the deep
 branch wins cross-branch ties, and within a vector the lower grade wins.
+``fuse`` is the one decision kernel, over ``(n, 5)`` deep and knowledge
+rows; ``batch_fuse`` is that kernel on two ``(ids, rows)`` tables.
 
 Scaling both blend weights by c > 0 (scaled weights normal, blend finite)
 keeps the weighted grade unless the unscaled blend's top two cells lie within
@@ -15,14 +17,14 @@ alpha_kl) from the exact blend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import GRADE_COUNT, DRGrade, FusionWeights, ProbabilityVector
+from .core import GRADE_COUNT, FusionWeights
 from .errors import InvalidConfig, UnknownImageId
+from .io import join_rows
 
 
 class FusionSource(str, Enum):
@@ -36,13 +38,6 @@ class FusionStrategy(str, Enum):
     MAX_CONFIDENCE = "max"
     CLASSWISE_MAX = "classwise"
     WEIGHTED = "weighted"
-
-
-@dataclass(frozen=True)
-class FusedPrediction:
-    grade: DRGrade
-    source: FusionSource
-    winning_score: float
 
 
 # The cells of a stacked row (deep grades 0-4, then knowledge grades 0-4)
@@ -59,9 +54,6 @@ _TIE_ORDER = {
 }
 
 
-_GRADES = tuple(DRGrade)
-
-
 class FusedArrays(NamedTuple):
     """Fusion decisions for n row pairs."""
 
@@ -71,7 +63,7 @@ class FusedArrays(NamedTuple):
     probs: np.ndarray  # (n, 5) rows whose argmax is the grade, for rank metrics
 
 
-def fuse_arrays(
+def fuse(
     strategy: FusionStrategy | str,
     p_dl: np.ndarray,
     p_kd: np.ndarray,
@@ -102,38 +94,15 @@ def fuse_arrays(
     return FusedArrays(winner % GRADE_COUNT, sources, stack.max(axis=1), probs)
 
 
-def _decisions(fused: FusedArrays) -> list[FusedPrediction]:
-    """One FusedPrediction per fused row."""
-    return [
-        FusedPrediction(_GRADES[grade], FusionSource(source), score)
-        for grade, source, score in zip(fused.grades.tolist(), fused.sources.tolist(), fused.scores.tolist())
-    ]
-
-
-def fuse(
+def batch_fuse(
     strategy: FusionStrategy | str,
-    p_dl: ProbabilityVector,
-    p_kd: ProbabilityVector,
+    dl: tuple[Sequence[str], np.ndarray],
+    kd: tuple[Sequence[str], np.ndarray],
     weights: FusionWeights | None = None,
-) -> FusedPrediction:
-    """Fuse one row pair: fuse_arrays on a single row."""
-    return _decisions(fuse_arrays(strategy, (p_dl.probs,), (p_kd.probs,), weights))[0]
-
-
-def fused_probability(
-    strategy: FusionStrategy | str,
-    p_dl: ProbabilityVector,
-    p_kd: ProbabilityVector,
-    weights: FusionWeights | None = None,
-) -> ProbabilityVector:
-    """A probability row whose argmax matches the fusion decision, used to
-    score fused predictions with rank metrics (AUC)."""
-    fused = fuse_arrays(strategy, (p_dl.probs,), (p_kd.probs,), weights)
-    return ProbabilityVector(tuple(float(v) for v in fused.probs[0]))  # type: ignore[arg-type]
-
-
-def require_same_images(dl_ids: Iterable[str], kd_ids: Iterable[str]) -> None:
-    """Two tables to fuse must cover the same images."""
+) -> FusedArrays:
+    """Fuse two ``(ids, rows)`` tables, as read_probability_table returns
+    them, in the deep table's row order; both must cover the same images."""
+    (dl_ids, p_dl), (kd_ids, p_kd) = dl, kd
     dl_set, kd_set = set(dl_ids), set(kd_ids)
     missing_kd, missing_dl = sorted(dl_set - kd_set), sorted(kd_set - dl_set)
     if missing_kd or missing_dl:
@@ -142,21 +111,4 @@ def require_same_images(dl_ids: Iterable[str], kd_ids: Iterable[str]) -> None:
             f"tables disagree on image ids (e.g. {sample!r}): "
             f"{len(missing_dl)} missing from deep, {len(missing_kd)} from symbolic"
         )
-
-
-def batch_fuse(
-    strategy: FusionStrategy | str,
-    dl_table: Mapping[str, ProbabilityVector],
-    kd_table: Mapping[str, ProbabilityVector],
-    weights: FusionWeights | None = None,
-) -> dict[str, FusedPrediction]:
-    """Fuse two image-indexed tables; both must cover the same images."""
-    require_same_images(dl_table, kd_table)
-    ids = list(dl_table)
-    fused = fuse_arrays(
-        strategy,
-        np.asarray([dl_table[i].probs for i in ids], dtype=np.float64).reshape(-1, GRADE_COUNT),
-        np.asarray([kd_table[i].probs for i in ids], dtype=np.float64).reshape(-1, GRADE_COUNT),
-        weights,
-    )
-    return dict(zip(ids, _decisions(fused)))
+    return fuse(strategy, p_dl, p_kd[join_rows(dl_ids, kd_ids, KeyError)], weights)

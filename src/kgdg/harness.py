@@ -24,15 +24,15 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .core import DomainId, DomainTable, FusionWeights
+from .core import DomainId, DomainTable, FusionWeights, check_field_types
 from .errors import (
     InvalidConfig,
     LeakageError,
     MissingProbabilityTable,
     NoQualifyingClass,
 )
-from .fusion import FusionStrategy, fuse_arrays
-from .fusion import fuse, fused_probability  # noqa: F401  unused here; the benchmark's tracer patches them by this module's name
+from .fusion import FusionStrategy, fuse
+from .fusion import fuse as fused_probability  # noqa: F401  unused here; the benchmark's tracer patches it by this module's name
 from .io import Manifest, canonical_json, content_digest, file_digest, load_domain_dataset
 from .learn import TrainConfig, fit_model, resolve_schema
 from .learn import feature_matrix  # noqa: F401  unused here; the benchmark's tracer patches it by this module's name
@@ -65,6 +65,7 @@ class SplitFractions:
     test: float = 0.2
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         parts = (self.train, self.validation, self.test)
         if any(p < 0 for p in parts):
             raise InvalidConfig("split fractions must be nonnegative")
@@ -82,8 +83,14 @@ class FusionSpec:
     alpha_kl: float | None = None
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         for s in self.strategies:
-            FusionStrategy(s)
+            try:
+                FusionStrategy(s)
+            except ValueError:
+                raise InvalidConfig(f"unknown fusion strategy {s!r}") from None
+        if len(set(self.strategies)) < len(self.strategies):
+            raise InvalidConfig(f"fusion strategies {list(self.strategies)} name a strategy twice")
         fixed = (self.alpha_dl is None, self.alpha_kl is None)
         if fixed[0] != fixed[1]:
             raise InvalidConfig("alpha_dl and alpha_kl must be set together")
@@ -120,6 +127,7 @@ class ExperimentConfig:
     alignment: bool = False
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.mode not in ("sdg", "mdg"):
             raise InvalidConfig(f"mode must be sdg or mdg, got {self.mode!r}")
         if not self.seeds:
@@ -127,6 +135,8 @@ class ExperimentConfig:
         for seed in self.seeds:
             if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
                 raise InvalidConfig(f"seeds must be nonnegative integers, got {seed!r}")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise InvalidConfig(f"seeds {list(self.seeds)} name a seed twice")
         if self.mode == "sdg" and not self.source:
             raise InvalidConfig("sdg mode needs a source domain")
 
@@ -297,7 +307,7 @@ def select_weights(
     best_acc = -1.0
     for a_dl, a_kl in grid:
         w = FusionWeights(a_dl, a_kl)
-        acc = int((fuse_arrays("weighted", p_dl, p_kd, w).grades == y).sum()) / y.size
+        acc = int((fuse("weighted", p_dl, p_kd, w).grades == y).sum()) / y.size
         if acc > best_acc:
             best_acc = acc
             best = w
@@ -368,7 +378,7 @@ def _evaluate_rows(
             preds = probs.argmax(axis=1)
         else:
             assert dl_matrix is not None
-            fused = fuse_arrays(method.removeprefix("fusion-"), dl_matrix, kd_matrix, weights)
+            fused = fuse(method.removeprefix("fusion-"), dl_matrix, kd_matrix, weights)
             preds, probs = fused.grades, fused.probs
         try:
             auc = auc_ovr_macro(y_true, probs)
@@ -587,21 +597,25 @@ def load_experiment_config(path: str | Path) -> tuple[ExperimentConfig, Path]:
     path = Path(path)
     raw = _read_config_file(path)
     domains = raw.get("domains", {})
-    if "manifest" not in domains:
+    if not isinstance(domains, Mapping) or not isinstance(domains.get("manifest"), str):
         raise InvalidConfig(f"{path}: the domains section must point at a manifest")
+    unknown = set(domains) - {"manifest", "source", "targets"}
+    if unknown:
+        raise InvalidConfig(f"{path}: unknown keys in 'domains' section: {sorted(unknown)}")
     manifest_path = (path.parent / domains["manifest"]).resolve()
     seeds = raw.get("seeds", [0, 1, 2])
     if not isinstance(seeds, list):
         raise InvalidConfig(f"{path}: seeds must be a list of integers")
+    targets = domains.get("targets")
     cfg = ExperimentConfig(
         mode=raw.get("mode", "sdg"),
         source=domains.get("source"),
-        targets=tuple(domains["targets"]) if domains.get("targets") else None,
+        targets=(tuple(targets) or None) if isinstance(targets, list) else targets,
         seeds=tuple(seeds),
         split=build_section("split", SplitFractions, raw.get("split", {})),
         symbolic=build_section("symbolic", TrainConfig, raw.get("symbolic", {})),
         fusion=build_section("fusion", FusionSpec, raw.get("fusion", {})),
         rules=build_section("rules", RuleConfig, raw.get("rules", {})),
-        alignment=bool(raw.get("alignment", False)),
+        alignment=raw.get("alignment", False),
     )
     return cfg, manifest_path

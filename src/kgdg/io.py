@@ -3,8 +3,10 @@
 Every file is UTF-8 text. Tables are comma-separated with a mandatory
 header; detections and manifests are JSON. Each table and detection file is
 read straight into arrays (``read_*``), each check stated once as a row or
-record mask; the ``load_*`` per-row views of those arrays remain only because
-the benchmark patches them. Model artifacts are a JSON payload behind a magic
+record mask. Two per-row views remain only because the benchmark calls or
+patches them: ``load_feature_table`` and ``load_probability_table``, with
+``save_probability_table`` of an id-to-row mapping; a detection file has no
+per-row view. Model artifacts are a JSON payload behind a magic
 header plus content digests, so round trips are byte-stable and truncation
 or tampering is detected at load time.
 """
@@ -30,8 +32,6 @@ from .core import (
     LESIONS_VEIN_SCHEMA,
     BOX_EDGE_EPS,
     LESION_TYPES,
-    BoundingBox,
-    Detection,
     DetectionTable,
     DomainId,
     DomainTable,
@@ -263,7 +263,7 @@ def load_feature_table(path: str | Path) -> list[LabeledExample]:
 
 def read_probability_table(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
     """Read a probs.csv into its image ids and ``(n, 5)`` rows, each checked
-    (and renormalized) as validate_probability does."""
+    (and renormalized) by validate_probability_rows."""
     path = Path(path)
     parts = _csv(path)
     header = next(parts)
@@ -432,16 +432,6 @@ def read_detections(path: str | Path) -> DetectionTable:
     ids = tuple(dict.fromkeys(stripped))
     image = np.array(join_rows(stripped, ids, KeyError), dtype=np.int64)[join_rows(names, raw_ids, KeyError)]
     return DetectionTable(ids, image, np.array(codes, dtype=np.int64), np.column_stack((x, y, w, h)), score)
-
-
-def load_detections(path: str | Path) -> dict[str, list[Detection]]:
-    """Read detections.json into each image's Detection list."""
-    table = read_detections(path)
-    out: dict[str, list[Detection]] = {image_id: [] for image_id in table.ids}
-    for n, code, box, score in zip(table.image.tolist(), table.lesion.tolist(), table.box.tolist(),
-                                   table.score.tolist()):
-        out[table.ids[n]].append(Detection(LESION_TYPES[code], BoundingBox(*box), score))
-    return out
 
 
 # json.dumps's spelling of the floats float.__repr__ spells otherwise

@@ -299,8 +299,11 @@ class CrossValidationSummary:
 
 
 def cross_validate(table: DomainTable, cfg: TrainConfig, folds: int) -> CrossValidationSummary:
-    """Stratified k-fold evaluation of the configured learner on a table's rows."""
-    from . import fit_model  # local import to avoid a cycle
+    """Stratified k-fold evaluation of the configured learner on a table's
+    rows. Each fold fits on its training rows less a stratified inner
+    validation split, which GBM early-stops on."""
+    from ..harness import SplitFractions, split_indices  # local imports to avoid a cycle
+    from . import fit_model
 
     if folds < 2:
         raise InvalidConfig("folds must be >= 2")
@@ -319,8 +322,10 @@ def cross_validate(table: DomainTable, cfg: TrainConfig, folds: int) -> CrossVal
     x = table.matrix(schema)
     accs, f1s = [], []
     for k in range(folds):
-        train, test = fold_of != k, fold_of == k
-        model = fit_model(x[train], y[train], x[train], y[train], schema, cfg)
+        train, test = np.flatnonzero(fold_of != k), fold_of == k
+        inner, valid, _ = split_indices(train.size, y[train], SplitFractions(0.8, 0.2, 0.0), cfg.seed)
+        fit, valid = train[inner], train[valid]
+        model = fit_model(x[fit], y[fit], x[valid], y[valid], schema, cfg)
         preds = model.predict_proba_matrix(x[test]).argmax(axis=1)
         accs.append(accuracy_metric(y[test], preds))
         f1s.append(macro_f1_metric(y[test], preds))

@@ -13,6 +13,7 @@ from ..core import (
     LESIONS_VEIN_SCHEMA,
     DomainTable,
     LabeledExample,
+    check_field_types,
 )
 from ..errors import InvalidConfig, SchemaMismatch
 from ..io import canonical_json, content_digest
@@ -48,6 +49,7 @@ class TrainConfig:
     feature_set: str = "auto"
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.model_kind not in ("gbm", "logistic", "forest", "knn"):
             raise InvalidConfig(f"unknown model_kind {self.model_kind!r}")
         if self.n_trees < 0:
@@ -67,7 +69,7 @@ class TrainConfig:
             raise InvalidConfig("max_features must be >= 1 when set")
         if self.feature_set not in FEATURE_SETS:
             raise InvalidConfig(f"feature_set must be one of {FEATURE_SETS}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+        if self.seed < 0:
             raise InvalidConfig(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     def as_dict(self) -> dict:

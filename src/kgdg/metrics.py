@@ -9,8 +9,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import GRADE_COUNT, LESION_TYPES, DetectionTable, ProbabilityVector
-from .errors import EmptyEvaluation, NoQualifyingClass, SchemaMismatch
+from .core import GRADE_COUNT, LESION_TYPES, DetectionTable
+from .errors import EmptyEvaluation, InvalidConfig, NoQualifyingClass, SchemaMismatch
 
 VARIANCE_FLOOR = 1e-6
 
@@ -90,17 +90,11 @@ def binary_auc(labels: Sequence[int], scores: Sequence[float]) -> float:
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def auc_ovr_macro(
-    y_true: Sequence[int] | np.ndarray,
-    prob_rows: np.ndarray | Sequence[ProbabilityVector | Sequence[float]],
-) -> float:
+def auc_ovr_macro(y_true: Sequence[int] | np.ndarray, prob_rows: np.ndarray) -> float:
     """One-vs-rest AUC averaged over grades that have both positives and
-    negatives in y_true; ``prob_rows`` is an (n, 5) array or n rows."""
+    negatives in y_true; ``prob_rows`` is an (n, 5) array."""
     t = _as_grade_array(y_true, "y_true")
-    if isinstance(prob_rows, np.ndarray):
-        mat = prob_rows.astype(np.float64, copy=False)
-    else:
-        mat = np.asarray([tuple(row) for row in prob_rows], dtype=np.float64)
+    mat = np.asarray(prob_rows, dtype=np.float64)
     if mat.shape != (t.size, GRADE_COUNT):
         raise ValueError(f"prob_rows shape {mat.shape} does not match {t.size} labels")
     aucs = []
@@ -159,7 +153,7 @@ def match_detections(pred: DetectionTable, truth: DetectionTable, iou_threshold:
     mean_matched_iou is over all matched pairs.
     """
     if not (0.0 <= iou_threshold <= 1.0):
-        raise ValueError(f"iou_threshold={iou_threshold!r} outside [0,1]")
+        raise InvalidConfig(f"iou_threshold={iou_threshold!r} outside [0,1]")
     images = {image_id: n for n, image_id in enumerate(dict.fromkeys(pred.ids + truth.ids))}
     p_key, t_key = (np.array([images[i] for i in t.ids], dtype=np.int64)[t.image] * len(LESION_TYPES)
                     + _NAME_RANK[t.lesion] for t in (pred, truth))
@@ -262,10 +256,10 @@ class MetricReport:
 def evaluate_predictions(
     y_true: Sequence[int],
     y_pred: Sequence[int],
-    prob_rows: Sequence[ProbabilityVector | Sequence[float]] | None = None,
+    prob_rows: np.ndarray | None = None,
 ) -> MetricReport:
-    """Compute the full metric bundle; AUC only when prob rows are given
-    and at least one grade qualifies."""
+    """Compute the full metric bundle; AUC only when ``(n, 5)`` prob rows
+    are given and at least one grade qualifies."""
     cm = confusion_matrix(y_true, y_pred)
     auc: float | None = None
     if prob_rows is not None:

@@ -10,17 +10,17 @@ first match wins, so adding findings can never lower the grade.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from .core import (
     LESIONS_ONLY_SCHEMA,
-    Detection,
     DetectionTable,
     DRGrade,
     FeatureVector,
     ProbabilityVector,
+    check_field_types,
 )
 from .errors import InvalidConfig
 
@@ -34,6 +34,7 @@ class RuleConfig:
     smoothing: float = 0.1
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.cws_severe_threshold < 1:
             raise InvalidConfig("cws_severe_threshold must be >= 1")
         if not (0.0 <= self.min_score <= 1.0):
@@ -57,11 +58,15 @@ class RuleTrace:
             raise ValueError("fired_rules must be nonempty")
 
 
-def detection_counts(table: DetectionTable, min_score: float = DEFAULT_RULES.min_score) -> np.ndarray:
-    """The lesion counts of every image of a DetectionTable at once, from
-    its detections at or above ``min_score``: an ``(images, 8)`` matrix in
+def aggregate_detections(table: DetectionTable, min_score: float = DEFAULT_RULES.min_score) -> np.ndarray:
+    """The lesion counts of every image of a DetectionTable, from its
+    detections at or above ``min_score``: an ``(images, 8)`` matrix in
     LESIONS_ONLY_SCHEMA order, rows in ``table.ids`` order. A lesion's code
-    is its count (or flag) column."""
+    is its count (or flag) column; the quadrant spread counts hard and soft
+    hemorrhages together. Vein fields come from vessel maps, never from here.
+    """
+    if not (0.0 <= min_score <= 1.0):
+        raise InvalidConfig(f"min_score={min_score!r} outside [0,1]")
     keep = table.score >= min_score
     image, lesion, box = table.image[keep], table.lesion[keep], table.box[keep]
     counts = np.zeros((len(table.ids), len(LESIONS_ONLY_SCHEMA)), dtype=np.int64)
@@ -74,19 +79,6 @@ def detection_counts(table: DetectionTable, min_score: float = DEFAULT_RULES.min
     np.bitwise_or.at(quadrants, image[hem], 1 << (right + 2 * bottom))
     counts[:, 7] = sum((quadrants >> q) & 1 for q in range(4))
     return counts
-
-
-def aggregate_detections(dets: Iterable[Detection], min_score: float = DEFAULT_RULES.min_score) -> FeatureVector:
-    """Collapse detections at or above ``min_score`` into a FeatureVector.
-
-    Hemorrhage quadrant spread counts hard and soft hemorrhages together;
-    vein fields are never produced here (they come from vessel maps, not
-    detections).
-    """
-    if not (0.0 <= min_score <= 1.0):
-        raise InvalidConfig(f"min_score={min_score!r} outside [0,1]")
-    table = DetectionTable.from_detections({"": list(dets)})
-    return FeatureVector.from_counts(detection_counts(table, min_score)[0].tolist())
 
 
 # The ladder over the LESIONS_ONLY_SCHEMA columns c, as scalars for one
@@ -139,9 +131,7 @@ def rule_grade_as_probability(trace: RuleTrace, smoothing: float = DEFAULT_RULES
     return ProbabilityVector(probs)  # type: ignore[arg-type]
 
 
-def grade_detections(
-    dets: Sequence[Detection], cfg: RuleConfig = DEFAULT_RULES
-) -> tuple[FeatureVector, RuleTrace]:
-    """Aggregate then grade in one step (per-image pipeline entry point)."""
-    features = aggregate_detections(dets, cfg.min_score)
-    return features, grade_by_rules(features, cfg)
+def grade_detections(table: DetectionTable, cfg: RuleConfig = DEFAULT_RULES) -> np.ndarray:
+    """Aggregate then grade every image of a DetectionTable: each image's
+    index into RULE_LADDER, rows in ``table.ids`` order."""
+    return fire_rules(aggregate_detections(table, cfg.min_score), cfg)

@@ -21,8 +21,7 @@ from .core import GRADE_COUNT, LESION_TYPES, DetectionTable, DomainId, DomainTab
 from .errors import InvalidConfig
 from .io import save_detections, save_feature_table, save_manifest, save_probability_table
 from .learn.config import softmax
-from .rules import detection_counts
-from .rules import aggregate_detections  # noqa: F401  unused here; the benchmark's tracer patches it by this module's name
+from .rules import aggregate_detections
 
 COUNTABLE_LESIONS = LESION_TYPES[:5]  # the counted kinds, in their count columns' order
 
@@ -231,7 +230,7 @@ def gen_dataset(cfg: SynthConfig) -> SynthOutput:
         probs = simulate_neural_table(grades, acc, spec.neural_temperature, cfg.seed, stream=f"{domain}/neural")
         probs.setflags(write=False)
         # every image's features are its detections' counts (all scores kept) plus its vein values
-        out.tables[domain] = DomainTable(ids, (domain,) * len(ids), grades, detection_counts(dets, 0.0), vein,
+        out.tables[domain] = DomainTable(ids, (domain,) * len(ids), grades, aggregate_detections(dets, 0.0), vein,
                                          domain, probs)
         out.detections[domain] = dets
     return out

@@ -21,7 +21,7 @@ from kgdg.core import (
     FusionWeights,
     LabeledExample,
 )
-from kgdg.fusion import fuse_arrays
+from kgdg.fusion import fuse
 from kgdg.harness import ExperimentConfig, FusionSpec, align_domains, run_experiment
 from kgdg.io import load_manifest, save_feature_table, save_manifest, save_probability_table
 from kgdg.learn import TrainConfig, feature_matrix, logistic_loss_and_grad
@@ -76,13 +76,13 @@ def test_criterion_1_fusion_coincidence():
         a, b = rows[:, 0], rows[:, 1]
         values = rows.reshape(-1, 10)
         unique = (values == values.max(axis=1, keepdims=True)).sum(axis=1) == 1
-        g = fuse_arrays("selective", a, b).grades[unique]
-        assert (fuse_arrays("max", a, b).grades[unique] == g).all()
-        assert (fuse_arrays("classwise", a, b).grades[unique] == g).all()
+        g = fuse("selective", a, b).grades[unique]
+        assert (fuse("max", a, b).grades[unique] == g).all()
+        assert (fuse("classwise", a, b).grades[unique] == g).all()
         w_deep = FusionWeights(1.0, 0.0)
         w_know = FusionWeights(0.0, 1.0)
-        assert (fuse_arrays("weighted", a, b, w_deep).grades[unique] == a[unique].argmax(axis=1)).all()
-        assert (fuse_arrays("weighted", a, b, w_know).grades[unique] == b[unique].argmax(axis=1)).all()
+        assert (fuse("weighted", a, b, w_deep).grades[unique] == a[unique].argmax(axis=1)).all()
+        assert (fuse("weighted", a, b, w_know).grades[unique] == b[unique].argmax(axis=1)).all()
         assert unique.sum() == 100_000
 
 
@@ -102,10 +102,12 @@ def test_criterion_2_metric_oracles():
         # fixed worked examples
         assert abs(macro_f1([0, 0, 1, 2], [0, 1, 1, 2]) - 7 / 9) < tol
         assert abs(binary_auc([0, 0, 1, 1], [0.1, 0.4, 0.35, 0.8]) - 0.75) < tol
-        from kgdg.core import BoundingBox, Detection, DetectionTable, LesionType
+        from ref_detections import RefBox, RefDetection, ref_table
+
+        from kgdg.core import LesionType
 
         def one_box(*box):
-            return DetectionTable.from_detections({"i": [Detection(LesionType.MICROANEURYSM, BoundingBox(*box), 1.0)]})
+            return ref_table({"i": [RefDetection(LesionType.MICROANEURYSM, RefBox(*box), 1.0)]})
 
         match = match_detections(one_box(0, 0, 0.2, 0.2), one_box(0.1, 0.1, 0.2, 0.2), 0.0)
         assert abs(match.mean_matched_iou - 1 / 7) < tol

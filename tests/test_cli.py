@@ -546,6 +546,77 @@ class TestConfigSections:
         assert len(load_model(out).params["trees"]) == 3
 
 
+class TestConfigValueTypes:
+    """A config value of the wrong JSON type, or a non-finite one, is a
+    config error: exit 2 naming the value, never exit 4 and never a value
+    used silently."""
+
+    def _eval(self, data_dir, tmp_path, capsys, **sections):
+        """eval over a config whose sections (JSON text each, MANIFEST naming
+        the manifest) replace the defaults."""
+        text = {"mode": '"sdg"', "seeds": "[0]", "domains": '{"manifest": MANIFEST, "source": "clinic_a"}',
+                "symbolic": '{"n_trees": 3, "min_leaf": 2, "early_stop_patience": 2}',
+                "fusion": '{"strategies": ["max"]}', **sections}
+        config = tmp_path / "experiment.json"
+        config.write_text(("{" + ", ".join(f'"{k}": {v}' for k, v in text.items()) + "}").replace(
+            "MANIFEST", json.dumps(str(data_dir / "manifest.json"))))
+        code = main(["eval", "--config", str(config), "--out", str(tmp_path / "r.md"), "--quiet"])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, text, message", [
+        ("fusion", '{"strategies": ["nope"]}', "unknown fusion strategy 'nope'"),
+        ("fusion", '{"strategies": "max"}', "strategies must be a list of strings, got 'max'"),
+        ("fusion", '{"include_neural": "no"}', "include_neural must be true or false, got 'no'"),
+        ("fusion", '{"strategies": ["max", "max"]}', "fusion strategies ['max', 'max'] name a strategy twice"),
+        ("seeds", "[0, 0]", "seeds [0, 0] name a seed twice"),
+        ("symbolic", '{"n_trees": 1.5}', "n_trees must be an integer, got 1.5"),
+        ("symbolic", '{"logistic_steps": 1.5}', "logistic_steps must be an integer, got 1.5"),
+        ("symbolic", '{"k_neighbors": 2.0}', "k_neighbors must be an integer, got 2.0"),
+        ("symbolic", '{"max_features": 1.5}', "max_features must be an integer, got 1.5"),
+        ("symbolic", '{"max_depth": 2.5}', "max_depth must be an integer, got 2.5"),
+        ("symbolic", '{"n_trees": 1e400}', "n_trees must be an integer, got inf"),
+        ("symbolic", '{"l2_leaf": NaN}', "l2_leaf must be a finite number, got nan"),
+        ("symbolic", '{"l2_leaf": Infinity}', "l2_leaf must be a finite number, got inf"),
+        ("symbolic", '{"logistic_lr": Infinity}', "logistic_lr must be a finite number, got inf"),
+        ("symbolic", '{"bootstrap": "no"}', "bootstrap must be true or false, got 'no'"),
+        ("symbolic", '{"class_weighting": 1}', "class_weighting must be true or false, got 1"),
+        ("split", '{"train": NaN, "validation": 0.2, "test": 0.2}', "train must be a finite number, got nan"),
+        ("rules", '{"cws_severe_threshold": 1.5}', "cws_severe_threshold must be an integer, got 1.5"),
+        ("alignment", '"false"', "alignment must be true or false, got 'false'"),
+        ("mode", '["sdg"]', "mode must be a string, got ['sdg']"),
+        ("domains", '{"manifest": 5}', "the domains section must point at a manifest"),
+        ("domains", '["manifest"]', "the domains section must point at a manifest"),
+        ("domains", '{"manifest": MANIFEST, "source": "clinic_a", "targets": "clinic_b"}',
+         "targets must be a list of strings, got 'clinic_b'"),
+        ("domains", '{"manifest": MANIFEST, "source": ["clinic_a"]}', "source must be a string, got ['clinic_a']"),
+        ("domains", '{"manifest": MANIFEST, "source": "clinic_a", "target": ["clinic_b"]}',
+         "unknown keys in 'domains' section: ['target']"),
+    ])
+    def test_eval_exits_2(self, data_dir, tmp_path, capsys, section, text, message):
+        code, err = self._eval(data_dir, tmp_path, capsys, **{section: text})
+        assert code == 2 and re.fullmatch(rf"error\[INVALID_CONFIG\]: ([^\n]*: )?{re.escape(message)}\n", err), err
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("train", '{"symbolic": {"n_trees": 1.5}}', "n_trees must be an integer, got 1.5"),
+        ("train", '{"symbolic": {"learning_rate": NaN}}', "learning_rate must be a finite number, got nan"),
+        ("grade", '{"rules": {"cws_severe_threshold": 1e400}}', "cws_severe_threshold must be an integer, got inf"),
+    ])
+    def test_section_config_exits_2(self, data_dir, tmp_path, capsys, command, text, message):
+        config = tmp_path / "section.json"
+        config.write_text(text)
+        code = main([command, "--features", str(data_dir / "clinic_a_features.csv"), "--config", str(config),
+                     "--out", str(tmp_path / "out"), "--quiet"])
+        assert (code, capsys.readouterr().err) == (2, f"error[INVALID_CONFIG]: {message}\n")
+
+    @pytest.mark.parametrize("threshold", ["2", "-0.5", "nan"])
+    def test_metrics_iou_threshold_exits_2(self, data_dir, tmp_path, capsys, threshold):
+        dets = str(data_dir / "clinic_a_detections.json")
+        code = main(["metrics", "--pred-detections", dets, "--truth-detections", dets, "--iou-threshold", threshold,
+                     "--out", str(tmp_path / "m.json"), "--quiet"])
+        assert (code, capsys.readouterr().err) == (2, f"error[INVALID_CONFIG]: iou_threshold={float(threshold)!r} "
+                                                      "outside [0,1]\n")
+
+
 class TestPredictionTable:
     """`metrics --pred` finds its columns by name and rejects bad rows."""
 
@@ -936,13 +1007,51 @@ class TestTrainArtifactsPinned:
 # --- ingest fuzz: mutated bytes of every input kind through the CLI ----------------------
 
 FUZZ_TOKENS = [b"", b" ", b"nan", b"inf", b"-1", b"1e400", b"abc", b"3_0", b'"', b'"a,b"', b"\xff", b"\xc3(",
-               b"\x00", b"null", b"true", b"[]", b"{}", b"999999999999999999999", b"0.5", b"\r\n"]
-MUTATIONS = ("token", "truncate", "0xff", "blank")
+               b"\x00", b"null", b"true", b"[]", b"{}", b"999999999999999999999", b"0.5", b"\r\n", b"2", b"-inf"]
+# byte mutations of any file, then mutations of one value of a JSON file
+MUTATIONS = ("token", "truncate", "0xff", "blank", "drop", "retype", "nonfinite", "listify", "unknown")
+WRONG_TYPES = ["x", True, None, [], {}, 1.5, 7]
+NON_FINITE = ["NaN", "Infinity", "-Infinity", "1e400"]
+
+
+def mutate_json(data, kind, at):
+    """``data`` with one JSON value dropped, given a wrong type, made
+    non-finite or a list made a string, or an unknown key added to an
+    object; data that is no JSON is kept."""
+    try:
+        root = json.loads(data)
+    except ValueError:
+        return data
+    slots = []  # (container, key) of every value under the root
+
+    def walk(node):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ():
+            slots.append((node, key))
+            walk(value)
+
+    walk(root)
+    if kind == "unknown":
+        objects = [node for node in [root] + [c[k] for c, k in slots] if isinstance(node, dict)]
+        if objects:
+            objects[at % len(objects)]["bogus"] = 1
+    elif kind == "listify":
+        lists = [(c, k) for c, k in slots if isinstance(c[k], list)]
+        if lists:
+            c, k = lists[at % len(lists)]
+            c[k] = str(c[k][0]) if c[k] else "x"
+    elif slots:
+        c, k = slots[at % len(slots)]
+        if kind == "drop":
+            del c[k]
+        else:
+            c[k] = WRONG_TYPES[at % len(WRONG_TYPES)] if kind == "retype" else "__non_finite__"
+    return json.dumps(root, indent=1).replace('"__non_finite__"', NON_FINITE[at % len(NON_FINITE)]).encode()
 
 
 def mutate(data, mutations):
     """``data`` with each mutation applied in turn: a token (a CSV cell, a JSON
-    key or value) replaced, a truncation, a 0xff byte or a blank line."""
+    key or value) replaced, a truncation, a 0xff byte, a blank line, or a
+    mutation of one JSON value (mutate_json)."""
     for kind, at, token in mutations:
         if kind == "token":
             spans = [m.span() for m in re.finditer(rb"[^,\s\[\]{}:]+", data)]
@@ -954,10 +1063,12 @@ def mutate(data, mutations):
         elif kind == "0xff":
             at %= len(data) + 1
             data = data[:at] + b"\xff" + data[at:]
-        else:
+        elif kind == "blank":
             lines = data.split(b"\n")
             lines.insert(at % (len(lines) + 1), b" " * (at % 2))
             data = b"\n".join(lines)
+        else:
+            data = mutate_json(data, kind, at)
     return data
 
 
@@ -979,6 +1090,21 @@ def fuzz_inputs(tmp_path_factory):
         "detections": json.dumps(json.loads((tmp / "clinic_a_detections.json").read_text())[:6], indent=1) + "\n",
         "manifest": (tmp / "manifest.json").read_text(),
     }
+    experiment = {  # every section, every key
+        "mode": "sdg",
+        "domains": {"manifest": str(tmp / "manifest.json"), "source": "clinic_a", "targets": ["clinic_b"]},
+        "seeds": [0],
+        "split": {"train": 0.6, "validation": 0.2, "test": 0.2},
+        "symbolic": {"model_kind": "gbm", "n_trees": 2, "max_depth": 2, "learning_rate": 0.1, "min_leaf": 2,
+                     "subsample": 1.0, "l2_leaf": 1.0, "logistic_steps": 20, "logistic_lr": 0.1, "k_neighbors": 3,
+                     "class_weighting": False, "seed": 0, "early_stop_patience": 1, "bootstrap": True,
+                     "max_features": None, "feature_set": "auto"},
+        "fusion": {"strategies": ["max", "weighted"], "include_neural": True, "alpha_dl": None, "alpha_kl": None},
+        "rules": {"cws_severe_threshold": 5, "min_score": 0.25, "smoothing": 0.1},
+        "alignment": False,
+    }
+    originals["experiment"] = json.dumps(experiment, indent=1)
+    originals["config"] = json.dumps({s: experiment[s] for s in ("symbolic", "rules")}, indent=1)
     valid = {}
     for kind, text in originals.items():
         (tmp / f"valid_{kind}").write_text(text)
@@ -998,12 +1124,33 @@ def fuzz_inputs(tmp_path_factory):
         "detections": lambda p: [["grade", "--detections", p],
                                  ["metrics", "--pred-detections", p, "--truth-detections", valid["detections"]]],
         "manifest": lambda p: [["eval", "--config", str(config)]],
+        "experiment": lambda p: [["eval", "--config", p]],
+        "config": lambda p: [["train", "--features", valid["features"], "--config", p],
+                             ["grade", "--features", valid["features"], "--config", p]],
     }
-    return originals, mutant, commands, tmp / "out"
+    fuse = ["fuse", "--strategy", "weighted", "--alpha-dl", "0.6", "--alpha-kl", "0.4", "--dl", valid["probs"],
+            "--kd", valid["probs"]]
+    flags = [  # a valid command, and the place of the numeric flag value a mutant replaces
+        (["grade", "--features", valid["features"], "--min-score", "0.25"], 4),
+        (fuse, 4),
+        (fuse, 6),
+        (["metrics", "--pred-detections", valid["detections"], "--truth-detections", valid["detections"],
+          "--iou-threshold", "0.5"], 6),
+        (["train", "--features", valid["features"], "--config", valid["config"], "--seed", "0"], 6),
+        (["eval", "--config", valid["experiment"], "--seed", "0"], 4),
+    ]
+    return originals, mutant, commands, flags, tmp / "out"
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from(["features", "probs", "preds", "detections", "manifest"]),
+def flag_mutants(flags, mutations):
+    """Per mutation, the command of one numeric flag with its value replaced by the mutation's token."""
+    for _, at, token in mutations:
+        argv, place = flags[at % len(flags)]
+        yield argv[:place] + [token.decode("utf-8", "replace")] + argv[place + 1:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["features", "probs", "preds", "detections", "manifest", "experiment", "config", "flags"]),
        st.lists(st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 2**16), st.sampled_from(FUZZ_TOKENS)),
                 min_size=1, max_size=2))
 @example("features", [("0xff", 200, b"")])
@@ -1011,15 +1158,25 @@ def fuzz_inputs(tmp_path_factory):
 @example("manifest", [("0xff", 30, b"")])
 @example("manifest", [("token", 26, b"1e400")])
 def test_cli_ingest_fuzz(fuzz_inputs, kind, mutations):
-    """Every mutant exits 0, 2 or 3, and a failing one prints exactly one
-    error[CODE] line; none exits 4."""
-    originals, mutant, commands, out = fuzz_inputs
-    mutant[kind].write_bytes(mutate(originals[kind].encode(), mutations))
-    for argv in commands[kind](str(mutant[kind])):
+    """Every mutant (an input file, a config file, or a numeric flag value)
+    exits 0, 2 or 3, and a failing one prints exactly one error[CODE] line;
+    none exits 4. A flag value argparse cannot convert is its usage error."""
+    originals, mutant, commands, flags, out = fuzz_inputs
+    if kind == "flags":
+        argvs = list(flag_mutants(flags, mutations))
+    else:
+        mutant[kind].write_bytes(mutate(originals[kind].encode(), mutations))
+        argvs = commands[kind](str(mutant[kind]))
+    for argv in argvs:
         err = io.StringIO()
         with warnings.catch_warnings(), contextlib.redirect_stderr(err):
             warnings.simplefilter("ignore")
-            code = main(argv + ["--out", str(out), "--quiet"])
+            try:
+                code = main(argv + ["--out", str(out), "--quiet"])
+            except SystemExit as exc:
+                assert kind == "flags" and exc.code == 2, (argv, err.getvalue())
+                assert re.search(r"\nkgdg \w+: error: argument --[\w-]+: [^\n]*\n\Z", err.getvalue()), argv
+                continue
         assert code in (0, 2, 3), (argv, err.getvalue())
         expected = r"error\[[A-Z_]+\]: [^\n]*\n" if code else ""  # one error line, or nothing
         assert re.fullmatch(expected, err.getvalue()), (argv, code, err.getvalue())

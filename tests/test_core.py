@@ -1,75 +1,86 @@
+import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from kgdg.core import (
-    BoundingBox,
-    Detection,
-    DetectionTable,
     DomainId,
     DRGrade,
     FeatureVector,
     FusionWeights,
     LesionType,
+    ProbabilityVector,
     RenormalizationWarning,
-    validate_probability,
+    validate_probability_rows,
 )
-from kgdg.errors import NegativeProbability, SumOutOfTolerance
+from kgdg.errors import BoxOutOfBounds, DataError, MissingColumn, NegativeProbability, SumOutOfTolerance
+from kgdg.io import read_detections, read_probability_table
 from kgdg.metrics import match_detections
+
+
+def validate(values):
+    """One row through validate_probability_rows, as a tuple."""
+    return tuple(validate_probability_rows(np.array([values], dtype=np.float64))[0].tolist())
+
+
+def read_box(tmp_path, x, y, w, h, score=1.0):
+    """read_detections of one microaneurysm record with this box and score."""
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps([{"image_id": "i", "lesion": "microaneurysm", "x": x, "y": y, "w": w, "h": h,
+                                 "score": score}]))
+    return read_detections(path)
 
 
 class TestValidateProbability:
     def test_uniform_accepted_unchanged(self):
-        pv = validate_probability([0.2, 0.2, 0.2, 0.2, 0.2])
-        assert pv.probs == (0.2, 0.2, 0.2, 0.2, 0.2)
+        assert validate([0.2, 0.2, 0.2, 0.2, 0.2]) == (0.2, 0.2, 0.2, 0.2, 0.2)
 
     def test_one_hot_accepted(self):
-        pv = validate_probability([1, 0, 0, 0, 0])
+        pv = ProbabilityVector(validate([1, 0, 0, 0, 0]))
         assert pv.probs == (1.0, 0.0, 0.0, 0.0, 0.0)
         assert pv.argmax() == 0
 
     def test_sum_out_of_tolerance(self):
         with pytest.raises(SumOutOfTolerance):
-            validate_probability([0.3, 0.3, 0.3, 0.3, 0.3])
+            validate([0.3, 0.3, 0.3, 0.3, 0.3])
 
     def test_negative_rejected(self):
         with pytest.raises(NegativeProbability):
-            validate_probability([-0.1, 0.4, 0.3, 0.2, 0.2])
+            validate([-0.1, 0.4, 0.3, 0.2, 0.2])
 
     def test_small_deviation_renormalized_with_warning(self):
         vals = [0.2, 0.2, 0.2, 0.2, 0.20005]
         with pytest.warns(RenormalizationWarning):
-            pv = validate_probability(vals)
-        assert math.isclose(sum(pv.probs), 1.0, abs_tol=1e-12)
+            row = validate(vals)
+        assert math.isclose(sum(row), 1.0, abs_tol=1e-12)
 
-    def test_wrong_arity_rejected(self):
-        with pytest.raises(ValueError):
-            validate_probability([0.5, 0.5])
+    def test_wrong_arity_rejected(self, tmp_path):
+        # a row's arity is the reader's check: rows reach validation five wide
+        path = tmp_path / "p.csv"
+        path.write_text("image_id,p0,p1,p2,p3,p4\nimg1,0.5,0.5\n")
+        with pytest.raises(MissingColumn, match="row 2 has 3 cells, expected 6"):
+            read_probability_table(path)
 
     @given(st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=5, max_size=5))
     def test_round_trip_revalidates_unchanged(self, raw):
         total = sum(raw)
-        pv = validate_probability([v / total for v in raw])
-        again = validate_probability(list(pv.probs))
-        assert again.probs == pv.probs
+        row = validate([v / total for v in raw])
+        assert validate(list(row)) == row
 
     def test_argmax_tie_breaks_low(self):
-        pv = validate_probability([0.3, 0.3, 0.2, 0.1, 0.1])
-        assert pv.argmax() == 0
+        assert ProbabilityVector(validate([0.3, 0.3, 0.2, 0.1, 0.1])).argmax() == 0
 
 
 class TestBoundingBox:
-    def test_valid_box(self):
-        b = BoundingBox(0.1, 0.2, 0.3, 0.4)
-        assert (b.x + b.w / 2.0, b.y + b.h / 2.0) == (0.25, 0.4)  # the center rules.detection_counts bins by
-
-        def table(box):
-            return DetectionTable.from_detections({"i": [Detection(LesionType.MICROANEURYSM, box, 1.0)]})
-
+    def test_valid_box(self, tmp_path):
+        table = read_box(tmp_path, 0.1, 0.2, 0.3, 0.4)
+        (x, y, w, h), = table.box.tolist()
+        assert (x + w / 2.0, y + h / 2.0) == (0.25, 0.4)  # the center rules.aggregate_detections bins by
         # the area is the box's IoU with the whole image
-        assert math.isclose(match_detections(table(b), table(BoundingBox(0.0, 0.0, 1.0, 1.0)), 0.0).mean_matched_iou,
+        assert math.isclose(match_detections(table, read_box(tmp_path, 0.0, 0.0, 1.0, 1.0), 0.0).mean_matched_iou,
                             0.12)
 
     @pytest.mark.parametrize(
@@ -81,14 +92,12 @@ class TestBoundingBox:
             dict(x=0.0, y=0.9, w=0.5, h=0.2),
         ],
     )
-    def test_invalid_boxes(self, kwargs):
-        from kgdg.errors import BoxOutOfBounds
-
+    def test_invalid_boxes(self, tmp_path, kwargs):
         with pytest.raises(BoxOutOfBounds):
-            BoundingBox(**kwargs)
+            read_box(tmp_path, **kwargs)
 
-    def test_edge_epsilon_allowed(self):
-        BoundingBox(0.5, 0.5, 0.5, 0.5)  # x+w == 1 exactly
+    def test_edge_epsilon_allowed(self, tmp_path):
+        read_box(tmp_path, 0.5, 0.5, 0.5, 0.5)  # x+w == 1 exactly
 
 
 class TestFeatureVector:
@@ -142,10 +151,9 @@ class TestSmallTypes:
         with pytest.raises(ValueError):
             DRGrade(5)
 
-    def test_detection_score_range(self):
-        box = BoundingBox(0.1, 0.1, 0.2, 0.2)
-        with pytest.raises(ValueError):
-            Detection(LesionType.MICROANEURYSM, box, 1.5)
+    def test_detection_score_range(self, tmp_path):
+        with pytest.raises(DataError, match=r"detection score 1.5 outside \[0,1\]"):
+            read_box(tmp_path, 0.1, 0.1, 0.2, 0.2, score=1.5)
 
     def test_fusion_weights(self):
         with pytest.raises(ValueError):

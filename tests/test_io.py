@@ -13,11 +13,11 @@ from kgdg.core import (
     DRGrade,
     FeatureVector,
     LabeledExample,
-    validate_probability,
 )
 from kgdg.errors import (
     BoxOutOfBounds,
     CorruptArtifact,
+    DataError,
     DuplicateImageId,
     MissingColumn,
     NonNumericCell,
@@ -30,12 +30,12 @@ from kgdg.io import (
     LESIONS_ONLY_HEADER,
     LESIONS_VEIN_HEADER,
     DomainEntry,
-    load_detections,
     load_domain_dataset,
     load_feature_table,
     load_manifest,
     load_model,
     load_probability_table,
+    read_detections,
     save_detections,
     save_feature_table,
     save_model,
@@ -157,12 +157,12 @@ class TestProbabilityTable:
         return DomainEntry(DomainId("d"), features, probs)
 
     def test_join_missing_image(self, tmp_path):
-        entry = self._entry(tmp_path, "img7", {"img1": validate_probability([1, 0, 0, 0, 0])})
+        entry = self._entry(tmp_path, "img7", {"img1": [1.0, 0.0, 0.0, 0.0, 0.0]})
         with pytest.raises(UnknownImageId):
             load_domain_dataset(entry)
 
     def test_join_attaches_probs(self, tmp_path):
-        entry = self._entry(tmp_path, "a", {"a": validate_probability([0, 0, 1, 0, 0])})
+        entry = self._entry(tmp_path, "a", {"a": [0.0, 0.0, 1.0, 0.0, 0.0]})
         assert load_domain_dataset(entry).probs[0].argmax() == 2
 
 
@@ -177,20 +177,86 @@ class TestDetections:
                 ]
             )
         )
-        dets = load_detections(path)
-        assert len(dets["i1"]) == 2
+        table = read_detections(path)
+        assert table.ids == ("i1",) and table.image.tolist() == [0, 0]
 
     def test_unknown_lesion(self, tmp_path):
         path = tmp_path / "d.json"
         path.write_text(json.dumps([{"image_id": "i1", "lesion": "drusen", "x": 0.1, "y": 0.1, "w": 0.1, "h": 0.1, "score": 0.5}]))
         with pytest.raises(UnknownLesionKind):
-            load_detections(path)
+            read_detections(path)
 
     def test_box_out_of_bounds(self, tmp_path):
         path = tmp_path / "d.json"
         path.write_text(json.dumps([{"image_id": "i1", "lesion": "microaneurysm", "x": 0.95, "y": 0.1, "w": 0.2, "h": 0.1, "score": 0.5}]))
         with pytest.raises(BoxOutOfBounds):
-            load_detections(path)
+            read_detections(path)
+
+
+# One bad value per key and check of read_detections, in record 1 after a good
+# record 0: (key, value, error class, message after the path; a BoxOutOfBounds
+# message names no path). The value MISSING drops the key, a key "x+w" sets both
+# fields to a pair, and the key "record" replaces the whole record. A value
+# that passes has no error.
+MISSING = object()
+GOOD_DETECTION = {"image_id": "i0", "lesion": "microaneurysm", "x": 0.1, "y": 0.2, "w": 0.05, "h": 0.05, "score": 0.5}
+DETECTION_CHECKS = [
+    *(("record", value, DataError, "record 1 is malformed") for value in ([], "x", 3, None)),
+    ("lesion", "drusen", UnknownLesionKind, "record 1 has unknown lesion 'drusen'"),
+    ("lesion", 3, UnknownLesionKind, "record 1 has unknown lesion 3"),
+    ("lesion", MISSING, DataError, "record 1 is malformed"),
+    *((key, MISSING, DataError, f"record 1 is malformed: {key!r}") for key in ("x", "y", "w", "h", "score")),
+    ("image_id", MISSING, DataError, "record 1 is malformed: 'image_id'"),
+    *((key, value, DataError, "record 1 is malformed: x, y, w, h, score must be JSON numbers")
+      for key in ("x", "y", "w", "h", "score") for value in ("0.5", None, True, False)),
+    # x and y in [0,1]; w and h in (0,1]
+    ("x", 0.0, None, None), ("y", 0.0, None, None), ("x", -1e-9, BoxOutOfBounds, "x=-1e-09 outside [0,1]"),
+    ("y", -1e-9, BoxOutOfBounds, "y=-1e-09 outside [0,1]"),
+    ("x", 1.0000000001, BoxOutOfBounds, "x=1.0000000001 outside [0,1]"),
+    ("y", 1.0000000001, BoxOutOfBounds, "y=1.0000000001 outside [0,1]"),
+    ("w", 0.0, BoxOutOfBounds, "w=0.0 outside (0,1]"), ("h", 0.0, BoxOutOfBounds, "h=0.0 outside (0,1]"),
+    ("w", 1.0000000001, BoxOutOfBounds, "w=1.0000000001 outside (0,1]"),
+    ("h", 1.0000000001, BoxOutOfBounds, "h=1.0000000001 outside (0,1]"),
+    ("x", float("nan"), BoxOutOfBounds, "x=nan outside [0,1]"),
+    ("x", float("inf"), BoxOutOfBounds, "x=inf outside [0,1]"),  # what JSON's 1e400 reads as
+    ("h", 10**400, DataError, "record 1 is malformed: int too large to convert to float"),
+    # a box ending on the right or bottom edge: at 1 + BOX_EDGE_EPS, and past it
+    ("x+w", (0.5, 0.5 + 1e-9), None, None), ("y+h", (0.25, 0.75 + 1e-9), None, None), ("x+w", (1.0, 1e-9), None, None),
+    ("x+w", (0.5, 0.5 + 2e-9), BoxOutOfBounds, "x+w=1.0000000020000002 exceeds 1"),
+    ("y+h", (0.5, 0.5 + 2e-9), BoxOutOfBounds, "y+h=1.0000000020000002 exceeds 1"),
+    # the score in [0,1]
+    ("score", 0.0, None, None), ("score", 1.0, None, None),
+    ("score", -0.1, DataError, "record 1 is malformed: detection score -0.1 outside [0,1]"),
+    ("score", 1.5, DataError, "record 1 is malformed: detection score 1.5 outside [0,1]"),
+    ("score", float("nan"), DataError, "record 1 is malformed: detection score nan outside [0,1]"),
+    # the image id: a nonempty string once stripped, that a writer can write
+    ("image_id", " i1 ", None, None),
+    ("image_id", 7, DataError, "record 1 is malformed: image_id must be a JSON string"),
+    ("image_id", "", DataError, "record 1 has an empty image_id"),
+    ("image_id", " \t", DataError, "record 1 has an empty image_id"),
+    *(("image_id", v, DataError, f"record 1 has image_id {v!r}, which holds a comma, quote, line break or lone "
+       "surrogate") for v in ("a,b", 'a"b', "a\nb", "a\ud800")),
+]
+
+
+@pytest.mark.parametrize("key,value,error,message", DETECTION_CHECKS)
+def test_detection_check_table(tmp_path, key, value, error, message):
+    record = dict(GOOD_DETECTION)
+    if key == "record":
+        record = value
+    elif value is MISSING:
+        del record[key]
+    else:
+        record.update(zip(key.split("+"), value) if "+" in key else [(key, value)])
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps([GOOD_DETECTION, record]))
+    if error is None:
+        assert len(read_detections(path).score) == 2
+        return
+    with pytest.raises(Exception) as caught:
+        read_detections(path)
+    assert type(caught.value) is error
+    assert str(caught.value) == (message if error is BoxOutOfBounds else f"{path}: {message}")
 
 
 def _json_dumps_detections(table):

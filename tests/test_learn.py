@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from kgdg.core import (
     DRGrade,
     FeatureVector,
     LabeledExample,
+    validate_probability_rows,
 )
 from kgdg.errors import InvalidConfig, SchemaMismatch, SingleClassTrain, TooFewPerClass
 from kgdg.io import canonical_json
@@ -217,12 +220,9 @@ class TestGbm:
         assert a.train_fingerprint == b.train_fingerprint
 
     def test_prediction_is_valid_probability(self):
-        from kgdg.core import validate_probability
-
         examples = random_examples(60, seed=6)
         model = fit_examples(examples[:50], examples[50:], TrainConfig(n_trees=10, min_leaf=2))
-        for ex in examples[:10]:
-            validate_probability(list(predict_row(model, ex.features)))
+        validate_probability_rows(np.array([predict_row(model, ex.features) for ex in examples[:10]]))
 
     def test_schema_mismatch_on_predict(self):
         examples = random_examples(40, seed=7)
@@ -339,12 +339,9 @@ class TestForest:
         assert canonical_json(a.to_artifact().params) == canonical_json(b.to_artifact().params)
 
     def test_outputs_valid_probability(self):
-        from kgdg.core import validate_probability
-
         examples = random_examples(60, seed=13)
         model = fit_examples(examples, examples, TrainConfig(model_kind="forest", n_trees=5, min_leaf=2))
-        for ex in examples[:10]:
-            validate_probability(list(predict_row(model, ex.features)))
+        validate_probability_rows(np.array([predict_row(model, ex.features) for ex in examples[:10]]))
 
 
 # --- knn -------------------------------------------------------------------------
@@ -421,6 +418,30 @@ class TestCrossValidate:
         summary = cross_validate(domain_table(examples), cfg, folds=2)
         assert len(summary.per_fold_accuracy) == 2
         assert all(0.0 <= a <= 1.0 for a in summary.per_fold_accuracy)
+
+
+    def test_gbm_fold_validates_on_held_out_rows(self, monkeypatch):
+        """Each fold's fit early-stops on rows it does not train on."""
+        import kgdg.learn
+
+        table = domain_table(random_examples(90, seed=24, grades=3))
+        counts = table.counts.copy()
+        counts[:, 0] = np.arange(len(table))  # a distinct row each, so a row's values name it
+        table = dataclasses.replace(table, counts=counts)
+        fits = []
+        original = kgdg.learn.fit_model
+
+        def recording_fit(x_train, y_train, x_valid, y_valid, schema, cfg):
+            fits.append((x_train, x_valid))
+            return original(x_train, y_train, x_valid, y_valid, schema, cfg)
+
+        monkeypatch.setattr(kgdg.learn, "fit_model", recording_fit)
+        cross_validate(table, TrainConfig(n_trees=3, min_leaf=2, early_stop_patience=2, seed=1), folds=3)
+        rows = {row: n for n, row in enumerate(map(tuple, table.matrix(table.schema).tolist()))}
+        assert len(fits) == 3
+        for x_train, x_valid in fits:
+            train, valid = ({rows[r] for r in map(tuple, x.tolist())} for x in (x_train, x_valid))
+            assert valid and not train & valid
 
 
 # --- cross-learner properties ----------------------------------------------------

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from ref_detections import RefBox, RefDetection, ref_table
 
-from kgdg.core import BoundingBox, Detection, DetectionTable, LesionType
-from kgdg.errors import EmptyEvaluation, NoQualifyingClass
+from kgdg.core import LesionType
+from kgdg.errors import EmptyEvaluation, InvalidConfig, NoQualifyingClass
 from kgdg.metrics import (
     DomainStats,
     accuracy,
@@ -23,15 +24,14 @@ from kgdg.metrics import (
 
 
 def match_lists(pred, truth, iou_threshold=0.5):
-    """match_detections of two Detection lists of one image."""
-    return match_detections(DetectionTable.from_detections({"": pred}), DetectionTable.from_detections({"": truth}),
-                            iou_threshold)
+    """match_detections of two detection lists of one image."""
+    return match_detections(ref_table({"": pred}), ref_table({"": truth}), iou_threshold)
 
 
 def pair_iou(a, b):
     """The IoU of two boxes: at threshold 0 the one prediction always matches the one truth."""
-    return match_lists([Detection(LesionType.MICROANEURYSM, a, 1.0)],
-                       [Detection(LesionType.MICROANEURYSM, b, 1.0)], 0.0).mean_matched_iou
+    return match_lists([RefDetection(LesionType.MICROANEURYSM, a, 1.0)],
+                       [RefDetection(LesionType.MICROANEURYSM, b, 1.0)], 0.0).mean_matched_iou
 
 
 # --- independent brute-force oracles (kept deliberately naive) -----------------
@@ -116,20 +116,20 @@ class TestFixedExamples:
             auc_ovr_macro([2, 2, 2], prob_rows_from_column([0.1, 0.5, 0.9], grade=2))
 
     def test_iou_identical(self):
-        b = BoundingBox(0.1, 0.1, 0.3, 0.3)
+        b = RefBox(0.1, 0.1, 0.3, 0.3)
         assert pair_iou(b, b) == 1.0
 
     def test_iou_disjoint(self):
-        assert pair_iou(BoundingBox(0.0, 0.0, 0.2, 0.2), BoundingBox(0.5, 0.5, 0.2, 0.2)) == 0.0
+        assert pair_iou(RefBox(0.0, 0.0, 0.2, 0.2), RefBox(0.5, 0.5, 0.2, 0.2)) == 0.0
 
     def test_iou_fixture_one_seventh(self):
-        a = BoundingBox(0.0, 0.0, 0.2, 0.2)
-        b = BoundingBox(0.1, 0.1, 0.2, 0.2)
+        a = RefBox(0.0, 0.0, 0.2, 0.2)
+        b = RefBox(0.1, 0.1, 0.2, 0.2)
         assert pair_iou(a, b) == pytest.approx(1 / 7, abs=1e-12)
 
     def test_iou_symmetric(self):
-        a = BoundingBox(0.0, 0.0, 0.4, 0.2)
-        b = BoundingBox(0.1, 0.05, 0.2, 0.3)
+        a = RefBox(0.0, 0.0, 0.4, 0.2)
+        b = RefBox(0.1, 0.05, 0.2, 0.3)
         assert pair_iou(a, b) == pytest.approx(pair_iou(b, a), abs=1e-15)
 
 
@@ -159,12 +159,12 @@ class TestConfusionAndReport:
 
 class TestDetectionMatching:
     def box(self, x, y, s=0.1):
-        return BoundingBox(x, y, s, s)
+        return RefBox(x, y, s, s)
 
     def test_exact_match(self):
         dets = [
-            Detection(LesionType.HARD_EXUDATE, self.box(0.1, 0.1), 0.9),
-            Detection(LesionType.HARD_HEMORRHAGE, self.box(0.5, 0.5), 0.8),
+            RefDetection(LesionType.HARD_EXUDATE, self.box(0.1, 0.1), 0.9),
+            RefDetection(LesionType.HARD_HEMORRHAGE, self.box(0.5, 0.5), 0.8),
         ]
         rep = match_lists(dets, dets, iou_threshold=0.5)
         assert rep.precision == 1.0 and rep.recall == 1.0
@@ -172,10 +172,10 @@ class TestDetectionMatching:
         assert rep.matched_per_lesion["hard_exudate"] == 1
 
     def test_one_pred_two_truths_single_match(self):
-        pred = [Detection(LesionType.HARD_EXUDATE, self.box(0.10, 0.10), 0.9)]
+        pred = [RefDetection(LesionType.HARD_EXUDATE, self.box(0.10, 0.10), 0.9)]
         truth = [
-            Detection(LesionType.HARD_EXUDATE, self.box(0.12, 0.12), 1.0),  # higher IoU
-            Detection(LesionType.HARD_EXUDATE, self.box(0.16, 0.16), 1.0),
+            RefDetection(LesionType.HARD_EXUDATE, self.box(0.12, 0.12), 1.0),  # higher IoU
+            RefDetection(LesionType.HARD_EXUDATE, self.box(0.16, 0.16), 1.0),
         ]
         rep = match_lists(pred, truth, iou_threshold=0.1)
         assert rep.matched_total == 1
@@ -184,15 +184,22 @@ class TestDetectionMatching:
         assert rep.mean_matched_iou == pytest.approx(pair_iou(pred[0].box, truth[0].box))
 
     def test_threshold_one_rejects_jitter(self):
-        pred = [Detection(LesionType.MICROANEURYSM, self.box(0.1, 0.1), 0.9)]
-        truth = [Detection(LesionType.MICROANEURYSM, self.box(0.101, 0.1), 0.9)]
+        pred = [RefDetection(LesionType.MICROANEURYSM, self.box(0.1, 0.1), 0.9)]
+        truth = [RefDetection(LesionType.MICROANEURYSM, self.box(0.101, 0.1), 0.9)]
         rep = match_lists(pred, truth, iou_threshold=1.0)
         assert rep.matched_total == 0
 
     def test_lesion_types_never_cross_match(self):
-        pred = [Detection(LesionType.MICROANEURYSM, self.box(0.1, 0.1), 0.9)]
-        truth = [Detection(LesionType.HARD_EXUDATE, self.box(0.1, 0.1), 0.9)]
+        pred = [RefDetection(LesionType.MICROANEURYSM, self.box(0.1, 0.1), 0.9)]
+        truth = [RefDetection(LesionType.HARD_EXUDATE, self.box(0.1, 0.1), 0.9)]
         assert match_lists(pred, truth, 0.5).matched_total == 0
+
+
+    @pytest.mark.parametrize("threshold", [-0.5, 2.0, float("nan")])
+    def test_threshold_outside_unit_interval_is_a_config_error(self, threshold):
+        dets = [RefDetection(LesionType.MICROANEURYSM, self.box(0.1, 0.1), 0.9)]
+        with pytest.raises(InvalidConfig, match="iou_threshold"):
+            match_lists(dets, dets, threshold)
 
 
 class TestDomainKl:

@@ -2,23 +2,31 @@ import dataclasses
 
 import numpy as np
 import pytest
+from ref_detections import RefBox, RefDetection, ref_table
 
-from kgdg.core import BoundingBox, Detection, DRGrade, FeatureVector, LesionType
+from kgdg.core import DRGrade, FeatureVector, LesionType
 from kgdg.errors import InvalidConfig
 from kgdg.rules import (
+    RULE_LADDER,
     RuleConfig,
     aggregate_detections,
+    grade_detections,
     grade_by_rules,
     rule_grade_as_probability,
 )
 
 
 def box_at(cx, cy, size=0.02):
-    return BoundingBox(cx - size / 2, cy - size / 2, size, size)
+    return RefBox(cx - size / 2, cy - size / 2, size, size)
 
 
 def hemorrhage(box):
-    return Detection(LesionType.HARD_HEMORRHAGE, box, 0.9)
+    return RefDetection(LesionType.HARD_HEMORRHAGE, box, 0.9)
+
+
+def aggregate(dets, min_score):
+    """aggregate_detections of one image's detections, as a FeatureVector."""
+    return FeatureVector.from_counts(aggregate_detections(ref_table({"i": dets}), min_score)[0].tolist())
 
 
 def quadrant(box):
@@ -27,7 +35,7 @@ def quadrant(box):
     hemorrhage it shares a single quadrant with."""
     references = {1: box_at(0.2, 0.2), 2: box_at(0.8, 0.2), 3: box_at(0.2, 0.8), 4: box_at(0.8, 0.8)}
     shared = [q for q, ref in references.items()
-              if aggregate_detections([hemorrhage(box), hemorrhage(ref)], 0.0).hemorrhage_quadrants == 1]
+              if aggregate([hemorrhage(box), hemorrhage(ref)], 0.0).hemorrhage_quadrants == 1]
     assert len(shared) == 1
     return shared[0]
 
@@ -36,8 +44,8 @@ class TestAssignQuadrant:
     @pytest.mark.parametrize(
         "box,expected",
         [
-            (BoundingBox(0.1, 0.1, 0.2, 0.2), 1),  # center (0.2, 0.2)
-            (BoundingBox(0.6, 0.6, 0.2, 0.2), 4),  # center (0.7, 0.7)
+            (RefBox(0.1, 0.1, 0.2, 0.2), 1),  # center (0.2, 0.2)
+            (RefBox(0.6, 0.6, 0.2, 0.2), 4),  # center (0.7, 0.7)
             (box_at(0.7, 0.2), 2),
             (box_at(0.2, 0.7), 3),
         ],
@@ -46,7 +54,7 @@ class TestAssignQuadrant:
         assert quadrant(box) == expected
 
     def test_exact_center_goes_to_one(self):
-        assert quadrant(BoundingBox(0.4, 0.4, 0.2, 0.2)) == 1
+        assert quadrant(RefBox(0.4, 0.4, 0.2, 0.2)) == 1
 
     def test_axis_ties_take_lower_quadrant(self):
         assert quadrant(box_at(0.5, 0.7)) == 3  # vertical axis, bottom
@@ -55,7 +63,7 @@ class TestAssignQuadrant:
 
 class TestAggregateDetections:
     def test_empty_is_all_zero(self):
-        fv = aggregate_detections([], min_score=0.0)
+        fv = aggregate([], min_score=0.0)
         assert fv == FeatureVector()
         assert not fv.has_vein
 
@@ -64,38 +72,59 @@ class TestAggregateDetections:
         dets = []
         for i in range(21):
             cx, cy = centers[i % 4]
-            dets.append(Detection(LesionType.HARD_HEMORRHAGE, box_at(cx, cy), 0.9))
-        fv = aggregate_detections(dets, min_score=0.0)
+            dets.append(RefDetection(LesionType.HARD_HEMORRHAGE, box_at(cx, cy), 0.9))
+        fv = aggregate(dets, min_score=0.0)
         assert fv.hard_hemorrhage_count == 21
         assert fv.hemorrhage_quadrants == 4
 
     def test_threshold_filters(self):
-        det = Detection(LesionType.NEOVASCULARIZATION, box_at(0.3, 0.3), 0.3)
-        fv = aggregate_detections([det], min_score=0.5)
+        det = RefDetection(LesionType.NEOVASCULARIZATION, box_at(0.3, 0.3), 0.3)
+        fv = aggregate([det], min_score=0.5)
         assert not fv.neovascularization_present
-        fv2 = aggregate_detections([det], min_score=0.2)
+        fv2 = aggregate([det], min_score=0.2)
         assert fv2.neovascularization_present
 
     def test_subhyaloid_not_counted_in_quadrants(self):
-        dets = [Detection(LesionType.SUBHYALOID_HEMORRHAGE, box_at(0.2, 0.2), 0.9)]
-        fv = aggregate_detections(dets, min_score=0.0)
+        dets = [RefDetection(LesionType.SUBHYALOID_HEMORRHAGE, box_at(0.2, 0.2), 0.9)]
+        fv = aggregate(dets, min_score=0.0)
         assert fv.subhyaloid_present
         assert fv.hemorrhage_quadrants == 0
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(7)
         dets = [
-            Detection(
+            RefDetection(
                 LesionType(kind),
                 box_at(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9)),
                 float(rng.uniform(0, 1)),
             )
             for kind in rng.choice([k.value for k in LesionType], size=40)
         ]
-        base = aggregate_detections(dets, 0.0)
+        base = aggregate(dets, 0.0)
         perm = list(dets)
         rng.shuffle(perm)
-        assert aggregate_detections(perm, 0.0) == base
+        assert aggregate(perm, 0.0) == base
+
+
+    @pytest.mark.parametrize("min_score", [-0.1, 1.5, float("nan")])
+    def test_min_score_outside_unit_interval_rejected(self, min_score):
+        with pytest.raises(InvalidConfig, match="outside"):
+            aggregate_detections(ref_table({"i": []}), min_score)
+
+    def test_rows_follow_table_ids(self):
+        table = ref_table({"b": [hemorrhage(box_at(0.2, 0.2))], "a": [], "c": [hemorrhage(box_at(0.8, 0.8))] * 2})
+        assert aggregate_detections(table, 0.0)[:, 2].tolist() == [1, 0, 2]
+
+
+class TestGradeDetections:
+    def test_grades_every_image_by_the_ladder(self):
+        neo = RefDetection(LesionType.NEOVASCULARIZATION, box_at(0.3, 0.3), 0.3)
+        table = ref_table({"pdr": [neo], "mild": [RefDetection(LesionType.MICROANEURYSM, box_at(0.5, 0.5), 0.9)],
+                           "none": []})
+        ladder = [name for name, _, _ in RULE_LADDER]
+        assert [ladder[r] for r in grade_detections(table).tolist()] == ["R1", "R7", "R8"]
+        # the config's min_score drops the low-scored finding first
+        assert [ladder[r] for r in grade_detections(table, RuleConfig(min_score=0.5)).tolist()] == ["R8", "R7", "R8"]
 
 
 # One fixture per rule plus interaction cases (the full clinical ladder).

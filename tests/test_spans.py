@@ -6,6 +6,9 @@ kgdg must exist too, or its output checks fail."""
 import ast
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -77,5 +80,49 @@ def test_every_shim_import_is_traced():
     """A name kept only so the tracer can patch it must be one the tracer
     patches, so a shim a deletion leaves behind fails here."""
     shims = _shim_imports()
-    assert ("kgdg.cli", "batch_fuse") in shims
+    assert ("kgdg.harness", "fused_probability") in shims
     assert set(shims) <= {(s[0], s[1]) for s in _spans()}
+
+
+# Runs in a fresh interpreter, so that the tracer's patches never reach the
+# test process: argv is perfbench/, src/ and a work directory.
+TRACED_CALLS = """
+import json, pathlib, sys
+sys.path[:0] = sys.argv[1:3]
+from spans import Tracer
+from kgdg.cli import main
+from kgdg.synth import shift_profile, write_dataset
+
+work = pathlib.Path(sys.argv[3])
+write_dataset(shift_profile("mild", seed=0, n_samples=40), work)
+config = work / "experiment.json"
+config.write_text(json.dumps({"domains": {"manifest": str(work / "manifest.json"), "source": "clinic_a"},
+                              "seeds": [0], "symbolic": {"n_trees": 2}}))
+probs = str(work / "clinic_a_probs.csv")
+calls = {"fuse": ["fuse", "--strategy", "max", "--dl", probs, "--kd", probs],
+         "grade": ["grade", "--detections", str(work / "clinic_a_detections.json")],
+         "eval": ["eval", "--config", str(config)]}
+tracer = Tracer()
+tracer.install()
+spans = {}
+for name, argv in calls.items():
+    tracer.active = True
+    code = main(argv + ["--out", str(work / "out"), "--quiet"])
+    tracer.active = False
+    spans[name] = {"exit": code, **tracer.take()}
+print(json.dumps(spans))
+"""
+
+
+def test_commands_reach_the_traced_names(tmp_path):
+    """The fusion and rule spans see the kernels that fuse, grade
+    --detections and eval run, so a refactor that calls around a traced
+    name fails here."""
+    done = subprocess.run([sys.executable, "-c", TRACED_CALLS, str(PERFBENCH), str(SRC), str(tmp_path)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    spans = json.loads(done.stdout.splitlines()[-1])
+    assert all(s["exit"] == 0 for s in spans.values()), spans
+    assert spans["fuse"].get("fusion.calls", 0) > 0
+    assert spans["grade"].get("rules.calls", 0) > 0
+    assert spans["eval"].get("fusion.calls", 0) > 0

@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from ref_detections import ref_aggregate, ref_detection_lists
 
 from kgdg.core import (
     LESION_TYPES,
     LESIONS_ONLY_SCHEMA,
     VEIN_FEATURE_NAMES,
-    BoundingBox,
-    Detection,
     DetectionTable,
     DomainId,
+    validate_probability_rows,
 )
 from kgdg.errors import InvalidConfig
 from kgdg.io import (
@@ -25,7 +25,7 @@ from kgdg.io import (
     read_probability_table,
 )
 from kgdg.metrics import DomainStats, domain_kl
-from kgdg.rules import aggregate_detections, grade_by_rules
+from kgdg.rules import grade_by_rules
 from kgdg.synth import (
     DEFAULT_COUNT_RATES,
     DomainSpec,
@@ -44,15 +44,6 @@ def single_domain_config(n, seed=0, **spec_kwargs):
     defaults = dict(name="only", n_samples=n)
     defaults.update(spec_kwargs)
     return SynthConfig(domains=(DomainSpec(**defaults),), seed=seed)
-
-
-def detection_lists(table):
-    """Each image's detections of a DetectionTable as Detection objects."""
-    out = {image_id: [] for image_id in table.ids}
-    for n, code, box, score in zip(table.image.tolist(), table.lesion.tolist(), table.box.tolist(),
-                                   table.score.tolist()):
-        out[table.ids[n]].append(Detection(LESION_TYPES[code], BoundingBox(*box), score))
-    return out
 
 
 DOMAIN_TABLE_FIELDS = ("ids", "domains", "y", "counts", "vein", "domain", "probs")
@@ -98,11 +89,11 @@ class TestGenDataset:
         cfg = single_domain_config(150, seed=3)
         out = gen_dataset(cfg)
         dataset = out.tables[DomainId("only")]
-        dets = detection_lists(out.detections[DomainId("only")])
+        dets = ref_detection_lists(out.detections[DomainId("only")])
         for ex in dataset.examples():
-            rebuilt = aggregate_detections(dets[ex.image_id], min_score=0.0)
+            rebuilt = ref_aggregate(dets[ex.image_id], min_score=0.0)
             for name in LESIONS_ONLY_SCHEMA:
-                assert getattr(rebuilt, name) == getattr(ex.features, name)
+                assert rebuilt[name] == getattr(ex.features, name)
 
     def test_monotone_mean_counts_in_grade(self):
         cfg = single_domain_config(10_000, seed=5)
@@ -163,14 +154,11 @@ class TestSimulateNeuralTable:
         assert sharp_max > 0.9 > 0.5 > flat_max
 
     def test_rows_are_valid(self):
-        from kgdg.core import validate_probability
-
         cfg = single_domain_config(100, seed=4)
         grades = gen_dataset(cfg).tables[DomainId("only")].y
         table = simulate_neural_table(grades, 0.7, 0.8, seed=1)
         assert table.shape == (len(grades), 5)
-        for row in table:
-            validate_probability(list(row))
+        validate_probability_rows(table)
 
 
 # --- the array code against the per-value and per-image loops it replaced ---------------
@@ -303,13 +291,11 @@ class TestWriteDataset:
 
     def test_detections_round_trip_exactly(self, tmp_path):
         # images with zero detections have no records in the flat JSON list
-        from kgdg.io import load_detections
-
         cfg = single_domain_config(80, seed=6)
         out = gen_dataset(cfg)
         manifest_path = write_dataset(cfg, tmp_path / "data")
-        loaded = load_detections(manifest_path.parent / "only_detections.json")
-        generated = detection_lists(out.detections[DomainId("only")])
+        loaded = ref_detection_lists(read_detections(manifest_path.parent / "only_detections.json"))
+        generated = ref_detection_lists(out.detections[DomainId("only")])
         nonempty = {k: v for k, v in generated.items() if v}
         assert set(loaded) == set(nonempty)
         for image_id, dets in nonempty.items():
