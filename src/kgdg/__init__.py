@@ -12,11 +12,9 @@ from .core import (
     LESIONS_VEIN_SCHEMA,
     DomainId,
     DRGrade,
-    FeatureVector,
     FusionWeights,
     LabeledExample,
     LesionType,
-    ProbabilityVector,
 )
 from .fusion import (
     FusionSource,
@@ -51,7 +49,6 @@ from .metrics import (
 from .report import compare_to_reference, emit_report, get_reference, reference_ids
 from .rules import (
     RuleConfig,
-    RuleTrace,
     aggregate_detections,
     grade_by_rules,
     rule_grade_as_probability,
@@ -70,7 +67,6 @@ __all__ = [
     "DRGrade",
     "ExperimentConfig",
     "ExperimentReport",
-    "FeatureVector",
     "FusionSource",
     "FusionSpec",
     "FusionStrategy",
@@ -78,9 +74,7 @@ __all__ = [
     "LabeledExample",
     "LesionType",
     "MetricReport",
-    "ProbabilityVector",
     "RuleConfig",
-    "RuleTrace",
     "SplitFractions",
     "SynthConfig",
     "TrainConfig",

@@ -42,7 +42,7 @@ from .io import (
 )
 from .io import load_feature_table, load_probability_table  # noqa: F401  unused here; the benchmark's tracer patches them by this module's name
 from .io import read_detections as load_detections  # noqa: F401  unused here; the benchmark's tracer patches it by this module's name
-from .learn import TrainConfig, fit_model, resolve_schema
+from .learn import TrainConfig, feature_matrix, fit_model, resolve_schema
 from .metrics import evaluate_predictions, match_detections
 from .report import (
     compare_to_reference,
@@ -130,7 +130,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     table = read_feature_table(args.features)
     train, valid, test = split_dataset(table, SplitFractions(), seed)
     schema = resolve_schema(cfg, table)
-    x, y = table.matrix(schema), table.y
+    x, y = feature_matrix(table, schema), table.y
     model = fit_model(x[train], y[train], x[valid], y[valid], schema, cfg)
     if test.size:
         preds = model.predict_proba_matrix(x[test]).argmax(axis=1)

@@ -12,20 +12,19 @@ import sys
 import warnings
 from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
     InvalidConfig,
     NegativeProbability,
-    SchemaMismatch,
     SumOutOfTolerance,
 )
 
 GRADE_COUNT = 5
 
-# Sum deviation up to this is inside the ProbabilityVector invariant.
+# A probability row whose sum deviates up to this is on the simplex as it is.
 PROB_SUM_EPS = 1e-6
 # Sum deviation up to this gets renormalized (with a warning); beyond it
 # the vector is rejected. Absorbs text-format rounding without masking
@@ -107,28 +106,6 @@ class DomainId(str):
         return super().__new__(cls, token)
 
 
-@dataclass(frozen=True)
-class ProbabilityVector:
-    """Length-5 confidence vector over DR grades; sums to 1 within 1e-6.
-
-    Construct from rows checked by :func:`validate_probability_rows` unless
-    the values are already known to satisfy the invariant (e.g. a softmax
-    output).
-    """
-
-    probs: tuple[float, float, float, float, float]
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.probs)
-
-    def __getitem__(self, idx: int) -> float:
-        return self.probs[idx]
-
-    def argmax(self) -> int:
-        """Index of the largest entry; ties break to the lower grade."""
-        return self.probs.index(max(self.probs))
-
-
 def validate_probability_rows(p: np.ndarray) -> np.ndarray:
     """Validate ``(n, 5)`` rows as grade distributions, as array masks taken
     in order: a row on the simplex is kept, one whose sum is off by at most
@@ -174,80 +151,14 @@ VEIN_FEATURE_NAMES: tuple[str, ...] = (
 LESIONS_VEIN_SCHEMA: tuple[str, ...] = LESIONS_ONLY_SCHEMA + VEIN_FEATURE_NAMES
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Structured per-image symbolic features: lesion counts, flags, and
-    optional vein morphology.
-
-    The three vein fields are jointly present or jointly absent; mixing
-    is rejected at construction.
-    """
-
-    microaneurysm_count: int = 0
-    exudate_count: int = 0
-    hard_hemorrhage_count: int = 0
-    soft_hemorrhage_count: int = 0
-    cotton_wool_count: int = 0
-    subhyaloid_present: bool = False
-    neovascularization_present: bool = False
-    hemorrhage_quadrants: int = 0
-    vein_tortuosity: float | None = None
-    vein_caliber_mean: float | None = None
-    vein_branch_angle_mean: float | None = None
-
-    def __post_init__(self) -> None:
-        for name in LESIONS_ONLY_SCHEMA[:5]:
-            v = getattr(self, name)
-            if not math.isfinite(v) or int(v) != v or v < 0:
-                raise ValueError(f"{name}={v!r} must be a finite nonnegative integer")
-        if self.hemorrhage_quadrants not in (0, 1, 2, 3, 4):
-            raise ValueError(f"hemorrhage_quadrants={self.hemorrhage_quadrants!r} outside 0..4")
-        vein = [getattr(self, name) for name in VEIN_FEATURE_NAMES]
-        present = [v is not None for v in vein]
-        if any(present) and not all(present):
-            raise ValueError("vein fields must be jointly present or jointly absent")
-        if all(present):
-            for name, v in zip(VEIN_FEATURE_NAMES, vein):
-                if not math.isfinite(v):
-                    raise ValueError(f"{name}={v!r} must be finite")
-            for name, v in zip(VEIN_FEATURE_NAMES[:2], vein):
-                if v < 0:
-                    raise ValueError(f"{name}={v!r} must be >= 0")
-            if not (0.0 <= vein[2] <= 180.0):
-                raise ValueError(f"vein_branch_angle_mean={vein[2]!r} outside [0,180]")
-
-    @property
-    def has_vein(self) -> bool:
-        return self.vein_tortuosity is not None
-
-    @classmethod
-    def from_counts(cls, counts: Sequence, vein: Sequence = ()) -> "FeatureVector":
-        """From a row of LESIONS_ONLY_SCHEMA values (flags as 0/1) and the
-        vein fields, if any."""
-        return cls(*counts[:5], counts[5] == 1, counts[6] == 1, counts[7], *vein)
-
-    def as_row(self, schema: Sequence[str]) -> tuple[float, ...]:
-        """Project onto an ordered schema of feature names."""
-        row = []
-        for name in schema:
-            v = getattr(self, name)
-            if v is None:
-                raise ValueError(f"feature {name!r} absent from this vector")
-            row.append(float(v))
-        return tuple(row)
-
-    def schema(self) -> tuple[str, ...]:
-        return LESIONS_VEIN_SCHEMA if self.has_vein else LESIONS_ONLY_SCHEMA
-
-
-@dataclass(frozen=True)
-class LabeledExample:
-    """One graded image: id, domain and symbolic features."""
+class LabeledExample(NamedTuple):
+    """One graded image: id, domain, grade and its LESIONS_ONLY_SCHEMA
+    values (flags as 0/1) as a tuple of ints."""
 
     image_id: str
     domain: DomainId
-    grade: DRGrade
-    features: FeatureVector
+    grade: int
+    features: tuple[int, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,26 +182,6 @@ class DomainTable:
     @property
     def schema(self) -> tuple[str, ...]:
         return LESIONS_ONLY_SCHEMA if self.vein is None else LESIONS_VEIN_SCHEMA
-
-    def matrix(self, schema: Sequence[str]) -> np.ndarray:
-        """The float feature matrix over ``schema``, as ``feature_matrix``
-        builds it from the rows' feature vectors."""
-        own = self.schema
-        for name in schema:
-            if name not in own:
-                raise SchemaMismatch(f"feature {name!r} absent from this vector")
-        full = self.counts.astype(np.float64)
-        if self.vein is not None:
-            full = np.hstack((full, self.vein))
-        return np.ascontiguousarray(full[:, [own.index(name) for name in schema]])
-
-    def examples(self) -> list[LabeledExample]:
-        """The per-row view: one LabeledExample per row."""
-        vein = self.vein.tolist() if self.vein is not None else [()] * len(self)
-        return [
-            LabeledExample(i, d, DRGrade(g), FeatureVector.from_counts(c, v))
-            for i, d, g, c, v in zip(self.ids, self.domains, self.y.tolist(), self.counts.tolist(), vein)
-        ]
 
 
 class DetectionTable(NamedTuple):

@@ -34,8 +34,7 @@ from .errors import (
 from .fusion import FusionStrategy, fuse
 from .fusion import fuse as fused_probability  # noqa: F401  unused here; the benchmark's tracer patches it by this module's name
 from .io import Manifest, canonical_json, content_digest, file_digest, load_domain_dataset
-from .learn import TrainConfig, fit_model, resolve_schema
-from .learn import feature_matrix  # noqa: F401  unused here; the benchmark's tracer patches it by this module's name
+from .learn import TrainConfig, feature_matrix, fit_model, resolve_schema
 from .metrics import (
     DomainStats,
     accuracy,
@@ -470,7 +469,7 @@ def run_experiment(cfg: ExperimentConfig, manifest: Manifest) -> ExperimentRepor
     training = [d for d in datasets if any(d in sources for sources, _ in folds)]
     # an auto feature set follows the first manifest domain any fold trains on
     schema = resolve_schema(cfg.symbolic, datasets[training[0]])
-    features = {d: table.matrix(schema) for d, table in datasets.items()}
+    features = {d: feature_matrix(table, schema) for d, table in datasets.items()}
     grades = {d: table.y for d, table in datasets.items()}
     image_ids = {d: table.ids for d, table in datasets.items()}
 

@@ -37,7 +37,6 @@ from .core import (
     DomainTable,
     LabeledExample,
     LesionType,
-    ProbabilityVector,
     validate_probability_rows,
 )
 from .errors import (
@@ -85,13 +84,13 @@ def file_digest(path: str | Path) -> str:
 # failing check. A mask is built only when the check's aggregate fails.
 
 
-def _read_text(path: Path, newline: str | None = None, error: type[DataError] = DataError) -> str:
-    """The file as UTF-8 text, newlines LF unless ``newline`` is ''; other bytes raise ``error`` naming it."""
+def _read_text(path: Path, error: type[DataError] = DataError) -> str:
+    """The file as UTF-8 text, newlines LF; other bytes raise ``error`` naming it."""
     try:
         text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text: {exc}") from None
-    return text if newline == "" or "\r" not in text else text.replace("\r\n", "\n").replace("\r", "\n")
+    return text if "\r" not in text else text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _csv(path: Path) -> Iterator[Any]:
@@ -258,7 +257,8 @@ def read_feature_table(path: str | Path) -> DomainTable:
 
 def load_feature_table(path: str | Path) -> list[LabeledExample]:
     """Read a features.csv into labeled examples: read_feature_table's rows."""
-    return read_feature_table(path).examples()
+    t = read_feature_table(path)
+    return list(map(LabeledExample, t.ids, t.domains, t.y.tolist(), map(tuple, t.counts.tolist())))
 
 
 def read_probability_table(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
@@ -281,10 +281,9 @@ def read_probability_table(path: str | Path) -> tuple[tuple[str, ...], np.ndarra
     return rows.ids, probs
 
 
-def load_probability_table(path: str | Path) -> dict[str, ProbabilityVector]:
-    """Read a probs.csv into an image_id -> ProbabilityVector map."""
-    ids, rows = read_probability_table(path)
-    return {image_id: ProbabilityVector(tuple(row)) for image_id, row in zip(ids, rows.tolist())}
+def load_probability_table(path: str | Path) -> dict[str, np.ndarray]:
+    """Read a probs.csv into an image_id -> ``(5,)`` row map."""
+    return dict(zip(*read_probability_table(path)))
 
 
 def read_prediction_table(path: str | Path) -> tuple[tuple[str, ...], np.ndarray, np.ndarray | None]:
@@ -330,7 +329,7 @@ def save_feature_table(path: str | Path, table: DomainTable) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def save_probability_table(path: str | Path, table: Mapping[str, ProbabilityVector]) -> None:
+def save_probability_table(path: str | Path, table: Mapping[str, Sequence[float]]) -> None:
     """Write rows whose text decimals sum to exactly 1 (last cell absorbs
     the rounding residue)."""
     lines = [",".join(PROBS_HEADER)]
@@ -483,7 +482,6 @@ class DomainEntry:
 class Manifest:
     domains: tuple[DomainEntry, ...]
     seeds: tuple[int, ...]
-    source_digest: str = ""
 
     def __post_init__(self) -> None:
         if not self.domains:
@@ -495,9 +493,8 @@ class Manifest:
 
 def load_manifest(path: str | Path) -> Manifest:
     path = Path(path)
-    text = _read_text(path, newline="")
     try:
-        raw = json.loads(text)
+        raw = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not valid JSON: {exc}") from exc
     try:
@@ -513,7 +510,7 @@ def load_manifest(path: str | Path) -> Manifest:
         seeds = tuple(int(s) for s in raw.get("seeds", []))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed manifest: {exc}") from exc
-    return Manifest(tuple(entries), seeds, source_digest=content_digest(text))
+    return Manifest(tuple(entries), seeds)
 
 
 def save_manifest(path: str | Path, domains: Sequence[Mapping[str, Any]], seeds: Sequence[int]) -> None:

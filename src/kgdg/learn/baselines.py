@@ -21,7 +21,7 @@ from ..metrics import seeded_summary
 from .config import (
     FittedModel,
     TrainConfig,
-    feature_matrix,  # noqa: F401  unused here; the benchmark's tracer patches it by this module's name
+    feature_matrix,
     resolve_schema,
     sample_weights,
     softmax,
@@ -319,7 +319,7 @@ def cross_validate(table: DomainTable, cfg: TrainConfig, folds: int) -> CrossVal
         rng.shuffle(idx)
         fold_of[idx] = np.arange(idx.size) % folds
     schema = resolve_schema(cfg, table)
-    x = table.matrix(schema)
+    x = feature_matrix(table, schema)
     accs, f1s = [], []
     for k in range(folds):
         train, test = np.flatnonzero(fold_of != k), fold_of == k

@@ -12,7 +12,6 @@ from ..core import (
     LESIONS_ONLY_SCHEMA,
     LESIONS_VEIN_SCHEMA,
     DomainTable,
-    LabeledExample,
     check_field_types,
 )
 from ..errors import InvalidConfig, SchemaMismatch
@@ -87,13 +86,16 @@ def resolve_schema(cfg: TrainConfig, table: DomainTable) -> tuple[str, ...]:
     return table.schema
 
 
-def feature_matrix(examples: Sequence[LabeledExample], schema: Sequence[str]) -> np.ndarray:
-    """Stack feature vectors into a float matrix following ``schema``."""
-    try:
-        rows = [ex.features.as_row(schema) for ex in examples]
-    except ValueError as exc:
-        raise SchemaMismatch(str(exc)) from exc
-    return np.asarray(rows, dtype=np.float64)
+def feature_matrix(table: DomainTable, schema: Sequence[str]) -> np.ndarray:
+    """The table's float feature matrix over ``schema``, columns in its order."""
+    own = table.schema
+    for name in schema:
+        if name not in own:
+            raise SchemaMismatch(f"feature {name!r} absent from this vector")
+    full = table.counts.astype(np.float64)
+    if table.vein is not None:
+        full = np.hstack((full, table.vein))
+    return np.ascontiguousarray(full[:, [own.index(name) for name in schema]])
 
 
 class FittedModel:

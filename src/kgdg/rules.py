@@ -18,8 +18,6 @@ from .core import (
     LESIONS_ONLY_SCHEMA,
     DetectionTable,
     DRGrade,
-    FeatureVector,
-    ProbabilityVector,
     check_field_types,
 )
 from .errors import InvalidConfig
@@ -46,18 +44,6 @@ class RuleConfig:
 DEFAULT_RULES = RuleConfig()
 
 
-@dataclass(frozen=True)
-class RuleTrace:
-    """Grading outcome plus the rule that produced it."""
-
-    fired_rules: tuple[str, ...]
-    grade: DRGrade
-
-    def __post_init__(self) -> None:
-        if not self.fired_rules:
-            raise ValueError("fired_rules must be nonempty")
-
-
 def aggregate_detections(table: DetectionTable, min_score: float = DEFAULT_RULES.min_score) -> np.ndarray:
     """The lesion counts of every image of a DetectionTable, from its
     detections at or above ``min_score``: an ``(images, 8)`` matrix in
@@ -82,7 +68,7 @@ def aggregate_detections(table: DetectionTable, min_score: float = DEFAULT_RULES
 
 
 # The ladder over the LESIONS_ONLY_SCHEMA columns c, as scalars for one
-# vector or arrays for a table. Hemorrhages > 20 is tested as
+# row or arrays for a table. Hemorrhages > 20 is tested as
 # hard > 20 - soft, which cannot overflow int64.
 RULE_LADDER: tuple[tuple[str, DRGrade, Callable[[Sequence, RuleConfig], Any]], ...] = (
     ("R1", DRGrade.PDR, lambda c, cfg: c[6] != 0),
@@ -96,8 +82,8 @@ RULE_LADDER: tuple[tuple[str, DRGrade, Callable[[Sequence, RuleConfig], Any]], .
 )
 
 
-def grade_by_rules(f: FeatureVector, cfg: RuleConfig = DEFAULT_RULES) -> RuleTrace:
-    """Grade a feature vector; the first matching rule decides.
+def grade_by_rules(row: Sequence, cfg: RuleConfig = DEFAULT_RULES) -> DRGrade:
+    """Grade one row of LESIONS_ONLY_SCHEMA values; the first matching rule decides.
 
     R1 neovascularization -> PDR            R5 any cotton-wool spot -> Moderate
     R2 subhyaloid hemorrhage -> PDR         R6 exudate or hemorrhage -> Moderate
@@ -105,9 +91,7 @@ def grade_by_rules(f: FeatureVector, cfg: RuleConfig = DEFAULT_RULES) -> RuleTra
        -> Severe                            R8 no findings -> No DR
     R4 cotton-wool count at threshold -> Severe
     """
-    c = tuple(getattr(f, name) for name in LESIONS_ONLY_SCHEMA)
-    name, grade = next((name, grade) for name, grade, holds in RULE_LADDER if holds(c, cfg))
-    return RuleTrace((name,), grade)
+    return next(grade for _, grade, holds in RULE_LADDER if holds(row, cfg))
 
 
 def fire_rules(counts: np.ndarray, cfg: RuleConfig = DEFAULT_RULES) -> np.ndarray:
@@ -118,17 +102,14 @@ def fire_rules(counts: np.ndarray, cfg: RuleConfig = DEFAULT_RULES) -> np.ndarra
     return np.argmax(holds, axis=0)
 
 
-def rule_grade_as_probability(trace: RuleTrace, smoothing: float = DEFAULT_RULES.smoothing) -> ProbabilityVector:
+def rule_grade_as_probability(grade: int, smoothing: float = DEFAULT_RULES.smoothing) -> tuple[float, ...]:
     """Turn a deterministic rule grade into a distribution so it can join
     confidence fusion: 1-smoothing on the graded class, smoothing/4 on each
     other class."""
     if not (0.0 <= smoothing < 1.0):
         raise InvalidConfig(f"smoothing={smoothing!r} outside [0,1)")
     off = smoothing / 4.0
-    probs = tuple(
-        1.0 - smoothing if g == int(trace.grade) else off for g in range(5)
-    )
-    return ProbabilityVector(probs)  # type: ignore[arg-type]
+    return tuple(1.0 - smoothing if g == grade else off for g in range(5))
 
 
 def grade_detections(table: DetectionTable, cfg: RuleConfig = DEFAULT_RULES) -> np.ndarray:

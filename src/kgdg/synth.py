@@ -58,6 +58,8 @@ class DomainSpec:
     neural_temperature: float = 1.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n_samples, int) or self.n_samples >= 2**63:
+            raise InvalidConfig(f"n_samples must be an integer below 2**63, got {self.n_samples!r}")
         if self.n_samples < 1:
             raise InvalidConfig("n_samples must be >= 1")
         if len(self.grade_prior) != 5 or any(p < 0 for p in self.grade_prior):
@@ -99,6 +101,8 @@ class SynthConfig:
             raise InvalidConfig("pdr_flag_prob must be in [0,1]")
         if self.neural_source and DomainId(self.neural_source) not in names:
             raise InvalidConfig(f"neural_source {self.neural_source!r} is not a domain")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     def source_domain(self) -> DomainId:
         return DomainId(self.neural_source or self.domains[0].name)

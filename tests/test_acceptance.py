@@ -13,14 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from kgdg.cli import main as cli_main
-from kgdg.core import (
-    LESIONS_ONLY_SCHEMA,
-    DomainId,
-    DRGrade,
-    FeatureVector,
-    FusionWeights,
-    LabeledExample,
-)
+from kgdg.core import LESIONS_ONLY_SCHEMA, DRGrade, FusionWeights
 from kgdg.fusion import fuse
 from kgdg.harness import ExperimentConfig, FusionSpec, align_domains, run_experiment
 from kgdg.io import load_manifest, save_feature_table, save_manifest, save_probability_table
@@ -45,14 +38,15 @@ from kgdg.synth import (
     write_dataset,
 )
 
-from test_learn import fit_examples, random_examples
+from ref_rows import RefFeatureVector, ref_example
+from test_learn import domain_table, fit_examples, random_examples
 from test_metrics import (
     oracle_accuracy,
     oracle_auc_ovr,
     oracle_binary_auc,
     oracle_macro_f1,
 )
-from test_rules import RULE_FIXTURES, _augment, _random_feature
+from test_rules import RULE_FIXTURES, _augment, _random_feature, ladder
 
 
 @contextmanager
@@ -201,16 +195,12 @@ def test_criterion_3_learner_correctness():
             assert all(curve[i + 1] <= curve[i] + 1e-12 for i in range(99))
 
         # 4-point linearly separable fixture at depth 1
-        fixture = [
-            LabeledExample("a", DomainId("d"), DRGrade(0), FeatureVector(microaneurysm_count=0)),
-            LabeledExample("b", DomainId("d"), DRGrade(0), FeatureVector(microaneurysm_count=1)),
-            LabeledExample("c", DomainId("d"), DRGrade(1), FeatureVector(microaneurysm_count=4)),
-            LabeledExample("e", DomainId("d"), DRGrade(1), FeatureVector(microaneurysm_count=5)),
-        ]
+        fixture = [ref_example(i, grade, microaneurysm_count=ma) for i, (grade, ma) in enumerate(
+            [(0, 0), (0, 1), (1, 4), (1, 5)])]
         cfg = TrainConfig(n_trees=10, max_depth=1, min_leaf=1, learning_rate=0.5,
                           early_stop_patience=100)
         model = fit_examples(fixture, fixture, cfg)
-        preds = model.predict_proba_matrix(feature_matrix(fixture, model.feature_schema)).argmax(axis=1)
+        preds = model.predict_proba_matrix(feature_matrix(domain_table(fixture), model.feature_schema)).argmax(axis=1)
         assert preds.tolist() == [0, 0, 1, 1]
 
 
@@ -219,18 +209,17 @@ def test_criterion_4_rule_engine():
                       "under 10,000 lesion augmentations", budget_s=60.0):
         assert len(RULE_FIXTURES) >= 12
         for kwargs, grade, rule in RULE_FIXTURES:
-            trace = grade_by_rules(FeatureVector(**kwargs))
-            assert trace.grade == grade and trace.fired_rules == (rule,)
+            assert ladder(RefFeatureVector(**kwargs)) == (rule, grade)
         # the two named clinical anchors
-        assert grade_by_rules(FeatureVector(neovascularization_present=True)).grade == DRGrade.PDR
+        assert grade_by_rules(RefFeatureVector(neovascularization_present=True).counts()) == DRGrade.PDR
         assert grade_by_rules(
-            FeatureVector(hard_hemorrhage_count=25, hemorrhage_quadrants=4)
-        ).grade == DRGrade.SEVERE
+            RefFeatureVector(hard_hemorrhage_count=25, hemorrhage_quadrants=4).counts()
+        ) == DRGrade.SEVERE
 
         rng = np.random.default_rng(13)
         for _ in range(10_000):
             fv = _random_feature(rng)
-            assert int(grade_by_rules(_augment(fv, rng)).grade) >= int(grade_by_rules(fv).grade)
+            assert int(grade_by_rules(_augment(fv, rng).counts())) >= int(grade_by_rules(fv.counts()))
 
 
 def test_criterion_5_kl_diagnostic():
@@ -249,15 +238,11 @@ def test_criterion_5_kl_diagnostic():
             g = int(rng.integers(0, 5))
             ma = int(rng.poisson(2 + g))
             ex_count = int(rng.poisson(1 + g))
-            base_examples.append(
-                LabeledExample(f"a-{i}", DomainId("a"), DRGrade(g),
-                               FeatureVector(microaneurysm_count=ma, exudate_count=ex_count)))
-            shifted_examples.append(
-                LabeledExample(f"b-{i}", DomainId("b"), DRGrade(g),
-                               FeatureVector(microaneurysm_count=ma + 4, exudate_count=ex_count + 2)))
-        examples = {DomainId("a"): base_examples, DomainId("b"): shifted_examples}
+            base_examples.append(ref_example(i, g, "a", microaneurysm_count=ma, exudate_count=ex_count))
+            shifted_examples.append(ref_example(i, g, "b", microaneurysm_count=ma + 4, exudate_count=ex_count + 2))
+        examples = {"a": base_examples, "b": shifted_examples}
         _, before, after = align_domains(
-            {domain: feature_matrix(rows, LESIONS_ONLY_SCHEMA) for domain, rows in examples.items()}, "a"
+            {domain: feature_matrix(domain_table(rows), LESIONS_ONLY_SCHEMA) for domain, rows in examples.items()}, "a"
         )
         assert before > 1.0
         assert after < 1e-9

@@ -608,6 +608,23 @@ class TestConfigValueTypes:
                      "--out", str(tmp_path / "out"), "--quiet"])
         assert (code, capsys.readouterr().err) == (2, f"error[INVALID_CONFIG]: {message}\n")
 
+    @pytest.mark.parametrize("flags, env, message", [
+        (["--samples", "100000000000000000000"], None,
+         "n_samples must be an integer below 2**63, got 100000000000000000000"),
+        (["--samples", str(2**63)], None, f"n_samples must be an integer below 2**63, got {2**63}"),
+        (["--seed", "-1"], None, "seed must be a nonnegative integer, got -1"),
+        ([], "-3", "seed must be a nonnegative integer, got -3"),
+    ])
+    def test_synth_numeric_flags_exit_2(self, tmp_path, capsys, monkeypatch, flags, env, message):
+        """A sample count past int64 or a negative seed is refused before any row is drawn."""
+        monkeypatch.delenv("KGDG_SEED", raising=False)
+        if env is not None:
+            monkeypatch.setenv("KGDG_SEED", env)
+        out = tmp_path / "data"
+        code = main(["synth", "--profile", "mild", "--samples", "10", *flags, "--out", str(out), "--quiet"])
+        assert (code, capsys.readouterr().err) == (2, f"error[INVALID_CONFIG]: {message}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("threshold", ["2", "-0.5", "nan"])
     def test_metrics_iou_threshold_exits_2(self, data_dir, tmp_path, capsys, threshold):
         dets = str(data_dir / "clinic_a_detections.json")

@@ -7,17 +7,26 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kgdg.core import (
+    LESIONS_ONLY_SCHEMA,
     DomainId,
     DRGrade,
-    FeatureVector,
     FusionWeights,
     LesionType,
-    ProbabilityVector,
     RenormalizationWarning,
     validate_probability_rows,
 )
-from kgdg.errors import BoxOutOfBounds, DataError, MissingColumn, NegativeProbability, SumOutOfTolerance
-from kgdg.io import read_detections, read_probability_table
+from kgdg.errors import (
+    BoxOutOfBounds,
+    DataError,
+    MissingColumn,
+    NegativeProbability,
+    NonNumericCell,
+    SchemaMismatch,
+    SumOutOfTolerance,
+)
+from kgdg.fusion import fuse
+from kgdg.io import LESIONS_VEIN_HEADER, read_detections, read_feature_table, read_probability_table
+from kgdg.learn import feature_matrix
 from kgdg.metrics import match_detections
 
 
@@ -39,9 +48,7 @@ class TestValidateProbability:
         assert validate([0.2, 0.2, 0.2, 0.2, 0.2]) == (0.2, 0.2, 0.2, 0.2, 0.2)
 
     def test_one_hot_accepted(self):
-        pv = ProbabilityVector(validate([1, 0, 0, 0, 0]))
-        assert pv.probs == (1.0, 0.0, 0.0, 0.0, 0.0)
-        assert pv.argmax() == 0
+        assert validate([1, 0, 0, 0, 0]) == (1.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_sum_out_of_tolerance(self):
         with pytest.raises(SumOutOfTolerance):
@@ -71,7 +78,8 @@ class TestValidateProbability:
         assert validate(list(row)) == row
 
     def test_argmax_tie_breaks_low(self):
-        assert ProbabilityVector(validate([0.3, 0.3, 0.2, 0.1, 0.1])).argmax() == 0
+        row = validate_probability_rows(np.array([[0.3, 0.3, 0.2, 0.1, 0.1]]))
+        assert fuse("max", row, row, FusionWeights(1.0, 0.0))[0].tolist() == [0]
 
 
 class TestBoundingBox:
@@ -100,22 +108,35 @@ class TestBoundingBox:
         read_box(tmp_path, 0.5, 0.5, 0.5, 0.5)  # x+w == 1 exactly
 
 
+def read_row(tmp_path, row, header=LESIONS_VEIN_HEADER):
+    """read_feature_table of a table with one row, given by column name over
+    a valid lesions+vein row."""
+    cells = dict(zip(LESIONS_VEIN_HEADER, ["i", "d", "0", "3", "5", "0", "0", "0", "0", "0", "0", "1.0", "5.0",
+                                           "90.0"]), **row)
+    path = tmp_path / "f.csv"
+    path.write_text(",".join(header) + "\n" + ",".join(cells[name] for name in header) + "\n")
+    return read_feature_table(path)
+
+
 class TestFeatureVector:
-    def test_vein_fields_jointly_present(self):
-        with pytest.raises(ValueError):
-            FeatureVector(vein_tortuosity=1.0)
+    """A features row's checks, now the feature reader's column checks and
+    feature_matrix's schema check."""
 
-    def test_vein_ranges(self):
-        with pytest.raises(ValueError):
-            FeatureVector(vein_tortuosity=1.0, vein_caliber_mean=5.0, vein_branch_angle_mean=190.0)
+    def test_vein_fields_jointly_present(self, tmp_path):
+        with pytest.raises(MissingColumn, match="header does not match a known feature schema"):
+            read_row(tmp_path, {}, LESIONS_VEIN_HEADER[:-2])
 
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            FeatureVector(microaneurysm_count=-1)
+    def test_vein_ranges(self, tmp_path):
+        with pytest.raises(NonNumericCell, match=r"'vein_branch_angle_mean': 190.0 outside \[0.0,180.0\]"):
+            read_row(tmp_path, {"vein_branch_angle_mean": "190"})
 
-    def test_quadrants_bounded(self):
-        with pytest.raises(ValueError):
-            FeatureVector(hemorrhage_quadrants=5)
+    def test_negative_count_rejected(self, tmp_path):
+        with pytest.raises(NonNumericCell, match="'microaneurysm_count': -1 outside >= 0"):
+            read_row(tmp_path, {"microaneurysm_count": "-1"})
+
+    def test_quadrants_bounded(self, tmp_path):
+        with pytest.raises(NonNumericCell, match="'hemorrhage_quadrants': 5 outside 0..4"):
+            read_row(tmp_path, {"hemorrhage_quadrants": "5"})
 
     @pytest.mark.parametrize("field, value", [
         ("vein_tortuosity", math.nan),
@@ -123,20 +144,21 @@ class TestFeatureVector:
         ("vein_branch_angle_mean", math.nan),
         ("microaneurysm_count", math.inf),
     ])
-    def test_non_finite_rejected(self, field, value):
-        vein = {"vein_tortuosity": 1.0, "vein_caliber_mean": 5.0, "vein_branch_angle_mean": 90.0}
-        with pytest.raises(ValueError, match="finite"):
-            FeatureVector(**{**vein, field: value})
+    def test_non_finite_rejected(self, tmp_path, field, value):
+        problem = "is not an integer" if field == "microaneurysm_count" else "is not a finite number"
+        with pytest.raises(NonNumericCell, match=f"'{field}': '{value}' {problem}"):
+            read_row(tmp_path, {field: str(value)})
 
-    def test_as_row_lesions_only(self):
-        fv = FeatureVector(microaneurysm_count=3, exudate_count=5)
-        row = fv.as_row(fv.schema())
+    def test_as_row_lesions_only(self, tmp_path):
+        table = read_row(tmp_path, {}, LESIONS_VEIN_HEADER[:11])
+        row = feature_matrix(table, table.schema)[0].tolist()
         assert row[0] == 3.0 and row[1] == 5.0 and len(row) == 8
 
-    def test_as_row_missing_vein_raises(self):
-        fv = FeatureVector()
-        with pytest.raises(ValueError):
-            fv.as_row(("vein_tortuosity",))
+    def test_as_row_missing_vein_raises(self, tmp_path):
+        table = read_row(tmp_path, {}, LESIONS_VEIN_HEADER[:11])
+        assert table.schema == LESIONS_ONLY_SCHEMA
+        with pytest.raises(SchemaMismatch, match="feature 'vein_tortuosity' absent from this vector"):
+            feature_matrix(table, ("vein_tortuosity",))
 
 
 class TestSmallTypes:

@@ -3,14 +3,9 @@ import json
 
 import numpy as np
 import pytest
+from ref_rows import RefExample, RefFeatureVector, ref_example
 
-from kgdg.core import (
-    LESIONS_ONLY_SCHEMA,
-    DomainId,
-    DRGrade,
-    FeatureVector,
-    LabeledExample,
-)
+from kgdg.core import LESIONS_ONLY_SCHEMA, DomainId, DRGrade
 from kgdg.errors import InvalidConfig, LeakageError, MissingProbabilityTable
 from kgdg.harness import (
     ExperimentConfig,
@@ -31,21 +26,13 @@ from kgdg.synth import shift_profile, write_dataset
 from test_learn import domain_table
 
 
+def balanced_examples(n_per_grade=20, domain="d"):
+    grades = [g for g in range(5) for _ in range(n_per_grade)]
+    return [ref_example(i, g, domain, microaneurysm_count=i % 7) for i, g in enumerate(grades)]
+
+
 def balanced_dataset(n_per_grade=20, domain="d"):
-    examples = []
-    i = 0
-    for g in range(5):
-        for _ in range(n_per_grade):
-            examples.append(
-                LabeledExample(
-                    image_id=f"{domain}-{i}",
-                    domain=DomainId(domain),
-                    grade=DRGrade(g),
-                    features=FeatureVector(microaneurysm_count=i % 7),
-                )
-            )
-            i += 1
-    return domain_table(examples, domain)
+    return domain_table(balanced_examples(n_per_grade, domain), domain)
 
 
 def same_split(a, b):
@@ -81,14 +68,14 @@ class TestSplitDataset:
         assert len(ids) == len(set(ids)) == len(ds)
 
     def test_singleton_grade_goes_to_train(self):
-        examples = balanced_dataset(3).examples()
+        examples = balanced_examples(3)
         examples.append(
-            LabeledExample("lone", DomainId("d"), DRGrade.PDR, FeatureVector())
+            RefExample("lone", DomainId("d"), DRGrade.PDR, RefFeatureVector())
         )
         # grade 4 now has 4 examples; craft a dataset where one grade has exactly 1
         lone = domain_table(
             [e for e in examples if int(e.grade) < 2]
-            + [LabeledExample("solo", DomainId("d"), DRGrade.PDR, FeatureVector())],
+            + [RefExample("solo", DomainId("d"), DRGrade.PDR, RefFeatureVector())],
             "d",
         )
         image_ids = lone.ids
@@ -102,28 +89,26 @@ class TestSplitDataset:
 
 
 class TestAlignDomains:
-    def _dataset(self, name, shift):
+    @staticmethod
+    def _examples(name, shift):
         rng = np.random.default_rng(0)
         examples = []
         for i in range(120):
             g = int(rng.integers(0, 5))
-            examples.append(
-                LabeledExample(
-                    image_id=f"{name}-{i}",
-                    domain=DomainId(name),
-                    grade=DRGrade(g),
-                    features=FeatureVector(
-                        microaneurysm_count=int(rng.poisson(2 + g)) + shift,
-                        exudate_count=int(rng.poisson(1 + g)) + shift,
-                        hemorrhage_quadrants=min(4, g),
-                    ),
-                )
-            )
-        return domain_table(examples, name)
+            examples.append(ref_example(
+                i, g, name,
+                microaneurysm_count=int(rng.poisson(2 + g)) + shift,
+                exudate_count=int(rng.poisson(1 + g)) + shift,
+                hemorrhage_quadrants=min(4, g),
+            ))
+        return examples
+
+    def _dataset(self, name, shift):
+        return domain_table(self._examples(name, shift), name)
 
     @staticmethod
     def _matrices(*datasets):
-        return {ds.domain: feature_matrix(ds.examples(), LESIONS_ONLY_SCHEMA) for ds in datasets}
+        return {ds.domain: feature_matrix(ds, LESIONS_ONLY_SCHEMA) for ds in datasets}
 
     def test_single_domain_zero_kl(self):
         ds = self._dataset("a", 0)
@@ -132,7 +117,8 @@ class TestAlignDomains:
 
     def test_pure_mean_shift_cancelled(self):
         # same draws, one domain offset by a constant
-        a = self._dataset("a", 0)
+        a_examples = self._examples("a", 0)
+        a = domain_table(a_examples, "a")
         b_examples = tuple(
             dataclasses.replace(
                 ex,
@@ -144,7 +130,7 @@ class TestAlignDomains:
                     exudate_count=ex.features.exudate_count + 3,
                 ),
             )
-            for i, ex in enumerate(a.examples())
+            for i, ex in enumerate(a_examples)
         )
         b = domain_table(b_examples, "b")
         transformed, before, after = align_domains(self._matrices(a, b), "a")
@@ -198,14 +184,14 @@ class TestSelectWeights:
 class TestGuardLeakage:
     def test_fires_on_overlap(self):
         ds = balanced_dataset(3, domain="x")
-        keys = {(ex.domain, ex.image_id) for ex in ds.examples()[:5]}
+        keys = set(zip(ds.domains[:5], ds.ids[:5]))
         with pytest.raises(LeakageError):
             _guard_leakage(keys, {DomainId("x"): ds.ids})
 
     def test_silent_when_disjoint(self):
         ds = balanced_dataset(3, domain="x")
         other = balanced_dataset(3, domain="y")
-        keys = {(ex.domain, ex.image_id) for ex in ds.examples()}
+        keys = set(zip(ds.domains, ds.ids))
         _guard_leakage(keys, {DomainId("y"): other.ids})
 
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from ref_detections import RefBox, RefDetection, ref_detection_lists, ref_table
+from ref_rows import RefExample, RefFeatureVector, ref_feature_matrix
 
 from kgdg.core import (
     GRADE_COUNT,
@@ -24,11 +25,9 @@ from kgdg.core import (
     PROB_SUM_EPS,
     DomainId,
     DRGrade,
-    FeatureVector,
     FusionWeights,
     LabeledExample,
     LesionType,
-    ProbabilityVector,
     RenormalizationWarning,
     validate_probability_rows,
 )
@@ -196,12 +195,13 @@ def ref_ranks(scores):
 
 
 def ref_fuse(strategy, p_dl, p_kd, w):
-    """(grade, source, winning score, probability row) of one row pair."""
+    """(grade, source, winning score, probability row) of one pair of row
+    tuples; a tie in a row breaks to the lower grade."""
     if strategy in ("selective", "max"):
         s_dl, s_kd = max(p_dl), max(p_kd)
         if s_dl >= s_kd:
-            return p_dl.argmax(), "deep", s_dl, tuple(p_dl)
-        return p_kd.argmax(), "symbolic", s_kd, tuple(p_kd)
+            return p_dl.index(s_dl), "deep", s_dl, p_dl
+        return p_kd.index(s_kd), "symbolic", s_kd, p_kd
     if strategy == "classwise":
         best_grade, best_score, best_source = 0, -1.0, "deep"
         for g in range(5):
@@ -458,9 +458,7 @@ def test_fusion_kernel_equals_per_row_reference(strategy):
     w = FusionWeights(0.6, 0.4)
     grades, sources, scores, probs = fuse(strategy, dl, kd, w)
     for i in range(dl.shape[0]):
-        a = ProbabilityVector(tuple(float(v) for v in dl[i]))
-        b = ProbabilityVector(tuple(float(v) for v in kd[i]))
-        grade, source, score, row = ref_fuse(strategy, a, b, w)
+        grade, source, score, row = ref_fuse(strategy, tuple(dl[i].tolist()), tuple(kd[i].tolist()), w)
         assert (int(grades[i]), sources[i], float(scores[i])) == (grade, source, score)
         assert tuple(float(v) for v in probs[i]) == row
 
@@ -734,14 +732,14 @@ def ref_validate_probability(values):
     total = sum(vals)
     deviation = abs(total - 1.0)
     if deviation <= PROB_SUM_EPS and all(v <= 1.0 for v in vals):
-        return ProbabilityVector(tuple(vals))
+        return tuple(vals)
     if deviation > PROB_RENORM_TOL:
         raise SumOutOfTolerance(
             f"probabilities sum to {total!r}, deviation {deviation:.3g} exceeds {PROB_RENORM_TOL}"
         )
     if deviation > PROB_SUM_EPS:
         warnings.warn(f"probability vector summed to {total!r}; renormalized", RenormalizationWarning)
-    return ProbabilityVector(tuple(v / total for v in vals))
+    return tuple(v / total for v in vals)
 
 
 def _ref_number(kind, raw, changed):
@@ -821,7 +819,7 @@ def ref_load_feature_table(path, changed=True):
             if with_vein:
                 for i, hi in ((11, None), (12, None), (13, 180.0)):
                     kwargs[header[i]] = _ref_parse_float(cells[i].strip(), header[i], lineno, 0.0, hi, changed)
-            examples.append(LabeledExample(image_id, DomainId(cells[1]), DRGrade(grade), FeatureVector(**kwargs)))
+            examples.append(RefExample(image_id, DomainId(cells[1]), DRGrade(grade), RefFeatureVector(**kwargs)))
     return examples
 
 
@@ -1025,9 +1023,10 @@ def compare_feature_readers(path):
         assert table.domains == tuple(ex.domain for ex in examples)
         assert np.array_equal(table.y, [int(ex.grade) for ex in examples])
         for schema in {LESIONS_ONLY_SCHEMA, table.schema}:
-            expected = feature_matrix(examples, schema).reshape(len(examples), len(schema))
-            assert np.array_equal(table.matrix(schema), expected)
-        assert load_feature_table(path) == examples
+            expected = ref_feature_matrix(examples, schema).reshape(len(examples), len(schema))
+            assert np.array_equal(feature_matrix(table, schema), expected)
+        assert load_feature_table(path) == [
+            LabeledExample(ex.image_id, ex.domain, int(ex.grade), ex.features.counts()) for ex in examples]
 
 
 def compare_probability_readers(path):
@@ -1038,8 +1037,9 @@ def compare_probability_readers(path):
     if _same(new, ref):
         (ids, rows), table = new[1], ref[1]
         assert ids == tuple(table) and new[2] == ref[2]
-        assert np.array_equal(rows, np.array([v.probs for v in table.values()]).reshape(-1, GRADE_COUNT))
-        assert _outcome(load_probability_table, path)[1:] == ref[1:]
+        assert np.array_equal(rows, np.array(list(table.values())).reshape(-1, GRADE_COUNT))
+        loaded = _outcome(load_probability_table, path)
+        assert {i: tuple(row.tolist()) for i, row in loaded[1].items()} == table and loaded[2:] == ref[2:]
 
 
 def compare_prediction_readers(path):
@@ -1055,7 +1055,7 @@ def compare_prediction_readers(path):
         if probs is None:
             assert all(p is None for p in expected)
         else:
-            assert np.array_equal(probs, np.array([p.probs for p in expected]).reshape(-1, GRADE_COUNT))
+            assert np.array_equal(probs, np.array(expected).reshape(-1, GRADE_COUNT))
 
 
 def _prediction_row_plain(i):
@@ -1148,7 +1148,7 @@ def test_validate_probability_equals_per_row_reference(values, scale):
     """One row through the array validation: same row, warnings and errors."""
     total = sum(v for v in values if math.isfinite(v))
     row = [v / total * scale if math.isfinite(v) and total > 0 else v for v in values]
-    new = _outcome(lambda r: ProbabilityVector(tuple(validate_probability_rows(np.array([r])).tolist()[0])), row)
+    new = _outcome(lambda r: tuple(validate_probability_rows(np.array([r])).tolist()[0]), row)
     ref = _outcome(ref_validate_probability, row)
     if _same(new, ref):
         assert new[1] == ref[1] and new[2] == ref[2]

@@ -2,17 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from ref_rows import RefFeatureVector
+from ref_rows import ref_domain_table as domain_table
+from ref_rows import ref_example as make_example
 
-from kgdg.core import (
-    LESIONS_ONLY_SCHEMA,
-    VEIN_FEATURE_NAMES,
-    DomainId,
-    DomainTable,
-    DRGrade,
-    FeatureVector,
-    LabeledExample,
-    validate_probability_rows,
-)
+from kgdg.core import validate_probability_rows
 from kgdg.errors import InvalidConfig, SchemaMismatch, SingleClassTrain, TooFewPerClass
 from kgdg.io import canonical_json
 from kgdg.learn import (
@@ -31,28 +25,6 @@ from kgdg.learn import (
 from kgdg.learn.tree import fit_classification_tree, flatten_trees, predict_tree
 
 
-def make_example(i, grade, domain="d", **counts):
-    return LabeledExample(
-        image_id=f"{domain}-{i}",
-        domain=DomainId(domain),
-        grade=DRGrade(grade),
-        features=FeatureVector(**counts),
-    )
-
-
-def domain_table(examples, domain=None):
-    """The DomainTable whose rows are ``examples``: DomainTable.examples() inverted."""
-    vein = [ex.features.as_row(VEIN_FEATURE_NAMES) for ex in examples if ex.features.has_vein]
-    return DomainTable(
-        tuple(ex.image_id for ex in examples),
-        tuple(ex.domain for ex in examples),
-        np.array([int(ex.grade) for ex in examples], dtype=np.int64),
-        np.array([ex.features.as_row(LESIONS_ONLY_SCHEMA) for ex in examples], dtype=np.int64).reshape(-1, 8),
-        np.array(vein, dtype=np.float64) if vein else None,
-        domain=None if domain is None else DomainId(domain),
-    )
-
-
 def labels(examples):
     return np.array([int(ex.grade) for ex in examples], dtype=np.int64)
 
@@ -61,9 +33,9 @@ def fit_examples(train, valid, cfg):
     """fit_model on example lists, featurized with the training rows' schema."""
     schema = resolve_schema(cfg, domain_table(train))
     return fit_model(
-        feature_matrix(train, schema),
+        feature_matrix(domain_table(train), schema),
         labels(train),
-        feature_matrix(valid, schema),
+        feature_matrix(domain_table(valid), schema),
         labels(valid),
         schema,
         cfg,
@@ -325,7 +297,7 @@ class TestForest:
         )
         forest = fit_examples(examples, examples, cfg)
         schema = examples[0].features.schema()
-        x = feature_matrix(examples, schema)
+        x = feature_matrix(domain_table(examples), schema)
         y = labels(examples)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(3).spawn(1)[0]))
         tree = fit_classification_tree(x, y, rng, max_depth=4, min_leaf=2, max_features=8)
@@ -374,7 +346,7 @@ class TestKnn:
             make_example(6, 4, microaneurysm_count=60),
         ]
         cfg = TrainConfig(model_kind="knn", k_neighbors=5)
-        pv = predict_row(fit_examples(near + far, near + far, cfg), FeatureVector(microaneurysm_count=1))
+        pv = predict_row(fit_examples(near + far, near + far, cfg), RefFeatureVector(microaneurysm_count=1))
         assert tuple(pv) == pytest.approx((0.0, 0.4, 0.6, 0.0, 0.0))
 
     def test_k1_perfect_training_accuracy_on_distinct_points(self):
@@ -437,7 +409,7 @@ class TestCrossValidate:
 
         monkeypatch.setattr(kgdg.learn, "fit_model", recording_fit)
         cross_validate(table, TrainConfig(n_trees=3, min_leaf=2, early_stop_patience=2, seed=1), folds=3)
-        rows = {row: n for n, row in enumerate(map(tuple, table.matrix(table.schema).tolist()))}
+        rows = {row: n for n, row in enumerate(map(tuple, feature_matrix(table, table.schema).tolist()))}
         assert len(fits) == 3
         for x_train, x_valid in fits:
             train, valid = ({rows[r] for r in map(tuple, x.tolist())} for x in (x_train, x_valid))

@@ -2,14 +2,19 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from ref_detections import RefBox, RefDetection, ref_table
+from ref_rows import RefFeatureVector, ref_grade_by_rules
 
-from kgdg.core import DRGrade, FeatureVector, LesionType
+from kgdg.core import DRGrade, LesionType
 from kgdg.errors import InvalidConfig
 from kgdg.rules import (
+    DEFAULT_RULES,
     RULE_LADDER,
     RuleConfig,
     aggregate_detections,
+    fire_rules,
     grade_detections,
     grade_by_rules,
     rule_grade_as_probability,
@@ -25,8 +30,8 @@ def hemorrhage(box):
 
 
 def aggregate(dets, min_score):
-    """aggregate_detections of one image's detections, as a FeatureVector."""
-    return FeatureVector.from_counts(aggregate_detections(ref_table({"i": dets}), min_score)[0].tolist())
+    """aggregate_detections of one image's detections, as a RefFeatureVector."""
+    return RefFeatureVector.from_counts(aggregate_detections(ref_table({"i": dets}), min_score)[0].tolist())
 
 
 def quadrant(box):
@@ -64,7 +69,7 @@ class TestAssignQuadrant:
 class TestAggregateDetections:
     def test_empty_is_all_zero(self):
         fv = aggregate([], min_score=0.0)
-        assert fv == FeatureVector()
+        assert fv == RefFeatureVector()
         assert not fv.has_vein
 
     def test_hemorrhages_all_quadrants(self):
@@ -147,36 +152,74 @@ RULE_FIXTURES = [
 ]
 
 
+def ladder(fv, cfg=DEFAULT_RULES):
+    """The rule fire_rules picks for one features row and its grade, which
+    grade_by_rules must give the row too."""
+    name, grade, _ = RULE_LADDER[fire_rules(np.array([fv.counts()]), cfg)[0]]
+    assert grade_by_rules(fv.counts(), cfg) == grade
+    return name, grade
+
+
 class TestGradeByRules:
     @pytest.mark.parametrize("kwargs,grade,rule", RULE_FIXTURES)
     def test_rule_fixture(self, kwargs, grade, rule):
-        trace = grade_by_rules(FeatureVector(**kwargs))
-        assert trace.grade == grade
-        assert trace.fired_rules == (rule,)
+        assert ladder(RefFeatureVector(**kwargs)) == (rule, grade)
 
     def test_total_function_on_random_vectors(self):
         rng = np.random.default_rng(3)
         for _ in range(500):
-            fv = _random_feature(rng)
-            trace = grade_by_rules(fv)
-            assert trace.fired_rules
-            assert 0 <= int(trace.grade) <= 4
+            name, grade = ladder(_random_feature(rng))
+            assert name in [r for r, _, _ in RULE_LADDER]
+            assert 0 <= int(grade) <= 4
 
     def test_cws_threshold_configurable(self):
         cfg = RuleConfig(cws_severe_threshold=2)
-        assert grade_by_rules(FeatureVector(cotton_wool_count=2), cfg).grade == DRGrade.SEVERE
+        assert grade_by_rules(RefFeatureVector(cotton_wool_count=2).counts(), cfg) == DRGrade.SEVERE
 
     def test_monotone_under_augmentation(self):
         rng = np.random.default_rng(11)
         for _ in range(2000):
             fv = _random_feature(rng)
-            before = int(grade_by_rules(fv).grade)
-            after = int(grade_by_rules(_augment(fv, rng)).grade)
+            before = int(grade_by_rules(fv.counts()))
+            after = int(grade_by_rules(_augment(fv, rng).counts()))
             assert after >= before
 
 
-def _random_feature(rng) -> FeatureVector:
-    return FeatureVector(
+# counts small, near a rule's threshold, or past int64 (the reader keeps those as exact Python ints)
+_COUNT = st.one_of(st.integers(0, 6), st.integers(0, 30), st.integers(2**63 - 2, 2**65))
+
+
+@st.composite
+def _count_rows(draw):
+    """A LESIONS_ONLY_SCHEMA row; the hemorrhage total is often 19, 20 or 21."""
+    ma, ex, hard, cws = (draw(_COUNT) for _ in range(4))
+    if draw(st.booleans()):
+        hard = draw(st.integers(0, 21))
+        soft = draw(st.integers(19, 21)) - hard if hard <= 19 else draw(st.integers(0, 1))
+    else:
+        soft = draw(_COUNT)
+    return (ma, ex, hard, soft, cws, draw(st.integers(0, 1)), draw(st.integers(0, 1)), draw(st.integers(0, 4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_count_rows(), min_size=1, max_size=8), st.integers(1, 8))
+def test_grade_by_rules_equals_table_and_reference(rows, threshold):
+    """One row's grade, the table kernel's rule for it and the per-rule
+    reference grading agree, past int64 and at 20 +- 1 hemorrhages."""
+    cfg = RuleConfig(cws_severe_threshold=threshold)
+    try:
+        counts = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        counts = np.array(rows, dtype=object)
+    fired = fire_rules(counts, cfg).tolist()
+    for row, rule in zip(rows, fired):
+        name, grade = ref_grade_by_rules(RefFeatureVector.from_counts(row), cfg)
+        assert grade_by_rules(row, cfg) == RULE_LADDER[rule][1] == grade
+        assert RULE_LADDER[rule][0] == name
+
+
+def _random_feature(rng) -> RefFeatureVector:
+    return RefFeatureVector(
         microaneurysm_count=int(rng.integers(0, 6)),
         exudate_count=int(rng.integers(0, 4)),
         hard_hemorrhage_count=int(rng.integers(0, 15)),
@@ -188,7 +231,7 @@ def _random_feature(rng) -> FeatureVector:
     )
 
 
-def _augment(fv: FeatureVector, rng) -> FeatureVector:
+def _augment(fv: RefFeatureVector, rng) -> RefFeatureVector:
     """Add one finding (the monotonicity probe)."""
     field = rng.choice(
         [
@@ -214,16 +257,14 @@ def _augment(fv: FeatureVector, rng) -> FeatureVector:
 
 class TestRuleGradeAsProbability:
     def test_one_hot(self):
-        trace = grade_by_rules(FeatureVector(neovascularization_present=True))
-        pv = rule_grade_as_probability(trace, smoothing=0.0)
-        assert pv.probs == (0.0, 0.0, 0.0, 0.0, 1.0)
+        grade = grade_by_rules(RefFeatureVector(neovascularization_present=True).counts())
+        assert rule_grade_as_probability(grade, smoothing=0.0) == (0.0, 0.0, 0.0, 0.0, 1.0)
 
     def test_smoothed(self):
-        trace = grade_by_rules(FeatureVector(exudate_count=1))
-        pv = rule_grade_as_probability(trace, smoothing=0.2)
-        assert pv.probs == pytest.approx((0.05, 0.05, 0.8, 0.05, 0.05))
+        grade = grade_by_rules(RefFeatureVector(exudate_count=1).counts())
+        assert rule_grade_as_probability(grade, smoothing=0.2) == pytest.approx((0.05, 0.05, 0.8, 0.05, 0.05))
 
     def test_smoothing_one_rejected(self):
-        trace = grade_by_rules(FeatureVector())
+        grade = grade_by_rules(RefFeatureVector().counts())
         with pytest.raises(InvalidConfig):
-            rule_grade_as_probability(trace, smoothing=1.0)
+            rule_grade_as_probability(grade, smoothing=1.0)

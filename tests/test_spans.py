@@ -115,7 +115,7 @@ print(json.dumps(spans))
 
 
 def test_commands_reach_the_traced_names(tmp_path):
-    """The fusion and rule spans see the kernels that fuse, grade
+    """The fusion, rule and featurize spans see the kernels that fuse, grade
     --detections and eval run, so a refactor that calls around a traced
     name fails here."""
     done = subprocess.run([sys.executable, "-c", TRACED_CALLS, str(PERFBENCH), str(SRC), str(tmp_path)],
@@ -126,3 +126,4 @@ def test_commands_reach_the_traced_names(tmp_path):
     assert spans["fuse"].get("fusion.calls", 0) > 0
     assert spans["grade"].get("rules.calls", 0) > 0
     assert spans["eval"].get("fusion.calls", 0) > 0
+    assert spans["eval"].get("learn.featurize_calls", 0) > 0
