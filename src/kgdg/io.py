@@ -71,8 +71,19 @@ def content_digest(data: bytes | str) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+_DIGEST_BLOCK = 1 << 20  # bytes file_digest reads at a time
+
+
 def file_digest(path: str | Path) -> str:
-    return content_digest(Path(path).read_bytes())
+    """The sha256 hex digest of the file's bytes, read through one reused
+    ``_DIGEST_BLOCK`` buffer, so memory stays flat however large the file."""
+    digest = hashlib.sha256()
+    buffer = bytearray(_DIGEST_BLOCK)
+    view = memoryview(buffer)
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(buffer):
+            digest.update(view[:size])
+    return digest.hexdigest()
 
 
 # --- tables: parsed a column at a time --------------------------------------------
@@ -438,31 +449,41 @@ _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _DETECTION_RECORD = (
     ' {\n  "image_id": %s,\n  "lesion": %s,\n  "x": %s,\n  "y": %s,\n  "w": %s,\n  "h": %s,\n  "score": %s\n }'
 )
+_DETECTION_BLOCK = 2048  # records save_detections formats and writes at a time
 
 
 def save_detections(path: str | Path, table: DetectionTable) -> None:
-    """Write a DetectionTable as detections.json records; an image without
+    r"""Write a DetectionTable as detections.json records; an image without
     detections writes no record.
 
-    The bytes are those of ``json.dumps(records, indent=1)``, written by one
-    ``%`` of the record template repeated per record: json's indenting
-    encoder is pure Python. Strings go through json's own ASCII escaper and
-    are arguments, never part of the format; ``%s`` of a float is
-    ``float.__repr__``, as json writes it.
+    The bytes are those of ``json.dumps(records, indent=1)``: ``[\n``, the
+    records joined by ``,\n``, then ``\n]\n``, or ``[]\n`` for no record.
+    json's indenting encoder is pure Python, so the records are formatted
+    and written ``_DETECTION_BLOCK`` at a time, each block by one ``%`` of
+    the record template repeated per record: memory holds one block's text,
+    however many records the table has. Strings go through json's own ASCII
+    escaper and are arguments, never part of the format; ``%s`` of a float
+    is ``float.__repr__``, as json writes it.
     """
     m = len(table.score)
-    columns = [*table.box.T.tolist(), table.score.tolist()]
-    if not (np.isfinite(table.box).all() and np.isfinite(table.score).all()):
-        columns = [[_JSON_NON_FINITE.get(repr(v), v) for v in column] for column in columns]
     ids = [encode_basestring_ascii(i) for i in table.ids]
     lesions = [encode_basestring_ascii(t.value) for t in LESION_TYPES]
-    flat: list = [None] * (7 * m)  # the record cells, record after record
-    flat[0::7] = map(ids.__getitem__, table.image.tolist())
-    flat[1::7] = map(lesions.__getitem__, table.lesion.tolist())
-    for c, column in enumerate(columns, start=2):
-        flat[c::7] = column
-    template = "[\n" + ",\n".join([_DETECTION_RECORD] * m) + "\n]\n"
-    Path(path).write_text(template % tuple(flat) if m else "[]\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        for start in range(0, m, _DETECTION_BLOCK):
+            block = slice(start, start + _DETECTION_BLOCK)
+            box, score = table.box[block], table.score[block]
+            columns = [*box.T.tolist(), score.tolist()]
+            if not (np.isfinite(box).all() and np.isfinite(score).all()):
+                columns = [[_JSON_NON_FINITE.get(repr(v), v) for v in column] for column in columns]
+            flat: list = [None] * (7 * len(score))  # the block's record cells, record after record
+            flat[0::7] = map(ids.__getitem__, table.image[block].tolist())
+            flat[1::7] = map(lesions.__getitem__, table.lesion[block].tolist())
+            for c, column in enumerate(columns, start=2):
+                flat[c::7] = column
+            template = ",\n".join([_DETECTION_RECORD] * len(score))
+            fh.write(",\n" if start else "[\n")
+            fh.write(template % tuple(flat))
+        fh.write("\n]\n" if m else "[]\n")
 
 
 # --- manifests ---------------------------------------------------------------------

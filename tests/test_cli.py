@@ -220,6 +220,20 @@ class TestEvalCommand:
         assert "INVALID_CONFIG" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_missing_detections_file_exits_3(self, data_dir, tmp_path, capsys):
+        manifest = json.loads((data_dir / "manifest.json").read_text())
+        for d in manifest["domains"]:
+            d.update({k: str(data_dir / d[k]) for k in ("features", "probs", "detections")})
+        manifest["domains"][1]["detections"] = "missing_detections.json"
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        config = self._write_config(data_dir, tmp_path, domains={
+            "manifest": str(tmp_path / "manifest.json"), "source": "clinic_a"})
+        out = tmp_path / "report.md"
+        assert main(["eval", "--config", str(config), "--out", str(out), "--quiet"]) == 3
+        missing = (tmp_path / "missing_detections.json").resolve()
+        assert capsys.readouterr().err == f"error[IO_ERROR]: [Errno 2] No such file or directory: '{missing}'\n"
+        assert not out.exists()
+
     def test_gbm_without_validation_split_is_a_typed_error(self, data_dir, tmp_path):
         config = self._write_config(data_dir, tmp_path,
                                     split={"train": 0.8, "validation": 0.0, "test": 0.2})

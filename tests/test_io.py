@@ -1,5 +1,8 @@
+import hashlib
 import json
 import re
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,9 +31,12 @@ from kgdg.errors import (
     UnknownLesionKind,
 )
 from kgdg.io import (
+    _DETECTION_BLOCK,
+    _DIGEST_BLOCK,
     LESIONS_ONLY_HEADER,
     LESIONS_VEIN_HEADER,
     DomainEntry,
+    file_digest,
     load_domain_dataset,
     load_feature_table,
     load_manifest,
@@ -44,6 +50,7 @@ from kgdg.io import (
     save_probability_table,
 )
 from kgdg.learn import TrainConfig, feature_matrix, model_from_artifact
+from kgdg.synth import gen_dataset, shift_profile
 
 from test_learn import domain_table, fit_examples
 
@@ -305,6 +312,62 @@ class TestSaveDetections:
         assert text == _json_dumps_detections(table)
         assert '"score": NaN' in text and '"score": Infinity' in text and '"score": -Infinity' in text
         assert '"image_id": "q\\"\\\\\\u00e9"' in text
+
+    @pytest.mark.parametrize("m", [_DETECTION_BLOCK - 1, _DETECTION_BLOCK, _DETECTION_BLOCK + 1,
+                                   2 * _DETECTION_BLOCK + 3])
+    @pytest.mark.parametrize("spread", [True, False], ids=["first-middle-last", "last-only"])
+    def test_bytes_equal_json_dumps_across_blocks(self, tmp_path, m, spread):
+        """Records straddling block boundaries; non-finite cells and format
+        characters in the first, a middle and the last block, or only in the
+        last, so a block of finite cells precedes one with non-finite cells."""
+        ids = ("a", "%s", "{}", "%(x)s")
+        rng = np.random.default_rng(m)
+        image, lesion = np.zeros(m, np.int64), rng.integers(0, len(LESION_TYPES), m)
+        box, score = rng.random((m, 4)), rng.random(m)
+        for k, at in enumerate((0, m // 2, m - 1) if spread else (m - 1,)):
+            image[at] = 1 + k
+            box[at, k] = (np.nan, np.inf, -np.inf)[k]
+            score[at] = (-np.inf, np.nan, np.inf)[k]
+        table = DetectionTable(ids, image, lesion, box, score)
+        save_detections(tmp_path / "d.json", table)
+        assert (tmp_path / "d.json").read_text() == _json_dumps_detections(table)
+
+
+def traced_peak(call):
+    """The most memory ``call()`` holds at once beyond what was held before, as tracemalloc counts it."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    def test_save_detections_peaks_below_half_the_file(self, tmp_path):
+        cfg = shift_profile("vein_hostile", seed=7)
+        table = gen_dataset(replace(cfg, domains=cfg.domains[:1])).detections["clinic_a"]
+        path = tmp_path / "d.json"
+        peak = traced_peak(lambda: save_detections(path, table))
+        assert (len(table.score), path.stat().st_size) == (28484, 4454433)
+        assert peak < path.stat().st_size / 2
+
+    def test_file_digest_peaks_below_2_mib(self, tmp_path):
+        path = tmp_path / "blob"
+        path.write_bytes(np.random.default_rng(0).bytes(8 << 20))
+        assert traced_peak(lambda: file_digest(path)) < 2 << 20
+
+
+class TestFileDigest:
+    @pytest.mark.parametrize("size", [0, 1, _DIGEST_BLOCK - 1, _DIGEST_BLOCK, _DIGEST_BLOCK + 1])
+    def test_equals_sha256_of_the_bytes(self, tmp_path, size):
+        path = tmp_path / "blob"
+        path.write_bytes(np.random.default_rng(size).bytes(size))
+        assert file_digest(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestManifest:
