@@ -132,7 +132,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     schema = resolve_schema(cfg, table)
     x, y = feature_matrix(table, schema), table.y
     model = fit_model(x[train], y[train], x[valid], y[valid], schema, cfg)
-    if test.size:
+    if test.size and not args.quiet:  # a diagnostic: skip computing what is not printed
         preds = model.predict_proba_matrix(x[test]).argmax(axis=1)
         held_out = evaluate_predictions(y[test], preds)
         _diag(args, f"held-out accuracy {held_out.accuracy:.4f}, macro F1 {held_out.macro_f1:.4f}")

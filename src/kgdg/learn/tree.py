@@ -5,6 +5,11 @@ break to the lowest feature index, then the lowest threshold, so a fit
 is a pure function of (data, config, rng draws). Trees are nested dicts,
 the form artifacts store; they predict as flat node arrays, which a model
 builds once.
+
+No builder may refer to itself through a closure once its fit returns:
+that cycle keeps the fit's node cache and scratch buffers alive until a
+full garbage collection. So each recursive builder clears its own name
+after the top-level call, and reference counting frees them on return.
 """
 
 from __future__ import annotations
@@ -140,7 +145,9 @@ def fit_regression_tree(x: np.ndarray, g: np.ndarray, h: np.ndarray, max_depth: 
         thr, left, right = nodes.split(node, k)
         return {"feature": int(node.feature[k]), "threshold": thr, "left": build(left), "right": build(right)}
 
-    return build(nodes.root), fitted
+    tree = build(nodes.root)
+    del build  # break the self-reference cycle (module docstring)
+    return tree, fitted
 
 
 # flat node arrays in preorder, the layout of scikit-learn's ``Tree``, with a
@@ -167,6 +174,7 @@ def flatten_trees(trees: list[dict[str, Any]]) -> FlatTrees:
         return 1 + max(depth, add(node["right"]))
 
     roots, depths = zip(*[(len(nodes), add(tree)) for tree in trees])
+    del add  # break the self-reference cycle (module docstring)
     feature, threshold, left, right = (np.array(column) for column in zip(*nodes))
     value = np.zeros((len(nodes),) + np.shape(next(iter(leaves.values()))))
     value[list(leaves)] = list(leaves.values())
@@ -239,4 +247,6 @@ def fit_classification_tree(x: np.ndarray, y: np.ndarray, rng: np.random.Generat
         return {"feature": j, "threshold": thr,
                 "left": build(idx[mask], depth - 1), "right": build(idx[~mask], depth - 1)}
 
-    return build(np.arange(x.shape[0]), max_depth)
+    tree = build(np.arange(x.shape[0]), max_depth)
+    del build  # break the self-reference cycle (module docstring)
+    return tree

@@ -141,6 +141,33 @@ class TestTrainCommand:
         assert train("env", "--config", str(config)) == seed_0
 
 
+@pytest.mark.parametrize("model", ["gbm", "logistic", "forest", "knn"])
+class TestTrainHeldOut:
+    """The held-out accuracy line is a diagnostic: --quiet skips computing it."""
+
+    def train(self, data_dir, tmp_path, model, *extra):
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({"symbolic": {"n_trees": 10}}))
+        out = tmp_path / f"model{len(extra)}.kgdg"
+        assert main(["train", "--features", str(data_dir / "clinic_a_features.csv"), "--model", model,
+                     "--seed", "0", "--config", str(config), "--out", str(out), *extra]) == 0
+        return out.read_bytes()
+
+    def test_quiet_never_scores_the_held_out_split(self, data_dir, tmp_path, monkeypatch, model):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("held-out split scored under --quiet")
+
+        monkeypatch.setattr("kgdg.cli.evaluate_predictions", unreachable)
+        self.train(data_dir, tmp_path, model, "--quiet")
+
+    def test_quiet_writes_the_same_artifact(self, data_dir, tmp_path, model):
+        assert self.train(data_dir, tmp_path, model, "--quiet") == self.train(data_dir, tmp_path, model)
+
+    def test_held_out_line_printed_without_quiet(self, data_dir, tmp_path, capsys, model):
+        self.train(data_dir, tmp_path, model)
+        assert re.search(r"^held-out accuracy \d\.\d{4}, macro F1 \d\.\d{4}$", capsys.readouterr().err, re.M)
+
+
 class TestFuseCommand:
     def test_fuse_two_tables(self, data_dir, tmp_path):
         out = tmp_path / "fused.csv"
