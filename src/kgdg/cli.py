@@ -19,7 +19,7 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-from .errors import ConfigError, DataError, InvalidConfig, KgdgError
+from .errors import DataError, InvalidConfig, KgdgError
 from .fusion import FusionStrategy, batch_fuse
 from .harness import (
     SplitFractions,
@@ -30,6 +30,7 @@ from .harness import (
     split_dataset,
 )
 from .io import (
+    MODEL_KINDS,
     canonical_json,
     content_digest,
     join_rows,
@@ -43,6 +44,7 @@ from .io import (
 from .io import load_feature_table, load_probability_table  # noqa: F401  unused here; the benchmark's tracer patches them by this module's name
 from .io import read_detections as load_detections  # noqa: F401  unused here; the benchmark's tracer patches it by this module's name
 from .learn import TrainConfig, feature_matrix, fit_model, resolve_schema
+from .learn.config import FEATURE_SETS
 from .metrics import evaluate_predictions, match_detections
 from .report import (
     compare_to_reference,
@@ -54,7 +56,7 @@ from .report import (
 )
 from .rules import RULE_LADDER, RuleConfig, fire_rules, grade_detections
 from .rules import grade_by_rules  # noqa: F401  unused here; the benchmark's tracer patches it by this module's name
-from .synth import shift_profile, write_dataset
+from .synth import SHIFT_PROFILES, shift_profile, write_dataset
 
 
 def _diag(args: argparse.Namespace, message: str) -> None:
@@ -238,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--quiet", action="store_true", help="suppress diagnostics")
 
     p = sub.add_parser("synth", help="generate a synthetic multi-domain dataset")
-    p.add_argument("--profile", required=True, choices=("mild", "severe", "vein_hostile"))
+    p.add_argument("--profile", required=True, choices=SHIFT_PROFILES)
     p.add_argument("--samples", type=int, default=2000, help="examples per domain")
     common(p, out_required=True)
     p.set_defaults(func=_cmd_synth)
@@ -252,9 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit a symbolic learner on a feature table")
     p.add_argument("--features", required=True)
-    p.add_argument("--model", default="gbm", choices=("gbm", "logistic", "forest", "knn"))
-    p.add_argument("--feature-set", default=None, dest="feature_set",
-                   choices=("auto", "lesions_only", "lesions_vein"))
+    p.add_argument("--model", default=TrainConfig.model_kind, choices=MODEL_KINDS)
+    p.add_argument("--feature-set", default=None, dest="feature_set", choices=FEATURE_SETS)
     common(p, out_required=True)
     p.set_defaults(func=_cmd_train)
 
@@ -301,12 +302,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("eval requires --config")
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return 3
     except KgdgError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -18,7 +18,7 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -563,16 +563,13 @@ MODEL_KINDS = ("gbm", "logistic", "forest", "knn")
 
 @dataclass(frozen=True)
 class ModelArtifact:
-    """Serialized trained model plus the schema it expects."""
+    """Serialized trained model plus the schema it expects; ``path``, not saved, names its file in errors."""
 
     model_kind: str
     feature_schema: tuple[str, ...]
     params: dict[str, Any]
     train_fingerprint: str
-
-    def __post_init__(self) -> None:
-        if self.model_kind not in MODEL_KINDS:
-            raise InvalidConfig(f"unknown model kind {self.model_kind!r}")
+    path: str = field(default="<unsaved artifact>", compare=False)
 
 
 def _body(artifact: ModelArtifact) -> str:
@@ -596,9 +593,10 @@ def save_model(artifact: ModelArtifact, path: str | Path) -> None:
 def load_model(path: str | Path) -> ModelArtifact:
     """Load and verify an artifact.
 
-    Raises CorruptArtifact when the file is unreadable, truncated, or its
-    body digest fails; SchemaMismatch when the schema was edited or does
-    not fit the stored model.
+    Raises CorruptArtifact when the file is unreadable or truncated, its
+    body digest fails, its ``model_kind`` is unknown or its ``params`` is
+    not an object; SchemaMismatch when the schema was edited or does not
+    fit the stored model.
     """
     path = Path(path)
     try:
@@ -616,6 +614,7 @@ def load_model(path: str | Path) -> ModelArtifact:
             feature_schema=tuple(raw["feature_schema"]),
             params=raw["params"],
             train_fingerprint=raw["train_fingerprint"],
+            path=str(path),
         )
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise CorruptArtifact(f"{path}: truncated or malformed payload: {exc}") from exc
@@ -623,6 +622,10 @@ def load_model(path: str | Path) -> ModelArtifact:
         raise SchemaMismatch(f"{path}: feature schema does not match its digest")
     if content_digest(_body(artifact)) != body_digest:
         raise CorruptArtifact(f"{path}: body digest mismatch (file edited?)")
+    if artifact.model_kind not in MODEL_KINDS:
+        raise CorruptArtifact(f"{path}: unknown model_kind {artifact.model_kind!r}")
+    if not isinstance(artifact.params, dict):
+        raise CorruptArtifact(f"{path}: params is not an object")
     arity = artifact.params.get("n_features")
     if arity is not None and arity != len(artifact.feature_schema):
         raise SchemaMismatch(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Union, get_args
 
 import numpy as np
 
@@ -31,12 +31,7 @@ from .gbm import GbmModel, fit_gbm_arrays, multinomial_log_loss, weighted_log_pr
 
 Model = Union[GbmModel, LogisticModel, ForestModel, KnnModel]
 
-_MODEL_TYPES = {
-    "gbm": GbmModel,
-    "logistic": LogisticModel,
-    "forest": ForestModel,
-    "knn": KnnModel,
-}
+_MODEL_TYPES = {cls.kind: cls for cls in get_args(Model)}
 
 
 def fit_model(

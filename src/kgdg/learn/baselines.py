@@ -14,7 +14,6 @@ import numpy as np
 
 from ..core import GRADE_COUNT, DomainTable
 from ..errors import InvalidConfig, TooFewPerClass
-from ..io import ModelArtifact
 from ..metrics import accuracy as accuracy_metric
 from ..metrics import macro_f1 as macro_f1_metric
 from ..metrics import seeded_summary
@@ -22,6 +21,8 @@ from .config import (
     FittedModel,
     TrainConfig,
     feature_matrix,
+    float64s,
+    int64s,
     resolve_schema,
     sample_weights,
     softmax,
@@ -54,6 +55,8 @@ def logistic_loss_and_grad(
 
 @dataclass
 class LogisticModel(FittedModel):
+    PARAMS = {"weights": float64s, "bias": float64s, "mean": float64s, "std": float64s}
+
     feature_schema: tuple[str, ...]
     weights: np.ndarray
     bias: np.ndarray
@@ -65,32 +68,6 @@ class LogisticModel(FittedModel):
         self.check_width(x)
         xs = (x - self.mean) / self.std
         return softmax(xs @ self.weights.T + self.bias)
-
-    def to_artifact(self) -> ModelArtifact:
-        return ModelArtifact(
-            model_kind="logistic",
-            feature_schema=self.feature_schema,
-            params={
-                "n_features": len(self.feature_schema),
-                "weights": self.weights.tolist(),
-                "bias": self.bias.tolist(),
-                "mean": self.mean.tolist(),
-                "std": self.std.tolist(),
-            },
-            train_fingerprint=self.train_fingerprint,
-        )
-
-    @classmethod
-    def from_artifact(cls, artifact: ModelArtifact) -> "LogisticModel":
-        p = artifact.params
-        return cls(
-            feature_schema=tuple(artifact.feature_schema),
-            weights=np.asarray(p["weights"], dtype=np.float64),
-            bias=np.asarray(p["bias"], dtype=np.float64),
-            mean=np.asarray(p["mean"], dtype=np.float64),
-            std=np.asarray(p["std"], dtype=np.float64),
-            train_fingerprint=artifact.train_fingerprint,
-        )
 
 
 def fit_logistic_arrays(
@@ -145,6 +122,8 @@ def fit_logistic_arrays(
 
 @dataclass
 class ForestModel(FittedModel):
+    PARAMS = {"trees": list}
+
     feature_schema: tuple[str, ...]
     trees: list[dict[str, Any]]
     train_fingerprint: str
@@ -160,25 +139,6 @@ class ForestModel(FittedModel):
         for leaves in predict_tree(self.flat, x).transpose(1, 0, 2):  # one descent, summed tree by tree
             acc += leaves
         return acc / len(self.trees)
-
-    def to_artifact(self) -> ModelArtifact:
-        return ModelArtifact(
-            model_kind="forest",
-            feature_schema=self.feature_schema,
-            params={
-                "n_features": len(self.feature_schema),
-                "trees": self.trees,
-            },
-            train_fingerprint=self.train_fingerprint,
-        )
-
-    @classmethod
-    def from_artifact(cls, artifact: ModelArtifact) -> "ForestModel":
-        return cls(
-            feature_schema=tuple(artifact.feature_schema),
-            trees=artifact.params["trees"],
-            train_fingerprint=artifact.train_fingerprint,
-        )
 
 
 def fit_forest_arrays(
@@ -209,6 +169,8 @@ def fit_forest_arrays(
 
 @dataclass
 class KnnModel(FittedModel):
+    PARAMS = {"points": float64s, "grades": int64s, "mean": float64s, "std": float64s, "k": int}
+
     feature_schema: tuple[str, ...]
     points: np.ndarray
     grades: np.ndarray
@@ -231,34 +193,6 @@ class KnnModel(FittedModel):
             counts = np.bincount(self.grades[nearest], minlength=GRADE_COUNT)
             out[i] = counts / k
         return out
-
-    def to_artifact(self) -> ModelArtifact:
-        return ModelArtifact(
-            model_kind="knn",
-            feature_schema=self.feature_schema,
-            params={
-                "n_features": len(self.feature_schema),
-                "points": self.points.tolist(),
-                "grades": self.grades.tolist(),
-                "mean": self.mean.tolist(),
-                "std": self.std.tolist(),
-                "k": self.k,
-            },
-            train_fingerprint=self.train_fingerprint,
-        )
-
-    @classmethod
-    def from_artifact(cls, artifact: ModelArtifact) -> "KnnModel":
-        p = artifact.params
-        return cls(
-            feature_schema=tuple(artifact.feature_schema),
-            points=np.asarray(p["points"], dtype=np.float64),
-            grades=np.asarray(p["grades"], dtype=np.int64),
-            mean=np.asarray(p["mean"], dtype=np.float64),
-            std=np.asarray(p["std"], dtype=np.float64),
-            k=int(p["k"]),
-            train_fingerprint=artifact.train_fingerprint,
-        )
 
 
 def fit_knn_arrays(

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from functools import partial
+from typing import Any, Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -14,8 +15,8 @@ from ..core import (
     DomainTable,
     check_field_types,
 )
-from ..errors import InvalidConfig, SchemaMismatch
-from ..io import canonical_json, content_digest
+from ..errors import CorruptArtifact, InvalidConfig, SchemaMismatch
+from ..io import MODEL_KINDS, ModelArtifact, canonical_json, content_digest
 
 FEATURE_SETS = ("auto", "lesions_only", "lesions_vein")
 
@@ -49,7 +50,7 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         check_field_types(self)
-        if self.model_kind not in ("gbm", "logistic", "forest", "knn"):
+        if self.model_kind not in MODEL_KINDS:
             raise InvalidConfig(f"unknown model_kind {self.model_kind!r}")
         if self.n_trees < 0:
             raise InvalidConfig("n_trees must be >= 0")
@@ -98,16 +99,51 @@ def feature_matrix(table: DomainTable, schema: Sequence[str]) -> np.ndarray:
     return np.ascontiguousarray(full[:, [own.index(name) for name in schema]])
 
 
-class FittedModel:
-    """What every fitted learner shares: the input width check."""
+# loaders of array params; list, int and float load the other artifact params
+float64s = partial(np.asarray, dtype=np.float64)
+int64s = partial(np.asarray, dtype=np.int64)
 
+
+class FittedModel:
+    """What every fitted learner shares: the input width check and the
+    artifact codec. A learner's ``kind`` is its class name less ``Model``,
+    lower-cased; its artifact ``params`` are ``n_features``, then each field
+    that ``PARAMS`` maps to its loader, arrays as lists."""
+
+    kind: ClassVar[str]
+    PARAMS: ClassVar[dict[str, Callable[[Any], Any]]]
     feature_schema: tuple[str, ...]
+    train_fingerprint: str
+
+    def __init_subclass__(cls) -> None:
+        cls.kind = cls.__name__.removesuffix("Model").lower()
 
     def check_width(self, x: np.ndarray) -> None:
         if x.shape[1] != len(self.feature_schema):
             raise SchemaMismatch(
                 f"model expects {len(self.feature_schema)} features, got {x.shape[1]}"
             )
+
+    def to_artifact(self) -> ModelArtifact:
+        params: dict[str, Any] = {"n_features": len(self.feature_schema)}
+        for name in self.PARAMS:
+            value = getattr(self, name)
+            params[name] = value.tolist() if isinstance(value, np.ndarray) else value
+        return ModelArtifact(self.kind, self.feature_schema, params, self.train_fingerprint)
+
+    @classmethod
+    def from_artifact(cls, artifact: ModelArtifact) -> "FittedModel":
+        """Rebuild the model; a missing or ill-typed param raises CorruptArtifact."""
+        fields = {}
+        for name, load in cls.PARAMS.items():
+            if name not in artifact.params:
+                raise CorruptArtifact(f"{artifact.path}: {cls.kind} artifact has no param {name!r}")
+            try:
+                fields[name] = load(artifact.params[name])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise CorruptArtifact(f"{artifact.path}: param {name!r} is ill-typed: {exc}") from exc
+        return cls(feature_schema=tuple(artifact.feature_schema),
+                   train_fingerprint=artifact.train_fingerprint, **fields)
 
 
 def class_counts(y: np.ndarray) -> np.ndarray:

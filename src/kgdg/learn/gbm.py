@@ -13,7 +13,7 @@ rows, and rows outside a subsample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Any
 
@@ -26,6 +26,7 @@ from .config import (
     FittedModel,
     TrainConfig,
     feature_matrix,  # noqa: F401  unused here; the benchmark's tracer patches it by this module's name
+    float64s,
     sample_weights,
     softmax,
     train_fingerprint,
@@ -38,6 +39,8 @@ PRIOR_EPS = 1e-12
 @dataclass
 class GbmModel(FittedModel):
     """Fitted boosting ensemble: rounds x grades regression trees."""
+
+    PARAMS = {"base_scores": float64s, "trees": list, "learning_rate": float, "best_round": int}
 
     feature_schema: tuple[str, ...]
     base_scores: np.ndarray
@@ -66,17 +69,12 @@ class GbmModel(FittedModel):
         self.check_width(x)
         return softmax(self.decision_scores(x))
 
-    def to_artifact(self) -> ModelArtifact:
-        params = {"n_features": len(self.feature_schema), "base_scores": self.base_scores.tolist(),
-                  "trees": self.trees, "learning_rate": self.learning_rate, "best_round": self.best_round}
-        return ModelArtifact("gbm", self.feature_schema, params, self.train_fingerprint)
-
     @classmethod
     def from_artifact(cls, artifact: ModelArtifact) -> "GbmModel":
-        p = artifact.params
-        return cls(tuple(artifact.feature_schema), np.asarray(p["base_scores"], dtype=np.float64), p["trees"],
-                   float(p["learning_rate"]), artifact.train_fingerprint,
-                   best_round=int(p.get("best_round", len(p["trees"]))))
+        p = artifact.params  # an artifact written before best_round was stored keeps every round
+        if "best_round" not in p and isinstance(p.get("trees"), list):
+            artifact = replace(artifact, params={**p, "best_round": len(p["trees"])})
+        return super().from_artifact(artifact)
 
 
 def weighted_log_priors(y: np.ndarray, weights: np.ndarray) -> np.ndarray:

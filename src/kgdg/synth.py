@@ -259,19 +259,21 @@ def write_dataset(cfg: SynthConfig, out_dir: str | Path) -> Path:
     return manifest_path
 
 
+# per profile: each domain's count bias, the vein noise, the deep branch's accuracy off its source
+SHIFT_PROFILES = {
+    "mild": ((1.0, 0.92, 1.1), 0.1, 0.62),
+    "severe": ((1.0, 0.55, 1.7), 1.0, 0.45),
+    "vein_hostile": ((1.0, 0.95, 1.05), 3.0, 0.55),
+}
+
+
 def shift_profile(name: str, seed: int = 0, n_samples: int = 2000) -> SynthConfig:
     """Named presets: ``mild`` (benign shift), ``severe`` (strong count
     shift), ``vein_hostile`` (vein features informative in-domain but
     offset hard across domains, while lesion counts stay stable)."""
-    # per profile: each domain's count bias, the vein noise, the deep branch's accuracy off its source
-    profiles = {
-        "mild": ((1.0, 0.92, 1.1), 0.1, 0.62),
-        "severe": ((1.0, 0.55, 1.7), 1.0, 0.45),
-        "vein_hostile": ((1.0, 0.95, 1.05), 3.0, 0.55),
-    }
-    if name not in profiles:
+    if name not in SHIFT_PROFILES:
         raise InvalidConfig(f"unknown shift profile {name!r}")
-    biases, sigma, ood = profiles[name]
+    biases, sigma, ood = SHIFT_PROFILES[name]
     domains = tuple(
         DomainSpec(domain, n_samples=n_samples, grade_prior=DEFAULT_GRADE_PRIOR, count_bias=bias,
                    vein_noise_sigma=sigma, neural_in_domain_accuracy=0.85, neural_ood_accuracy=ood,

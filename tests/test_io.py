@@ -35,7 +35,10 @@ from kgdg.io import (
     _DIGEST_BLOCK,
     LESIONS_ONLY_HEADER,
     LESIONS_VEIN_HEADER,
+    MODEL_KINDS,
     DomainEntry,
+    canonical_json,
+    content_digest,
     file_digest,
     load_domain_dataset,
     load_feature_table,
@@ -424,13 +427,31 @@ class TestModelArtifact:
         probe = rng.uniform(0, 10, size=(1000, 8))
         assert np.array_equal(model.predict_proba_matrix(probe), loaded.predict_proba_matrix(probe))
 
-    def test_save_is_byte_stable(self, tmp_path):
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_save_is_byte_stable(self, tmp_path, kind):
         examples = _toy_examples(40)
-        model = fit_examples(examples[:30], examples[30:], TrainConfig(n_trees=5, min_leaf=2, seed=1))
+        cfg = TrainConfig(model_kind=kind, n_trees=5, min_leaf=2, k_neighbors=3, seed=1)
+        model = fit_examples(examples[:30], examples[30:], cfg)
         p1, p2 = tmp_path / "a.kgdg", tmp_path / "b.kgdg"
         save_model(model.to_artifact(), p1)
-        save_model(model_from_artifact(load_model(p1)).to_artifact(), p2)
+        loaded = model_from_artifact(load_model(p1))
+        save_model(loaded.to_artifact(), p2)
+        assert type(loaded) is type(model) and model.kind == kind
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_gbm_artifact_without_best_round_keeps_every_round(self, tmp_path):
+        examples = _toy_examples(60)
+        cfg = TrainConfig(n_trees=8, min_leaf=2, early_stop_patience=8, seed=1)
+        model = fit_examples(examples[:50], examples[50:], cfg)
+        artifact = model.to_artifact()
+        params = {k: v for k, v in artifact.params.items() if k != "best_round"}
+        path = tmp_path / "old.kgdg"
+        save_model(replace(artifact, params=params), path)
+        loaded = model_from_artifact(load_model(path))
+        assert loaded.n_rounds == model.n_rounds > 0
+        assert loaded.best_round == model.n_rounds
+        probe = np.random.default_rng(0).uniform(0, 10, size=(200, 8))
+        assert loaded.predict_proba_matrix(probe).tobytes() == model.predict_proba_matrix(probe).tobytes()
 
     def test_edited_schema_raises_schema_mismatch(self, tmp_path):
         examples = _toy_examples(40)
@@ -468,6 +489,33 @@ class TestModelArtifact:
         path.write_text("not a model")
         with pytest.raises(CorruptArtifact):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda raw: raw.update(model_kind="svm"), "unknown model_kind 'svm'"),
+            (lambda raw: raw.update(params=[1, 2]), "params is not an object"),
+            (lambda raw: raw["params"].pop("points"), "knn artifact has no param 'points'"),
+            (lambda raw: raw["params"].update(points="zz"), "param 'points' is ill-typed"),
+            (lambda raw: raw["params"].update(k=[3]), "param 'k' is ill-typed"),
+            (lambda raw: raw["params"].update(grades=[2**70]), "param 'grades' is ill-typed"),
+        ],
+        ids=["unknown_kind", "params_not_object", "missing_param", "ill_typed_array", "ill_typed_int",
+             "overflowing_int"],
+    )
+    def test_malformed_artifact_raises_corrupt(self, tmp_path, edit, message):
+        # an artifact whose digests match its edited payload, as a hand-made file's would
+        examples = _toy_examples(40)
+        cfg = TrainConfig(model_kind="knn", k_neighbors=3, seed=1)
+        path = tmp_path / "m.kgdg"
+        save_model(fit_examples(examples[:30], examples[30:], cfg).to_artifact(), path)
+        raw = json.loads(path.read_text().split("\n", 3)[3])
+        edit(raw)
+        body = canonical_json({k: raw[k] for k in ("model_kind", "params", "train_fingerprint")})
+        schema = canonical_json(raw["feature_schema"])
+        path.write_text(f"KGDG1\n{content_digest(body)}\n{content_digest(schema)}\n{canonical_json(raw)}\n")
+        with pytest.raises(CorruptArtifact, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
+            model_from_artifact(load_model(path))
 
     def test_non_utf8_file_raises_corrupt(self, tmp_path):
         examples = _toy_examples(40)
