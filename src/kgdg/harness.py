@@ -12,15 +12,28 @@ mean +/- std tables.
 Each domain is read once into a DomainTable: a feature matrix, a grade
 array and ``(n, 5)`` deep-branch rows; splits are row-index arrays into
 them.
+
+The caller loads the data, builds the feature matrices, splits each seed
+and checks for leakage, then lists one ``FitTask`` per (seed, fold).
+``run_task`` fits, searches the fusion weights and scores one task. The
+tasks are independent and run concurrently: ``process_count`` sets how
+many processes run them from the task count and the usable cores (its
+docstring gives the rule), the caller being one and the others forked.
+With one task, one core, no ``os.fork``, or a Python thread running
+beside the caller, every task runs inline. The report is put
+together in (seed, fold) order, so its bytes do not depend on the core
+count, and a failing run raises the first failing task's exception.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,6 +57,10 @@ from .metrics import (
     seeded_summary,
 )
 from .rules import RuleConfig
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
+    from multiprocessing.process import BaseProcess
 
 DEFAULT_WEIGHT_GRID: tuple[tuple[float, float], ...] = tuple(
     (round(a / 10, 1), round(1 - a / 10, 1)) for a in range(9, 0, -1)
@@ -459,18 +476,163 @@ def _fold_kl(values: list[float], n_seeds: int) -> float | None:
     return float(np.mean(values * n_seeds))
 
 
+class FitTask(NamedTuple):
+    """One (seed, fold) task of a run. It refers to the run's tables and
+    matrices; nothing is copied."""
+
+    cfg: ExperimentConfig
+    methods: tuple[str, ...]
+    schema: tuple[str, ...]
+    datasets: Mapping[DomainId, DomainTable]
+    matrices: Mapping[DomainId, np.ndarray]  # the fold's, aligned when configured
+    sources: list[DomainId]
+    targets: list[DomainId]
+    train: Mapping[DomainId, np.ndarray]  # the seed's rows of each source
+    valid: Mapping[DomainId, np.ndarray]
+
+
+# per target {method: {metric: value}}, and the alpha_dl the weight search chose
+TaskResult = tuple[dict[DomainId, dict[str, dict[str, float]]], float | None]
+
+
+def run_task(task: FitTask) -> TaskResult:
+    """Fit the fold's model on its sources' train rows, search the fusion
+    weights on their validation rows when ``fusion-weighted`` needs them,
+    and score every method on each target's full data."""
+    tables, matrices = task.datasets, task.matrices
+    x_valid = np.vstack([matrices[d][task.valid[d]] for d in task.sources])
+    y_valid = np.concatenate([tables[d].y[task.valid[d]] for d in task.sources])
+    model = fit_model(
+        np.vstack([matrices[d][task.train[d]] for d in task.sources]),
+        np.concatenate([tables[d].y[task.train[d]] for d in task.sources]),
+        x_valid,
+        y_valid,
+        task.schema,
+        task.cfg.symbolic,
+    )
+    weights = task.cfg.fusion.fixed_weights()
+    alpha = None
+    if "fusion-weighted" in task.methods and weights is None:
+        dl_valid = np.vstack([tables[d].probs[task.valid[d]] for d in task.sources])
+        weights = select_weights((y_valid, dl_valid, model.predict_proba_matrix(x_valid)))
+        alpha = weights.alpha_dl
+    scores = {
+        t: _evaluate_rows(task.methods, tables[t].y, model.predict_proba_matrix(matrices[t]), tables[t].probs, weights)
+        for t in task.targets
+    }
+    return scores, alpha
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on; 1 where the platform cannot say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def process_count(n_tasks: int) -> int:
+    """How many processes, the caller included, run ``n_tasks`` tasks.
+
+    Tasks of one run cost about the same, and each process takes every
+    p-th task, so p processes on c cores finish after about
+    ceil(n / p) * max(p, c) / c task times. The count is the p that
+    minimizes this, at most 2c of them, the fewest on a tie: the 3 tasks of
+    a one-seed MDG run on 2 cores go to 3 processes (1.5 task times; 2
+    processes take 2), 9 tasks to 3, 4 tasks to 2. Measured on 2 cores
+    (``vein_hostile``, 2000 rows per domain): a one-seed MDG eval with 10
+    rounds took 0.71 s per call with 3 processes and 0.79 s with 2 (1.04 s
+    inline); with the default config and 3 seeds (9 tasks), 2, 3 and 9
+    processes each took about 1.6 s against 2.5 s inline.
+
+    One core, one task, no ``os.fork``, or a Python thread running beside
+    the caller (which makes ``fork`` unsafe) give 1: the tasks run inline.
+    """
+    if n_tasks < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    cores = _usable_cores()
+    return min(range(1, min(n_tasks, 2 * cores) + 1), key=lambda p: (-(-n_tasks // p) * max(p, cores), p))
+
+
+def _run_share(tasks: Sequence[FitTask]) -> list:
+    """Each task's result in order, up to the first that raises, whose
+    exception ends the list."""
+    outcomes: list = []
+    for task in tasks:
+        try:
+            outcomes.append(run_task(task))
+        except Exception as exc:  # carried to the caller, which raises it in task order
+            outcomes.append(exc)
+            break
+    return outcomes
+
+
+def _send_share(tasks: Sequence[FitTask], conn: Connection) -> None:
+    """A forked process's body: run its tasks and send their outcomes."""
+    with conn:
+        conn.send(_run_share(tasks))
+
+
+def run_tasks(tasks: Sequence[FitTask]) -> list[TaskResult]:
+    """Every task's result, in task order, from ``process_count`` processes:
+    the caller runs tasks 0, p, 2p, ... and a forked child each other
+    residue. The results are the same bytes however many processes ran
+    them. The first task to fail, in task order, raises its own exception;
+    every child is joined before this returns or raises."""
+    n = process_count(len(tasks))
+    if n == 1:
+        return [run_task(task) for task in tasks]
+    import multiprocessing  # here, so that a run with one task, and every other command, never imports it
+
+    ctx = multiprocessing.get_context("fork")
+    children: dict[int, tuple[BaseProcess, Connection]] = {}
+    try:
+        for p in range(1, n):
+            receive, send = ctx.Pipe(duplex=False)
+            with send:
+                child = ctx.Process(target=_send_share, args=(tasks[p::n], send), daemon=True)
+                try:
+                    child.start()
+                except OSError:  # no process to spare: the caller runs the rest
+                    break
+            children[p] = (child, receive)
+        shares = [_run_share(tasks[0::n])]
+        for p in range(1, n):
+            share = None
+            if p in children:
+                try:
+                    share = children[p][1].recv()
+                except Exception:  # the child died, or its exception does not unpickle here
+                    pass
+            # tasks are deterministic, so a share run here has the child's outcome
+            shares.append(_run_share(tasks[p::n]) if share is None else share)
+    except BaseException:  # an interrupt, say: stop the children, then re-raise
+        for child, _receive in children.values():
+            child.terminate()
+        raise
+    finally:
+        for child, receive in children.values():
+            receive.close()
+            child.join()
+    outcomes: list = [None] * len(tasks)
+    for p, share in enumerate(shares):
+        outcomes[p : p + n * len(share) : n] = share
+    for outcome in outcomes:  # a process stops at its first failure, so no None comes before one
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
+
+
 def run_experiment(cfg: ExperimentConfig, manifest: Manifest) -> ExperimentReport:
     """Train on each fold's source domains and evaluate on the full data of
-    its targets, once per seed."""
+    its targets, once per seed. The (seed, fold) tasks run concurrently
+    (``run_tasks``); the report does not depend on how many processes ran
+    them."""
     folds = fold_plan(cfg, [entry.name for entry in manifest.domains])
     datasets = {entry.name: load_domain_dataset(entry) for entry in manifest.domains}
     used = {d for fold in folds for part in fold for d in part}
-    methods = _method_rows(cfg, all(datasets[d].probs is not None for d in used))
+    methods = tuple(_method_rows(cfg, all(datasets[d].probs is not None for d in used)))
     training = [d for d in datasets if any(d in sources for sources, _ in folds)]
     # an auto feature set follows the first manifest domain any fold trains on
     schema = resolve_schema(cfg.symbolic, datasets[training[0]])
     features = {d: feature_matrix(table, schema) for d, table in datasets.items()}
-    grades = {d: table.y for d, table in datasets.items()}
     image_ids = {d: table.ids for d, table in datasets.items()}
 
     # alignment depends on the fold's domains only, not on the seed
@@ -486,45 +648,29 @@ def run_experiment(cfg: ExperimentConfig, manifest: Manifest) -> ExperimentRepor
             kl_afters.append(ka)
         fold_matrices.append(matrices)
 
-    per_seed: list[dict[str, dict[str, dict[str, float]]]] = []
-    selected_alphas: list[float] = []
+    tasks: list[FitTask] = []
     for seed in cfg.seeds:
         # each training domain is split once per seed, for every fold it trains in
         train, valid = {}, {}
         for d in training:
             train[d], valid[d], _test = split_dataset(datasets[d], cfg.split, seed)
-        run: dict[str, dict[str, dict[str, float]]] = {m: {} for m in methods}
         for (sources, targets), matrices in zip(folds, fold_matrices):
             _guard_leakage(
                 {(d, image_ids[d][i]) for d in sources for part in (train, valid) for i in part[d]},
                 {t: image_ids[t] for t in targets},
             )
-            x_valid = np.vstack([matrices[d][valid[d]] for d in sources])
-            y_valid = np.concatenate([grades[d][valid[d]] for d in sources])
-            model = fit_model(
-                np.vstack([matrices[d][train[d]] for d in sources]),
-                np.concatenate([grades[d][train[d]] for d in sources]),
-                x_valid,
-                y_valid,
-                schema,
-                cfg.symbolic,
-            )
-            weights = cfg.fusion.fixed_weights()
-            if "fusion-weighted" in methods and weights is None:
-                dl_valid = np.vstack([datasets[d].probs[valid[d]] for d in sources])
-                weights = select_weights((y_valid, dl_valid, model.predict_proba_matrix(x_valid)))
-                selected_alphas.append(weights.alpha_dl)
-            for t in targets:
-                results = _evaluate_rows(
-                    methods,
-                    grades[t],
-                    model.predict_proba_matrix(matrices[t]),
-                    datasets[t].probs,
-                    weights,
-                )
+            tasks.append(FitTask(cfg, methods, schema, datasets, matrices, sources, targets, train, valid))
+
+    results = run_tasks(tasks)
+    per_seed: list[dict[str, dict[str, dict[str, float]]]] = []
+    for s in range(len(cfg.seeds)):
+        run: dict[str, dict[str, dict[str, float]]] = {m: {} for m in methods}
+        for scores, _alpha in results[s * len(folds) : (s + 1) * len(folds)]:
+            for t, by_method in scores.items():
                 for m in methods:
-                    run[m][t] = results[m]
+                    run[m][t] = by_method[m]
         per_seed.append(run)
+    selected_alphas = [alpha for _scores, alpha in results if alpha is not None]
 
     columns = tuple(str(t) for _, targets in folds for t in targets)
     metrics = ("accuracy", "macro_f1", "auc")

@@ -128,10 +128,14 @@ class ForestModel(FittedModel):
     trees: list[dict[str, Any]]
     train_fingerprint: str
 
+    def flatten(self) -> list[FlatTrees]:
+        """All the trees as one set of flat node arrays."""
+        return [flatten_trees(self.trees)]
+
     @cached_property
     def flat(self) -> FlatTrees:
-        """The trees as flat node arrays, built on first use."""
-        return flatten_trees(self.trees)
+        """``flatten()``'s one set, built on first use."""
+        return self.flatten()[0]
 
     def predict_proba_matrix(self, x: np.ndarray) -> np.ndarray:
         self.check_width(x)

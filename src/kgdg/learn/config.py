@@ -133,7 +133,8 @@ class FittedModel:
 
     @classmethod
     def from_artifact(cls, artifact: ModelArtifact) -> "FittedModel":
-        """Rebuild the model; a missing or ill-typed param raises CorruptArtifact."""
+        """Rebuild the model; a missing or ill-typed param, or trees that do
+        not flatten, raise CorruptArtifact."""
         fields = {}
         for name, load in cls.PARAMS.items():
             if name not in artifact.params:
@@ -142,8 +143,24 @@ class FittedModel:
                 fields[name] = load(artifact.params[name])
             except (TypeError, ValueError, OverflowError) as exc:
                 raise CorruptArtifact(f"{artifact.path}: param {name!r} is ill-typed: {exc}") from exc
-        return cls(feature_schema=tuple(artifact.feature_schema),
-                   train_fingerprint=artifact.train_fingerprint, **fields)
+        model = cls(feature_schema=tuple(artifact.feature_schema),
+                    train_fingerprint=artifact.train_fingerprint, **fields)
+        if "trees" in cls.PARAMS:
+            model.check_trees(artifact.path)
+        return model
+
+    def check_trees(self, path: str) -> None:
+        """Flatten the trees of a loaded tree learner, so that malformed
+        trees raise CorruptArtifact here and not at the first predict; every
+        split must name one of the schema's features."""
+        try:
+            flats = self.flatten()  # type: ignore[attr-defined]
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            raise CorruptArtifact(f"{path}: param 'trees' is malformed: {exc!r}") from exc
+        width = len(self.feature_schema)
+        for flat in flats:
+            if flat.feature.dtype.kind not in "iu" or not ((flat.feature >= 0) & (flat.feature < width)).all():
+                raise CorruptArtifact(f"{path}: param 'trees' splits on a feature outside the {width} of its schema")
 
 
 def class_counts(y: np.ndarray) -> np.ndarray:

@@ -54,10 +54,14 @@ class GbmModel(FittedModel):
     def n_rounds(self) -> int:
         return len(self.trees)
 
+    def flatten(self) -> list[FlatTrees]:
+        """Each round's grade trees as flat node arrays."""
+        return [flatten_trees(round_trees) for round_trees in self.trees]
+
     @cached_property
     def flat_rounds(self) -> list[FlatTrees]:
-        """Each round's grade trees as flat node arrays, built on first use."""
-        return [flatten_trees(round_trees) for round_trees in self.trees]
+        """``flatten()``, built on first use."""
+        return self.flatten()
 
     def decision_scores(self, x: np.ndarray) -> np.ndarray:
         scores = np.tile(self.base_scores, (x.shape[0], 1))

@@ -416,6 +416,20 @@ def _toy_examples(n=40, seed=0, domain="d"):
     return out
 
 
+def _edited_artifact(tmp_path, cfg, edit):
+    """An artifact of ``cfg`` fitted on toy examples, its JSON payload passed
+    through ``edit``, with digests that match, as a hand-made file's would."""
+    examples = _toy_examples(40)
+    path = tmp_path / "m.kgdg"
+    save_model(fit_examples(examples[:30], examples[30:], cfg).to_artifact(), path)
+    raw = json.loads(path.read_text().split("\n", 3)[3])
+    edit(raw)
+    body = canonical_json({k: raw[k] for k in ("model_kind", "params", "train_fingerprint")})
+    schema = canonical_json(raw["feature_schema"])
+    path.write_text(f"KGDG1\n{content_digest(body)}\n{content_digest(schema)}\n{canonical_json(raw)}\n")
+    return path
+
+
 class TestModelArtifact:
     def test_round_trip_predictions_identical(self, tmp_path):
         examples = _toy_examples(60)
@@ -504,17 +518,28 @@ class TestModelArtifact:
              "overflowing_int"],
     )
     def test_malformed_artifact_raises_corrupt(self, tmp_path, edit, message):
-        # an artifact whose digests match its edited payload, as a hand-made file's would
-        examples = _toy_examples(40)
         cfg = TrainConfig(model_kind="knn", k_neighbors=3, seed=1)
-        path = tmp_path / "m.kgdg"
-        save_model(fit_examples(examples[:30], examples[30:], cfg).to_artifact(), path)
-        raw = json.loads(path.read_text().split("\n", 3)[3])
-        edit(raw)
-        body = canonical_json({k: raw[k] for k in ("model_kind", "params", "train_fingerprint")})
-        schema = canonical_json(raw["feature_schema"])
-        path.write_text(f"KGDG1\n{content_digest(body)}\n{content_digest(schema)}\n{canonical_json(raw)}\n")
+        path = _edited_artifact(tmp_path, cfg, edit)
         with pytest.raises(CorruptArtifact, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
+            model_from_artifact(load_model(path))
+
+    @pytest.mark.parametrize("kind", ["gbm", "forest"])
+    @pytest.mark.parametrize(
+        "trees, message",
+        [
+            ([{"bogus": 1}], "param 'trees' is malformed"),
+            ("zz", "param 'trees' is malformed"),
+            ([[{"feature": 99, "threshold": 0.5, "left": {"value": 0.0}, "right": {"value": 1.0}}]],
+             "param 'trees' splits on a feature outside the 8 of its schema"),
+        ],
+        ids=["node_without_children", "string", "feature_out_of_range"],
+    )
+    def test_malformed_trees_raise_corrupt_at_load(self, tmp_path, kind, trees, message):
+        if kind == "forest" and isinstance(trees, list) and isinstance(trees[0], list):
+            trees = trees[0]  # a forest's trees are not grouped in rounds
+        path = _edited_artifact(tmp_path, TrainConfig(model_kind=kind, n_trees=3, min_leaf=2, seed=1),
+                                lambda raw: raw["params"].update(trees=trees))
+        with pytest.raises(CorruptArtifact, match=re.escape(f"{path}: {message}")):
             model_from_artifact(load_model(path))
 
     def test_non_utf8_file_raises_corrupt(self, tmp_path):
