@@ -13,7 +13,7 @@ from typing import Any
 import numpy as np
 
 from ..core import GRADE_COUNT, DomainTable
-from ..errors import InvalidConfig, TooFewPerClass
+from ..errors import CorruptArtifact, InvalidConfig, TooFewPerClass
 from ..metrics import accuracy as accuracy_metric
 from ..metrics import macro_f1 as macro_f1_metric
 from ..metrics import seeded_summary
@@ -56,6 +56,7 @@ def logistic_loss_and_grad(
 @dataclass
 class LogisticModel(FittedModel):
     PARAMS = {"weights": float64s, "bias": float64s, "mean": float64s, "std": float64s}
+    SHAPES = {"weights": (GRADE_COUNT, "f"), "bias": (GRADE_COUNT,), "mean": ("f",), "std": ("f",)}
 
     feature_schema: tuple[str, ...]
     weights: np.ndarray
@@ -123,6 +124,7 @@ def fit_logistic_arrays(
 @dataclass
 class ForestModel(FittedModel):
     PARAMS = {"trees": list}
+    SHAPES = {"trees": ("trees", GRADE_COUNT)}  # every leaf a grade distribution
 
     feature_schema: tuple[str, ...]
     trees: list[dict[str, Any]]
@@ -174,6 +176,7 @@ def fit_forest_arrays(
 @dataclass
 class KnnModel(FittedModel):
     PARAMS = {"points": float64s, "grades": int64s, "mean": float64s, "std": float64s, "k": int}
+    SHAPES = {"points": ("rows", "f"), "grades": ("rows",), "mean": ("f",), "std": ("f",)}
 
     feature_schema: tuple[str, ...]
     points: np.ndarray
@@ -182,6 +185,13 @@ class KnnModel(FittedModel):
     std: np.ndarray
     k: int
     train_fingerprint: str
+
+    def check_params(self, path: str) -> None:
+        super().check_params(path)
+        if ((self.grades < 0) | (self.grades >= GRADE_COUNT)).any():
+            raise CorruptArtifact(f"{path}: param 'grades' holds a grade outside 0..{GRADE_COUNT - 1}")
+        if not 1 <= self.k <= len(self.grades):
+            raise CorruptArtifact(f"{path}: param 'k' is {self.k}, outside 1..{len(self.grades)}, the stored rows")
 
     def predict_proba_matrix(self, x: np.ndarray) -> np.ndarray:
         self.check_width(x)

@@ -108,10 +108,17 @@ class FittedModel:
     """What every fitted learner shares: the input width check and the
     artifact codec. A learner's ``kind`` is its class name less ``Model``,
     lower-cased; its artifact ``params`` are ``n_features``, then each field
-    that ``PARAMS`` maps to its loader, arrays as lists."""
+    that ``PARAMS`` maps to its loader, arrays as lists.
+
+    ``SHAPES`` gives the shape each loaded param must have, a dimension
+    being a number or a name: ``"f"``, the schema's width, or a count that
+    every dimension of that name shares. ``"trees"`` is checked per set of
+    trees that predict together (a GBM round, a whole forest): their count,
+    then the shape of a leaf value."""
 
     kind: ClassVar[str]
     PARAMS: ClassVar[dict[str, Callable[[Any], Any]]]
+    SHAPES: ClassVar[dict[str, tuple[int | str, ...]]]
     feature_schema: tuple[str, ...]
     train_fingerprint: str
 
@@ -133,8 +140,8 @@ class FittedModel:
 
     @classmethod
     def from_artifact(cls, artifact: ModelArtifact) -> "FittedModel":
-        """Rebuild the model; a missing or ill-typed param, or trees that do
-        not flatten, raise CorruptArtifact."""
+        """Rebuild the model; a missing, ill-typed or ill-shaped param, or
+        trees that do not flatten, raise CorruptArtifact."""
         fields = {}
         for name, load in cls.PARAMS.items():
             if name not in artifact.params:
@@ -145,22 +152,32 @@ class FittedModel:
                 raise CorruptArtifact(f"{artifact.path}: param {name!r} is ill-typed: {exc}") from exc
         model = cls(feature_schema=tuple(artifact.feature_schema),
                     train_fingerprint=artifact.train_fingerprint, **fields)
-        if "trees" in cls.PARAMS:
-            model.check_trees(artifact.path)
+        model.check_params(artifact.path)
         return model
 
-    def check_trees(self, path: str) -> None:
-        """Flatten the trees of a loaded tree learner, so that malformed
-        trees raise CorruptArtifact here and not at the first predict; every
-        split must name one of the schema's features."""
-        try:
-            flats = self.flatten()  # type: ignore[attr-defined]
-        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
-            raise CorruptArtifact(f"{path}: param 'trees' is malformed: {exc!r}") from exc
+    def check_params(self, path: str) -> None:
+        """Check every param against ``SHAPES``, so that a param a predict
+        cannot use raises CorruptArtifact here and not at the first predict.
+        A tree learner's trees are flattened, and every split must name one
+        of the schema's features."""
         width = len(self.feature_schema)
-        for flat in flats:
-            if flat.feature.dtype.kind not in "iu" or not ((flat.feature >= 0) & (flat.feature < width)).all():
-                raise CorruptArtifact(f"{path}: param 'trees' splits on a feature outside the {width} of its schema")
+        dims = {"f": width}
+        shapes = [(name, np.shape(getattr(self, name))) for name in self.SHAPES if name != "trees"]
+        if "trees" in self.SHAPES:
+            try:
+                flats = self.flatten()  # type: ignore[attr-defined]
+            except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+                raise CorruptArtifact(f"{path}: param 'trees' is malformed: {exc!r}") from exc
+            for flat in flats:
+                if flat.feature.dtype.kind not in "iu" or not ((flat.feature >= 0) & (flat.feature < width)).all():
+                    raise CorruptArtifact(f"{path}: param 'trees' splits on a feature outside the {width} of its schema")
+                shapes.append(("trees", (flat.roots.size, *flat.value.shape[1:])))
+        for name, shape in shapes:
+            dims_of = self.SHAPES[name]
+            want = tuple(dims.setdefault(d, n) if isinstance(d, str) else d for d, n in zip(dims_of, shape))
+            if len(shape) != len(dims_of) or shape != want:
+                expected = tuple(dims.get(d, d) for d in dims_of)
+                raise CorruptArtifact(f"{path}: param {name!r} has shape {shape}, expected {expected}")
 
 
 def class_counts(y: np.ndarray) -> np.ndarray:

@@ -41,6 +41,7 @@ class GbmModel(FittedModel):
     """Fitted boosting ensemble: rounds x grades regression trees."""
 
     PARAMS = {"base_scores": float64s, "trees": list, "learning_rate": float, "best_round": int}
+    SHAPES = {"base_scores": (GRADE_COUNT,), "trees": (GRADE_COUNT,)}  # a round: one scalar-leaf tree per grade
 
     feature_schema: tuple[str, ...]
     base_scores: np.ndarray

@@ -11,7 +11,7 @@ config and seed fully determine every output byte.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -240,13 +240,27 @@ def gen_dataset(cfg: SynthConfig) -> SynthOutput:
     return out
 
 
+def _alone(cfg: SynthConfig, spec: DomainSpec) -> SynthConfig:
+    """``cfg`` with ``spec`` its only domain, generating the bytes ``cfg``
+    generates for it: every stream is named by seed and domain, and a domain
+    alone is its own source, so one off the source takes the out-of-domain
+    accuracy as its in-domain one."""
+    if DomainId(spec.name) != cfg.source_domain():
+        spec = replace(spec, neural_in_domain_accuracy=spec.neural_ood_accuracy)
+    return replace(cfg, domains=(spec,), neural_source="")
+
+
 def write_dataset(cfg: SynthConfig, out_dir: str | Path) -> Path:
-    """Generate and write the data-io file layout; returns the manifest path."""
+    """Generate and write the data-io file layout; returns the manifest path.
+
+    Domains are generated, written and dropped one at a time, so the peak
+    memory is that of the largest domain, not of all of them."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    generated = gen_dataset(cfg)
     entries = []
-    for domain, table in generated.tables.items():
+    for spec in cfg.domains:
+        generated = gen_dataset(_alone(cfg, spec))
+        ((domain, table),) = generated.tables.items()
         features = f"{domain}_features.csv"
         probs = f"{domain}_probs.csv"
         dets = f"{domain}_detections.json"
@@ -254,6 +268,7 @@ def write_dataset(cfg: SynthConfig, out_dir: str | Path) -> Path:
         save_probability_table(out_dir / probs, dict(zip(table.ids, table.probs.tolist())))
         save_detections(out_dir / dets, generated.detections[domain])
         entries.append({"name": str(domain), "features": features, "probs": probs, "detections": dets})
+        del generated, table  # the loop names would keep this domain alive while the next is generated
     manifest_path = out_dir / "manifest.json"
     save_manifest(manifest_path, entries, seeds=(0, 1, 2))
     return manifest_path

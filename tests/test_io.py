@@ -53,7 +53,7 @@ from kgdg.io import (
     save_probability_table,
 )
 from kgdg.learn import TrainConfig, feature_matrix, model_from_artifact
-from kgdg.synth import gen_dataset, shift_profile
+from kgdg.synth import gen_dataset, shift_profile, write_dataset
 
 from test_learn import domain_table, fit_examples
 
@@ -359,6 +359,14 @@ class TestBoundedMemory:
         assert (len(table.score), path.stat().st_size) == (28484, 4454433)
         assert peak < path.stat().st_size / 2
 
+    def test_write_dataset_holds_one_domain_at_a_time(self, tmp_path):
+        cfg = shift_profile("vein_hostile", seed=7)
+        first = replace(cfg, domains=cfg.domains[:1])
+        write_dataset(first, tmp_path / "warm")  # first-call costs (lazy imports, caches) are not per domain
+        one = traced_peak(lambda: write_dataset(first, tmp_path / "one"))
+        every = traced_peak(lambda: write_dataset(cfg, tmp_path / "every"))
+        assert every < 1.2 * one
+
     def test_file_digest_peaks_below_2_mib(self, tmp_path):
         path = tmp_path / "blob"
         path.write_bytes(np.random.default_rng(0).bytes(8 << 20))
@@ -539,6 +547,35 @@ class TestModelArtifact:
             trees = trees[0]  # a forest's trees are not grouped in rounds
         path = _edited_artifact(tmp_path, TrainConfig(model_kind=kind, n_trees=3, min_leaf=2, seed=1),
                                 lambda raw: raw["params"].update(trees=trees))
+        with pytest.raises(CorruptArtifact, match=re.escape(f"{path}: {message}")):
+            model_from_artifact(load_model(path))
+
+    @pytest.mark.parametrize(
+        "kind, param, value, message",
+        [
+            ("gbm", "trees", [[{"value": 0.5}] * 3], "param 'trees' has shape (3,), expected (5,)"),
+            ("gbm", "trees", [[{"value": [1.0, 2.0]}] * 5], "param 'trees' has shape (5, 2), expected (5,)"),
+            ("gbm", "base_scores", [0.0, 0.0], "param 'base_scores' has shape (2,), expected (5,)"),
+            ("forest", "trees", [{"value": 0.5}], "param 'trees' has shape (1,), expected (1, 5)"),
+            ("forest", "trees", [{"value": [0.5, 0.5]}], "param 'trees' has shape (1, 2), expected (1, 5)"),
+            ("logistic", "weights", [[0.0] * 3] * 4, "param 'weights' has shape (4, 3), expected (5, 8)"),
+            ("logistic", "bias", [0.0] * 3, "param 'bias' has shape (3,), expected (5,)"),
+            ("logistic", "mean", [0.0] * 2, "param 'mean' has shape (2,), expected (8,)"),
+            ("logistic", "std", [[1.0] * 8], "param 'std' has shape (1, 8), expected (8,)"),
+            ("knn", "points", [[0.0] * 2] * 30, "param 'points' has shape (30, 2), expected (30, 8)"),
+            ("knn", "grades", [0] * 9, "param 'grades' has shape (9,), expected (30,)"),
+            ("knn", "grades", [5] * 30, "param 'grades' holds a grade outside 0..4"),
+            ("knn", "mean", [0.0] * 2, "param 'mean' has shape (2,), expected (8,)"),
+            ("knn", "std", 1.0, "param 'std' has shape (), expected (8,)"),
+            ("knn", "k", 0, "param 'k' is 0, outside 1..30, the stored rows"),
+        ],
+        ids=["gbm_round_of_3", "gbm_vector_leaf", "gbm_base_scores", "forest_scalar_leaf", "forest_short_leaf",
+             "logistic_weights", "logistic_bias", "logistic_mean", "logistic_std", "knn_points", "knn_grades",
+             "knn_grade_range", "knn_mean", "knn_std", "knn_k"],
+    )
+    def test_ill_shaped_param_raises_corrupt_at_load(self, tmp_path, kind, param, value, message):
+        cfg = TrainConfig(model_kind=kind, n_trees=3, min_leaf=2, k_neighbors=3, logistic_steps=5, seed=1)
+        path = _edited_artifact(tmp_path, cfg, lambda raw: raw["params"].update({param: value}))
         with pytest.raises(CorruptArtifact, match=re.escape(f"{path}: {message}")):
             model_from_artifact(load_model(path))
 

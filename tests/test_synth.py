@@ -290,6 +290,16 @@ class TestWriteDataset:
         assert len(ds) == 50
         assert ds.probs is not None and ds.probs.shape == (50, 5)
 
+    @pytest.mark.parametrize("source", ["", "clinic_b", "clinic_c"])
+    def test_each_domain_keeps_its_deep_branch_accuracy(self, tmp_path, source):
+        # write_dataset generates one domain at a time; off the source a domain stays out-of-domain
+        cfg = dataclasses.replace(shift_profile("mild", seed=2, n_samples=60), neural_source=source)
+        manifest = load_manifest(write_dataset(cfg, tmp_path))
+        for entry, table in zip(manifest.domains, gen_dataset(cfg).tables.values(), strict=True):
+            ids, rows = read_probability_table(entry.probs)
+            assert ids == table.ids
+            assert np.allclose(rows, table.probs, rtol=0.0, atol=1e-7)  # the file holds 8 decimals
+
     def test_detections_round_trip_exactly(self, tmp_path):
         # images with zero detections have no records in the flat JSON list
         cfg = single_domain_config(80, seed=6)
