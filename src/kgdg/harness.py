@@ -531,16 +531,19 @@ def _usable_cores() -> int:
 def process_count(n_tasks: int) -> int:
     """How many processes, the caller included, run ``n_tasks`` tasks.
 
-    Tasks of one run cost about the same, and each process takes every
-    p-th task, so p processes on c cores finish after about
+    Each process takes every p-th task. Were the tasks of one run to cost
+    about the same, p processes on c cores would finish after about
     ceil(n / p) * max(p, c) / c task times. The count is the p that
     minimizes this, at most 2c of them, the fewest on a tie: the 3 tasks of
     a one-seed MDG run on 2 cores go to 3 processes (1.5 task times; 2
-    processes take 2), 9 tasks to 3, 4 tasks to 2. Measured on 2 cores
-    (``vein_hostile``, 2000 rows per domain): a one-seed MDG eval with 10
-    rounds took 0.71 s per call with 3 processes and 0.79 s with 2 (1.04 s
-    inline); with the default config and 3 seeds (9 tasks), 2, 3 and 9
-    processes each took about 1.6 s against 2.5 s inline.
+    processes take 2), 9 tasks to 3, 4 tasks to 2. Tasks need not cost the
+    same: a GBM fit stops once validation accuracy is 1.0, so the folds of
+    one MDG seed train from 3 to 10 rounds (``vein_hostile``, 2000 rows per
+    domain, seed 7, ``n_trees: 10``), and the rule does not weigh them.
+    Measured on 2 cores, those inputs, with each fit training on to its
+    patience: a one-seed MDG eval took 0.71 s per call with 3 processes and
+    0.79 s with 2 (1.04 s inline); with the default config and 3 seeds (9
+    tasks), 2, 3 and 9 processes each took about 1.6 s against 2.5 s inline.
 
     One core, one task, no ``os.fork``, or a Python thread running beside
     the caller (which makes ``fork`` unsafe) give 1: the tasks run inline.

@@ -24,6 +24,7 @@ from .config import (
     float64s,
     int64s,
     resolve_schema,
+    row_sum,
     sample_weights,
     softmax,
     standardization,
@@ -53,6 +54,12 @@ def logistic_loss_and_grad(
     return loss, delta.T @ x, delta.sum(axis=0)
 
 
+def check_std(std: np.ndarray, path: str) -> None:
+    """A standardizing scale must divide: every entry positive and finite."""
+    if not (np.isfinite(std) & (std > 0)).all():
+        raise CorruptArtifact(f"{path}: param 'std' holds a value that is not positive and finite")
+
+
 @dataclass
 class LogisticModel(FittedModel):
     PARAMS = {"weights": float64s, "bias": float64s, "mean": float64s, "std": float64s}
@@ -64,6 +71,10 @@ class LogisticModel(FittedModel):
     mean: np.ndarray
     std: np.ndarray
     train_fingerprint: str
+
+    def check_params(self, path: str) -> None:
+        super().check_params(path)
+        check_std(self.std, path)
 
     def predict_proba_matrix(self, x: np.ndarray) -> np.ndarray:
         self.check_width(x)
@@ -139,6 +150,11 @@ class ForestModel(FittedModel):
         """``flatten()``'s one set, built on first use."""
         return self.flatten()[0]
 
+    def check_leaves(self, leaves: np.ndarray, path: str) -> None:
+        sums_to_one = np.allclose(row_sum(leaves), 1.0, rtol=0, atol=1e-9)
+        if not (np.isfinite(leaves).all() and (leaves >= 0).all() and sums_to_one):
+            raise CorruptArtifact(f"{path}: param 'trees' holds a leaf that is not a grade distribution")
+
     def predict_proba_matrix(self, x: np.ndarray) -> np.ndarray:
         self.check_width(x)
         acc = np.zeros((x.shape[0], GRADE_COUNT), dtype=np.float64)
@@ -188,6 +204,7 @@ class KnnModel(FittedModel):
 
     def check_params(self, path: str) -> None:
         super().check_params(path)
+        check_std(self.std, path)
         if ((self.grades < 0) | (self.grades >= GRADE_COUNT)).any():
             raise CorruptArtifact(f"{path}: param 'grades' holds a grade outside 0..{GRADE_COUNT - 1}")
         if not 1 <= self.k <= len(self.grades):

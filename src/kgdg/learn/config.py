@@ -158,11 +158,13 @@ class FittedModel:
     def check_params(self, path: str) -> None:
         """Check every param against ``SHAPES``, so that a param a predict
         cannot use raises CorruptArtifact here and not at the first predict.
-        A tree learner's trees are flattened, and every split must name one
-        of the schema's features."""
+        A tree learner's trees are flattened, every split must name one of
+        the schema's features, and each set's leaf values then go through
+        ``check_leaves``."""
         width = len(self.feature_schema)
         dims = {"f": width}
         shapes = [(name, np.shape(getattr(self, name))) for name in self.SHAPES if name != "trees"]
+        flats: list = []
         if "trees" in self.SHAPES:
             try:
                 flats = self.flatten()  # type: ignore[attr-defined]
@@ -178,6 +180,12 @@ class FittedModel:
             if len(shape) != len(dims_of) or shape != want:
                 expected = tuple(dims.get(d, d) for d in dims_of)
                 raise CorruptArtifact(f"{path}: param {name!r} has shape {shape}, expected {expected}")
+        for flat in flats:
+            self.check_leaves(flat.value[flat.left == np.arange(flat.left.size)], path)  # a leaf is its own child
+
+    def check_leaves(self, leaves: np.ndarray, path: str) -> None:
+        """Check the leaf values of one set of trees, one leaf per row;
+        any value passes unless a learner says otherwise."""
 
 
 def class_counts(y: np.ndarray) -> np.ndarray:

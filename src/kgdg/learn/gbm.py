@@ -3,7 +3,10 @@
 Scores start at (optionally class-weighted) log priors; each round fits
 one tree per grade to the gradient/hessian of the multinomial log-loss
 and the final distribution is the exponential normalization of the
-accumulated scores. Validation accuracy drives early stopping.
+accumulated scores. Validation accuracy drives early stopping: the fit
+keeps the trees up to the round of best validation accuracy, and stops once
+that accuracy is 1.0, since no later round can then be kept.
+``train_loss_curve`` holds one loss per round trained.
 
 A fit shares one node cache (``tree.NodeCache``) across its grade trees and
 rounds, or across one round's grade trees when it subsamples rows. A tree
@@ -98,9 +101,15 @@ def multinomial_log_loss(probs: np.ndarray, y: np.ndarray, weights: np.ndarray) 
 
 def fit_gbm_arrays(x: np.ndarray, y: np.ndarray, xv: np.ndarray, yv: np.ndarray, schema: tuple[str, ...],
                    cfg: TrainConfig) -> GbmModel:
-    """Boost until ``n_trees`` rounds or validation accuracy stalls for
-    ``early_stop_patience`` rounds; the returned model keeps the trees up
-    to the best validation round. Deterministic given the seed."""
+    """Boost until ``n_trees`` rounds, validation accuracy stalls for
+    ``early_stop_patience`` rounds, or validation accuracy is 1.0; the
+    returned model keeps the trees up to the best validation round.
+
+    A round is kept only when it raises validation accuracy, and accuracy
+    cannot exceed 1.0, so once it is 1.0 (before the first round too, when
+    the priors classify every validation row) the kept trees are final and
+    no further round is trained. ``train_loss_curve`` holds the rounds that
+    were trained. Deterministic given the seed."""
     if yv.size == 0:
         raise SchemaMismatch("validation set must be nonempty")
     if np.unique(y).size < 2:
@@ -124,8 +133,10 @@ def fit_gbm_arrays(x: np.ndarray, y: np.ndarray, xv: np.ndarray, yv: np.ndarray,
     nodes: NodeCache | None = None
     best_acc = float(np.mean(softmax(scores_v).argmax(axis=1) == yv))
     best_round = 0
+    probs = softmax(scores)
     for round_idx in range(cfg.n_trees):
-        probs = softmax(scores)
+        if best_acc == 1.0:
+            break
         if nodes is None or cfg.subsample < 1.0:
             rows = np.arange(n)
             if cfg.subsample < 1.0:
@@ -144,7 +155,8 @@ def fit_gbm_arrays(x: np.ndarray, y: np.ndarray, xv: np.ndarray, yv: np.ndarray,
         scores_v += cfg.learning_rate * predict_tree(flat, xv)
         nodes.prune()
         trees.append(round_trees)
-        loss_curve.append(multinomial_log_loss(softmax(scores), y, weights))
+        probs = softmax(scores)  # this round's loss, and the next round's gradients
+        loss_curve.append(multinomial_log_loss(probs, y, weights))
         acc = float(np.mean(softmax(scores_v).argmax(axis=1) == yv))
         if acc > best_acc:
             best_acc, best_round = acc, round_idx + 1

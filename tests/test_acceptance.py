@@ -39,7 +39,7 @@ from kgdg.synth import (
 )
 
 from ref_rows import RefFeatureVector, ref_example
-from test_learn import domain_table, fit_examples, random_examples
+from test_learn import domain_table, fit_examples, random_examples, with_contradiction
 from test_metrics import (
     oracle_accuracy,
     oracle_auc_ovr,
@@ -189,7 +189,7 @@ def test_criterion_3_learner_correctness():
         for seed in range(5):
             examples = random_examples(120, seed=seed)
             cfg = TrainConfig(n_trees=100, min_leaf=2, early_stop_patience=10_000, seed=seed)
-            model = fit_examples(examples, examples, cfg)
+            model = fit_examples(examples, with_contradiction(examples), cfg)
             curve = model.train_loss_curve
             assert len(curve) == 100
             assert all(curve[i + 1] <= curve[i] + 1e-12 for i in range(99))

@@ -568,10 +568,19 @@ class TestModelArtifact:
             ("knn", "mean", [0.0] * 2, "param 'mean' has shape (2,), expected (8,)"),
             ("knn", "std", 1.0, "param 'std' has shape (), expected (8,)"),
             ("knn", "k", 0, "param 'k' is 0, outside 1..30, the stored rows"),
+            # the five below would predict NaN rows, or rows that do not sum to 1
+            ("logistic", "std", [0.0] * 8, "param 'std' holds a value that is not positive and finite"),
+            ("knn", "std", [0.0] * 8, "param 'std' holds a value that is not positive and finite"),
+            ("knn", "std", [1.0] * 7 + [-1.0], "param 'std' holds a value that is not positive and finite"),
+            ("forest", "trees", [{"value": [2.0, 0.0, 0.0, 0.0, 0.0]}],
+             "param 'trees' holds a leaf that is not a grade distribution"),
+            ("forest", "trees", [{"value": [1.5, -0.5, 0.0, 0.0, 0.0]}],
+             "param 'trees' holds a leaf that is not a grade distribution"),
         ],
         ids=["gbm_round_of_3", "gbm_vector_leaf", "gbm_base_scores", "forest_scalar_leaf", "forest_short_leaf",
              "logistic_weights", "logistic_bias", "logistic_mean", "logistic_std", "knn_points", "knn_grades",
-             "knn_grade_range", "knn_mean", "knn_std", "knn_k"],
+             "knn_grade_range", "knn_mean", "knn_std", "knn_k", "logistic_zero_std", "knn_zero_std",
+             "knn_negative_std", "forest_leaf_sum_2", "forest_negative_leaf"],
     )
     def test_ill_shaped_param_raises_corrupt_at_load(self, tmp_path, kind, param, value, message):
         cfg = TrainConfig(model_kind=kind, n_trees=3, min_leaf=2, k_neighbors=3, logistic_steps=5, seed=1)

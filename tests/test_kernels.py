@@ -156,6 +156,8 @@ def ref_fit_gbm(x, y, xv, yv, cfg):
     trees, losses = [], []
     best_acc, best_round = float(np.mean(softmax(scores_v).argmax(axis=1) == yv)), 0
     for round_idx in range(cfg.n_trees):
+        if best_acc == 1.0:  # no later round can raise it, so none can be kept
+            break
         probs = softmax(scores)
         rows = np.arange(n)
         if cfg.subsample < 1.0:
@@ -369,10 +371,8 @@ def test_gbm_with_subsample_equals_reference_trees(seed, subsample, min_leaf, ma
     assert got.best_round == params["best_round"]
 
 
-@pytest.mark.parametrize("subsample", [1.0, 0.6])
-def test_gbm_fits_one_regression_tree_per_grade_and_round(subsample):
-    # the benchmark times and counts trees by wrapping this module global
-    x, y = _gbm_problem(5)
+def _counted_fit(monkeypatch, x, y, xv, yv, cfg):
+    """(model, regression trees it fitted) of one GBM fit."""
     calls = []
     original = gbm_module.fit_regression_tree
 
@@ -380,13 +380,51 @@ def test_gbm_fits_one_regression_tree_per_grade_and_round(subsample):
         calls.append(1)
         return original(*args, **kwargs)
 
-    gbm_module.fit_regression_tree = counted
-    try:
-        model = fit_gbm_arrays(x, y, x[:40], y[:40], ("a", "b", "c"), TrainConfig(n_trees=12, subsample=subsample))
-    finally:
-        gbm_module.fit_regression_tree = original
+    monkeypatch.setattr(gbm_module, "fit_regression_tree", counted)
+    model = fit_gbm_arrays(x, y, xv, yv, tuple("abc"[: x.shape[1]]), cfg)
+    return model, len(calls)
+
+
+@pytest.mark.parametrize("subsample", [1.0, 0.6])
+def test_gbm_fits_one_regression_tree_per_grade_and_round(subsample, monkeypatch):
+    # the benchmark times and counts trees by wrapping this module global
+    x, y = _gbm_problem(5)
+    model, fitted = _counted_fit(monkeypatch, x, y, x[:40], y[:40], TrainConfig(n_trees=12, subsample=subsample))
     assert len(model.train_loss_curve) > 0
-    assert len(calls) == GRADE_COUNT * len(model.train_loss_curve)
+    assert fitted == GRADE_COUNT * len(model.train_loss_curve)
+
+
+def _separable_problem():
+    """Five grades on one feature, held-out validation rows one per grade;
+    boosting from the skewed priors first classifies all five at round 4."""
+    y = np.repeat(np.arange(5), [40, 20, 15, 10, 8])
+    x = (y * 2.0 + np.arange(y.size) % 2)[:, None]
+    return x, y, (np.arange(5) * 2.0 + 0.5)[:, None], np.arange(5)
+
+
+def test_gbm_stops_at_the_round_validation_accuracy_reaches_one(monkeypatch):
+    # only a round that raises validation accuracy is kept, so none after it reaches 1.0 is
+    x, y, xv, yv = _separable_problem()
+    k = 4
+    short, exact = (fit_gbm_arrays(x, y, xv, yv, ("a",), TrainConfig(n_trees=rounds)) for rounds in (k - 1, k))
+    assert not np.array_equal(short.predict_proba_matrix(xv).argmax(axis=1), yv)
+    assert np.array_equal(exact.predict_proba_matrix(xv).argmax(axis=1), yv)
+    model, fitted = _counted_fit(monkeypatch, x, y, xv, yv, TrainConfig(n_trees=200, early_stop_patience=10))
+    assert fitted == GRADE_COUNT * k
+    assert len(model.train_loss_curve) == model.best_round == k
+    # the params; the fingerprint hashes the config, n_trees included
+    assert json.dumps(model.to_artifact().params) == json.dumps(exact.to_artifact().params)
+
+
+def test_gbm_whose_priors_classify_every_validation_row_trains_no_round(monkeypatch):
+    x, y, _, _ = _separable_problem()
+    xv, yv = x[:3], y[:3]  # grade 0, the most frequent
+    model, fitted = _counted_fit(monkeypatch, x, y, xv, yv, TrainConfig(n_trees=200, early_stop_patience=10))
+    assert fitted == 0 and model.train_loss_curve == ()
+    params = model.to_artifact().params
+    assert params["trees"] == [] and params["best_round"] == 0
+    priors = fit_gbm_arrays(x, y, xv, yv, ("a",), TrainConfig(n_trees=0))
+    assert json.dumps(params) == json.dumps(priors.to_artifact().params)
 
 
 # --- (b) the parent term is a per-feature scalar power ------------------------------

@@ -6,7 +6,7 @@ from ref_rows import RefFeatureVector
 from ref_rows import ref_domain_table as domain_table
 from ref_rows import ref_example as make_example
 
-from kgdg.core import validate_probability_rows
+from kgdg.core import DRGrade, validate_probability_rows
 from kgdg.errors import InvalidConfig, SchemaMismatch, SingleClassTrain, TooFewPerClass
 from kgdg.io import canonical_json
 from kgdg.learn import (
@@ -45,6 +45,15 @@ def fit_examples(train, valid, cfg):
 def predict_row(model, features):
     """The model's probability row for one feature vector."""
     return model.predict_proba_matrix(np.array([features.as_row(model.feature_schema)]))[0]
+
+
+def with_contradiction(examples):
+    """``examples`` plus a copy of the first with another grade. No model
+    classifies both copies, so as a validation set it keeps accuracy below
+    1.0, and a GBM fit trains until its patience or ``n_trees`` runs out."""
+    first = examples[0]
+    twin = dataclasses.replace(first, image_id=f"{first.image_id}-twin", grade=DRGrade((int(first.grade) + 1) % 5))
+    return [*examples, twin]
 
 
 def random_examples(n, seed=0, grades=5):
@@ -136,7 +145,7 @@ class TestGbm:
         ]
         cfg = TrainConfig(n_trees=10, max_depth=1, min_leaf=1, learning_rate=0.5,
                           early_stop_patience=100, seed=0)
-        model = fit_examples(examples, examples, cfg)
+        model = fit_examples(examples, with_contradiction(examples), cfg)
         _, oracle_losses = stump_boost_oracle([0, 1, 4, 5], [0, 0, 1, 1], 10, 0.5, 1.0)
         assert len(model.train_loss_curve) == 10
         assert model.train_loss_curve == pytest.approx(oracle_losses, abs=1e-9)
@@ -145,7 +154,7 @@ class TestGbm:
         for seed in range(3):
             examples = random_examples(80, seed=seed)
             cfg = TrainConfig(n_trees=40, min_leaf=2, early_stop_patience=1000, seed=seed)
-            model = fit_examples(examples, examples, cfg)
+            model = fit_examples(examples, with_contradiction(examples), cfg)
             curve = model.train_loss_curve
             assert all(curve[i + 1] <= curve[i] + 1e-12 for i in range(len(curve) - 1))
 
