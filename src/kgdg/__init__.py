@@ -34,7 +34,7 @@ from .harness import (
     split_dataset,
     split_indices,
 )
-from .learn import TrainConfig, cross_validate, fit_model
+from .learn import TrainConfig, fit_model
 from .metrics import (
     DomainStats,
     MetricReport,
@@ -84,7 +84,6 @@ __all__ = [
     "auc_ovr_macro",
     "batch_fuse",
     "compare_to_reference",
-    "cross_validate",
     "domain_kl",
     "emit_report",
     "evaluate_predictions",

@@ -209,6 +209,9 @@ class FusionWeights:
             raise ValueError("fusion weights must be nonnegative")
         if self.alpha_dl + self.alpha_kl <= 0:
             raise ValueError("at least one fusion weight must be positive")
+        # a finite sum bounds every blend cell, as the rows lie in [0, 1]
+        if not math.isfinite(self.alpha_dl + self.alpha_kl):
+            raise ValueError(f"fusion weights must have a finite sum, got {self.alpha_dl!r} + {self.alpha_kl!r}")
         # a subnormal weight has lost precision, and scaling it can round it to 0
         if any(0 < w < sys.float_info.min for w in (self.alpha_dl, self.alpha_kl)):
             raise ValueError(f"a positive fusion weight must be at least {sys.float_info.min!r}")

@@ -91,10 +91,6 @@ class SingleClassTrain(DataError):
     code = "SINGLE_CLASS_TRAIN"
 
 
-class TooFewPerClass(DataError):
-    code = "TOO_FEW_PER_CLASS"
-
-
 # --- evaluation ----------------------------------------------------------------
 
 class EmptyEvaluation(DataError):

@@ -120,7 +120,7 @@ class FusionSpec:
 
 def checked_weights(alpha_dl: Any, alpha_kl: Any) -> FusionWeights:
     """Fusion weights given by a caller; anything but two finite,
-    nonnegative numbers with a positive sum raises InvalidConfig."""
+    nonnegative numbers with a positive, finite sum raises InvalidConfig."""
     for value in (alpha_dl, alpha_kl):
         if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
             raise InvalidConfig(f"fusion weights must be finite numbers, got {value!r}")
@@ -470,7 +470,10 @@ def fold_plan(
 
 def _fold_kl(values: list[float], n_seeds: int) -> float | None:
     """One fold reports its KL as is; several report the mean over every
-    (seed, fold) run, so each fold's value counts once per seed."""
+    (seed, fold) run, so each fold's value counts once per seed. That mean
+    is taken over the repeated list on purpose: ``np.mean(values)`` can
+    differ from it in the last bit, as the longer sum rounds otherwise, and
+    the MDG report bytes with alignment keep this one."""
     if len(values) < 2:
         return values[0] if values else None
     return float(np.mean(values * n_seeds))

@@ -9,15 +9,12 @@ import numpy as np
 from ..errors import DataError, InvalidConfig
 from ..io import ModelArtifact
 from .baselines import (
-    CrossValidationSummary,
     ForestModel,
     KnnModel,
     LogisticModel,
-    cross_validate,
     fit_forest_arrays,
     fit_knn_arrays,
     fit_logistic_arrays,
-    logistic_loss_and_grad,
 )
 from .config import (
     TrainConfig,
@@ -64,21 +61,18 @@ def model_from_artifact(artifact: ModelArtifact) -> Model:
 
 
 __all__ = [
-    "CrossValidationSummary",
     "ForestModel",
     "GbmModel",
     "KnnModel",
     "LogisticModel",
     "Model",
     "TrainConfig",
-    "cross_validate",
     "feature_matrix",
     "fit_forest_arrays",
     "fit_gbm_arrays",
     "fit_knn_arrays",
     "fit_logistic_arrays",
     "fit_model",
-    "logistic_loss_and_grad",
     "model_from_artifact",
     "multinomial_log_loss",
     "resolve_schema",

@@ -1,6 +1,5 @@
 """The non-boosting symbolic learners: multinomial logistic regression,
-bagged randomized trees, and k-nearest neighbors, plus stratified
-cross-validation over any learner kind.
+bagged randomized trees, and k-nearest neighbors.
 """
 
 from __future__ import annotations
@@ -12,18 +11,14 @@ from typing import Any
 
 import numpy as np
 
-from ..core import GRADE_COUNT, DomainTable
-from ..errors import CorruptArtifact, InvalidConfig, TooFewPerClass
-from ..metrics import accuracy as accuracy_metric
-from ..metrics import macro_f1 as macro_f1_metric
-from ..metrics import seeded_summary
+from ..core import GRADE_COUNT
+from ..errors import CorruptArtifact, InvalidConfig
 from .config import (
     FittedModel,
     TrainConfig,
-    feature_matrix,
+    feature_matrix,  # noqa: F401  unused here; the benchmark's tracer patches it by this module's name
     float64s,
     int64s,
-    resolve_schema,
     row_sum,
     sample_weights,
     softmax,
@@ -34,24 +29,6 @@ from .tree import FlatTrees, fit_classification_tree, flatten_trees, predict_tre
 
 
 # --- multinomial logistic regression ------------------------------------------
-
-
-def logistic_loss_and_grad(
-    w: np.ndarray,
-    b: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    weights: np.ndarray,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Weighted-mean cross-entropy of softmax(x w^T + b) and its gradients."""
-    probs = softmax(x @ w.T + b)
-    picked = np.clip(probs[np.arange(y.size), y], 1e-300, None)
-    total = weights.sum()
-    loss = float(-(weights * np.log(picked)).sum() / total)
-    delta = probs.copy()
-    delta[np.arange(y.size), y] -= 1.0
-    delta *= (weights / total)[:, None]
-    return loss, delta.T @ x, delta.sum(axis=0)
 
 
 def check_std(std: np.ndarray, path: str) -> None:
@@ -93,11 +70,11 @@ def fit_logistic_arrays(
     mu, sd = standardization(x)
     xs = (x - mu) / sd
     weights = sample_weights(y, cfg.class_weighting)
-    # The gradient of logistic_loss_and_grad without the loss, bit for bit,
-    # in preallocated buffers. Logits and probabilities are grade-major
-    # (5, n): softmax's max and sum reduce over axis 0, adding each sample's
-    # grades left to right as row_sum does. Two ops depend on layout or
-    # order: BLAS rounds delta.T @ xs differently unless delta is
+    # The gradient of the reference loss in tests/ref_logistic.py, bit for
+    # bit, without the loss and in preallocated buffers. Logits and probabilities
+    # are grade-major (5, n): softmax's max and sum reduce over axis 0, adding
+    # each sample's grades left to right as row_sum does. Two ops depend on
+    # layout or order: BLAS rounds delta.T @ xs differently unless delta is
     # sample-major, and the bias sum must add the samples in order, as
     # sum(axis=0) and einsum do (a sum along a contiguous axis is pairwise).
     n = y.size
@@ -247,60 +224,4 @@ def fit_knn_arrays(
         std=sd,
         k=cfg.k_neighbors,
         train_fingerprint=train_fingerprint(cfg, schema, x, y),
-    )
-
-
-# --- cross-validation -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CrossValidationSummary:
-    per_fold_accuracy: tuple[float, ...]
-    per_fold_macro_f1: tuple[float, ...]
-    accuracy_mean: float
-    accuracy_std: float
-    macro_f1_mean: float
-    macro_f1_std: float
-
-
-def cross_validate(table: DomainTable, cfg: TrainConfig, folds: int) -> CrossValidationSummary:
-    """Stratified k-fold evaluation of the configured learner on a table's
-    rows. Each fold fits on its training rows less a stratified inner
-    validation split, which GBM early-stops on."""
-    from ..harness import SplitFractions, split_indices  # local imports to avoid a cycle
-    from . import fit_model
-
-    if folds < 2:
-        raise InvalidConfig("folds must be >= 2")
-    y = table.y
-    counts = np.bincount(y, minlength=GRADE_COUNT)
-    thin = [g for g in range(GRADE_COUNT) if 0 < counts[g] < folds]
-    if thin:
-        raise TooFewPerClass(f"grades {thin} have fewer than {folds} examples")
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    fold_of = np.empty(len(table), dtype=np.int64)
-    for g in range(GRADE_COUNT):
-        idx = np.nonzero(y == g)[0]
-        rng.shuffle(idx)
-        fold_of[idx] = np.arange(idx.size) % folds
-    schema = resolve_schema(cfg, table)
-    x = feature_matrix(table, schema)
-    accs, f1s = [], []
-    for k in range(folds):
-        train, test = np.flatnonzero(fold_of != k), fold_of == k
-        inner, valid, _ = split_indices(train.size, y[train], SplitFractions(0.8, 0.2, 0.0), cfg.seed)
-        fit, valid = train[inner], train[valid]
-        model = fit_model(x[fit], y[fit], x[valid], y[valid], schema, cfg)
-        preds = model.predict_proba_matrix(x[test]).argmax(axis=1)
-        accs.append(accuracy_metric(y[test], preds))
-        f1s.append(macro_f1_metric(y[test], preds))
-    acc_mean, acc_std = seeded_summary(accs)
-    f1_mean, f1_std = seeded_summary(f1s)
-    return CrossValidationSummary(
-        per_fold_accuracy=tuple(accs),
-        per_fold_macro_f1=tuple(f1s),
-        accuracy_mean=acc_mean,
-        accuracy_std=acc_std,
-        macro_f1_mean=f1_mean,
-        macro_f1_std=f1_std,
     )

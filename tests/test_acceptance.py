@@ -17,7 +17,7 @@ from kgdg.core import LESIONS_ONLY_SCHEMA, DRGrade, FusionWeights
 from kgdg.fusion import fuse
 from kgdg.harness import ExperimentConfig, FusionSpec, align_domains, run_experiment
 from kgdg.io import load_manifest, save_feature_table, save_manifest, save_probability_table
-from kgdg.learn import TrainConfig, feature_matrix, logistic_loss_and_grad
+from kgdg.learn import TrainConfig, feature_matrix
 from kgdg.metrics import (
     DomainStats,
     accuracy,
@@ -38,6 +38,7 @@ from kgdg.synth import (
     write_dataset,
 )
 
+from ref_logistic import logistic_loss_and_grad
 from ref_rows import RefFeatureVector, ref_example
 from test_learn import domain_table, fit_examples, random_examples, with_contradiction
 from test_metrics import (

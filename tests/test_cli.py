@@ -190,7 +190,8 @@ class TestFuseCommand:
             main(["fuse", "--strategy", "max", "--bogus", "1"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("alpha_dl,alpha_kl", [("-1", "1"), ("0", "0"), ("nan", "1"), ("5e-324", "0"), ("0", "1e-310")])
+    @pytest.mark.parametrize("alpha_dl,alpha_kl", [("-1", "1"), ("0", "0"), ("nan", "1"), ("5e-324", "0"), ("0", "1e-310"),
+                                                   ("1e308", "1e308")])
     def test_bad_weights_exit_2(self, data_dir, capsys, alpha_dl, alpha_kl):
         code = main(["fuse", "--strategy", "weighted",
                      "--dl", str(data_dir / "clinic_a_probs.csv"),
@@ -232,6 +233,7 @@ class TestEvalCommand:
         {"fusion": {"alpha_dl": "x", "alpha_kl": 0.5}},
         {"seeds": ["a"]},
         {"seeds": [-1]},
+        {"fusion": {"alpha_dl": 1e308, "alpha_kl": 1e308}},  # each finite, their sum not
     ])
     def test_malformed_weights_and_seeds_exit_2(self, data_dir, tmp_path, capsys, sections):
         config = self._write_config(data_dir, tmp_path, **sections)

@@ -118,6 +118,19 @@ class TestWeighted:
     def test_smallest_normal_weight_accepted(self):
         assert FusionWeights(0.0, sys.float_info.min).alpha_kl == sys.float_info.min
 
+    @pytest.mark.parametrize("w1,w2", [(1e308, 1e308), (float("inf"), 0.0), (0.0, float("nan"))])
+    def test_weights_whose_sum_is_not_finite_rejected(self, w1, w2):
+        # an infinite sum divides every blended row to 0 and makes winning scores inf
+        with pytest.raises(ValueError, match="finite sum"):
+            FusionWeights(w1, w2)
+
+    def test_largest_finite_sum_blends_to_finite_rows(self):
+        half = sys.float_info.max / 2
+        a, b = pv(0.1, 0.2, 0.4, 0.2, 0.1), pv(0.5, 0.1, 0.1, 0.2, 0.1)
+        r = fuse_row("weighted", a, b, FusionWeights(half, half))
+        assert np.isfinite(r.winning_score) and np.isfinite(r.probs).all()
+        assert r.grade == fuse_row("weighted", a, b, FusionWeights(1.0, 1.0)).grade
+
     @settings(max_examples=200)
     @given(simplex, simplex, st.floats(0.05, 20.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     @example(pv(0.2, 0.2, 0.2, 0.2, 0.2), pv(0.1, 0.2, 0.4, 0.2, 0.1), 0.5, 0.0, 5e-324)

@@ -19,8 +19,8 @@ from kgdg.harness import (
     split_dataset,
     _guard_leakage,
 )
-from kgdg.io import canonical_json, content_digest, load_manifest
-from kgdg.learn import TrainConfig, feature_matrix
+from kgdg.io import canonical_json, content_digest, load_manifest, read_feature_table, save_feature_table
+from kgdg.learn import TrainConfig, feature_matrix, fit_model
 from kgdg.metrics import seeded_summary
 from kgdg.synth import shift_profile, write_dataset
 from test_learn import domain_table
@@ -384,6 +384,37 @@ class TestRunExperiment:
         )
         run_experiment(cfg, small_manifest)
         assert calls == ["clinic_b", "clinic_a", "clinic_a"]
+
+    @pytest.mark.parametrize("mode", ["sdg", "mdg"])
+    def test_each_fit_validates_on_held_out_rows(self, tmp_path, monkeypatch, mode):
+        """Every fit early-stops on rows it does not train on."""
+        import kgdg.harness as harness
+
+        manifest = load_manifest(write_dataset(shift_profile("mild", seed=0, n_samples=90), tmp_path))
+        for k, entry in enumerate(manifest.domains):
+            table = read_feature_table(entry.features)
+            counts = table.counts.copy()
+            counts[:, 0] = 1000 * k + np.arange(len(table))  # a distinct row each, so a row's values name it
+            save_feature_table(entry.features, dataclasses.replace(table, counts=counts))
+        fits = []
+
+        def recording_fit(x_train, y_train, x_valid, y_valid, schema, cfg):
+            fits.append((x_train, x_valid))
+            return fit_model(x_train, y_train, x_valid, y_valid, schema, cfg)
+
+        monkeypatch.setattr(harness, "fit_model", recording_fit)
+        monkeypatch.setattr(harness, "process_count", lambda n_tasks: 1)  # a forked child's records stay there
+        cfg = ExperimentConfig(
+            mode=mode, source="clinic_a" if mode == "sdg" else None, seeds=(0, 1),
+            symbolic=TrainConfig(n_trees=3, min_leaf=2, early_stop_patience=2),
+            fusion=FusionSpec(strategies=("max",)),
+        )
+        run_experiment(cfg, manifest)
+        assert len(fits) == (2 if mode == "sdg" else 6)
+        for x_train, x_valid in fits:
+            train, valid = ({tuple(row) for row in x.tolist()} for x in (x_train, x_valid))
+            assert len(train) == len(x_train) and len(valid) == len(x_valid)
+            assert valid and not train & valid
 
     # sha256 of canonical_json(report.to_json_dict()). MDG's KL is a mean
     # over every (seed, fold) run, and SDG's KL is its single fold's value.

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from ref_detections import RefBox, RefDetection, ref_detection_lists, ref_table
+from ref_logistic import logistic_loss_and_grad
 from ref_rows import RefExample, RefFeatureVector, ref_feature_matrix
 
 from kgdg.core import (
@@ -231,21 +232,17 @@ def ref_softmax(scores):
 
 
 def ref_fit_logistic(x, y, cfg):
-    """(weights, bias) of full-batch descent through the old per-step gradient:
-    a copy of the probabilities with 1 subtracted at each row's grade."""
+    """(weights, bias) of full-batch descent through the reference loss's
+    gradient, the one the finite-difference checks cover."""
     mu, sd = standardization(x)
     xs = (x - mu) / sd
     weights = sample_weights(y, cfg.class_weighting)
     w = np.zeros((GRADE_COUNT, x.shape[1]))
     b = np.zeros(GRADE_COUNT)
     for _ in range(cfg.logistic_steps):
-        probs = ref_softmax(xs @ w.T + b)
-        total = weights.sum()
-        delta = probs.copy()
-        delta[np.arange(y.size), y] -= 1.0
-        delta *= (weights / total)[:, None]
-        w -= cfg.logistic_lr * (delta.T @ xs)
-        b -= cfg.logistic_lr * delta.sum(axis=0)
+        _, gw, gb = logistic_loss_and_grad(w, b, xs, y, weights)
+        w -= cfg.logistic_lr * gw
+        b -= cfg.logistic_lr * gb
     return w, b
 
 

@@ -2,22 +2,21 @@ import dataclasses
 
 import numpy as np
 import pytest
+from ref_logistic import logistic_loss_and_grad
 from ref_rows import RefFeatureVector
 from ref_rows import ref_domain_table as domain_table
 from ref_rows import ref_example as make_example
 
 from kgdg.core import DRGrade, validate_probability_rows
-from kgdg.errors import InvalidConfig, SchemaMismatch, SingleClassTrain, TooFewPerClass
+from kgdg.errors import InvalidConfig, SchemaMismatch, SingleClassTrain
 from kgdg.io import canonical_json
 from kgdg.learn import (
     TrainConfig,
-    cross_validate,
     feature_matrix,
     fit_gbm_arrays,
     fit_knn_arrays,
     fit_logistic_arrays,
     fit_model,
-    logistic_loss_and_grad,
     resolve_schema,
     sample_weights,
     softmax,
@@ -370,59 +369,6 @@ class TestKnn:
         examples = random_examples(5, seed=17)
         with pytest.raises(InvalidConfig):
             fit_examples(examples, examples, TrainConfig(model_kind="knn", k_neighbors=6))
-
-
-# --- cross-validation ---------------------------------------------------------------
-
-
-class TestCrossValidate:
-    def test_summary_matches_folds(self):
-        examples = random_examples(90, seed=18, grades=3)
-        cfg = TrainConfig(model_kind="logistic", logistic_steps=100, seed=0)
-        summary = cross_validate(domain_table(examples), cfg, folds=3)
-        assert len(summary.per_fold_accuracy) == 3
-        assert summary.accuracy_mean == pytest.approx(np.mean(summary.per_fold_accuracy))
-        assert summary.accuracy_std == pytest.approx(np.std(summary.per_fold_accuracy))
-
-    def test_too_few_per_class(self):
-        examples = random_examples(40, seed=19, grades=3) + [make_example(99, 4)]
-        with pytest.raises(TooFewPerClass):
-            cross_validate(domain_table(examples), TrainConfig(model_kind="knn", k_neighbors=3), folds=3)
-
-    def test_folds_must_be_at_least_two(self):
-        with pytest.raises(InvalidConfig):
-            cross_validate(domain_table(random_examples(20)), TrainConfig(), folds=1)
-
-    def test_gbm_cross_validation(self):
-        examples = random_examples(60, seed=22, grades=3)
-        cfg = TrainConfig(n_trees=5, min_leaf=2, early_stop_patience=3, seed=1)
-        summary = cross_validate(domain_table(examples), cfg, folds=2)
-        assert len(summary.per_fold_accuracy) == 2
-        assert all(0.0 <= a <= 1.0 for a in summary.per_fold_accuracy)
-
-
-    def test_gbm_fold_validates_on_held_out_rows(self, monkeypatch):
-        """Each fold's fit early-stops on rows it does not train on."""
-        import kgdg.learn
-
-        table = domain_table(random_examples(90, seed=24, grades=3))
-        counts = table.counts.copy()
-        counts[:, 0] = np.arange(len(table))  # a distinct row each, so a row's values name it
-        table = dataclasses.replace(table, counts=counts)
-        fits = []
-        original = kgdg.learn.fit_model
-
-        def recording_fit(x_train, y_train, x_valid, y_valid, schema, cfg):
-            fits.append((x_train, x_valid))
-            return original(x_train, y_train, x_valid, y_valid, schema, cfg)
-
-        monkeypatch.setattr(kgdg.learn, "fit_model", recording_fit)
-        cross_validate(table, TrainConfig(n_trees=3, min_leaf=2, early_stop_patience=2, seed=1), folds=3)
-        rows = {row: n for n, row in enumerate(map(tuple, feature_matrix(table, table.schema).tolist()))}
-        assert len(fits) == 3
-        for x_train, x_valid in fits:
-            train, valid = ({rows[r] for r in map(tuple, x.tolist())} for x in (x_train, x_valid))
-            assert valid and not train & valid
 
 
 # --- cross-learner properties ----------------------------------------------------
