@@ -5,8 +5,10 @@ invariant violation. Diagnostics (including the resolved config
 fingerprint every subcommand prints) go to stderr and honor --quiet;
 machine output goes to --out files, or stdout with ``--out -``.
 
-Seed precedence: --seed flag, then the KGDG_SEED environment variable,
-then the config-file or built-in default.
+Each subcommand takes only the flags it reads: synth, train and eval take
+--seed; grade and train take --config, and eval requires it. Seed
+precedence: --seed flag, then the KGDG_SEED environment variable, then the
+config-file or built-in default.
 """
 
 from __future__ import annotations
@@ -231,10 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, out_required: bool = False) -> None:
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed override (falls back to KGDG_SEED, then config)")
-        p.add_argument("--config", default=None, help="experiment config JSON")
+    def common(p: argparse.ArgumentParser, seed: bool = False, config: bool = False,
+               out_required: bool = False) -> None:
+        """--out and --quiet, and --seed and --config where the subcommand reads them."""
+        if seed:
+            p.add_argument("--seed", type=int, default=None,
+                           help="seed override (falls back to KGDG_SEED, then config)")
+        if config:
+            p.add_argument("--config", default=None, help="experiment config JSON")
         p.add_argument("--out", default=None, required=out_required,
                        help="output path ('-' for stdout)")
         p.add_argument("--quiet", action="store_true", help="suppress diagnostics")
@@ -242,21 +248,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic multi-domain dataset")
     p.add_argument("--profile", required=True, choices=SHIFT_PROFILES)
     p.add_argument("--samples", type=int, default=2000, help="examples per domain")
-    common(p, out_required=True)
+    common(p, seed=True, out_required=True)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("grade", help="apply the clinical rule ladder")
     p.add_argument("--features", default=None, help="features.csv to grade")
     p.add_argument("--detections", default=None, help="detections.json to aggregate and grade")
     p.add_argument("--min-score", type=float, default=None, dest="min_score")
-    common(p)
+    common(p, config=True)
     p.set_defaults(func=_cmd_grade)
 
     p = sub.add_parser("train", help="fit a symbolic learner on a feature table")
     p.add_argument("--features", required=True)
     p.add_argument("--model", default=TrainConfig.model_kind, choices=MODEL_KINDS)
     p.add_argument("--feature-set", default=None, dest="feature_set", choices=FEATURE_SETS)
-    common(p, out_required=True)
+    common(p, seed=True, config=True, out_required=True)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("fuse", help="fuse two probability tables")
@@ -271,10 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="run an SDG or MDG experiment")
     p.add_argument("--mode", default=None, choices=("sdg", "mdg"))
     p.add_argument("--format", default="markdown", choices=("markdown", "csv", "json"))
-    common(p)
+    p.add_argument("--config", required=True, help="experiment config JSON")
+    common(p, seed=True)
     p.set_defaults(func=_cmd_eval)
-    # eval requires a config file
-    p.set_defaults(_needs_config=True)
 
     p = sub.add_parser("metrics", help="score predictions or detection matches")
     p.add_argument("--truth", default=None, help="features.csv with true grades")
@@ -298,8 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "_needs_config", False) and not args.config:
-        parser.error("eval requires --config")
     try:
         return args.func(args)
     except KgdgError as exc:

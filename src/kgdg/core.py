@@ -106,12 +106,26 @@ class DomainId(str):
         return super().__new__(cls, token)
 
 
+def row_sum(a: np.ndarray) -> np.ndarray:
+    """Row sums of a few-column array, adding the columns left to right.
+
+    That is the order numpy's ``sum(axis=1)`` and ``sum()`` of five values
+    use, so the result is the same bit for bit; a numpy row reduction over
+    five columns is several times slower than these column adds.
+    """
+    cols = a.T
+    total = cols[0]
+    for c in cols[1:]:
+        total = total + c
+    return total
+
+
 def validate_probability_rows(p: np.ndarray) -> np.ndarray:
     """Validate ``(n, 5)`` rows as grade distributions, as array masks taken
     in order: a row on the simplex is kept, one whose sum is off by at most
     ``PROB_RENORM_TOL`` is renormalized with a warning, and the first worse
     row raises :class:`NegativeProbability` or :class:`SumOutOfTolerance`."""
-    total = sum(p[:, g] for g in range(GRADE_COUNT))  # left to right, as sum() of one row
+    total = row_sum(p)
     deviation = np.abs(total - 1.0)
     valid = np.isfinite(p).all(axis=1) & (p >= 0.0).all(axis=1) & (deviation <= PROB_RENORM_TOL)
     exact = (deviation <= PROB_SUM_EPS) & (p <= 1.0).all(axis=1)

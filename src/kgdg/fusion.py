@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import GRADE_COUNT, FusionWeights
+from .core import GRADE_COUNT, FusionWeights, row_sum
 from .errors import InvalidConfig, UnknownImageId
 from .io import join_rows
 
@@ -86,8 +86,7 @@ def fuse(
     deep = winner < GRADE_COUNT
     if strategy is FusionStrategy.CLASSWISE_MAX:
         peak = np.maximum(p_dl, p_kd)
-        # summed left to right, as sum() over one row does
-        probs = peak / sum(peak[:, g] for g in range(GRADE_COUNT))[:, None]
+        probs = peak / row_sum(peak)[:, None]
     else:
         probs = np.where(deep[:, None], p_dl, p_kd)
     sources = np.where(deep, FusionSource.DEEP.value, FusionSource.SYMBOLIC.value)

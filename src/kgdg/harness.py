@@ -33,7 +33,7 @@ import os
 import threading
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -175,55 +175,68 @@ def _number_or_null(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def _null_as_nan(value: float | None) -> float:
-    return float("nan") if value is None else value
-
-
-@dataclass
+@dataclass(eq=False)  # reports compare by to_json_dict(); an array has no single truth value
 class ExperimentReport:
-    """Per (method, target) mean +/- std over seeds, plus run provenance."""
+    """Per-seed scores of each (method, column, metric), plus run provenance.
+
+    ``scores`` is shaped ``(methods, columns, metrics, seeds)``; the columns
+    are the targets and then ``average``. Each cell's mean +/- std is the
+    ``seeded_summary`` of its contiguous per-seed vector.
+    """
 
     mode: str
     source_label: str
     columns: tuple[str, ...]
     methods: tuple[str, ...]
-    metrics: tuple[str, ...]
-    cells: dict[str, dict[str, dict[str, CellStat]]]
-    raw: dict[str, dict[str, dict[str, tuple[float, ...]]]]
+    scores: np.ndarray
     seeds: tuple[int, ...]
     config_fingerprint: str
-    fusion_note: str
-    aggregation: str = "seeds"
     alignment_enabled: bool = False
     kl_before: float | None = None
     kl_after: float | None = None
     selected_alphas: tuple[float, ...] = ()
 
+    metrics: ClassVar[tuple[str, ...]] = ("accuracy", "macro_f1", "auc")
+    aggregation: ClassVar[str] = "seeds"
+    fusion_note: ClassVar[str] = FUSION_MAPPING_NOTE
+
     def cell(self, method: str, column: str, metric: str = "accuracy") -> CellStat:
-        return self.cells[method][column][metric]
+        values = self.scores[self.methods.index(method), self.columns.index(column), self.metrics.index(metric)]
+        return CellStat(*seeded_summary(values), len(values))
+
+    def _table(self, leaf: Callable[[np.ndarray], Any]) -> dict[str, dict[str, dict[str, Any]]]:
+        """``leaf`` of each per-seed vector, as {method: {column: {metric: leaf}}}."""
+        return {
+            m: {c: dict(zip(self.metrics, map(leaf, by_column))) for c, by_column in zip(self.columns, by_method)}
+            for m, by_method in zip(self.methods, self.scores)
+        }
 
     def to_json_dict(self) -> dict[str, Any]:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out.update({name: list(out[name]) for name in _REPORT_SEQUENCES})
-        out["cells"] = _map_cells(self.cells, lambda v: [_number_or_null(v.mean), _number_or_null(v.std), v.n_seeds])
-        out["raw"] = _map_cells(self.raw, lambda v: [_number_or_null(x) for x in v])
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "scores"}
+        out.update({name: list(out[name]) for name in ("columns", "methods", "seeds", "selected_alphas")})
+        out.update(
+            metrics=list(self.metrics),
+            aggregation=self.aggregation,
+            fusion_note=self.fusion_note,
+            cells=self._table(lambda v: [*map(_number_or_null, seeded_summary(v)), len(v)]),
+            raw=self._table(lambda v: [_number_or_null(x) for x in v.tolist()]),
+        )
         return out
 
     @classmethod
     def from_json_dict(cls, raw: Mapping[str, Any]) -> "ExperimentReport":
-        values = {f.name: raw[f.name] for f in fields(cls)}
-        values.update({name: tuple(values[name]) for name in _REPORT_SEQUENCES})
-        values["cells"] = _map_cells(raw["cells"], lambda v: CellStat(_null_as_nan(v[0]), _null_as_nan(v[1]), int(v[2])))
-        values["raw"] = _map_cells(raw["raw"], lambda v: tuple(_null_as_nan(x) for x in v))
-        return cls(**values)
-
-
-_REPORT_SEQUENCES = ("columns", "methods", "metrics", "seeds", "selected_alphas")
-
-
-def _map_cells(table: Mapping[str, Mapping[str, Mapping[str, Any]]], fn: Any) -> dict:
-    """``fn`` over the leaves of a {method: {column: {metric: leaf}}} table."""
-    return {m: {c: {k: fn(v) for k, v in col.items()} for c, col in cols.items()} for m, cols in table.items()}
+        """The report a ``to_json_dict`` wrote, rebuilt from its ``raw``
+        values (null read as NaN); its ``cells`` are derived, not read."""
+        values = {f.name: raw[f.name] for f in fields(cls) if f.name != "scores"}
+        values.update({name: tuple(values[name]) for name in ("columns", "methods", "seeds", "selected_alphas")})
+        per_seed = raw["raw"]
+        scores = np.array(
+            [[[per_seed[m][c][k] for k in cls.metrics] for c in values["columns"]] for m in values["methods"]],
+            dtype=np.float64,
+        )
+        if scores.shape[3:] != (len(values["seeds"]),):
+            raise ValueError(f"raw holds no list of one value per seed: array shape {scores.shape}")
+        return cls(**values, scores=scores)
 
 
 # --- splitting ---------------------------------------------------------------
@@ -381,9 +394,10 @@ def _evaluate_rows(
     kd_matrix: np.ndarray,
     dl_matrix: np.ndarray | None,
     weights: FusionWeights | None,
-) -> dict[str, dict[str, float]]:
-    """Per-method accuracy / macro F1 / AUC on one evaluation set."""
-    out: dict[str, dict[str, float]] = {}
+) -> np.ndarray:
+    """The ``(methods, metrics)`` accuracy / macro F1 / AUC rows of one
+    evaluation set, in ``ExperimentReport.metrics`` order."""
+    out = []
     for method in methods:
         if method == "symbolic":
             probs = kd_matrix
@@ -400,42 +414,8 @@ def _evaluate_rows(
             auc = auc_ovr_macro(y_true, probs)
         except NoQualifyingClass:
             auc = float("nan")  # degenerate single-grade evaluation set
-        out[method] = {
-            "accuracy": accuracy(y_true, preds),
-            "macro_f1": macro_f1(y_true, preds),
-            "auc": auc,
-        }
-    return out
-
-
-def _aggregate(
-    methods: Sequence[str],
-    columns: Sequence[str],
-    metrics: Sequence[str],
-    per_seed: list[dict[str, dict[str, dict[str, float]]]],
-) -> tuple[dict, dict]:
-    """Fold per-seed {method: {column: {metric: value}}} into CellStats,
-    adding the cross-target 'average' column per seed first."""
-    cells: dict[str, dict[str, dict[str, CellStat]]] = {}
-    raw: dict[str, dict[str, dict[str, tuple[float, ...]]]] = {}
-    for method in methods:
-        cells[method] = {}
-        raw[method] = {}
-        for column in list(columns) + ["average"]:
-            cells[method][column] = {}
-            raw[method][column] = {}
-            for metric in metrics:
-                if column == "average":
-                    values = [
-                        float(np.mean([run[method][c][metric] for c in columns]))
-                        for run in per_seed
-                    ]
-                else:
-                    values = [run[method][column][metric] for run in per_seed]
-                mean, std = seeded_summary(values)
-                cells[method][column][metric] = CellStat(mean, std, len(values))
-                raw[method][column][metric] = tuple(values)
-    return cells, raw
+        out.append((accuracy(y_true, preds), macro_f1(y_true, preds), auc))
+    return np.array(out)
 
 
 def fold_plan(
@@ -494,8 +474,8 @@ class FitTask(NamedTuple):
     valid: Mapping[DomainId, np.ndarray]
 
 
-# per target {method: {metric: value}}, and the alpha_dl the weight search chose
-TaskResult = tuple[dict[DomainId, dict[str, dict[str, float]]], float | None]
+# each target's (methods, metrics) rows, and the alpha_dl the weight search chose
+TaskResult = tuple[list[np.ndarray], float | None]
 
 
 def run_task(task: FitTask) -> TaskResult:
@@ -519,10 +499,10 @@ def run_task(task: FitTask) -> TaskResult:
         dl_valid = np.vstack([tables[d].probs[task.valid[d]] for d in task.sources])
         weights = select_weights((y_valid, dl_valid, model.predict_proba_matrix(x_valid)))
         alpha = weights.alpha_dl
-    scores = {
-        t: _evaluate_rows(task.methods, tables[t].y, model.predict_proba_matrix(matrices[t]), tables[t].probs, weights)
+    scores = [
+        _evaluate_rows(task.methods, tables[t].y, model.predict_proba_matrix(matrices[t]), tables[t].probs, weights)
         for t in task.targets
-    }
+    ]
     return scores, alpha
 
 
@@ -668,34 +648,24 @@ def run_experiment(cfg: ExperimentConfig, manifest: Manifest) -> ExperimentRepor
             tasks.append(FitTask(cfg, methods, schema, datasets, matrices, sources, targets, train, valid))
 
     results = run_tasks(tasks)
-    per_seed: list[dict[str, dict[str, dict[str, float]]]] = []
-    for s in range(len(cfg.seeds)):
-        run: dict[str, dict[str, dict[str, float]]] = {m: {} for m in methods}
-        for scores, _alpha in results[s * len(folds) : (s + 1) * len(folds)]:
-            for t, by_method in scores.items():
-                for m in methods:
-                    run[m][t] = by_method[m]
-        per_seed.append(run)
-    selected_alphas = [alpha for _scores, alpha in results if alpha is not None]
-
     columns = tuple(str(t) for _, targets in folds for t in targets)
-    metrics = ("accuracy", "macro_f1", "auc")
-    cells, raw = _aggregate(methods, columns, metrics, per_seed)
+    # (methods, metrics, seeds, targets), so that each per-seed target vector is contiguous
+    rows = np.array([row for scores, _alpha in results for row in scores])
+    rows = rows.reshape(len(cfg.seeds), len(columns), *rows.shape[1:])
+    by_target = np.ascontiguousarray(rows.transpose(2, 3, 0, 1))
+    scores = np.concatenate((by_target, by_target.mean(axis=-1, keepdims=True)), axis=-1)
     return ExperimentReport(
         mode=cfg.mode,
         source_label="leave-one-domain-out" if cfg.mode == "mdg" else str(folds[0][0][0]),
         columns=columns + ("average",),
-        methods=tuple(methods),
-        metrics=metrics,
-        cells=cells,
-        raw=raw,
+        methods=methods,
+        scores=np.ascontiguousarray(scores.transpose(0, 3, 1, 2)),
         seeds=cfg.seeds,
         config_fingerprint=_config_fingerprint(cfg, manifest),
-        fusion_note=FUSION_MAPPING_NOTE,
         alignment_enabled=cfg.alignment,
         kl_before=_fold_kl(kl_befores, len(cfg.seeds)),
         kl_after=_fold_kl(kl_afters, len(cfg.seeds)),
-        selected_alphas=tuple(selected_alphas),
+        selected_alphas=tuple(alpha for _scores, alpha in results if alpha is not None),
     )
 
 

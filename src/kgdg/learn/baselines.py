@@ -11,7 +11,7 @@ from typing import Any
 
 import numpy as np
 
-from ..core import GRADE_COUNT
+from ..core import GRADE_COUNT, row_sum
 from ..errors import CorruptArtifact, InvalidConfig
 from .config import (
     FittedModel,
@@ -19,7 +19,6 @@ from .config import (
     feature_matrix,  # noqa: F401  unused here; the benchmark's tracer patches it by this module's name
     float64s,
     int64s,
-    row_sum,
     sample_weights,
     softmax,
     standardization,

@@ -14,6 +14,7 @@ from ..core import (
     LESIONS_VEIN_SCHEMA,
     DomainTable,
     check_field_types,
+    row_sum,
 )
 from ..errors import CorruptArtifact, InvalidConfig, SchemaMismatch
 from ..io import MODEL_KINDS, ModelArtifact, canonical_json, content_digest
@@ -216,20 +217,6 @@ def train_fingerprint(cfg: TrainConfig, schema: Sequence[str], x: np.ndarray, y:
     return content_digest(
         canonical_json({"config": cfg.as_dict(), "schema": list(schema), "data": data_digest})
     )
-
-
-def row_sum(a: np.ndarray) -> np.ndarray:
-    """Row sums of a few-column array, adding the columns left to right.
-
-    That is the order numpy's ``sum(axis=1)`` and ``sum()`` of five values
-    use, so the result is the same bit for bit; a numpy row reduction over
-    five columns is several times slower than these column adds.
-    """
-    cols = a.T
-    total = cols[0]
-    for c in cols[1:]:
-        total = total + c
-    return total
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:

@@ -19,8 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from ..core import GRADE_COUNT
-from .config import row_sum
+from ..core import GRADE_COUNT, row_sum
 
 GAIN_EPS = 1e-12
 

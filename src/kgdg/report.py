@@ -7,7 +7,6 @@ comparison against a live report is annotated, not judged.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -310,26 +309,31 @@ def _format_cell(stat: CellStat) -> str:
     return f"{stat.mean * 100:.1f}±{stat.std * 100:.1f}"
 
 
-def _best_methods(report: ExperimentReport, column: str, metric: str) -> set[str]:
+def _best_rows(means: list[float]) -> set[int]:
+    """The rows of one column whose mean is the highest, within 1e-12."""
     best = None
-    winners: set[str] = set()
-    for method in report.methods:
-        v = report.cell(method, column, metric).mean
+    winners: set[int] = set()
+    for row, v in enumerate(means):
         if v != v:  # skip NaN cells
             continue
         if best is None or v > best + 1e-12:
             best = v
-            winners = {method}
+            winners = {row}
         elif abs(v - best) <= 1e-12:
-            winners.add(method)
+            winners.add(row)
     return winners
 
 
-def _row_cells(report: ExperimentReport, method: str, metric: str, best: str) -> list[str]:
-    """A method's formatted cells, the best of each column put through ``best``."""
-    cells = [_format_cell(report.cell(method, column, metric)) for column in report.columns]
-    return [best.format(cell) if method in _best_methods(report, column, metric) else cell
-            for column, cell in zip(report.columns, cells)]
+def _metric_rows(report: ExperimentReport, metric: str, best: str) -> list[list[str]]:
+    """Each method's name and formatted cells for one metric, the best of
+    each column put through ``best``; every cell is summarized once."""
+    stats = [[report.cell(method, column, metric) for column in report.columns] for method in report.methods]
+    winners = [_best_rows([row[j].mean for row in stats]) for j in range(len(report.columns))]
+    rows = []
+    for i, (method, row) in enumerate(zip(report.methods, stats)):
+        cells = [_format_cell(stat) for stat in row]
+        rows.append([method] + [best.format(cell) if i in w else cell for cell, w in zip(cells, winners)])
+    return rows
 
 
 def render_markdown(report: ExperimentReport) -> str:
@@ -358,8 +362,7 @@ def render_markdown(report: ExperimentReport) -> str:
         header = ["Method"] + [c for c in report.columns]
         lines.append("| " + " | ".join(header) + " |")
         lines.append("|" + "---|" * len(header))
-        for method in report.methods:
-            row = [method] + _row_cells(report, method, metric, "**{}**")
+        for row in _metric_rows(report, metric, "**{}**"):
             lines.append("| " + " | ".join(row) + " |")
         lines.append("")
     lines.append(f"note: {report.fusion_note}")
@@ -370,8 +373,8 @@ def render_markdown(report: ExperimentReport) -> str:
 def render_csv(report: ExperimentReport) -> str:
     lines = ["metric,method," + ",".join(report.columns)]
     for metric in report.metrics:
-        for method in report.methods:
-            lines.append(",".join([metric, method] + _row_cells(report, method, metric, "{}*")))
+        for row in _metric_rows(report, metric, "{}*"):
+            lines.append(",".join([metric] + row))
     lines.append(f"# seeds: {' '.join(str(s) for s in report.seeds)} ({report.aggregation})")
     lines.append(f"# config fingerprint: {report.config_fingerprint}")
     lines.append(f"# {report.fusion_note}")
@@ -400,9 +403,6 @@ def emit_report(report: ExperimentReport, fmt: str, path: str | Path) -> Path:
 def load_report_json(path: str | Path) -> ExperimentReport:
     """Read a report written by ``eval --format json``; any other file is a DataError."""
     try:
-        report = ExperimentReport.from_json_dict(json.loads(Path(path).read_bytes().decode("utf-8")))
-        for key in itertools.product(report.methods, report.columns, report.metrics):
-            report.cell(*key)  # a report has every (method, column, metric) cell
+        return ExperimentReport.from_json_dict(json.loads(Path(path).read_bytes().decode("utf-8")))
     except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
         raise DataError(f"{path}: not an eval --format json report: {type(exc).__name__}: {exc}") from None
-    return report

@@ -7,6 +7,7 @@ import json
 import re
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -376,15 +377,20 @@ class TestReportCommand:
     def test_unknown_reference_exits_2(self):
         assert main(["report", "--reference-id", "bogus", "--quiet"]) == 2
 
-    # every report field, but no cell for its one method
-    NO_CELLS = json.dumps(ExperimentReport("sdg", "clinic_a", ("clinic_b",), ("symbolic",), ("accuracy",), {}, {},
-                                           (0,), "0", "").to_json_dict())
+    ONE_CELL = ExperimentReport("sdg", "clinic_a", ("clinic_b", "average"), ("symbolic",),
+                                np.zeros((1, 2, 3, 1)), (0,), "0").to_json_dict()
+    # every report key, but no cell or raw value for its one method
+    NO_CELLS = json.dumps({**ONE_CELL, "cells": {}, "raw": {}})
+    # a bare number where a list of per-seed values belongs
+    NO_SEED_LIST = json.dumps({**ONE_CELL, "raw": {"symbolic": {
+        column: dict.fromkeys(ExperimentReport.metrics, 0.5) for column in ("clinic_b", "average")}}})
 
     @pytest.mark.parametrize("text, cause", [('{"a": ', "JSONDecodeError: Expecting value"),
                                              ("{}", "KeyError: 'mode'"),
                                              ("[]", "TypeError: list indices"),
-                                             (NO_CELLS, "KeyError: 'symbolic'")],
-                             ids=["truncated", "empty-object", "list", "no-cells"])
+                                             (NO_CELLS, "KeyError: 'symbolic'"),
+                                             (NO_SEED_LIST, "ValueError: raw holds no list of one value per seed")],
+                             ids=["truncated", "empty-object", "list", "no-cells", "no-seed-list"])
     def test_input_that_is_not_a_report_exits_3(self, tmp_path, capsys, text, cause):
         path = tmp_path / "r.json"
         path.write_text(text)
@@ -424,6 +430,42 @@ class TestHelp:
             main(["synth", "--help"])
         assert exc.value.code == 0
         assert "KGDG_SEED" in capsys.readouterr().out
+
+
+class TestFlagsASubcommandReads:
+    """A subcommand takes --seed and --config only where it reads them:
+    synth, train and eval take --seed; grade, train and eval take --config."""
+
+    @pytest.fixture
+    def commands(self, data_dir, tmp_path):
+        probs, detections = str(data_dir / "clinic_a_probs.csv"), str(data_dir / "clinic_a_detections.json")
+        return {
+            "synth": ["synth", "--profile", "mild", "--samples", "10", "--out", str(tmp_path / "data")],
+            "grade": ["grade", "--features", str(data_dir / "clinic_a_features.csv"), "--out", "-"],
+            "fuse": ["fuse", "--strategy", "max", "--dl", probs, "--kd", probs, "--out", "-"],
+            "metrics": ["metrics", "--pred-detections", detections, "--truth-detections", detections, "--out", "-"],
+            "report": ["report", "--list", "--out", "-"],
+        }
+
+    @pytest.mark.parametrize("command, flag", [
+        *((c, "--seed") for c in ("grade", "fuse", "metrics", "report")),
+        *((c, "--config") for c in ("synth", "fuse", "metrics", "report")),
+    ])
+    def test_unread_flag_exits_2(self, commands, tmp_path, capsys, command, flag):
+        config = tmp_path / "config.json"
+        config.write_text("{}")
+        assert main(commands[command] + ["--quiet"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(commands[command] + [flag, "1" if flag == "--seed" else str(config), "--quiet"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_eval_requires_config(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--quiet"])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --config" in capsys.readouterr().err
 
 
 class TestErrorMapping:

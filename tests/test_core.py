@@ -54,6 +54,11 @@ class TestValidateProbability:
         with pytest.raises(SumOutOfTolerance):
             validate([0.3, 0.3, 0.3, 0.3, 0.3])
 
+    def test_negative_zero_row_sums_to_negative_zero(self):
+        # the columns add left to right from the first one, with no 0 to start from
+        with pytest.raises(SumOutOfTolerance, match=r"^probabilities sum to -0\.0, deviation 1 exceeds"):
+            validate([-0.0] * 5)
+
     def test_negative_rejected(self):
         with pytest.raises(NegativeProbability):
             validate([-0.1, 0.4, 0.3, 0.2, 0.2])

@@ -22,6 +22,7 @@ from kgdg.harness import (
 from kgdg.io import canonical_json, content_digest, load_manifest, read_feature_table, save_feature_table
 from kgdg.learn import TrainConfig, feature_matrix, fit_model
 from kgdg.metrics import seeded_summary
+from kgdg.report import render_report
 from kgdg.synth import shift_profile, write_dataset
 from test_learn import domain_table
 
@@ -228,14 +229,15 @@ class TestRunSdg:
             symbolic=TrainConfig(**FAST_SYMBOLIC),
             fusion=FusionSpec(strategies=("max",)),
         )
-        rep = run_experiment(cfg, small_manifest)
-        for m in rep.methods:
-            for c in rep.columns:
-                for metric in rep.metrics:
-                    mean, std = seeded_summary(rep.raw[m][c][metric])
-                    stat = rep.cells[m][c][metric]
-                    assert stat.mean == pytest.approx(mean)
-                    assert stat.std == pytest.approx(std)
+        written = json.loads(render_report(run_experiment(cfg, small_manifest), "json"))
+        raw, cells = written["raw"], written["cells"]
+        targets = written["columns"][:-1]
+        for m in written["methods"]:
+            for c in written["columns"]:
+                for metric in written["metrics"]:
+                    assert cells[m][c][metric] == [*seeded_summary(raw[m][c][metric]), 3]
+                per_seed = zip(*(raw[m][t][metric] for t in targets))
+                assert raw[m]["average"][metric] == [float(np.mean(values)) for values in per_seed]
 
     def test_symbolic_only_without_probs(self, tmp_path):
         cfg_data = shift_profile("mild", seed=1, n_samples=120)
@@ -436,6 +438,24 @@ class TestRunExperiment:
         )
         report = run_experiment(cfg, small_manifest)
         assert content_digest(canonical_json(report.to_json_dict())) == self.PINNED[(mode, alignment)]
+
+    # Recorded while the report still stored its cells and raw values as two
+    # tables. Nine seeds are more than the 7 values numpy sums in order
+    # before it sums pairwise, so each cell's mean must come from the same
+    # contiguous per-seed vector.
+    PINNED_NINE_SEEDS = {
+        "sdg": "9fa7a95cf184a49c9512b84e7278bacd1266de79ba23b88c1a295c56e84915c6",
+        "mdg": "27216053430071bae8ea48ee1898168e399fe2123342ddb164af2eb8172adb33",
+    }
+
+    @pytest.mark.parametrize("mode", sorted(PINNED_NINE_SEEDS))
+    def test_nine_seed_report_bytes_pinned(self, small_manifest, mode):
+        cfg = ExperimentConfig(
+            mode=mode, source="clinic_a" if mode == "sdg" else None, seeds=tuple(range(9)),
+            symbolic=TrainConfig(**FAST_SYMBOLIC),
+        )
+        report = run_experiment(cfg, small_manifest)
+        assert content_digest(canonical_json(report.to_json_dict())) == self.PINNED_NINE_SEEDS[mode]
 
 
 class TestExperimentConfigFile:

@@ -30,6 +30,7 @@ from kgdg.core import (
     LabeledExample,
     LesionType,
     RenormalizationWarning,
+    row_sum,
     validate_probability_rows,
 )
 from kgdg.errors import (
@@ -66,7 +67,7 @@ from kgdg.learn import (
 )
 from kgdg.learn import baselines as baselines_module
 from kgdg.learn import gbm as gbm_module
-from kgdg.learn.config import feature_matrix, row_sum, sample_weights, softmax, standardization
+from kgdg.learn.config import feature_matrix, sample_weights, softmax, standardization
 from kgdg.learn.tree import (
     GAIN_EPS,
     _gini,
@@ -764,7 +765,7 @@ def ref_validate_probability(values):
             raise SumOutOfTolerance(f"non-finite probability {v!r}")
         if v < 0.0:
             raise NegativeProbability(f"negative probability {v!r}")
-    total = sum(vals)
+    total = sum(vals[1:], vals[0])  # from the first value, as core.row_sum: five -0.0 sum to -0.0
     deviation = abs(total - 1.0)
     if deviation <= PROB_SUM_EPS and all(v <= 1.0 for v in vals):
         return tuple(vals)

@@ -1,7 +1,8 @@
 """Static checks on the names ``src/`` binds and exports, in place of a
-linter: no module keeps an import it never uses, and every public name
-list resolves without repeats. A deletion that leaves an import or an
-export behind fails here."""
+linter: no module keeps an import it never uses, no private module-level
+name goes unread in ``src/``, and every public name list resolves without
+repeats. A deletion that leaves an import, a helper or an export behind
+fails here."""
 
 import ast
 import importlib
@@ -50,6 +51,49 @@ def test_unused_import_detected():
         "    return os.path.join('x')\n"
     )
     assert unused_imports(text) == ["math", "C"]
+
+
+def private_definitions(tree):
+    """The private functions, classes and constants a module binds at its
+    top level (one leading underscore; dunders such as ``__all__`` are not
+    private)."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(target.id for target in targets if isinstance(target, ast.Name))
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def names_read(tree):
+    """Every name a module reads, bare or as an attribute."""
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)} | {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def unread_private_names(trees):
+    """``module: name`` for each private top-level name no module reads."""
+    read = set().union(*map(names_read, trees.values()))
+    return [f"{module}: {name}" for module, tree in trees.items() for name in private_definitions(tree)
+            if name not in read]
+
+
+def test_no_unread_private_module_name():
+    trees = {str(path.relative_to(SRC)): ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))}
+    assert unread_private_names(trees) == []
+
+
+def test_unread_private_name_detected():
+    defining = ast.parse(
+        "_A = 1\n_B: int = 2\n__all__ = []\n"
+        "def _f():\n    return _A\n"
+        "class _C:\n    pass\n"
+        "def _g():\n    pass\n"
+    )
+    reading = ast.parse("from . import m\nm._B\nm._g()\n")
+    assert unread_private_names({"m": defining, "n": reading}) == ["m: _f", "m: _C"]
 
 
 @pytest.mark.parametrize("module_name", ["kgdg", "kgdg.learn"])

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from kgdg.errors import InvalidConfig, UnknownReference
@@ -119,6 +121,12 @@ class TestRendering:
         path = emit_report(sdg_report, "json", tmp_path / "report.json")
         loaded = load_report_json(path)
         assert loaded.to_json_dict() == sdg_report.to_json_dict()
+
+    def test_reload_derives_cells_from_raw(self, sdg_report, tmp_path):
+        written = sdg_report.to_json_dict()
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({**written, "cells": {}}))
+        assert load_report_json(path).to_json_dict() == written
 
     def test_emit_markdown_and_csv(self, sdg_report, tmp_path):
         md = emit_report(sdg_report, "markdown", tmp_path / "r.md")
