@@ -83,14 +83,17 @@ def fuse(
     order = np.asarray(_TIE_ORDER[strategy])
     stack = np.concatenate((p_dl, p_kd), axis=1)
     winner = order[stack[:, order].argmax(axis=1)]
-    deep = winner < GRADE_COUNT
+    deep, grades = winner < GRADE_COUNT, winner % GRADE_COUNT
     if strategy is FusionStrategy.CLASSWISE_MAX:
         peak = np.maximum(p_dl, p_kd)
         probs = peak / row_sum(peak)[:, None]
+        # dividing can round the grade's cell down onto a lower grade's; one ulp up restores its lead
+        rows = np.flatnonzero(probs.argmax(axis=1) != grades)
+        probs[rows, grades[rows]] = np.nextafter(probs[rows, grades[rows]], np.inf)
     else:
         probs = np.where(deep[:, None], p_dl, p_kd)
     sources = np.where(deep, FusionSource.DEEP.value, FusionSource.SYMBOLIC.value)
-    return FusedArrays(winner % GRADE_COUNT, sources, stack.max(axis=1), probs)
+    return FusedArrays(grades, sources, stack.max(axis=1), probs)
 
 
 def batch_fuse(

@@ -139,7 +139,6 @@ class ExperimentConfig:
     split: SplitFractions = field(default_factory=SplitFractions)
     symbolic: TrainConfig = field(default_factory=TrainConfig)
     fusion: FusionSpec = field(default_factory=FusionSpec)
-    rules: RuleConfig = field(default_factory=RuleConfig)
     alignment: bool = False
 
     def __post_init__(self) -> None:
@@ -375,13 +374,12 @@ def _guard_leakage(
 
 
 def _config_fingerprint(cfg: ExperimentConfig, manifest: Manifest) -> str:
+    """Hash the config with each domain's features and probs: the files eval reads."""
     digests = {}
     for entry in manifest.domains:
         item = {"features": file_digest(entry.features)}
         if entry.probs is not None:
             item["probs"] = file_digest(entry.probs)
-        if entry.detections is not None:
-            item["detections"] = file_digest(entry.detections)
         digests[str(entry.name)] = item
     return content_digest(
         canonical_json({"config": cfg.as_dict(), "data": digests})
@@ -728,6 +726,7 @@ def load_experiment_config(path: str | Path) -> tuple[ExperimentConfig, Path]:
     if not isinstance(seeds, list):
         raise InvalidConfig(f"{path}: seeds must be a list of integers")
     targets = domains.get("targets")
+    build_section("rules", RuleConfig, raw.get("rules", {}))  # grade --config reads it; eval only checks it
     cfg = ExperimentConfig(
         mode=raw.get("mode", "sdg"),
         source=domains.get("source"),
@@ -736,7 +735,6 @@ def load_experiment_config(path: str | Path) -> tuple[ExperimentConfig, Path]:
         split=build_section("split", SplitFractions, raw.get("split", {})),
         symbolic=build_section("symbolic", TrainConfig, raw.get("symbolic", {})),
         fusion=build_section("fusion", FusionSpec, raw.get("fusion", {})),
-        rules=build_section("rules", RuleConfig, raw.get("rules", {})),
         alignment=raw.get("alignment", False),
     )
     return cfg, manifest_path

@@ -117,14 +117,10 @@ class ForestModel(FittedModel):
     trees: list[dict[str, Any]]
     train_fingerprint: str
 
-    def flatten(self) -> list[FlatTrees]:
-        """All the trees as one set of flat node arrays."""
-        return [flatten_trees(self.trees)]
-
     @cached_property
-    def flat(self) -> FlatTrees:
-        """``flatten()``'s one set, built on first use."""
-        return self.flatten()[0]
+    def flats(self) -> list[FlatTrees]:
+        """All the trees as one set of flat node arrays, built once."""
+        return [flatten_trees(self.trees)]
 
     def check_leaves(self, leaves: np.ndarray, path: str) -> None:
         sums_to_one = np.allclose(row_sum(leaves), 1.0, rtol=0, atol=1e-9)
@@ -134,7 +130,7 @@ class ForestModel(FittedModel):
     def predict_proba_matrix(self, x: np.ndarray) -> np.ndarray:
         self.check_width(x)
         acc = np.zeros((x.shape[0], GRADE_COUNT), dtype=np.float64)
-        for leaves in predict_tree(self.flat, x).transpose(1, 0, 2):  # one descent, summed tree by tree
+        for leaves in predict_tree(self.flats[0], x).transpose(1, 0, 2):  # one descent, summed tree by tree
             acc += leaves
         return acc / len(self.trees)
 

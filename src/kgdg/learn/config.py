@@ -159,16 +159,16 @@ class FittedModel:
     def check_params(self, path: str) -> None:
         """Check every param against ``SHAPES``, so that a param a predict
         cannot use raises CorruptArtifact here and not at the first predict.
-        A tree learner's trees are flattened, every split must name one of
-        the schema's features, and each set's leaf values then go through
-        ``check_leaves``."""
+        A tree learner's trees are flattened once, into the cached ``flats``
+        its predicts reuse; every split must name one of the schema's
+        features, and each set's leaf values then go through ``check_leaves``."""
         width = len(self.feature_schema)
         dims = {"f": width}
         shapes = [(name, np.shape(getattr(self, name))) for name in self.SHAPES if name != "trees"]
         flats: list = []
         if "trees" in self.SHAPES:
             try:
-                flats = self.flatten()  # type: ignore[attr-defined]
+                flats = self.flats  # type: ignore[attr-defined]
             except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
                 raise CorruptArtifact(f"{path}: param 'trees' is malformed: {exc!r}") from exc
             for flat in flats:

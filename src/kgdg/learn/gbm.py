@@ -58,18 +58,14 @@ class GbmModel(FittedModel):
     def n_rounds(self) -> int:
         return len(self.trees)
 
-    def flatten(self) -> list[FlatTrees]:
-        """Each round's grade trees as flat node arrays."""
-        return [flatten_trees(round_trees) for round_trees in self.trees]
-
     @cached_property
-    def flat_rounds(self) -> list[FlatTrees]:
-        """``flatten()``, built on first use."""
-        return self.flatten()
+    def flats(self) -> list[FlatTrees]:
+        """Each round's grade trees as flat node arrays, built once."""
+        return [flatten_trees(round_trees) for round_trees in self.trees]
 
     def decision_scores(self, x: np.ndarray) -> np.ndarray:
         scores = np.tile(self.base_scores, (x.shape[0], 1))
-        for flat in self.flat_rounds:
+        for flat in self.flats:
             scores += self.learning_rate * predict_tree(flat, x)
         return scores
 

@@ -29,7 +29,6 @@ class RuleConfig:
 
     cws_severe_threshold: int = 5
     min_score: float = 0.25
-    smoothing: float = 0.1
 
     def __post_init__(self) -> None:
         check_field_types(self)
@@ -37,8 +36,6 @@ class RuleConfig:
             raise InvalidConfig("cws_severe_threshold must be >= 1")
         if not (0.0 <= self.min_score <= 1.0):
             raise InvalidConfig("min_score must be in [0,1]")
-        if not (0.0 <= self.smoothing < 1.0):
-            raise InvalidConfig("smoothing must be in [0,1)")
 
 
 DEFAULT_RULES = RuleConfig()
@@ -102,7 +99,7 @@ def fire_rules(counts: np.ndarray, cfg: RuleConfig = DEFAULT_RULES) -> np.ndarra
     return np.argmax(holds, axis=0)
 
 
-def rule_grade_as_probability(grade: int, smoothing: float = DEFAULT_RULES.smoothing) -> tuple[float, ...]:
+def rule_grade_as_probability(grade: int, smoothing: float = 0.1) -> tuple[float, ...]:
     """Turn a deterministic rule grade into a distribution so it can join
     confidence fusion: 1-smoothing on the graded class, smoothing/4 on each
     other class."""

@@ -250,19 +250,27 @@ class TestEvalCommand:
         assert "INVALID_CONFIG" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_missing_detections_file_exits_3(self, data_dir, tmp_path, capsys):
+    def test_report_ignores_detection_files(self, data_dir, tmp_path):
+        """eval reads no detections, so its report, fingerprint included, is the
+        same whether each domain's detections file is there, garbage or missing."""
         manifest = json.loads((data_dir / "manifest.json").read_text())
+        detections = {}  # each domain's detections, by the name the case manifests give them
         for d in manifest["domains"]:
-            d.update({k: str(data_dir / d[k]) for k in ("features", "probs", "detections")})
-        manifest["domains"][1]["detections"] = "missing_detections.json"
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        config = self._write_config(data_dir, tmp_path, domains={
-            "manifest": str(tmp_path / "manifest.json"), "source": "clinic_a"})
-        out = tmp_path / "report.md"
-        assert main(["eval", "--config", str(config), "--out", str(out), "--quiet"]) == 3
-        missing = (tmp_path / "missing_detections.json").resolve()
-        assert capsys.readouterr().err == f"error[IO_ERROR]: [Errno 2] No such file or directory: '{missing}'\n"
-        assert not out.exists()
+            detections[f"{d['name']}.json"] = (data_dir / d["detections"]).read_bytes()
+            d.update({k: str(data_dir / d[k]) for k in ("features", "probs")}, detections=f"{d['name']}.json")
+        reports = {}
+        for case in ("present", "garbage", "missing"):
+            case_dir = tmp_path / case
+            case_dir.mkdir()
+            (case_dir / "manifest.json").write_text(json.dumps(manifest))
+            for name, original in detections.items() if case != "missing" else ():
+                (case_dir / name).write_bytes(original if case == "present" else b"\xff[{garbage")
+            config = self._write_config(data_dir, case_dir, domains={
+                "manifest": str(case_dir / "manifest.json"), "source": "clinic_a"})
+            out = case_dir / "report.json"
+            assert main(["eval", "--config", str(config), "--format", "json", "--out", str(out), "--quiet"]) == 0
+            reports[case] = out.read_bytes()
+        assert reports["garbage"] == reports["present"] and reports["missing"] == reports["present"]
 
     def test_gbm_without_validation_split_is_a_typed_error(self, data_dir, tmp_path):
         config = self._write_config(data_dir, tmp_path,
@@ -621,6 +629,21 @@ class TestConfigSections:
         assert main([command, "--features", str(data_dir / "clinic_a_features.csv"),
                      "--config", str(config), "--out", str(tmp_path / "out"), "--quiet"]) == 2
         assert f"unknown keys in '{section}' section: ['bogus']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["grade", "eval"])
+    def test_rules_smoothing_is_an_unknown_key(self, data_dir, tmp_path, capsys, command):
+        """No command reads a rules smoothing, so setting one is a config error."""
+        config = tmp_path / "experiment.json"
+        config.write_text(json.dumps({
+            "domains": {"manifest": str(data_dir / "manifest.json"), "source": "clinic_a"}, "seeds": [0],
+            "symbolic": {"n_trees": 3, "min_leaf": 2, "early_stop_patience": 2}, "fusion": {"strategies": ["max"]},
+            "rules": {"smoothing": 0.1},
+        }))
+        argv = ["grade", "--features", str(data_dir / "clinic_a_features.csv")] if command == "grade" else ["eval"]
+        out = tmp_path / "out"
+        assert main([*argv, "--config", str(config), "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == "error[INVALID_CONFIG]: unknown keys in 'rules' section: ['smoothing']\n"
+        assert not out.exists()
 
     def test_train_reads_symbolic_section(self, data_dir, tmp_path):
         config = tmp_path / "train.json"
@@ -1202,7 +1225,7 @@ def fuzz_inputs(tmp_path_factory):
                      "class_weighting": False, "seed": 0, "early_stop_patience": 1, "bootstrap": True,
                      "max_features": None, "feature_set": "auto"},
         "fusion": {"strategies": ["max", "weighted"], "include_neural": True, "alpha_dl": None, "alpha_kl": None},
-        "rules": {"cws_severe_threshold": 5, "min_score": 0.25, "smoothing": 0.1},
+        "rules": {"cws_severe_threshold": 5, "min_score": 0.25},
         "alignment": False,
     }
     originals["experiment"] = json.dumps(experiment, indent=1)

@@ -420,13 +420,15 @@ class TestRunExperiment:
 
     # sha256 of canonical_json(report.to_json_dict()). MDG's KL is a mean
     # over every (seed, fold) run, and SDG's KL is its single fold's value.
-    # Re-recorded when the unused fusion.grid key left the config: only the
-    # config_fingerprint field moved, every other field kept its bytes.
+    # Re-recorded when the unused fusion.grid key left the config, and again
+    # when the unused rules section left it and the fingerprint stopped
+    # hashing detection files: each time only the config_fingerprint field
+    # moved, every other field kept its bytes.
     PINNED = {
-        ("sdg", False): "5d8b8cbd8742c8478c54ffcc0ffa0bdd1808630d7c69ab131d584890196e804b",
-        ("sdg", True): "76c0ddb9643933afce0535240337d75568d9881a4107ea43e08ccdbe51ff41fb",
-        ("mdg", False): "1d2d00f5d1241c5276382d6bb86cb91c5a3d1fa0ac4fecb495844c6c02817a80",
-        ("mdg", True): "a7d00806d1c1501b859dd19fad02b9b1685972930f78fe457795aae1bb2da9f9",
+        ("sdg", False): "8961ad658eff8ade01f0e6c3668f2a7ccb75fc96add1716ce4fb88fdb1d93538",
+        ("sdg", True): "1eb096df59590532ebeb51479f58fffbd835d3d6e80ba5f5cf38e3625da5ed89",
+        ("mdg", False): "2f927a6b87c261902039d310dfeba215380187bcd91680a5db0170a12ef1d766",
+        ("mdg", True): "e0abeccc6e63593106b0f17c7546aa77abc4136d52fedc7c45849eb8846833e6",
     }
 
     @pytest.mark.parametrize("mode,alignment", sorted(PINNED))
@@ -440,12 +442,13 @@ class TestRunExperiment:
         assert content_digest(canonical_json(report.to_json_dict())) == self.PINNED[(mode, alignment)]
 
     # Recorded while the report still stored its cells and raw values as two
-    # tables. Nine seeds are more than the 7 values numpy sums in order
+    # tables; re-recorded with PINNED above, when only config_fingerprint
+    # moved. Nine seeds are more than the 7 values numpy sums in order
     # before it sums pairwise, so each cell's mean must come from the same
     # contiguous per-seed vector.
     PINNED_NINE_SEEDS = {
-        "sdg": "9fa7a95cf184a49c9512b84e7278bacd1266de79ba23b88c1a295c56e84915c6",
-        "mdg": "27216053430071bae8ea48ee1898168e399fe2123342ddb164af2eb8172adb33",
+        "sdg": "00ddbdc3ecc92bf29a7dc4e965e9e82bce42520d977442941cc9c2f26d91552b",
+        "mdg": "d4d433648e4eddd584a9ff8484f2d3c225d5e8d275607c2edac6ec058aebee82",
     }
 
     @pytest.mark.parametrize("mode", sorted(PINNED_NINE_SEEDS))

@@ -722,10 +722,11 @@ def test_models_flatten_their_trees_once(kind, monkeypatch):
         module, model = gbm_module, fit_gbm_arrays(x, y, x[:30], y[:30], ("a", "b", "c"), cfg)
     else:
         module, model = baselines_module, fit_forest_arrays(x, y, ("a", "b", "c"), cfg)
-    model = model_from_artifact(model.to_artifact())
+    artifact = model.to_artifact()
     calls = []
     original = module.flatten_trees
     monkeypatch.setattr(module, "flatten_trees", lambda trees: calls.append(1) or original(trees))
+    model = model_from_artifact(artifact)  # the load checks the flattened trees; the predicts reuse them
     first = model.predict_proba_matrix(x)
     assert model.predict_proba_matrix(x).tobytes() == first.tobytes()
     assert len(calls) == (len(model.trees) if kind == "gbm" else 1)

@@ -1,8 +1,9 @@
 """Static checks on the names ``src/`` binds and exports, in place of a
 linter: no module keeps an import it never uses, no private module-level
-name goes unread in ``src/``, and every public name list resolves without
-repeats. A deletion that leaves an import, a helper or an export behind
-fails here."""
+name goes unread in ``src/``, no config field goes unread outside its own
+checks, and every public name list resolves without repeats. A deletion
+that leaves an import, a helper, a config field or an export behind fails
+here."""
 
 import ast
 import importlib
@@ -94,6 +95,69 @@ def test_unread_private_name_detected():
     )
     reading = ast.parse("from . import m\nm._B\nm._g()\n")
     assert unread_private_names({"m": defining, "n": reading}) == ["m: _f", "m: _C"]
+
+
+def config_fields(tree):
+    """``Class.field`` for each field of each config dataclass a module
+    defines: a class whose ``__post_init__`` calls ``check_field_types``."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(item, ast.FunctionDef) and item.name == "__post_init__" and any(
+                isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "check_field_types"
+                for call in ast.walk(item))
+            for item in node.body
+        ):
+            out.extend(f"{node.name}.{item.target.id}" for item in node.body
+                       if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                       and "ClassVar" not in ast.unparse(item.annotation))
+    return out
+
+
+def attributes_read(tree):
+    """Every attribute name a module reads, outside any ``__post_init__``."""
+    read, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return read
+
+
+def unread_config_fields(trees):
+    """``module: Class.field`` for each config field no module reads as an
+    attribute, its class's own checks aside."""
+    read = set().union(*map(attributes_read, trees.values()))
+    return [f"{module}: {name}" for module, tree in trees.items() for name in config_fields(tree)
+            if name.split(".")[1] not in read]
+
+
+def test_no_unread_config_field():
+    trees = {str(path.relative_to(SRC)): ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))}
+    assert unread_config_fields(trees) == []
+
+
+def test_unread_config_field_detected():
+    defining = ast.parse(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Cfg:\n"
+        "    KIND: ClassVar[str] = 'c'\n"
+        "    used: int = 1\n"
+        "    checked_only: int = 2\n"
+        "    unread: int = 3\n"
+        "    def __post_init__(self):\n"
+        "        check_field_types(self)\n"
+        "        assert self.checked_only >= 0\n"
+        "@dataclass\n"
+        "class Plain:\n"
+        "    never_read: int = 0\n"
+    )
+    reading = ast.parse("def f(cfg):\n    return cfg.used\n")
+    assert unread_config_fields({"m": defining, "n": reading}) == ["m: Cfg.checked_only", "m: Cfg.unread"]
 
 
 @pytest.mark.parametrize("module_name", ["kgdg", "kgdg.learn"])
