@@ -173,9 +173,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         cfg = replace(cfg, seeds=(args.seed,))
     elif os.environ.get("KGDG_SEED"):
         cfg = replace(cfg, seeds=(_resolve_seed(args),))
-    _print_fingerprint(args, {"command": "eval", "config": cfg.as_dict()})
-    manifest = load_manifest(manifest_path)
-    report = run_experiment(cfg, manifest)
+    report = run_experiment(cfg, load_manifest(manifest_path))
+    _diag(args, f"config fingerprint: {report.config_fingerprint}")  # config and data digests
     if args.out is None or args.out == "-":
         sys.stdout.write(render_report(report, args.format))
     else:

@@ -341,14 +341,20 @@ def save_feature_table(path: str | Path, table: DomainTable) -> None:
 
 
 def save_probability_table(path: str | Path, table: Mapping[str, Sequence[float]]) -> None:
-    """Write rows whose text decimals sum to exactly 1 (last cell absorbs
-    the rounding residue)."""
+    """Write rows whose text decimals sum to exactly 1: the last cell is the
+    residue of the first four, counted in whole 1e-8 units. Where the four
+    rounded cells sum past 1, the excess comes off the largest of them, so a
+    row of cells >= 0 writes no negative cell."""
     lines = [",".join(PROBS_HEADER)]
     for image_id in table:
-        probs = list(table[image_id])
-        head = [f"{p:.8f}" for p in probs[:4]]
-        residue = 1.0 - sum(float(c) for c in head)
-        lines.append(",".join([image_id] + head + [f"{residue:.8f}"]))
+        head = [f"{p:.8f}" for p in table[image_id][:4]]
+        units = [int(c.replace(".", "")) for c in head]
+        residue = 10**8 - sum(units)
+        if residue < 0:
+            top = units.index(max(units))
+            units[top] += residue
+            head[top], residue = f"{units[top] / 1e8:.8f}", 0
+        lines.append(",".join([image_id] + head + [f"{residue / 1e8:.8f}"]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -446,10 +452,43 @@ def read_detections(path: str | Path) -> DetectionTable:
 
 # json.dumps's spelling of the floats float.__repr__ spells otherwise
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_DETECTION_RECORD = (
-    ' {\n  "image_id": %s,\n  "lesion": %s,\n  "x": %s,\n  "y": %s,\n  "w": %s,\n  "h": %s,\n  "score": %s\n }'
-)
+# a record's constant text around its seven fields, led by the ",\n" that
+# separates it from the record before it
+_DETECTION_PIECES = tuple(np.frombuffer(piece.encode(), dtype=np.uint8) for piece in (
+    ',\n {\n  "image_id": ', ',\n  "lesion": ', ',\n  "x": ', ',\n  "y": ', ',\n  "w": ', ',\n  "h": ',
+    ',\n  "score": ', '\n }'))
 _DETECTION_BLOCK = 2048  # records save_detections formats and writes at a time
+# "000".."999", then the same with trailing zeros as NUL bytes: _DIGITS[stripped, k]
+_DIGITS = np.array([[list(b"%03d" % k) for k in range(1000)],
+                    [list((b"%03d" % k).rstrip(b"0").ljust(3, b"\0")) for k in range(1000)]], dtype=np.uint8)
+
+
+def _text_rows(texts: Sequence[str]) -> np.ndarray:
+    """ASCII ``texts`` as the rows of a ``uint8`` matrix, each padded with NUL bytes."""
+    column = np.array([t.encode("ascii") for t in texts], dtype=bytes)
+    return column.view(np.uint8).reshape(len(texts), column.itemsize)
+
+
+def _number_rows(values: np.ndarray) -> np.ndarray:
+    """The json.dumps text of each of ``values`` as a NUL-padded ``uint8``
+    row, spelled as save_detections says. ``"0."`` and k's six digits,
+    trailing zeros dropped, is ``float.__repr__``'s text for such a ``v``:
+    two such decimals are at least 1e-6 apart, far wider than the spacing
+    of doubles below 1, so it is the shortest text that reads back as
+    ``v``, and ``v >= 1e-4`` keeps ``float.__repr__`` positional."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = np.rint(values * 1e6)
+        six = (k >= 100) & (k < 1e6) & (k / 1e6 == values)
+    hi, lo = np.divmod(np.where(six, k, 0).astype(np.int64), 1000)
+    slow = np.flatnonzero(~six)
+    spelled = _text_rows([_JSON_NON_FINITE.get(r, r) for r in map(repr, values[slow].tolist())])
+    rows = np.zeros((len(values), max(8, spelled.shape[1])), dtype=np.uint8)
+    rows[:, :2] = list(b"0.")
+    rows[:, 2:5] = _DIGITS[(lo == 0).astype(np.intp), hi]  # trailing zeros stripped when k's last three are 0
+    rows[:, 5:8] = _DIGITS[1, lo]
+    rows[slow] = 0
+    rows[slow, : spelled.shape[1]] = spelled
+    return rows
 
 
 def save_detections(path: str | Path, table: DetectionTable) -> None:
@@ -458,32 +497,33 @@ def save_detections(path: str | Path, table: DetectionTable) -> None:
 
     The bytes are those of ``json.dumps(records, indent=1)``: ``[\n``, the
     records joined by ``,\n``, then ``\n]\n``, or ``[]\n`` for no record.
-    json's indenting encoder is pure Python, so the records are formatted
-    and written ``_DETECTION_BLOCK`` at a time, each block by one ``%`` of
-    the record template repeated per record: memory holds one block's text,
-    however many records the table has. Strings go through json's own ASCII
-    escaper and are arguments, never part of the format; ``%s`` of a float
-    is ``float.__repr__``, as json writes it.
+    json's indenting encoder is pure Python, so the records are built and
+    written ``_DETECTION_BLOCK`` at a time, each block as one ``uint8``
+    matrix, a record per row: the record's constant pieces between its
+    fields, each field NUL-padded to the block's widest. Ids and lesion
+    names are gathered from rows that json's own ASCII escaper encodes once
+    per table. A number ``v`` with ``k = rint(v * 1e6)`` in 100..999999 and
+    ``k / 1e6 == v`` is spelled from k's digits; any other (0, 1.0, values
+    below 1e-4, negative, non-finite or not six-decimal ones) by
+    ``float.__repr__``, or NaN, Infinity, -Infinity. The block's bytes are
+    the matrix's nonzero bytes in row order: no NUL can be one of the
+    record's own bytes, because the escaper writes a NUL as ``\u0000``.
+    Memory holds one block's matrix, however many records the table has.
     """
     m = len(table.score)
-    ids = [encode_basestring_ascii(i) for i in table.ids]
-    lesions = [encode_basestring_ascii(t.value) for t in LESION_TYPES]
-    with open(path, "w", encoding="utf-8") as fh:
+    ids = _text_rows(list(map(encode_basestring_ascii, table.ids)))
+    lesions = _text_rows([encode_basestring_ascii(t.value) for t in LESION_TYPES])
+    with open(path, "wb") as fh:
         for start in range(0, m, _DETECTION_BLOCK):
             block = slice(start, start + _DETECTION_BLOCK)
-            box, score = table.box[block], table.score[block]
-            columns = [*box.T.tolist(), score.tolist()]
-            if not (np.isfinite(box).all() and np.isfinite(score).all()):
-                columns = [[_JSON_NON_FINITE.get(repr(v), v) for v in column] for column in columns]
-            flat: list = [None] * (7 * len(score))  # the block's record cells, record after record
-            flat[0::7] = map(ids.__getitem__, table.image[block].tolist())
-            flat[1::7] = map(lesions.__getitem__, table.lesion[block].tolist())
-            for c, column in enumerate(columns, start=2):
-                flat[c::7] = column
-            template = ",\n".join([_DETECTION_RECORD] * len(score))
-            fh.write(",\n" if start else "[\n")
-            fh.write(template % tuple(flat))
-        fh.write("\n]\n" if m else "[]\n")
+            fields = [ids[table.image[block]], lesions[table.lesion[block]],
+                      *map(_number_rows, table.box[block].T), _number_rows(table.score[block])]
+            pieces = [np.broadcast_to(piece, (len(fields[0]), piece.size)) for piece in _DETECTION_PIECES]
+            rows = np.concatenate([*chain(*zip(pieces, fields)), pieces[-1]], axis=1)
+            if not start:
+                rows[0, :2] = list(b"[\n")
+            fh.write(rows[rows != 0].tobytes())
+        fh.write(b"\n]\n" if m else b"[]\n")
 
 
 # --- manifests ---------------------------------------------------------------------

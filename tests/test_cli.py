@@ -229,6 +229,21 @@ class TestEvalCommand:
         payload = json.loads(out.read_text())
         assert payload["mode"] == "sdg"
 
+    def test_stderr_fingerprint_is_the_reports(self, data_dir, tmp_path, capsys, monkeypatch):
+        """The stderr line names the report's fingerprint, config and data
+        digests together, and each data file is hashed once."""
+        import kgdg.harness
+
+        hashed = []
+        digest = kgdg.harness.file_digest
+        monkeypatch.setattr(kgdg.harness, "file_digest", lambda path: hashed.append(path) or digest(path))
+        config = self._write_config(data_dir, tmp_path)
+        out = tmp_path / "report.json"
+        assert main(["eval", "--config", str(config), "--format", "json", "--out", str(out)]) == 0
+        lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("config fingerprint:")]
+        assert lines == [f"config fingerprint: {json.loads(out.read_text())['config_fingerprint']}"]
+        assert len(hashed) == len(set(hashed)) == 6  # three domains' features and probs
+
     @pytest.mark.parametrize("sections", [
         {"fusion": {"alpha_dl": -0.5, "alpha_kl": 0.5}},
         {"fusion": {"alpha_dl": "x", "alpha_kl": 0.5}},

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from ref_rows import RefExample, RefFeatureVector, ref_example, ref_feature_matrix
 
@@ -146,6 +146,17 @@ class TestProbabilityTable:
         with pytest.raises(SumOutOfTolerance):
             load_probability_table(path)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0, 1), min_size=5, max_size=5).filter(lambda row: sum(row) > 0))
+    @example([0.249999996] * 3 + [0.250000012, 0.0])  # the first four round to a sum of 1.00000001
+    def test_rows_sum_to_one_in_cells_at_least_zero(self, tmp_path_factory, row):
+        path = tmp_path_factory.mktemp("probs") / "p.csv"
+        save_probability_table(path, {"a": [p / sum(row) for p in row]})
+        cells = path.read_text().splitlines()[1].split(",")[1:]
+        assert sum(int(c.replace(".", "")) for c in cells) == 10**8
+        assert not any(c.startswith("-") for c in cells)
+        load_probability_table(path)
+
     @staticmethod
     def _entry(tmp_path, image_id, table):
         features, probs = tmp_path / "f.csv", tmp_path / "p.csv"
@@ -268,7 +279,12 @@ def _json_dumps_detections(table):
 
 _ids = st.text(st.characters(codec="utf-8"), max_size=8) | st.sampled_from(
     ['a"b', "c\\d", "\u00e9\u4e2d", "\n\t", "\ud83d\ude00", "%", "a%sb", "%%", "{}", "%(x)s", "%r%d"])
-_cells = st.floats(allow_nan=True, allow_infinity=True) | st.floats(0, 1)
+# save_detections spells six-decimal values in [1e-4, 1) from their digits and
+# every other value by float.__repr__: draw both, and the values at the edge
+_SIX_DECIMALS = st.integers(-10**6, 10**6 + 1).map(lambda k: k / 1e6)
+_cells = (st.floats(allow_nan=True, allow_infinity=True) | st.floats(0, 1) | _SIX_DECIMALS
+          | _SIX_DECIMALS.flatmap(lambda v: st.sampled_from([np.nextafter(v, -1.0), np.nextafter(v, 2.0)]))
+          | st.sampled_from([0.0, -0.0, 9.9e-05, 1e-4, 0.999999, 1.0]))
 
 
 @st.composite
