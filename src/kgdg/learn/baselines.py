@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations_with_replacement
 from typing import Any
 
 import numpy as np
@@ -58,51 +59,54 @@ class LogisticModel(FittedModel):
         return softmax(xs @ self.weights.T + self.bias)
 
 
+NEWTON_TOL = 1e-8  # the fit stops once no entry of the penalized gradient reaches this,
+NEWTON_CAP = 50  # or after this many Newton steps
+
+
 def fit_logistic_arrays(
     x: np.ndarray, y: np.ndarray, schema: tuple[str, ...], cfg: TrainConfig
 ) -> LogisticModel:
-    """Full-batch gradient descent from a zero init on standardized inputs.
-
-    A single-grade training set is allowed: the fit degenerates to always
-    predicting that grade.
+    """Newton's method from zero on the weighted-mean cross-entropy of
+    ``softmax(xs w^T + b)``, xs the standardized inputs, plus ``lam/2`` times
+    the squared norm of every weight and bias entry, ``lam = 1/n_train``. The
+    penalty keeps the optimum finite and unique on separable grades, along
+    the softmax shift and for a grade absent from training; a single-grade set
+    fits a model that always predicts its grade. A step is halved, at most 29
+    times, until the objective falls by an Armijo fraction of its slope: a full
+    step can overshoot when an outlying row squeezes the other rows' values.
     """
     mu, sd = standardization(x)
-    xs = (x - mu) / sd
-    weights = sample_weights(y, cfg.class_weighting)
-    # The gradient of the reference loss in tests/ref_logistic.py, bit for
-    # bit, without the loss and in preallocated buffers. Logits and probabilities
-    # are grade-major (5, n): softmax's max and sum reduce over axis 0, adding
-    # each sample's grades left to right as row_sum does. Two ops depend on
-    # layout or order: BLAS rounds delta.T @ xs differently unless delta is
-    # sample-major, and the bias sum must add the samples in order, as
-    # sum(axis=0) and einsum do (a sum along a contiguous axis is pairwise).
-    n = y.size
-    onehot = np.zeros((GRADE_COUNT, n), dtype=np.float64)
-    onehot[y, np.arange(n)] = 1.0
-    scale = weights / weights.sum()
-    w = np.zeros((GRADE_COUNT, x.shape[1]), dtype=np.float64)
-    b = np.zeros(GRADE_COUNT, dtype=np.float64)
-    z = np.empty((GRADE_COUNT, n), dtype=np.float64)
-    delta = np.empty((n, GRADE_COUNT), dtype=np.float64)
-    xt = np.ascontiguousarray(xs.T)
-    for _ in range(cfg.logistic_steps):
-        np.matmul(w, xt, out=z)
-        z += b[:, None]
-        z -= np.maximum.reduce(z, axis=0)
-        np.exp(z, out=z)
-        z /= np.add.reduce(z, axis=0)
-        z -= onehot
-        np.multiply(z, scale, out=delta.T)
-        w -= cfg.logistic_lr * (delta.T @ xs)
-        b -= cfg.logistic_lr * np.einsum("ij->j", delta)
-    return LogisticModel(
-        feature_schema=schema,
-        weights=w,
-        bias=b,
-        mean=mu,
-        std=sd,
-        train_fingerprint=train_fingerprint(cfg, schema, x, y),
-    )
+    n, width = x.shape[0], x.shape[1] + 1
+    xa = np.hstack(((x - mu) / sd, np.ones((n, 1))))  # the bias is the weight of a column of ones
+    scale = sample_weights(y, cfg.class_weighting)
+    scale /= scale.sum()
+    onehot, lam = np.eye(GRADE_COUNT)[y], 1.0 / n
+
+    def evaluate(theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:  # objective, probs, gradient
+        z = xa @ theta.T
+        z -= z.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        total = e.sum(axis=1)
+        loss = scale @ (np.log(total) - (z * onehot).sum(axis=1)) + lam / 2 * (theta * theta).sum()
+        probs = e / total[:, None]
+        return float(loss), probs, ((probs - onehot) * scale[:, None]).T @ xa + lam * theta
+
+    theta, hess = np.zeros((GRADE_COUNT, width)), np.empty((GRADE_COUNT, width) * 2)
+    loss, probs, grad = evaluate(theta)
+    for _ in range(NEWTON_CAP):
+        if np.abs(grad).max() < NEWTON_TOL:
+            break
+        sp = probs * scale[:, None]
+        for c, d in combinations_with_replacement(range(GRADE_COUNT), 2):  # block (d, c) equals block (c, d)
+            hess[c, :, d] = hess[d, :, c] = (xa * (sp[:, c] * ((c == d) - probs[:, d]))[:, None]).T @ xa
+        step = np.linalg.solve(hess.reshape(grad.size, -1) + lam * np.eye(grad.size), grad.ravel()).reshape(grad.shape)
+        for t in 0.5 ** np.arange(30):
+            new = evaluate(theta - t * step)
+            if new[0] <= loss - 1e-4 * t * (grad * step).sum():
+                break
+        theta, (loss, probs, grad) = theta - t * step, new
+    return LogisticModel(feature_schema=schema, weights=theta[:, :-1].copy(), bias=theta[:, -1].copy(), mean=mu,
+                         std=sd, train_fingerprint=train_fingerprint(cfg, schema, x, y))
 
 
 # --- bagged randomized trees ---------------------------------------------------

@@ -39,8 +39,6 @@ class TrainConfig:
     min_leaf: int = 5
     subsample: float = 1.0
     l2_leaf: float = 1.0
-    logistic_steps: int = 2000
-    logistic_lr: float = 0.1
     k_neighbors: int = 5
     class_weighting: bool = False
     seed: int = 0
@@ -55,7 +53,7 @@ class TrainConfig:
             raise InvalidConfig(f"unknown model_kind {self.model_kind!r}")
         if self.n_trees < 0:
             raise InvalidConfig("n_trees must be >= 0")
-        for name in ("max_depth", "min_leaf", "logistic_steps", "k_neighbors", "early_stop_patience"):
+        for name in ("max_depth", "min_leaf", "k_neighbors", "early_stop_patience"):
             if getattr(self, name) < 1:
                 raise InvalidConfig(f"{name} must be >= 1")
         if not (0.0 < self.learning_rate <= 1.0):
@@ -64,8 +62,6 @@ class TrainConfig:
             raise InvalidConfig("subsample must be in (0,1]")
         if self.l2_leaf < 0:
             raise InvalidConfig("l2_leaf must be >= 0")
-        if self.logistic_lr <= 0:
-            raise InvalidConfig("logistic_lr must be > 0")
         if self.max_features is not None and self.max_features < 1:
             raise InvalidConfig("max_features must be >= 1 when set")
         if self.feature_set not in FEATURE_SETS:

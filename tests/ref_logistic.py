@@ -1,6 +1,7 @@
 """Reference logistic-regression loss for the tests: the weighted-mean
-cross-entropy and its gradients, whose gradient ``fit_logistic_arrays``
-inlines, bit for bit, without the loss."""
+cross-entropy and its gradients. ``fit_logistic_arrays`` minimizes this loss
+plus an L2 penalty; the tests check that the penalized gradient is below its
+tolerance at the fitted weights."""
 
 from __future__ import annotations
 

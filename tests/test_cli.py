@@ -4,14 +4,19 @@ import filecmp
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kgdg
 from kgdg.cli import main
 from kgdg.harness import ExperimentReport
 from kgdg.io import (
@@ -660,6 +665,22 @@ class TestConfigSections:
         assert capsys.readouterr().err == "error[INVALID_CONFIG]: unknown keys in 'rules' section: ['smoothing']\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [("logistic_steps", 2000), ("logistic_lr", 0.1)])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_logistic_step_keys_are_unknown(self, data_dir, tmp_path, capsys, command, key, value):
+        """The logistic fit is a Newton solve to a tolerance, with no step
+        count or rate, so setting either is a config error."""
+        config = tmp_path / "experiment.json"
+        config.write_text(json.dumps({
+            "domains": {"manifest": str(data_dir / "manifest.json"), "source": "clinic_a"}, "seeds": [0],
+            "symbolic": {"model_kind": "logistic", key: value}, "fusion": {"strategies": ["max"]},
+        }))
+        argv = ["train", "--features", str(data_dir / "clinic_a_features.csv")] if command == "train" else ["eval"]
+        out = tmp_path / "out"
+        assert main([*argv, "--config", str(config), "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error[INVALID_CONFIG]: unknown keys in 'symbolic' section: ['{key}']\n"
+        assert not out.exists()
+
     def test_train_reads_symbolic_section(self, data_dir, tmp_path):
         config = tmp_path / "train.json"
         config.write_text(json.dumps({"symbolic": {"n_trees": 3}}))
@@ -693,14 +714,14 @@ class TestConfigValueTypes:
         ("fusion", '{"strategies": ["max", "max"]}', "fusion strategies ['max', 'max'] name a strategy twice"),
         ("seeds", "[0, 0]", "seeds [0, 0] name a seed twice"),
         ("symbolic", '{"n_trees": 1.5}', "n_trees must be an integer, got 1.5"),
-        ("symbolic", '{"logistic_steps": 1.5}', "logistic_steps must be an integer, got 1.5"),
+        ("symbolic", '{"early_stop_patience": 1.5}', "early_stop_patience must be an integer, got 1.5"),
         ("symbolic", '{"k_neighbors": 2.0}', "k_neighbors must be an integer, got 2.0"),
         ("symbolic", '{"max_features": 1.5}', "max_features must be an integer, got 1.5"),
         ("symbolic", '{"max_depth": 2.5}', "max_depth must be an integer, got 2.5"),
         ("symbolic", '{"n_trees": 1e400}', "n_trees must be an integer, got inf"),
         ("symbolic", '{"l2_leaf": NaN}', "l2_leaf must be a finite number, got nan"),
         ("symbolic", '{"l2_leaf": Infinity}', "l2_leaf must be a finite number, got inf"),
-        ("symbolic", '{"logistic_lr": Infinity}', "logistic_lr must be a finite number, got inf"),
+        ("symbolic", '{"subsample": Infinity}', "subsample must be a finite number, got inf"),
         ("symbolic", '{"bootstrap": "no"}', "bootstrap must be true or false, got 'no'"),
         ("symbolic", '{"class_weighting": 1}', "class_weighting must be true or false, got 1"),
         ("split", '{"train": NaN, "validation": 0.2, "test": 0.2}', "train must be a finite number, got nan"),
@@ -1121,27 +1142,52 @@ def train_digests(work):
 
 
 class TestTrainArtifactsPinned:
-    """`kgdg train` writes the artifact bytes it wrote before the logistic
-    descent moved to grade-major buffers (digests recorded with the
-    sample-major step loop)."""
+    """`kgdg train` writes these artifact bytes. Recorded when the logistic
+    fit became a penalized Newton solve and `logistic_steps` and
+    `logistic_lr` left the config: every `train_fingerprint` moved with the
+    config, the logistic weights and biases with the solver, and no gbm,
+    forest or kNN param moved."""
 
     PINNED = {
-        "clinic_a_gbm.kgdg": "c39f4eda6d3fc683ee26e254c48496047ca6150b9a04038ff3c4f36c721d3317",
-        "clinic_a_logistic.kgdg": "2f1ad32a1094795f0d001b8abf709f250ce59b2049b7e88d7a0b13b2e24ab3cb",
-        "clinic_a_forest.kgdg": "4b64892ff6ae17725ff6ae186183486381ea985bfe83e6521aa7f5ed99edf11d",
-        "clinic_a_knn.kgdg": "649ec9dd605a099013459d907ed9dd32c7c66a1bedd556f0edea2743b984928c",
-        "clinic_b_gbm.kgdg": "fefbef795c1040ff3433a6b1170c4e3b13a5be17270e32aa99eba800a2a13d88",
-        "clinic_b_logistic.kgdg": "c91961a6c364d9ad7edd664f6e7159d540872fe0d7ecc68822ea26457d3378ac",
-        "clinic_b_forest.kgdg": "1d825a5bdb345302c9ee385e4e86587bdaaf2e2aaace360d52b19156184a97f5",
-        "clinic_b_knn.kgdg": "0745f1ed7c83fbff1cf18ab9958c119911198af7dd53567c1f543b021614bf8f",
-        "clinic_c_gbm.kgdg": "5d2e6a2d913dfefc1e5ee956f2c50248fca34343f27242bee5da3a837ad85f0a",
-        "clinic_c_logistic.kgdg": "da09115e5d4954e92928f6af0a7ebb813bfdd7b8f6e38aa17fc0accab5ab91c7",
-        "clinic_c_forest.kgdg": "b178403bd8f0b97339a0c51def31a4650aaaef043138eff695cf732c632d2e5e",
-        "clinic_c_knn.kgdg": "61d93346f0241198dfbcb8b6c429322293c330a1b200a2c1c982d6be7d74c813",
+        "clinic_a_gbm.kgdg": "ded65b992cbf6c4df1e58b5fb9fe2e81209d640f514b228364ab78ee81cd91b5",
+        "clinic_a_logistic.kgdg": "5bb148a347747f2c0ec76ecb2fd9335f581480101487e5786db150c051e65fa6",
+        "clinic_a_forest.kgdg": "9fdb313c90a891bf451e37da07412178bb2181f65b7b763f900cec8f81164147",
+        "clinic_a_knn.kgdg": "a430ac66f286eb9eea7111397359705d39ca0b2be621cd7ba74f550c70e16cfc",
+        "clinic_b_gbm.kgdg": "de07c11cce9ec14fff9b9850cc9df7a5a595b772eb033655447ebbc576c2c75b",
+        "clinic_b_logistic.kgdg": "9672550036e4715fe6826486101fc6977e6088cd1ddb68fbdc09e1935843b5d6",
+        "clinic_b_forest.kgdg": "e0f26ca214d6e22b9adaeeef32c6c70d4c9e4d7b6ba20fc2a19aeb397db75425",
+        "clinic_b_knn.kgdg": "021968630f43ad7ef551cdefd7be1ecdd2edeb259c991a2c566169a748c0a4ba",
+        "clinic_c_gbm.kgdg": "222e200aa07bff2cfbae5658440ac37fc4b33bce0aec5110097e5ad5e35442f2",
+        "clinic_c_logistic.kgdg": "64a866bd000e197afb30900f05c001670494d97ab73ada1e5017df257361e462",
+        "clinic_c_forest.kgdg": "87c81ad834403257be5b14d85586e179f28b885a335c82a36f1b1856bbffe550",
+        "clinic_c_knn.kgdg": "273a8face3236967dd0cf78a18b2de62ab407609e19ea95386042500851aa082",
     }
 
     def test_artifact_bytes_pinned(self, tmp_path):
         assert train_digests(tmp_path) == self.PINNED
+
+
+def test_logistic_artifact_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """The logistic fit's Newton solve runs through BLAS and LAPACK, and a
+    threaded BLAS product can round differently; `kgdg train --model
+    logistic` writes the same bytes with one BLAS thread as with the
+    library's default count (synth vein_hostile seed 7, 2000 rows)."""
+    data = tmp_path / "data"
+    assert main(["synth", "--profile", "vein_hostile", "--seed", "7", "--samples", "2000",
+                 "--out", str(data), "--quiet"]) == 0
+    written = []
+    for threads in ("1", None):
+        env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(kgdg.__file__).resolve().parents[1])
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"threads_{threads}.kgdg"
+        done = subprocess.run([sys.executable, "-m", "kgdg.cli", "train", "--features",
+                               str(data / "clinic_a_features.csv"), "--model", "logistic", "--seed", "0",
+                               "--out", str(out), "--quiet"], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
 
 
 # --- ingest fuzz: mutated bytes of every input kind through the CLI ----------------------
@@ -1236,7 +1282,7 @@ def fuzz_inputs(tmp_path_factory):
         "seeds": [0],
         "split": {"train": 0.6, "validation": 0.2, "test": 0.2},
         "symbolic": {"model_kind": "gbm", "n_trees": 2, "max_depth": 2, "learning_rate": 0.1, "min_leaf": 2,
-                     "subsample": 1.0, "l2_leaf": 1.0, "logistic_steps": 20, "logistic_lr": 0.1, "k_neighbors": 3,
+                     "subsample": 1.0, "l2_leaf": 1.0, "k_neighbors": 3,
                      "class_weighting": False, "seed": 0, "early_stop_patience": 1, "bootstrap": True,
                      "max_features": None, "feature_set": "auto"},
         "fusion": {"strategies": ["max", "weighted"], "include_neural": True, "alpha_dl": None, "alpha_kl": None},

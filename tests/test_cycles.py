@@ -58,7 +58,7 @@ def test_flatten_trees_leaves_no_cycles():
 def test_fit_model_leaves_no_cycles(kind):
     x, y = arrays(200, features=6)
     schema = tuple(f"f{i}" for i in range(6))
-    cfg = TrainConfig(model_kind=kind, n_trees=10, logistic_steps=200)
+    cfg = TrainConfig(model_kind=kind, n_trees=10)
     assert unreachable_after(lambda: fit_model(x, y, x[:50], y[:50], schema, cfg)) == 0
 
 

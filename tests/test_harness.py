@@ -420,15 +420,16 @@ class TestRunExperiment:
 
     # sha256 of canonical_json(report.to_json_dict()). MDG's KL is a mean
     # over every (seed, fold) run, and SDG's KL is its single fold's value.
-    # Re-recorded when the unused fusion.grid key left the config, and again
-    # when the unused rules section left it and the fingerprint stopped
-    # hashing detection files: each time only the config_fingerprint field
-    # moved, every other field kept its bytes.
+    # Re-recorded when the unused fusion.grid key left the config, when the
+    # unused rules section left it and the fingerprint stopped hashing
+    # detection files, and when logistic_steps and logistic_lr left it: each
+    # time only the config_fingerprint field moved, every other field kept
+    # its bytes.
     PINNED = {
-        ("sdg", False): "8961ad658eff8ade01f0e6c3668f2a7ccb75fc96add1716ce4fb88fdb1d93538",
-        ("sdg", True): "1eb096df59590532ebeb51479f58fffbd835d3d6e80ba5f5cf38e3625da5ed89",
-        ("mdg", False): "2f927a6b87c261902039d310dfeba215380187bcd91680a5db0170a12ef1d766",
-        ("mdg", True): "e0abeccc6e63593106b0f17c7546aa77abc4136d52fedc7c45849eb8846833e6",
+        ("sdg", False): "28999a57ef1bac697f6c6975b3da8cf9787859b700d08aa6e01bc9071de99301",
+        ("sdg", True): "d5d78cd178a1e7a3a1f1dfd5c4717a7aef5185d535cf3231a968a05658718306",
+        ("mdg", False): "e923c182171dbee8a19d103c283e63b9bac80484ecca24aa39aaec3f6497a762",
+        ("mdg", True): "6755412482d13069613b1204c00dc84ded04b9d859bfa5409ddf8707ad5f1228",
     }
 
     @pytest.mark.parametrize("mode,alignment", sorted(PINNED))
@@ -447,8 +448,8 @@ class TestRunExperiment:
     # before it sums pairwise, so each cell's mean must come from the same
     # contiguous per-seed vector.
     PINNED_NINE_SEEDS = {
-        "sdg": "00ddbdc3ecc92bf29a7dc4e965e9e82bce42520d977442941cc9c2f26d91552b",
-        "mdg": "d4d433648e4eddd584a9ff8484f2d3c225d5e8d275607c2edac6ec058aebee82",
+        "sdg": "d2ad765e1dde7e2d4000d74f439d6ebea74ce44ef1ebcd6f2e52c8bebf32b8f7",
+        "mdg": "2338a12bf9bd40651099433292ba30a9f1025fe18415236de9aeca8138ffdced",
     }
 
     @pytest.mark.parametrize("mode", sorted(PINNED_NINE_SEEDS))

@@ -599,7 +599,7 @@ class TestModelArtifact:
              "knn_negative_std", "forest_leaf_sum_2", "forest_negative_leaf"],
     )
     def test_ill_shaped_param_raises_corrupt_at_load(self, tmp_path, kind, param, value, message):
-        cfg = TrainConfig(model_kind=kind, n_trees=3, min_leaf=2, k_neighbors=3, logistic_steps=5, seed=1)
+        cfg = TrainConfig(model_kind=kind, n_trees=3, min_leaf=2, k_neighbors=3, seed=1)
         path = _edited_artifact(tmp_path, cfg, lambda raw: raw["params"].update({param: value}))
         with pytest.raises(CorruptArtifact, match=re.escape(f"{path}: {message}")):
             model_from_artifact(load_model(path))

@@ -1,7 +1,7 @@
 """Array kernels against the per-row and per-feature reference code they
 replaced: pre-sorted split search with its per-fit node cache, the flat
 level-wise tree descent, tie-averaged ranks, fusion, the column-wise
-softmax, the logistic gradient step, kNN selection, the Gini cut scan, the
+softmax, the logistic fit's optimality, kNN selection, the Gini cut scan, the
 columnar table and detection readers, and detection matching."""
 
 import csv
@@ -44,6 +44,7 @@ from kgdg.errors import (
     UnknownLesionKind,
 )
 from kgdg.fusion import FusionStrategy, fuse
+from kgdg.harness import SplitFractions, split_dataset
 from kgdg.io import (
     LESIONS_ONLY_HEADER,
     LESIONS_VEIN_HEADER,
@@ -67,7 +68,7 @@ from kgdg.learn import (
 )
 from kgdg.learn import baselines as baselines_module
 from kgdg.learn import gbm as gbm_module
-from kgdg.learn.config import feature_matrix, sample_weights, softmax, standardization
+from kgdg.learn.config import feature_matrix, sample_weights, softmax
 from kgdg.learn.tree import (
     GAIN_EPS,
     _gini,
@@ -78,6 +79,7 @@ from kgdg.learn.tree import (
     predict_tree,
 )
 from kgdg.metrics import _tie_averaged_ranks, auc_ovr_macro, binary_auc, match_detections
+from kgdg.synth import gen_dataset, shift_profile
 
 # --- reference implementations ---------------------------------------------------
 
@@ -230,21 +232,6 @@ def ref_softmax(scores):
     z = scores - scores.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
-
-
-def ref_fit_logistic(x, y, cfg):
-    """(weights, bias) of full-batch descent through the reference loss's
-    gradient, the one the finite-difference checks cover."""
-    mu, sd = standardization(x)
-    xs = (x - mu) / sd
-    weights = sample_weights(y, cfg.class_weighting)
-    w = np.zeros((GRADE_COUNT, x.shape[1]))
-    b = np.zeros(GRADE_COUNT)
-    for _ in range(cfg.logistic_steps):
-        _, gw, gb = logistic_loss_and_grad(w, b, xs, y, weights)
-        w -= cfg.logistic_lr * gw
-        b -= cfg.logistic_lr * gb
-    return w, b
 
 
 def ref_knn_predict(model, x):
@@ -526,12 +513,40 @@ def test_softmax_and_row_sum_equal_numpy_row_reductions():
         assert row_sum(row[None, :])[0] == row.sum()
 
 
-# --- (f) the logistic step without the loss gives the same weights ------------------------
+# --- (f) the logistic fit stops at the penalized optimum ---------------------------------
+
+
+def penalized_gradient(model, x, y, class_weighting):
+    """Largest entry of the reference loss's gradient plus lam times the
+    weights and bias, lam = 1/n, at the fitted model."""
+    xs = (x - model.mean) / model.std
+    _, gw, gb = logistic_loss_and_grad(model.weights, model.bias, xs, y, sample_weights(y, class_weighting))
+    lam = 1.0 / y.size
+    return max(np.abs(gw + lam * model.weights).max(), np.abs(gb + lam * model.bias).max())
+
+
+def newton_steps(monkeypatch, fit):
+    """The model ``fit()`` returns and the Newton steps it took: one linear solve each."""
+    solves, solve = [], np.linalg.solve
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "solve", lambda a, b: solves.append(1) or solve(a, b))
+        return fit(), len(solves)
+
+
+def outlier_fixture(single_grade):
+    """Grades set apart by three columns, with one row 1e4 times the rest: on
+    its standardized values full Newton steps cycle, so only the halved steps
+    reach the optimum."""
+    rng = np.random.default_rng(14)
+    y = rng.integers(0, 5, size=500)
+    x = y[:, None] + rng.normal(size=(500, 3)) * 0.03
+    x[0] *= 1e4
+    return x, np.full(500, 3) if single_grade else y, ("a", "b", "c")
 
 
 @pytest.mark.parametrize("class_weighting", [False, True])
 @pytest.mark.parametrize("single_grade", [False, True])
-def test_logistic_fit_equals_loss_and_grad_loop(class_weighting, single_grade):
+def test_logistic_fit_is_the_penalized_optimum(monkeypatch, class_weighting, single_grade):
     # 1400 rows at both schema widths: lesion counts, then vein floats
     rng = np.random.default_rng(9)
     n = 1400
@@ -543,12 +558,26 @@ def test_logistic_fit_equals_loss_and_grad_loop(class_weighting, single_grade):
         rng.poisson(0.2, size=n).astype(np.float64),
     ])
     vein = rng.normal(size=(n, 3)) * 5 + y[:, None]
-    cfg = TrainConfig(model_kind="logistic", logistic_steps=150, class_weighting=class_weighting)
-    for x, schema in ((counts, LESIONS_ONLY_SCHEMA), (np.hstack([counts, vein]), LESIONS_VEIN_SCHEMA)):
-        model = fit_logistic_arrays(x, y, schema, cfg)
-        w, b = ref_fit_logistic(x, y, cfg)
-        assert np.array_equal(model.weights, w)
-        assert np.array_equal(model.bias, b)
+    cfg = TrainConfig(model_kind="logistic", class_weighting=class_weighting)
+    fixtures = [(counts, y, LESIONS_ONLY_SCHEMA), (np.hstack([counts, vein]), y, LESIONS_VEIN_SCHEMA)]
+    for x, y, schema in fixtures + [outlier_fixture(single_grade)]:
+        model, steps = newton_steps(monkeypatch, lambda: fit_logistic_arrays(x, y, schema, cfg))
+        assert steps < baselines_module.NEWTON_CAP
+        assert penalized_gradient(model, x, y, class_weighting) < baselines_module.NEWTON_TOL
+
+
+def test_logistic_fit_on_separable_grades_is_finite(monkeypatch):
+    """Within a vein_hostile domain the vein columns separate the grades, so
+    the unpenalized loss has no minimum; the penalized fit stops well under
+    the cap with finite weights."""
+    table = gen_dataset(shift_profile("vein_hostile", seed=7, n_samples=2000)).tables[DomainId("clinic_a")]
+    train, _, _ = split_dataset(table, SplitFractions(), 0)
+    x, y = feature_matrix(table, LESIONS_VEIN_SCHEMA)[train], table.y[train]
+    cfg = TrainConfig(model_kind="logistic")
+    model, steps = newton_steps(monkeypatch, lambda: fit_logistic_arrays(x, y, LESIONS_VEIN_SCHEMA, cfg))
+    assert steps <= baselines_module.NEWTON_CAP // 4
+    assert np.isfinite(model.weights).all() and np.isfinite(model.bias).all()
+    assert penalized_gradient(model, x, y, False) < baselines_module.NEWTON_TOL
 
 
 # --- (f2) kNN selection by partition equals the full stable sort --------------------------

@@ -276,18 +276,18 @@ class TestLogistic:
 
     def test_single_class_degenerate_fit_predicts_it(self):
         examples = [make_example(i, 2, microaneurysm_count=i % 3) for i in range(12)]
-        model = fit_examples(examples, examples, TrainConfig(model_kind="logistic", logistic_steps=300))
+        model = fit_examples(examples, examples, TrainConfig(model_kind="logistic"))
         assert predict_row(model, examples[0].features).argmax() == 2
 
     def test_learns_separable_data(self):
         examples = random_examples(150, seed=9, grades=3)
-        model = fit_examples(examples, examples, TrainConfig(model_kind="logistic", logistic_steps=800))
+        model = fit_examples(examples, examples, TrainConfig(model_kind="logistic"))
         acc = np.mean([predict_row(model, e.features).argmax() == int(e.grade) for e in examples])
         assert acc > 0.5
 
     def test_deterministic(self):
         examples = random_examples(50, seed=10)
-        cfg = TrainConfig(model_kind="logistic", logistic_steps=200)
+        cfg = TrainConfig(model_kind="logistic")
         a = fit_examples(examples, examples, cfg)
         b = fit_examples(examples, examples, cfg)
         assert canonical_json(a.to_artifact().params) == canonical_json(b.to_artifact().params)
@@ -381,7 +381,7 @@ class TestFeatureOrderInvariance:
         x = rng.normal(size=(50, 4))
         y = rng.integers(0, 3, size=50)
         schema = ("f0", "f1", "f2", "f3")
-        cfg = TrainConfig(model_kind=kind, logistic_steps=150, k_neighbors=3)
+        cfg = TrainConfig(model_kind=kind, k_neighbors=3)
         if kind == "logistic":
             m = fit_logistic_arrays(x, y, schema, cfg)
         else:
@@ -400,7 +400,7 @@ class TestFitModelDispatch:
     @pytest.mark.parametrize("kind", ["gbm", "logistic", "forest", "knn"])
     def test_dispatch(self, kind):
         examples = random_examples(40, seed=21)
-        cfg = TrainConfig(model_kind=kind, n_trees=4, min_leaf=2, logistic_steps=50, k_neighbors=3)
+        cfg = TrainConfig(model_kind=kind, n_trees=4, min_leaf=2, k_neighbors=3)
         model = fit_examples(examples[:30], examples[30:], cfg)
         pv = predict_row(model, examples[0].features)
         assert abs(sum(pv) - 1.0) < 1e-9
