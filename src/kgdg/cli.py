@@ -169,9 +169,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     cfg, manifest_path = load_experiment_config(args.config)
     if args.mode:
         cfg = replace(cfg, mode=args.mode)
-    if args.seed is not None:
-        cfg = replace(cfg, seeds=(args.seed,))
-    elif os.environ.get("KGDG_SEED"):
+    if args.seed is not None or "KGDG_SEED" in os.environ:
         cfg = replace(cfg, seeds=(_resolve_seed(args),))
     report = run_experiment(cfg, load_manifest(manifest_path))
     _diag(args, f"config fingerprint: {report.config_fingerprint}")  # config and data digests

@@ -536,13 +536,11 @@ class DomainEntry:
     name: DomainId
     features: Path
     probs: Path | None = None
-    detections: Path | None = None
 
 
 @dataclass(frozen=True)
 class Manifest:
     domains: tuple[DomainEntry, ...]
-    seeds: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if not self.domains:
@@ -564,14 +562,12 @@ def load_manifest(path: str | Path) -> Manifest:
                 name=DomainId(d["name"]),
                 features=(path.parent / d["features"]).resolve(),
                 probs=(path.parent / d["probs"]).resolve() if d.get("probs") else None,
-                detections=(path.parent / d["detections"]).resolve() if d.get("detections") else None,
             )
             for d in raw["domains"]
         ]
-        seeds = tuple(int(s) for s in raw.get("seeds", []))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed manifest: {exc}") from exc
-    return Manifest(tuple(entries), seeds)
+    return Manifest(tuple(entries))
 
 
 def save_manifest(path: str | Path, domains: Sequence[Mapping[str, Any]], seeds: Sequence[int]) -> None:

@@ -146,12 +146,12 @@ def fit_forest_arrays(
     probabilities are averaged leaf grade frequencies."""
     if cfg.n_trees < 1:
         raise InvalidConfig("forest needs n_trees >= 1")
-    max_features = cfg.max_features or max(1, math.isqrt(x.shape[1]))
+    max_features = max(1, math.isqrt(x.shape[1]))
     root = np.random.SeedSequence(cfg.seed)
     trees = []
     for child in root.spawn(cfg.n_trees):
         rng = np.random.Generator(np.random.PCG64(child))
-        rows = rng.integers(0, x.shape[0], size=x.shape[0]) if cfg.bootstrap else np.arange(x.shape[0])
+        rows = rng.integers(0, x.shape[0], size=x.shape[0])
         trees.append(
             fit_classification_tree(x[rows], y[rows], rng, cfg.max_depth, cfg.min_leaf, max_features)
         )

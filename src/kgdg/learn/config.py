@@ -37,14 +37,11 @@ class TrainConfig:
     max_depth: int = 3
     learning_rate: float = 0.1
     min_leaf: int = 5
-    subsample: float = 1.0
     l2_leaf: float = 1.0
     k_neighbors: int = 5
     class_weighting: bool = False
     seed: int = 0
     early_stop_patience: int = 10
-    bootstrap: bool = True
-    max_features: int | None = None
     feature_set: str = "auto"
 
     def __post_init__(self) -> None:
@@ -58,12 +55,8 @@ class TrainConfig:
                 raise InvalidConfig(f"{name} must be >= 1")
         if not (0.0 < self.learning_rate <= 1.0):
             raise InvalidConfig("learning_rate must be in (0,1]")
-        if not (0.0 < self.subsample <= 1.0):
-            raise InvalidConfig("subsample must be in (0,1]")
         if self.l2_leaf < 0:
             raise InvalidConfig("l2_leaf must be >= 0")
-        if self.max_features is not None and self.max_features < 1:
-            raise InvalidConfig("max_features must be >= 1 when set")
         if self.feature_set not in FEATURE_SETS:
             raise InvalidConfig(f"feature_set must be one of {FEATURE_SETS}")
         if self.seed < 0:

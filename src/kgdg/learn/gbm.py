@@ -9,14 +9,13 @@ that accuracy is 1.0, since no later round can then be kept.
 ``train_loss_curve`` holds one loss per round trained.
 
 A fit shares one node cache (``tree.NodeCache``) across its grade trees and
-rounds, or across one round's grade trees when it subsamples rows. A tree
-returns each of its rows' leaf values, so the fit predicts only validation
-rows, and rows outside a subsample.
+rounds. A tree returns each of its rows' leaf values, so the fit predicts
+only validation rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
 
@@ -24,7 +23,6 @@ import numpy as np
 
 from ..core import GRADE_COUNT
 from ..errors import SchemaMismatch, SingleClassTrain
-from ..io import ModelArtifact
 from .config import (
     FittedModel,
     TrainConfig,
@@ -73,13 +71,6 @@ class GbmModel(FittedModel):
         self.check_width(x)
         return softmax(self.decision_scores(x))
 
-    @classmethod
-    def from_artifact(cls, artifact: ModelArtifact) -> "GbmModel":
-        p = artifact.params  # an artifact written before best_round was stored keeps every round
-        if "best_round" not in p and isinstance(p.get("trees"), list):
-            artifact = replace(artifact, params={**p, "best_round": len(p["trees"])})
-        return super().from_artifact(artifact)
-
 
 def weighted_log_priors(y: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Log of the (weight-adjusted) empirical grade frequencies."""
@@ -105,7 +96,7 @@ def fit_gbm_arrays(x: np.ndarray, y: np.ndarray, xv: np.ndarray, yv: np.ndarray,
     cannot exceed 1.0, so once it is 1.0 (before the first round too, when
     the priors classify every validation row) the kept trees are final and
     no further round is trained. ``train_loss_curve`` holds the rounds that
-    were trained. Deterministic given the seed."""
+    were trained."""
     if yv.size == 0:
         raise SchemaMismatch("validation set must be nonempty")
     if np.unique(y).size < 2:
@@ -115,7 +106,6 @@ def fit_gbm_arrays(x: np.ndarray, y: np.ndarray, xv: np.ndarray, yv: np.ndarray,
     base = weighted_log_priors(y, weights)
     fingerprint = train_fingerprint(cfg, schema, x, y)
 
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
     n = x.shape[0]
     onehot = np.eye(GRADE_COUNT)[y]
 
@@ -124,31 +114,22 @@ def fit_gbm_arrays(x: np.ndarray, y: np.ndarray, xv: np.ndarray, yv: np.ndarray,
     trees: list[list[dict[str, Any]]] = []
     loss_curve: list[float] = []
 
-    # one node cache per row set: the whole fit, or one round's grade trees
-    # when the rows are subsampled
-    nodes: NodeCache | None = None
+    nodes = NodeCache(x, cfg.max_depth, cfg.min_leaf)  # every grade tree and round grows on it
     best_acc = float(np.mean(softmax(scores_v).argmax(axis=1) == yv))
     best_round = 0
     probs = softmax(scores)
     for round_idx in range(cfg.n_trees):
         if best_acc == 1.0:
             break
-        if nodes is None or cfg.subsample < 1.0:
-            rows = np.arange(n)
-            if cfg.subsample < 1.0:
-                rows = np.sort(rng.choice(n, size=max(1, int(round(cfg.subsample * n))), replace=False))
-            nodes = NodeCache(x, cfg.max_depth, cfg.min_leaf, rows)
         fitted = np.empty((n, GRADE_COUNT))
         round_trees: list[dict[str, Any]] = []
         for c in range(GRADE_COUNT):
             grad = weights * (probs[:, c] - onehot[:, c])
             hess = weights * probs[:, c] * (1.0 - probs[:, c])
-            tree, fitted[:, c] = fit_regression_tree(x, grad, hess, cfg.max_depth, cfg.min_leaf, cfg.l2_leaf, nodes)
+            tree, fitted[:, c] = fit_regression_tree(nodes, grad, hess, cfg.l2_leaf)
             round_trees.append(tree)
-        # the fit left each of its rows in a leaf; only rows outside a subsample need a predict
-        flat = flatten_trees(round_trees)
-        scores += cfg.learning_rate * (fitted if rows.size == n else predict_tree(flat, x))
-        scores_v += cfg.learning_rate * predict_tree(flat, xv)
+        scores += cfg.learning_rate * fitted  # the fit left each row in a leaf
+        scores_v += cfg.learning_rate * predict_tree(flatten_trees(round_trees), xv)
         nodes.prune()
         trees.append(round_trees)
         probs = softmax(scores)  # this round's loss, and the next round's gradients

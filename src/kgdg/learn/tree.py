@@ -45,22 +45,19 @@ class _Node:
 
 
 class NodeCache:
-    """Split state, keyed by split path, of the nodes that trees over
-    ``rows`` of ``x`` (all rows when None) reach. A node's per-feature
-    stable order, allowed cuts (a value change with ``min_leaf`` rows on
-    each side) and children depend on its rows, not on the gradients, so
-    all grade trees and rounds reuse them (XGBoost's presorted column
-    blocks). A node is prepared when first reached; one that cannot split
-    keeps only its rows, and no node keeps sorted values. :meth:`prune`
-    after each round keeps only what the last two rounds reached."""
+    """Split state, keyed by split path, of the nodes that trees over the
+    rows of ``x`` reach. A node's per-feature stable order, allowed cuts (a
+    value change with ``min_leaf`` rows on each side) and children depend on
+    its rows, not on the gradients, so all grade trees and rounds reuse them
+    (XGBoost's presorted column blocks). A node is prepared when first
+    reached; one that cannot split keeps only its rows, and no node keeps
+    sorted values. :meth:`prune` after each round keeps only what the last
+    two rounds reached."""
 
-    def __init__(self, x: np.ndarray, max_depth: int, min_leaf: int, rows: np.ndarray | None = None) -> None:
+    def __init__(self, x: np.ndarray, max_depth: int, min_leaf: int) -> None:
         order = np.argsort(x, axis=0, kind="stable").T
-        rows = np.arange(x.shape[0]) if rows is None else rows
-        sampled = np.zeros(x.shape[0], dtype=bool)
-        sampled[rows] = True
         self.xt, self.min_leaf, self.round = np.ascontiguousarray(x.T), min_leaf, 0
-        self.root = self._node(rows, max_depth, order, sampled[order])
+        self.root = self._node(np.arange(x.shape[0]), max_depth, order, np.full(order.shape, True))
 
     def _node(self, rows: np.ndarray, depth: int, orders: np.ndarray, keep: np.ndarray) -> _Node:
         node, m, min_leaf = _Node(rows, depth), rows.size, self.min_leaf
@@ -125,14 +122,12 @@ def _best_cut(node: _Node, gh: np.ndarray, l2: float) -> int | None:
     return best if gains[best] > GAIN_EPS else None
 
 
-def fit_regression_tree(x: np.ndarray, g: np.ndarray, h: np.ndarray, max_depth: int, min_leaf: int,
-                        l2: float, nodes: NodeCache | None = None) -> tuple[dict[str, Any], np.ndarray]:
-    """Second-order (Newton) regression tree on gradient/hessian targets
-    over the rows of ``nodes``, a :class:`NodeCache` of ``x`` with the same
-    ``max_depth`` and ``min_leaf`` (every row of a fresh one when None).
-    Returns the tree and each row's leaf value (NaN for rows not in it)."""
-    nodes = NodeCache(x, max_depth, min_leaf) if nodes is None else nodes
-    fitted = np.full(g.size, np.nan)
+def fit_regression_tree(nodes: NodeCache, g: np.ndarray, h: np.ndarray,
+                        l2: float) -> tuple[dict[str, Any], np.ndarray]:
+    """Second-order (Newton) regression tree on gradient/hessian targets,
+    grown on ``nodes``, the :class:`NodeCache` of the training rows.
+    Returns the tree and each row's leaf value."""
+    fitted = np.empty(g.size)
     gh = np.empty(g.size, dtype=np.complex128)
     gh.real, gh.imag = g, h
 

@@ -271,18 +271,21 @@ class TestEvalCommand:
         assert not out.exists()
 
     def test_report_ignores_detection_files(self, data_dir, tmp_path):
-        """eval reads no detections, so its report, fingerprint included, is the
-        same whether each domain's detections file is there, garbage or missing."""
+        """eval reads no detections and no manifest seeds, so its report,
+        fingerprint included, is the same whether each domain's detections
+        file is there, garbage or missing, and whatever the manifest's
+        detections and seeds entries hold."""
         manifest = json.loads((data_dir / "manifest.json").read_text())
         detections = {}  # each domain's detections, by the name the case manifests give them
         for d in manifest["domains"]:
             detections[f"{d['name']}.json"] = (data_dir / d["detections"]).read_bytes()
             d.update({k: str(data_dir / d[k]) for k in ("features", "probs")}, detections=f"{d['name']}.json")
+        unread = {"domains": [{**d, "detections": 5} for d in manifest["domains"]], "seeds": ["x"]}
         reports = {}
-        for case in ("present", "garbage", "missing"):
+        for case in ("present", "garbage", "missing", "unread"):
             case_dir = tmp_path / case
             case_dir.mkdir()
-            (case_dir / "manifest.json").write_text(json.dumps(manifest))
+            (case_dir / "manifest.json").write_text(json.dumps(unread if case == "unread" else manifest))
             for name, original in detections.items() if case != "missing" else ():
                 (case_dir / name).write_bytes(original if case == "present" else b"\xff[{garbage")
             config = self._write_config(data_dir, case_dir, domains={
@@ -290,7 +293,7 @@ class TestEvalCommand:
             out = case_dir / "report.json"
             assert main(["eval", "--config", str(config), "--format", "json", "--out", str(out), "--quiet"]) == 0
             reports[case] = out.read_bytes()
-        assert reports["garbage"] == reports["present"] and reports["missing"] == reports["present"]
+        assert reports["garbage"] == reports["missing"] == reports["unread"] == reports["present"]
 
     def test_gbm_without_validation_split_is_a_typed_error(self, data_dir, tmp_path):
         config = self._write_config(data_dir, tmp_path,
@@ -670,10 +673,26 @@ class TestConfigSections:
     def test_logistic_step_keys_are_unknown(self, data_dir, tmp_path, capsys, command, key, value):
         """The logistic fit is a Newton solve to a tolerance, with no step
         count or rate, so setting either is a config error."""
+        self._unknown_symbolic_key(data_dir, tmp_path, capsys, command, "logistic", key, value)
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("gbm", "subsample", 0.8), ("forest", "bootstrap", False), ("forest", "max_features", 2),
+    ])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_removed_tree_keys_are_unknown(self, data_dir, tmp_path, capsys, command, kind, key, value):
+        """A GBM grows every tree on all its rows and a forest draws bootstrap
+        rows and isqrt(features) candidates per node, with no key to change
+        either, so setting one is a config error."""
+        self._unknown_symbolic_key(data_dir, tmp_path, capsys, command, kind, key, value)
+
+    @staticmethod
+    def _unknown_symbolic_key(data_dir, tmp_path, capsys, command, kind, key, value):
+        """`command` with ``key`` set in the symbolic section exits 2 as an
+        unknown key and writes nothing."""
         config = tmp_path / "experiment.json"
         config.write_text(json.dumps({
             "domains": {"manifest": str(data_dir / "manifest.json"), "source": "clinic_a"}, "seeds": [0],
-            "symbolic": {"model_kind": "logistic", key: value}, "fusion": {"strategies": ["max"]},
+            "symbolic": {"model_kind": kind, key: value}, "fusion": {"strategies": ["max"]},
         }))
         argv = ["train", "--features", str(data_dir / "clinic_a_features.csv")] if command == "train" else ["eval"]
         out = tmp_path / "out"
@@ -716,13 +735,10 @@ class TestConfigValueTypes:
         ("symbolic", '{"n_trees": 1.5}', "n_trees must be an integer, got 1.5"),
         ("symbolic", '{"early_stop_patience": 1.5}', "early_stop_patience must be an integer, got 1.5"),
         ("symbolic", '{"k_neighbors": 2.0}', "k_neighbors must be an integer, got 2.0"),
-        ("symbolic", '{"max_features": 1.5}', "max_features must be an integer, got 1.5"),
         ("symbolic", '{"max_depth": 2.5}', "max_depth must be an integer, got 2.5"),
         ("symbolic", '{"n_trees": 1e400}', "n_trees must be an integer, got inf"),
         ("symbolic", '{"l2_leaf": NaN}', "l2_leaf must be a finite number, got nan"),
         ("symbolic", '{"l2_leaf": Infinity}', "l2_leaf must be a finite number, got inf"),
-        ("symbolic", '{"subsample": Infinity}', "subsample must be a finite number, got inf"),
-        ("symbolic", '{"bootstrap": "no"}', "bootstrap must be true or false, got 'no'"),
         ("symbolic", '{"class_weighting": 1}', "class_weighting must be true or false, got 1"),
         ("split", '{"train": NaN, "validation": 0.2, "test": 0.2}', "train must be a finite number, got nan"),
         ("rules", '{"cws_severe_threshold": 1.5}', "cws_severe_threshold must be an integer, got 1.5"),
@@ -768,6 +784,19 @@ class TestConfigValueTypes:
         code = main(["synth", "--profile", "mild", "--samples", "10", *flags, "--out", str(out), "--quiet"])
         assert (code, capsys.readouterr().err) == (2, f"error[INVALID_CONFIG]: {message}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "train", "eval"])
+    def test_empty_env_seed_exits_2(self, data_dir, tmp_path, capsys, monkeypatch, command):
+        """KGDG_SEED is set when it is present, so every command that reads
+        it, eval included, refuses an empty value."""
+        monkeypatch.setenv("KGDG_SEED", "")
+        if command == "eval":
+            code, err = self._eval(data_dir, tmp_path, capsys)
+        else:
+            argv = {"synth": ["synth", "--profile", "mild", "--samples", "10"],
+                    "train": ["train", "--features", str(data_dir / "clinic_a_features.csv")]}[command]
+            code, err = main([*argv, "--out", str(tmp_path / "out"), "--quiet"]), capsys.readouterr().err
+        assert (code, err) == (2, "error[INVALID_CONFIG]: KGDG_SEED='' is not an integer\n")
 
     @pytest.mark.parametrize("threshold", ["2", "-0.5", "nan"])
     def test_metrics_iou_threshold_exits_2(self, data_dir, tmp_path, capsys, threshold):
@@ -1142,25 +1171,23 @@ def train_digests(work):
 
 
 class TestTrainArtifactsPinned:
-    """`kgdg train` writes these artifact bytes. Recorded when the logistic
-    fit became a penalized Newton solve and `logistic_steps` and
-    `logistic_lr` left the config: every `train_fingerprint` moved with the
-    config, the logistic weights and biases with the solver, and no gbm,
-    forest or kNN param moved."""
+    """`kgdg train` writes these artifact bytes. Re-recorded when
+    `subsample`, `bootstrap` and `max_features` left the config: only every
+    `train_fingerprint` moved, with the config, and no param moved."""
 
     PINNED = {
-        "clinic_a_gbm.kgdg": "ded65b992cbf6c4df1e58b5fb9fe2e81209d640f514b228364ab78ee81cd91b5",
-        "clinic_a_logistic.kgdg": "5bb148a347747f2c0ec76ecb2fd9335f581480101487e5786db150c051e65fa6",
-        "clinic_a_forest.kgdg": "9fdb313c90a891bf451e37da07412178bb2181f65b7b763f900cec8f81164147",
-        "clinic_a_knn.kgdg": "a430ac66f286eb9eea7111397359705d39ca0b2be621cd7ba74f550c70e16cfc",
-        "clinic_b_gbm.kgdg": "de07c11cce9ec14fff9b9850cc9df7a5a595b772eb033655447ebbc576c2c75b",
-        "clinic_b_logistic.kgdg": "9672550036e4715fe6826486101fc6977e6088cd1ddb68fbdc09e1935843b5d6",
-        "clinic_b_forest.kgdg": "e0f26ca214d6e22b9adaeeef32c6c70d4c9e4d7b6ba20fc2a19aeb397db75425",
-        "clinic_b_knn.kgdg": "021968630f43ad7ef551cdefd7be1ecdd2edeb259c991a2c566169a748c0a4ba",
-        "clinic_c_gbm.kgdg": "222e200aa07bff2cfbae5658440ac37fc4b33bce0aec5110097e5ad5e35442f2",
-        "clinic_c_logistic.kgdg": "64a866bd000e197afb30900f05c001670494d97ab73ada1e5017df257361e462",
-        "clinic_c_forest.kgdg": "87c81ad834403257be5b14d85586e179f28b885a335c82a36f1b1856bbffe550",
-        "clinic_c_knn.kgdg": "273a8face3236967dd0cf78a18b2de62ab407609e19ea95386042500851aa082",
+        "clinic_a_gbm.kgdg": "48d19cc33f234d0274182c38fed5fd8d6b5f32684e97ec089517f239f65344ba",
+        "clinic_a_logistic.kgdg": "49d1bf6d1245f651f7d57ec606035abf60927a07c3dc0ff8f4ff81ed3485e48f",
+        "clinic_a_forest.kgdg": "2b761532571fd9434fc57d23bd99e78c1802c8a625381331f9150fc7e77a9137",
+        "clinic_a_knn.kgdg": "c1dd31bd4dc5e27c5256b749338cae1ab98ec3b7b60ad8b6ac19b23cd1698e53",
+        "clinic_b_gbm.kgdg": "38990d14fd7d7845a3fd54d36628639afb0c76e8ef791b57b81ebf66a8e976fe",
+        "clinic_b_logistic.kgdg": "28064e6bb33f938c4e857814ee6c7849a53b32f6ba6594809a7facbd5bbcde52",
+        "clinic_b_forest.kgdg": "cccd061dede4281b3c1dfce5dfc5c1ad712b31c0643dcdee1c02ff63e3998134",
+        "clinic_b_knn.kgdg": "31840e75b588708cbc63fcba585df1f11728d0e834170e7060d082eee947f9d9",
+        "clinic_c_gbm.kgdg": "9644b9c52f9ec3497284ff9df52da3769a5c5d35d0e3bd9e91ebee9db4fed53d",
+        "clinic_c_logistic.kgdg": "117bae10adbf4c32398f92d52392fe778ead20493061d75a3024175967d17c7b",
+        "clinic_c_forest.kgdg": "eff503fe8b562d1fe72868cc96eb69d58679df2470b6afbed928e08dec4bb45e",
+        "clinic_c_knn.kgdg": "7d2aa08536af1bd58b8a682c736b2cd209d9ab47f1938ccb3aa221bdf09eaf7f",
     }
 
     def test_artifact_bytes_pinned(self, tmp_path):
@@ -1282,9 +1309,8 @@ def fuzz_inputs(tmp_path_factory):
         "seeds": [0],
         "split": {"train": 0.6, "validation": 0.2, "test": 0.2},
         "symbolic": {"model_kind": "gbm", "n_trees": 2, "max_depth": 2, "learning_rate": 0.1, "min_leaf": 2,
-                     "subsample": 1.0, "l2_leaf": 1.0, "k_neighbors": 3,
-                     "class_weighting": False, "seed": 0, "early_stop_patience": 1, "bootstrap": True,
-                     "max_features": None, "feature_set": "auto"},
+                     "l2_leaf": 1.0, "k_neighbors": 3, "class_weighting": False, "seed": 0,
+                     "early_stop_patience": 1, "feature_set": "auto"},
         "fusion": {"strategies": ["max", "weighted"], "include_neural": True, "alpha_dl": None, "alpha_kl": None},
         "rules": {"cws_severe_threshold": 5, "min_score": 0.25},
         "alignment": False,

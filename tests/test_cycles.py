@@ -16,7 +16,7 @@ import pytest
 from kgdg.harness import ExperimentConfig, run_experiment
 from kgdg.io import load_manifest
 from kgdg.learn import TrainConfig, fit_model
-from kgdg.learn.tree import fit_classification_tree, fit_regression_tree, flatten_trees
+from kgdg.learn.tree import NodeCache, fit_classification_tree, fit_regression_tree, flatten_trees
 from kgdg.synth import shift_profile, write_dataset
 
 
@@ -40,7 +40,7 @@ def arrays(n, features=4, seed=0):
 def test_regression_tree_leaves_no_cycles():
     x, _ = arrays(60)
     g = np.random.default_rng(1).normal(size=60)
-    assert unreachable_after(lambda: fit_regression_tree(x, g, np.ones(60), 3, 2, 1.0)) == 0
+    assert unreachable_after(lambda: fit_regression_tree(NodeCache(x, 3, 2), g, np.ones(60), 1.0)) == 0
 
 
 def test_classification_tree_leaves_no_cycles():
@@ -50,7 +50,7 @@ def test_classification_tree_leaves_no_cycles():
 
 def test_flatten_trees_leaves_no_cycles():
     x, _ = arrays(60)
-    tree, _ = fit_regression_tree(x, np.random.default_rng(1).normal(size=60), np.ones(60), 3, 2, 1.0)
+    tree, _ = fit_regression_tree(NodeCache(x, 3, 2), np.random.default_rng(1).normal(size=60), np.ones(60), 1.0)
     assert unreachable_after(lambda: flatten_trees([tree, tree])) == 0
 
 

@@ -422,14 +422,14 @@ class TestRunExperiment:
     # over every (seed, fold) run, and SDG's KL is its single fold's value.
     # Re-recorded when the unused fusion.grid key left the config, when the
     # unused rules section left it and the fingerprint stopped hashing
-    # detection files, and when logistic_steps and logistic_lr left it: each
-    # time only the config_fingerprint field moved, every other field kept
-    # its bytes.
+    # detection files, when logistic_steps and logistic_lr left it, and when
+    # subsample, bootstrap and max_features left it: each time only the
+    # config_fingerprint field moved, every other field kept its bytes.
     PINNED = {
-        ("sdg", False): "28999a57ef1bac697f6c6975b3da8cf9787859b700d08aa6e01bc9071de99301",
-        ("sdg", True): "d5d78cd178a1e7a3a1f1dfd5c4717a7aef5185d535cf3231a968a05658718306",
-        ("mdg", False): "e923c182171dbee8a19d103c283e63b9bac80484ecca24aa39aaec3f6497a762",
-        ("mdg", True): "6755412482d13069613b1204c00dc84ded04b9d859bfa5409ddf8707ad5f1228",
+        ("sdg", False): "7318894fb6e6a1a9e4ad576e3e358b46c79681b9c52870f14672598a9fbfdf49",
+        ("sdg", True): "9684a8b1e668e5b5be41c6b8d6780db391c9a8eb7f7f3d58859d43f77e1404a8",
+        ("mdg", False): "8ffaf2a8470925e9217319fd0c45acd997ac772669081ae139ea12d8eec93abb",
+        ("mdg", True): "a4d079ed4f71f53d4fac2fd2eff048e287e68ddf01e9dc7e983b1a516b69d382",
     }
 
     @pytest.mark.parametrize("mode,alignment", sorted(PINNED))
@@ -448,8 +448,8 @@ class TestRunExperiment:
     # before it sums pairwise, so each cell's mean must come from the same
     # contiguous per-seed vector.
     PINNED_NINE_SEEDS = {
-        "sdg": "d2ad765e1dde7e2d4000d74f439d6ebea74ce44ef1ebcd6f2e52c8bebf32b8f7",
-        "mdg": "2338a12bf9bd40651099433292ba30a9f1025fe18415236de9aeca8138ffdced",
+        "sdg": "0c817492a68f0ccc33f0df0c07d0d3714d0d1c162e6b67c7c3be127cec701c0c",
+        "mdg": "4f5dfc36b81390ec12db724cb38e0b4cb89ffc5e85d0f6f8291fa561a68cede7",
     }
 
     @pytest.mark.parametrize("mode", sorted(PINNED_NINE_SEEDS))

@@ -405,7 +405,6 @@ class TestManifest:
         m = load_manifest(manifest)
         assert m.domains[0].name == "a"
         assert m.domains[0].features == (tmp_path / "a.csv").resolve()
-        assert m.seeds == (0, 1)
 
     def test_duplicate_domains_rejected(self, tmp_path):
         manifest = tmp_path / "manifest.json"
@@ -477,19 +476,15 @@ class TestModelArtifact:
         assert type(loaded) is type(model) and model.kind == kind
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_gbm_artifact_without_best_round_keeps_every_round(self, tmp_path):
+    def test_gbm_artifact_without_best_round_is_corrupt(self, tmp_path):
         examples = _toy_examples(60)
         cfg = TrainConfig(n_trees=8, min_leaf=2, early_stop_patience=8, seed=1)
-        model = fit_examples(examples[:50], examples[50:], cfg)
-        artifact = model.to_artifact()
+        artifact = fit_examples(examples[:50], examples[50:], cfg).to_artifact()
         params = {k: v for k, v in artifact.params.items() if k != "best_round"}
         path = tmp_path / "old.kgdg"
         save_model(replace(artifact, params=params), path)
-        loaded = model_from_artifact(load_model(path))
-        assert loaded.n_rounds == model.n_rounds > 0
-        assert loaded.best_round == model.n_rounds
-        probe = np.random.default_rng(0).uniform(0, 10, size=(200, 8))
-        assert loaded.predict_proba_matrix(probe).tobytes() == model.predict_proba_matrix(probe).tobytes()
+        with pytest.raises(CorruptArtifact, match=re.escape(f"{path}: gbm artifact has no param 'best_round'")):
+            model_from_artifact(load_model(path))
 
     def test_edited_schema_raises_schema_mismatch(self, tmp_path):
         examples = _toy_examples(40)

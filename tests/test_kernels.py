@@ -71,6 +71,7 @@ from kgdg.learn import gbm as gbm_module
 from kgdg.learn.config import feature_matrix, sample_weights, softmax
 from kgdg.learn.tree import (
     GAIN_EPS,
+    NodeCache,
     _gini,
     _leaf_value,
     fit_classification_tree,
@@ -152,7 +153,6 @@ def ref_fit_gbm(x, y, xv, yv, cfg):
     of reference trees whose training and validation scores are updated by
     the recursive walk, one grade at a time."""
     weights = sample_weights(y, cfg.class_weighting)
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
     n = x.shape[0]
     onehot = np.eye(GRADE_COUNT)[y]
     base = gbm_module.weighted_log_priors(y, weights)
@@ -163,14 +163,11 @@ def ref_fit_gbm(x, y, xv, yv, cfg):
         if best_acc == 1.0:  # no later round can raise it, so none can be kept
             break
         probs = softmax(scores)
-        rows = np.arange(n)
-        if cfg.subsample < 1.0:
-            rows = np.sort(rng.choice(n, size=max(1, int(round(cfg.subsample * n))), replace=False))
         trees.append([])
         for c in range(GRADE_COUNT):
             grad = weights * (probs[:, c] - onehot[:, c])
             hess = weights * probs[:, c] * (1.0 - probs[:, c])
-            tree = ref_regression_tree(x[rows], grad[rows], hess[rows], cfg.max_depth, cfg.min_leaf, cfg.l2_leaf)
+            tree = ref_regression_tree(x, grad, hess, cfg.max_depth, cfg.min_leaf, cfg.l2_leaf)
             trees[-1].append(tree)
             scores[:, c] += cfg.learning_rate * ref_predict_tree(tree, x)
             scores_v[:, c] += cfg.learning_rate * ref_predict_tree(tree, xv)
@@ -318,7 +315,7 @@ def tree_problems(draw):
 @given(tree_problems())
 def test_presorted_tree_equals_per_feature_scan(problem):
     x, g, h, depth, min_leaf, l2 = problem
-    got, fitted = fit_regression_tree(x, g, h, depth, min_leaf, l2)
+    got, fitted = fit_regression_tree(NodeCache(x, depth, min_leaf), g, h, l2)
     want = ref_regression_tree(x, g, h, depth, min_leaf, l2)
     assert json.dumps(got) == json.dumps(want)
     assert fitted.tobytes() == ref_predict_tree(want, x).tobytes()  # each row's leaf, as a predict finds it
@@ -338,17 +335,16 @@ def _gbm_problem(seed, n=150):
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
-    st.sampled_from([0.3, 0.5, 0.8, 1.0]),
     st.integers(1, 6),
     st.integers(1, 5),
     st.booleans(),
     st.integers(1, 25),
 )
-def test_gbm_with_subsample_equals_reference_trees(seed, subsample, min_leaf, max_depth, class_weighting, n_trees):
+def test_gbm_equals_reference_trees(seed, min_leaf, max_depth, class_weighting, n_trees):
     # patience >= n_trees: every round trains, so later rounds reuse the node cache
     x, y = _gbm_problem(seed)
-    cfg = TrainConfig(n_trees=n_trees, subsample=subsample, min_leaf=min_leaf, max_depth=max_depth,
-                      class_weighting=class_weighting, early_stop_patience=n_trees, seed=3)
+    cfg = TrainConfig(n_trees=n_trees, min_leaf=min_leaf, max_depth=max_depth,
+                      class_weighting=class_weighting, early_stop_patience=n_trees)
     got = fit_gbm_arrays(x, y, x[:40], y[:40], ("a", "b", "c"), cfg)
     params, losses = ref_fit_gbm(x, y, x[:40], y[:40], cfg)
     assert json.dumps(got.to_artifact().params) == json.dumps(params)
@@ -370,11 +366,13 @@ def _counted_fit(monkeypatch, x, y, xv, yv, cfg):
     return model, len(calls)
 
 
-@pytest.mark.parametrize("subsample", [1.0, 0.6])
-def test_gbm_fits_one_regression_tree_per_grade_and_round(subsample, monkeypatch):
-    # the benchmark times and counts trees by wrapping this module global
+@pytest.mark.parametrize("learning_rate", [1.0, 0.6])
+def test_gbm_fits_one_regression_tree_per_grade_and_round(learning_rate, monkeypatch):
+    # the benchmark times and counts trees by wrapping this module global;
+    # the count holds whichever round early stopping ends at
     x, y = _gbm_problem(5)
-    model, fitted = _counted_fit(monkeypatch, x, y, x[:40], y[:40], TrainConfig(n_trees=12, subsample=subsample))
+    cfg = TrainConfig(n_trees=12, learning_rate=learning_rate)
+    model, fitted = _counted_fit(monkeypatch, x, y, x[:40], y[:40], cfg)
     assert len(model.train_loss_curve) > 0
     assert fitted == GRADE_COUNT * len(model.train_loss_curve)
 
@@ -427,7 +425,7 @@ def test_near_tie_keeps_per_feature_scalar_parent_term():
     want = ref_regression_tree(x, g, h, 1, 2, 1.0)
     assert want["feature"] == 1
     assert ref_regression_tree(x, g, h, 1, 2, 1.0, square_parent=True)["feature"] == 0
-    assert json.dumps(fit_regression_tree(x, g, h, 1, 2, 1.0)[0]) == json.dumps(want)
+    assert json.dumps(fit_regression_tree(NodeCache(x, 1, 2), g, h, 1.0)[0]) == json.dumps(want)
 
 
 # --- (c) vectorized tie-averaged ranks ----------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -193,7 +194,7 @@ class TestGbm:
 
     def test_seed_determinism_bit_identical(self):
         examples = random_examples(70, seed=5)
-        cfg = TrainConfig(n_trees=15, min_leaf=2, subsample=0.8, seed=9)
+        cfg = TrainConfig(n_trees=15, min_leaf=2, seed=9)
         a = fit_examples(examples[:60], examples[60:], cfg)
         b = fit_examples(examples[:60], examples[60:], cfg)
         assert canonical_json(a.to_artifact().params) == canonical_json(b.to_artifact().params)
@@ -297,18 +298,17 @@ class TestLogistic:
 
 
 class TestForest:
-    def test_single_tree_no_bootstrap_equals_decision_tree(self):
+    def test_single_tree_equals_decision_tree_on_its_bootstrap_rows(self):
         examples = random_examples(60, seed=11)
-        cfg = TrainConfig(
-            model_kind="forest", n_trees=1, bootstrap=False, max_features=8,
-            max_depth=4, min_leaf=2, seed=3,
-        )
+        cfg = TrainConfig(model_kind="forest", n_trees=1, max_depth=4, min_leaf=2, seed=3)
         forest = fit_examples(examples, examples, cfg)
         schema = examples[0].features.schema()
         x = feature_matrix(domain_table(examples), schema)
         y = labels(examples)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(3).spawn(1)[0]))
-        tree = fit_classification_tree(x, y, rng, max_depth=4, min_leaf=2, max_features=8)
+        rows = rng.integers(0, x.shape[0], size=x.shape[0])
+        max_features = math.isqrt(x.shape[1])
+        tree = fit_classification_tree(x[rows], y[rows], rng, max_depth=4, min_leaf=2, max_features=max_features)
         assert np.allclose(forest.predict_proba_matrix(x), predict_tree(flatten_trees([tree]), x)[:, 0])
 
     def test_same_seed_identical_model(self):

@@ -1,6 +1,7 @@
 import dataclasses
 import filecmp
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -466,7 +467,10 @@ class TestSynthBytesPinned:
     def test_readers_return_the_generated_tables(self, tmp_path, case, seed):
         cfg = pinned_config(case, seed)
         generated = gen_dataset(cfg)
-        manifest = load_manifest(write_dataset(cfg, tmp_path))
+        path = write_dataset(cfg, tmp_path)
+        manifest = load_manifest(path)
+        # load_manifest keeps no detections paths (eval reads none), so take them from the JSON
+        detection_files = {d["name"]: path.parent / d["detections"] for d in json.loads(path.read_text())["domains"]}
         assert [entry.name for entry in manifest.domains] == list(generated.tables)
         for entry in manifest.domains:
             domain, table = entry.name, generated.tables[entry.name]
@@ -480,7 +484,7 @@ class TestSynthBytesPinned:
             assert_same_fields(loaded, table, DOMAIN_TABLE_FIELDS[:6])
             assert np.array_equal(loaded.probs, rows)
             # only images with detections have records
-            dets, read = generated.detections[domain], read_detections(entry.detections)
+            dets, read = generated.detections[domain], read_detections(detection_files[domain])
             assert dets.ids == table.ids
             assert read.ids == tuple(dets.ids[n] for n in dict.fromkeys(dets.image.tolist()))
             assert [read.ids[n] for n in read.image.tolist()] == [dets.ids[n] for n in dets.image.tolist()]
