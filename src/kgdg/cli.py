@@ -6,9 +6,10 @@ fingerprint every subcommand prints) go to stderr and honor --quiet;
 machine output goes to --out files, or stdout with ``--out -``.
 
 Each subcommand takes only the flags it reads: synth, train and eval take
---seed; grade and train take --config, and eval requires it. Seed
-precedence: --seed flag, then the KGDG_SEED environment variable, then the
-config-file or built-in default.
+--seed; grade and train take --config, and eval requires it; a flag that
+the others given would make it ignore exits 2. Seed precedence: --seed
+flag, then the KGDG_SEED environment variable, then the config-file or
+built-in default.
 """
 
 from __future__ import annotations
@@ -103,6 +104,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_grade(args: argparse.Namespace) -> int:
+    if args.features and args.detections:
+        raise InvalidConfig("grade takes --features or --detections, not both")
     rules = load_config_section(args.config, "rules", RuleConfig)
     if args.min_score is not None:
         rules = replace(rules, min_score=args.min_score)
@@ -152,6 +155,8 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
         if args.alpha_dl is None or args.alpha_kl is None:
             raise InvalidConfig("weighted fusion needs --alpha-dl and --alpha-kl")
         weights = checked_weights(args.alpha_dl, args.alpha_kl)
+    elif args.alpha_dl is not None or args.alpha_kl is not None:
+        raise InvalidConfig(f"{strategy.value} fusion takes no --alpha-dl or --alpha-kl")
     _print_fingerprint(args, {"command": "fuse", "strategy": args.strategy,
                               "alpha_dl": args.alpha_dl, "alpha_kl": args.alpha_kl})
     dl_ids, p_dl = read_probability_table(args.dl)
@@ -182,6 +187,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
+    if (args.pred_detections or args.truth_detections) and (args.truth or args.pred):
+        raise InvalidConfig("metrics takes --truth/--pred or --pred-detections/--truth-detections, not both")
     _print_fingerprint(args, {"command": "metrics",
                               "mode": "detection" if args.pred_detections else "classification"})
     if args.pred_detections or args.truth_detections:

@@ -14,10 +14,12 @@ or tampering is detected at load time.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
 import re
+import warnings
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -120,6 +122,57 @@ def _csv(path: Path) -> Iterator[Any]:
             raise
 
 
+class _Refused(Exception):
+    """numpy's C reader does not take a table, or a check rejects one of its rows."""
+
+
+def _text_parts(path: Path) -> Iterator[Any]:
+    """_csv's parts for text that numpy's C reader splits as _csv does: the
+    stripped header, then _loadtxt of the lines after it, which _Rows calls.
+    Raises _Refused for text that is not UTF-8, holds a quote, CR or NUL
+    (which Python 3.10's csv rejects), or has an empty first line or a line
+    as long as csv.field_size_limit()."""
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError:
+        raise _Refused from None
+    lines = text.split("\n")
+    if not lines[0] or any(c in text for c in '"\r\0') or max(map(len, lines)) >= csv.field_size_limit():
+        raise _Refused
+    yield tuple(h.strip() for h in lines[0].split(","))
+    yield functools.partial(_loadtxt, lines[1:])
+
+
+def _loadtxt(lines: list[str], kinds: str) -> list[np.ndarray]:
+    """The columns of ``lines``, numpy's C reader's parse by ``kinds``, one
+    letter a column: s for str, i for int64, f for float64. A warning (no
+    rows; numpy 1.x reading an int from a float) or a ValueError refuses
+    the table. The warnings filter it sets is process-wide while it runs."""
+    dtype = np.dtype([(f"c{i}", {"s": object, "i": np.int64, "f": np.float64}[k]) for i, k in enumerate(kinds)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=1)
+        except (ValueError, Warning):
+            raise _Refused from None
+    return [table[name] for name in dtype.names]
+
+
+def _columnar(read: Callable[[Path, Iterator[Any]], Any]) -> Callable[[str | Path], Any]:
+    """The table reader ``read(path, parts)``, called with a path only: run
+    on _text_parts, then, if numpy's C reader refuses the text or a check
+    rejects a row, on _csv's parts. Those name the first bad row's error and
+    read the valid text the C reader does not take (quoted cells, CRLF)."""
+    @functools.wraps(read)
+    def reader(path: str | Path) -> Any:
+        path = Path(path)
+        try:
+            return read(path, _text_parts(path))
+        except _Refused:
+            return read(path, _csv(path))
+    return reader
+
+
 def _is_number(kind: Callable[[str], Any], cell: str) -> bool:
     """Whether int() or float() takes ``cell``, which may not group digits ('3_0')."""
     try:
@@ -162,16 +215,24 @@ class _FirstBad:
 
 class _Rows(_FirstBad):
     """A table's nonblank records, checked for width and ids on construction;
-    ``cols`` are the columns of the rows before ``bad``."""
+    ``cols`` are the columns of the rows before ``bad``. ``records`` are
+    _csv's records, or _text_parts' parse, called with ``kinds``; after that
+    parse ``records`` is None and a check that rejects a row refuses the
+    table."""
 
-    def __init__(self, path: Path, header: tuple, records: list, empty_ids: bool = False, strip: bool = False):
+    def __init__(self, path: Path, header: tuple, records: list | Callable[[str], list], kinds: str,
+                 empty_ids: bool = False, strip: bool = False):
         self.header, self.records, self.strip = header, records, strip
-        rows = list(filter(None, records))
-        super().__init__(len(rows))
-        if not set(map(len, rows)) <= {len(header)}:
-            self.reject([len(r) != len(header) for r in rows], lambda n: MissingColumn(
-                f"{path}: row {self.line(n)} has {len(rows[n])} cells, expected {len(header)}"))
-        self.cols = list(zip(*rows[: self.bad])) or [()] * len(header)
+        if callable(records):
+            self.records, self.cols = None, records(kinds)
+            super().__init__(len(self.cols[0]))
+        else:
+            rows = list(filter(None, records))
+            super().__init__(len(rows))
+            if not set(map(len, rows)) <= {len(header)}:
+                self.reject([len(r) != len(header) for r in rows], lambda n: MissingColumn(
+                    f"{path}: row {self.line(n)} has {len(rows[n])} cells, expected {len(header)}"))
+            self.cols = list(zip(*rows[: self.bad])) or [()] * len(header)
         self.ids = ids = tuple(map(str.strip, self.cols[0]))
         if not (empty_ids or all(ids)):
             self.reject([not i for i in ids],
@@ -184,6 +245,11 @@ class _Rows(_FirstBad):
             self.reject([first.setdefault(i, n) != n for n, i in enumerate(ids)],
                         lambda n: DuplicateImageId(f"{path}: image_id {ids[n]!r} appears more than once"))
 
+    def reject(self, mask: Sequence, error: Callable[[int], DataError]) -> None:
+        if self.records is None and np.any(mask):
+            raise _Refused  # _csv's records name the row
+        super().reject(mask, error)
+
     def line(self, n: int) -> int:
         """The file line of nonblank row n."""
         return [i for i, cells in enumerate(self.records, start=2) if cells][n]
@@ -195,9 +261,12 @@ class _Rows(_FirstBad):
             return NonNumericCell(f"row {self.line(n)}, column {self.header[i]!r}: {problem(cell, n)}")
         return error
 
-    def parse(self, i: int, kind: Callable[[str], Any], error: Callable[[int], DataError]) -> tuple:
-        """int() or float() (``kind``) of column i; a cell _is_number refuses rejects its row."""
+    def parse(self, i: int, kind: Callable[[str], Any], error: Callable[[int], DataError]) -> Sequence:
+        """int() or float() (``kind``) of column i, or its C-parsed array; a
+        cell _is_number refuses rejects its row."""
         cells = self.cols[i][: self.bad]
+        if self.records is None:
+            return cells
         if "_" not in "".join(cells):
             try:
                 return tuple(map(kind, cells))
@@ -238,20 +307,19 @@ class _Rows(_FirstBad):
         return values
 
 
-def read_feature_table(path: str | Path) -> DomainTable:
+@_columnar
+def read_feature_table(path: Path, parts: Iterator[Any]) -> DomainTable:
     """Read a features.csv straight into a DomainTable.
 
     Exactly two headers are accepted: lesions-only and lesions+vein; the
     vein columns are read only when present.
     """
-    path = Path(path)
-    parts = _csv(path)
     header = next(parts)
     if header is None:
         raise MissingColumn(f"{path}: empty file")
     if header not in (LESIONS_VEIN_HEADER, LESIONS_ONLY_HEADER):
         raise MissingColumn(f"{path}: header does not match a known feature schema (lesions-only or lesions+vein)")
-    rows = _Rows(path, header, next(parts), strip=True)
+    rows = _Rows(path, header, next(parts), "ssiiiiiissi" + "f" * (len(header) - 11), strip=True)
     names = set(rows.cols[1][: rows.bad])
     if not all(map(str.strip, names)):
         rows.reject([not c.strip() for c in rows.cols[1]],
@@ -272,17 +340,16 @@ def load_feature_table(path: str | Path) -> list[LabeledExample]:
     return list(map(LabeledExample, t.ids, t.domains, t.y.tolist(), map(tuple, t.counts.tolist())))
 
 
-def read_probability_table(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
+@_columnar
+def read_probability_table(path: Path, parts: Iterator[Any]) -> tuple[tuple[str, ...], np.ndarray]:
     """Read a probs.csv into its image ids and ``(n, 5)`` rows, each checked
     (and renormalized) by validate_probability_rows."""
-    path = Path(path)
-    parts = _csv(path)
     header = next(parts)
     if header is None:
         raise MissingColumn(f"{path}: empty file")
     if header != PROBS_HEADER:
         raise MissingColumn(f"{path}: header must be {','.join(PROBS_HEADER)}")
-    rows = _Rows(path, header, next(parts))
+    rows = _Rows(path, header, next(parts), "sfffff")
     cols = [rows.parse(i, float, lambda n: NonNumericCell(f"{path}: row {rows.line(n)} has a non-numeric probability"))
             for i in range(1, len(header))]
     # the simplex check of the rows before the first bad row, whose warnings fire
@@ -297,20 +364,21 @@ def load_probability_table(path: str | Path) -> dict[str, np.ndarray]:
     return dict(zip(*read_probability_table(path)))
 
 
-def read_prediction_table(path: str | Path) -> tuple[tuple[str, ...], np.ndarray, np.ndarray | None]:
+@_columnar
+def read_prediction_table(path: Path, parts: Iterator[Any]) -> tuple[tuple[str, ...], np.ndarray, np.ndarray | None]:
     """Read an ``image_id,grade`` table into ids, grades and, when all of
     ``p0..p4`` are present, ``(n, 5)`` rows; columns are found by header
     name and any others are ignored."""
-    path = Path(path)
-    parts = _csv(path)
     header = next(parts)
     if not header or header[0] != "image_id" or "grade" not in header:
         raise MissingColumn(f"{path}: prediction table needs image_id,grade[,p0..p4]")
     prob_cols = [header.index(c) for c in PROBS_HEADER[1:] if c in header]
     if len(prob_cols) not in (0, GRADE_COUNT):
         raise MissingColumn(f"{path}: probability columns need all of p0..p4")
-    rows = _Rows(path, header, next(parts), empty_ids=True)
-    grades = rows.integers(header.index("grade"), upper=GRADE_COUNT - 1)
+    grade = header.index("grade")
+    kinds = "".join("i" if i == grade else "f" if i in prob_cols else "s" for i in range(len(header)))
+    rows = _Rows(path, header, next(parts), kinds, empty_ids=True)
+    grades = rows.integers(grade, upper=GRADE_COUNT - 1)
     cols = [rows.floats(i) for i in prob_cols]
     probs = validate_probability_rows(np.array([c[: rows.bad] for c in cols]).T.copy()) if prob_cols else None
     if rows.error:
@@ -579,11 +647,9 @@ def load_domain_dataset(entry: DomainEntry) -> DomainTable:
     """Load one manifest entry as a DomainTable. A probability table joins
     into its read-only ``(n, 5)`` rows; every image must have a row."""
     table = read_feature_table(entry.features)
-    for image_id, domain in zip(table.ids, table.domains):
-        if domain != entry.name:
-            raise DataError(
-                f"{entry.features}: row {image_id!r} claims domain {domain!r}, manifest says {entry.name!r}"
-            )
+    if not set(table.domains) <= {entry.name}:
+        image_id, domain = next((i, d) for i, d in zip(table.ids, table.domains) if d != entry.name)
+        raise DataError(f"{entry.features}: row {image_id!r} claims domain {domain!r}, manifest says {entry.name!r}")
     if entry.probs is None:
         return replace(table, domain=entry.name)
     ids, rows = read_probability_table(entry.probs)

@@ -492,6 +492,21 @@ class TestFlagsASubcommandReads:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, extra, message", [
+        ("grade", ["--detections", "clinic_a_detections.json"], "grade takes --features or --detections, not both"),
+        ("metrics", ["--truth", "clinic_a_features.csv", "--pred", "clinic_a_features.csv"],
+         "metrics takes --truth/--pred or --pred-detections/--truth-detections, not both"),
+        ("metrics", ["--pred", "clinic_a_features.csv"],
+         "metrics takes --truth/--pred or --pred-detections/--truth-detections, not both"),
+        ("fuse", ["--alpha-dl", "0.6", "--alpha-kl", "0.4"], "max fusion takes no --alpha-dl or --alpha-kl"),
+        ("fuse", ["--alpha-kl", "0.4"], "max fusion takes no --alpha-dl or --alpha-kl"),
+    ])
+    def test_flags_that_exclude_each_other_exit_2(self, commands, data_dir, capsys, command, extra, message):
+        """A flag the subcommand would ignore beside another is refused, before any output."""
+        extra = [str(data_dir / a) if a.endswith((".csv", ".json")) else a for a in extra]
+        assert main(commands[command] + extra) == 2
+        assert capsys.readouterr() == ("", f"error[INVALID_CONFIG]: {message}\n")
+
     def test_eval_requires_config(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--quiet"])

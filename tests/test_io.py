@@ -10,6 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from ref_rows import RefExample, RefFeatureVector, ref_example, ref_feature_matrix
 
+from kgdg import io as kgdg_io
+from kgdg.cli import main
 from kgdg.core import (
     LESION_TYPES,
     LESIONS_VEIN_SCHEMA,
@@ -47,6 +49,8 @@ from kgdg.io import (
     load_probability_table,
     read_detections,
     read_feature_table,
+    read_prediction_table,
+    read_probability_table,
     save_detections,
     save_feature_table,
     save_model,
@@ -172,6 +176,39 @@ class TestProbabilityTable:
     def test_join_attaches_probs(self, tmp_path):
         entry = self._entry(tmp_path, "a", {"a": [0.0, 0.0, 1.0, 0.0, 0.0]})
         assert load_domain_dataset(entry).probs[0].argmax() == 2
+
+    def test_first_row_of_another_domain_is_named(self, tmp_path):
+        features = tmp_path / "f.csv"
+        rows = [f"img{i},{d},0,0,0,0,0,0,0,0,0" for i, d in enumerate(["D", "d", "e", "f"])]
+        features.write_text("\n".join([LESIONS_HEADER_LINE, *rows]) + "\n")
+        with pytest.raises(DataError) as exc:
+            load_domain_dataset(DomainEntry(DomainId("d"), features))
+        assert str(exc.value) == f"{features}: row 'img2' claims domain 'e', manifest says 'd'"
+
+
+class TestNumpyReader:
+    """Plain tables are parsed by numpy's C reader; the csv module reads only
+    the ones it refuses."""
+
+    def test_plain_tables_skip_csv_and_quoted_ones_use_it(self, tmp_path, monkeypatch):
+        write_dataset(shift_profile("mild", seed=0, n_samples=50), tmp_path)
+        features, probs = tmp_path / "clinic_a_features.csv", tmp_path / "clinic_a_probs.csv"
+        grades, fused = tmp_path / "grades.csv", tmp_path / "fused.csv"
+        assert main(["grade", "--features", str(features), "--out", str(grades), "--quiet"]) == 0
+        assert main(["fuse", "--strategy", "max", "--dl", str(probs), "--kd", str(probs), "--out", str(fused),
+                     "--quiet"]) == 0
+        quoted = tmp_path / "quoted.csv"
+        lines = probs.read_text().splitlines()
+        quoted.write_text("\n".join([lines[0], '"q"' + lines[1][lines[1].index(","):], *lines[2:]]) + "\n")
+        read_through_csv = []
+        csv_parts = kgdg_io._csv
+        monkeypatch.setattr(kgdg_io, "_csv", lambda path: read_through_csv.append(path) or csv_parts(path))
+        assert len(read_feature_table(features)) == 50
+        assert len(read_probability_table(probs)[0]) == 50
+        assert len(read_prediction_table(grades)[0]) == len(read_prediction_table(fused)[0]) == 50
+        assert read_through_csv == []
+        assert read_probability_table(quoted)[0][0] == "q"
+        assert read_through_csv == [quoted]
 
 
 class TestDetections:

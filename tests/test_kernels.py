@@ -842,9 +842,23 @@ def _ref_parse_float(raw, column, row, lo, hi, changed=True):
     return value
 
 
+def _ref_reader(fh, path):
+    """csv.reader's header, then its records, all read before the first is
+    checked: a cell over csv.field_size_limit() on any line is a DataError
+    naming the line."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader, None)
+        if header is not None:
+            yield header
+            yield from list(reader)
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def ref_load_feature_table(path, changed=True):
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _ref_reader(fh, path)
         try:
             header = tuple(h.strip() for h in next(reader))
         except StopIteration:
@@ -889,7 +903,7 @@ def ref_load_feature_table(path, changed=True):
 
 def ref_load_probability_table(path, changed=True):
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _ref_reader(fh, path)
         try:
             header = tuple(h.strip() for h in next(reader))
         except StopIteration:
@@ -919,7 +933,7 @@ def ref_load_probability_table(path, changed=True):
 
 def ref_load_prediction_table(path, changed=True):
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _ref_reader(fh, path)
         header = [h.strip() for h in next(reader, [])]
         if not header or header[0] != "image_id" or "grade" not in header:
             raise MissingColumn(f"{path}: prediction table needs image_id,grade[,p0..p4]")
@@ -996,9 +1010,11 @@ def _outcome(load, path):
     return ("ok", value, renormalized)
 
 
+# the tokens of the last line are cells numpy's C reader and csv + int()/float() might read apart
 MALFORMED_TOKENS = ["", " ", "nan", "inf", "-inf", "-1", "1e400", "abc", "0x1", "1.5", "3_0", '"',
                     "999999999999999999999", "+1", "01", " 1 ", "-0", "0_1", "1_0.5", "1e2", "٣", "2.0",
-                    '"a,b"', '"a\r\nb"', '"a""b"']
+                    '"a,b"', '"a\r\nb"', '"a""b"',
+                    "#", "1#", "\x0c1", "\xa01", "\x00", "1\x00"]
 
 
 def _cell_token():
@@ -1013,9 +1029,12 @@ def _cell_token():
 
 @st.composite
 def mutated_tables(draw, header, row):
-    """A valid CSV table (rows drawn by ``row``) with one mutation."""
+    """A valid CSV table (rows drawn by ``row``) with one mutation, its lines
+    ended by LF, CRLF or CR, the last one perhaps not, the header perhaps led
+    by a byte-order mark."""
     rows = [draw(row(i)) for i in range(draw(st.integers(1, 7)))]
-    kind = draw(st.sampled_from(["cell", "cell", "cell", "drop", "duplicate", "short", "blank", "none"]))
+    kind = draw(st.sampled_from(["cell", "cell", "cell", "drop", "duplicate", "short", "blank", "spaces", "long",
+                                 "header_only", "none"]))
     i = draw(st.integers(0, len(rows) - 1))
     if kind == "cell":
         rows[i][draw(st.integers(0, len(header) - 1))] = draw(_cell_token())
@@ -1027,7 +1046,15 @@ def mutated_tables(draw, header, row):
         rows[i] = rows[i][:-1]
     elif kind == "blank":
         rows.insert(i, [])
-    return "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
+    elif kind == "spaces":
+        rows.insert(i, [draw(st.sampled_from([" ", "   ", "\t"]))])
+    elif kind == "long":
+        rows[i][draw(st.integers(0, len(header) - 1))] = "1" * (csv.field_size_limit() + 1)
+    elif kind == "header_only":
+        rows = []
+    eol = draw(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"]))
+    text = eol.join([",".join(header)] + [",".join(r) for r in rows])
+    return draw(st.sampled_from(["", "", "", "\ufeff"])) + text + draw(st.sampled_from([eol, eol, ""]))
 
 
 def _feature_row(with_vein):
@@ -1158,12 +1185,39 @@ def test_readers_equal_per_row_loaders_on_every_cell(table_dir, table, token):
             compare(path)
 
 
+@pytest.mark.parametrize("table", sorted(TABLES))
+@pytest.mark.parametrize("case", ["empty", "blank_first_line", "header_only", "header_only_unended", "one_row",
+                                  "unended", "crlf", "cr", "bom", "spaces", "tab", "long_cell"])
+def test_readers_equal_per_row_loaders_on_whole_lines(table_dir, table, case):
+    """Line endings, blank-looking lines and table sizes, each on the grid table."""
+    header, _, compare = TABLES[table]
+    lines = [",".join(header)] + [",".join(r) for r in GRID_ROWS[table]]
+    long_row = ",".join(["i" * (csv.field_size_limit() + 1), *GRID_ROWS[table][0][1:]])
+    text = {
+        "empty": "",
+        "blank_first_line": "\n" + "\n".join(lines) + "\n",
+        "header_only": lines[0] + "\n",
+        "header_only_unended": lines[0],
+        "one_row": "\n".join(lines[:2]) + "\n",
+        "unended": "\n".join(lines),
+        "crlf": "\r\n".join(lines) + "\r\n",
+        "cr": "\r".join(lines) + "\r",
+        "bom": "\ufeff" + "\n".join(lines) + "\n",
+        "spaces": "\n".join([*lines[:2], "  ", lines[2]]) + "\n",
+        "tab": "\n".join([*lines[:2], "\t", lines[2]]) + "\n",
+        "long_cell": "\n".join([*lines, long_row]) + "\n",
+    }[case]
+    path = table_dir / f"lines_{table}.csv"
+    path.write_text(text, newline="")
+    compare(path)
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.sampled_from(sorted(TABLES)), st.data())
 def test_readers_equal_per_row_loaders_on_mutants(table_dir, table, data):
     header, row, compare = TABLES[table]
     path = table_dir / f"{table}.csv"
-    path.write_text(data.draw(mutated_tables(header, row)))
+    path.write_text(data.draw(mutated_tables(header, row)), newline="")
     compare(path)
 
 
