@@ -106,6 +106,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_grade(args: argparse.Namespace) -> int:
     if args.features and args.detections:
         raise InvalidConfig("grade takes --features or --detections, not both")
+    if args.features and args.min_score is not None:
+        raise InvalidConfig("grade takes --min-score only with --detections")
     rules = load_config_section(args.config, "rules", RuleConfig)
     if args.min_score is not None:
         rules = replace(rules, min_score=args.min_score)
@@ -189,13 +191,16 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     if (args.pred_detections or args.truth_detections) and (args.truth or args.pred):
         raise InvalidConfig("metrics takes --truth/--pred or --pred-detections/--truth-detections, not both")
+    if (args.truth or args.pred) and args.iou_threshold is not None:
+        raise InvalidConfig("metrics takes --iou-threshold only with --pred-detections/--truth-detections")
     _print_fingerprint(args, {"command": "metrics",
                               "mode": "detection" if args.pred_detections else "classification"})
     if args.pred_detections or args.truth_detections:
         if not (args.pred_detections and args.truth_detections):
             raise InvalidConfig("detection metrics need --pred-detections and --truth-detections")
+        iou = 0.5 if args.iou_threshold is None else args.iou_threshold
         pred = read_detections(args.pred_detections)
-        match = match_detections(pred, read_detections(args.truth_detections), args.iou_threshold)
+        match = match_detections(pred, read_detections(args.truth_detections), iou)
         _write_output(args, json.dumps(asdict(match), indent=1, sort_keys=True) + "\n")
         return 0
     if not (args.truth and args.pred):
@@ -290,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", default=None, help="prediction csv (image_id,grade[,p0..p4])")
     p.add_argument("--pred-detections", default=None, dest="pred_detections")
     p.add_argument("--truth-detections", default=None, dest="truth_detections")
-    p.add_argument("--iou-threshold", type=float, default=0.5, dest="iou_threshold")
+    p.add_argument("--iou-threshold", type=float, default=None, dest="iou_threshold", help="default 0.5")
     common(p)
     p.set_defaults(func=_cmd_metrics)
 

@@ -95,8 +95,6 @@ class FusionSpec:
 
     strategies: tuple[str, ...] = ("selective", "max", "classwise", "weighted")
     include_neural: bool = True
-    alpha_dl: float | None = None
-    alpha_kl: float | None = None
 
     def __post_init__(self) -> None:
         check_field_types(self)
@@ -107,15 +105,6 @@ class FusionSpec:
                 raise InvalidConfig(f"unknown fusion strategy {s!r}") from None
         if len(set(self.strategies)) < len(self.strategies):
             raise InvalidConfig(f"fusion strategies {list(self.strategies)} name a strategy twice")
-        fixed = (self.alpha_dl is None, self.alpha_kl is None)
-        if fixed[0] != fixed[1]:
-            raise InvalidConfig("alpha_dl and alpha_kl must be set together")
-        self.fixed_weights()
-
-    def fixed_weights(self) -> FusionWeights | None:
-        if self.alpha_dl is None:
-            return None
-        return checked_weights(self.alpha_dl, self.alpha_kl)
 
 
 def checked_weights(alpha_dl: Any, alpha_kl: Any) -> FusionWeights:
@@ -321,19 +310,16 @@ def _pairwise_kl(stats: Mapping[DomainId, DomainStats]) -> float:
 # --- weight selection ----------------------------------------------------------
 
 
-def select_weights(
-    validation: tuple[np.ndarray, np.ndarray, np.ndarray],
-    grid: Sequence[tuple[float, float]] = DEFAULT_WEIGHT_GRID,
-) -> FusionWeights:
-    """Grid-search the blend maximizing validation accuracy on the
-    (grades, deep rows, knowledge rows) arrays; ties prefer the deep branch
-    (smallest knowledge weight)."""
+def select_weights(validation: tuple[np.ndarray, np.ndarray, np.ndarray]) -> FusionWeights:
+    """Search ``DEFAULT_WEIGHT_GRID`` for the blend maximizing validation
+    accuracy on the (grades, deep rows, knowledge rows) arrays; ties prefer
+    the deep branch (smallest knowledge weight)."""
     y, p_dl, p_kd = validation
     if y.size == 0:
         raise InvalidConfig("weight selection needs validation predictions")
     best: FusionWeights | None = None
     best_acc = -1.0
-    for a_dl, a_kl in grid:
+    for a_dl, a_kl in DEFAULT_WEIGHT_GRID:
         w = FusionWeights(a_dl, a_kl)
         acc = int((fuse("weighted", p_dl, p_kd, w).grades == y).sum()) / y.size
         if acc > best_acc:
@@ -491,9 +477,8 @@ def run_task(task: FitTask) -> TaskResult:
         task.schema,
         task.cfg.symbolic,
     )
-    weights = task.cfg.fusion.fixed_weights()
-    alpha = None
-    if "fusion-weighted" in task.methods and weights is None:
+    weights = alpha = None
+    if "fusion-weighted" in task.methods:
         dl_valid = np.vstack([tables[d].probs[task.valid[d]] for d in task.sources])
         weights = select_weights((y_valid, dl_valid, model.predict_proba_matrix(x_valid)))
         alpha = weights.alpha_dl

@@ -20,11 +20,10 @@ from .config import (
     TrainConfig,
     feature_matrix,
     resolve_schema,
-    sample_weights,
     softmax,
     standardization,
 )
-from .gbm import GbmModel, fit_gbm_arrays, multinomial_log_loss, weighted_log_priors
+from .gbm import GbmModel, fit_gbm_arrays
 
 Model = Union[GbmModel, LogisticModel, ForestModel, KnnModel]
 
@@ -74,10 +73,7 @@ __all__ = [
     "fit_logistic_arrays",
     "fit_model",
     "model_from_artifact",
-    "multinomial_log_loss",
     "resolve_schema",
-    "sample_weights",
     "softmax",
     "standardization",
-    "weighted_log_priors",
 ]

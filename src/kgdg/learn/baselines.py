@@ -20,7 +20,6 @@ from .config import (
     feature_matrix,  # noqa: F401  unused here; the benchmark's tracer patches it by this module's name
     float64s,
     int64s,
-    sample_weights,
     softmax,
     standardization,
     train_fingerprint,
@@ -66,7 +65,7 @@ NEWTON_CAP = 50  # or after this many Newton steps
 def fit_logistic_arrays(
     x: np.ndarray, y: np.ndarray, schema: tuple[str, ...], cfg: TrainConfig
 ) -> LogisticModel:
-    """Newton's method from zero on the weighted-mean cross-entropy of
+    """Newton's method from zero on the mean cross-entropy of
     ``softmax(xs w^T + b)``, xs the standardized inputs, plus ``lam/2`` times
     the squared norm of every weight and bias entry, ``lam = 1/n_train``. The
     penalty keeps the optimum finite and unique on separable grades, along
@@ -78,8 +77,7 @@ def fit_logistic_arrays(
     mu, sd = standardization(x)
     n, width = x.shape[0], x.shape[1] + 1
     xa = np.hstack(((x - mu) / sd, np.ones((n, 1))))  # the bias is the weight of a column of ones
-    scale = sample_weights(y, cfg.class_weighting)
-    scale /= scale.sum()
+    scale = np.full(n, 1.0 / n)  # each row's weight in the mean cross-entropy
     onehot, lam = np.eye(GRADE_COUNT)[y], 1.0 / n
 
     def evaluate(theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:  # objective, probs, gradient

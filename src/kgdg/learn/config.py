@@ -9,7 +9,6 @@ from typing import Any, Callable, ClassVar, Sequence
 import numpy as np
 
 from ..core import (
-    GRADE_COUNT,
     LESIONS_ONLY_SCHEMA,
     LESIONS_VEIN_SCHEMA,
     DomainTable,
@@ -39,7 +38,6 @@ class TrainConfig:
     min_leaf: int = 5
     l2_leaf: float = 1.0
     k_neighbors: int = 5
-    class_weighting: bool = False
     seed: int = 0
     early_stop_patience: int = 10
     feature_set: str = "auto"
@@ -176,21 +174,6 @@ class FittedModel:
     def check_leaves(self, leaves: np.ndarray, path: str) -> None:
         """Check the leaf values of one set of trees, one leaf per row;
         any value passes unless a learner says otherwise."""
-
-
-def class_counts(y: np.ndarray) -> np.ndarray:
-    return np.bincount(y, minlength=GRADE_COUNT).astype(np.float64)
-
-
-def sample_weights(y: np.ndarray, class_weighting: bool) -> np.ndarray:
-    """Per-sample weights N/(5*N_c) when class weighting is on, else ones."""
-    if not class_weighting:
-        return np.ones(y.size, dtype=np.float64)
-    counts = class_counts(y)
-    weights = np.zeros(GRADE_COUNT, dtype=np.float64)
-    present = counts > 0
-    weights[present] = y.size / (GRADE_COUNT * counts[present])
-    return weights[y]
 
 
 def standardization(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,6 +1,6 @@
 """Multiclass gradient boosting with per-grade Newton regression trees.
 
-Scores start at (optionally class-weighted) log priors; each round fits
+Scores start at the log grade priors; each round fits
 one tree per grade to the gradient/hessian of the multinomial log-loss
 and the final distribution is the exponential normalization of the
 accumulated scores. Validation accuracy drives early stopping: the fit
@@ -28,7 +28,6 @@ from .config import (
     TrainConfig,
     feature_matrix,  # noqa: F401  unused here; the benchmark's tracer patches it by this module's name
     float64s,
-    sample_weights,
     softmax,
     train_fingerprint,
 )
@@ -52,10 +51,6 @@ class GbmModel(FittedModel):
     train_loss_curve: tuple[float, ...] = ()
     best_round: int = 0
 
-    @property
-    def n_rounds(self) -> int:
-        return len(self.trees)
-
     @cached_property
     def flats(self) -> list[FlatTrees]:
         """Each round's grade trees as flat node arrays, built once."""
@@ -72,18 +67,16 @@ class GbmModel(FittedModel):
         return softmax(self.decision_scores(x))
 
 
-def weighted_log_priors(y: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Log of the (weight-adjusted) empirical grade frequencies."""
-    mass = np.zeros(GRADE_COUNT, dtype=np.float64)
-    np.add.at(mass, y, weights)
-    priors = mass / mass.sum()
+def log_priors(y: np.ndarray) -> np.ndarray:
+    """Log of the empirical grade frequencies."""
+    priors = np.bincount(y, minlength=GRADE_COUNT) / y.size
     return np.log(np.maximum(priors, PRIOR_EPS))
 
 
-def multinomial_log_loss(probs: np.ndarray, y: np.ndarray, weights: np.ndarray) -> float:
-    """Weighted mean negative log-likelihood."""
+def multinomial_log_loss(probs: np.ndarray, y: np.ndarray) -> float:
+    """Mean negative log-likelihood."""
     picked = np.clip(probs[np.arange(y.size), y], PRIOR_EPS, None)
-    return float(-(weights * np.log(picked)).sum() / weights.sum())
+    return float(-np.log(picked).sum() / y.size)
 
 
 def fit_gbm_arrays(x: np.ndarray, y: np.ndarray, xv: np.ndarray, yv: np.ndarray, schema: tuple[str, ...],
@@ -102,8 +95,7 @@ def fit_gbm_arrays(x: np.ndarray, y: np.ndarray, xv: np.ndarray, yv: np.ndarray,
     if np.unique(y).size < 2:
         raise SingleClassTrain("training set contains a single grade")
 
-    weights = sample_weights(y, cfg.class_weighting)
-    base = weighted_log_priors(y, weights)
+    base = log_priors(y)
     fingerprint = train_fingerprint(cfg, schema, x, y)
 
     n = x.shape[0]
@@ -124,8 +116,8 @@ def fit_gbm_arrays(x: np.ndarray, y: np.ndarray, xv: np.ndarray, yv: np.ndarray,
         fitted = np.empty((n, GRADE_COUNT))
         round_trees: list[dict[str, Any]] = []
         for c in range(GRADE_COUNT):
-            grad = weights * (probs[:, c] - onehot[:, c])
-            hess = weights * probs[:, c] * (1.0 - probs[:, c])
+            grad = probs[:, c] - onehot[:, c]
+            hess = probs[:, c] * (1.0 - probs[:, c])
             tree, fitted[:, c] = fit_regression_tree(nodes, grad, hess, cfg.l2_leaf)
             round_trees.append(tree)
         scores += cfg.learning_rate * fitted  # the fit left each row in a leaf
@@ -133,7 +125,7 @@ def fit_gbm_arrays(x: np.ndarray, y: np.ndarray, xv: np.ndarray, yv: np.ndarray,
         nodes.prune()
         trees.append(round_trees)
         probs = softmax(scores)  # this round's loss, and the next round's gradients
-        loss_curve.append(multinomial_log_loss(probs, y, weights))
+        loss_curve.append(multinomial_log_loss(probs, y))
         acc = float(np.mean(softmax(scores_v).argmax(axis=1) == yv))
         if acc > best_acc:
             best_acc, best_round = acc, round_idx + 1

@@ -254,9 +254,11 @@ class TestEvalCommand:
         {"fusion": {"alpha_dl": "x", "alpha_kl": 0.5}},
         {"seeds": ["a"]},
         {"seeds": [-1]},
-        {"fusion": {"alpha_dl": 1e308, "alpha_kl": 1e308}},  # each finite, their sum not
+        {"fusion": {"alpha_dl": 1e308, "alpha_kl": 1e308}},
     ])
     def test_malformed_weights_and_seeds_exit_2(self, data_dir, tmp_path, capsys, sections):
+        """Seeds that are not nonnegative integers exit 2. So does any fusion
+        weight, whatever its value: the fusion section has no weight keys."""
         config = self._write_config(data_dir, tmp_path, **sections)
         assert main(["eval", "--config", str(config), "--out", str(tmp_path / "r.md"), "--quiet"]) == 2
         assert "INVALID_CONFIG" in capsys.readouterr().err
@@ -470,11 +472,13 @@ class TestFlagsASubcommandReads:
     @pytest.fixture
     def commands(self, data_dir, tmp_path):
         probs, detections = str(data_dir / "clinic_a_probs.csv"), str(data_dir / "clinic_a_detections.json")
+        features = str(data_dir / "clinic_a_features.csv")
         return {
             "synth": ["synth", "--profile", "mild", "--samples", "10", "--out", str(tmp_path / "data")],
-            "grade": ["grade", "--features", str(data_dir / "clinic_a_features.csv"), "--out", "-"],
+            "grade": ["grade", "--features", features, "--out", "-"],
             "fuse": ["fuse", "--strategy", "max", "--dl", probs, "--kd", probs, "--out", "-"],
             "metrics": ["metrics", "--pred-detections", detections, "--truth-detections", detections, "--out", "-"],
+            "classify": ["metrics", "--truth", features, "--pred", features, "--out", "-"],
             "report": ["report", "--list", "--out", "-"],
         }
 
@@ -500,6 +504,9 @@ class TestFlagsASubcommandReads:
          "metrics takes --truth/--pred or --pred-detections/--truth-detections, not both"),
         ("fuse", ["--alpha-dl", "0.6", "--alpha-kl", "0.4"], "max fusion takes no --alpha-dl or --alpha-kl"),
         ("fuse", ["--alpha-kl", "0.4"], "max fusion takes no --alpha-dl or --alpha-kl"),
+        ("grade", ["--min-score", "0.3"], "grade takes --min-score only with --detections"),
+        ("classify", ["--iou-threshold", "0.9"],
+         "metrics takes --iou-threshold only with --pred-detections/--truth-detections"),
     ])
     def test_flags_that_exclude_each_other_exit_2(self, commands, data_dir, capsys, command, extra, message):
         """A flag the subcommand would ignore beside another is refused, before any output."""
@@ -688,7 +695,7 @@ class TestConfigSections:
     def test_logistic_step_keys_are_unknown(self, data_dir, tmp_path, capsys, command, key, value):
         """The logistic fit is a Newton solve to a tolerance, with no step
         count or rate, so setting either is a config error."""
-        self._unknown_symbolic_key(data_dir, tmp_path, capsys, command, "logistic", key, value)
+        self._unknown_keys(data_dir, tmp_path, capsys, command, "symbolic", {key: value}, "logistic")
 
     @pytest.mark.parametrize("kind, key, value", [
         ("gbm", "subsample", 0.8), ("forest", "bootstrap", False), ("forest", "max_features", 2),
@@ -698,21 +705,35 @@ class TestConfigSections:
         """A GBM grows every tree on all its rows and a forest draws bootstrap
         rows and isqrt(features) candidates per node, with no key to change
         either, so setting one is a config error."""
-        self._unknown_symbolic_key(data_dir, tmp_path, capsys, command, kind, key, value)
+        self._unknown_keys(data_dir, tmp_path, capsys, command, "symbolic", {key: value}, kind)
+
+    @pytest.mark.parametrize("command, section, keys", [
+        ("train", "symbolic", {"class_weighting": True}),
+        ("eval", "symbolic", {"class_weighting": True}),
+        ("eval", "fusion", {"alpha_dl": 0.6}),
+        ("eval", "fusion", {"alpha_kl": 0.4}),
+        ("eval", "fusion", {"alpha_dl": 0.6, "alpha_kl": 0.4}),
+    ])
+    def test_removed_weight_keys_are_unknown(self, data_dir, tmp_path, capsys, command, section, keys):
+        """Every learner weights its training rows alike, and eval always
+        searches the weighted blend on the validation split, so setting a
+        class weighting or fixed fusion weights is a config error."""
+        self._unknown_keys(data_dir, tmp_path, capsys, command, section, keys)
 
     @staticmethod
-    def _unknown_symbolic_key(data_dir, tmp_path, capsys, command, kind, key, value):
-        """`command` with ``key`` set in the symbolic section exits 2 as an
-        unknown key and writes nothing."""
+    def _unknown_keys(data_dir, tmp_path, capsys, command, section, keys, kind="gbm"):
+        """`command` with ``keys`` set in ``section`` exits 2 as unknown keys
+        and writes nothing."""
+        sections = {"symbolic": {"model_kind": kind}, "fusion": {"strategies": ["max"]}}
+        sections[section] = {**sections[section], **keys}
         config = tmp_path / "experiment.json"
         config.write_text(json.dumps({
-            "domains": {"manifest": str(data_dir / "manifest.json"), "source": "clinic_a"}, "seeds": [0],
-            "symbolic": {"model_kind": kind, key: value}, "fusion": {"strategies": ["max"]},
+            "domains": {"manifest": str(data_dir / "manifest.json"), "source": "clinic_a"}, "seeds": [0], **sections,
         }))
         argv = ["train", "--features", str(data_dir / "clinic_a_features.csv")] if command == "train" else ["eval"]
         out = tmp_path / "out"
         assert main([*argv, "--config", str(config), "--out", str(out), "--quiet"]) == 2
-        assert capsys.readouterr().err == f"error[INVALID_CONFIG]: unknown keys in 'symbolic' section: ['{key}']\n"
+        assert capsys.readouterr().err == f"error[INVALID_CONFIG]: unknown keys in '{section}' section: {sorted(keys)}\n"
         assert not out.exists()
 
     def test_train_reads_symbolic_section(self, data_dir, tmp_path):
@@ -754,7 +775,6 @@ class TestConfigValueTypes:
         ("symbolic", '{"n_trees": 1e400}', "n_trees must be an integer, got inf"),
         ("symbolic", '{"l2_leaf": NaN}', "l2_leaf must be a finite number, got nan"),
         ("symbolic", '{"l2_leaf": Infinity}', "l2_leaf must be a finite number, got inf"),
-        ("symbolic", '{"class_weighting": 1}', "class_weighting must be true or false, got 1"),
         ("split", '{"train": NaN, "validation": 0.2, "test": 0.2}', "train must be a finite number, got nan"),
         ("rules", '{"cws_severe_threshold": 1.5}', "cws_severe_threshold must be an integer, got 1.5"),
         ("alignment", '"false"', "alignment must be true or false, got 'false'"),
@@ -1187,22 +1207,23 @@ def train_digests(work):
 
 class TestTrainArtifactsPinned:
     """`kgdg train` writes these artifact bytes. Re-recorded when
-    `subsample`, `bootstrap` and `max_features` left the config: only every
-    `train_fingerprint` moved, with the config, and no param moved."""
+    `subsample`, `bootstrap` and `max_features` left the config, and when
+    `class_weighting` left it: each time only every `train_fingerprint`
+    moved, with the config, and no param moved."""
 
     PINNED = {
-        "clinic_a_gbm.kgdg": "48d19cc33f234d0274182c38fed5fd8d6b5f32684e97ec089517f239f65344ba",
-        "clinic_a_logistic.kgdg": "49d1bf6d1245f651f7d57ec606035abf60927a07c3dc0ff8f4ff81ed3485e48f",
-        "clinic_a_forest.kgdg": "2b761532571fd9434fc57d23bd99e78c1802c8a625381331f9150fc7e77a9137",
-        "clinic_a_knn.kgdg": "c1dd31bd4dc5e27c5256b749338cae1ab98ec3b7b60ad8b6ac19b23cd1698e53",
-        "clinic_b_gbm.kgdg": "38990d14fd7d7845a3fd54d36628639afb0c76e8ef791b57b81ebf66a8e976fe",
-        "clinic_b_logistic.kgdg": "28064e6bb33f938c4e857814ee6c7849a53b32f6ba6594809a7facbd5bbcde52",
-        "clinic_b_forest.kgdg": "cccd061dede4281b3c1dfce5dfc5c1ad712b31c0643dcdee1c02ff63e3998134",
-        "clinic_b_knn.kgdg": "31840e75b588708cbc63fcba585df1f11728d0e834170e7060d082eee947f9d9",
-        "clinic_c_gbm.kgdg": "9644b9c52f9ec3497284ff9df52da3769a5c5d35d0e3bd9e91ebee9db4fed53d",
-        "clinic_c_logistic.kgdg": "117bae10adbf4c32398f92d52392fe778ead20493061d75a3024175967d17c7b",
-        "clinic_c_forest.kgdg": "eff503fe8b562d1fe72868cc96eb69d58679df2470b6afbed928e08dec4bb45e",
-        "clinic_c_knn.kgdg": "7d2aa08536af1bd58b8a682c736b2cd209d9ab47f1938ccb3aa221bdf09eaf7f",
+        "clinic_a_gbm.kgdg": "e5a0ee5924a1f91e12a3e0fccd0e8499102927686a96f5c8c3180b1b6be7e259",
+        "clinic_a_logistic.kgdg": "8fa943f6efdb2e0ee9dbd2f65212b8848a28800bcc541c738a5ca6622fa0b6e2",
+        "clinic_a_forest.kgdg": "9f01fd324a5ec06633411a66280fcac7c38649a7cbe3e4958e2b6e2d0ed49d7b",
+        "clinic_a_knn.kgdg": "def11f9f17a7065148efe6884a36e2f528ff8815767142c1e52f1f9c7d570ae4",
+        "clinic_b_gbm.kgdg": "d891963dec7b1a4ff4336703bb14462bf19db56a88fc8fd8c78a0d35d3df7fc0",
+        "clinic_b_logistic.kgdg": "a88080997e7fb6269e10c2bb39ad14d1542a7c262ae42015214a4e8144e3ee6b",
+        "clinic_b_forest.kgdg": "79a534201ac94bad705ac0c25653c69f4ccf006b1f730608583fe595c3f5f3b5",
+        "clinic_b_knn.kgdg": "73e12c24da027d072e72ca6b09b6472de59ff08d44a83b3ac31467fe3570d1b7",
+        "clinic_c_gbm.kgdg": "485a8ca31795e5991dd1d643a19162af2d72dacc20791beaad662c213dab7874",
+        "clinic_c_logistic.kgdg": "e717a377f330e677563e9847450f9df8f9d037c728cfa4b6975fd0f62d7d7e29",
+        "clinic_c_forest.kgdg": "fcabe096c148961fe155b54c777845e08b073349f4f18ef2663ba6b7cbea2ce3",
+        "clinic_c_knn.kgdg": "0c2c6f848c945678fb39479698255fbcd1f4392177922f3dd884f823fcc2bd60",
     }
 
     def test_artifact_bytes_pinned(self, tmp_path):
@@ -1324,9 +1345,9 @@ def fuzz_inputs(tmp_path_factory):
         "seeds": [0],
         "split": {"train": 0.6, "validation": 0.2, "test": 0.2},
         "symbolic": {"model_kind": "gbm", "n_trees": 2, "max_depth": 2, "learning_rate": 0.1, "min_leaf": 2,
-                     "l2_leaf": 1.0, "k_neighbors": 3, "class_weighting": False, "seed": 0,
+                     "l2_leaf": 1.0, "k_neighbors": 3, "seed": 0,
                      "early_stop_patience": 1, "feature_set": "auto"},
-        "fusion": {"strategies": ["max", "weighted"], "include_neural": True, "alpha_dl": None, "alpha_kl": None},
+        "fusion": {"strategies": ["max", "weighted"], "include_neural": True},
         "rules": {"cws_severe_threshold": 5, "min_score": 0.25},
         "alignment": False,
     }

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from kgdg.io import canonical_json, content_digest, load_manifest, read_feature_
 from kgdg.learn import TrainConfig, feature_matrix, fit_model
 from kgdg.metrics import seeded_summary
 from kgdg.report import render_report
+from kgdg.rules import RuleConfig
 from kgdg.synth import shift_profile, write_dataset
 from test_learn import domain_table
 
@@ -422,14 +424,15 @@ class TestRunExperiment:
     # over every (seed, fold) run, and SDG's KL is its single fold's value.
     # Re-recorded when the unused fusion.grid key left the config, when the
     # unused rules section left it and the fingerprint stopped hashing
-    # detection files, when logistic_steps and logistic_lr left it, and when
-    # subsample, bootstrap and max_features left it: each time only the
+    # detection files, when logistic_steps and logistic_lr left it, when
+    # subsample, bootstrap and max_features left it, and when
+    # class_weighting, alpha_dl and alpha_kl left it: each time only the
     # config_fingerprint field moved, every other field kept its bytes.
     PINNED = {
-        ("sdg", False): "7318894fb6e6a1a9e4ad576e3e358b46c79681b9c52870f14672598a9fbfdf49",
-        ("sdg", True): "9684a8b1e668e5b5be41c6b8d6780db391c9a8eb7f7f3d58859d43f77e1404a8",
-        ("mdg", False): "8ffaf2a8470925e9217319fd0c45acd997ac772669081ae139ea12d8eec93abb",
-        ("mdg", True): "a4d079ed4f71f53d4fac2fd2eff048e287e68ddf01e9dc7e983b1a516b69d382",
+        ("sdg", False): "00f7cc59aab58e72fdd6b5f50b470f653dfa61910da63a64ddcee11760f71eee",
+        ("sdg", True): "5496f69df8749bc3d1df4d50f9e5fba6c42ad6258943677c030216b697b268e5",
+        ("mdg", False): "633aec429efe489c871afb6f6f030559437f3f543cec85fd3962a31563b24a1f",
+        ("mdg", True): "5fed30481eac2577f153da9d3c2efad3cfb2931b0d2b16e7d75c451c01d9ba38",
     }
 
     @pytest.mark.parametrize("mode,alignment", sorted(PINNED))
@@ -448,8 +451,8 @@ class TestRunExperiment:
     # before it sums pairwise, so each cell's mean must come from the same
     # contiguous per-seed vector.
     PINNED_NINE_SEEDS = {
-        "sdg": "0c817492a68f0ccc33f0df0c07d0d3714d0d1c162e6b67c7c3be127cec701c0c",
-        "mdg": "4f5dfc36b81390ec12db724cb38e0b4cb89ffc5e85d0f6f8291fa561a68cede7",
+        "sdg": "bc2109d38b0eda3127eb8802a31c46a8f955f9f62c90f9fa387d834acaa8456c",
+        "mdg": "1915002fd279a9183d7a330b7717809afbbe3cd852ae97348078b9de5019eaa9",
     }
 
     @pytest.mark.parametrize("mode", sorted(PINNED_NINE_SEEDS))
@@ -481,6 +484,20 @@ class TestExperimentConfigFile:
         assert cfg.seeds == (0, 1)
         assert cfg.symbolic.n_trees == 10
         assert mpath == manifest_path.resolve()
+
+    def test_readme_example_names_every_key(self, tmp_path):
+        """README's experiment.json example loads, and each of its sections
+        names exactly the fields of the class that section builds."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Experiment config (`experiment.json`)\n", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        config_path = tmp_path / "experiment.json"
+        config_path.write_text(block)
+        load_experiment_config(config_path)
+        raw = json.loads(block)
+        for name, cls in (("split", SplitFractions), ("symbolic", TrainConfig), ("fusion", FusionSpec),
+                          ("rules", RuleConfig)):
+            assert set(raw[name]) == {f.name for f in dataclasses.fields(cls)}, name
 
     def test_unknown_section_rejected(self, tmp_path):
         config_path = tmp_path / "experiment.json"

@@ -68,7 +68,7 @@ from kgdg.learn import (
 )
 from kgdg.learn import baselines as baselines_module
 from kgdg.learn import gbm as gbm_module
-from kgdg.learn.config import feature_matrix, sample_weights, softmax
+from kgdg.learn.config import feature_matrix, softmax
 from kgdg.learn.tree import (
     GAIN_EPS,
     NodeCache,
@@ -151,11 +151,12 @@ def ref_predict_tree(node, x):
 def ref_fit_gbm(x, y, xv, yv, cfg):
     """The boosting loop before the node cache: (artifact params, loss curve)
     of reference trees whose training and validation scores are updated by
-    the recursive walk, one grade at a time."""
-    weights = sample_weights(y, cfg.class_weighting)
+    the recursive walk, one grade at a time. Scores start at the log grade
+    frequencies, floored at 1e-12; the loss is the mean negative log of each
+    row's true-grade probability, floored alike."""
     n = x.shape[0]
     onehot = np.eye(GRADE_COUNT)[y]
-    base = gbm_module.weighted_log_priors(y, weights)
+    base = np.log(np.maximum(np.bincount(y, minlength=GRADE_COUNT) / n, 1e-12))
     scores, scores_v = np.tile(base, (n, 1)), np.tile(base, (xv.shape[0], 1))
     trees, losses = [], []
     best_acc, best_round = float(np.mean(softmax(scores_v).argmax(axis=1) == yv)), 0
@@ -165,13 +166,13 @@ def ref_fit_gbm(x, y, xv, yv, cfg):
         probs = softmax(scores)
         trees.append([])
         for c in range(GRADE_COUNT):
-            grad = weights * (probs[:, c] - onehot[:, c])
-            hess = weights * probs[:, c] * (1.0 - probs[:, c])
+            grad = probs[:, c] - onehot[:, c]
+            hess = probs[:, c] * (1.0 - probs[:, c])
             tree = ref_regression_tree(x, grad, hess, cfg.max_depth, cfg.min_leaf, cfg.l2_leaf)
             trees[-1].append(tree)
             scores[:, c] += cfg.learning_rate * ref_predict_tree(tree, x)
             scores_v[:, c] += cfg.learning_rate * ref_predict_tree(tree, xv)
-        losses.append(gbm_module.multinomial_log_loss(softmax(scores), y, weights))
+        losses.append(-float(np.mean(np.log(np.maximum(softmax(scores)[np.arange(n), y], 1e-12)))))
         acc = float(np.mean(softmax(scores_v).argmax(axis=1) == yv))
         if acc > best_acc:
             best_acc, best_round = acc, round_idx + 1
@@ -337,14 +338,13 @@ def _gbm_problem(seed, n=150):
     st.integers(0, 2**32 - 1),
     st.integers(1, 6),
     st.integers(1, 5),
-    st.booleans(),
     st.integers(1, 25),
 )
-def test_gbm_equals_reference_trees(seed, min_leaf, max_depth, class_weighting, n_trees):
+def test_gbm_equals_reference_trees(seed, min_leaf, max_depth, n_trees):
     # patience >= n_trees: every round trains, so later rounds reuse the node cache
     x, y = _gbm_problem(seed)
     cfg = TrainConfig(n_trees=n_trees, min_leaf=min_leaf, max_depth=max_depth,
-                      class_weighting=class_weighting, early_stop_patience=n_trees)
+                      early_stop_patience=n_trees)
     got = fit_gbm_arrays(x, y, x[:40], y[:40], ("a", "b", "c"), cfg)
     params, losses = ref_fit_gbm(x, y, x[:40], y[:40], cfg)
     assert json.dumps(got.to_artifact().params) == json.dumps(params)
@@ -514,11 +514,11 @@ def test_softmax_and_row_sum_equal_numpy_row_reductions():
 # --- (f) the logistic fit stops at the penalized optimum ---------------------------------
 
 
-def penalized_gradient(model, x, y, class_weighting):
-    """Largest entry of the reference loss's gradient plus lam times the
-    weights and bias, lam = 1/n, at the fitted model."""
+def penalized_gradient(model, x, y):
+    """Largest entry of the reference loss's gradient, every row weighted
+    alike, plus lam times the weights and bias, lam = 1/n, at the fitted model."""
     xs = (x - model.mean) / model.std
-    _, gw, gb = logistic_loss_and_grad(model.weights, model.bias, xs, y, sample_weights(y, class_weighting))
+    _, gw, gb = logistic_loss_and_grad(model.weights, model.bias, xs, y, np.ones(y.size))
     lam = 1.0 / y.size
     return max(np.abs(gw + lam * model.weights).max(), np.abs(gb + lam * model.bias).max())
 
@@ -542,9 +542,8 @@ def outlier_fixture(single_grade):
     return x, np.full(500, 3) if single_grade else y, ("a", "b", "c")
 
 
-@pytest.mark.parametrize("class_weighting", [False, True])
 @pytest.mark.parametrize("single_grade", [False, True])
-def test_logistic_fit_is_the_penalized_optimum(monkeypatch, class_weighting, single_grade):
+def test_logistic_fit_is_the_penalized_optimum(monkeypatch, single_grade):
     # 1400 rows at both schema widths: lesion counts, then vein floats
     rng = np.random.default_rng(9)
     n = 1400
@@ -556,12 +555,12 @@ def test_logistic_fit_is_the_penalized_optimum(monkeypatch, class_weighting, sin
         rng.poisson(0.2, size=n).astype(np.float64),
     ])
     vein = rng.normal(size=(n, 3)) * 5 + y[:, None]
-    cfg = TrainConfig(model_kind="logistic", class_weighting=class_weighting)
+    cfg = TrainConfig(model_kind="logistic")
     fixtures = [(counts, y, LESIONS_ONLY_SCHEMA), (np.hstack([counts, vein]), y, LESIONS_VEIN_SCHEMA)]
     for x, y, schema in fixtures + [outlier_fixture(single_grade)]:
         model, steps = newton_steps(monkeypatch, lambda: fit_logistic_arrays(x, y, schema, cfg))
         assert steps < baselines_module.NEWTON_CAP
-        assert penalized_gradient(model, x, y, class_weighting) < baselines_module.NEWTON_TOL
+        assert penalized_gradient(model, x, y) < baselines_module.NEWTON_TOL
 
 
 def test_logistic_fit_on_separable_grades_is_finite(monkeypatch):
@@ -575,7 +574,7 @@ def test_logistic_fit_on_separable_grades_is_finite(monkeypatch):
     model, steps = newton_steps(monkeypatch, lambda: fit_logistic_arrays(x, y, LESIONS_VEIN_SCHEMA, cfg))
     assert steps <= baselines_module.NEWTON_CAP // 4
     assert np.isfinite(model.weights).all() and np.isfinite(model.bias).all()
-    assert penalized_gradient(model, x, y, False) < baselines_module.NEWTON_TOL
+    assert penalized_gradient(model, x, y) < baselines_module.NEWTON_TOL
 
 
 # --- (f2) kNN selection by partition equals the full stable sort --------------------------
