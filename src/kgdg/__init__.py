@@ -48,7 +48,6 @@ from .metrics import (
 )
 from .report import compare_to_reference, emit_report, get_reference, reference_ids
 from .rules import (
-    RuleConfig,
     aggregate_detections,
     grade_by_rules,
     rule_grade_as_probability,
@@ -74,7 +73,6 @@ __all__ = [
     "LabeledExample",
     "LesionType",
     "MetricReport",
-    "RuleConfig",
     "SplitFractions",
     "SynthConfig",
     "TrainConfig",

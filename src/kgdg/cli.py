@@ -6,10 +6,12 @@ fingerprint every subcommand prints) go to stderr and honor --quiet;
 machine output goes to --out files, or stdout with ``--out -``.
 
 Each subcommand takes only the flags it reads: synth, train and eval take
---seed; grade and train take --config, and eval requires it; a flag that
-the others given would make it ignore exits 2. Seed precedence: --seed
-flag, then the KGDG_SEED environment variable, then the config-file or
-built-in default.
+--seed; train takes --config, and eval requires it; a flag that the others
+given would make it ignore exits 2. A setting comes from the first of
+these that gives it: its flag, KGDG_SEED (seeds only), the config file
+(train reads its symbolic and split sections), the built-in default.
+grade has no config: its ladder thresholds are fixed (rules.RULE_LADDER)
+and --min-score, default rules.MIN_SCORE, is its one setting.
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ from .errors import DataError, InvalidConfig, KgdgError
 from .fusion import FusionStrategy, batch_fuse
 from .harness import (
     SplitFractions,
+    build_section,
     checked_weights,
-    load_config_section,
     load_experiment_config,
+    read_config_file,
     run_experiment,
     split_dataset,
 )
@@ -57,7 +60,7 @@ from .report import (
     reference_ids,
     render_report,
 )
-from .rules import RULE_LADDER, RuleConfig, fire_rules, grade_detections
+from .rules import MIN_SCORE, RULE_LADDER, checked_min_score, fire_rules, grade_detections
 from .rules import grade_by_rules  # noqa: F401  unused here; the benchmark's tracer patches it by this module's name
 from .synth import SHIFT_PROFILES, shift_profile, write_dataset
 
@@ -71,16 +74,23 @@ def _print_fingerprint(args: argparse.Namespace, resolved: dict) -> None:
     _diag(args, f"config fingerprint: {content_digest(canonical_json(resolved))[:16]}")
 
 
-def _resolve_seed(args: argparse.Namespace, default: int = 0) -> int:
+def _resolve_seed(args: argparse.Namespace) -> int | None:
+    """--seed, else KGDG_SEED, else None: the config's or built-in seed stands."""
     if args.seed is not None:
         return args.seed
     env = os.environ.get("KGDG_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise InvalidConfig(f"KGDG_SEED={env!r} is not an integer") from None
-    return default
+    if env is None:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise InvalidConfig(f"KGDG_SEED={env!r} is not an integer") from None
+
+
+def _with_given(cfg, **given):
+    """``cfg`` with each setting given on the command line (not None) in
+    place of its config-file or built-in value."""
+    return replace(cfg, **{k: v for k, v in given.items() if v is not None})
 
 
 def _write_output(args: argparse.Namespace, text: str) -> None:
@@ -94,9 +104,8 @@ def _write_output(args: argparse.Namespace, text: str) -> None:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
-    cfg = shift_profile(args.profile, seed=seed, n_samples=args.samples)
-    _print_fingerprint(args, {"command": "synth", "profile": args.profile, "seed": seed,
+    cfg = _with_given(shift_profile(args.profile, n_samples=args.samples), seed=_resolve_seed(args))
+    _print_fingerprint(args, {"command": "synth", "profile": args.profile, "seed": cfg.seed,
                               "samples": args.samples})
     manifest_path = write_dataset(cfg, args.out)
     _diag(args, f"wrote {manifest_path}")
@@ -108,17 +117,15 @@ def _cmd_grade(args: argparse.Namespace) -> int:
         raise InvalidConfig("grade takes --features or --detections, not both")
     if args.features and args.min_score is not None:
         raise InvalidConfig("grade takes --min-score only with --detections")
-    rules = load_config_section(args.config, "rules", RuleConfig)
-    if args.min_score is not None:
-        rules = replace(rules, min_score=args.min_score)
-    _print_fingerprint(args, {"command": "grade", "rules": asdict(rules),
+    min_score = MIN_SCORE if args.min_score is None else checked_min_score(args.min_score)
+    _print_fingerprint(args, {"command": "grade", "min_score": min_score,
                               "features": bool(args.features), "detections": bool(args.detections)})
     if args.features:
         table = read_feature_table(args.features)
-        ids, fired, order = table.ids, fire_rules(table.counts, rules), range(len(table))
+        ids, fired, order = table.ids, fire_rules(table.counts), range(len(table))
     elif args.detections:
         detections = read_detections(args.detections)
-        ids, fired = detections.ids, grade_detections(detections, rules)
+        ids, fired = detections.ids, grade_detections(detections, min_score)
         order = sorted(range(len(ids)), key=ids.__getitem__)
     else:
         raise InvalidConfig("grade needs --features or --detections")
@@ -130,14 +137,13 @@ def _cmd_grade(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    cfg = load_config_section(args.config, "symbolic", TrainConfig)
-    seed = _resolve_seed(args, default=cfg.seed)
-    cfg = replace(cfg, model_kind=args.model, seed=seed)
-    if args.feature_set:
-        cfg = replace(cfg, feature_set=args.feature_set)
+    raw = {} if args.config is None else read_config_file(args.config)
+    cfg = _with_given(build_section("symbolic", TrainConfig, raw.get("symbolic", {})),
+                      model_kind=args.model, seed=_resolve_seed(args), feature_set=args.feature_set)
+    split = build_section("split", SplitFractions, raw.get("split", {}))
     _print_fingerprint(args, {"command": "train", "config": cfg.as_dict()})
     table = read_feature_table(args.features)
-    train, valid, test = split_dataset(table, SplitFractions(), seed)
+    train, valid, test = split_dataset(table, split, cfg.seed)
     schema = resolve_schema(cfg, table)
     x, y = feature_matrix(table, schema), table.y
     model = fit_model(x[train], y[train], x[valid], y[valid], schema, cfg)
@@ -174,10 +180,8 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     cfg, manifest_path = load_experiment_config(args.config)
-    if args.mode:
-        cfg = replace(cfg, mode=args.mode)
-    if args.seed is not None or "KGDG_SEED" in os.environ:
-        cfg = replace(cfg, seeds=(_resolve_seed(args),))
+    seed = _resolve_seed(args)
+    cfg = _with_given(cfg, mode=args.mode, seeds=None if seed is None else (seed,))
     report = run_experiment(cfg, load_manifest(manifest_path))
     _diag(args, f"config fingerprint: {report.config_fingerprint}")  # config and data digests
     if args.out is None or args.out == "-":
@@ -242,14 +246,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, seed: bool = False, config: bool = False,
-               out_required: bool = False) -> None:
-        """--out and --quiet, and --seed and --config where the subcommand reads them."""
+    def common(p: argparse.ArgumentParser, seed: bool = False, out_required: bool = False) -> None:
+        """--out and --quiet, and --seed where the subcommand reads it."""
         if seed:
             p.add_argument("--seed", type=int, default=None,
                            help="seed override (falls back to KGDG_SEED, then config)")
-        if config:
-            p.add_argument("--config", default=None, help="experiment config JSON")
         p.add_argument("--out", default=None, required=out_required,
                        help="output path ('-' for stdout)")
         p.add_argument("--quiet", action="store_true", help="suppress diagnostics")
@@ -263,15 +264,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grade", help="apply the clinical rule ladder")
     p.add_argument("--features", default=None, help="features.csv to grade")
     p.add_argument("--detections", default=None, help="detections.json to aggregate and grade")
-    p.add_argument("--min-score", type=float, default=None, dest="min_score")
-    common(p, config=True)
+    p.add_argument("--min-score", type=float, default=None, dest="min_score",
+                   help=f"with --detections: drop findings scored below this (default {MIN_SCORE})")
+    common(p)
     p.set_defaults(func=_cmd_grade)
 
     p = sub.add_parser("train", help="fit a symbolic learner on a feature table")
     p.add_argument("--features", required=True)
-    p.add_argument("--model", default=TrainConfig.model_kind, choices=MODEL_KINDS)
+    p.add_argument("--model", default=None, choices=MODEL_KINDS, help="default: the config's model_kind, else gbm")
     p.add_argument("--feature-set", default=None, dest="feature_set", choices=FEATURE_SETS)
-    common(p, seed=True, config=True, out_required=True)
+    p.add_argument("--config", default=None, help="config JSON: its symbolic and split sections")
+    common(p, seed=True, out_required=True)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("fuse", help="fuse two probability tables")

@@ -56,7 +56,6 @@ from .metrics import (
     macro_f1,
     seeded_summary,
 )
-from .rules import RuleConfig
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
@@ -143,6 +142,8 @@ class ExperimentConfig:
             raise InvalidConfig(f"seeds {list(self.seeds)} name a seed twice")
         if self.mode == "sdg" and not self.source:
             raise InvalidConfig("sdg mode needs a source domain")
+        if self.targets == ():
+            raise InvalidConfig("targets must be null (every other domain) or a nonempty list, got []")
 
     def as_dict(self) -> dict[str, Any]:
         out = asdict(self)
@@ -655,7 +656,7 @@ def run_experiment(cfg: ExperimentConfig, manifest: Manifest) -> ExperimentRepor
 # --- config file -------------------------------------------------------------
 
 
-_CONFIG_SECTIONS = {"mode", "domains", "seeds", "split", "symbolic", "fusion", "rules", "alignment"}
+_CONFIG_SECTIONS = {"mode", "domains", "seeds", "split", "symbolic", "fusion", "alignment"}
 
 
 def build_section(section: str, cls, raw: Any):
@@ -673,7 +674,7 @@ def build_section(section: str, cls, raw: Any):
         raise InvalidConfig(f"bad {section!r} section: {exc}") from exc
 
 
-def _read_config_file(path: str | Path) -> dict[str, Any]:
+def read_config_file(path: str | Path) -> dict[str, Any]:
     """Parse a config JSON object whose top-level keys are known sections."""
     try:
         raw = json.loads(Path(path).read_text())
@@ -687,19 +688,11 @@ def _read_config_file(path: str | Path) -> dict[str, Any]:
     return raw
 
 
-def load_config_section(path: str | Path | None, section: str, cls):
-    """One section of a config file, for the commands that read only it;
-    no file or an absent section gives ``cls()``."""
-    if path is None:
-        return cls()
-    return build_section(section, cls, _read_config_file(path).get(section, {}))
-
-
 def load_experiment_config(path: str | Path) -> tuple[ExperimentConfig, Path]:
     """Parse experiment.json; returns the config and the manifest path
     (resolved relative to the config file)."""
     path = Path(path)
-    raw = _read_config_file(path)
+    raw = read_config_file(path)
     domains = raw.get("domains", {})
     if not isinstance(domains, Mapping) or not isinstance(domains.get("manifest"), str):
         raise InvalidConfig(f"{path}: the domains section must point at a manifest")
@@ -711,11 +704,10 @@ def load_experiment_config(path: str | Path) -> tuple[ExperimentConfig, Path]:
     if not isinstance(seeds, list):
         raise InvalidConfig(f"{path}: seeds must be a list of integers")
     targets = domains.get("targets")
-    build_section("rules", RuleConfig, raw.get("rules", {}))  # grade --config reads it; eval only checks it
     cfg = ExperimentConfig(
         mode=raw.get("mode", "sdg"),
         source=domains.get("source"),
-        targets=(tuple(targets) or None) if isinstance(targets, list) else targets,
+        targets=tuple(targets) if isinstance(targets, list) else targets,
         seeds=tuple(seeds),
         split=build_section("split", SplitFractions, raw.get("split", {})),
         symbolic=build_section("symbolic", TrainConfig, raw.get("symbolic", {})),

@@ -4,53 +4,39 @@ The rule set encodes the standard severity ladder: neovascular findings
 dominate (proliferative disease), widespread hemorrhages mark severe
 NPDR, cotton-wool spots and exudates mark moderate disease, and isolated
 microaneurysms mark mild disease. Rules fire in priority order; the
-first match wins, so adding findings can never lower the grade.
+first match wins, so adding findings can never lower the grade. Every
+threshold of the ladder is fixed; the one setting is ``min_score``, the
+detection score below which ``aggregate_detections`` drops a finding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .core import (
-    LESIONS_ONLY_SCHEMA,
-    DetectionTable,
-    DRGrade,
-    check_field_types,
-)
+from .core import LESIONS_ONLY_SCHEMA, DetectionTable, DRGrade
 from .errors import InvalidConfig
 
-
-@dataclass(frozen=True)
-class RuleConfig:
-    """Thresholds the clinical ladder leaves open; all overridable."""
-
-    cws_severe_threshold: int = 5
-    min_score: float = 0.25
-
-    def __post_init__(self) -> None:
-        check_field_types(self)
-        if self.cws_severe_threshold < 1:
-            raise InvalidConfig("cws_severe_threshold must be >= 1")
-        if not (0.0 <= self.min_score <= 1.0):
-            raise InvalidConfig("min_score must be in [0,1]")
+MIN_SCORE = 0.25  # the default detection score cut of `grade --detections`
 
 
-DEFAULT_RULES = RuleConfig()
+def checked_min_score(min_score: float) -> float:
+    """``min_score`` if it lies in [0,1]; anything else, NaN included,
+    raises InvalidConfig."""
+    if not (0.0 <= min_score <= 1.0):
+        raise InvalidConfig(f"min_score={min_score!r} outside [0,1]")
+    return min_score
 
 
-def aggregate_detections(table: DetectionTable, min_score: float = DEFAULT_RULES.min_score) -> np.ndarray:
+def aggregate_detections(table: DetectionTable, min_score: float = MIN_SCORE) -> np.ndarray:
     """The lesion counts of every image of a DetectionTable, from its
     detections at or above ``min_score``: an ``(images, 8)`` matrix in
     LESIONS_ONLY_SCHEMA order, rows in ``table.ids`` order. A lesion's code
     is its count (or flag) column; the quadrant spread counts hard and soft
     hemorrhages together. Vein fields come from vessel maps, never from here.
     """
-    if not (0.0 <= min_score <= 1.0):
-        raise InvalidConfig(f"min_score={min_score!r} outside [0,1]")
-    keep = table.score >= min_score
+    keep = table.score >= checked_min_score(min_score)
     image, lesion, box = table.image[keep], table.lesion[keep], table.box[keep]
     counts = np.zeros((len(table.ids), len(LESIONS_ONLY_SCHEMA)), dtype=np.int64)
     np.add.at(counts, (image, lesion), 1)
@@ -67,35 +53,35 @@ def aggregate_detections(table: DetectionTable, min_score: float = DEFAULT_RULES
 # The ladder over the LESIONS_ONLY_SCHEMA columns c, as scalars for one
 # row or arrays for a table. Hemorrhages > 20 is tested as
 # hard > 20 - soft, which cannot overflow int64.
-RULE_LADDER: tuple[tuple[str, DRGrade, Callable[[Sequence, RuleConfig], Any]], ...] = (
-    ("R1", DRGrade.PDR, lambda c, cfg: c[6] != 0),
-    ("R2", DRGrade.PDR, lambda c, cfg: c[5] != 0),
-    ("R3", DRGrade.SEVERE, lambda c, cfg: (c[2] > 20 - c[3]) & (c[7] == 4)),
-    ("R4", DRGrade.SEVERE, lambda c, cfg: c[4] >= cfg.cws_severe_threshold),
-    ("R5", DRGrade.MODERATE, lambda c, cfg: c[4] >= 1),
-    ("R6", DRGrade.MODERATE, lambda c, cfg: (c[1] >= 1) | (c[2] >= 1) | (c[3] >= 1)),
-    ("R7", DRGrade.MILD, lambda c, cfg: c[0] >= 1),
-    ("R8", DRGrade.NO_DR, lambda c, cfg: True),
+RULE_LADDER: tuple[tuple[str, DRGrade, Callable[[Sequence], Any]], ...] = (
+    ("R1", DRGrade.PDR, lambda c: c[6] != 0),
+    ("R2", DRGrade.PDR, lambda c: c[5] != 0),
+    ("R3", DRGrade.SEVERE, lambda c: (c[2] > 20 - c[3]) & (c[7] == 4)),
+    ("R4", DRGrade.SEVERE, lambda c: c[4] >= 5),
+    ("R5", DRGrade.MODERATE, lambda c: c[4] >= 1),
+    ("R6", DRGrade.MODERATE, lambda c: (c[1] >= 1) | (c[2] >= 1) | (c[3] >= 1)),
+    ("R7", DRGrade.MILD, lambda c: c[0] >= 1),
+    ("R8", DRGrade.NO_DR, lambda c: True),
 )
 
 
-def grade_by_rules(row: Sequence, cfg: RuleConfig = DEFAULT_RULES) -> DRGrade:
+def grade_by_rules(row: Sequence) -> DRGrade:
     """Grade one row of LESIONS_ONLY_SCHEMA values; the first matching rule decides.
 
     R1 neovascularization -> PDR            R5 any cotton-wool spot -> Moderate
     R2 subhyaloid hemorrhage -> PDR         R6 exudate or hemorrhage -> Moderate
     R3 >20 hemorrhages in all 4 quadrants   R7 any microaneurysm -> Mild
        -> Severe                            R8 no findings -> No DR
-    R4 cotton-wool count at threshold -> Severe
+    R4 five or more cotton-wool spots -> Severe
     """
-    return next(grade for _, grade, holds in RULE_LADDER if holds(row, cfg))
+    return next(grade for _, grade, holds in RULE_LADDER if holds(row))
 
 
-def fire_rules(counts: np.ndarray, cfg: RuleConfig = DEFAULT_RULES) -> np.ndarray:
+def fire_rules(counts: np.ndarray) -> np.ndarray:
     """grade_by_rules over the rows of an ``(n, 8)`` LESIONS_ONLY_SCHEMA
     matrix: each row's index into RULE_LADDER."""
     c = counts.T
-    holds = [np.broadcast_to(test(c, cfg), len(counts)) for _, _, test in RULE_LADDER]
+    holds = [np.broadcast_to(test(c), len(counts)) for _, _, test in RULE_LADDER]
     return np.argmax(holds, axis=0)
 
 
@@ -109,7 +95,7 @@ def rule_grade_as_probability(grade: int, smoothing: float = 0.1) -> tuple[float
     return tuple(1.0 - smoothing if g == grade else off for g in range(5))
 
 
-def grade_detections(table: DetectionTable, cfg: RuleConfig = DEFAULT_RULES) -> np.ndarray:
+def grade_detections(table: DetectionTable, min_score: float = MIN_SCORE) -> np.ndarray:
     """Aggregate then grade every image of a DetectionTable: each image's
     index into RULE_LADDER, rows in ``table.ids`` order."""
-    return fire_rules(aggregate_detections(table, cfg.min_score), cfg)
+    return fire_rules(aggregate_detections(table, min_score))

@@ -15,7 +15,6 @@ import numpy as np
 
 from kgdg.core import LESIONS_ONLY_SCHEMA, LESIONS_VEIN_SCHEMA, VEIN_FEATURE_NAMES, DomainId, DomainTable, DRGrade
 from kgdg.errors import SchemaMismatch
-from kgdg.rules import DEFAULT_RULES, RuleConfig
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,7 @@ def ref_domain_table(examples: Sequence[RefExample], domain: str | None = None) 
     )
 
 
-def ref_grade_by_rules(f: RefFeatureVector, cfg: RuleConfig = DEFAULT_RULES) -> tuple[str, DRGrade]:
+def ref_grade_by_rules(f: RefFeatureVector) -> tuple[str, DRGrade]:
     """The first rule of the clinical ladder that holds, and its grade, with
     the hemorrhage total summed exactly."""
     if f.neovascularization_present:
@@ -135,7 +134,7 @@ def ref_grade_by_rules(f: RefFeatureVector, cfg: RuleConfig = DEFAULT_RULES) -> 
         return "R2", DRGrade.PDR
     if f.hard_hemorrhage_count + f.soft_hemorrhage_count > 20 and f.hemorrhage_quadrants == 4:
         return "R3", DRGrade.SEVERE
-    if f.cotton_wool_count >= cfg.cws_severe_threshold:
+    if f.cotton_wool_count >= 5:
         return "R4", DRGrade.SEVERE
     if f.cotton_wool_count >= 1:
         return "R5", DRGrade.MODERATE

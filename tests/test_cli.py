@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import filecmp
+import functools
 import hashlib
 import io
 import json
@@ -80,22 +81,6 @@ class TestGradeCommand:
 
     def test_grade_needs_an_input(self):
         assert main(["grade", "--quiet"]) == 2
-
-    def test_grade_reads_rules_section_from_config(self, tmp_path, capsys):
-        from kgdg.io import LESIONS_ONLY_HEADER
-
-        features = tmp_path / "f.csv"
-        features.write_text(
-            ",".join(LESIONS_ONLY_HEADER) + "\nimg1,d,3,0,0,0,0,2,0,0,0\n"
-        )
-        config = tmp_path / "experiment.json"
-        config.write_text(json.dumps({"rules": {"cws_severe_threshold": 2}}))
-        assert main(["grade", "--features", str(features), "--config", str(config),
-                     "--out", "-", "--quiet"]) == 0
-        out = capsys.readouterr().out
-        assert "img1,3,R4" in out  # two cotton-wool spots now reach severe
-        assert main(["grade", "--features", str(features), "--out", "-", "--quiet"]) == 0
-        assert "img1,2,R5" in capsys.readouterr().out  # default threshold stays moderate
 
 
 class TestTrainCommand:
@@ -467,7 +452,7 @@ class TestHelp:
 
 class TestFlagsASubcommandReads:
     """A subcommand takes --seed and --config only where it reads them:
-    synth, train and eval take --seed; grade, train and eval take --config."""
+    synth, train and eval take --seed; train and eval take --config."""
 
     @pytest.fixture
     def commands(self, data_dir, tmp_path):
@@ -484,7 +469,7 @@ class TestFlagsASubcommandReads:
 
     @pytest.mark.parametrize("command, flag", [
         *((c, "--seed") for c in ("grade", "fuse", "metrics", "report")),
-        *((c, "--config") for c in ("synth", "fuse", "metrics", "report")),
+        *((c, "--config") for c in ("synth", "grade", "fuse", "metrics", "report")),
     ])
     def test_unread_flag_exits_2(self, commands, tmp_path, capsys, command, flag):
         config = tmp_path / "config.json"
@@ -651,11 +636,10 @@ class TestSingleGradeTarget:
 
 
 class TestConfigSections:
-    """grade and train read their section through the same loader as eval."""
+    """train reads its sections through the same loader as eval."""
 
     @pytest.mark.parametrize("command, text", [
-        *((c, t) for c in ("grade", "train") for t in (
-            "{not json", "[1, 2]", json.dumps({"unknown_section": {}}))),
+        *(("train", t) for t in ("{not json", "[1, 2]", json.dumps({"unknown_section": {}}))),
         ("train", json.dumps({"symbolic": [1]})),
     ])
     def test_bad_config_exits_2(self, data_dir, tmp_path, capsys, command, text):
@@ -667,7 +651,7 @@ class TestConfigSections:
         assert "INVALID_CONFIG" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, section", [("grade", "rules"), ("train", "symbolic")])
+    @pytest.mark.parametrize("command, section", [("train", "symbolic"), ("train", "split")])
     def test_unknown_key_rejected_as_in_eval(self, data_dir, tmp_path, capsys, command, section):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({section: {"bogus": 1}}))
@@ -675,19 +659,18 @@ class TestConfigSections:
                      "--config", str(config), "--out", str(tmp_path / "out"), "--quiet"]) == 2
         assert f"unknown keys in '{section}' section: ['bogus']" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["grade", "eval"])
-    def test_rules_smoothing_is_an_unknown_key(self, data_dir, tmp_path, capsys, command):
-        """No command reads a rules smoothing, so setting one is a config error."""
+    def test_rules_section_is_unknown(self, data_dir, tmp_path, capsys):
+        """The ladder's thresholds are fixed and grade takes no config, so no
+        command reads a rules section: eval refuses one as unknown."""
         config = tmp_path / "experiment.json"
         config.write_text(json.dumps({
             "domains": {"manifest": str(data_dir / "manifest.json"), "source": "clinic_a"}, "seeds": [0],
             "symbolic": {"n_trees": 3, "min_leaf": 2, "early_stop_patience": 2}, "fusion": {"strategies": ["max"]},
-            "rules": {"smoothing": 0.1},
+            "rules": {"cws_severe_threshold": 5, "min_score": 0.25},
         }))
-        argv = ["grade", "--features", str(data_dir / "clinic_a_features.csv")] if command == "grade" else ["eval"]
         out = tmp_path / "out"
-        assert main([*argv, "--config", str(config), "--out", str(out), "--quiet"]) == 2
-        assert capsys.readouterr().err == "error[INVALID_CONFIG]: unknown keys in 'rules' section: ['smoothing']\n"
+        assert main(["eval", "--config", str(config), "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error[INVALID_CONFIG]: {config}: unknown config sections: ['rules']\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [("logistic_steps", 2000), ("logistic_lr", 0.1)])
@@ -745,6 +728,61 @@ class TestConfigSections:
         assert len(load_model(out).params["trees"]) == 3
 
 
+class TestOneWayInPerSetting:
+    """A setting of train or eval comes from the first source that gives it:
+    its flag (or KGDG_SEED, for a seed), then the config file, then the
+    built-in default. So the config value alone takes effect, the flag
+    alone takes effect, and the flag beats the config."""
+
+    BASE = {
+        "train": {"symbolic": {"n_trees": 3}},
+        "eval": {"mode": "sdg", "domains": {"source": "clinic_a"}, "seeds": [0],
+                 "symbolic": {"n_trees": 3, "min_leaf": 2, "early_stop_patience": 2},
+                 "fusion": {"strategies": ["max"]}},
+    }
+
+    def _run(self, data_dir, work, monkeypatch, command, config, flag=None, value=None):
+        """The bytes ``command`` writes with ``config`` merged into its small
+        base config and ``flag`` (a flag or KGDG_SEED) set to ``value``."""
+        sections = dict(self.BASE[command])
+        for key, part in config.items():
+            sections[key] = {**sections[key], **part} if isinstance(part, dict) and key in sections else part
+        if command == "eval":
+            sections["domains"] = {**sections["domains"], "manifest": str(data_dir / "manifest.json")}
+        path = work / f"{len(list(work.iterdir()))}"
+        path.with_suffix(".json").write_text(json.dumps(sections))
+        argv = (["eval", "--format", "json"] if command == "eval" else
+                ["train", "--features", str(data_dir / "clinic_a_features.csv")])
+        monkeypatch.delenv("KGDG_SEED", raising=False)
+        if flag == "KGDG_SEED":
+            monkeypatch.setenv("KGDG_SEED", value)
+        elif flag is not None:
+            argv += [flag, value]
+        assert main([*argv, "--config", str(path.with_suffix(".json")), "--out", str(path), "--quiet"]) == 0
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("command, config, flag, same, other", [
+        ("train", {"symbolic": {"model_kind": "forest"}}, "--model", "forest", "knn"),
+        ("train", {"symbolic": {"seed": 5}}, "--seed", "5", "7"),
+        ("train", {"symbolic": {"seed": 5}}, "KGDG_SEED", "5", "7"),
+        ("train", {"symbolic": {"feature_set": "lesions_only"}}, "--feature-set", "lesions_only", "lesions_vein"),
+        ("train", {"split": {"train": 0.8, "validation": 0.1, "test": 0.1}}, None, None, None),
+        ("eval", {"mode": "mdg"}, "--mode", "mdg", "sdg"),
+        ("eval", {"seeds": [1]}, "--seed", "1", "2"),
+        ("eval", {"seeds": [1]}, "KGDG_SEED", "1", "2"),
+    ])
+    def test_config_alone_flag_alone_and_flag_over_config(self, data_dir, tmp_path, monkeypatch,
+                                                          command, config, flag, same, other):
+        """``flag`` set to ``same`` gives the setting ``config`` gives, and set
+        to ``other`` it gives another; a split section has no flag."""
+        run = functools.partial(self._run, data_dir, tmp_path, monkeypatch, command)
+        by_config = run(config)
+        assert by_config != run({})  # the config value alone takes effect
+        if flag is not None:
+            assert run({}, flag, same) == by_config  # the flag alone takes effect
+            assert run(config, flag, other) == run({}, flag, other) != by_config  # the flag beats the config
+
+
 class TestConfigValueTypes:
     """A config value of the wrong JSON type, or a non-finite one, is a
     config error: exit 2 naming the value, never exit 4 and never a value
@@ -776,13 +814,14 @@ class TestConfigValueTypes:
         ("symbolic", '{"l2_leaf": NaN}', "l2_leaf must be a finite number, got nan"),
         ("symbolic", '{"l2_leaf": Infinity}', "l2_leaf must be a finite number, got inf"),
         ("split", '{"train": NaN, "validation": 0.2, "test": 0.2}', "train must be a finite number, got nan"),
-        ("rules", '{"cws_severe_threshold": 1.5}', "cws_severe_threshold must be an integer, got 1.5"),
         ("alignment", '"false"', "alignment must be true or false, got 'false'"),
         ("mode", '["sdg"]', "mode must be a string, got ['sdg']"),
         ("domains", '{"manifest": 5}', "the domains section must point at a manifest"),
         ("domains", '["manifest"]', "the domains section must point at a manifest"),
         ("domains", '{"manifest": MANIFEST, "source": "clinic_a", "targets": "clinic_b"}',
          "targets must be a list of strings, got 'clinic_b'"),
+        ("domains", '{"manifest": MANIFEST, "source": "clinic_a", "targets": []}',
+         "targets must be null (every other domain) or a nonempty list, got []"),
         ("domains", '{"manifest": MANIFEST, "source": ["clinic_a"]}', "source must be a string, got ['clinic_a']"),
         ("domains", '{"manifest": MANIFEST, "source": "clinic_a", "target": ["clinic_b"]}',
          "unknown keys in 'domains' section: ['target']"),
@@ -794,7 +833,7 @@ class TestConfigValueTypes:
     @pytest.mark.parametrize("command, text, message", [
         ("train", '{"symbolic": {"n_trees": 1.5}}', "n_trees must be an integer, got 1.5"),
         ("train", '{"symbolic": {"learning_rate": NaN}}', "learning_rate must be a finite number, got nan"),
-        ("grade", '{"rules": {"cws_severe_threshold": 1e400}}', "cws_severe_threshold must be an integer, got inf"),
+        ("train", '{"split": {"train": 0.5, "validation": 0.2, "test": 0.2}}', "split fractions must sum to 1"),
     ])
     def test_section_config_exits_2(self, data_dir, tmp_path, capsys, command, text, message):
         config = tmp_path / "section.json"
@@ -832,6 +871,17 @@ class TestConfigValueTypes:
                     "train": ["train", "--features", str(data_dir / "clinic_a_features.csv")]}[command]
             code, err = main([*argv, "--out", str(tmp_path / "out"), "--quiet"]), capsys.readouterr().err
         assert (code, err) == (2, "error[INVALID_CONFIG]: KGDG_SEED='' is not an integer\n")
+
+    @pytest.mark.parametrize("score", ["2", "-0.5", "nan"])
+    def test_grade_min_score_exits_2(self, data_dir, tmp_path, capsys, score):
+        """A detection score cut outside [0,1] is refused before the
+        fingerprint line (which could not hash a NaN) and any output."""
+        out = tmp_path / "grades.csv"
+        code = main(["grade", "--detections", str(data_dir / "clinic_a_detections.json"), "--min-score", score,
+                     "--out", str(out)])
+        message = f"error[INVALID_CONFIG]: min_score={float(score)!r} outside [0,1]\n"
+        assert (code, capsys.readouterr().err) == (2, message)
+        assert not out.exists()
 
     @pytest.mark.parametrize("threshold", ["2", "-0.5", "nan"])
     def test_metrics_iou_threshold_exits_2(self, data_dir, tmp_path, capsys, threshold):
@@ -1348,11 +1398,10 @@ def fuzz_inputs(tmp_path_factory):
                      "l2_leaf": 1.0, "k_neighbors": 3, "seed": 0,
                      "early_stop_patience": 1, "feature_set": "auto"},
         "fusion": {"strategies": ["max", "weighted"], "include_neural": True},
-        "rules": {"cws_severe_threshold": 5, "min_score": 0.25},
         "alignment": False,
     }
     originals["experiment"] = json.dumps(experiment, indent=1)
-    originals["config"] = json.dumps({s: experiment[s] for s in ("symbolic", "rules")}, indent=1)
+    originals["config"] = json.dumps({s: experiment[s] for s in ("symbolic", "split")}, indent=1)
     valid = {}
     for kind, text in originals.items():
         (tmp / f"valid_{kind}").write_text(text)
@@ -1373,13 +1422,12 @@ def fuzz_inputs(tmp_path_factory):
                                  ["metrics", "--pred-detections", p, "--truth-detections", valid["detections"]]],
         "manifest": lambda p: [["eval", "--config", str(config)]],
         "experiment": lambda p: [["eval", "--config", p]],
-        "config": lambda p: [["train", "--features", valid["features"], "--config", p],
-                             ["grade", "--features", valid["features"], "--config", p]],
+        "config": lambda p: [["train", "--features", valid["features"], "--config", p]],
     }
     fuse = ["fuse", "--strategy", "weighted", "--alpha-dl", "0.6", "--alpha-kl", "0.4", "--dl", valid["probs"],
             "--kd", valid["probs"]]
     flags = [  # a valid command, and the place of the numeric flag value a mutant replaces
-        (["grade", "--features", valid["features"], "--min-score", "0.25"], 4),
+        (["grade", "--detections", valid["detections"], "--min-score", "0.25"], 4),
         (fuse, 4),
         (fuse, 6),
         (["metrics", "--pred-detections", valid["detections"], "--truth-detections", valid["detections"],

@@ -24,7 +24,6 @@ from kgdg.io import canonical_json, content_digest, load_manifest, read_feature_
 from kgdg.learn import TrainConfig, feature_matrix, fit_model
 from kgdg.metrics import seeded_summary
 from kgdg.report import render_report
-from kgdg.rules import RuleConfig
 from kgdg.synth import shift_profile, write_dataset
 from test_learn import domain_table
 
@@ -476,7 +475,6 @@ class TestExperimentConfigFile:
             "split": {"train": 0.6, "validation": 0.2, "test": 0.2},
             "symbolic": {"model_kind": "gbm", "n_trees": 10},
             "fusion": {"strategies": ["max"], "include_neural": True},
-            "rules": {"cws_severe_threshold": 5},
             "alignment": False,
         }))
         cfg, mpath = load_experiment_config(config_path)
@@ -495,8 +493,7 @@ class TestExperimentConfigFile:
         config_path.write_text(block)
         load_experiment_config(config_path)
         raw = json.loads(block)
-        for name, cls in (("split", SplitFractions), ("symbolic", TrainConfig), ("fusion", FusionSpec),
-                          ("rules", RuleConfig)):
+        for name, cls in (("split", SplitFractions), ("symbolic", TrainConfig), ("fusion", FusionSpec)):
             assert set(raw[name]) == {f.name for f in dataclasses.fields(cls)}, name
 
     def test_unknown_section_rejected(self, tmp_path):

@@ -1,9 +1,9 @@
 """Static checks on the names ``src/`` binds and exports, in place of a
 linter: no module keeps an import it never uses, no private module-level
 name goes unread in ``src/``, no config field goes unread outside its own
-checks, and every public name list resolves without repeats. A deletion
-that leaves an import, a helper, a config field or an export behind fails
-here."""
+checks, no CLI flag goes unread outside the parser that defines it, and
+every public name list resolves without repeats. A deletion that leaves an
+import, a helper, a config field, a flag or an export behind fails here."""
 
 import ast
 import importlib
@@ -158,6 +158,43 @@ def test_unread_config_field_detected():
     )
     reading = ast.parse("def f(cfg):\n    return cfg.used\n")
     assert unread_config_fields({"m": defining, "n": reading}) == ["m: Cfg.checked_only", "m: Cfg.unread"]
+
+
+def unread_flags(tree):
+    """The ``dest`` of each ``add_argument`` call in ``build_parser`` that
+    the module never reads as ``args.<dest>`` outside ``build_parser``."""
+    dests, read = [], set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == "build_parser":
+            for call in ast.walk(node):
+                if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                        and call.func.attr == "add_argument"):
+                    continue
+                options = [arg.value for arg in call.args]
+                option = next((o for o in options if o.startswith("--")), options[0])
+                dests.append(next((kw.value.value for kw in call.keywords if kw.arg == "dest"),
+                                  option.lstrip("-").replace("-", "_")))
+        else:
+            read |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+                     and isinstance(n.value, ast.Name) and n.value.id == "args"}
+    return [dest for dest in dests if dest not in read]
+
+
+def test_no_unread_flag():
+    assert unread_flags(ast.parse((SRC / "kgdg" / "cli.py").read_text())) == []
+
+
+def test_unread_flag_detected():
+    tree = ast.parse(
+        "def _cmd(args):\n    return args.used, args.renamed, other.unread\n"
+        "def build_parser():\n"
+        "    p.add_argument('--used')\n"
+        "    p.add_argument('-r', '--was-renamed', dest='renamed')\n"
+        "    p.add_argument('--unread')\n"
+        "    p.add_argument('-s', '--short-too')\n"
+        "    args.unread\n"
+    )
+    assert unread_flags(tree) == ["unread", "short_too"]
 
 
 @pytest.mark.parametrize("module_name", ["kgdg", "kgdg.learn"])

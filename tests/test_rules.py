@@ -10,9 +10,7 @@ from ref_rows import RefFeatureVector, ref_grade_by_rules
 from kgdg.core import DRGrade, LesionType
 from kgdg.errors import InvalidConfig
 from kgdg.rules import (
-    DEFAULT_RULES,
     RULE_LADDER,
-    RuleConfig,
     aggregate_detections,
     fire_rules,
     grade_detections,
@@ -128,8 +126,8 @@ class TestGradeDetections:
                            "none": []})
         ladder = [name for name, _, _ in RULE_LADDER]
         assert [ladder[r] for r in grade_detections(table).tolist()] == ["R1", "R7", "R8"]
-        # the config's min_score drops the low-scored finding first
-        assert [ladder[r] for r in grade_detections(table, RuleConfig(min_score=0.5)).tolist()] == ["R8", "R7", "R8"]
+        # a higher min_score drops the low-scored finding first
+        assert [ladder[r] for r in grade_detections(table, 0.5).tolist()] == ["R8", "R7", "R8"]
 
 
 # One fixture per rule plus interaction cases (the full clinical ladder).
@@ -152,11 +150,11 @@ RULE_FIXTURES = [
 ]
 
 
-def ladder(fv, cfg=DEFAULT_RULES):
+def ladder(fv):
     """The rule fire_rules picks for one features row and its grade, which
     grade_by_rules must give the row too."""
-    name, grade, _ = RULE_LADDER[fire_rules(np.array([fv.counts()]), cfg)[0]]
-    assert grade_by_rules(fv.counts(), cfg) == grade
+    name, grade, _ = RULE_LADDER[fire_rules(np.array([fv.counts()]))[0]]
+    assert grade_by_rules(fv.counts()) == grade
     return name, grade
 
 
@@ -171,10 +169,6 @@ class TestGradeByRules:
             name, grade = ladder(_random_feature(rng))
             assert name in [r for r, _, _ in RULE_LADDER]
             assert 0 <= int(grade) <= 4
-
-    def test_cws_threshold_configurable(self):
-        cfg = RuleConfig(cws_severe_threshold=2)
-        assert grade_by_rules(RefFeatureVector(cotton_wool_count=2).counts(), cfg) == DRGrade.SEVERE
 
     def test_monotone_under_augmentation(self):
         rng = np.random.default_rng(11)
@@ -202,19 +196,19 @@ def _count_rows(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_count_rows(), min_size=1, max_size=8), st.integers(1, 8))
-def test_grade_by_rules_equals_table_and_reference(rows, threshold):
+@given(st.lists(_count_rows(), min_size=1, max_size=8))
+def test_grade_by_rules_equals_table_and_reference(rows):
     """One row's grade, the table kernel's rule for it and the per-rule
-    reference grading agree, past int64 and at 20 +- 1 hemorrhages."""
-    cfg = RuleConfig(cws_severe_threshold=threshold)
+    reference grading agree, past int64, at 20 +- 1 hemorrhages and at
+    4 to 6 cotton-wool spots."""
     try:
         counts = np.array(rows, dtype=np.int64)
     except OverflowError:
         counts = np.array(rows, dtype=object)
-    fired = fire_rules(counts, cfg).tolist()
+    fired = fire_rules(counts).tolist()
     for row, rule in zip(rows, fired):
-        name, grade = ref_grade_by_rules(RefFeatureVector.from_counts(row), cfg)
-        assert grade_by_rules(row, cfg) == RULE_LADDER[rule][1] == grade
+        name, grade = ref_grade_by_rules(RefFeatureVector.from_counts(row))
+        assert grade_by_rules(row) == RULE_LADDER[rule][1] == grade
         assert RULE_LADDER[rule][0] == name
 
 
