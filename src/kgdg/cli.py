@@ -1,9 +1,11 @@
 """Command-line entry point: synth, grade, train, fuse, eval, metrics, report.
 
 Exit codes: 0 success, 2 usage/config error, 3 data error, 4 internal
-invariant violation. Diagnostics (including the resolved config
-fingerprint every subcommand prints) go to stderr and honor --quiet;
-machine output goes to --out files, or stdout with ``--out -``.
+invariant violation. Diagnostics go to stderr and honor --quiet; machine
+output goes to --out files, or stdout with ``--out -``. synth, train and
+eval, whose settings can also come from KGDG_SEED or a config file, print
+a config fingerprint: the digest of what the run reads (train's is its
+artifact's, eval's its report's). The other commands print none.
 
 Each subcommand takes only the flags it reads: synth, train and eval take
 --seed; train takes --config, and eval requires it; a flag that the others
@@ -24,6 +26,7 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
+from .core import checked_unit
 from .errors import DataError, InvalidConfig, KgdgError
 from .fusion import FusionStrategy, batch_fuse
 from .harness import (
@@ -60,7 +63,7 @@ from .report import (
     reference_ids,
     render_report,
 )
-from .rules import MIN_SCORE, RULE_LADDER, checked_min_score, fire_rules, grade_detections
+from .rules import MIN_SCORE, RULE_LADDER, fire_rules, grade_detections
 from .rules import grade_by_rules  # noqa: F401  unused here; the benchmark's tracer patches it by this module's name
 from .synth import SHIFT_PROFILES, shift_profile, write_dataset
 
@@ -68,10 +71,6 @@ from .synth import SHIFT_PROFILES, shift_profile, write_dataset
 def _diag(args: argparse.Namespace, message: str) -> None:
     if not args.quiet:
         print(message, file=sys.stderr)
-
-
-def _print_fingerprint(args: argparse.Namespace, resolved: dict) -> None:
-    _diag(args, f"config fingerprint: {content_digest(canonical_json(resolved))[:16]}")
 
 
 def _resolve_seed(args: argparse.Namespace) -> int | None:
@@ -105,8 +104,8 @@ def _write_output(args: argparse.Namespace, text: str) -> None:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     cfg = _with_given(shift_profile(args.profile, n_samples=args.samples), seed=_resolve_seed(args))
-    _print_fingerprint(args, {"command": "synth", "profile": args.profile, "seed": cfg.seed,
-                              "samples": args.samples})
+    resolved = {"command": "synth", "profile": args.profile, "seed": cfg.seed, "samples": args.samples}
+    _diag(args, f"config fingerprint: {content_digest(canonical_json(resolved))[:16]}")
     manifest_path = write_dataset(cfg, args.out)
     _diag(args, f"wrote {manifest_path}")
     return 0
@@ -117,9 +116,7 @@ def _cmd_grade(args: argparse.Namespace) -> int:
         raise InvalidConfig("grade takes --features or --detections, not both")
     if args.features and args.min_score is not None:
         raise InvalidConfig("grade takes --min-score only with --detections")
-    min_score = MIN_SCORE if args.min_score is None else checked_min_score(args.min_score)
-    _print_fingerprint(args, {"command": "grade", "min_score": min_score,
-                              "features": bool(args.features), "detections": bool(args.detections)})
+    min_score = MIN_SCORE if args.min_score is None else checked_unit("min_score", args.min_score)
     if args.features:
         table = read_feature_table(args.features)
         ids, fired, order = table.ids, fire_rules(table.counts), range(len(table))
@@ -141,7 +138,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _with_given(build_section("symbolic", TrainConfig, raw.get("symbolic", {})),
                       model_kind=args.model, seed=_resolve_seed(args), feature_set=args.feature_set)
     split = build_section("split", SplitFractions, raw.get("split", {}))
-    _print_fingerprint(args, {"command": "train", "config": cfg.as_dict()})
     table = read_feature_table(args.features)
     train, valid, test = split_dataset(table, split, cfg.seed)
     schema = resolve_schema(cfg, table)
@@ -151,6 +147,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         preds = model.predict_proba_matrix(x[test]).argmax(axis=1)
         held_out = evaluate_predictions(y[test], preds)
         _diag(args, f"held-out accuracy {held_out.accuracy:.4f}, macro F1 {held_out.macro_f1:.4f}")
+    _diag(args, f"config fingerprint: {model.train_fingerprint[:16]}")  # settings and rows the fit read
     save_model(model.to_artifact(), args.out)
     _diag(args, f"wrote {args.out}")
     return 0
@@ -165,8 +162,6 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
         weights = checked_weights(args.alpha_dl, args.alpha_kl)
     elif args.alpha_dl is not None or args.alpha_kl is not None:
         raise InvalidConfig(f"{strategy.value} fusion takes no --alpha-dl or --alpha-kl")
-    _print_fingerprint(args, {"command": "fuse", "strategy": args.strategy,
-                              "alpha_dl": args.alpha_dl, "alpha_kl": args.alpha_kl})
     dl_ids, p_dl = read_probability_table(args.dl)
     fused = batch_fuse(strategy, (dl_ids, p_dl), read_probability_table(args.kd), weights)
     grades, sources, scores = fused.grades.tolist(), fused.sources.tolist(), fused.scores.tolist()
@@ -197,12 +192,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         raise InvalidConfig("metrics takes --truth/--pred or --pred-detections/--truth-detections, not both")
     if (args.truth or args.pred) and args.iou_threshold is not None:
         raise InvalidConfig("metrics takes --iou-threshold only with --pred-detections/--truth-detections")
-    _print_fingerprint(args, {"command": "metrics",
-                              "mode": "detection" if args.pred_detections else "classification"})
     if args.pred_detections or args.truth_detections:
         if not (args.pred_detections and args.truth_detections):
             raise InvalidConfig("detection metrics need --pred-detections and --truth-detections")
-        iou = 0.5 if args.iou_threshold is None else args.iou_threshold
+        iou = checked_unit("iou_threshold", 0.5 if args.iou_threshold is None else args.iou_threshold)
         pred = read_detections(args.pred_detections)
         match = match_detections(pred, read_detections(args.truth_detections), iou)
         _write_output(args, json.dumps(asdict(match), indent=1, sort_keys=True) + "\n")
@@ -219,16 +212,13 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     if args.list:
+        if args.reference_id or args.input:
+            raise InvalidConfig("report --list takes no --reference-id or --input")
         _write_output(args, "\n".join(reference_ids()) + "\n")
         return 0
     if not args.reference_id:
         raise InvalidConfig("report needs --reference-id (or --list)")
-    _print_fingerprint(args, {"command": "report", "reference_id": args.reference_id,
-                              "input": bool(args.input)})
-    if args.input:
-        subject = load_report_json(args.input)
-    else:
-        subject = get_reference(args.reference_id)
+    subject = load_report_json(args.input) if args.input else get_reference(args.reference_id)
     comparison = compare_to_reference(subject, args.reference_id)
     _write_output(args, comparison.render() + "\n")
     return 0

@@ -60,6 +60,14 @@ def check_field_types(config: object) -> None:
                 raise InvalidConfig(f"{f.name} must be {expected}, got {value!r}")
 
 
+def checked_unit(name: str, value: float) -> float:
+    """``value`` if it lies in [0,1]; anything else, NaN included, raises
+    InvalidConfig naming the setting."""
+    if not (0.0 <= value <= 1.0):
+        raise InvalidConfig(f"{name}={value!r} outside [0,1]")
+    return value
+
+
 class RenormalizationWarning(UserWarning):
     """A probability vector was silently off-simplex and got rescaled."""
 

@@ -146,8 +146,10 @@ class ExperimentConfig:
             raise InvalidConfig("targets must be null (every other domain) or a nonempty list, got []")
 
     def as_dict(self) -> dict[str, Any]:
+        """The settings every mode reads, ``symbolic`` as its learner reads it."""
         out = asdict(self)
-        out.update(targets=list(self.targets) if self.targets else None, seeds=list(self.seeds))
+        del out["source"], out["targets"]
+        out.update(seeds=list(self.seeds), symbolic=self.symbolic.as_dict())
         return out
 
 
@@ -360,16 +362,18 @@ def _guard_leakage(
             )
 
 
-def _config_fingerprint(cfg: ExperimentConfig, manifest: Manifest) -> str:
-    """Hash the config with each domain's features and probs: the files eval reads."""
-    digests = {}
+def _config_fingerprint(cfg: ExperimentConfig, folds: list, schema: tuple[str, ...], manifest: Manifest) -> str:
+    """Hash what the run reads: the config, SDG's source and resolved targets,
+    the schema, and each domain's features and probs in manifest order."""
+    digests = []
     for entry in manifest.domains:
         item = {"features": file_digest(entry.features)}
         if entry.probs is not None:
             item["probs"] = file_digest(entry.probs)
-        digests[str(entry.name)] = item
+        digests.append([str(entry.name), item])
+    plan = {"source": folds[0][0][0], "targets": folds[0][1]} if cfg.mode == "sdg" else {}
     return content_digest(
-        canonical_json({"config": cfg.as_dict(), "data": digests})
+        canonical_json({"config": {**cfg.as_dict(), **plan}, "schema": list(schema), "data": digests})
     )[:16]
 
 
@@ -645,7 +649,7 @@ def run_experiment(cfg: ExperimentConfig, manifest: Manifest) -> ExperimentRepor
         methods=methods,
         scores=np.ascontiguousarray(scores.transpose(0, 3, 1, 2)),
         seeds=cfg.seeds,
-        config_fingerprint=_config_fingerprint(cfg, manifest),
+        config_fingerprint=_config_fingerprint(cfg, folds, schema, manifest),
         alignment_enabled=cfg.alignment,
         kl_before=_fold_kl(kl_befores, len(cfg.seeds)),
         kl_after=_fold_kl(kl_afters, len(cfg.seeds)),

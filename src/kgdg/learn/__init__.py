@@ -6,7 +6,7 @@ from typing import Union, get_args
 
 import numpy as np
 
-from ..errors import DataError, InvalidConfig
+from ..errors import DataError
 from ..io import ModelArtifact
 from .baselines import (
     ForestModel,
@@ -45,13 +45,8 @@ def fit_model(
         raise DataError("cannot train on an empty training set")
     if cfg.model_kind == "gbm":
         return fit_gbm_arrays(x, y, x_valid, y_valid, schema, cfg)
-    if cfg.model_kind == "logistic":
-        return fit_logistic_arrays(x, y, schema, cfg)
-    if cfg.model_kind == "forest":
-        return fit_forest_arrays(x, y, schema, cfg)
-    if cfg.model_kind == "knn":
-        return fit_knn_arrays(x, y, schema, cfg)
-    raise InvalidConfig(f"unknown model_kind {cfg.model_kind!r}")
+    fit = {"logistic": fit_logistic_arrays, "forest": fit_forest_arrays, "knn": fit_knn_arrays}[cfg.model_kind]
+    return fit(x, y, schema, cfg)
 
 
 def model_from_artifact(artifact: ModelArtifact) -> Model:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, ClassVar, Sequence
 
@@ -20,12 +20,18 @@ from ..io import MODEL_KINDS, ModelArtifact, canonical_json, content_digest
 
 FEATURE_SETS = ("auto", "lesions_only", "lesions_vein")
 
+# The TrainConfig fields each fit_<kind>_arrays reads; a fingerprint hashes these and model_kind, no other
+LEARNER_FIELDS = {"gbm": ("n_trees", "max_depth", "learning_rate", "min_leaf", "l2_leaf", "early_stop_patience"),
+                  "logistic": (), "forest": ("n_trees", "max_depth", "min_leaf", "seed"), "knn": ("k_neighbors",)}
+
 STD_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters for every learner kind; unused fields are ignored.
+    """Hyperparameters shared by every learner kind. Every field is checked;
+    one that ``LEARNER_FIELDS`` does not list for the chosen learner is then
+    ignored and hashed nowhere. ``feature_set`` is hashed as its schema.
 
     ``n_trees=0`` is allowed so a boosting model can be reduced to its
     class-prior base scores.
@@ -61,7 +67,8 @@ class TrainConfig:
             raise InvalidConfig(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        """``model_kind`` and the fields its learner reads: what a fingerprint hashes."""
+        return {name: getattr(self, name) for name in ("model_kind", *LEARNER_FIELDS[self.model_kind])}
 
 
 def resolve_schema(cfg: TrainConfig, table: DomainTable) -> tuple[str, ...]:
@@ -183,12 +190,12 @@ def standardization(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mu, sd
 
 
-def train_fingerprint(cfg: TrainConfig, schema: Sequence[str], x: np.ndarray, y: np.ndarray) -> str:
-    """Hash of the training configuration plus the data it saw."""
-    data_digest = content_digest(x.tobytes() + y.tobytes())
-    return content_digest(
-        canonical_json({"config": cfg.as_dict(), "schema": list(schema), "data": data_digest})
-    )
+def train_fingerprint(cfg: TrainConfig, schema: Sequence[str], *rows: np.ndarray) -> str:
+    """Hash of the settings the learner reads, the schema and the arrays of
+    the rows it reads: the training x and y, then, for a learner that
+    early-stops, the validation x and y."""
+    data = [content_digest(a.tobytes()) for a in rows]
+    return content_digest(canonical_json({"config": cfg.as_dict(), "schema": list(schema), "data": data}))
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:

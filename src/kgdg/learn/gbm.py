@@ -96,7 +96,7 @@ def fit_gbm_arrays(x: np.ndarray, y: np.ndarray, xv: np.ndarray, yv: np.ndarray,
         raise SingleClassTrain("training set contains a single grade")
 
     base = log_priors(y)
-    fingerprint = train_fingerprint(cfg, schema, x, y)
+    fingerprint = train_fingerprint(cfg, schema, x, y, xv, yv)
 
     n = x.shape[0]
     onehot = np.eye(GRADE_COUNT)[y]

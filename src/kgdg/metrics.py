@@ -9,8 +9,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import GRADE_COUNT, LESION_TYPES, DetectionTable
-from .errors import EmptyEvaluation, InvalidConfig, NoQualifyingClass, SchemaMismatch
+from .core import GRADE_COUNT, LESION_TYPES, DetectionTable, checked_unit
+from .errors import EmptyEvaluation, NoQualifyingClass, SchemaMismatch
 
 VARIANCE_FLOOR = 1e-6
 
@@ -152,8 +152,7 @@ def match_detections(pred: DetectionTable, truth: DetectionTable, iou_threshold:
     Counts, precision and recall are summed over all images;
     mean_matched_iou is over all matched pairs.
     """
-    if not (0.0 <= iou_threshold <= 1.0):
-        raise InvalidConfig(f"iou_threshold={iou_threshold!r} outside [0,1]")
+    checked_unit("iou_threshold", iou_threshold)
     images = {image_id: n for n, image_id in enumerate(dict.fromkeys(pred.ids + truth.ids))}
     p_key, t_key = (np.array([images[i] for i in t.ids], dtype=np.int64)[t.image] * len(LESION_TYPES)
                     + _NAME_RANK[t.lesion] for t in (pred, truth))

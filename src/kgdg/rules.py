@@ -15,18 +15,10 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .core import LESIONS_ONLY_SCHEMA, DetectionTable, DRGrade
+from .core import LESIONS_ONLY_SCHEMA, DetectionTable, DRGrade, checked_unit
 from .errors import InvalidConfig
 
 MIN_SCORE = 0.25  # the default detection score cut of `grade --detections`
-
-
-def checked_min_score(min_score: float) -> float:
-    """``min_score`` if it lies in [0,1]; anything else, NaN included,
-    raises InvalidConfig."""
-    if not (0.0 <= min_score <= 1.0):
-        raise InvalidConfig(f"min_score={min_score!r} outside [0,1]")
-    return min_score
 
 
 def aggregate_detections(table: DetectionTable, min_score: float = MIN_SCORE) -> np.ndarray:
@@ -36,7 +28,7 @@ def aggregate_detections(table: DetectionTable, min_score: float = MIN_SCORE) ->
     is its count (or flag) column; the quadrant spread counts hard and soft
     hemorrhages together. Vein fields come from vessel maps, never from here.
     """
-    keep = table.score >= checked_min_score(min_score)
+    keep = table.score >= checked_unit("min_score", min_score)
     image, lesion, box = table.image[keep], table.lesion[keep], table.box[keep]
     counts = np.zeros((len(table.ids), len(LESIONS_ONLY_SCHEMA)), dtype=np.int64)
     np.add.at(counts, (image, lesion), 1)

@@ -465,6 +465,7 @@ class TestFlagsASubcommandReads:
             "metrics": ["metrics", "--pred-detections", detections, "--truth-detections", detections, "--out", "-"],
             "classify": ["metrics", "--truth", features, "--pred", features, "--out", "-"],
             "report": ["report", "--list", "--out", "-"],
+            "diff": ["report", "--reference-id", "sdg_aptos", "--out", "-"],
         }
 
     @pytest.mark.parametrize("command, flag", [
@@ -492,12 +493,23 @@ class TestFlagsASubcommandReads:
         ("grade", ["--min-score", "0.3"], "grade takes --min-score only with --detections"),
         ("classify", ["--iou-threshold", "0.9"],
          "metrics takes --iou-threshold only with --pred-detections/--truth-detections"),
+        ("report", ["--reference-id", "bogus"], "report --list takes no --reference-id or --input"),
+        ("report", ["--input", "missing.json"], "report --list takes no --reference-id or --input"),
+        ("report", ["--reference-id", "bogus", "--input", "missing.json"],
+         "report --list takes no --reference-id or --input"),
     ])
     def test_flags_that_exclude_each_other_exit_2(self, commands, data_dir, capsys, command, extra, message):
         """A flag the subcommand would ignore beside another is refused, before any output."""
         extra = [str(data_dir / a) if a.endswith((".csv", ".json")) else a for a in extra]
         assert main(commands[command] + extra) == 2
         assert capsys.readouterr() == ("", f"error[INVALID_CONFIG]: {message}\n")
+
+    @pytest.mark.parametrize("command", ["grade", "fuse", "metrics", "classify", "report", "diff"])
+    def test_commands_set_by_their_flags_alone_print_no_fingerprint(self, commands, capsys, command):
+        """Every setting of these commands is one of their flags, so the
+        command line names the run and they print no fingerprint."""
+        assert main(commands[command]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_eval_requires_config(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -874,8 +886,7 @@ class TestConfigValueTypes:
 
     @pytest.mark.parametrize("score", ["2", "-0.5", "nan"])
     def test_grade_min_score_exits_2(self, data_dir, tmp_path, capsys, score):
-        """A detection score cut outside [0,1] is refused before the
-        fingerprint line (which could not hash a NaN) and any output."""
+        """A detection score cut outside [0,1] is refused before any output."""
         out = tmp_path / "grades.csv"
         code = main(["grade", "--detections", str(data_dir / "clinic_a_detections.json"), "--min-score", score,
                      "--out", str(out)])
@@ -890,6 +901,15 @@ class TestConfigValueTypes:
                      "--out", str(tmp_path / "m.json"), "--quiet"])
         assert (code, capsys.readouterr().err) == (2, f"error[INVALID_CONFIG]: iou_threshold={float(threshold)!r} "
                                                       "outside [0,1]\n")
+
+    def test_metrics_iou_threshold_exits_2_before_reading(self, tmp_path, capsys):
+        """The threshold is checked before either detections file is read,
+        as grade checks --min-score, so missing files do not turn it into an
+        IO error (exit 3)."""
+        missing = str(tmp_path / "missing.json")
+        code = main(["metrics", "--pred-detections", missing, "--truth-detections", missing, "--iou-threshold", "2",
+                     "--out", str(tmp_path / "m.json"), "--quiet"])
+        assert (code, capsys.readouterr().err) == (2, "error[INVALID_CONFIG]: iou_threshold=2.0 outside [0,1]\n")
 
 
 class TestPredictionTable:
@@ -1258,22 +1278,23 @@ def train_digests(work):
 class TestTrainArtifactsPinned:
     """`kgdg train` writes these artifact bytes. Re-recorded when
     `subsample`, `bootstrap` and `max_features` left the config, and when
-    `class_weighting` left it: each time only every `train_fingerprint`
-    moved, with the config, and no param moved."""
+    `class_weighting` left it, and when the fingerprint came to hash only
+    the fields each learner reads (and the GBM's validation rows): each time
+    only every `train_fingerprint` moved, and no param moved."""
 
     PINNED = {
-        "clinic_a_gbm.kgdg": "e5a0ee5924a1f91e12a3e0fccd0e8499102927686a96f5c8c3180b1b6be7e259",
-        "clinic_a_logistic.kgdg": "8fa943f6efdb2e0ee9dbd2f65212b8848a28800bcc541c738a5ca6622fa0b6e2",
-        "clinic_a_forest.kgdg": "9f01fd324a5ec06633411a66280fcac7c38649a7cbe3e4958e2b6e2d0ed49d7b",
-        "clinic_a_knn.kgdg": "def11f9f17a7065148efe6884a36e2f528ff8815767142c1e52f1f9c7d570ae4",
-        "clinic_b_gbm.kgdg": "d891963dec7b1a4ff4336703bb14462bf19db56a88fc8fd8c78a0d35d3df7fc0",
-        "clinic_b_logistic.kgdg": "a88080997e7fb6269e10c2bb39ad14d1542a7c262ae42015214a4e8144e3ee6b",
-        "clinic_b_forest.kgdg": "79a534201ac94bad705ac0c25653c69f4ccf006b1f730608583fe595c3f5f3b5",
-        "clinic_b_knn.kgdg": "73e12c24da027d072e72ca6b09b6472de59ff08d44a83b3ac31467fe3570d1b7",
-        "clinic_c_gbm.kgdg": "485a8ca31795e5991dd1d643a19162af2d72dacc20791beaad662c213dab7874",
-        "clinic_c_logistic.kgdg": "e717a377f330e677563e9847450f9df8f9d037c728cfa4b6975fd0f62d7d7e29",
-        "clinic_c_forest.kgdg": "fcabe096c148961fe155b54c777845e08b073349f4f18ef2663ba6b7cbea2ce3",
-        "clinic_c_knn.kgdg": "0c2c6f848c945678fb39479698255fbcd1f4392177922f3dd884f823fcc2bd60",
+        "clinic_a_gbm.kgdg": "d4d2599ce00e41bab9b28b6f09f5eca798c2080ae8f4c4139e7bd10822bed1f4",
+        "clinic_a_logistic.kgdg": "4c6e8c71cda6142e2d546120acd217b1caaa70783b9f6393798f8a4a3248cae0",
+        "clinic_a_forest.kgdg": "7f54e38ad9b8ae6942ad17342e7667fea7973351a3ef659dd83b28b7ec25b509",
+        "clinic_a_knn.kgdg": "3fc906f3b1edc99819703fe5bc0aa15587f8eb0da55e60a3fc02ec54d179b72a",
+        "clinic_b_gbm.kgdg": "b6d20e375be3128e4be33514e214b1d1e58bd45110c789efdb337554a180b4fa",
+        "clinic_b_logistic.kgdg": "3440534ac493470042dc082c3202ea64d203db54431ce125461760d8de0d0954",
+        "clinic_b_forest.kgdg": "c2195437d145512b6d50ab137a300b32f578949737e7d76bc0fca0dceb6b7da4",
+        "clinic_b_knn.kgdg": "425e92b13291de8c57f61097bfeb60242b859aaeaad8dae14ec65d3524d01c92",
+        "clinic_c_gbm.kgdg": "84ce7c953e8c125bddf128d690ab7c79d54056612f897f98e19706a3006cf36d",
+        "clinic_c_logistic.kgdg": "3987065d60b1ee6e855917a65968ac6ce441dc14ee2482dd7daecff174a804cc",
+        "clinic_c_forest.kgdg": "a0b77eaee8fa1ae13eed69654ed6c4309e54fd75bd98ced4d8608eb656dab39a",
+        "clinic_c_knn.kgdg": "cd91435906f6811ed797ee5ba3ad42b65ebf39b37cd113bcc94518dcc533bd45",
     }
 
     def test_artifact_bytes_pinned(self, tmp_path):

@@ -425,13 +425,16 @@ class TestRunExperiment:
     # unused rules section left it and the fingerprint stopped hashing
     # detection files, when logistic_steps and logistic_lr left it, when
     # subsample, bootstrap and max_features left it, and when
-    # class_weighting, alpha_dl and alpha_kl left it: each time only the
-    # config_fingerprint field moved, every other field kept its bytes.
+    # class_weighting, alpha_dl and alpha_kl left it, and when the
+    # fingerprint came to hash only what the run reads (the learner's own
+    # fields, SDG's resolved targets, the schema, the manifest order): each
+    # time only the config_fingerprint field moved, every other field kept
+    # its bytes.
     PINNED = {
-        ("sdg", False): "00f7cc59aab58e72fdd6b5f50b470f653dfa61910da63a64ddcee11760f71eee",
-        ("sdg", True): "5496f69df8749bc3d1df4d50f9e5fba6c42ad6258943677c030216b697b268e5",
-        ("mdg", False): "633aec429efe489c871afb6f6f030559437f3f543cec85fd3962a31563b24a1f",
-        ("mdg", True): "5fed30481eac2577f153da9d3c2efad3cfb2931b0d2b16e7d75c451c01d9ba38",
+        ("sdg", False): "2e21eaf834aa3730328a67630ae99d41fbb229802ae1e8d45570fc53b0cb2997",
+        ("sdg", True): "ff54bcf5cbdc12f97d0f7674f6a8e999ddabd3c5e117ce56bc7b360f7d098470",
+        ("mdg", False): "117d28c3b7b0001ad2712f39537eff2e447a51e9932a8627d8f592fa18bc659c",
+        ("mdg", True): "0aa53d3df929b1c16dbd69fcdd715e2211c9558dafff4c433b8de5148ef54376",
     }
 
     @pytest.mark.parametrize("mode,alignment", sorted(PINNED))
@@ -450,8 +453,8 @@ class TestRunExperiment:
     # before it sums pairwise, so each cell's mean must come from the same
     # contiguous per-seed vector.
     PINNED_NINE_SEEDS = {
-        "sdg": "bc2109d38b0eda3127eb8802a31c46a8f955f9f62c90f9fa387d834acaa8456c",
-        "mdg": "1915002fd279a9183d7a330b7717809afbbe3cd852ae97348078b9de5019eaa9",
+        "sdg": "41f12ada7ed53887621c9d20e5507ae7fa629cb6c3c50045e664f1789f57a622",
+        "mdg": "fbcb01e5adc440785eec2f145269d280bb8c54089730dfe7789796ddf33a74e0",
     }
 
     @pytest.mark.parametrize("mode", sorted(PINNED_NINE_SEEDS))

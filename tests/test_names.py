@@ -1,8 +1,9 @@
 """Static checks on the names ``src/`` binds and exports, in place of a
 linter: no module keeps an import it never uses, no private module-level
 name goes unread in ``src/``, no config field goes unread outside its own
-checks, no CLI flag goes unread outside the parser that defines it, and
-every public name list resolves without repeats. A deletion that leaves an
+checks, each learner's fit reads exactly the TrainConfig fields listed for
+it, no CLI flag goes unread outside the parser that defines it, and every
+public name list resolves without repeats. A deletion that leaves an
 import, a helper, a config field, a flag or an export behind fails here."""
 
 import ast
@@ -10,6 +11,8 @@ import importlib
 
 import pytest
 from test_spans import SHIM_COMMENT, SRC
+
+from kgdg.learn.config import LEARNER_FIELDS
 
 MODULES = sorted(path for path in SRC.rglob("*.py") if path.name != "__init__.py")
 
@@ -158,6 +161,42 @@ def test_unread_config_field_detected():
     )
     reading = ast.parse("def f(cfg):\n    return cfg.used\n")
     assert unread_config_fields({"m": defining, "n": reading}) == ["m: Cfg.checked_only", "m: Cfg.unread"]
+
+
+def learner_reads(trees):
+    """{kind: sorted fields} each ``fit_<kind>_arrays`` reads off its
+    ``cfg``; a fit that hands ``cfg`` to a call other than
+    ``train_fingerprint`` reads ``"<cfg passed on>"``, as the AST cannot
+    follow it there."""
+    reads = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("fit_") and node.name.endswith("_arrays"):
+                fields = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+                          and isinstance(n.value, ast.Name) and n.value.id == "cfg"}
+                if any(isinstance(call, ast.Call) and ast.unparse(call.func) != "train_fingerprint"
+                       and any(isinstance(arg, ast.Name) and arg.id == "cfg" for arg in call.args)
+                       for call in ast.walk(node)):
+                    fields.add("<cfg passed on>")
+                reads[node.name.removeprefix("fit_").removesuffix("_arrays")] = sorted(fields)
+    return reads
+
+
+def test_each_fit_reads_exactly_its_listed_fields():
+    trees = [ast.parse(path.read_text()) for path in sorted((SRC / "kgdg" / "learn").glob("*.py"))]
+    assert learner_reads(trees) == {kind: sorted(fields) for kind, fields in LEARNER_FIELDS.items()}
+
+
+def test_unlisted_or_unread_learner_field_detected():
+    tree = ast.parse(
+        "def fit_a_arrays(x, y, schema, cfg):\n"
+        "    return cfg.listed, cfg.unlisted, train_fingerprint(cfg, schema, x, y)\n"
+        "def fit_b_arrays(x, y, schema, cfg):\n"
+        "    return helper(x, cfg)\n"
+        "def fit_model(cfg):\n"
+        "    return cfg.model_kind\n"
+    )
+    assert learner_reads([tree]) == {"a": ["listed", "unlisted"], "b": ["<cfg passed on>"]}
 
 
 def unread_flags(tree):
