@@ -45,7 +45,7 @@ class FusionStrategy(str, Enum):
 # the branch with the higher peak wins whole, so selective and max
 # confidence coincide. Class-wise max visits the grades in order, deep
 # before knowledge within a grade.
-_TIE_ORDER = {
+TIE_ORDER = {
     FusionStrategy.SELECTIVE: tuple(range(2 * GRADE_COUNT)),
     FusionStrategy.MAX_CONFIDENCE: tuple(range(2 * GRADE_COUNT)),
     FusionStrategy.CLASSWISE_MAX: tuple(
@@ -80,7 +80,7 @@ def fuse(
         grades = blend.argmax(axis=1)
         sources = np.full(grades.size, FusionSource.BLENDED.value)
         return FusedArrays(grades, sources, blend.max(axis=1), blend / (weights.alpha_dl + weights.alpha_kl))
-    order = np.asarray(_TIE_ORDER[strategy])
+    order = np.asarray(TIE_ORDER[strategy])
     stack = np.concatenate((p_dl, p_kd), axis=1)
     winner = order[stack[:, order].argmax(axis=1)]
     deep, grades = winner < GRADE_COUNT, winner % GRADE_COUNT

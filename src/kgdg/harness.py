@@ -42,20 +42,13 @@ from .errors import (
     InvalidConfig,
     LeakageError,
     MissingProbabilityTable,
-    NoQualifyingClass,
 )
-from .fusion import FusionStrategy, fuse
+from .fusion import TIE_ORDER, FusionStrategy, fuse
 from .fusion import fuse as fused_probability  # noqa: F401  unused here; the benchmark's tracer patches it by this module's name
 from .io import Manifest, canonical_json, content_digest, file_digest, load_domain_dataset
 from .learn import TrainConfig, feature_matrix, fit_model, resolve_schema
-from .metrics import (
-    DomainStats,
-    accuracy,
-    auc_ovr_macro,
-    domain_kl,
-    macro_f1,
-    seeded_summary,
-)
+from .metrics import DomainStats, domain_kl, score, seeded_summary
+from .metrics import accuracy, auc_ovr_macro, macro_f1  # noqa: F401  unused here; the benchmark's tracer patches them by this module's name
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
@@ -243,7 +236,7 @@ def split_indices(
     biggest fractional part, ties favoring train, then validation.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    parts: tuple[list[int], list[int], list[int]] = ([], [], [])
+    parts = tuple([np.empty(0, np.int64)] for _ in range(3))
     fracs = (fractions.train, fractions.validation, fractions.test)
     for g in range(5):
         idx = np.nonzero(grades == g)[0]
@@ -260,9 +253,9 @@ def split_indices(
             quota[remainders[i % 3]] += 1
         offset = 0
         for part, q in zip(parts, quota):
-            part.extend(int(v) for v in idx[offset : offset + q])
+            part.append(idx[offset : offset + q])
             offset += q
-    return tuple(np.asarray(sorted(p), dtype=np.int64) for p in parts)  # type: ignore[return-value]
+    return tuple(np.sort(np.concatenate(p)) for p in parts)  # type: ignore[return-value]
 
 
 def split_dataset(
@@ -350,15 +343,22 @@ def _method_rows(cfg: ExperimentConfig, have_probs: bool) -> list[str]:
 
 
 def _guard_leakage(
-    train_keys: set[tuple[DomainId, str]], eval_ids: Mapping[DomainId, Sequence[str]]
+    image_ids: Mapping[DomainId, Sequence[str]],
+    trained: Mapping[DomainId, np.ndarray],
+    targets: Sequence[DomainId],
 ) -> None:
-    for domain, image_ids in eval_ids.items():
-        overlap = train_keys & {(domain, image_id) for image_id in image_ids}
+    """Raise LeakageError when a target domain holds an image of the rows
+    ``trained`` maps its domain to (indices into ``image_ids``); only a
+    domain that is both trained on and evaluated is compared."""
+    for domain in targets:
+        if domain not in trained:
+            continue
+        ids = image_ids[domain]
+        overlap = {ids[i] for i in trained[domain].tolist()} & set(ids)
         if overlap:
-            sample = sorted(overlap)[0]
             raise LeakageError(
                 f"{len(overlap)} training image(s) leaked into evaluation of "
-                f"{domain!r} (e.g. {sample[1]!r})"
+                f"{domain!r} (e.g. {min(overlap)!r})"
             )
 
 
@@ -385,25 +385,27 @@ def _evaluate_rows(
     weights: FusionWeights | None,
 ) -> np.ndarray:
     """The ``(methods, metrics)`` accuracy / macro F1 / AUC rows of one
-    evaluation set, in ``ExperimentReport.metrics`` order."""
+    evaluation set, in ``ExperimentReport.metrics`` order. Methods that
+    decide alike, as selective and max fusion do, are scored once."""
+    by_rule: dict[Any, tuple[float, float, float]] = {}
     out = []
     for method in methods:
-        if method == "symbolic":
-            probs = kd_matrix
-            preds = probs.argmax(axis=1)
-        elif method == "neural":
-            assert dl_matrix is not None
-            probs = dl_matrix
-            preds = probs.argmax(axis=1)
-        else:
-            assert dl_matrix is not None
-            fused = fuse(method.removeprefix("fusion-"), dl_matrix, kd_matrix, weights)
-            preds, probs = fused.grades, fused.probs
-        try:
-            auc = auc_ovr_macro(y_true, probs)
-        except NoQualifyingClass:
-            auc = float("nan")  # degenerate single-grade evaluation set
-        out.append((accuracy(y_true, preds), macro_f1(y_true, preds), auc))
+        strategy = None if method in ("symbolic", "neural") else FusionStrategy(method.removeprefix("fusion-"))
+        rule = method if strategy is None else TIE_ORDER.get(strategy, strategy)
+        if rule not in by_rule:
+            if strategy is None:
+                probs = kd_matrix if method == "symbolic" else dl_matrix
+                assert probs is not None
+                preds = probs.argmax(axis=1)
+            else:
+                assert dl_matrix is not None
+                fused = fuse(strategy, dl_matrix, kd_matrix, weights)
+                preds, probs = fused.grades, fused.probs
+            scores = score(y_true, preds, probs)
+            auc = scores.auc_ovr_macro
+            # NaN marks a degenerate single-grade evaluation set
+            by_rule[rule] = (scores.accuracy, scores.macro_f1, float("nan") if auc is None else auc)
+        out.append(by_rule[rule])
     return np.array(out)
 
 
@@ -629,10 +631,7 @@ def run_experiment(cfg: ExperimentConfig, manifest: Manifest) -> ExperimentRepor
         for d in training:
             train[d], valid[d], _test = split_dataset(datasets[d], cfg.split, seed)
         for (sources, targets), matrices in zip(folds, fold_matrices):
-            _guard_leakage(
-                {(d, image_ids[d][i]) for d in sources for part in (train, valid) for i in part[d]},
-                {t: image_ids[t] for t in targets},
-            )
+            _guard_leakage(image_ids, {d: np.concatenate((train[d], valid[d])) for d in sources}, targets)
             tasks.append(FitTask(cfg, methods, schema, datasets, matrices, sources, targets, train, valid))
 
     results = run_tasks(tasks)

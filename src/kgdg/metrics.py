@@ -5,7 +5,7 @@ greedy detection matching, and the Gaussian-summary KL shift diagnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -17,7 +17,7 @@ VARIANCE_FLOOR = 1e-6
 
 def _as_grade_array(values: Sequence[int] | np.ndarray, name: str) -> np.ndarray:
     if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
-        arr = values.astype(np.int64)
+        arr = values.astype(np.int64, copy=False)
     else:
         arr = np.asarray([int(v) for v in values], dtype=np.int64)
     if arr.size == 0:
@@ -27,24 +27,85 @@ def _as_grade_array(values: Sequence[int] | np.ndarray, name: str) -> np.ndarray
     return arr
 
 
-def accuracy(y_true: Sequence[int], y_pred: Sequence[int]) -> float:
-    """Fraction of exact grade matches."""
+def _prob_matrix(prob_rows: np.ndarray, n: int) -> np.ndarray:
+    mat = np.asarray(prob_rows, dtype=np.float64)
+    if mat.shape != (n, GRADE_COUNT):
+        raise ValueError(f"prob_rows shape {mat.shape} does not match {n} labels")
+    return mat
+
+
+def _rank_auc(ascending: np.ndarray, scores: np.ndarray, positive: np.ndarray, n_pos: int) -> float:
+    """AUC of one score column from the tie-averaged ranks of its positives.
+
+    ``ascending`` is ``np.sort(scores)``. A number's tied block spans the
+    sorted positions ``left .. right - 1``, so twice its mean 1-based rank
+    is ``left + right + 1``: a whole number, and the rank sum is exact in
+    any order, so the positives are searched sorted, which is faster. Each
+    NaN ranks alone, after every number, in row order.
+    """
+    v = np.sort(scores[positive])
+    twice = np.searchsorted(ascending, v, "left") + np.searchsorted(ascending, v, "right") + 1
+    if np.isnan(ascending[-1]):
+        nan = np.isnan(scores)
+        nan_ranks = scores.size - int(nan.sum()) + np.cumsum(nan)[positive & nan]
+        twice[twice.size - nan_ranks.size :] = 2 * nan_ranks  # sorting put the NaN positives last
+    n_neg = scores.size - n_pos
+    return (int(twice.sum()) / 2 - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def _auc_ovr(t: np.ndarray, mat: np.ndarray, support: np.ndarray) -> float | None:
+    """Mean one-vs-rest AUC over the grades with both positives and
+    negatives in ``t``, from one sort per column; None when there are none."""
+    ascending = mat.T.copy()
+    ascending.sort(axis=1)
+    aucs = [
+        _rank_auc(ascending[g], mat[:, g], t == g, int(support[g]))
+        for g in np.flatnonzero((support > 0) & (support < t.size)).tolist()
+    ]
+    return float(np.mean(aucs)) if aucs else None
+
+
+class Scores(NamedTuple):
+    """Classification metrics of one evaluation set."""
+
+    confusion: np.ndarray  # (5, 5) counts, rows = true grade, columns = predicted grade
+    accuracy: float
+    macro_f1: float
+    auc_ovr_macro: float | None  # None without prob rows, or when no grade qualifies
+
+
+def score(
+    y_true: Sequence[int] | np.ndarray,
+    y_pred: Sequence[int] | np.ndarray,
+    prob_rows: np.ndarray | None = None,
+) -> Scores:
+    """The scoring kernel behind every classification metric: the grades
+    are checked once, the confusion matrix is one ``bincount``, accuracy
+    is its trace over n, and macro F1 is the mean per-grade F1 over the
+    grades present in ``y_true`` (undefined precision or recall counts as
+    0). AUC, when ``(n, 5)`` prob rows are given, sorts each grade's column
+    once and ranks its positives by binary search."""
     t = _as_grade_array(y_true, "y_true")
     p = _as_grade_array(y_pred, "y_pred")
     if t.shape != p.shape:
         raise ValueError("y_true and y_pred lengths differ")
-    return float(np.mean(t == p))
+    cm = np.bincount((GRADE_COUNT * t + p).ravel(), minlength=GRADE_COUNT**2).reshape(GRADE_COUNT, GRADE_COUNT)
+    support = cm.sum(axis=1)
+    present = support > 0
+    tp = cm.diagonal()[present]
+    f1 = 2.0 * tp / (2 * tp + (cm.sum(axis=0)[present] - tp) + (support[present] - tp))
+    auc = None if prob_rows is None else _auc_ovr(t, _prob_matrix(prob_rows, t.size), support)
+    return Scores(cm, int(tp.sum()) / t.size, float(np.mean(f1)), auc)
+
+
+def accuracy(y_true: Sequence[int], y_pred: Sequence[int]) -> float:
+    """Fraction of exact grade matches."""
+    return score(y_true, y_pred).accuracy
 
 
 def confusion_matrix(y_true: Sequence[int], y_pred: Sequence[int]) -> np.ndarray:
     """5x5 count matrix, rows = true grade, columns = predicted grade."""
-    t = _as_grade_array(y_true, "y_true")
-    p = _as_grade_array(y_pred, "y_pred")
-    if t.shape != p.shape:
-        raise ValueError("y_true and y_pred lengths differ")
-    cm = np.zeros((GRADE_COUNT, GRADE_COUNT), dtype=np.int64)
-    np.add.at(cm, (t, p), 1)
-    return cm
+    return score(y_true, y_pred).confusion
 
 
 def macro_f1(y_true: Sequence[int], y_pred: Sequence[int]) -> float:
@@ -52,61 +113,36 @@ def macro_f1(y_true: Sequence[int], y_pred: Sequence[int]) -> float:
 
     Undefined precision or recall counts as 0 for that grade.
     """
-    cm = confusion_matrix(y_true, y_pred)
-    support = cm.sum(axis=1)
-    f1s = []
-    for g in range(GRADE_COUNT):
-        if support[g] == 0:
-            continue
-        tp = cm[g, g]
-        fp = cm[:, g].sum() - tp
-        fn = support[g] - tp
-        denom = 2 * tp + fp + fn
-        f1s.append(0.0 if denom == 0 else 2.0 * tp / denom)
-    return float(np.mean(f1s))
-
-
-def _tie_averaged_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks with tied scores assigned the mean of their ranks."""
-    order = np.argsort(scores, kind="stable")
-    sorted_scores = scores[order]
-    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
-    ends = np.r_[starts[1:], scores.size] - 1
-    ranks = np.empty(scores.size, dtype=np.float64)
-    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
-    return ranks
+    return score(y_true, y_pred).macro_f1
 
 
 def binary_auc(labels: Sequence[int], scores: Sequence[float]) -> float:
-    """Rank-statistic AUC: P(score_pos > score_neg) + 0.5 P(tie)."""
-    y = np.asarray(labels, dtype=np.int64)
+    """Rank-statistic AUC: P(score_pos > score_neg) + 0.5 P(tie).
+
+    ``labels`` must be 1-D 0/1 values, one per score; anything else
+    raises ValueError.
+    """
     s = np.asarray(scores, dtype=np.float64)
-    n_pos = int(y.sum())
-    n_neg = int(y.size - n_pos)
-    if n_pos == 0 or n_neg == 0:
+    y = np.asarray(labels)
+    if y.ndim != 1 or s.shape != y.shape:
+        raise ValueError(f"binary AUC needs 1-D labels, one per score; got shapes {y.shape} and {s.shape}")
+    positive = y == 1
+    if not (positive | (y == 0)).all():
+        raise ValueError("labels must be 0 or 1")
+    n_pos = int(positive.sum())
+    if n_pos == 0 or n_pos == y.size:
         raise NoQualifyingClass("binary AUC needs both positives and negatives")
-    ranks = _tie_averaged_ranks(s)
-    pos_rank_sum = float(ranks[y == 1].sum())
-    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    return _rank_auc(np.sort(s), s, positive, n_pos)
 
 
 def auc_ovr_macro(y_true: Sequence[int] | np.ndarray, prob_rows: np.ndarray) -> float:
     """One-vs-rest AUC averaged over grades that have both positives and
     negatives in y_true; ``prob_rows`` is an (n, 5) array."""
     t = _as_grade_array(y_true, "y_true")
-    mat = np.asarray(prob_rows, dtype=np.float64)
-    if mat.shape != (t.size, GRADE_COUNT):
-        raise ValueError(f"prob_rows shape {mat.shape} does not match {t.size} labels")
-    aucs = []
-    for g in range(GRADE_COUNT):
-        mask = (t == g).astype(np.int64)
-        n_pos = int(mask.sum())
-        if n_pos == 0 or n_pos == t.size:
-            continue
-        aucs.append(binary_auc(mask, mat[:, g]))
-    if not aucs:
+    auc = _auc_ovr(t, _prob_matrix(prob_rows, t.size), np.bincount(t, minlength=GRADE_COUNT))
+    if auc is None:
         raise NoQualifyingClass("no grade has both positives and negatives")
-    return float(np.mean(aucs))
+    return auc
 
 
 def _box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -259,17 +295,12 @@ def evaluate_predictions(
 ) -> MetricReport:
     """Compute the full metric bundle; AUC only when ``(n, 5)`` prob rows
     are given and at least one grade qualifies."""
-    cm = confusion_matrix(y_true, y_pred)
-    auc: float | None = None
-    if prob_rows is not None:
-        try:
-            auc = auc_ovr_macro(y_true, prob_rows)
-        except NoQualifyingClass:
-            auc = None
+    scores = score(y_true, y_pred, prob_rows)
+    cm = scores.confusion
     return MetricReport(
-        accuracy=accuracy(y_true, y_pred),
-        macro_f1=macro_f1(y_true, y_pred),
-        auc_ovr_macro=auc,
-        confusion=tuple(tuple(int(v) for v in row) for row in cm),
-        support=tuple(int(v) for v in cm.sum(axis=1)),
+        accuracy=scores.accuracy,
+        macro_f1=scores.macro_f1,
+        auc_ovr_macro=scores.auc_ovr_macro,
+        confusion=tuple(tuple(row) for row in cm.tolist()),
+        support=tuple(cm.sum(axis=1).tolist()),
     )

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from ref_rows import RefExample, RefFeatureVector, ref_example
 
-from kgdg.core import LESIONS_ONLY_SCHEMA, DomainId, DRGrade
+from kgdg.core import LESIONS_ONLY_SCHEMA, DomainId, DRGrade, FusionWeights
 from kgdg.errors import InvalidConfig, LeakageError, MissingProbabilityTable
 from kgdg.harness import (
     ExperimentConfig,
@@ -18,11 +18,13 @@ from kgdg.harness import (
     run_experiment,
     select_weights,
     split_dataset,
+    _evaluate_rows,
     _guard_leakage,
 )
 from kgdg.io import canonical_json, content_digest, load_manifest, read_feature_table, save_feature_table
 from kgdg.learn import TrainConfig, feature_matrix, fit_model
-from kgdg.metrics import seeded_summary
+from kgdg.fusion import FusionStrategy, fuse
+from kgdg.metrics import accuracy, auc_ovr_macro, macro_f1, seeded_summary
 from kgdg.report import render_report
 from kgdg.synth import shift_profile, write_dataset
 from test_learn import domain_table
@@ -186,15 +188,106 @@ class TestSelectWeights:
 class TestGuardLeakage:
     def test_fires_on_overlap(self):
         ds = balanced_dataset(3, domain="x")
-        keys = set(zip(ds.domains[:5], ds.ids[:5]))
-        with pytest.raises(LeakageError):
-            _guard_leakage(keys, {DomainId("x"): ds.ids})
+        x = DomainId("x")
+        with pytest.raises(LeakageError, match=r"5 training image\(s\) leaked into evaluation of 'x' \(e\.g\. 'x-0'\)"):
+            _guard_leakage({x: ds.ids}, {x: np.arange(5)}, [x])
 
     def test_silent_when_disjoint(self):
         ds = balanced_dataset(3, domain="x")
         other = balanced_dataset(3, domain="y")
-        keys = set(zip(ds.domains, ds.ids))
-        _guard_leakage(keys, {DomainId("y"): other.ids})
+        x, y = DomainId("x"), DomainId("y")
+        _guard_leakage({x: ds.ids, y: other.ids}, {x: np.arange(len(ds))}, [y])
+
+    def test_same_image_id_in_another_domain_is_no_leak(self):
+        ds = balanced_dataset(3, domain="x")
+        x, y = DomainId("x"), DomainId("y")
+        _guard_leakage({x: ds.ids, y: ds.ids}, {x: np.arange(len(ds))}, [y])
+
+    def test_raises_when_a_target_domain_is_also_a_training_domain(self):
+        """fold_plan never names a source as a target, so only a direct
+        call reaches this; the first leaking target in order is named, with
+        its count and its smallest leaked id."""
+        ds = balanced_dataset(3, domain="x")
+        other = balanced_dataset(3, domain="y")
+        x, y = DomainId("x"), DomainId("y")
+        ids = {x: ds.ids, y: other.ids}
+        trained = {x: np.array([9, 4, 12]), y: np.array([7, 2])}
+        with pytest.raises(LeakageError, match=r"^3 .* of 'x' \(e\.g\. 'x-12'\)$"):
+            _guard_leakage(ids, trained, [x, y])
+        with pytest.raises(LeakageError, match=r"^2 .* of 'y' \(e\.g\. 'y-2'\)$"):
+            _guard_leakage(ids, trained, [y, x])
+
+
+def tied_rows(n, seed):
+    """(n, 5) probability rows rounded to tenths, so rows and cells tie."""
+    rng = np.random.default_rng(seed)
+    rows = rng.dirichlet(np.ones(5), size=n).round(1)
+    rows[:, 0] += 1.0 - rows.sum(axis=1)
+    return rows
+
+
+ALL_METHODS = ("symbolic", "neural", "fusion-selective", "fusion-max", "fusion-classwise", "fusion-weighted")
+
+
+class TestEvaluateRows:
+    def test_rows_equal_the_public_metrics(self):
+        y = np.random.default_rng(5).integers(0, 5, size=120)
+        kd, dl = tied_rows(120, 6), tied_rows(120, 7)
+        kd[:10] = dl[:10]  # whole rows tied across branches
+        weights = FusionWeights(0.6, 0.4)
+        rows = _evaluate_rows(ALL_METHODS, y, kd, dl, weights)
+        for method, row in zip(ALL_METHODS, rows):
+            if method in ("symbolic", "neural"):
+                probs = kd if method == "symbolic" else dl
+                preds = probs.argmax(axis=1)
+            else:
+                fused = fuse(method.removeprefix("fusion-"), dl, kd, weights)
+                preds, probs = fused.grades, fused.probs
+            want = (accuracy(y, preds), macro_f1(y, preds), auc_ovr_macro(y, probs))
+            assert row.tolist() == list(want), method
+
+    def test_single_grade_set_scores_auc_nan(self):
+        y = np.full(30, 2)
+        rows = _evaluate_rows(ALL_METHODS[:3], y, tied_rows(30, 1), tied_rows(30, 2), None)
+        assert np.isnan(rows[:, 2]).all()
+        assert rows[0, 0] == accuracy(y, tied_rows(30, 1).argmax(axis=1))
+
+    def test_selective_and_max_fused_once(self, monkeypatch):
+        import kgdg.harness as harness
+
+        calls = []
+
+        def counting_fuse(strategy, *args):
+            calls.append(FusionStrategy(strategy))
+            return fuse(strategy, *args)
+
+        monkeypatch.setattr(harness, "fuse", counting_fuse)
+        y = np.random.default_rng(5).integers(0, 5, size=60)
+        kd, dl = tied_rows(60, 6), tied_rows(60, 7)
+        methods = ("symbolic", "neural") + tuple(f"fusion-{s}" for s in FusionSpec().strategies)
+        rows = _evaluate_rows(methods, y, kd, dl, FusionWeights(0.5, 0.5))
+        assert len(calls) == 3
+        assert rows[2].tolist() == rows[3].tolist()
+        calls.clear()
+        _evaluate_rows(("fusion-max", "fusion-classwise", "fusion-selective"), y, kd, dl, None)
+        assert calls == [FusionStrategy.MAX_CONFIDENCE, FusionStrategy.CLASSWISE_MAX]
+
+    def test_default_sdg_run_fuses_three_times_per_target(self, small_manifest, monkeypatch):
+        import kgdg.harness as harness
+
+        calls = []
+
+        def counting_fuse(strategy, *args):
+            calls.append(strategy)
+            return fuse(strategy, *args)
+
+        monkeypatch.setattr(harness, "fuse", counting_fuse)
+        # the weight search fuses too; fix its weights so that only scoring counts
+        monkeypatch.setattr(harness, "select_weights", lambda validation: FusionWeights(0.5, 0.5))
+        cfg = ExperimentConfig(mode="sdg", source="clinic_a", seeds=(0,), symbolic=TrainConfig(**FAST_SYMBOLIC))
+        rep = run_experiment(cfg, small_manifest)
+        assert len(rep.columns) - 1 == 2
+        assert len(calls) == 3 * 2
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,6 @@
 """Array kernels against the per-row and per-feature reference code they
 replaced: pre-sorted split search with its per-fit node cache, the flat
-level-wise tree descent, tie-averaged ranks, fusion, the column-wise
+level-wise tree descent, rank-sum AUC, fusion, the column-wise
 softmax, the logistic fit's optimality, kNN selection, the Gini cut scan, the
 columnar table and detection readers, and detection matching."""
 
@@ -39,6 +39,7 @@ from kgdg.errors import (
     DuplicateImageId,
     MissingColumn,
     NegativeProbability,
+    NoQualifyingClass,
     NonNumericCell,
     SumOutOfTolerance,
     UnknownLesionKind,
@@ -79,7 +80,7 @@ from kgdg.learn.tree import (
     flatten_trees,
     predict_tree,
 )
-from kgdg.metrics import _tie_averaged_ranks, auc_ovr_macro, binary_auc, match_detections
+from kgdg.metrics import auc_ovr_macro, binary_auc, match_detections
 from kgdg.synth import gen_dataset, shift_profile
 
 # --- reference implementations ---------------------------------------------------
@@ -428,14 +429,40 @@ def test_near_tie_keeps_per_feature_scalar_parent_term():
     assert json.dumps(fit_regression_tree(NodeCache(x, 1, 2), g, h, 1.0)[0]) == json.dumps(want)
 
 
-# --- (c) vectorized tie-averaged ranks ----------------------------------------------------
+# --- (c) rank-sum AUC by binary search ----------------------------------------------------
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.9, 1.0, float("nan")]), min_size=1, max_size=60))
-def test_tie_averaged_ranks_equal_loop(values):
-    scores = np.asarray(values)
-    assert np.array_equal(_tie_averaged_ranks(scores), ref_ranks(scores), equal_nan=True)
+def ref_binary_auc(labels, scores):
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    return (float(ref_ranks(scores)[labels == 1].sum()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+RANK_SCORES = [0.0, -0.0, 0.25, 0.5, 1.0, float("inf"), float("-inf"), float("nan")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rank_auc_equals_loop_ranks(data):
+    """binary_auc and auc_ovr_macro equal the loop-ranked AUC bit for bit,
+    NaN ranked alone after every number and -0.0 tied with 0.0; a grade
+    that labels no row, or every row, is left out."""
+    n = data.draw(st.integers(1, 40))
+    top = data.draw(st.integers(0, 4))  # 0: every row is grade 0
+    grades = np.array(data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n)), dtype=np.int64)
+    rows = np.array(data.draw(st.lists(st.lists(st.sampled_from(RANK_SCORES), min_size=5, max_size=5),
+                                       min_size=n, max_size=n)))
+    want = []
+    for g in range(GRADE_COUNT):
+        labels = (grades == g).astype(np.int64)
+        if 0 < labels.sum() < n:
+            want.append(ref_binary_auc(labels, rows[:, g]))
+            assert binary_auc(labels, rows[:, g]) == want[-1]
+    if want:
+        assert auc_ovr_macro(grades, rows) == float(np.mean(want))
+    else:
+        with pytest.raises(NoQualifyingClass):
+            auc_ovr_macro(grades, rows)
 
 
 @settings(max_examples=100, deadline=None)
@@ -446,10 +473,7 @@ def test_binary_auc_equals_loop_ranks(pairs):
     if labels.min() == labels.max():
         return
     scores = np.array([p[1] for p in pairs])
-    n_pos = int(labels.sum())
-    n_neg = labels.size - n_pos
-    want = (float(ref_ranks(scores)[labels == 1].sum()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-    assert binary_auc(labels, scores) == want
+    assert binary_auc(labels, scores) == ref_binary_auc(labels, scores)
 
 
 def test_auc_accepts_matrix_and_rows_alike():

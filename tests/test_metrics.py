@@ -103,6 +103,23 @@ class TestFixedExamples:
     def test_binary_auc_fixture(self):
         assert binary_auc([0, 0, 1, 1], [0.1, 0.4, 0.35, 0.8]) == pytest.approx(0.75)
 
+    @pytest.mark.parametrize("labels,scores", [
+        ([0, 0, 2, 1], [0.1, 0.2, 0.3, 0.4]),  # a grade, not a 0/1 label
+        ([0, 0.5, 1], [0.1, 0.2, 0.3]),
+        (["0", "1"], [0.1, 0.2]),
+        ([0, 1, 1], [0.1, 0.2]),  # one label too many
+        ([0, 1], [0.1, 0.2, 0.3]),
+        ([[0, 1], [1, 0]], [[0.1, 0.2], [0.3, 0.4]]),  # not 1-D
+        ([0, 1], [[0.1], [0.2]]),
+    ])
+    def test_binary_auc_rejects_labels_that_are_not_one_0_or_1_per_score(self, labels, scores):
+        with pytest.raises(ValueError):
+            binary_auc(labels, scores)
+
+    def test_binary_auc_takes_bool_and_float_labels(self):
+        assert binary_auc([False, False, True, True], [0.1, 0.4, 0.35, 0.8]) == 0.75
+        assert binary_auc([0.0, 0.0, 1.0, 1.0], [0.1, 0.4, 0.35, 0.8]) == 0.75
+
     def test_auc_perfect_separation(self):
         rows = prob_rows_from_column([0.1, 0.2, 0.8, 0.9], grade=1)
         assert auc_ovr_macro([0, 0, 1, 1], rows) == 1.0
