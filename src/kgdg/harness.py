@@ -31,7 +31,7 @@ import json
 import math
 import os
 import threading
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, ClassVar, Mapping, NamedTuple, Sequence
 
@@ -45,7 +45,7 @@ from .errors import (
 )
 from .fusion import TIE_ORDER, FusionStrategy, fuse
 from .fusion import fuse as fused_probability  # noqa: F401  unused here; the benchmark's tracer patches it by this module's name
-from .io import Manifest, canonical_json, content_digest, file_digest, load_domain_dataset
+from .io import DomainEntry, Manifest, canonical_json, content_digest, file_digest, load_domain_dataset
 from .learn import TrainConfig, feature_matrix, fit_model, resolve_schema
 from .metrics import DomainStats, domain_kl, score, seeded_summary
 from .metrics import accuracy, auc_ovr_macro, macro_f1  # noqa: F401  unused here; the benchmark's tracer patches them by this module's name
@@ -362,11 +362,13 @@ def _guard_leakage(
             )
 
 
-def _config_fingerprint(cfg: ExperimentConfig, folds: list, schema: tuple[str, ...], manifest: Manifest) -> str:
+def _config_fingerprint(cfg: ExperimentConfig, folds: list, schema: tuple[str, ...],
+                        entries: Sequence[DomainEntry]) -> str:
     """Hash what the run reads: the config, SDG's source and resolved targets,
-    the schema, and each domain's features and probs in manifest order."""
+    the schema, and the features and probs of each domain a fold uses, in
+    manifest order."""
     digests = []
-    for entry in manifest.domains:
+    for entry in entries:
         item = {"features": file_digest(entry.features)}
         if entry.probs is not None:
             item["probs"] = file_digest(entry.probs)
@@ -602,9 +604,10 @@ def run_experiment(cfg: ExperimentConfig, manifest: Manifest) -> ExperimentRepor
     (``run_tasks``); the report does not depend on how many processes ran
     them."""
     folds = fold_plan(cfg, [entry.name for entry in manifest.domains])
-    datasets = {entry.name: load_domain_dataset(entry) for entry in manifest.domains}
     used = {d for fold in folds for part in fold for d in part}
-    methods = tuple(_method_rows(cfg, all(datasets[d].probs is not None for d in used)))
+    entries = [entry for entry in manifest.domains if entry.name in used]  # a domain no fold uses is not read
+    datasets = {entry.name: load_domain_dataset(entry) for entry in entries}
+    methods = tuple(_method_rows(cfg, all(table.probs is not None for table in datasets.values())))
     training = [d for d in datasets if any(d in sources for sources, _ in folds)]
     # an auto feature set follows the first manifest domain any fold trains on
     schema = resolve_schema(cfg.symbolic, datasets[training[0]])
@@ -648,7 +651,7 @@ def run_experiment(cfg: ExperimentConfig, manifest: Manifest) -> ExperimentRepor
         methods=methods,
         scores=np.ascontiguousarray(scores.transpose(0, 3, 1, 2)),
         seeds=cfg.seeds,
-        config_fingerprint=_config_fingerprint(cfg, folds, schema, manifest),
+        config_fingerprint=_config_fingerprint(cfg, folds, schema, entries),
         alignment_enabled=cfg.alignment,
         kl_before=_fold_kl(kl_befores, len(cfg.seeds)),
         kl_after=_fold_kl(kl_afters, len(cfg.seeds)),
@@ -663,16 +666,26 @@ _CONFIG_SECTIONS = {"mode", "domains", "seeds", "split", "symbolic", "fusion", "
 
 
 def build_section(section: str, cls, raw: Any):
-    """Build the dataclass ``cls`` from one config-file section; unknown
-    keys and bad values raise InvalidConfig."""
+    """Build the dataclass ``cls`` from one config-file section: a field
+    whose default is a config dataclass is built as a nested section, and a
+    list is made a tuple for a tuple-typed field. Unknown keys and bad
+    values raise InvalidConfig."""
     if not isinstance(raw, Mapping):
         raise InvalidConfig(f"the {section!r} section must be a JSON object")
-    known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-    unknown = set(raw) - known
+    unknown = set(raw) - set(cls.__dataclass_fields__)
     if unknown:
         raise InvalidConfig(f"unknown keys in {section!r} section: {sorted(unknown)}")
+    values = {}
+    for f in fields(cls):
+        if f.name in raw:
+            value = raw[f.name]
+            if is_dataclass(f.default_factory):
+                value = build_section(f.name, f.default_factory, value)
+            elif isinstance(value, list) and str(f.type).startswith("tuple["):
+                value = tuple(value)
+            values[f.name] = value
     try:
-        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
+        return cls(**values)
     except TypeError as exc:
         raise InvalidConfig(f"bad {section!r} section: {exc}") from exc
 
@@ -703,18 +716,8 @@ def load_experiment_config(path: str | Path) -> tuple[ExperimentConfig, Path]:
     if unknown:
         raise InvalidConfig(f"{path}: unknown keys in 'domains' section: {sorted(unknown)}")
     manifest_path = (path.parent / domains["manifest"]).resolve()
-    seeds = raw.get("seeds", [0, 1, 2])
-    if not isinstance(seeds, list):
+    if not isinstance(raw.get("seeds", []), list):
         raise InvalidConfig(f"{path}: seeds must be a list of integers")
-    targets = domains.get("targets")
-    cfg = ExperimentConfig(
-        mode=raw.get("mode", "sdg"),
-        source=domains.get("source"),
-        targets=tuple(targets) if isinstance(targets, list) else targets,
-        seeds=tuple(seeds),
-        split=build_section("split", SplitFractions, raw.get("split", {})),
-        symbolic=build_section("symbolic", TrainConfig, raw.get("symbolic", {})),
-        fusion=build_section("fusion", FusionSpec, raw.get("fusion", {})),
-        alignment=raw.get("alignment", False),
-    )
-    return cfg, manifest_path
+    sections = {k: v for k, v in raw.items() if k != "domains"}
+    sections.update({k: domains[k] for k in ("source", "targets") if k in domains})
+    return build_section("experiment", ExperimentConfig, sections), manifest_path

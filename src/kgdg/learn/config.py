@@ -15,7 +15,7 @@ from ..core import (
     check_field_types,
     row_sum,
 )
-from ..errors import CorruptArtifact, InvalidConfig, SchemaMismatch
+from ..errors import CorruptArtifact, DataError, InvalidConfig, SchemaMismatch
 from ..io import MODEL_KINDS, ModelArtifact, canonical_json, content_digest
 
 FEATURE_SETS = ("auto", "lesions_only", "lesions_vein")
@@ -88,7 +88,11 @@ def feature_matrix(table: DomainTable, schema: Sequence[str]) -> np.ndarray:
     for name in schema:
         if name not in own:
             raise SchemaMismatch(f"feature {name!r} absent from this vector")
-    full = table.counts.astype(np.float64)
+    try:
+        full = table.counts.astype(np.float64)
+    except OverflowError:  # an exact count no float holds: float() refuses 2**1024 - 2**970 and up
+        image_id = next(i for i, row in zip(table.ids, table.counts.tolist()) if max(row) >= 2**1024 - 2**970)
+        raise DataError(f"image {image_id!r}: a lesion count is past the float range (about 1.8e308)") from None
     if table.vein is not None:
         full = np.hstack((full, table.vein))
     return np.ascontiguousarray(full[:, [own.index(name) for name in schema]])

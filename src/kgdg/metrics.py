@@ -4,8 +4,8 @@ greedy detection matching, and the Gaussian-summary KL shift diagnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -65,20 +65,22 @@ def _auc_ovr(t: np.ndarray, mat: np.ndarray, support: np.ndarray) -> float | Non
     return float(np.mean(aucs)) if aucs else None
 
 
-class Scores(NamedTuple):
+@dataclass(frozen=True)
+class MetricReport:
     """Classification metrics of one evaluation set."""
 
-    confusion: np.ndarray  # (5, 5) counts, rows = true grade, columns = predicted grade
     accuracy: float
     macro_f1: float
     auc_ovr_macro: float | None  # None without prob rows, or when no grade qualifies
+    confusion: tuple[tuple[int, ...], ...]  # 5x5 counts, rows = true grade, columns = predicted grade
+    support: tuple[int, ...] = ()  # the confusion row sums
 
 
 def score(
     y_true: Sequence[int] | np.ndarray,
     y_pred: Sequence[int] | np.ndarray,
     prob_rows: np.ndarray | None = None,
-) -> Scores:
+) -> MetricReport:
     """The scoring kernel behind every classification metric: the grades
     are checked once, the confusion matrix is one ``bincount``, accuracy
     is its trace over n, and macro F1 is the mean per-grade F1 over the
@@ -95,7 +97,8 @@ def score(
     tp = cm.diagonal()[present]
     f1 = 2.0 * tp / (2 * tp + (cm.sum(axis=0)[present] - tp) + (support[present] - tp))
     auc = None if prob_rows is None else _auc_ovr(t, _prob_matrix(prob_rows, t.size), support)
-    return Scores(cm, int(tp.sum()) / t.size, float(np.mean(f1)), auc)
+    return MetricReport(int(tp.sum()) / t.size, float(np.mean(f1)), auc,
+                        tuple(map(tuple, cm.tolist())), tuple(support.tolist()))
 
 
 def accuracy(y_true: Sequence[int], y_pred: Sequence[int]) -> float:
@@ -105,7 +108,7 @@ def accuracy(y_true: Sequence[int], y_pred: Sequence[int]) -> float:
 
 def confusion_matrix(y_true: Sequence[int], y_pred: Sequence[int]) -> np.ndarray:
     """5x5 count matrix, rows = true grade, columns = predicted grade."""
-    return score(y_true, y_pred).confusion
+    return np.array(score(y_true, y_pred).confusion)
 
 
 def macro_f1(y_true: Sequence[int], y_pred: Sequence[int]) -> float:
@@ -267,27 +270,6 @@ def seeded_summary(per_seed_values: Sequence[float]) -> tuple[float, float]:
     return float(vals.mean()), float(vals.std())
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    """Bundle of classification metrics over one evaluation set."""
-
-    accuracy: float
-    macro_f1: float
-    auc_ovr_macro: float | None
-    confusion: tuple[tuple[int, ...], ...]
-    support: tuple[int, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        cm = np.asarray(self.confusion)
-        if cm.shape != (GRADE_COUNT, GRADE_COUNT):
-            raise ValueError("confusion matrix must be 5x5")
-        if tuple(int(v) for v in cm.sum(axis=1)) != tuple(self.support):
-            raise ValueError("confusion row sums must equal support")
-        total = cm.sum()
-        if total and abs(self.accuracy - np.trace(cm) / total) > 1e-12:
-            raise ValueError("accuracy must equal confusion trace / total")
-
-
 def evaluate_predictions(
     y_true: Sequence[int],
     y_pred: Sequence[int],
@@ -295,12 +277,4 @@ def evaluate_predictions(
 ) -> MetricReport:
     """Compute the full metric bundle; AUC only when ``(n, 5)`` prob rows
     are given and at least one grade qualifies."""
-    scores = score(y_true, y_pred, prob_rows)
-    cm = scores.confusion
-    return MetricReport(
-        accuracy=scores.accuracy,
-        macro_f1=scores.macro_f1,
-        auc_ovr_macro=scores.auc_ovr_macro,
-        confusion=tuple(tuple(row) for row in cm.tolist()),
-        support=tuple(cm.sum(axis=1).tolist()),
-    )
+    return score(y_true, y_pred, prob_rows)

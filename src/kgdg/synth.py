@@ -11,7 +11,7 @@ config and seed fully determine every output byte.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -210,44 +210,38 @@ def simulate_neural_table(
     return softmax(logits / temperature)
 
 
+def _domain(cfg: SynthConfig, spec: DomainSpec) -> tuple[DomainTable, DetectionTable]:
+    """One domain's features table, with its deep-branch rows, and its detections."""
+    domain = DomainId(spec.name)
+    label_rng = _stream(cfg.seed, domain, "labels")
+    offset_rng = _stream(cfg.seed, domain, "vein-offset")
+    vein_offset = offset_rng.normal(0.0, 1.0, size=3) * VEIN_STEP * spec.vein_noise_sigma
+
+    grades = label_rng.choice(5, size=spec.n_samples, p=np.asarray(spec.grade_prior))
+    rates = np.asarray(cfg.count_rates, dtype=np.float64) * spec.count_bias
+    lesions = _lesion_counts(label_rng, grades, rates, cfg.pdr_flag_prob)
+    ids = tuple(f"{domain}-{i:05d}" for i in range(spec.n_samples))
+    dets = _detections(_stream(cfg.seed, domain, "boxes"), ids, lesions)
+    vein = None
+    if cfg.with_vein:
+        jitter = _stream(cfg.seed, domain, "vein").normal(size=(spec.n_samples, 3)) * VEIN_JITTER
+        vein = np.round(np.clip(VEIN_BASE + VEIN_STEP * grades[:, None] + vein_offset + jitter,
+                                VEIN_CLIP_LO, VEIN_CLIP_HI), 6)
+    acc = spec.neural_in_domain_accuracy if domain == cfg.source_domain() else spec.neural_ood_accuracy
+    probs = simulate_neural_table(grades, acc, spec.neural_temperature, cfg.seed, stream=f"{domain}/neural")
+    probs.setflags(write=False)
+    # every image's features are its detections' counts (all scores kept) plus its vein values
+    table = DomainTable(ids, (domain,) * len(ids), grades, aggregate_detections(dets, 0.0), vein, domain, probs)
+    return table, dets
+
+
 def gen_dataset(cfg: SynthConfig) -> SynthOutput:
     """Generate every domain's features table, detections and deep-branch rows."""
-    rates = np.asarray(cfg.count_rates, dtype=np.float64)
     out = SynthOutput()
-    source = cfg.source_domain()
     for spec in cfg.domains:
-        domain = DomainId(spec.name)
-        label_rng = _stream(cfg.seed, domain, "labels")
-        offset_rng = _stream(cfg.seed, domain, "vein-offset")
-        vein_offset = offset_rng.normal(0.0, 1.0, size=3) * VEIN_STEP * spec.vein_noise_sigma
-
-        grades = label_rng.choice(5, size=spec.n_samples, p=np.asarray(spec.grade_prior))
-        lesions = _lesion_counts(label_rng, grades, rates * spec.count_bias, cfg.pdr_flag_prob)
-        ids = tuple(f"{domain}-{i:05d}" for i in range(spec.n_samples))
-        dets = _detections(_stream(cfg.seed, domain, "boxes"), ids, lesions)
-        vein = None
-        if cfg.with_vein:
-            jitter = _stream(cfg.seed, domain, "vein").normal(size=(spec.n_samples, 3)) * VEIN_JITTER
-            vein = np.round(np.clip(VEIN_BASE + VEIN_STEP * grades[:, None] + vein_offset + jitter,
-                                    VEIN_CLIP_LO, VEIN_CLIP_HI), 6)
-        acc = spec.neural_in_domain_accuracy if domain == source else spec.neural_ood_accuracy
-        probs = simulate_neural_table(grades, acc, spec.neural_temperature, cfg.seed, stream=f"{domain}/neural")
-        probs.setflags(write=False)
-        # every image's features are its detections' counts (all scores kept) plus its vein values
-        out.tables[domain] = DomainTable(ids, (domain,) * len(ids), grades, aggregate_detections(dets, 0.0), vein,
-                                         domain, probs)
-        out.detections[domain] = dets
+        table, dets = _domain(cfg, spec)
+        out.tables[table.domain], out.detections[table.domain] = table, dets
     return out
-
-
-def _alone(cfg: SynthConfig, spec: DomainSpec) -> SynthConfig:
-    """``cfg`` with ``spec`` its only domain, generating the bytes ``cfg``
-    generates for it: every stream is named by seed and domain, and a domain
-    alone is its own source, so one off the source takes the out-of-domain
-    accuracy as its in-domain one."""
-    if DomainId(spec.name) != cfg.source_domain():
-        spec = replace(spec, neural_in_domain_accuracy=spec.neural_ood_accuracy)
-    return replace(cfg, domains=(spec,), neural_source="")
 
 
 def write_dataset(cfg: SynthConfig, out_dir: str | Path) -> Path:
@@ -259,16 +253,16 @@ def write_dataset(cfg: SynthConfig, out_dir: str | Path) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     for spec in cfg.domains:
-        generated = gen_dataset(_alone(cfg, spec))
-        ((domain, table),) = generated.tables.items()
+        table, dets = _domain(cfg, spec)
+        domain = table.domain
         features = f"{domain}_features.csv"
         probs = f"{domain}_probs.csv"
-        dets = f"{domain}_detections.json"
+        detections = f"{domain}_detections.json"
         save_feature_table(out_dir / features, table)
         save_probability_table(out_dir / probs, dict(zip(table.ids, table.probs.tolist())))
-        save_detections(out_dir / dets, generated.detections[domain])
-        entries.append({"name": str(domain), "features": features, "probs": probs, "detections": dets})
-        del generated, table  # the loop names would keep this domain alive while the next is generated
+        save_detections(out_dir / detections, dets)
+        entries.append({"name": str(domain), "features": features, "probs": probs, "detections": detections})
+        del table, dets  # the loop names would keep this domain alive while the next is generated
     manifest_path = out_dir / "manifest.json"
     save_manifest(manifest_path, entries, seeds=(0, 1, 2))
     return manifest_path

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -338,6 +339,116 @@ class TestMetricsCommand:
 
     def test_metrics_without_inputs_exits_2(self):
         assert main(["metrics", "--quiet"]) == 2
+
+
+def classification_metrics_digests(work):
+    """sha256 of `kgdg metrics --truth --pred` on synth mild, seed 0, 100 rows
+    per domain: each domain scored against the deep branch's argmax grades,
+    with its p0..p4 rows (AUC present) and without them (AUC null)."""
+    data = work / "data"
+    write_dataset(shift_profile("mild", seed=0, n_samples=100), data)
+    digests = {}
+    for d in ("clinic_a", "clinic_b", "clinic_c"):
+        rows = [line.split(",", 1) for line in (data / f"{d}_probs.csv").read_text().splitlines()[1:]]
+        grades = [max(range(5), key=[float(p) for p in cells.split(",")].__getitem__) for _, cells in rows]
+        preds = {"probs": ["image_id,grade,p0,p1,p2,p3,p4"] + [f"{i},{g},{c}" for (i, c), g in zip(rows, grades)],
+                 "grades": ["image_id,grade"] + [f"{i},{g}" for (i, _), g in zip(rows, grades)]}
+        for name, lines in preds.items():
+            pred, out = work / f"{d}_{name}.csv", work / f"{d}_{name}.json"
+            pred.write_text("\n".join(lines) + "\n")
+            assert main(["metrics", "--truth", str(data / f"{d}_features.csv"), "--pred", str(pred),
+                         "--out", str(out), "--quiet"]) == 0, (d, name)
+            digests[f"{d}_{name}"] = hashlib.sha256(out.read_bytes()).hexdigest()
+    return digests
+
+
+class TestClassificationMetricsPinned:
+    """`kgdg metrics --truth --pred` writes the JSON it wrote when scores were
+    repacked into a MetricReport (digests recorded before the merge)."""
+
+    PINNED = {
+        "clinic_a_probs": "4320aec797b77dd8b4d8e863ceaf257711bc8b6bc99503094204d1b92179a74a",
+        "clinic_a_grades": "e8e236dea591ca7f1e65c643d7bba76cf535bd415de15c9b192138bb340b5219",
+        "clinic_b_probs": "65bb175cf9762885bae9c5e517ce474799b363320679c3f0650495ca5921852d",
+        "clinic_b_grades": "8c33e2e795d265ca2b55c0f6535573b2cbc68097b64687fc61b625d51a69c917",
+        "clinic_c_probs": "016dc816b6159fe2a781b08d2127897cd6c2e8b32dde08a6d2361254542b8ca3",
+        "clinic_c_grades": "15f0392a21da0c37bcf6999af9e712da1adadf41fbb84daba0b2f16a2430560e",
+    }
+
+    def test_output_bytes_pinned(self, tmp_path):
+        assert classification_metrics_digests(tmp_path) == self.PINNED
+
+
+class TestCountPastFloatRange:
+    """A lesion count past int64 is read exactly, as a Python int. grade ranks
+    it as one; train and eval, which need it as a float feature, exit 3
+    naming the image when no float holds it."""
+
+    @pytest.fixture
+    def huge(self, data_dir, tmp_path):
+        """A copy of data_dir whose first clinic_b microaneurysm count is
+        10**400, and that row's image id."""
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        features = data / "clinic_b_features.csv"
+        header, first, *rest = features.read_text().splitlines()
+        cells = first.split(",")
+        cells[header.split(",").index("microaneurysm_count")] = str(10**400)
+        features.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+        return data, cells[0]
+
+    def test_grade_exits_0(self, huge, tmp_path):
+        data, _image_id = huge
+        assert main(["grade", "--features", str(data / "clinic_b_features.csv"),
+                     "--out", str(tmp_path / "g.csv"), "--quiet"]) == 0
+
+    def test_train_exits_3(self, huge, tmp_path, capsys):
+        data, image_id = huge
+        out = tmp_path / "m.kgdg"
+        assert main(["train", "--features", str(data / "clinic_b_features.csv"), "--out", str(out), "--quiet"]) == 3
+        assert capsys.readouterr().err == (
+            f"error[DATA_ERROR]: image {image_id!r}: a lesion count is past the float range (about 1.8e308)\n")
+        assert not out.exists()
+
+    def test_sdg_eval_with_it_in_a_target_exits_3(self, huge, tmp_path, capsys):
+        data, image_id = huge
+        config = tmp_path / "experiment.json"
+        config.write_text(json.dumps({"domains": {"manifest": str(data / "manifest.json"), "source": "clinic_a"},
+                                      "seeds": [0], "symbolic": {"n_trees": 2}}))
+        out = tmp_path / "r.md"
+        assert main(["eval", "--config", str(config), "--out", str(out), "--quiet"]) == 3
+        assert capsys.readouterr().err == (
+            f"error[DATA_ERROR]: image {image_id!r}: a lesion count is past the float range (about 1.8e308)\n")
+        assert not out.exists()
+
+
+class TestSdgReadsOnlyItsDomains:
+    """An SDG run that names its targets reads no other domain: a malformed
+    clinic_c is no error, and a change to clinic_c leaves the report, its
+    fingerprint included, as it was."""
+
+    def report(self, data_dir, work, edit=None):
+        data = work / "data"
+        shutil.copytree(data_dir, data)
+        features = data / "clinic_c_features.csv"
+        if edit is not None:
+            features.write_text(edit(features.read_text()))
+        config = work / "experiment.json"
+        config.write_text(json.dumps({
+            "domains": {"manifest": str(data / "manifest.json"), "source": "clinic_a", "targets": ["clinic_b"]},
+            "seeds": [0], "symbolic": {"n_trees": 2}, "fusion": {"strategies": ["max"]}}))
+        out = work / "report.json"
+        assert main(["eval", "--config", str(config), "--format", "json", "--out", str(out), "--quiet"]) == 0
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: "image_id,grade\n",  # no count columns: MISSING_COLUMN were it read
+        lambda text: text[: text.rindex("\n", 0, -1) + 1],  # the last valid row dropped
+    ], ids=["malformed", "row_dropped"])
+    def test_unused_domain_is_not_read(self, data_dir, tmp_path, edit):
+        (tmp_path / "as_is").mkdir()
+        (tmp_path / "edited").mkdir()
+        assert self.report(data_dir, tmp_path / "edited", edit) == self.report(data_dir, tmp_path / "as_is")
 
 
 def _detection_record(image_id, lesion="microaneurysm", x=0.1, y=0.1, score=0.9):
@@ -853,6 +964,20 @@ class TestConfigValueTypes:
         code = main([command, "--features", str(data_dir / "clinic_a_features.csv"), "--config", str(config),
                      "--out", str(tmp_path / "out"), "--quiet"])
         assert (code, capsys.readouterr().err) == (2, f"error[INVALID_CONFIG]: {message}\n")
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_list_for_a_scalar_prints_as_given(self, data_dir, tmp_path, capsys, command):
+        """A list given for a field that takes no list is printed as given,
+        in a section as at the top level."""
+        if command == "eval":
+            code, err = self._eval(data_dir, tmp_path, capsys, symbolic='{"n_trees": [1]}')
+        else:
+            config = tmp_path / "section.json"
+            config.write_text('{"symbolic": {"n_trees": [1]}}')
+            code = main(["train", "--features", str(data_dir / "clinic_a_features.csv"), "--config", str(config),
+                         "--out", str(tmp_path / "out"), "--quiet"])
+            err = capsys.readouterr().err
+        assert (code, err) == (2, "error[INVALID_CONFIG]: n_trees must be an integer, got [1]\n")
 
     @pytest.mark.parametrize("flags, env, message", [
         (["--samples", "100000000000000000000"], None,

@@ -2,12 +2,14 @@
 linter: no module keeps an import it never uses, no private module-level
 name goes unread in ``src/``, no config field goes unread outside its own
 checks, each learner's fit reads exactly the TrainConfig fields listed for
-it, no CLI flag goes unread outside the parser that defines it, and every
-public name list resolves without repeats. A deletion that leaves an
-import, a helper, a config field, a flag or an export behind fails here."""
+it, no CLI flag goes unread outside the parser that defines it, every public name
+list resolves without repeats, and every ``kgdg`` name README gives
+exists. A deletion that leaves an import, a helper, a config field, a
+flag, an export or a README name behind fails here."""
 
 import ast
 import importlib
+import re
 
 import pytest
 from test_spans import SHIM_COMMENT, SRC
@@ -242,3 +244,47 @@ def test_public_names_resolve_once(module_name):
     names = module.__all__
     assert len(set(names)) == len(names)
     assert [name for name in names if not hasattr(module, name)] == []
+
+
+README = SRC.parent / "README.md"
+
+
+def resolves(dotted):
+    """Whether ``dotted`` names a module or an attribute of the longest
+    module prefix that imports."""
+    parts = dotted.split(".")
+    for n in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:n]))
+        except ImportError:
+            continue
+        for attr in parts[n:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def unresolved_readme_names(text):
+    """Each backticked dotted ``kgdg.`` name in ``text`` (a call's arguments
+    dropped) that names nothing."""
+    names = sorted(set(re.findall(r"`(kgdg(?:\.\w+)+)", text)))
+    return [name for name in names if not resolves(name)]
+
+
+def test_every_readme_kgdg_name_exists():
+    assert unresolved_readme_names(README.read_text()) == []
+
+
+def test_missing_readme_name_detected():
+    text = "`kgdg.metrics.score(y, preds)`, `kgdg.fusion`, `kgdg.harness.gone` and `kgdg.nope.x`."
+    assert unresolved_readme_names(text) == ["kgdg.harness.gone", "kgdg.nope.x"]
+
+
+def test_readme_entry_points_import():
+    """The ``from kgdg import (...)`` block under "Library entry points" runs."""
+    section = README.read_text().split("## Library entry points", 1)[1]
+    block = re.search(r"```python\n(from kgdg import \(.*?\))\n```", section, re.S)
+    assert block is not None
+    exec(compile(block.group(1), str(README), "exec"), {})
