@@ -27,7 +27,6 @@ count, and a failing run raises the first failing task's exception.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import threading
@@ -45,7 +44,8 @@ from .errors import (
 )
 from .fusion import TIE_ORDER, FusionStrategy, fuse
 from .fusion import fuse as fused_probability  # noqa: F401  unused here; the benchmark's tracer patches it by this module's name
-from .io import DomainEntry, Manifest, canonical_json, content_digest, file_digest, load_domain_dataset
+from .io import (DomainEntry, Manifest, canonical_json, content_digest, file_digest, load_domain_dataset,
+                 parse_json, read_text)
 from .learn import TrainConfig, feature_matrix, fit_model, resolve_schema
 from .metrics import DomainStats, domain_kl, score, seeded_summary
 from .metrics import accuracy, auc_ovr_macro, macro_f1  # noqa: F401  unused here; the benchmark's tracer patches them by this module's name
@@ -692,10 +692,12 @@ def build_section(section: str, cls, raw: Any):
 
 def read_config_file(path: str | Path) -> dict[str, Any]:
     """Parse a config JSON object whose top-level keys are known sections."""
+    def unreadable(exc: Exception) -> InvalidConfig:
+        return InvalidConfig(f"{path}: cannot read config: {exc}")
     try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
-        raise InvalidConfig(f"{path}: cannot read config: {exc}") from exc
+        raw = parse_json(read_text(path, error=InvalidConfig), unreadable)
+    except OSError as exc:
+        raise unreadable(exc) from exc
     if not isinstance(raw, dict):
         raise InvalidConfig(f"{path}: a config file must hold a JSON object")
     unknown = set(raw) - _CONFIG_SECTIONS

@@ -1,7 +1,9 @@
 """File ingestion and persistence.
 
-Every file is UTF-8 text. Tables are comma-separated with a mandatory
-header; detections and manifests are JSON. Each table and detection file is
+Every file is UTF-8 text, which ``read_text`` alone checks (the csv
+fallback rereads only a file it has read); ``parse_json`` alone parses
+JSON. Tables are comma-separated with a mandatory header; detections and
+manifests are JSON. Each table and detection file is
 read straight into arrays (``read_*``), each check stated once as a row or
 record mask. Two per-row views remain only because the benchmark calls or
 patches them: ``load_feature_table`` and ``load_probability_table``, with
@@ -97,13 +99,22 @@ def file_digest(path: str | Path) -> str:
 # failing check. A mask is built only when the check's aggregate fails.
 
 
-def _read_text(path: Path, error: type[DataError] = DataError) -> str:
+def read_text(path: str | Path, error: type[Exception] = DataError) -> str:
     """The file as UTF-8 text, newlines LF; other bytes raise ``error`` naming it."""
     try:
-        text = path.read_bytes().decode("utf-8")
+        text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text: {exc}") from None
     return text if "\r" not in text else text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def parse_json(text: str, failed: Callable[[Exception], Exception]) -> Any:
+    """json.loads(text); text that is not JSON, nests past the recursion limit
+    or holds an integer past int()'s digit limit raises ``failed(exc)``."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise failed(exc) from exc
 
 
 def _csv(path: Path) -> Iterator[Any]:
@@ -117,27 +128,20 @@ def _csv(path: Path) -> Iterator[Any]:
             yield list(reader)
         except csv.Error as exc:  # a cell over csv.field_size_limit()
             raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError:  # its offset counts from the stream's last read: name the file's byte
-            _read_text(path)
-            raise
 
 
 class _Refused(Exception):
     """numpy's C reader does not take a table, or a check rejects one of its rows."""
 
 
-def _text_parts(path: Path) -> Iterator[Any]:
-    """_csv's parts for text that numpy's C reader splits as _csv does: the
-    stripped header, then _loadtxt of the lines after it, which _Rows calls.
-    Raises _Refused for text that is not UTF-8, holds a quote, CR or NUL
+def _text_parts(text: str) -> Iterator[Any]:
+    """_csv's parts for read_text's ``text`` that numpy's C reader splits as
+    _csv does: the stripped header, then _loadtxt of the lines after it,
+    which _Rows calls. Raises _Refused for text that holds a quote or NUL
     (which Python 3.10's csv rejects), or has an empty first line or a line
     as long as csv.field_size_limit()."""
-    try:
-        text = path.read_bytes().decode("utf-8")
-    except UnicodeDecodeError:
-        raise _Refused from None
     lines = text.split("\n")
-    if not lines[0] or any(c in text for c in '"\r\0') or max(map(len, lines)) >= csv.field_size_limit():
+    if not lines[0] or any(c in text for c in '"\0') or max(map(len, lines)) >= csv.field_size_limit():
         raise _Refused
     yield tuple(h.strip() for h in lines[0].split(","))
     yield functools.partial(_loadtxt, lines[1:])
@@ -160,14 +164,14 @@ def _loadtxt(lines: list[str], kinds: str) -> list[np.ndarray]:
 
 def _columnar(read: Callable[[Path, Iterator[Any]], Any]) -> Callable[[str | Path], Any]:
     """The table reader ``read(path, parts)``, called with a path only: run
-    on _text_parts, then, if numpy's C reader refuses the text or a check
-    rejects a row, on _csv's parts. Those name the first bad row's error and
-    read the valid text the C reader does not take (quoted cells, CRLF)."""
+    on _text_parts of read_text, then, if numpy's C reader refuses the text
+    or a check rejects a row, on _csv's parts. Those name the first bad row's
+    error and read the valid text the C reader does not take (quoted cells)."""
     @functools.wraps(read)
     def reader(path: str | Path) -> Any:
         path = Path(path)
         try:
-            return read(path, _text_parts(path))
+            return read(path, _text_parts(read_text(path)))
         except _Refused:
             return read(path, _csv(path))
     return reader
@@ -449,10 +453,7 @@ def read_detections(path: str | Path) -> DetectionTable:
     the order a record is checked: a dict with a known lesion, five JSON
     numbers, the box, the score, the image id."""
     path = Path(path)
-    try:
-        records = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: not valid JSON: {exc}") from exc
+    records = parse_json(read_text(path), lambda exc: DataError(f"{path}: not valid JSON: {exc}"))
     if not isinstance(records, list):
         raise DataError(f"{path}: expected a JSON list of detection records")
     check = _FirstBad(len(records))
@@ -620,19 +621,11 @@ class Manifest:
 
 def load_manifest(path: str | Path) -> Manifest:
     path = Path(path)
+    raw = parse_json(read_text(path), lambda exc: DataError(f"{path}: not valid JSON: {exc}"))
     try:
-        raw = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: not valid JSON: {exc}") from exc
-    try:
-        entries = [
-            DomainEntry(
-                name=DomainId(d["name"]),
-                features=(path.parent / d["features"]).resolve(),
-                probs=(path.parent / d["probs"]).resolve() if d.get("probs") else None,
-            )
-            for d in raw["domains"]
-        ]
+        entries = [DomainEntry(DomainId(d["name"]), (path.parent / d["features"]).resolve(),
+                               (path.parent / d["probs"]).resolve() if d.get("probs") else None)
+                   for d in raw["domains"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed manifest: {exc}") from exc
     return Manifest(tuple(entries))
@@ -700,9 +693,11 @@ def load_model(path: str | Path) -> ModelArtifact:
     not an object; SchemaMismatch when the schema was edited or does not
     fit the stored model.
     """
+    def malformed(exc: Exception) -> CorruptArtifact:
+        return CorruptArtifact(f"{path}: truncated or malformed payload: {exc}")
     path = Path(path)
     try:
-        text = _read_text(path, error=CorruptArtifact)
+        text = read_text(path, error=CorruptArtifact)
     except OSError as exc:
         raise CorruptArtifact(f"{path}: unreadable: {exc}") from exc
     parts = text.split("\n", 3)
@@ -710,7 +705,7 @@ def load_model(path: str | Path) -> ModelArtifact:
         raise CorruptArtifact(f"{path}: missing {ARTIFACT_MAGIC} header")
     body_digest, schema_digest, payload = parts[1], parts[2], parts[3]
     try:
-        raw = json.loads(payload)
+        raw = parse_json(payload, malformed)
         artifact = ModelArtifact(
             model_kind=raw["model_kind"],
             feature_schema=tuple(raw["feature_schema"]),
@@ -718,8 +713,8 @@ def load_model(path: str | Path) -> ModelArtifact:
             train_fingerprint=raw["train_fingerprint"],
             path=str(path),
         )
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise CorruptArtifact(f"{path}: truncated or malformed payload: {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        raise malformed(exc) from exc
     if content_digest(canonical_json(list(artifact.feature_schema))) != schema_digest:
         raise SchemaMismatch(f"{path}: feature schema does not match its digest")
     if content_digest(_body(artifact)) != body_digest:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from .errors import DataError, InvalidConfig, UnknownReference
 from .harness import CellStat, ExperimentReport
+from .io import parse_json, read_text
 
 # --- embedded reference fixtures ----------------------------------------------
 
@@ -402,7 +403,9 @@ def emit_report(report: ExperimentReport, fmt: str, path: str | Path) -> Path:
 
 def load_report_json(path: str | Path) -> ExperimentReport:
     """Read a report written by ``eval --format json``; any other file is a DataError."""
+    def not_a_report(exc: Exception) -> DataError:
+        return DataError(f"{path}: not an eval --format json report: {type(exc).__name__}: {exc}")
     try:
-        return ExperimentReport.from_json_dict(json.loads(Path(path).read_bytes().decode("utf-8")))
+        return ExperimentReport.from_json_dict(parse_json(read_text(path), not_a_report))
     except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
-        raise DataError(f"{path}: not an eval --format json report: {type(exc).__name__}: {exc}") from None
+        raise not_a_report(exc) from None

@@ -2,7 +2,7 @@ import hashlib
 import json
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import astuple, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -209,6 +209,30 @@ class TestNumpyReader:
         assert read_through_csv == []
         assert read_probability_table(quoted)[0][0] == "q"
         assert read_through_csv == [quoted]
+
+    def test_cr_and_crlf_tables_read_as_lf_without_csv(self, tmp_path, monkeypatch):
+        write_dataset(shift_profile("vein_hostile", seed=7, n_samples=50), tmp_path)
+        features, probs = tmp_path / "clinic_a_features.csv", tmp_path / "clinic_a_probs.csv"
+        fused = tmp_path / "fused.csv"
+        assert main(["fuse", "--strategy", "max", "--dl", str(probs), "--kd", str(probs), "--out", str(fused),
+                     "--quiet"]) == 0
+        read_through_csv = []
+        csv_parts = kgdg_io._csv
+        monkeypatch.setattr(kgdg_io, "_csv", lambda path: read_through_csv.append(path) or csv_parts(path))
+
+        def fields(read, path):  # a reader's result as a tuple
+            result = read(path)
+            return astuple(result) if is_dataclass(result) else result
+
+        for read, path in ((read_feature_table, features), (read_probability_table, probs),
+                           (read_prediction_table, fused)):
+            lf = fields(read, path)
+            for end in (b"\r\n", b"\r"):
+                copy = tmp_path / "copy.csv"
+                copy.write_bytes(path.read_bytes().replace(b"\n", end))
+                got = fields(read, copy)
+                assert len(got) == len(lf) and all(map(np.array_equal, got, lf))
+        assert read_through_csv == []
 
 
 class TestDetections:

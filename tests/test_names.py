@@ -3,9 +3,10 @@ linter: no module keeps an import it never uses, no private module-level
 name goes unread in ``src/``, no config field goes unread outside its own
 checks, each learner's fit reads exactly the TrainConfig fields listed for
 it, no CLI flag goes unread outside the parser that defines it, every public name
-list resolves without repeats, and every ``kgdg`` name README gives
-exists. A deletion that leaves an import, a helper, a config field, a
-flag, an export or a README name behind fails here."""
+list resolves without repeats, every ``kgdg`` name README gives exists,
+and one function each parses JSON and decodes file bytes. A deletion that
+leaves an import, a helper, a config field, a flag, an export or a README
+name behind fails here, and so does a second reader."""
 
 import ast
 import importlib
@@ -236,6 +237,46 @@ def test_unread_flag_detected():
         "    args.unread\n"
     )
     assert unread_flags(tree) == ["unread", "short_too"]
+
+
+def reader_calls(trees):
+    """``module: function`` for each call of ``json.loads`` or ``json.load``
+    ("parse") and of a ``.decode`` or ``.read_text`` method ("decode"),
+    named by the innermost function that makes it."""
+    calls = {"parse": [], "decode": []}
+
+    def visit(node, module, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if ast.unparse(node.func) in ("json.loads", "json.load"):
+                calls["parse"].append(f"{module}: {where}")
+            elif node.func.attr in ("decode", "read_text"):
+                calls["decode"].append(f"{module}: {where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for module, tree in trees.items():
+        visit(tree, module, "<module>")
+    return calls
+
+
+def test_one_function_parses_json_and_one_decodes():
+    trees = {str(path.relative_to(SRC)): ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))}
+    assert reader_calls(trees) == {"parse": ["kgdg/io.py: parse_json"], "decode": ["kgdg/io.py: read_text"]}
+
+
+def test_second_reader_detected():
+    tree = ast.parse(
+        "import json\n"
+        "def parse(text):\n    return json.loads(text)\n"
+        "def decode(path):\n    return path.read_bytes().decode('utf-8')\n"
+        "def config(path):\n    def inner():\n        return json.load(open(path))\n"
+        "    return json.loads(path.read_text())\n"
+        "RAW = b'x'.decode()\n"
+    )
+    assert reader_calls({"m": tree}) == {"parse": ["m: parse", "m: inner", "m: config"],
+                                         "decode": ["m: decode", "m: config", "m: <module>"]}
 
 
 @pytest.mark.parametrize("module_name", ["kgdg", "kgdg.learn"])
